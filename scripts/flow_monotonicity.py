@@ -51,7 +51,7 @@ def main(argv=None) -> int:
     check = traj.monotonicity_check(tol_rel=1e-3, tol_abs=1e-6)
     print(f"F non-increasing: {check['F_nonincreasing']}; "
           f"max |dF/dtau + D| = {check['max_gap']:.3e} "
-          f"(allowed {check['max_allowed_gap']:.3e}); "
+          f"(allowed {check['min_allowed_gap']:.3e}); "
           f"balance: {'pass' if check['balance_ok'] else 'FAIL'}")
     return 0 if check["F_nonincreasing"] and check["balance_ok"] else 1
 

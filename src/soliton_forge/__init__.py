@@ -28,8 +28,7 @@ from .diagnostics import (
 )
 from .mcf_flow import (
     FlowProblem, FlowTrajectory, GraphFlowState, bump_initial,
-    discrete_soliton, flat_initial, flow_rhs, soliton_defect,
-    soliton_initial, sphere_area, step_flow, weighted_functional,
+    discrete_soliton, flat_initial, soliton_initial, sphere_area,
 )
 from .lorentz import (
     LorentzMap, LorentzPoint, compose, embed_polar, equidistant_point,

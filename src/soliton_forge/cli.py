@@ -3,18 +3,16 @@
 Subcommands: soliton (solve one family and export artifacts), verify
 (diagnostics on a solve or CSV input), flow (graphical mean curvature
 flow), isometry (apply a Lorentz map to a point set), sweep (parameter
-grids, optionally parallel).  Exit codes: 0 success, 2 verification
-failure, 1 usage or runtime error.  Flag values override JSON config
-values, which override built-in defaults.
+grids).  Exit codes: 0 success, 2 verification failure, 1 usage or
+runtime error.  Flag values override JSON config values, which override
+built-in defaults.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -22,12 +20,9 @@ import numpy as np
 from . import diagnostics, fileio, lorentz, mcf_flow
 from .graph_solvers import solve_grim, solve_radial_graph
 from .meshing import revolve_profile
-from .profile_solver import (SolitonSpec, TerminationPolicy, solve_bowl,
-                             solve_ideal_parametric, solve_wing)
+from .profile_solver import (_FAMILY_KIND, SolitonSpec, TerminationPolicy,
+                             solve_bowl, solve_ideal_parametric, solve_wing)
 from .warp_models import make_builtin_warp
-
-_FAMILY_WARP_KIND = {"bowl": "rotational", "wing": "rotational",
-                     "ideal": "busemann", "grim": "equidistant"}
 
 
 class UsageError(Exception):
@@ -159,7 +154,7 @@ def _out_path(args, name: str) -> Path:
 
 
 def _make_spec(family, K, n, c, epsilon=None) -> SolitonSpec:
-    warp = make_builtin_warp(_FAMILY_WARP_KIND[family], K)
+    warp = make_builtin_warp(_FAMILY_KIND[family], K)
     return SolitonSpec(c=c, n=n, family=family, warp=warp,
                        epsilon=epsilon if family == "wing" else None)
 
@@ -332,7 +327,6 @@ def _cmd_isometry(args) -> int:
 
 def _cmd_sweep(args) -> int:
     family = args.family or ("wing" if args.epsilons else "bowl")
-    max_workers = int(os.environ.get("SOLITON_FORGE_THREADS", "4"))
     tag = args.tag or f"sweep_{family}"
 
     if family == "wing":
@@ -347,9 +341,8 @@ def _cmd_sweep(args) -> int:
             result = diagnostics.wing_height_report(curve)
             return eps, result
 
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(solve_one, epsilons))
-        results.sort(key=lambda pair: -pair[0])
+        results = sorted((solve_one(eps) for eps in epsilons),
+                         key=lambda pair: -pair[0])
         lines = ["epsilon,r_turn,gap,lower,upper,pass"]
         gaps = []
         for eps, res in results:
@@ -375,10 +368,8 @@ def _cmd_sweep(args) -> int:
         graph = solve_radial_graph(spec, r_span=(0.0, args.r_max))
         return c, float(graph.u[-1]), float(graph.du[-1])
 
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        results = list(pool.map(solve_one_c, c_values))
     lines = ["c,u_rmax,du_rmax"]
-    for c, u_end, du_end in sorted(results):
+    for c, u_end, du_end in sorted(solve_one_c(c) for c in c_values):
         lines.append(f"{fileio.fmt(c)},{fileio.fmt(u_end)},{fileio.fmt(du_end)}")
     path = _out_path(args, f"{tag}.csv")
     path.write_text("\n".join(lines) + "\n", newline="\n")

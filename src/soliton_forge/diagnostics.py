@@ -197,8 +197,7 @@ def geodesic_residual(curve, spec: SolitonSpec | None = None,
     rd, td, phid = _fd1(r_of, s, h), _fd1(t_of, s, h), _fd1(phi_of, s, h)
     rdd, tdd = _fd2(r_of, s, h), _fd2(t_of, s, h)
 
-    ratio = np.array([warp.xi_ratio(x) for x in r]) if n > 1 else np.zeros_like(r)
-    a = (n - 1) * ratio
+    a = warp.drift(r, n)
     reduced = phid - c * np.cos(phi) + a * np.sin(phi)
     mu = c * td + a * rd
     full_r = rdd + a * (rd**2 - td**2) + 2 * c * rd * td - mu * rd
@@ -251,14 +250,12 @@ def drift_identity_residual(curve, spec: SolitonSpec | None = None,
         return np.asarray(curve.sample(sv)[0])
 
     td, rd, tdd = _fd1(t_of, s, h), _fd1(r_of, s, h), _fd2(t_of, s, h)
-    ratio = np.array([warp.xi_ratio(x) for x in r]) if n > 1 else np.zeros_like(r)
-    res = tdd + (n - 1) * ratio * rd * td + c * td**2 - c
+    res = tdd + warp.drift(r, n) * rd * td + c * td**2 - c
     return _result("drift_identity", res, tol, details={"h": h, "fd": True})
 
 
 def _drift_residual_states(r, phi, c, n, warp):
-    ratio = np.array([warp.xi_ratio(x) for x in np.atleast_1d(r)])
-    a = (n - 1) * ratio if n > 1 else np.zeros_like(ratio)
+    a = warp.drift(r, n)
     cphi, sphi = np.cos(phi), np.sin(phi)
     phid = c * cphi - a * sphi
     tdd = cphi * phid
@@ -301,13 +298,12 @@ def asymptotic_report(graph: RadialGraph, spec: SolitonSpec | None = None,
     if bounds is not None:
         k_plus = bounds.K_plus
     else:
-        k_plus = max(radial_curvature(warp, x) for x in np.linspace(
-            max(r_a, 1e-2), r_b, 64))
-    g_slope_end = _fd1(lambda x: np.asarray([warp.g(v) for v in np.atleast_1d(x)]),
-                       np.array([0.9 * r_b]), 1e-4)[0]
+        k_plus = float(np.max(radial_curvature(warp, np.linspace(
+            max(r_a, 1e-2), r_b, 64))))
+    g_slope_end = _fd1(warp.g, np.array([0.9 * r_b]), 1e-4)[0]
     applicable = (k_plus < 0) and abs(g_slope_end) < 0.2
 
-    g = np.array([warp.g(x) for x in r])
+    g = warp.g(r)
     zeta = (c / (n - 1)) * g
     du = np.atleast_1d(np.asarray(graph.du_eval(r)))
     psi = du - zeta
@@ -321,7 +317,7 @@ def asymptotic_report(graph: RadialGraph, spec: SolitonSpec | None = None,
                   and abs(lam[-1]) < abs(lam[0]) + slack)
     r_s = r[r >= sandwich_r_min]
     if r_s.size:
-        zs = (c / (n - 1)) * np.array([warp.g(x) for x in r_s])
+        zs = (c / (n - 1)) * warp.g(r_s)
         ds = np.atleast_1d(np.asarray(graph.du_eval(r_s)))
         sandwich = bool(np.all((1 - sandwich_eps) * zs <= ds + slack)
                         and np.all(ds <= zs + slack))
@@ -367,9 +363,7 @@ def wing_height_report(curve: ProfileCurve) -> CheckResult:
     lower = warp.g(eps) * angle / (n - 1)
     upper = warp.g(r0) * angle / (n - 1)
     r_h = np.linspace(eps, r0, 64)
-    ratio_slope = _fd1(
-        lambda x: np.asarray([warp.xi_ratio(v) for v in np.atleast_1d(x)]),
-        r_h, 1e-5)
+    ratio_slope = _fd1(warp.xi_ratio, r_h, 1e-5)
     hypothesis = bool(np.all(ratio_slope <= 1e-10))
     radius_ok = bool(r0 - eps <= math.pi / (2 * c) + 1e-12)
     sandwich_ok = bool(lower - 1e-12 <= gap <= upper + 1e-12)

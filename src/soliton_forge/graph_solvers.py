@@ -20,7 +20,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .profile_solver import DEFAULT_ATOL, DEFAULT_RTOL, SolitonSpec
-from .warp_models import BUSEMANN, EQUIDISTANT, ROTATIONAL, WarpModel, level_mean_curvature
+from .warp_models import BUSEMANN, EQUIDISTANT, ROTATIONAL, WarpModel
 
 BLOWUP_SLOPE = 1e6
 
@@ -109,6 +109,15 @@ def _integrate_slope(rhs, r_span, y0, rtol, atol, n_out, tail=None,
     return r_grid, u, du, sol.sol, blowup, blowup_radius
 
 
+def _slope_rhs(c: float, n: int, warp: WarpModel):
+    """Right-hand side of (u, u')' for u'' = (1 + u'^2)(c - D(r) u')."""
+
+    def rhs(r, y):
+        p = y[1]
+        return (p, (1.0 + p * p) * (c - warp.drift(r, n) * p))
+    return rhs
+
+
 def solve_radial_graph(spec: SolitonSpec, r_span=(0.0, 20.0), ic=None,
                        rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
                        n_out: int = 2001) -> RadialGraph:
@@ -124,15 +133,6 @@ def solve_radial_graph(spec: SolitonSpec, r_span=(0.0, 20.0), ic=None,
         ic = (r_span[0], 0.0, 0.0)
     r0, u0, du0 = ic
 
-    if n > 1:
-        def rhs(r, y):
-            p = y[1]
-            return (p, (1.0 + p * p) * (c - (n - 1) * warp.xi_ratio(r) * p))
-    else:
-        def rhs(r, y):
-            p = y[1]
-            return (p, (1.0 + p * p) * c)
-
     meta = {"source": "radial_ode", "rtol": rtol, "atol": atol}
     if n > 1 and warp.kind == ROTATIONAL and r0 == 0.0:
         if du0 != 0.0:
@@ -143,7 +143,7 @@ def solve_radial_graph(spec: SolitonSpec, r_span=(0.0, 20.0), ic=None,
     else:
         y0 = (u0, du0)
     r_grid, u, du, dense, blowup, b_rad = _integrate_slope(
-        rhs, (r0, r_span[1]), y0, rtol, atol, n_out)
+        _slope_rhs(c, n, warp), (r0, r_span[1]), y0, rtol, atol, n_out)
     return RadialGraph(r_grid=r_grid, u=u, du=du, spec=spec, chart="polar",
                        gradient_blowup=blowup, blowup_radius=b_rad,
                        meta=meta, _dense=dense)
@@ -164,7 +164,7 @@ def solve_ideal_graph(c: float, n: int, warp: WarpModel, r_span=(0.0, 5.0),
     r0, u0, du0 = ic
 
     def coeff(r):
-        return c - (n - 1) * warp.xi_ratio(r)
+        return c - warp.drift(r, n)
 
     def rhs(r, y):
         p = y[1]
@@ -201,11 +201,6 @@ def solve_grim(c: float, n: int, warp: WarpModel, r_span=(-20.0, 20.0),
     if warp.kind != EQUIDISTANT:
         raise ValueError("grim solves need an equidistant warp")
     r0, u0, du0 = ic
-
-    def rhs(r, y):
-        p = y[1]
-        return (p, (1.0 + p * p) * (c - level_mean_curvature(warp, r, n) * p))
-
     spec = SolitonSpec(c=c, n=n, family="grim", warp=warp)
 
     if n >= 3 and r0 == 0.0:
@@ -218,6 +213,8 @@ def solve_grim(c: float, n: int, warp: WarpModel, r_span=(-20.0, 20.0),
         # integrate away from the singular line only
         r_span = (r0, r_span[1]) if side > 0 else (r_span[0], r0)
 
+    warp.require_domain((r_span[0], r0, r_span[1]))
+    rhs = _slope_rhs(c, n, warp)
     pieces = []
     if r_span[0] < r0:
         pieces.append(_integrate_slope(rhs, (r0, r_span[0]), (u0, du0),

@@ -29,7 +29,7 @@ from scipy.special import gamma
 
 from .graph_solvers import solve_radial_graph, solve_grim
 from .profile_solver import SolitonSpec
-from .warp_models import ROTATIONAL, EQUIDISTANT, WarpModel, level_mean_curvature
+from .warp_models import ROTATIONAL, EQUIDISTANT, WarpModel
 
 EXPLICIT_CFL = 0.4
 
@@ -48,7 +48,6 @@ class GraphFlowState:
     r_grid: np.ndarray
     u: np.ndarray
     tau: float
-    problem: "FlowProblem"
 
     def __post_init__(self):
         self.u = np.asarray(self.u, dtype=float)
@@ -80,7 +79,7 @@ class FlowTrajectory:
         return {
             "F_nonincreasing": bool(np.all(np.diff(F) <= 1e-12 * np.abs(F[0]))),
             "max_gap": float(np.max(gap)),
-            "max_allowed_gap": float(np.min(allowed)),
+            "min_allowed_gap": float(np.min(allowed)),
             "balance_ok": bool(np.all(gap <= allowed)),
         }
 
@@ -121,16 +120,13 @@ class FlowProblem:
         self.newton_max_iter = newton_max_iter
         self.area = sphere_area(n)
 
+        # drift D(r) and area weight xi^(n-1); the equidistant chart has
+        # n = 2, so its weight is xi.  The polar axis row never reads D(0).
         r = self.r_grid
-        if chart == "polar":
-            self.drift = np.zeros_like(r)
-            if n > 1:
-                self.drift[1:] = (n - 1) * np.array([warp.xi_ratio(x) for x in r[1:]])
-            self.weight = np.array([warp.xi(x) ** (n - 1) for x in r])
-        else:
-            self.drift = np.array([level_mean_curvature(warp, x, n) for x in r])
-            self.weight = np.array([warp.xi(x) * warp.chi(x) ** (n - 2)
-                                    if n > 2 else warp.xi(x) for x in r])
+        self.drift = np.zeros_like(r)
+        start = 1 if chart == "polar" else 0
+        self.drift[start:] = warp.drift(r[start:], n)
+        self.weight = warp.xi(r) ** (n - 1)
 
         self._sigma = None
         self._sigma_left = None
@@ -341,7 +337,7 @@ class FlowProblem:
             taus.append(tau)
             fs.append(self.weighted_functional(u, tau))
             ds.append(self.soliton_defect(u, tau))
-            snaps.append(GraphFlowState(self.r_grid, u.copy(), tau, self))
+            snaps.append(GraphFlowState(self.r_grid, u.copy(), tau))
 
         record(tau0, u)
         for i in range(1, n_steps + 1):
@@ -354,34 +350,6 @@ class FlowProblem:
             meta={"scheme": scheme, "dtau": dtau, "bc": self.bc,
                   "chart": self.chart, "n_nodes": self.r_grid.size,
                   "robin_slope": self._sigma})
-
-
-# -- module-level operation wrappers ------------------------------------
-
-def flow_rhs(state: GraphFlowState) -> np.ndarray:
-    return state.problem.rhs(state.u)
-
-
-def step_flow(state: GraphFlowState, dtau: float,
-              scheme: str = "explicit") -> GraphFlowState:
-    prob = state.problem
-    if prob.bc == "robin" and prob._sigma is None:
-        prob.pin_boundary_slopes(state.u)
-    if scheme == "explicit":
-        u_new = prob.step_explicit(state.u, dtau)
-    elif scheme == "implicit":
-        u_new = prob.step_implicit(state.u, dtau)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    return GraphFlowState(state.r_grid, u_new, state.tau + dtau, prob)
-
-
-def weighted_functional(state: GraphFlowState) -> float:
-    return state.problem.weighted_functional(state.u, state.tau)
-
-
-def soliton_defect(state: GraphFlowState) -> float:
-    return state.problem.soliton_defect(state.u, state.tau)
 
 
 # -- initial data -------------------------------------------------------

@@ -98,7 +98,7 @@ def revolve_profile(curve: ProfileCurve, angular_segments: int = 64,
 
     if chart == "poincare_disk":
         probe = np.linspace(max(r.max() * 0.1, 1e-2), max(r.max(), 1.0), 16)
-        ks = np.array([radial_curvature(spec.warp, x) for x in probe])
+        ks = radial_curvature(spec.warp, probe)
         if ks.max() >= -1e-12 or np.ptp(ks) > 1e-8 * abs(ks.mean()) + 1e-12:
             raise ValueError(
                 "poincare_disk chart needs constant negative curvature")

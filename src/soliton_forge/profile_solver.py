@@ -54,13 +54,15 @@ class SolitonSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        if self.c < 0:
-            raise ValueError("soliton speed c must be >= 0")
+        if not (math.isfinite(self.c) and self.c >= 0):
+            raise ValueError(f"soliton speed c must be finite and >= 0, got {self.c}")
         if self.n < 1:
             raise ValueError("base dimension must be >= 1")
         if self.family == "wing":
             if self.epsilon is None or self.epsilon <= 0:
                 raise ValueError("wing family needs epsilon > 0")
+        if self.epsilon is not None and not math.isfinite(self.epsilon):
+            raise ValueError(f"epsilon must be finite, got {self.epsilon}")
         if self.n >= 2 and self.warp.kind != _FAMILY_KIND[self.family]:
             raise ValueError(
                 f"family {self.family!r} needs a {_FAMILY_KIND[self.family]} warp, "
@@ -92,6 +94,11 @@ class TerminationPolicy:
     s_max: float = 1e3
     r_max: float = 1e2
     t_max: float = 1e3
+
+    def __post_init__(self):
+        for name in ("s_max", "r_max", "t_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass
@@ -153,6 +160,12 @@ class ProfileCurve:
         return list(self.diagnostics.get("turning_s", []))
 
 
+def _profile_field(spec: SolitonSpec, r, phi) -> tuple:
+    """(dr/ds, dt/ds, dphi/ds) with dphi/ds = c cos(phi) - D(r) sin(phi)."""
+    cphi, sphi = math.cos(phi), math.sin(phi)
+    return (cphi, sphi, spec.c * cphi - spec.warp.drift(r, spec.n) * sphi)
+
+
 def profile_rhs(state, spec: SolitonSpec):
     """Right-hand side of the first-order profile system at one state.
 
@@ -164,21 +177,15 @@ def profile_rhs(state, spec: SolitonSpec):
     else:
         r, phi = state
     spec.warp.require_domain(r)
-    ratio = spec.warp.xi_ratio(r) if spec.n > 1 else 0.0
-    cphi, sphi = math.cos(phi), math.sin(phi)
-    return (cphi, sphi, spec.c * cphi - (spec.n - 1) * ratio * sphi)
+    return _profile_field(spec, r, phi)
 
 
 def _integrate(spec: SolitonSpec, y0, s0: float, stop: TerminationPolicy,
                rtol: float, atol: float, t_center: float) -> ProfileCurve:
-    c, n = spec.c, spec.n
     warp = spec.warp
 
     def rhs(s, y):
-        r, t, phi = y
-        ratio = warp.xi_ratio(r) if n > 1 else 0.0
-        cphi, sphi = math.cos(phi), math.sin(phi)
-        return (cphi, sphi, c * cphi - (n - 1) * ratio * sphi)
+        return _profile_field(spec, y[0], y[2])
 
     events = []
 
@@ -307,8 +314,7 @@ def solve_ideal_parametric(spec: SolitonSpec, initial, stop: TerminationPolicy |
 
 def equilibrium_angle(spec: SolitonSpec, r: float = 0.0) -> float:
     """Angle phi* at which dphi/ds vanishes with phi constant (ideal family)."""
-    ratio = spec.warp.xi_ratio(r)
-    return math.atan2(spec.c, (spec.n - 1) * ratio)
+    return math.atan2(spec.c, spec.warp.drift(r, spec.n))
 
 
 def profile_to_graph(curve: ProfileCurve, rdot_min: float = 1e-6,

@@ -62,7 +62,7 @@ class WarpModel:
     def in_domain(self, r) -> bool:
         lo, hi = self.r_domain
         r = np.asarray(r, dtype=float)
-        return bool(np.all((r >= lo) & (r <= hi)))
+        return bool(((r >= lo) & (r <= hi)).all())
 
     def require_domain(self, r):
         if not self.in_domain(r):
@@ -81,13 +81,14 @@ class WarpModel:
         r_arr = np.atleast_1d(r_arr)
         if self.kind == ROTATIONAL and self.xi3_zero is not None:
             near = np.abs(r_arr) < self.r_series
-            if np.any(near & (r_arr == 0.0)):
+            far = ~near
+            if (near & (r_arr == 0.0)).any():
                 raise ZeroDivisionError("xi'/xi is singular at the axis r=0")
             out = np.empty_like(r_arr)
-            if np.any(~near):
-                rf = r_arr[~near]
-                out[~near] = self.dxi(rf) / self.xi(rf)
-            if np.any(near):
+            if far.any():
+                rf = r_arr[far]
+                out[far] = self.dxi(rf) / self.xi(rf)
+            if near.any():
                 rn = r_arr[near]
                 out[near] = 1.0 / rn + (self.xi3_zero / 3.0) * rn
         else:
@@ -96,7 +97,23 @@ class WarpModel:
 
     def g(self, r):
         """xi(r)/xi'(r), the reciprocal of :meth:`xi_ratio`."""
-        return 1.0 / self.xi_ratio(r) if np.isscalar(r) else 1.0 / self.xi_ratio(r)
+        return 1.0 / self.xi_ratio(r)
+
+    def drift(self, r, n: int):
+        """Laplacian D(r) of the chart coordinate in base dimension n.
+
+        (n-1) xi'/xi on the rotational and Busemann charts and
+        xi'/xi + (n-2) chi'/chi on the equidistant chart; 0 for n = 1.
+        Takes a float or an array, like :meth:`xi_ratio`.
+        """
+        if n < 2:
+            return 0.0 if np.ndim(r) == 0 else np.zeros(np.shape(r))
+        if self.kind != EQUIDISTANT:
+            return (n - 1) * self.xi_ratio(r)
+        out = self.xi_ratio(r)
+        if n > 2:
+            out = out + (n - 2) * self.dchi(r) / self.chi(r)
+        return float(out) if np.ndim(r) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -179,18 +196,22 @@ def make_builtin_warp(kind: str, curvature: float) -> WarpModel:
     )
 
 
-def radial_curvature(model: WarpModel, r: float) -> float:
-    """Radial sectional curvature K(r) = -xi''(r)/xi(r)."""
+def radial_curvature(model: WarpModel, r):
+    """Radial sectional curvature K(r) = -xi''(r)/xi(r), for a float or an
+    array of radii."""
     model.require_domain(r)
-    if model.kind == ROTATIONAL and abs(r) < 1e-8:
-        if model.xi3_zero is not None:
-            # limit of -xi''/xi as r -> 0 for an odd xi with xi'(0)=1
-            return -model.xi3_zero
+    r_arr = np.asarray(r, dtype=float)
+    axis = (model.kind == ROTATIONAL) & (np.abs(r_arr) < 1e-8)
+    if np.any(axis) and model.xi3_zero is None:
         raise ValueError("xi vanishes at the axis; curvature limit unknown")
-    xi = float(model.xi(r))
-    if xi == 0.0:
+    xi = model.xi(r_arr)
+    if np.any((xi == 0.0) & ~axis):
         raise ValueError(f"xi({r}) = 0, curvature undefined")
-    return -float(model.ddxi(r)) / xi
+    K = -model.ddxi(r_arr) / np.where(axis, 1.0, xi)
+    if np.any(axis):
+        # limit of -xi''/xi as r -> 0 for an odd xi with xi'(0)=1
+        K = np.where(axis, -model.xi3_zero, K)
+    return float(K) if K.ndim == 0 else K
 
 
 def riccati_residual(model: WarpModel, r) -> np.ndarray:
@@ -208,24 +229,16 @@ def riccati_residual(model: WarpModel, r) -> np.ndarray:
 
 def level_mean_curvature(model: WarpModel, r: float, n: int) -> float:
     """Laplacian of the radial coordinate, i.e. (n-1) times the mean
-    curvature of the level set {r = const}.
-
-    rotational/busemann: (n-1) xi'/xi.  equidistant: xi'/xi + (n-2) chi'/chi.
+    curvature of the level set {r = const}; see :meth:`WarpModel.drift`.
     """
     if n < 2:
         raise ValueError("base dimension n must be >= 2")
     model.require_domain(r)
     if model.kind == ROTATIONAL and r == 0.0:
         raise ValueError("level mean curvature is singular on the axis")
-    if model.kind == EQUIDISTANT:
-        out = float(model.dxi(r)) / float(model.xi(r))
-        if n > 2:
-            chi = float(model.chi(r))
-            if chi == 0.0:
-                raise ValueError("chi vanishes; equidistant levels singular here")
-            out += (n - 2) * float(model.dchi(r)) / chi
-        return out
-    return (n - 1) * model.xi_ratio(r)
+    if model.kind == EQUIDISTANT and n > 2 and float(model.chi(r)) == 0.0:
+        raise ValueError("chi vanishes; equidistant levels singular here")
+    return model.drift(r, n)
 
 
 def constant_curvature_ratio(K: float, r):
@@ -243,6 +256,14 @@ def default_validation_grid(model: WarpModel) -> np.ndarray:
     if model.kind == ROTATIONAL:
         return np.geomspace(1e-4, 1e2, 512)
     return np.linspace(-20.0, 20.0, 512)
+
+
+#: (condition, evaluator, required value) at r = 0 for each kind
+_AXIS_CONDITIONS = {
+    ROTATIONAL: (("xi(0) = 0", "xi", 0.0), ("xi'(0) = 1", "dxi", 1.0)),
+    EQUIDISTANT: (("xi(0) = 1", "xi", 1.0), ("xi'(0) = 0", "dxi", 0.0)),
+    BUSEMANN: (),
+}
 
 
 def validate_warp(model: WarpModel, grid: Sequence[float] | None = None,
@@ -265,39 +286,20 @@ def validate_warp(model: WarpModel, grid: Sequence[float] | None = None,
         for r, v in zip(rs[~mask], values[~mask]):
             out.append(Violation(cond, float(r), float(v)))
 
+    for cond, evaluator, target in _AXIS_CONDITIONS[model.kind]:
+        value = float(getattr(model, evaluator)(0.0))
+        if abs(value - target) > tol:
+            out.append(Violation(cond, 0.0, value))
     if model.kind == ROTATIONAL:
-        xi0 = float(model.xi(0.0))
-        if abs(xi0) > tol:
-            out.append(Violation("xi(0) = 0", 0.0, xi0))
-        dxi0 = float(model.dxi(0.0))
-        if abs(dxi0 - 1.0) > tol:
-            out.append(Violation("xi'(0) = 1", 0.0, dxi0))
-        pos = grid[grid > 0]
-        xi = np.asarray(model.xi(pos), dtype=float)
-        check("xi > 0", xi > 0, xi, pos)
-        dxi = np.asarray(model.dxi(pos), dtype=float)
-        check("xi' > 0", dxi > 0, dxi, pos)
-        good = xi > 0
-        K = np.where(good, -np.asarray(model.ddxi(pos), dtype=float) / np.where(good, xi, 1.0), 0.0)
-        check("K <= 0", (K <= tol) | ~good, K, pos)
-    elif model.kind == EQUIDISTANT:
-        xi0 = float(model.xi(0.0))
-        if abs(xi0 - 1.0) > tol:
-            out.append(Violation("xi(0) = 1", 0.0, xi0))
-        dxi0 = float(model.dxi(0.0))
-        if abs(dxi0) > tol:
-            out.append(Violation("xi'(0) = 0", 0.0, dxi0))
-        xi = np.asarray(model.xi(grid), dtype=float)
-        check("xi > 0", xi > 0, xi, grid)
-        good = xi > 0
-        K = np.where(good, -np.asarray(model.ddxi(grid), dtype=float) / np.where(good, xi, 1.0), 0.0)
-        check("K <= 0", (K <= tol) | ~good, K, grid)
-    else:
-        xi = np.asarray(model.xi(grid), dtype=float)
-        check("xi > 0", xi > 0, xi, grid)
-        good = xi > 0
-        K = np.where(good, -np.asarray(model.ddxi(grid), dtype=float) / np.where(good, xi, 1.0), 0.0)
-        check("K <= 0", (K <= tol) | ~good, K, grid)
+        grid = grid[grid > 0]
+    xi = np.asarray(model.xi(grid), dtype=float)
+    check("xi > 0", xi > 0, xi, grid)
+    if model.kind == ROTATIONAL:
+        dxi = np.asarray(model.dxi(grid), dtype=float)
+        check("xi' > 0", dxi > 0, dxi, grid)
+    good = xi > 0
+    K = np.where(good, -np.asarray(model.ddxi(grid), dtype=float) / np.where(good, xi, 1.0), 0.0)
+    check("K <= 0", (K <= tol) | ~good, K, grid)
     return out
 
 

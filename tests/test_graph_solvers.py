@@ -128,6 +128,13 @@ class TestGrim:
         assert graph.r_grid[0] >= 0.0
         assert np.all(np.isfinite(graph.u))
 
+    def test_n1_matches_grim_oracle(self, equidistant_warp):
+        # the drift vanishes for n = 1: the classical grim reaper of width pi/c
+        graph = solve_grim(1.0, 1, equidistant_warp, r_span=(-1.4, 1.4))
+        oracle = closed_form_oracle("grim_n1", c=1.0)
+        r = np.linspace(-1.4, 1.4, 200)
+        assert np.max(np.abs(graph.u_eval(r) - oracle.u(r))) < 1e-8
+
     def test_large_slope_restoring_sign(self, equidistant_warp):
         # when the slope is large the equation pushes it back
         graph = solve_grim(2.0, 2, equidistant_warp, r_span=(-15.0, 15.0))

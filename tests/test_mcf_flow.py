@@ -7,7 +7,7 @@ import pytest
 
 from soliton_forge import (
     FlowProblem, bump_initial, discrete_soliton, flat_initial,
-    soliton_initial, sphere_area,
+    level_mean_curvature, make_builtin_warp, soliton_initial, sphere_area,
 )
 
 C, N = 1.0, 2
@@ -79,6 +79,40 @@ class TestSpatialOperator:
     def test_chart_warp_mismatch(self, equidistant_warp):
         with pytest.raises(ValueError):
             FlowProblem(C, N, equidistant_warp, chart="polar")
+
+
+def _per_node_drift_weight(warp, r, n, chart):
+    """Node-by-node drift and weight, the reference for the array build."""
+    if chart == "polar":
+        drift = np.zeros_like(r)
+        if n > 1:
+            drift[1:] = (n - 1) * np.array([warp.xi_ratio(x) for x in r[1:]])
+        weight = np.array([warp.xi(x) ** (n - 1) for x in r])
+    else:
+        drift = np.array([level_mean_curvature(warp, x, n) for x in r])
+        weight = np.array([warp.xi(x) * warp.chi(x) ** (n - 2)
+                           if n > 2 else warp.xi(x) for x in r])
+    return drift, weight
+
+
+class TestDriftWeight:
+    @pytest.mark.parametrize("kind,curv,n,chart", [
+        ("rotational", 0.0, 1, "polar"), ("rotational", 0.0, 2, "polar"),
+        ("rotational", -1.0, 2, "polar"), ("rotational", -1.0, 3, "polar"),
+        ("rotational", -0.3, 4, "polar"), ("equidistant", -1.0, 2, "equidistant"),
+    ])
+    def test_match_per_node_formulas(self, kind, curv, n, chart):
+        warp = make_builtin_warp(kind, curv)
+        prob = FlowProblem(C, n, warp, r_max=10.0, n_nodes=1001, chart=chart)
+        drift, weight = _per_node_drift_weight(warp, prob.r_grid, n, chart)
+        np.testing.assert_array_equal(prob.drift, drift)
+        if n <= 2:
+            np.testing.assert_array_equal(prob.weight, weight)
+        else:
+            # NumPy's array power and the C library's scalar pow may round
+            # xi^(n-1) differently in the last place
+            np.testing.assert_allclose(prob.weight, weight,
+                                       rtol=2 * np.finfo(float).eps, atol=0)
 
 
 class TestStepping:
@@ -165,6 +199,14 @@ class TestMonotonicity:
             errs[nodes] = np.max(np.abs(traj.snapshots[-1].u - u0 - C))
         assert errs[1001] < 5e-5
         assert math.log2(errs[501] / errs[1001]) > 1.9
+
+    def test_check_reports_min_allowed_gap(self, hyper_problem):
+        u0 = discrete_soliton(hyper_problem)
+        traj = hyper_problem.run(u0, 1e-3, 5e-3, scheme="implicit")
+        chk = traj.monotonicity_check(tol_rel=1e-3, tol_abs=1e-6)
+        allowed = 1e-3 * np.abs(traj.defect_values[1:-1]) + 1e-6
+        assert chk["min_allowed_gap"] == float(np.min(allowed))
+        assert "max_allowed_gap" not in chk
 
     def test_check_needs_three_records(self, hyper_problem):
         u0 = discrete_soliton(hyper_problem)

@@ -14,6 +14,7 @@ from soliton_forge import (
 )
 
 COTH_1 = 1.3130352854993312
+TANH_1 = 0.7615941559557649
 
 
 class TestSpecValidation:
@@ -33,6 +34,23 @@ class TestSpecValidation:
     def test_negative_speed_rejected(self, hyperbolic_warp):
         with pytest.raises(ValueError):
             SolitonSpec(c=-1.0, n=2, family="bowl", warp=hyperbolic_warp)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_speed_rejected(self, hyperbolic_warp, bad):
+        with pytest.raises(ValueError):
+            SolitonSpec(c=bad, n=2, family="bowl", warp=hyperbolic_warp)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_epsilon_rejected(self, hyperbolic_warp, bad):
+        with pytest.raises(ValueError):
+            SolitonSpec(c=1.0, n=2, family="wing", warp=hyperbolic_warp,
+                        epsilon=bad)
+
+    @pytest.mark.parametrize("field", ["s_max", "r_max", "t_max"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_policy_rejected(self, field, bad):
+        with pytest.raises(ValueError):
+            TerminationPolicy(**{field: bad})
 
     def test_unknown_family(self, hyperbolic_warp):
         with pytest.raises(ValueError):
@@ -59,6 +77,11 @@ class TestProfileRhs:
         expected = math.sqrt(2) - 2 * COTH_1 * math.sqrt(2) / 2
         assert expected == pytest.approx(-0.442698746254488, abs=1e-12)
         assert out[2] == pytest.approx(expected, abs=1e-12)
+
+    def test_equidistant_n3_uses_level_mean_curvature(self, equidistant_warp):
+        spec = SolitonSpec(c=1.0, n=3, family="grim", warp=equidistant_warp)
+        out = profile_rhs(ProfileState(0.0, 1.0, 0.0, math.pi / 2), spec)
+        assert out[2] == pytest.approx(-(TANH_1 + COTH_1), abs=1e-12)
 
     def test_domain_violation(self, hyperbolic_warp):
         spec = SolitonSpec(c=1.0, n=2, family="bowl", warp=hyperbolic_warp)

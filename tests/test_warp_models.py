@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from soliton_forge import (
     CurvatureBounds, WarpModel, constant_curvature_ratio, level_mean_curvature,
@@ -74,6 +75,27 @@ class TestValidation:
         violations = validate_warp(bad, np.array([0.5, 4.0]))
         assert any(v.r == 4.0 and v.condition == "xi > 0" for v in violations)
 
+    @pytest.mark.parametrize("kind,expected", [
+        ("rotational", [("xi(0) = 0", 0.0), ("xi'(0) = 1", 0.0),
+                        ("xi > 0", 1.0), ("xi > 0", 2.0), ("xi' > 0", 0.25),
+                        ("xi' > 0", 1.0), ("xi' > 0", 2.0), ("K <= 0", 0.25)]),
+        ("equidistant", [("xi(0) = 1", 0.0), ("xi'(0) = 0", 0.0),
+                         ("xi > 0", 1.0), ("xi > 0", 2.0), ("K <= 0", 0.25)]),
+        ("busemann", [("xi > 0", 1.0), ("xi > 0", 2.0), ("K <= 0", 0.25)]),
+    ])
+    def test_violation_order_per_kind(self, kind, expected):
+        # xi = 1/2 - r^2 with inconsistent derivatives breaks every
+        # condition of every kind somewhere on this grid
+        bad = WarpModel(
+            kind=kind,
+            xi=lambda r: 0.5 - np.asarray(r, dtype=float) ** 2,
+            dxi=lambda r: 0.5 - 2 * np.asarray(r, dtype=float),
+            ddxi=lambda r: np.full_like(np.asarray(r, dtype=float), -2.0),
+            chi=lambda r: np.asarray(r, dtype=float),
+            r_domain=(-math.inf, math.inf), label="bad")
+        violations = validate_warp(bad, np.array([0.25, 1.0, 2.0]))
+        assert [(v.condition, v.r) for v in violations] == expected
+
     def test_validation_is_pure(self, hyperbolic_warp):
         grid = np.linspace(0.1, 5, 50)
         assert validate_warp(hyperbolic_warp, grid) == \
@@ -105,6 +127,22 @@ class TestCurvature:
             grid = grid[np.abs(grid) > 1e-6]
         res = [abs(riccati_residual(model, float(r))) for r in grid]
         assert max(res) < 1e-10
+
+    @pytest.mark.parametrize("kind,curv", [
+        ("rotational", 0.0), ("rotational", -1.0), ("busemann", -1.0),
+        ("equidistant", -0.5),
+    ])
+    def test_array_matches_scalar_calls(self, kind, curv):
+        model = make_builtin_warp(kind, curv)
+        grid = np.linspace(0.0 if kind == "rotational" else -8.0, 8.0, 97)
+        got = radial_curvature(model, grid)
+        assert got.shape == grid.shape
+        np.testing.assert_array_equal(
+            got, [radial_curvature(model, float(r)) for r in grid])
+
+    def test_array_rejects_points_outside_domain(self, hyperbolic_warp):
+        with pytest.raises(ValueError):
+            radial_curvature(hyperbolic_warp, np.array([1.0, -0.5]))
 
     def test_hessian_comparison_sandwich(self):
         # interpolate between curvature -4 and -1 with a warp whose
@@ -185,3 +223,55 @@ class TestJsonWarp:
 def test_riccati_property_hyperbolic(r, k):
     model = make_builtin_warp("rotational", -k * k)
     assert abs(riccati_residual(model, r)) < 1e-9
+
+
+BUILTINS = [("rotational", 0.0), ("rotational", -1.0), ("rotational", -2.5),
+            ("busemann", -1.0), ("equidistant", -1.0), ("equidistant", -0.3)]
+
+
+def _drift_reference(model, r, n):
+    """Chart Laplacian written out from xi and chi, with no series branch."""
+    if n == 1:
+        return np.zeros_like(r)
+    ratio = model.dxi(r) / model.xi(r)
+    if model.kind == "equidistant":
+        return ratio + (n - 2) * model.dchi(r) / model.chi(r) if n > 2 else ratio
+    return (n - 1) * ratio
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(BUILTINS), n=st.integers(min_value=1, max_value=4),
+       mags=arrays(np.float64, st.integers(1, 16),
+                   elements=st.floats(min_value=1e-3, max_value=40.0)),
+       signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=16, max_size=16))
+def test_drift_property(case, n, mags, signs):
+    kind, curv = case
+    model = make_builtin_warp(kind, curv)
+    # rotational radii stay off the axis series band, r >= r_series
+    r = mags if kind == "rotational" else mags * np.array(signs[:mags.size])
+    got = model.drift(r, n)
+    assert isinstance(got, np.ndarray) and got.shape == r.shape
+    per_point = [model.drift(float(x), n) for x in r]
+    assert all(isinstance(v, float) for v in per_point)
+    np.testing.assert_array_equal(got, per_point)
+    np.testing.assert_array_equal(got, _drift_reference(model, r, n))
+    if n >= 2:
+        np.testing.assert_array_equal(
+            got, [level_mean_curvature(model, float(x), n) for x in r])
+
+
+class TestDrift:
+    def test_equidistant_n3_is_tanh_plus_coth(self, equidistant_warp):
+        assert equidistant_warp.drift(1.0, 3) == pytest.approx(
+            TANH_1 + COTH_1, abs=1e-12)
+
+    def test_n1_is_zero(self, hyperbolic_warp):
+        assert hyperbolic_warp.drift(2.0, 1) == 0.0
+        np.testing.assert_array_equal(
+            hyperbolic_warp.drift(np.array([0.5, 1.0]), 1), [0.0, 0.0])
+
+    def test_axis_series_branch(self, hyperbolic_warp):
+        r = np.array([5e-4, 2.0])
+        np.testing.assert_array_equal(
+            hyperbolic_warp.drift(r, 3), 2 * hyperbolic_warp.xi_ratio(r))
+        assert hyperbolic_warp.drift(5e-4, 3) == 2 * (1 / 5e-4 + (1.0 / 3.0) * 5e-4)
