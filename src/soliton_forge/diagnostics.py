@@ -76,15 +76,30 @@ def _result(name, res, tol, applicable=True, details=None) -> CheckResult:
                        applicable=applicable, details=details or {})
 
 
+def _stencil(x, h):
+    """The five-point stencil x - 2h, x - h, x, x + h, x + 2h."""
+    return x - 2 * h, x - h, x, x + h, x + 2 * h
+
+
+def _d1(v, h):
+    """Five-point centered first derivative from values on the stencil, O(h^4)."""
+    return (v[0] - 8 * v[1] + 8 * v[3] - v[4]) / (12 * h)
+
+
+def _d2(v, h):
+    """Five-point centered second derivative from values on the stencil, O(h^4)."""
+    return (-v[0] + 16 * v[1] - 30 * v[2] + 16 * v[3] - v[4]) / (12 * h * h)
+
+
 def _fd1(f, x, h):
-    """Five-point centered first derivative, O(h^4)."""
-    return (f(x - 2 * h) - 8 * f(x - h) + 8 * f(x + h) - f(x + 2 * h)) / (12 * h)
+    """Five-point centered first derivative of f at x, O(h^4)."""
+    return _d1([f(y) for y in _stencil(x, h)], h)
 
 
-def _fd2(f, x, h):
-    """Five-point centered second derivative, O(h^4)."""
-    return (-f(x - 2 * h) + 16 * f(x - h) - 30 * f(x)
-            + 16 * f(x + h) - f(x + 2 * h)) / (12 * h * h)
+def _sample_stencil(curve, s, h):
+    """(r, t, phi), each as its five values on the stencil around s: one
+    dense evaluation per offset, shared by the three components."""
+    return zip(*(curve.sample(x) for x in _stencil(s, h)))
 
 
 def flux_residual(graph: RadialGraph, spec: SolitonSpec | None = None,
@@ -183,19 +198,10 @@ def geodesic_residual(curve, spec: SolitonSpec | None = None,
     c, n, warp = spec.c, spec.n, spec.warp
     s = _curve_samples(curve, n_samples, h)
 
-    def r_of(sv):
-        return np.asarray(curve.sample(sv)[0])
-
-    def t_of(sv):
-        return np.asarray(curve.sample(sv)[1])
-
-    def phi_of(sv):
-        return np.asarray(curve.sample(sv)[2])
-
-    r = r_of(s)
-    phi = phi_of(s)
-    rd, td, phid = _fd1(r_of, s, h), _fd1(t_of, s, h), _fd1(phi_of, s, h)
-    rdd, tdd = _fd2(r_of, s, h), _fd2(t_of, s, h)
+    r_st, t_st, phi_st = _sample_stencil(curve, s, h)
+    r, phi = r_st[2], phi_st[2]
+    rd, td, phid = _d1(r_st, h), _d1(t_st, h), _d1(phi_st, h)
+    rdd, tdd = _d2(r_st, h), _d2(t_st, h)
 
     a = warp.drift(r, n)
     reduced = phid - c * np.cos(phi) + a * np.sin(phi)
@@ -241,16 +247,9 @@ def drift_identity_residual(curve, spec: SolitonSpec | None = None,
         res = _drift_residual_states(r, phi, c, n, warp)
         return _result("drift_identity", res, tol)
     s = _curve_samples(curve, n_samples, h)
-    r = np.atleast_1d(np.asarray(curve.sample(s)[0]))
-
-    def t_of(sv):
-        return np.asarray(curve.sample(sv)[1])
-
-    def r_of(sv):
-        return np.asarray(curve.sample(sv)[0])
-
-    td, rd, tdd = _fd1(t_of, s, h), _fd1(r_of, s, h), _fd2(t_of, s, h)
-    res = tdd + warp.drift(r, n) * rd * td + c * td**2 - c
+    r_st, t_st, _ = _sample_stencil(curve, s, h)
+    td, rd, tdd = _d1(t_st, h), _d1(r_st, h), _d2(t_st, h)
+    res = tdd + warp.drift(r_st[2], n) * rd * td + c * td**2 - c
     return _result("drift_identity", res, tol, details={"h": h, "fd": True})
 
 

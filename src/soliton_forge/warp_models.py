@@ -61,6 +61,8 @@ class WarpModel:
 
     def in_domain(self, r) -> bool:
         lo, hi = self.r_domain
+        if isinstance(r, float):
+            return bool(lo <= r <= hi)
         r = np.asarray(r, dtype=float)
         return bool(((r >= lo) & (r <= hi)).all())
 
@@ -74,12 +76,26 @@ class WarpModel:
 
         The quotient behaves like 1/r + (xi'''(0)/3) r + O(r^3) as r -> 0,
         which is the value returned for |r| < r_series when xi'''(0) is
-        known.  r = 0 itself is singular and raises.
+        known.  r = 0 itself is singular and raises.  A float (np.float64
+        included) takes a path without 0-d arrays that returns the same
+        bits as the array path.  A NaN quotient, e.g. 0/0 once cosh or exp
+        overflows or underflows, raises ValueError.
         """
+        series = self.kind == ROTATIONAL and self.xi3_zero is not None
+        if isinstance(r, float):
+            if series and abs(r) < self.r_series:
+                if r == 0.0:
+                    raise ZeroDivisionError("xi'/xi is singular at the axis r=0")
+                out = float(1.0 / r + (self.xi3_zero / 3.0) * r)
+            else:
+                out = float(self.dxi(r) / self.xi(r))
+            if out != out:
+                self._raise_nan(r)
+            return out
         r_arr = np.asarray(r, dtype=float)
         scalar = r_arr.ndim == 0
         r_arr = np.atleast_1d(r_arr)
-        if self.kind == ROTATIONAL and self.xi3_zero is not None:
+        if series:
             near = np.abs(r_arr) < self.r_series
             far = ~near
             if (near & (r_arr == 0.0)).any():
@@ -93,7 +109,14 @@ class WarpModel:
                 out[near] = 1.0 / rn + (self.xi3_zero / 3.0) * rn
         else:
             out = self.dxi(r_arr) / self.xi(r_arr)
+        nan = np.isnan(out)
+        if nan.any():
+            self._raise_nan(float(r_arr[nan][0]))
         return float(out[0]) if scalar else out
+
+    def _raise_nan(self, r: float):
+        raise ValueError(f"xi'/xi is NaN at r={r} for warp {self.label!r}: "
+                         "xi or xi' overflows or underflows there")
 
     def g(self, r):
         """xi(r)/xi'(r), the reciprocal of :meth:`xi_ratio`."""
@@ -106,14 +129,15 @@ class WarpModel:
         xi'/xi + (n-2) chi'/chi on the equidistant chart; 0 for n = 1.
         Takes a float or an array, like :meth:`xi_ratio`.
         """
+        scalar = isinstance(r, float) or np.ndim(r) == 0
         if n < 2:
-            return 0.0 if np.ndim(r) == 0 else np.zeros(np.shape(r))
+            return 0.0 if scalar else np.zeros(np.shape(r))
         if self.kind != EQUIDISTANT:
             return (n - 1) * self.xi_ratio(r)
         out = self.xi_ratio(r)
         if n > 2:
             out = out + (n - 2) * self.dchi(r) / self.chi(r)
-        return float(out) if np.ndim(r) == 0 else out
+        return float(out) if scalar else out
 
 
 @dataclass(frozen=True)
@@ -136,6 +160,20 @@ class Violation:
     value: float
 
 
+def _arg(r):
+    """A float as it is, anything else as a float array."""
+    return r if isinstance(r, float) else np.asarray(r, dtype=float)
+
+
+def _constant(value: float) -> Callable:
+    """Evaluator of a constant: a float for a float, an array otherwise."""
+    def evaluate(r):
+        if isinstance(r, float):
+            return value
+        return np.full_like(np.asarray(r, dtype=float), value)
+    return evaluate
+
+
 def make_builtin_warp(kind: str, curvature: float) -> WarpModel:
     """Constant-curvature warp with analytically exact derivatives.
 
@@ -150,13 +188,14 @@ def make_builtin_warp(kind: str, curvature: float) -> WarpModel:
     if kind in (BUSEMANN, EQUIDISTANT) and curvature == 0:
         raise ValueError(f"{kind} warp requires strictly negative curvature")
 
+    # NumPy ufuncs, not math.*: NumPy's SIMD sinh/cosh/exp and libm differ by an ulp
     if kind == ROTATIONAL:
         if curvature == 0.0:
             return WarpModel(
                 kind=ROTATIONAL,
-                xi=lambda r: np.asarray(r, dtype=float) * 1.0,
-                dxi=lambda r: np.ones_like(np.asarray(r, dtype=float)),
-                ddxi=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
+                xi=lambda r: _arg(r) * 1.0,
+                dxi=_constant(1.0),
+                ddxi=_constant(0.0),
                 r_domain=(0.0, math.inf),
                 label="euclidean",
                 xi3_zero=0.0,
@@ -164,9 +203,9 @@ def make_builtin_warp(kind: str, curvature: float) -> WarpModel:
         k = math.sqrt(-curvature)
         return WarpModel(
             kind=ROTATIONAL,
-            xi=lambda r: np.sinh(k * np.asarray(r, dtype=float)) / k,
-            dxi=lambda r: np.cosh(k * np.asarray(r, dtype=float)),
-            ddxi=lambda r: k * np.sinh(k * np.asarray(r, dtype=float)),
+            xi=lambda r: np.sinh(k * _arg(r)) / k,
+            dxi=lambda r: np.cosh(k * _arg(r)),
+            ddxi=lambda r: k * np.sinh(k * _arg(r)),
             r_domain=(0.0, math.inf),
             label=f"hyperbolic(K={curvature:g})",
             xi3_zero=k * k,
@@ -176,21 +215,21 @@ def make_builtin_warp(kind: str, curvature: float) -> WarpModel:
     if kind == BUSEMANN:
         return WarpModel(
             kind=BUSEMANN,
-            xi=lambda r: np.exp(k * np.asarray(r, dtype=float)),
-            dxi=lambda r: k * np.exp(k * np.asarray(r, dtype=float)),
-            ddxi=lambda r: k * k * np.exp(k * np.asarray(r, dtype=float)),
+            xi=lambda r: np.exp(k * _arg(r)),
+            dxi=lambda r: k * np.exp(k * _arg(r)),
+            ddxi=lambda r: k * k * np.exp(k * _arg(r)),
             r_domain=(-math.inf, math.inf),
             label=f"busemann(K={curvature:g})",
         )
 
     return WarpModel(
         kind=EQUIDISTANT,
-        xi=lambda r: np.cosh(k * np.asarray(r, dtype=float)),
-        dxi=lambda r: k * np.sinh(k * np.asarray(r, dtype=float)),
-        ddxi=lambda r: k * k * np.cosh(k * np.asarray(r, dtype=float)),
-        chi=lambda r: np.sinh(k * np.asarray(r, dtype=float)) / k,
-        dchi=lambda r: np.cosh(k * np.asarray(r, dtype=float)),
-        ddchi=lambda r: k * np.sinh(k * np.asarray(r, dtype=float)),
+        xi=lambda r: np.cosh(k * _arg(r)),
+        dxi=lambda r: k * np.sinh(k * _arg(r)),
+        ddxi=lambda r: k * k * np.cosh(k * _arg(r)),
+        chi=lambda r: np.sinh(k * _arg(r)) / k,
+        dchi=lambda r: np.cosh(k * _arg(r)),
+        ddchi=lambda r: k * np.sinh(k * _arg(r)),
         r_domain=(-math.inf, math.inf),
         label=f"equidistant(K={curvature:g})",
     )

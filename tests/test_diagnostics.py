@@ -214,3 +214,97 @@ def test_drift_identity_everywhere(r, phi, c, n):
     warp = make_builtin_warp("rotational", -1.0)
     res = _drift_residual_states(np.array([r]), np.array([phi]), c, n, warp)
     assert abs(float(res[0])) < 1e-9 * max(1.0, c * c)
+
+
+def _fd1_ref(f, x, h):
+    """Five-point first derivative with one call of f per stencil term."""
+    return (f(x - 2 * h) - 8 * f(x - h) + 8 * f(x + h) - f(x + 2 * h)) / (12 * h)
+
+
+def _fd2_ref(f, x, h):
+    """Five-point second derivative with one call of f per stencil term."""
+    return (-f(x - 2 * h) + 16 * f(x - h) - 30 * f(x)
+            + 16 * f(x + h) - f(x + 2 * h)) / (12 * h * h)
+
+
+def _geodesic_ref(curve, h=2e-3):
+    """The conformal-geodesic residuals built from one closure per component."""
+    from soliton_forge.diagnostics import _curve_samples
+    c, n, warp = curve.spec.c, curve.spec.n, curve.spec.warp
+    s = _curve_samples(curve, 400, h)
+    r_of, t_of, phi_of = (lambda sv, i=i: np.asarray(curve.sample(sv)[i])
+                          for i in range(3))
+    r, phi = r_of(s), phi_of(s)
+    rd, td, phid = _fd1_ref(r_of, s, h), _fd1_ref(t_of, s, h), _fd1_ref(phi_of, s, h)
+    rdd, tdd = _fd2_ref(r_of, s, h), _fd2_ref(t_of, s, h)
+    a = warp.drift(r, n)
+    mu = c * td + a * rd
+    return np.concatenate((
+        phid - c * np.cos(phi) + a * np.sin(phi),
+        rdd + a * (rd**2 - td**2) + 2 * c * rd * td - mu * rd,
+        tdd + c * (td**2 - rd**2) + 2 * a * rd * td - mu * td))
+
+
+def _drift_fd_ref(curve, h=2e-3):
+    """The finite-difference drift residuals built from one closure per component."""
+    from soliton_forge.diagnostics import _curve_samples
+    c, n, warp = curve.spec.c, curve.spec.n, curve.spec.warp
+    s = _curve_samples(curve, 400, h)
+    r = np.atleast_1d(np.asarray(curve.sample(s)[0]))
+    r_of, t_of = (lambda sv, i=i: np.asarray(curve.sample(sv)[i]) for i in range(2))
+    td, rd, tdd = _fd1_ref(t_of, s, h), _fd1_ref(r_of, s, h), _fd2_ref(t_of, s, h)
+    return tdd + warp.drift(r, n) * rd * td + c * td**2 - c
+
+
+class TestDenseEvaluations:
+    """Each stencil offset is one dense evaluation shared by r, t and phi,
+    and sharing it leaves every residual bit unchanged."""
+
+    @pytest.fixture(scope="class")
+    def bowl(self, hyperbolic_bowl_spec):
+        return solve_bowl(hyperbolic_bowl_spec, stop=TerminationPolicy(r_max=8.0))
+
+    @staticmethod
+    def _run_counted(check, curve, monkeypatch):
+        from soliton_forge import diagnostics
+        calls, residuals = [], []
+        sample = curve.sample
+
+        def counted(s):
+            calls.append(s)
+            return sample(s)
+
+        def capture(name, res, *args, **kwargs):
+            residuals.append(np.asarray(res))
+            return result(name, res, *args, **kwargs)
+
+        result = diagnostics._result
+        monkeypatch.setattr(diagnostics, "_result", capture)
+        curve.sample = counted
+        try:
+            check(curve)
+        finally:
+            del curve.sample
+        (res,) = residuals
+        return len(calls), res
+
+    def _sampled(self, bowl):
+        from soliton_forge import SampledCurve
+        return SampledCurve(bowl.s, bowl.r, bowl.t, bowl.phi, spec=bowl.spec)
+
+    def test_geodesic_six_evaluations(self, bowl, monkeypatch):
+        calls, res = self._run_counted(geodesic_residual, bowl, monkeypatch)
+        assert calls <= 6
+        assert res.tobytes() == _geodesic_ref(bowl).tobytes()
+
+    def test_geodesic_sampled_curve(self, bowl, monkeypatch):
+        curve = self._sampled(bowl)
+        calls, res = self._run_counted(geodesic_residual, curve, monkeypatch)
+        assert calls <= 6
+        assert res.tobytes() == _geodesic_ref(curve).tobytes()
+
+    def test_drift_fd_six_evaluations(self, bowl, monkeypatch):
+        curve = self._sampled(bowl)
+        calls, res = self._run_counted(drift_identity_residual, curve, monkeypatch)
+        assert calls <= 6
+        assert res.tobytes() == _drift_fd_ref(curve).tobytes()

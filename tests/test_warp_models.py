@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -275,3 +276,82 @@ class TestDrift:
         np.testing.assert_array_equal(
             hyperbolic_warp.drift(r, 3), 2 * hyperbolic_warp.xi_ratio(r))
         assert hyperbolic_warp.drift(5e-4, 3) == 2 * (1 / 5e-4 + (1.0 / 3.0) * 5e-4)
+
+
+EVALUATORS = ("xi", "dxi", "ddxi", "chi", "dchi", "ddchi")
+
+
+def _same_bits(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(BUILTINS),
+       mags=arrays(np.float64, st.integers(1, 12),
+                   elements=st.one_of(
+                       st.floats(min_value=1e-7, max_value=1e-3, exclude_max=True),
+                       st.floats(min_value=1e-3, max_value=40.0))),
+       signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=12, max_size=12))
+def test_scalar_path_property(case, mags, signs):
+    """A Python float, an np.float64 and a 0-d array each give the bits of
+    the array call, axis series band (|r| < r_series) included."""
+    kind, curv = case
+    model = make_builtin_warp(kind, curv)
+    r = mags if kind == "rotational" else mags * np.array(signs[:mags.size])
+    calls = {name: getattr(model, name) for name in EVALUATORS
+             if getattr(model, name) is not None}
+    calls["xi_ratio"], calls["g"] = model.xi_ratio, model.g
+    for n in range(1, 5):
+        calls[f"drift_{n}"] = lambda x, n=n: model.drift(x, n)
+    for name, fn in calls.items():
+        whole = fn(r)
+        assert isinstance(whole, np.ndarray) and whole.shape == r.shape, name
+        for x, expected in zip(r, whole):
+            for form in (float(x), np.float64(x), np.array(x)):
+                got = fn(form)
+                assert _same_bits(got, expected), (name, form)
+                if name in ("xi_ratio", "g") or name.startswith("drift"):
+                    assert type(got) is float, (name, type(form))
+
+
+OVERFLOW_RADII = [("rotational", -1.0, 720.0), ("busemann", -1.0, 720.0),
+                  ("busemann", -1.0, -760.0), ("equidistant", -1.0, 720.0),
+                  ("equidistant", -1.0, -720.0)]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestOverflow:
+    """cosh/exp overflow or underflow turns xi'/xi into 0/0 or inf/inf; the
+    quotient raises instead of returning NaN."""
+
+    @staticmethod
+    def _match(model, r):
+        return rf"r={r}.*{re.escape(repr(model.label))}"
+
+    @pytest.mark.parametrize("kind,curv,r", OVERFLOW_RADII)
+    def test_scalar_raises(self, kind, curv, r):
+        model = make_builtin_warp(kind, curv)
+        for form in (r, np.float64(r), np.array(r)):
+            with pytest.raises(ValueError, match=self._match(model, r)):
+                model.xi_ratio(form)
+
+    @pytest.mark.parametrize("kind,curv,r", OVERFLOW_RADII)
+    def test_array_with_one_overflow_radius(self, kind, curv, r):
+        model = make_builtin_warp(kind, curv)
+        with pytest.raises(ValueError, match=self._match(model, r)):
+            model.xi_ratio(np.array([1.0, r, 2.0]))
+
+    @pytest.mark.parametrize("kind,curv,r", OVERFLOW_RADII)
+    def test_g_and_drift_raise(self, kind, curv, r):
+        model = make_builtin_warp(kind, curv)
+        for call in (model.g, lambda x: model.drift(x, 3)):
+            with pytest.raises(ValueError, match=self._match(model, r)):
+                call(r)
+            with pytest.raises(ValueError, match=self._match(model, r)):
+                call(np.array([r]))
+
+
+def test_ratio_finite_below_overflow():
+    assert make_builtin_warp("rotational", -1.0).xi_ratio(700.0) == 1.0
+    assert make_builtin_warp("busemann", -1.0).xi_ratio(-700.0) == 1.0
+    assert make_builtin_warp("equidistant", -1.0).xi_ratio(-700.0) == -1.0
