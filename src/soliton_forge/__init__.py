@@ -32,7 +32,7 @@ from .mcf_flow import (
 )
 from .lorentz import (
     LorentzMap, LorentzPoint, compose, embed_polar, equidistant_point,
-    form_defect, hyperbolic_translation, lorentz_defect, lorentz_product,
+    form_defect, hyperbolic_translation, lorentz_product,
     parabolic_translation, transform_points,
 )
 from .meshing import SolitonMesh, revolve_profile

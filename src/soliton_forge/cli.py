@@ -15,8 +15,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import diagnostics, fileio, lorentz, mcf_flow
 from .graph_solvers import solve_grim, solve_radial_graph
 from .meshing import revolve_profile
@@ -168,6 +166,7 @@ def _cmd_soliton(args) -> int:
 
     # tight tolerances keep the FD-based diagnostics below their gates
     tight = {"rtol": 1e-11, "atol": 1e-13}
+    meta = {"family": family, "c": args.c, "n": args.n, "K": args.K}
     if family == "bowl":
         spec = _make_spec(family, args.K, args.n, args.c)
         curve = solve_bowl(spec, stop=stop, **tight)
@@ -181,13 +180,11 @@ def _cmd_soliton(args) -> int:
         warp = make_builtin_warp("equidistant", args.K)
         graph = solve_grim(args.c, args.n, warp,
                            r_span=(-args.r_max, args.r_max))
-        meta = {"family": family, "c": args.c, "n": args.n, "K": args.K}
         path = _out_path(args, f"{tag}.csv")
         fileio.export_graph_csv(graph, path, meta=meta)
         print(f"wrote {path}")
         return 0
 
-    meta = {"family": family, "c": args.c, "n": args.n, "K": args.K}
     if family == "wing":
         meta["epsilon"] = args.epsilon
         meta["branch"] = args.branch
@@ -270,10 +267,9 @@ def _cmd_flow(args) -> int:
                                    width=args.bump_width,
                                    center=args.bump_center)
     elif initial.startswith("csv:"):
-        data, _ = fileio.read_points_csv(initial[4:])
-        if data.shape[0] != problem.r_grid.size:
+        u0 = fileio.read_table(initial[4:])[2][:, -1]
+        if u0.size != problem.r_grid.size:
             raise UsageError("csv initial data does not match the grid")
-        u0 = data[:, -1]
     else:
         raise UsageError(f"unknown initial data {initial!r}")
 
@@ -286,10 +282,8 @@ def _cmd_flow(args) -> int:
     for label, state in (("initial", trajectory.snapshots[0]),
                          ("final", trajectory.snapshots[-1])):
         snap_path = _out_path(args, f"{tag}_{label}.csv")
-        rows = np.column_stack((state.r_grid, state.u))
-        lines = [f"# tau={fileio.fmt(state.tau)}", "x0,x1"]
-        lines += [",".join(fileio.fmt(v) for v in row) for row in rows]
-        snap_path.write_text("\n".join(lines) + "\n", newline="\n")
+        fileio.write_table(snap_path, ("r", "u"), (state.r_grid, state.u),
+                           {"tau": fileio.fmt(state.tau)})
         print(f"wrote {snap_path}")
     check = trajectory.monotonicity_check(tol_rel=args.tol_rel,
                                           tol_abs=args.tol_abs)
@@ -301,8 +295,12 @@ def _cmd_flow(args) -> int:
 
 def _cmd_isometry(args) -> int:
     if args.map_json is not None:
-        descriptor = json.loads(Path(args.map_json).read_text())
-        map_type, param = descriptor["type"], float(descriptor["param"])
+        try:
+            descriptor = json.loads(Path(args.map_json).read_text())
+            map_type, param = descriptor["type"], float(descriptor["param"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise UsageError("--map-json needs a JSON object with a 'type' and "
+                             f"a numeric 'param' ({exc!r})") from None
     elif args.map is not None and args.param is not None:
         map_type, param = args.map, args.param
     else:
@@ -334,30 +332,22 @@ def _cmd_sweep(args) -> int:
             raise UsageError("wing sweep needs --epsilons")
         epsilons = [float(v) for v in str(args.epsilons).split(",")]
 
+        names = ("epsilon", "r_turn", "gap", "lower", "upper", "pass")
+
         def solve_one(eps):
             spec = _make_spec("wing", args.K, args.n, args.c, epsilon=eps)
             curve = solve_wing(spec, branch=-1,
                                stop=TerminationPolicy(r_max=args.r_max))
-            result = diagnostics.wing_height_report(curve)
-            return eps, result
+            res = diagnostics.wing_height_report(curve)
+            return (eps, *(res.details[k] for k in names[1:5]), res.passed)
 
-        results = sorted((solve_one(eps) for eps in epsilons),
-                         key=lambda pair: -pair[0])
-        lines = ["epsilon,r_turn,gap,lower,upper,pass"]
-        gaps = []
-        for eps, res in results:
-            d = res.details
-            gaps.append(d["gap"])
-            lines.append(",".join([
-                fileio.fmt(eps), fileio.fmt(d["r_turn"]), fileio.fmt(d["gap"]),
-                fileio.fmt(d["lower"]), fileio.fmt(d["upper"]),
-                str(res.passed).lower()]))
+        rows = sorted(map(solve_one, epsilons), key=lambda row: -row[0])
         path = _out_path(args, f"{tag}.csv")
-        path.write_text("\n".join(lines) + "\n", newline="\n")
+        fileio.write_table(path, names, list(zip(*rows)))
         print(f"wrote {path}")
-        monotone = all(a > b for a, b in zip(gaps, gaps[1:]))
+        monotone = all(a[2] > b[2] for a, b in zip(rows, rows[1:]))
         print(f"gap decreasing toward epsilon -> 0: {monotone}")
-        return 0 if monotone and all(r.passed for _, r in results) else 2
+        return 0 if monotone and all(row[5] for row in rows) else 2
 
     if not args.c_values:
         raise UsageError("bowl sweep needs --c-values")
@@ -368,11 +358,9 @@ def _cmd_sweep(args) -> int:
         graph = solve_radial_graph(spec, r_span=(0.0, args.r_max))
         return c, float(graph.u[-1]), float(graph.du[-1])
 
-    lines = ["c,u_rmax,du_rmax"]
-    for c, u_end, du_end in sorted(solve_one_c(c) for c in c_values):
-        lines.append(f"{fileio.fmt(c)},{fileio.fmt(u_end)},{fileio.fmt(du_end)}")
+    rows = sorted(solve_one_c(c) for c in c_values)
     path = _out_path(args, f"{tag}.csv")
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+    fileio.write_table(path, ("c", "u_rmax", "du_rmax"), list(zip(*rows)))
     print(f"wrote {path}")
     return 0
 

@@ -2,9 +2,9 @@
 
 All numeric output uses repr-faithful 17-significant-digit formatting
 and '\n' newlines, so identical inputs produce byte-identical files.
-CSV files carry '# key=value' comment headers with run metadata; OBJ
-files carry the same information as '#' comments before the vertex
-block.
+Every CSV file is written by write_table and read by read_table: '# key=value'
+comment lines with run metadata, one header line, then one row per sample.
+OBJ files carry the same metadata as '#' comments before the vertex block.
 """
 
 from __future__ import annotations
@@ -24,15 +24,10 @@ def fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _open_out(path):
+def _write_lines(path, lines) -> Path:
     path = Path(path)
     if not path.parent.exists():
         raise FileNotFoundError(f"parent directory does not exist: {path.parent}")
-    return path
-
-
-def _write_lines(path, lines) -> Path:
-    path = _open_out(path)
     try:
         path.write_text("\n".join(lines) + "\n", newline="\n")
     except OSError as exc:
@@ -44,94 +39,120 @@ def _meta_lines(meta: dict):
     return [f"# {key}={value}" for key, value in sorted(meta.items())]
 
 
+def _cell(value) -> str:
+    if value != value:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    return fmt(value)
+
+
+def write_table(path, names, columns, meta=None) -> Path:
+    """Metadata lines, the header `names`, one row per sample of equal columns.
+
+    Numbers are written with fmt, NaN as an empty cell, flags as true/false.
+    """
+    lines = _meta_lines(meta or {}) + [",".join(names)]
+    lines.extend(",".join(map(_cell, row)) for row in zip(*columns, strict=True))
+    return _write_lines(path, lines)
+
+
+_WORDS = {"": np.nan, "true": 1.0, "false": 0.0}
+
+
+def _row(cells, width: int) -> list:
+    if len(cells) != width:
+        raise ValueError(f"{len(cells)} cells under {width} columns")
+    try:
+        return list(map(float, cells))
+    except ValueError:
+        return [_WORDS[c] if c in _WORDS else float(c) for c in cells]
+
+
+def _header(cells) -> list:
+    try:
+        _row(cells, len(cells))
+    except ValueError:
+        return [c.strip() for c in cells]
+    raise ValueError("a row of numbers where the header belongs")
+
+
+def read_table(path) -> tuple:
+    """Inverse of write_table: (meta, names, data) with one data row per line.
+
+    Metadata values stay strings; an empty cell reads as NaN.  The first
+    line that is neither blank nor a comment must be the header.
+    """
+    meta, names, rows = {}, None, []
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+        if line.startswith("#"):
+            key, eq, value = line[1:].partition("=")
+            if eq:
+                meta[key.strip()] = value.strip()
+        elif names is not None or line.strip():
+            try:
+                if names is None:
+                    names = _header(line.split(","))
+                else:
+                    rows.append(_row(line.split(","), len(names)))
+            except ValueError as exc:
+                raise ValueError(f"{path} line {lineno}: {exc}") from None
+    if names is None:
+        raise ValueError(f"{path}: no header line")
+    return meta, names, np.array(rows, dtype=float).reshape(-1, len(names))
+
+
 def export_profile_csv(curve, path, n_samples: int = 2001, meta=None) -> Path:
     """Columns s, r, t, phi resampled uniformly in arc length."""
-    lo, hi = curve.s_span
-    s = np.linspace(lo, hi, n_samples)
-    r, t, phi = curve.sample(s)
-    lines = _meta_lines(meta or {})
-    lines.append("s,r,t,phi")
-    for row in zip(s, np.atleast_1d(r), np.atleast_1d(t), np.atleast_1d(phi)):
-        lines.append(",".join(fmt(v) for v in row))
-    return _write_lines(path, lines)
+    s = np.linspace(*curve.s_span, n_samples)
+    return write_table(path, ("s", "r", "t", "phi"), (s, *curve.sample(s)),
+                       meta)
 
 
 def read_profile_csv(path, spec=None) -> SampledCurve:
     """Rebuild a sampleable curve from an export of export_profile_csv."""
-    path = Path(path)
-    rows = []
-    meta = {}
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            if "=" in line:
-                key, _, value = line[1:].partition("=")
-                meta[key.strip()] = value.strip()
-            continue
-        if line.startswith("s,"):
-            continue
-        rows.append([float(v) for v in line.split(",")])
-    if len(rows) < 4:
+    meta, names, data = read_table(path)
+    if names != ["s", "r", "t", "phi"]:
+        raise ValueError(f"{path} has columns {','.join(names)}; a profile "
+                         "CSV has s,r,t,phi")
+    if len(data) < 4:
         raise ValueError(f"profile CSV {path} has too few samples")
-    data = np.asarray(rows)
-    curve = SampledCurve(data[:, 0], data[:, 1], data[:, 2], data[:, 3], spec=spec)
+    curve = SampledCurve(*data.T, spec=spec)
     curve.meta = meta
     return curve
 
 
 def export_graph_csv(graph: RadialGraph, path, meta=None) -> Path:
     """Columns r, u, du on the solver grid."""
-    base = dict(graph.meta)
-    base.update(meta or {})
-    base["chart"] = graph.chart
-    lines = _meta_lines(base)
-    lines.append("r,u,du")
-    for row in zip(graph.r_grid, graph.u, graph.du):
-        lines.append(",".join(fmt(v) for v in row))
-    return _write_lines(path, lines)
+    return write_table(path, ("r", "u", "du"), (graph.r_grid, graph.u, graph.du),
+                       {**graph.meta, **(meta or {}), "chart": graph.chart})
 
 
 def export_report_json(report, path) -> Path:
     """Diagnostics report as stable-ordered JSON."""
     payload = report.to_dict() if hasattr(report, "to_dict") else report
-    path = _open_out(path)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True,
-                               default=float) + "\n", newline="\n")
-    return path
+    return _write_lines(path, [json.dumps(payload, indent=2, sort_keys=True,
+                                          default=float)])
 
 
 def export_trajectory_csv(trajectory, path, meta=None) -> Path:
     """Columns tau, F, D, dF_dtau (centered differences, blank at ends)."""
-    taus = trajectory.taus
-    F = trajectory.F_values
-    D = trajectory.defect_values
+    taus, F = trajectory.taus, trajectory.F_values
     dF = np.full_like(F, np.nan)
     if taus.size >= 3:
         dF[1:-1] = (F[2:] - F[:-2]) / (taus[2:] - taus[:-2])
-    base = dict(trajectory.meta)
-    base.update(meta or {})
-    lines = _meta_lines(base)
-    lines.append("tau,F,D,dF_dtau")
-    for tau, f, d, g in zip(taus, F, D, dF):
-        tail = "" if np.isnan(g) else fmt(g)
-        lines.append(f"{fmt(tau)},{fmt(f)},{fmt(d)},{tail}")
-    return _write_lines(path, lines)
+    return write_table(path, ("tau", "F", "D", "dF_dtau"),
+                       (taus, F, trajectory.defect_values, dF),
+                       {**trajectory.meta, **(meta or {})})
 
 
 def export_mesh_obj(mesh: SolitonMesh, path, meta=None) -> Path:
     """Wavefront OBJ with 1-based faces and a metadata comment header."""
     if mesh.n_vertices == 0 or mesh.n_faces == 0:
         raise ValueError("nothing to export: empty mesh")
-    base = dict(mesh.meta)
-    base.update(meta or {})
-    base["chart"] = mesh.chart
-    lines = _meta_lines(base)
-    for v in mesh.vertices:
-        lines.append(f"v {fmt(v[0])} {fmt(v[1])} {fmt(v[2])}")
-    for f in mesh.faces:
-        lines.append(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}")
+    lines = _meta_lines({**mesh.meta, **(meta or {}), "chart": mesh.chart})
+    lines += [f"v {fmt(x)} {fmt(y)} {fmt(z)}" for x, y, z in mesh.vertices]
+    lines += [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in mesh.faces]
     return _write_lines(path, lines)
 
 
@@ -152,38 +173,18 @@ def load_obj(path):
 
 def export_points_csv(points, path, heights=None, meta=None) -> Path:
     """Hyperboloid point rows x0..xn, optionally with a height column."""
-    lines = _meta_lines(meta or {})
-    arrs = [p.array if hasattr(p, "array") else np.asarray(p, dtype=float)
-            for p in points]
-    if not arrs:
+    data = np.array([getattr(p, "coords", p) for p in points], dtype=float)
+    if data.size == 0:
         raise ValueError("nothing to export: empty point set")
-    dim = arrs[0].size
-    header = ",".join(f"x{i}" for i in range(dim))
-    if heights is not None:
-        header += ",height"
-    lines.append(header)
-    for i, arr in enumerate(arrs):
-        row = ",".join(fmt(v) for v in arr)
-        if heights is not None:
-            row += f",{fmt(heights[i])}"
-        lines.append(row)
-    return _write_lines(path, lines)
+    names = [f"x{i}" for i in range(data.shape[1])]
+    if heights is None:
+        return write_table(path, names, data.T, meta)
+    return write_table(path, names + ["height"], [*data.T, heights], meta)
 
 
 def read_points_csv(path):
     """Inverse of export_points_csv; returns (coords array, heights or None)."""
-    rows, has_height = [], False
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("x0"):
-            has_height = line.rstrip().endswith("height")
-            continue
-        rows.append([float(v) for v in line.split(",")])
-    data = np.asarray(rows, dtype=float)
+    _, names, data = read_table(path)
     if data.size == 0:
         raise ValueError(f"no point rows in {path}")
-    if has_height:
-        return data[:, :-1], data[:, -1]
-    return data, None
+    return (data[:, :-1], data[:, -1]) if names[-1] == "height" else (data, None)

@@ -223,12 +223,3 @@ def equidistant_point(r: float, tau: float, theta=None, n: int = 2) -> LorentzPo
         coords[3:] = math.sinh(r) * theta[1:]
     return LorentzPoint(coords)
 
-
-def lorentz_defect(point_or_map) -> float:
-    """Invariant defect of a raw array: |<p,p>_L + 1| or the form defect."""
-    arr = np.asarray(
-        point_or_map.array if hasattr(point_or_map, "array") else point_or_map,
-        dtype=float)
-    if arr.ndim == 1:
-        return abs(lorentz_product(arr, arr) + 1.0)
-    return form_defect(arr)

@@ -2,11 +2,14 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from soliton_forge import embed_polar
 from soliton_forge.cli import main
 from soliton_forge.diagnostics import perturb_curve
-from soliton_forge.fileio import export_profile_csv, read_profile_csv
+from soliton_forge.fileio import (export_points_csv, export_profile_csv,
+                                  read_profile_csv, read_table)
 
 
 def run(*argv):
@@ -37,13 +40,29 @@ class TestSolitonCommand:
         assert code == 0
         assert (tmp_path / "reaper.csv").exists()
 
-    def test_reruns_identical(self, tmp_path):
+    @pytest.mark.parametrize("argv", [
+        ["soliton", "bowl", "--r-max", "4"],
+        ["soliton", "grim", "--r-max", "4"],
+        ["flow", "--R", "4", "--nodes", "101", "--scheme", "implicit",
+         "--dtau", "1e-3", "--horizon", "0.005"],
+        ["sweep", "--family", "wing", "--epsilons", "0.5,1", "--r-max", "6"],
+        ["sweep", "--family", "bowl", "--c-values", "0.5,1", "--r-max", "4"],
+        ["isometry", "--map", "parabolic", "--param", "0.7", "--points", None],
+    ], ids=["soliton-bowl", "soliton-grim", "flow", "sweep-wing",
+            "sweep-bowl", "isometry"])
+    def test_reruns_identical(self, tmp_path, argv):
+        points = tmp_path / "pts.csv"
+        export_points_csv([embed_polar(r, [0.6, 0.8]) for r in (0.0, 0.5, 2.0)],
+                          points, heights=[0.0, -1.0, 3.5])
+        argv = [str(points) if a is None else a for a in argv]
         for sub in ("one", "two"):
-            assert run("--out", str(tmp_path / sub), "soliton", "bowl",
-                       "--r-max", "4") == 0
-        a = (tmp_path / "one" / "bowl.csv").read_bytes()
-        b = (tmp_path / "two" / "bowl.csv").read_bytes()
-        assert a == b
+            assert run("--out", str(tmp_path / sub), *argv) == 0
+        one = sorted(p.name for p in (tmp_path / "one").iterdir())
+        assert one == sorted(p.name for p in (tmp_path / "two").iterdir())
+        assert any(name.endswith(".csv") for name in one)
+        for name in one:
+            assert ((tmp_path / "one" / name).read_bytes()
+                    == (tmp_path / "two" / name).read_bytes()), name
 
 
 class TestVerifyCommand:
@@ -70,6 +89,12 @@ class TestVerifyCommand:
         assert run("--out", str(tmp_path), "verify", "--input",
                    str(tmp_path / "absent.csv")) == 1
 
+    def test_points_csv_is_not_a_profile(self, tmp_path, capsys):
+        src = tmp_path / "pts.csv"
+        export_points_csv([embed_polar(r, [1.0, 0.0]) for r in range(4)], src)
+        assert run("--out", str(tmp_path), "verify", "--input", str(src)) == 1
+        assert "x0,x1,x2" in capsys.readouterr().err
+
 
 class TestFlowCommand:
     def test_soliton_smoke(self, tmp_path, capsys):
@@ -86,11 +111,44 @@ class TestFlowCommand:
         assert run("--out", str(tmp_path), "flow", "--initial",
                    "wavelet") == 1
 
+    SMALL = ("flow", "--R", "5", "--nodes", "201", "--scheme", "implicit",
+             "--dtau", "1e-3", "--horizon", "0.01")
+
+    def test_initial_from_snapshot(self, tmp_path):
+        assert run("--out", str(tmp_path), *self.SMALL) == 0
+        final = tmp_path / "flow_final.csv"
+        meta, names, data = read_table(final)
+        assert names == ["r", "u"]
+        assert final.read_text().splitlines()[1] == "r,u"
+        assert "tau" in meta
+        assert run("--out", str(tmp_path), *self.SMALL, "--tag", "again",
+                   "--initial", f"csv:{final}") == 0
+        u0 = read_table(tmp_path / "again_initial.csv")[2][:, -1]
+        assert u0.tobytes() == data[:, -1].tobytes()
+
+    def test_initial_from_points_header(self, tmp_path):
+        # snapshots written before the r,u header carried x0,x1
+        assert run("--out", str(tmp_path), *self.SMALL) == 0
+        _, _, data = read_table(tmp_path / "flow_final.csv")
+        old = tmp_path / "old_final.csv"
+        u = data[:, 1] + 0.01 * np.exp(-data[:, 0] ** 2)
+        rows = [f"{r!r},{v!r}" for r, v in zip(data[:, 0].tolist(), u.tolist())]
+        old.write_text("# tau=0.01\nx0,x1\n" + "\n".join(rows) + "\n")
+        assert run("--out", str(tmp_path), *self.SMALL, "--tag", "old",
+                   "--initial", f"csv:{old}") == 0
+        u0 = read_table(tmp_path / "old_initial.csv")[2][:, -1]
+        assert u0.tobytes() == u.tobytes()
+
+    def test_initial_needs_a_header(self, tmp_path):
+        bare = tmp_path / "bare.csv"
+        bare.write_text("0.0,1.0\n1.0,1.0\n")
+        assert run("--out", str(tmp_path), *self.SMALL,
+                   "--initial", f"csv:{bare}") == 1
+
 
 class TestIsometryCommand:
     def test_hyperbolic_map(self, tmp_path):
-        from soliton_forge import embed_polar
-        from soliton_forge.fileio import export_points_csv, read_points_csv
+        from soliton_forge.fileio import read_points_csv
         pts = [embed_polar(r, [1.0, 0.0]) for r in (0.0, 1.0)]
         src = tmp_path / "pts.csv"
         export_points_csv(pts, src, heights=[0.0, 2.0])
@@ -101,6 +159,30 @@ class TestIsometryCommand:
         # the marked point lands on the origin; heights ride along
         assert coords[1][0] == pytest.approx(1.0, abs=1e-14)
         assert list(heights) == [0.0, 2.0]
+
+    @pytest.mark.parametrize("descriptor", [
+        {"type": "parabolic"},
+        {"param": 0.7},
+        ["parabolic", 0.7],
+        {"type": "parabolic", "param": "far"},
+    ], ids=["no-param", "no-type", "not-an-object", "non-numeric-param"])
+    def test_malformed_map_json(self, tmp_path, capsys, descriptor):
+        src = tmp_path / "pts.csv"
+        export_points_csv([embed_polar(1.0, [1.0, 0.0])], src)
+        desc = tmp_path / "map.json"
+        desc.write_text(json.dumps(descriptor))
+        assert run("--out", str(tmp_path), "isometry", "--map-json", str(desc),
+                   "--points", str(src)) == 1
+        assert "usage error: --map-json" in capsys.readouterr().err
+
+    def test_map_json(self, tmp_path):
+        src = tmp_path / "pts.csv"
+        export_points_csv([embed_polar(1.0, [1.0, 0.0])], src)
+        desc = tmp_path / "map.json"
+        desc.write_text(json.dumps({"type": "hyperbolic", "param": 1.0}))
+        assert run("--out", str(tmp_path), "isometry", "--map-json", str(desc),
+                   "--points", str(src)) == 0
+        assert (tmp_path / "points_hyperbolic_1.csv").exists()
 
     def test_map_required(self, tmp_path):
         src = tmp_path / "pts.csv"

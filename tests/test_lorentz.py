@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from soliton_forge import (
     LorentzMap, LorentzPoint, compose, embed_polar, equidistant_point,
-    form_defect, hyperbolic_translation, lorentz_defect, lorentz_product,
+    form_defect, hyperbolic_translation, lorentz_product,
     parabolic_translation, transform_points,
 )
 
@@ -129,7 +129,7 @@ class TestEquidistant:
         for r in (-1.5, 0.0, 2.0):
             for tau in (-2.0, 0.4):
                 p = equidistant_point(r, tau)
-                assert lorentz_defect(p) < 1e-12
+                assert abs(lorentz_product(p.array, p.array) + 1.0) < 1e-12
 
     def test_signed_distance_coordinate(self):
         # x1 = sinh r is the defining level of the equidistant surface
@@ -142,7 +142,7 @@ class TestEquidistant:
 
     def test_higher_dimension_theta(self):
         p = equidistant_point(0.5, 0.2, theta=[0.6, 0.8], n=3)
-        assert lorentz_defect(p) < 1e-12
+        assert abs(lorentz_product(p.array, p.array) + 1.0) < 1e-12
         assert p.coords[1] == pytest.approx(math.sinh(0.5) * 0.6)
         assert p.coords[3] == pytest.approx(math.sinh(0.5) * 0.8)
 

@@ -1,9 +1,13 @@
 """Revolution meshes and deterministic artifact files."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soliton_forge import (
     SolitonMesh, SolitonSpec, TerminationPolicy, revolve_profile, solve_bowl,
@@ -12,6 +16,7 @@ from soliton_forge import (
 from soliton_forge.fileio import (
     export_graph_csv, export_mesh_obj, export_points_csv, export_profile_csv,
     export_trajectory_csv, load_obj, read_points_csv, read_profile_csv,
+    read_table, write_table,
 )
 
 
@@ -154,3 +159,97 @@ class TestCsvFiles:
     def test_missing_directory(self, bowl_curve, tmp_path):
         with pytest.raises(FileNotFoundError):
             export_profile_csv(bowl_curve, tmp_path / "no" / "p.csv")
+
+
+class TestTable:
+    def test_layout(self, tmp_path):
+        path = write_table(tmp_path / "t.csv", ("a", "b", "ok"),
+                           ([0.1, -0.0], [math.nan, math.inf], [True, False]),
+                           {"z": 1, "k": "v"})
+        assert path.read_text() == ("# k=v\n# z=1\na,b,ok\n"
+                                    "0.10000000000000001,,true\n-0,inf,false\n")
+        meta, names, data = read_table(path)
+        assert meta == {"k": "v", "z": "1"}
+        assert names == ["a", "b", "ok"]
+        assert data[:, 2].tolist() == [1.0, 0.0]
+
+    def test_unequal_columns_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_table(tmp_path / "t.csv", ("a", "b"), ([1.0, 2.0], [3.0]))
+
+    def test_header_only(self, tmp_path):
+        path = write_table(tmp_path / "t.csv", ("a", "b"), ([], []))
+        assert read_table(path)[2].shape == (0, 2)
+
+    def test_headerless_file_rejected(self, tmp_path):
+        path = tmp_path / "bare.csv"
+        path.write_text("# tau=0\n1.0,0.0,0.0\n2.0,1.0,1.0\n")
+        with pytest.raises(ValueError, match="bare.csv line 2: .*header"):
+            read_table(path)
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("# k=v\n")
+        with pytest.raises(ValueError, match="empty.csv: no header"):
+            read_table(path)
+
+    def test_ragged_row_rejected(self, tmp_path):
+        path = tmp_path / "ragged.csv"
+        path.write_text("a,b\n1,2\n3\n")
+        with pytest.raises(ValueError, match="ragged.csv line 3: 1 cells under 2"):
+            read_table(path)
+
+    def test_non_numeric_cell_rejected(self, tmp_path):
+        path = tmp_path / "word.csv"
+        path.write_text("a,b\n1,2\n3,four\n")
+        with pytest.raises(ValueError, match="word.csv line 3: .*'four'"):
+            read_table(path)
+
+    def test_profile_reader_checks_columns(self, tmp_path):
+        from soliton_forge import embed_polar
+        path = export_points_csv([embed_polar(r, [1.0, 0.0]) for r in range(4)],
+                                 tmp_path / "pts.csv", heights=[0.0] * 4)
+        with pytest.raises(ValueError, match="x0,x1,x2,height"):
+            read_profile_csv(path)
+
+    def test_points_need_a_header(self, tmp_path):
+        path = tmp_path / "pts.csv"
+        path.write_text("1.0,0.0,0.0\n")
+        with pytest.raises(ValueError, match="header"):
+            read_points_csv(path)
+
+
+_NAME = st.from_regex(r"[a-z][a-z0-9_]{0,5}", fullmatch=True).filter(
+    lambda name: name not in ("inf", "nan", "true", "false"))
+_META = st.dictionaries(_NAME, st.from_regex(r"[A-Za-z0-9_.+-]{0,10}",
+                                             fullmatch=True), max_size=3)
+# subnormals, both zeros, both infinities and NaN, besides what floats() draws
+_SPECIAL = [5e-324, -5e-324, 2.2250738585072014e-308, -0.0, 0.0,
+            math.inf, -math.inf, math.nan, 1.7976931348623157e308]
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.tuples(st.integers(0, 6), st.integers(1, 4)), data=st.data())
+def test_table_round_trip(shape, data):
+    rows, width = shape
+    names = data.draw(st.lists(_NAME, min_size=width, max_size=width))
+    meta = data.draw(_META)
+    cell = st.floats() | st.sampled_from(_SPECIAL)
+    table = np.array(data.draw(st.lists(cell, min_size=rows * width,
+                                        max_size=rows * width)),
+                     dtype=float).reshape(rows, width)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_table(Path(tmp) / "t.csv", names, list(table.T), meta)
+        back_meta, back_names, back = read_table(path)
+    assert back_names == names
+    assert back_meta == {key: str(value) for key, value in meta.items()}
+    # NaN is written as an empty cell and reads back as the canonical NaN
+    expected = np.where(np.isnan(table), np.nan, table)
+    assert back.shape == table.shape
+    assert back.tobytes() == expected.tobytes()
+
+
+def test_table_special_values(tmp_path):
+    path = write_table(tmp_path / "t.csv", ["v"], [_SPECIAL])
+    back = read_table(path)[2][:, 0]
+    assert back.tobytes() == np.array(_SPECIAL).tobytes()
