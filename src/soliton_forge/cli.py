@@ -5,13 +5,15 @@ Subcommands: soliton (solve one family and export artifacts), verify
 flow), isometry (apply a Lorentz map to a point set), sweep (parameter
 grids).  Exit codes: 0 success, 2 verification failure, 1 usage or
 runtime error.  Flag values override JSON config values, which override
-built-in defaults.
+the ``# key=value`` metadata of the verify input, which override the
+built-in defaults declared on the flags.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -28,104 +30,105 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument parser whose usage failures exit with status 1."""
+    """Argument parser whose usage failures exit with status 1; ``commands``
+    maps each command name to its subparser."""
 
     def error(self, message):
         raise UsageError(message)
+
+    def set_own_defaults(self, values: dict) -> None:
+        """set_defaults for the keys of ``values`` this parser has a flag for."""
+        dests = {action.dest for action in self._actions}
+        self.set_defaults(**{k: v for k, v in values.items() if k in dests})
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="soliton-forge",
                      description="Translating-soliton toolkit")
     parser.add_argument("--config", type=Path, help="JSON config file")
-    parser.add_argument("--out", type=Path, default=None,
+    parser.add_argument("--out", type=Path, default=Path("."),
                         help="output directory (default: current)")
-    parser.add_argument("--tol-rel", type=float, default=None)
-    parser.add_argument("--tol-abs", type=float, default=None)
-    parser.add_argument("--seed", type=int, default=None,
+    parser.add_argument("--tol-rel", type=float, default=1e-3)
+    parser.add_argument("--tol-abs", type=float, default=1e-6)
+    parser.add_argument("--seed", type=int, default=0,
                         help="seed for randomized property checks")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
-    sol = sub.add_parser("soliton", help="solve one soliton family")
+    def command(name, summary):
+        """Subparser with the soliton parameters every command but isometry takes."""
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--K", type=float, default=-1.0, help="radial curvature")
+        p.add_argument("--n", type=int, default=2)
+        p.add_argument("--c", type=float, default=1.0)
+        return p
+
+    sol = command("soliton", "solve one soliton family")
     sol.add_argument("family", choices=("bowl", "wing", "ideal", "grim"))
-    sol.add_argument("--K", type=float, default=None, help="radial curvature")
-    sol.add_argument("--n", type=int, default=None)
-    sol.add_argument("--c", type=float, default=None)
-    sol.add_argument("--r-max", type=float, default=None)
-    sol.add_argument("--epsilon", type=float, default=None,
+    sol.add_argument("--r-max", type=float, default=10.0)
+    sol.add_argument("--epsilon", type=float, default=0.5,
                      help="inner radius (wing family)")
-    sol.add_argument("--branch", type=int, choices=(-1, 1), default=None)
-    sol.add_argument("--segments", type=int, default=None,
+    sol.add_argument("--branch", type=int, choices=(-1, 1), default=-1)
+    sol.add_argument("--segments", type=int, default=64,
                      help="angular mesh segments")
-    sol.add_argument("--chart", choices=("cylindrical", "poincare_disk"),
-                     default=None)
-    sol.add_argument("--tag", default=None, help="artifact basename")
+    sol.add_argument("--chart", choices=("cylindrical", "poincare_disk"))
+    sol.add_argument("--tag", help="artifact basename")
 
-    ver = sub.add_parser("verify", help="run diagnostics")
+    ver = command("verify", "run diagnostics")
     ver.add_argument("--input", type=Path, required=True,
                      help="profile CSV produced by the soliton subcommand")
-    ver.add_argument("--K", type=float, default=None)
-    ver.add_argument("--n", type=int, default=None)
-    ver.add_argument("--c", type=float, default=None)
-    ver.add_argument("--family", default=None)
-    ver.add_argument("--epsilon", type=float, default=None)
+    ver.add_argument("--family", default="bowl")
+    ver.add_argument("--epsilon", type=float, default=0.5)
 
-    flow = sub.add_parser("flow", help="graphical mean curvature flow")
-    flow.add_argument("--chart", choices=("polar", "equidistant"), default=None)
-    flow.add_argument("--K", type=float, default=None)
-    flow.add_argument("--n", type=int, default=None)
-    flow.add_argument("--c", type=float, default=None)
-    flow.add_argument("--R", type=float, default=None)
-    flow.add_argument("--nodes", type=int, default=None)
-    flow.add_argument("--dtau", type=float, default=None)
-    flow.add_argument("--horizon", type=float, default=None)
-    flow.add_argument("--scheme", choices=("explicit", "implicit"), default=None)
-    flow.add_argument("--bc", choices=("robin", "dirichlet"), default=None)
-    flow.add_argument("--initial", default=None,
+    flow = command("flow", "graphical mean curvature flow")
+    flow.add_argument("--chart", choices=("polar", "equidistant"), default="polar")
+    flow.add_argument("--R", type=float, default=10.0)
+    flow.add_argument("--nodes", type=int, default=2001)
+    flow.add_argument("--dtau", type=float)
+    flow.add_argument("--horizon", type=float, default=0.1)
+    flow.add_argument("--scheme", choices=("explicit", "implicit"),
+                      default="explicit")
+    flow.add_argument("--bc", choices=("robin", "dirichlet"), default="robin")
+    flow.add_argument("--initial", default="soliton",
                       help="soliton | flat | bump | csv:<path>")
-    flow.add_argument("--bump-amplitude", type=float, default=None)
-    flow.add_argument("--bump-width", type=float, default=None)
-    flow.add_argument("--bump-center", type=float, default=None)
-    flow.add_argument("--record-every", type=int, default=None)
-    flow.add_argument("--tag", default=None)
+    flow.add_argument("--bump-amplitude", type=float, default=0.05)
+    flow.add_argument("--bump-width", type=float, default=0.5)
+    flow.add_argument("--bump-center", type=float, default=3.0)
+    flow.add_argument("--record-every", type=int, default=1)
+    flow.add_argument("--tag")
 
     iso = sub.add_parser("isometry", help="apply a Lorentz map to points")
-    iso.add_argument("--map", choices=("hyperbolic", "parabolic"), default=None)
-    iso.add_argument("--param", type=float, default=None)
-    iso.add_argument("--map-json", type=Path, default=None,
-                     help="JSON descriptor {type, param}")
+    iso.add_argument("--map", choices=("hyperbolic", "parabolic"))
+    iso.add_argument("--param", type=float)
+    iso.add_argument("--map-json", type=Path, help="JSON descriptor {type, param}")
     iso.add_argument("--points", type=Path, required=True)
-    iso.add_argument("--tag", default=None)
+    iso.add_argument("--tag")
 
-    swp = sub.add_parser("sweep", help="solve over a parameter grid")
-    swp.add_argument("--family", choices=("bowl", "wing"), default=None)
-    swp.add_argument("--K", type=float, default=None)
-    swp.add_argument("--n", type=int, default=None)
-    swp.add_argument("--c", type=float, default=None)
-    swp.add_argument("--epsilons", default=None,
-                     help="comma-separated inner radii (wing sweep)")
-    swp.add_argument("--c-values", default=None,
-                     help="comma-separated speeds (bowl sweep)")
-    swp.add_argument("--r-max", type=float, default=None)
-    swp.add_argument("--tag", default=None)
+    swp = command("sweep", "solve over a parameter grid")
+    swp.add_argument("--family", choices=("bowl", "wing"))
+    swp.add_argument("--epsilons", help="comma-separated inner radii (wing sweep)")
+    swp.add_argument("--c-values", help="comma-separated speeds (bowl sweep)")
+    swp.add_argument("--r-max", type=float, default=10.0)
+    swp.add_argument("--tag")
     return parser
 
 
-_DEFAULTS = {
-    "K": -1.0, "n": 2, "c": 1.0, "r_max": 10.0, "epsilon": 0.5,
-    "branch": -1, "segments": 64, "chart": None, "tag": None,
-    "R": 10.0, "nodes": 2001, "dtau": None, "horizon": 0.1,
-    "scheme": "explicit", "bc": "robin", "initial": "soliton",
-    "bump_amplitude": 0.05, "bump_width": 0.5, "bump_center": 3.0,
-    "record_every": 1, "family": None, "map": None, "param": None,
-    "epsilons": None, "c_values": None, "tol_rel": 1e-3, "tol_abs": 1e-6,
-    "seed": 0, "out": Path("."),
-}
+def _parse(parser: _Parser, argv) -> argparse.Namespace:
+    """Resolve every value as flag > --config > verify input metadata > default.
 
-
-def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill unset flags from the JSON config, then from defaults."""
-    config = {}
+    A first parse finds the command, the config and the verify input.  Their
+    values become defaults of the parser that owns each key, a string going
+    through its flag's type, and a second parse lays the flags over them.
+    Top-level keys go on the top-level parser, because a subparser's defaults
+    override flags given before the command.
+    """
+    args = parser.parse_args(argv)
+    command = parser.commands[args.command]
+    layers = []
+    if args.command == "verify":
+        profile = fileio.read_profile_csv(args.input)
+        command.set_defaults(profile=profile)
+        layers.append(profile.meta)
     if args.config is not None:
         try:
             config = json.loads(Path(args.config).read_text())
@@ -133,16 +136,11 @@ def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
             raise UsageError(f"cannot read config {args.config}: {exc}")
         if not isinstance(config, dict):
             raise UsageError("config must be a JSON object")
-    for key, value in vars(args).items():
-        if value is not None:
-            continue
-        if key in config:
-            setattr(args, key, config[key])
-        elif key in _DEFAULTS:
-            setattr(args, key, _DEFAULTS[key])
-    if isinstance(args.out, str):
-        args.out = Path(args.out)
-    return args
+        layers.append(config)
+    for values in layers:
+        parser.set_own_defaults(values)
+        command.set_own_defaults(values)
+    return parser.parse_args(argv)
 
 
 def _out_path(args, name: str) -> Path:
@@ -212,23 +210,8 @@ def _cmd_soliton(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    curve = fileio.read_profile_csv(args.input)
-    meta = getattr(curve, "meta", {})
-
-    def pick(flag, key, default, cast):
-        if flag is not None:
-            return flag
-        if key in meta:
-            return cast(meta[key])
-        return default
-
-    family = pick(args.family, "family", "bowl", str)
-    K = pick(args.K, "K", -1.0, float)
-    n = pick(args.n, "n", 2, int)
-    c = pick(args.c, "c", 1.0, float)
-    epsilon = pick(args.epsilon, "epsilon", None,
-                   float) if family == "wing" else None
-    spec = _make_spec(family, K, n, c, epsilon=epsilon)
+    curve = args.profile
+    spec = _make_spec(args.family, args.K, args.n, args.c, epsilon=args.epsilon)
     curve.spec = spec
 
     report = diagnostics.DiagnosticsReport()
@@ -248,15 +231,18 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_flow(args) -> int:
-    chart = args.chart or "polar"
-    warp_kind = "rotational" if chart == "polar" else "equidistant"
+    warp_kind = "rotational" if args.chart == "polar" else "equidistant"
     warp = make_builtin_warp(warp_kind, args.K)
     problem = mcf_flow.FlowProblem(args.c, args.n, warp, r_max=args.R,
-                                   n_nodes=args.nodes, chart=chart, bc=args.bc)
+                                   n_nodes=args.nodes, chart=args.chart,
+                                   bc=args.bc)
     dtau = args.dtau
-    if dtau is None:
-        dtau = 0.9 * problem.stability_bound() if args.scheme == "explicit" \
-            else 1e-3
+    if dtau is None and args.scheme == "implicit":
+        dtau = 1e-3
+    elif dtau is None:
+        # the largest whole-step division of the horizon within 0.9 x the bound
+        bound = 0.9 * problem.stability_bound()
+        dtau = args.horizon / math.ceil(args.horizon / bound)
     initial = args.initial
     if initial == "soliton":
         u0 = mcf_flow.soliton_initial(problem)
@@ -267,9 +253,11 @@ def _cmd_flow(args) -> int:
                                    width=args.bump_width,
                                    center=args.bump_center)
     elif initial.startswith("csv:"):
-        u0 = fileio.read_table(initial[4:])[2][:, -1]
-        if u0.size != problem.r_grid.size:
-            raise UsageError("csv initial data does not match the grid")
+        data = fileio.read_table(initial[4:])[2]
+        if data.shape[0] != problem.r_grid.size or (
+                abs(data[:, 0] - problem.r_grid).max() > 1e-12 * problem.r_max):
+            raise UsageError("csv initial data: its first column must be the flow grid r")
+        u0 = data[:, -1]
     else:
         raise UsageError(f"unknown initial data {initial!r}")
 
@@ -373,8 +361,7 @@ _COMMANDS = {"soliton": _cmd_soliton, "verify": _cmd_verify,
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        args = _apply_config(args)
+        args = _parse(parser, argv)
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

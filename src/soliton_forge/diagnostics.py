@@ -22,6 +22,10 @@ from .warp_models import CurvatureBounds, ROTATIONAL, radial_curvature
 INTEGRAL_TOL = 1e-6
 ALGEBRAIC_TOL = 1e-9
 QUAD_ABS_TOL = 1e-10
+#: arc-length samples and step of the finite-difference checks
+FD_SAMPLES, FD_STEP = 400, 2e-3
+#: eps and r_min of the slope sandwich in asymptotic_report
+SANDWICH_EPS, SANDWICH_R_MIN = 0.05, 10.0
 
 
 @dataclass(frozen=True)
@@ -102,13 +106,14 @@ def _sample_stencil(curve, s, h):
     return zip(*(curve.sample(x) for x in _stencil(s, h)))
 
 
-def flux_residual(graph: RadialGraph, spec: SolitonSpec | None = None,
-                  tol: float = INTEGRAL_TOL, n_check: int = 60) -> CheckResult:
+def flux_residual(graph: RadialGraph, spec: SolitonSpec | None = None) -> CheckResult:
     """First integral (u'/W) xi^{n-1} |_{r_a}^{r} = int_{r_a}^{r} (c/W) xi^{n-1}.
 
     The right side is recomputed by adaptive quadrature on the dense
     slope record, segment by segment, so it shares no stepper state with
-    the solver that produced the graph.
+    the solver that produced the graph.  Both sides grow like xi^{n-1},
+    so the residual at each of 59 checked radii r is divided by
+    max(1, xi^{n-1}(r)); ``details["max_abs_unscaled"]`` keeps the raw one.
     """
     spec = spec or graph.spec
     if graph.chart != "polar":
@@ -124,18 +129,21 @@ def flux_residual(graph: RadialGraph, spec: SolitonSpec | None = None,
         return c / math.sqrt(1.0 + du * du) * warp.xi(r) ** (n - 1)
 
     r_a, r_b = graph.r_span
-    r_pts = np.linspace(r_a, r_b, n_check)
+    r_pts = np.linspace(r_a, r_b, 60)
     acc = lhs(r_a)
     residuals = []
     for lo, hi in zip(r_pts[:-1], r_pts[1:]):
         val, _ = quad(integrand, lo, hi, epsabs=QUAD_ABS_TOL, limit=200)
         acc += val
         residuals.append(lhs(hi) - acc)
-    return _result("flux_first_integral", residuals, tol,
-                   details={"r_span": (r_a, r_b), "anchor": lhs(r_a)})
+    residuals = np.array(residuals)
+    scale = np.maximum(1.0, warp.xi(r_pts[1:]) ** (n - 1))
+    return _result("flux_first_integral", residuals / scale, INTEGRAL_TOL,
+                   details={"r_span": (r_a, r_b), "anchor": lhs(r_a),
+                            "max_abs_unscaled": float(np.max(np.abs(residuals)))})
 
 
-def wing_turning_flux(curve: ProfileCurve, tol: float = INTEGRAL_TOL) -> CheckResult:
+def wing_turning_flux(curve: ProfileCurve) -> CheckResult:
     """Turning-point flux identity of the descending wing branch.
 
     Integrating the flux form along the branch from the inner boundary
@@ -157,7 +165,7 @@ def wing_turning_flux(curve: ProfileCurve, tol: float = INTEGRAL_TOL) -> CheckRe
     val, _ = quad(integrand, 0.0, s_turn, epsabs=QUAD_ABS_TOL, limit=200)
     target = warp.xi(spec.epsilon) ** (n - 1)
     r0 = curve.sample(s_turn)[0]
-    return _result("wing_turning_flux", val - target, tol,
+    return _result("wing_turning_flux", val - target, INTEGRAL_TOL,
                    details={"s_turn": s_turn, "r_turn": float(r0),
                             "integral": val, "target": target})
 
@@ -177,14 +185,13 @@ def _curve_samples(curve, n_samples, h, r_min=1e-2):
     return s
 
 
-def geodesic_residual(curve, spec: SolitonSpec | None = None,
-                      tol: float = INTEGRAL_TOL, n_samples: int = 400,
-                      h: float = 2e-3) -> CheckResult:
+def geodesic_residual(curve, spec: SolitonSpec | None = None) -> CheckResult:
     """Profile curves are pregeodesics of the conformal metric
     lambda^2 (dr^2 + dt^2) with lambda = e^{ct} xi^{n-1}.
 
-    Two residuals are evaluated with five-point finite differences of the
-    dense output (never the solver right-hand side):
+    Two residuals are evaluated at FD_SAMPLES arc lengths with five-point
+    finite differences of step FD_STEP of the dense output (never the
+    solver right-hand side):
 
     * reduced:  dphi/ds - c cos(phi) + (n-1)(xi'/xi) sin(phi)
     * full geodesic system, corrected for the arc-length (non-affine)
@@ -196,7 +203,8 @@ def geodesic_residual(curve, spec: SolitonSpec | None = None,
     """
     spec = spec or curve.spec
     c, n, warp = spec.c, spec.n, spec.warp
-    s = _curve_samples(curve, n_samples, h)
+    h = FD_STEP
+    s = _curve_samples(curve, FD_SAMPLES, h)
 
     r_st, t_st, phi_st = _sample_stencil(curve, s, h)
     r, phi = r_st[2], phi_st[2]
@@ -210,34 +218,28 @@ def geodesic_residual(curve, spec: SolitonSpec | None = None,
     full_t = tdd + c * (td**2 - rd**2) + 2 * a * rd * td - mu * td
 
     res = np.concatenate((reduced, full_r, full_t))
-    return _result("conformal_geodesic", res, tol,
+    return _result("conformal_geodesic", res, INTEGRAL_TOL,
                    details={"h": h,
                             "max_reduced": float(np.max(np.abs(reduced))),
                             "max_full": float(max(np.max(np.abs(full_r)),
                                                   np.max(np.abs(full_t))))})
 
 
-def drift_identity_residual(curve, spec: SolitonSpec | None = None,
-                            tol: float | None = None,
-                            n_samples: int = 400,
-                            h: float = 2e-3) -> CheckResult:
+def drift_identity_residual(curve, spec: SolitonSpec | None = None) -> CheckResult:
     """Drift-Laplacian identity for the height along the profile.
 
     For a true ProfileCurve the substitution t'' = cos(phi) dphi/ds makes
     t'' + (n-1)(xi'/xi) r' t' + c t'^2 - c vanish identically, so any
     surviving residual is round-off and the algebraic tolerance applies.
     Resampled curves (CSV input, perturbation controls) carry no trusted
-    phi dynamics, so their derivatives come from finite differences and
-    the looser integral tolerance applies.
+    phi dynamics, so their derivatives come from finite differences (as in
+    :func:`geodesic_residual`) and the looser integral tolerance applies.
     """
     spec = spec or curve.spec
     c, n, warp = spec.c, spec.n, spec.warp
-    analytic = isinstance(curve, ProfileCurve)
-    if tol is None:
-        tol = ALGEBRAIC_TOL if analytic else INTEGRAL_TOL
-    if analytic:
+    if isinstance(curve, ProfileCurve):
         lo, hi = curve.s_span
-        s = np.linspace(lo, hi, n_samples)
+        s = np.linspace(lo, hi, FD_SAMPLES)
         r, _, phi = curve.sample(s)
         r = np.atleast_1d(np.asarray(r))
         phi = np.atleast_1d(np.asarray(phi))
@@ -245,12 +247,13 @@ def drift_identity_residual(curve, spec: SolitonSpec | None = None,
             keep = r > 1e-8
             r, phi = r[keep], phi[keep]
         res = _drift_residual_states(r, phi, c, n, warp)
-        return _result("drift_identity", res, tol)
-    s = _curve_samples(curve, n_samples, h)
+        return _result("drift_identity", res, ALGEBRAIC_TOL)
+    h = FD_STEP
+    s = _curve_samples(curve, FD_SAMPLES, h)
     r_st, t_st, _ = _sample_stencil(curve, s, h)
     td, rd, tdd = _d1(t_st, h), _d1(r_st, h), _d2(t_st, h)
     res = tdd + warp.drift(r_st[2], n) * rd * td + c * td**2 - c
-    return _result("drift_identity", res, tol, details={"h": h, "fd": True})
+    return _result("drift_identity", res, INTEGRAL_TOL, details={"h": h, "fd": True})
 
 
 def _drift_residual_states(r, phi, c, n, warp):
@@ -262,31 +265,30 @@ def _drift_residual_states(r, phi, c, n, warp):
 
 
 def drift_identity_random(spec: SolitonSpec, n_states: int = 10_000,
-                          r_range=(1e-3, 20.0), seed: int = 0,
-                          tol: float = 1e-10) -> CheckResult:
+                          seed: int = 0) -> CheckResult:
     """Same identity at randomized (r, phi) states, solver-free."""
+    r_range = (1e-3, 20.0)
     rng = np.random.default_rng(seed)
     r = rng.uniform(*r_range, size=n_states)
     phi = rng.uniform(-math.pi, math.pi, size=n_states)
     res = _drift_residual_states(r, phi, spec.c, spec.n, spec.warp)
-    return _result("drift_identity_random", res, tol,
+    return _result("drift_identity_random", res, 1e-10,
                    details={"seed": seed, "r_range": r_range})
 
 
 def asymptotic_report(graph: RadialGraph, spec: SolitonSpec | None = None,
-                      bounds: CurvatureBounds | None = None,
-                      sandwich_eps: float = 0.05,
-                      sandwich_r_min: float = 10.0) -> CheckResult:
+                      bounds: CurvatureBounds | None = None) -> CheckResult:
     """Outer-decade slope asymptotics u'(r) ~ (c/(n-1)) xi/xi'.
 
     Tracks psi = u' - (c/(n-1)) xi/xi' and lam = (xi/xi') psi over the
     last decade of the grid.  Pass requires psi eventually negative,
     |psi| and |lam| shrinking across the decade, and the two-sided slope
-    sandwich (1-eps) zeta <= u' <= zeta for r >= sandwich_r_min with
-    zeta the asymptotic slope.  Applicability needs strictly negative
-    radial curvature from above (K_plus < 0) and a vanishing sampled
-    derivative of xi/xi'; failures of these hypotheses are reported as
-    "not applicable" rather than as check failures.
+    sandwich (1-eps) zeta <= u' <= zeta for r >= SANDWICH_R_MIN with
+    eps = SANDWICH_EPS and zeta the asymptotic slope.  Applicability
+    needs strictly negative radial curvature from above (K_plus < 0) and
+    a vanishing sampled derivative of xi/xi'; failures of these
+    hypotheses are reported as "not applicable" rather than as check
+    failures.
     """
     spec = spec or graph.spec
     c, n, warp = spec.c, spec.n, spec.warp
@@ -314,11 +316,11 @@ def asymptotic_report(graph: RadialGraph, spec: SolitonSpec | None = None,
     eventually_negative = bool(np.all(psi < slack))
     shrink = bool(abs(psi[-1]) < abs(psi[0]) + slack
                   and abs(lam[-1]) < abs(lam[0]) + slack)
-    r_s = r[r >= sandwich_r_min]
+    r_s = r[r >= SANDWICH_R_MIN]
     if r_s.size:
         zs = (c / (n - 1)) * warp.g(r_s)
         ds = np.atleast_1d(np.asarray(graph.du_eval(r_s)))
-        sandwich = bool(np.all((1 - sandwich_eps) * zs <= ds + slack)
+        sandwich = bool(np.all((1 - SANDWICH_EPS) * zs <= ds + slack)
                         and np.all(ds <= zs + slack))
     else:
         sandwich = True
@@ -379,26 +381,25 @@ def wing_height_report(curve: ProfileCurve) -> CheckResult:
                  "ratio_monotone_hypothesis": hypothesis})
 
 
-def perturb_curve(curve: ProfileCurve, amplitude: float = 1e-3,
-                  n_samples: int = 2001) -> SampledCurve:
-    """Negative control: resample the curve with t <- t + A sin(s).
+def perturb_curve(curve: ProfileCurve, amplitude: float = 1e-3) -> SampledCurve:
+    """Negative control: resample the curve at 2001 arc lengths with t <- t + A sin(s).
 
     The perturbed curve must fail the geodesic and drift checks at the
     integral tolerance; used to confirm the diagnostics have teeth.
     """
     lo, hi = curve.s_span
-    s = np.linspace(lo, hi, n_samples)
+    s = np.linspace(lo, hi, 2001)
     r, t, phi = curve.sample(s)
     return SampledCurve(s, r, t + amplitude * np.sin(s), phi, spec=curve.spec)
 
 
-def run_profile_checks(curve: ProfileCurve, tol: float = INTEGRAL_TOL) -> DiagnosticsReport:
+def run_profile_checks(curve: ProfileCurve) -> DiagnosticsReport:
     """Bundle of the checks applicable to one profile curve."""
     report = DiagnosticsReport()
-    report.add(geodesic_residual(curve, tol=tol))
+    report.add(geodesic_residual(curve))
     report.add(drift_identity_residual(curve))
     if curve.spec.family == "wing" and curve.turning_points \
             and curve.diagnostics.get("branch", -1) == -1:
-        report.add(wing_turning_flux(curve, tol=tol))
+        report.add(wing_turning_flux(curve))
         report.add(wing_height_report(curve))
     return report

@@ -23,6 +23,7 @@ from .profile_solver import DEFAULT_ATOL, DEFAULT_RTOL, SolitonSpec
 from .warp_models import BUSEMANN, EQUIDISTANT, ROTATIONAL, WarpModel
 
 BLOWUP_SLOPE = 1e6
+GRID_SIZE = 2001  # samples in every solved graph record
 
 
 @dataclass
@@ -79,7 +80,7 @@ class ClosedForm:
     r_max: float
 
 
-def _integrate_slope(rhs, r_span, y0, rtol, atol, n_out, tail=None,
+def _integrate_slope(rhs, r_span, y0, rtol, atol, tail=None,
                      blowup_is_error=False):
     """Integrate (u, u')' = rhs with terminal detection of |u'| = 1e6.
 
@@ -104,7 +105,7 @@ def _integrate_slope(rhs, r_span, y0, rtol, atol, n_out, tail=None,
             raise RuntimeError(f"unexpected gradient blow-up at r = {r_evt:.6g}")
         blowup_radius = r_evt + (tail(r_evt, p_evt) if tail is not None else 0.0)
     r_end = float(sol.t[-1])
-    r_grid = np.linspace(r_span[0], r_end, n_out)
+    r_grid = np.linspace(r_span[0], r_end, GRID_SIZE)
     u, du = sol.sol(r_grid)
     return r_grid, u, du, sol.sol, blowup, blowup_radius
 
@@ -119,8 +120,7 @@ def _slope_rhs(c: float, n: int, warp: WarpModel):
 
 
 def solve_radial_graph(spec: SolitonSpec, r_span=(0.0, 20.0), ic=None,
-                       rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
-                       n_out: int = 2001) -> RadialGraph:
+                       rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> RadialGraph:
     """Bowl-type graph u(r) from u'' = (1+u'^2)(c - (n-1)(xi'/xi) u').
 
     ``ic = (r0, u0, du0)``; the axis start r0 = 0 (with du0 = 0) goes
@@ -143,7 +143,7 @@ def solve_radial_graph(spec: SolitonSpec, r_span=(0.0, 20.0), ic=None,
     else:
         y0 = (u0, du0)
     r_grid, u, du, dense, blowup, b_rad = _integrate_slope(
-        _slope_rhs(c, n, warp), (r0, r_span[1]), y0, rtol, atol, n_out)
+        _slope_rhs(c, n, warp), (r0, r_span[1]), y0, rtol, atol)
     return RadialGraph(r_grid=r_grid, u=u, du=du, spec=spec, chart="polar",
                        gradient_blowup=blowup, blowup_radius=b_rad,
                        meta=meta, _dense=dense)
@@ -151,7 +151,7 @@ def solve_radial_graph(spec: SolitonSpec, r_span=(0.0, 20.0), ic=None,
 
 def solve_ideal_graph(c: float, n: int, warp: WarpModel, r_span=(0.0, 5.0),
                       ic=(0.0, 0.0, 0.0), rtol: float = DEFAULT_RTOL,
-                      atol: float = DEFAULT_ATOL, n_out: int = 2001) -> RadialGraph:
+                      atol: float = DEFAULT_ATOL) -> RadialGraph:
     """Horosphere-foliated graph from u'' = (c - (n-1) xi'/xi)(1+u'^2).
 
     For constant kappa = xi'/xi and a = c - (n-1) kappa != 0 the solution
@@ -180,7 +180,7 @@ def solve_ideal_graph(c: float, n: int, warp: WarpModel, r_span=(0.0, 5.0),
         return direction * (math.pi / 2 - math.atan(abs(p_evt))) / abs(a)
 
     r_grid, u, du, dense, blowup, b_rad = _integrate_slope(
-        rhs, (r0, r_span[1]), (u0, du0), rtol, atol, n_out, tail=tail)
+        rhs, (r0, r_span[1]), (u0, du0), rtol, atol, tail=tail)
     spec = SolitonSpec(c=c, n=n, family="ideal", warp=warp)
     return RadialGraph(r_grid=r_grid, u=u, du=du, spec=spec, chart="busemann",
                        gradient_blowup=blowup, blowup_radius=b_rad,
@@ -189,7 +189,7 @@ def solve_ideal_graph(c: float, n: int, warp: WarpModel, r_span=(0.0, 5.0),
 
 def solve_grim(c: float, n: int, warp: WarpModel, r_span=(-20.0, 20.0),
                ic=(0.0, 0.0, 0.0), rtol: float = DEFAULT_RTOL,
-               atol: float = DEFAULT_ATOL, n_out: int = 2001) -> RadialGraph:
+               atol: float = DEFAULT_ATOL) -> RadialGraph:
     """Equidistant-foliated (grim reaper) entire graph u(r).
 
     Slope equation u'' = (1+u'^2)(c - (n-1) h(r) u') with (n-1) h the
@@ -218,10 +218,10 @@ def solve_grim(c: float, n: int, warp: WarpModel, r_span=(-20.0, 20.0),
     pieces = []
     if r_span[0] < r0:
         pieces.append(_integrate_slope(rhs, (r0, r_span[0]), (u0, du0),
-                                       rtol, atol, n_out, blowup_is_error=True))
+                                       rtol, atol, blowup_is_error=True))
     if r_span[1] > r0:
         pieces.append(_integrate_slope(rhs, (r0, r_span[1]), (u0, du0),
-                                       rtol, atol, n_out, blowup_is_error=True))
+                                       rtol, atol, blowup_is_error=True))
     if not pieces:
         raise ValueError("empty integration span")
     if len(pieces) == 1:

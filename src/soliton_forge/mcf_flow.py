@@ -32,6 +32,7 @@ from .profile_solver import SolitonSpec
 from .warp_models import ROTATIONAL, EQUIDISTANT, WarpModel
 
 EXPLICIT_CFL = 0.4
+NEWTON_TOL, NEWTON_MAX_ITER = 1e-10, 25
 
 
 def sphere_area(n: int) -> float:
@@ -89,15 +90,14 @@ class FlowProblem:
 
     ``chart`` is "polar" (grid [0, R], axis symmetry at r = 0) or
     "equidistant" (grid [-R, R], n = 2 only, slope conditions at both
-    ends).  ``robin_slope`` may be a number, "asymptotic" for the slope
-    (c/(n-1)) xi/xi' at R, or None to pin the initial data's own
-    one-sided slope when a run starts.
+    ends).  ``robin_slope`` may be a number, or None to pin the initial
+    data's own one-sided slope when a run starts.  Implicit steps solve
+    to NEWTON_TOL in at most NEWTON_MAX_ITER Newton iterations.
     """
 
     def __init__(self, c: float, n: int, warp: WarpModel, r_max: float = 10.0,
                  n_nodes: int = 2001, chart: str = "polar", bc: str = "robin",
-                 robin_slope=None, newton_tol: float = 1e-10,
-                 newton_max_iter: int = 25):
+                 robin_slope=None):
         if chart == "polar":
             if warp.kind != ROTATIONAL:
                 raise ValueError("polar flow chart needs a rotational warp")
@@ -116,8 +116,6 @@ class FlowProblem:
         self.chart, self.bc = chart, bc
         self.r_max = float(r_max)
         self.dr = float(self.r_grid[1] - self.r_grid[0])
-        self.newton_tol = newton_tol
-        self.newton_max_iter = newton_max_iter
         self.area = sphere_area(n)
 
         # drift D(r) and area weight xi^(n-1); the equidistant chart has
@@ -130,11 +128,7 @@ class FlowProblem:
 
         self._sigma = None
         self._sigma_left = None
-        if robin_slope == "asymptotic":
-            self._sigma = (c / (n - 1)) * warp.g(self.r_grid[-1])
-            if chart == "equidistant":
-                self._sigma_left = (c / (n - 1)) * warp.g(self.r_grid[0])
-        elif robin_slope is not None:
+        if robin_slope is not None:
             self._sigma = float(robin_slope)
             if chart == "equidistant":
                 self._sigma_left = -float(robin_slope)
@@ -257,32 +251,33 @@ class FlowProblem:
         k2 = self.rhs(u + dtau * k1)
         return u + 0.5 * dtau * (k1 + k2)
 
-    def step_implicit(self, u, dtau: float, theta: float = 0.5) -> np.ndarray:
-        """Theta-scheme step (theta = 0.5: trapezoidal) by damped Newton."""
+    def step_implicit(self, u, dtau: float) -> np.ndarray:
+        """Trapezoidal step by damped Newton."""
         u = np.asarray(u, dtype=float)
+        half = 0.5 * dtau
         f_old = self.rhs(u)
         v = u + dtau * f_old  # explicit predictor
-        target = u + (1 - theta) * dtau * f_old
-        res = v - target - theta * dtau * self.rhs(v)
+        target = u + half * f_old
+        res = v - target - half * self.rhs(v)
         norm = np.max(np.abs(res))
-        for iteration in range(self.newton_max_iter):
-            if norm <= self.newton_tol:
+        for iteration in range(NEWTON_MAX_ITER):
+            if norm <= NEWTON_TOL:
                 return v
-            bands = -theta * dtau * self._jacobian_bands(v)
+            bands = -half * self._jacobian_bands(v)
             bands[1] += 1.0
             delta = solve_banded((1, 1), bands, -res)
             step = 1.0
             for _ in range(8):
                 trial = v + step * delta
-                res_trial = trial - target - theta * dtau * self.rhs(trial)
+                res_trial = trial - target - half * self.rhs(trial)
                 norm_trial = np.max(np.abs(res_trial))
-                if norm_trial < norm or norm <= self.newton_tol:
+                if norm_trial < norm or norm <= NEWTON_TOL:
                     break
                 step *= 0.5
             v, res, norm = trial, res_trial, norm_trial
-        if norm > self.newton_tol:
+        if norm > NEWTON_TOL:
             raise RuntimeError(
-                f"implicit step failed to converge in {self.newton_max_iter} "
+                f"implicit step failed to converge in {NEWTON_MAX_ITER} "
                 f"iterations (residual {norm:.3g})")
         return v
 
@@ -320,8 +315,8 @@ class FlowProblem:
     # -- driver ----------------------------------------------------------
 
     def run(self, u0, dtau: float, horizon: float, scheme: str = "explicit",
-            record_every: int = 1, tau0: float = 0.0) -> FlowTrajectory:
-        """Advance from ``u0`` to tau0 + horizon, recording F and D."""
+            record_every: int = 1) -> FlowTrajectory:
+        """Advance from ``u0`` at tau = 0 to ``horizon``, recording F and D."""
         if scheme not in ("explicit", "implicit"):
             raise ValueError(f"unknown scheme {scheme!r}")
         u = np.asarray(u0, dtype=float).copy()
@@ -339,11 +334,11 @@ class FlowProblem:
             ds.append(self.soliton_defect(u, tau))
             snaps.append(GraphFlowState(self.r_grid, u.copy(), tau))
 
-        record(tau0, u)
+        record(0.0, u)
         for i in range(1, n_steps + 1):
             u = step(u, dtau)
             if i % record_every == 0 or i == n_steps:
-                record(tau0 + i * dtau, u)
+                record(i * dtau, u)
         return FlowTrajectory(
             taus=np.asarray(taus), F_values=np.asarray(fs),
             defect_values=np.asarray(ds), snapshots=snaps,
@@ -373,14 +368,14 @@ def soliton_initial(problem: FlowProblem, rtol: float = 1e-11,
     return np.asarray(graph.u_eval(problem.r_grid), dtype=float)
 
 
-def discrete_soliton(problem: FlowProblem, u_boundary: float = 0.0) -> np.ndarray:
+def discrete_soliton(problem: FlowProblem) -> np.ndarray:
     """Exact steady state of the discrete scheme, marched node by node.
 
     Solves rhs(u) = c at every node, including the Robin boundary row,
     so the returned heights translate exactly under the semi-discrete
     flow; the problem's Robin slope is set to the value that closes the
-    boundary equation.  The heights are normalized to ``u_boundary`` at
-    the outer node, keeping the exponential weight of the monotonicity
+    boundary equation.  The heights are normalized to zero at the outer
+    node, keeping the exponential weight of the monotonicity
     functional at most one and the boundary flux at roundoff level.
     """
     if problem.chart != "polar":
@@ -417,7 +412,7 @@ def discrete_soliton(problem: FlowProblem, u_boundary: float = 0.0) -> np.ndarra
         if abs(step) <= 1e-15 * max(1.0, abs(s)):
             break
     problem._sigma = float(s)
-    return u + (u_boundary - u[-1])
+    return u - u[-1]
 
 
 def flat_initial(problem: FlowProblem) -> np.ndarray:

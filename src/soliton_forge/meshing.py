@@ -72,9 +72,9 @@ def _disk_radius(r, kappa: float):
 
 
 def revolve_profile(curve: ProfileCurve, angular_segments: int = 64,
-                    chart: str = "cylindrical",
-                    n_samples: int | None = None) -> SolitonMesh:
-    """Triangulated surface of revolution of a planar profile (n = 2).
+                    chart: str = "cylindrical") -> SolitonMesh:
+    """Triangulated surface of revolution of a planar profile (n = 2),
+    sampled at max(64, len(curve.s)) arc lengths.
 
     Higher base dimensions have no 3-space picture; export those as
     profile tables instead.
@@ -90,8 +90,7 @@ def revolve_profile(curve: ProfileCurve, angular_segments: int = 64,
         raise ValueError("revolution meshes need a rotational warp")
 
     lo, hi = curve.s_span
-    if n_samples is None:
-        n_samples = max(64, curve.s.size)
+    n_samples = max(64, curve.s.size)
     s = np.linspace(lo, hi, n_samples)
     r, t, phi = curve.sample(s)
     r = np.maximum(np.asarray(r), 0.0)

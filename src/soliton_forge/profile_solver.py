@@ -39,6 +39,7 @@ _CHART_BY_KIND = {ROTATIONAL: "polar", BUSEMANN: "busemann", EQUIDISTANT: "equid
 DEFAULT_RTOL = 1e-9
 DEFAULT_ATOL = 1e-11
 AXIS_LAUNCH_S = 1e-4
+GRAPH_RDOT_MIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -312,17 +313,16 @@ def solve_ideal_parametric(spec: SolitonSpec, initial, stop: TerminationPolicy |
     return _integrate(spec, y0, s0, stop, rtol, atol, t_center=y0[1])
 
 
-def equilibrium_angle(spec: SolitonSpec, r: float = 0.0) -> float:
-    """Angle phi* at which dphi/ds vanishes with phi constant (ideal family)."""
-    return math.atan2(spec.c, spec.warp.drift(r, spec.n))
+def equilibrium_angle(spec: SolitonSpec) -> float:
+    """Angle phi* at r = 0 where dphi/ds vanishes with phi constant (ideal family)."""
+    return math.atan2(spec.c, spec.warp.drift(0.0, spec.n))
 
 
-def profile_to_graph(curve: ProfileCurve, rdot_min: float = 1e-6,
-                     n_points: int | None = None):
-    """Radial graph record (r, u, u') over the sub-arc where dr/ds > rdot_min.
+def profile_to_graph(curve: ProfileCurve, n_points: int | None = None):
+    """Radial graph record (r, u, u') over the sub-arc where dr/ds > GRAPH_RDOT_MIN.
 
     u(r(s)) = t(s) and u' = tan(phi).  Raises when the profile is
-    vertical everywhere at the requested threshold.
+    vertical everywhere at that threshold.
     """
     from .graph_solvers import RadialGraph
 
@@ -331,7 +331,7 @@ def profile_to_graph(curve: ProfileCurve, rdot_min: float = 1e-6,
         n_points = max(200, 4 * curve.s.size)
     s = np.linspace(lo, hi, n_points)
     r, t, phi = curve.sample(s)
-    ok = np.cos(phi) > rdot_min
+    ok = np.cos(phi) > GRAPH_RDOT_MIN
     if not np.any(ok):
         raise ValueError("profile has no sub-arc with dr/ds above threshold")
     # longest contiguous admissible run
@@ -346,7 +346,7 @@ def profile_to_graph(curve: ProfileCurve, rdot_min: float = 1e-6,
     du = np.tan(phi)
     return RadialGraph(
         r_grid=r, u=t, du=du, spec=curve.spec, chart=curve.spec.chart,
-        meta={"source": "profile", "rdot_min": rdot_min})
+        meta={"source": "profile", "rdot_min": GRAPH_RDOT_MIN})
 
 
 class SampledCurve:

@@ -29,6 +29,8 @@ BUSEMANN = "busemann"
 EQUIDISTANT = "equidistant"
 KINDS = (ROTATIONAL, BUSEMANN, EQUIDISTANT)
 
+AXIS_SERIES_R = 1e-3
+
 
 @dataclass(frozen=True)
 class WarpModel:
@@ -51,7 +53,6 @@ class WarpModel:
     dchi: Callable | None = None
     ddchi: Callable | None = None
     xi3_zero: float | None = None
-    r_series: float = 1e-3
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -75,7 +76,7 @@ class WarpModel:
         """xi'(r)/xi(r), series-regularized near the axis (rotational kind).
 
         The quotient behaves like 1/r + (xi'''(0)/3) r + O(r^3) as r -> 0,
-        which is the value returned for |r| < r_series when xi'''(0) is
+        which is the value returned for |r| < AXIS_SERIES_R when xi'''(0) is
         known.  r = 0 itself is singular and raises.  A float (np.float64
         included) takes a path without 0-d arrays that returns the same
         bits as the array path.  A NaN quotient, e.g. 0/0 once cosh or exp
@@ -83,7 +84,7 @@ class WarpModel:
         """
         series = self.kind == ROTATIONAL and self.xi3_zero is not None
         if isinstance(r, float):
-            if series and abs(r) < self.r_series:
+            if series and abs(r) < AXIS_SERIES_R:
                 if r == 0.0:
                     raise ZeroDivisionError("xi'/xi is singular at the axis r=0")
                 out = float(1.0 / r + (self.xi3_zero / 3.0) * r)
@@ -96,7 +97,7 @@ class WarpModel:
         scalar = r_arr.ndim == 0
         r_arr = np.atleast_1d(r_arr)
         if series:
-            near = np.abs(r_arr) < self.r_series
+            near = np.abs(r_arr) < AXIS_SERIES_R
             far = ~near
             if (near & (r_arr == 0.0)).any():
                 raise ZeroDivisionError("xi'/xi is singular at the axis r=0")

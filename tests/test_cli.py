@@ -48,12 +48,19 @@ class TestSolitonCommand:
         ["sweep", "--family", "wing", "--epsilons", "0.5,1", "--r-max", "6"],
         ["sweep", "--family", "bowl", "--c-values", "0.5,1", "--r-max", "4"],
         ["isometry", "--map", "parabolic", "--param", "0.7", "--points", None],
+        ["verify", "--input", None],
     ], ids=["soliton-bowl", "soliton-grim", "flow", "sweep-wing",
-            "sweep-bowl", "isometry"])
+            "sweep-bowl", "isometry", "verify"])
     def test_reruns_identical(self, tmp_path, argv):
         points = tmp_path / "pts.csv"
         export_points_csv([embed_polar(r, [0.6, 0.8]) for r in (0.0, 0.5, 2.0)],
                           points, heights=[0.0, -1.0, 3.5])
+        if argv[0] == "verify":
+            # each rerun directory holds the same solved input next to its report
+            for sub in ("one", "two"):
+                assert run("--out", str(tmp_path / sub), "soliton", "bowl",
+                           "--r-max", "4") == 0
+            points = tmp_path / "one" / "bowl.csv"
         argv = [str(points) if a is None else a for a in argv]
         for sub in ("one", "two"):
             assert run("--out", str(tmp_path / sub), *argv) == 0
@@ -85,6 +92,29 @@ class TestVerifyCommand:
         assert run("--out", str(tmp_path), "verify", "--input",
                    str(bad_path)) == 2
 
+    @pytest.fixture()
+    def bowl3_csv(self, tmp_path):
+        assert run("--out", str(tmp_path), "soliton", "bowl", "--K", "-2",
+                   "--n", "3", "--c", "1.5", "--r-max", "6") == 0
+        return tmp_path / "bowl.csv"
+
+    @pytest.mark.parametrize("config,flags,code", [
+        (None, [], 0),
+        (None, ["--n", "2"], 2),
+        ({"n": 2}, [], 2),
+        ({"n": 2}, ["--n", "3"], 0),
+    ], ids=["metadata", "flag-beats-metadata", "config-beats-metadata",
+            "flag-beats-config"])
+    def test_input_metadata_precedence(self, bowl3_csv, tmp_path, config,
+                                       flags, code):
+        # the input's "# K=-2.0", "# n=3" and "# c=1.5" lines are the defaults
+        cfg = []
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            cfg = ["--config", str(tmp_path / "cfg.json")]
+        assert run(*cfg, "--out", str(tmp_path), "verify", "--input",
+                   str(bowl3_csv), *flags) == code
+
     def test_missing_input(self, tmp_path):
         assert run("--out", str(tmp_path), "verify", "--input",
                    str(tmp_path / "absent.csv")) == 1
@@ -97,6 +127,21 @@ class TestVerifyCommand:
 
 
 class TestFlowCommand:
+    def test_explicit_default_step(self, tmp_path):
+        # the stability bound 0.4 dr^2 does not divide the horizon 0.1
+        assert run("--out", str(tmp_path), "flow", "--nodes", "201") == 0
+        meta, _, data = read_table(tmp_path / "flow_trajectory.csv")
+        assert meta["dtau"] == repr(0.1 / 112)
+        assert data[-1, 0] == 0.1
+        assert float(read_table(tmp_path / "flow_final.csv")[0]["tau"]) == 0.1
+
+    def test_initial_on_another_grid(self, tmp_path, capsys):
+        assert run("--out", str(tmp_path), "flow", "--R", "4", "--nodes", "201",
+                   "--tag", "r4") == 0
+        assert run("--out", str(tmp_path), "flow", "--R", "5", "--nodes", "201",
+                   "--initial", f"csv:{tmp_path / 'r4_final.csv'}") == 1
+        assert "flow grid" in capsys.readouterr().err
+
     def test_soliton_smoke(self, tmp_path, capsys):
         code = run("--out", str(tmp_path), "flow", "--R", "5",
                    "--nodes", "201", "--scheme", "implicit",
@@ -203,6 +248,17 @@ class TestConfigPrecedence:
                    "soliton", "bowl") == 0
         meta = read_profile_csv(tmp_path / "b" / "bowl.csv").meta
         assert float(meta["c"]) == 2.0  # config beats the built-in default
+
+    def test_top_level_keys(self, tmp_path):
+        # --out given before the command beats the config's out
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"out": str(tmp_path / "cfg_out")}))
+        assert run("--config", str(cfg), "--out", str(tmp_path / "flag_out"),
+                   "soliton", "grim", "--r-max", "4") == 0
+        assert (tmp_path / "flag_out" / "grim.csv").exists()
+        assert not (tmp_path / "cfg_out").exists()
+        assert run("--config", str(cfg), "soliton", "grim", "--r-max", "4") == 0
+        assert (tmp_path / "cfg_out" / "grim.csv").exists()
 
 
 class TestSweepCommand:

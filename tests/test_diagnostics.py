@@ -1,6 +1,7 @@
 """Identity checks: flux, geodesic, drift, asymptotics, wing bounds."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -52,6 +53,25 @@ class TestFlux:
                                    rtol=1e-11, atol=1e-13)
         result = flux_residual(graph)
         assert result.passed
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("K", [0.0, -1.0, -2.0])
+    def test_residual_relative_to_flux_size(self, K, n):
+        # both sides grow like xi^(n-1): the correct n = 3 bowl at K = -2
+        # is 3.8e-2 off in absolute terms, 2e-11 relative to that size
+        spec = SolitonSpec(c=1.0, n=n, family="bowl",
+                           warp=make_builtin_warp("rotational", K))
+        graph = solve_radial_graph(spec, r_span=(0.0, 10.0),
+                                   rtol=1e-11, atol=1e-13)
+        result = flux_residual(graph)
+        assert result.passed
+        assert result.details["max_abs_unscaled"] >= result.max_abs_residual
+
+        def steeper(r):
+            u, du = graph._dense(r)
+            return u, du * (1 + 1e-4)
+        # negative control: a slope 1e-4 too steep is 3e-5 to 9e-5 off
+        assert not flux_residual(replace(graph, _dense=steeper)).passed
 
     def test_chart_mismatch(self, busemann_warp):
         from soliton_forge import solve_ideal_graph
