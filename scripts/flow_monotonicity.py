@@ -41,7 +41,7 @@ def main(argv=None) -> int:
                        record_every=2)
 
     taus, F, D = traj.taus, traj.F_values, traj.defect_values
-    dF = (F[2:] - F[:-2]) / (taus[2:] - taus[:-2])
+    dF = traj.dF_dtau()
     print(f"{'tau':>8} {'F':>16} {'D':>12} {'dF/dtau + D':>14}")
     stride = max(1, (taus.size - 2) // 12)
     for k in range(1, taus.size - 1, stride):

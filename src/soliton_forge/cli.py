@@ -20,8 +20,9 @@ from pathlib import Path
 from . import diagnostics, fileio, lorentz, mcf_flow
 from .graph_solvers import solve_grim, solve_radial_graph
 from .meshing import revolve_profile
-from .profile_solver import (_FAMILY_KIND, SolitonSpec, TerminationPolicy,
-                             solve_bowl, solve_ideal_parametric, solve_wing)
+from .profile_solver import (_FAMILY_KIND, FAMILIES, SolitonSpec,
+                             TerminationPolicy, solve_bowl,
+                             solve_ideal_parametric, solve_wing)
 from .warp_models import make_builtin_warp
 
 
@@ -64,7 +65,7 @@ def build_parser() -> _Parser:
         return p
 
     sol = command("soliton", "solve one soliton family")
-    sol.add_argument("family", choices=("bowl", "wing", "ideal", "grim"))
+    sol.add_argument("family", choices=FAMILIES)
     sol.add_argument("--r-max", type=float, default=10.0)
     sol.add_argument("--epsilon", type=float, default=0.5,
                      help="inner radius (wing family)")
@@ -77,7 +78,7 @@ def build_parser() -> _Parser:
     ver = command("verify", "run diagnostics")
     ver.add_argument("--input", type=Path, required=True,
                      help="profile CSV produced by the soliton subcommand")
-    ver.add_argument("--family", default="bowl")
+    ver.add_argument("--family", choices=FAMILIES, default="bowl")
     ver.add_argument("--epsilon", type=float, default=0.5)
 
     flow = command("flow", "graphical mean curvature flow")
@@ -210,6 +211,9 @@ def _cmd_soliton(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # argparse checks choices on a flag only, not on a metadata or config default
+    if args.family not in FAMILIES:
+        raise UsageError(f"unknown family {args.family!r}; choose from {FAMILIES}")
     curve = args.profile
     spec = _make_spec(args.family, args.K, args.n, args.c, epsilon=args.epsilon)
     curve.spec = spec
@@ -301,8 +305,8 @@ def _cmd_isometry(args) -> int:
         lmap = lorentz.parabolic_translation(param, n)
     else:
         raise UsageError(f"unknown map type {map_type!r}")
-    points = [lorentz.LorentzPoint(row) for row in coords]
-    moved = [lmap.apply(p) for p in points]
+    moved = lorentz.transform_points(
+        lmap, [lorentz.LorentzPoint(row) for row in coords])
     tag = args.tag or f"{map_type}_{param:g}"
     path = _out_path(args, f"points_{tag}.csv")
     fileio.export_points_csv(moved, path, heights=heights,

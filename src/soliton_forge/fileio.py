@@ -137,12 +137,11 @@ def export_report_json(report, path) -> Path:
 
 def export_trajectory_csv(trajectory, path, meta=None) -> Path:
     """Columns tau, F, D, dF_dtau (centered differences, blank at ends)."""
-    taus, F = trajectory.taus, trajectory.F_values
+    F = trajectory.F_values
     dF = np.full_like(F, np.nan)
-    if taus.size >= 3:
-        dF[1:-1] = (F[2:] - F[:-2]) / (taus[2:] - taus[:-2])
+    dF[1:-1] = trajectory.dF_dtau()
     return write_table(path, ("tau", "F", "D", "dF_dtau"),
-                       (taus, F, trajectory.defect_values, dF),
+                       (trajectory.taus, F, trajectory.defect_values, dF),
                        {**trajectory.meta, **(meta or {})})
 
 

@@ -19,7 +19,8 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .profile_solver import DEFAULT_ATOL, DEFAULT_RTOL, SolitonSpec
+from .profile_solver import (AXIS_LAUNCH_S, DEFAULT_ATOL, DEFAULT_RTOL,
+                             SolitonSpec, axis_series)
 from .warp_models import BUSEMANN, EQUIDISTANT, ROTATIONAL, WarpModel
 
 BLOWUP_SLOPE = 1e6
@@ -123,8 +124,9 @@ def solve_radial_graph(spec: SolitonSpec, r_span=(0.0, 20.0), ic=None,
                        rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> RadialGraph:
     """Bowl-type graph u(r) from u'' = (1+u'^2)(c - (n-1)(xi'/xi) u').
 
-    ``ic = (r0, u0, du0)``; the axis start r0 = 0 (with du0 = 0) goes
-    through the series u ~ u0 + (c/2n) r^2, matching u''(0) = c/n.
+    ``ic = (r0, u0, du0)``; the axis start r0 = 0 (with du0 = 0) moves to
+    r0 = AXIS_LAUNCH_S through :func:`~.profile_solver.axis_series`,
+    u ~ u0 + (c/2n) r^2, matching u''(0) = c/n.
     For n = 1 the drift coefficient vanishes and r = 0 is regular.
     Gradient blow-up cannot happen for bowls; the guard flags misuse.
     """
@@ -137,8 +139,9 @@ def solve_radial_graph(spec: SolitonSpec, r_span=(0.0, 20.0), ic=None,
     if n > 1 and warp.kind == ROTATIONAL and r0 == 0.0:
         if du0 != 0.0:
             raise ValueError("axis start requires du0 = 0")
-        r0 = 1e-4
-        y0 = (u0 + (c / (2 * n)) * r0**2, (c / n) * r0)
+        r0 = AXIS_LAUNCH_S
+        height, slope = axis_series(c, n, r0)
+        y0 = (u0 + height, slope)
         meta["axis_launch"] = r0
     else:
         y0 = (u0, du0)

@@ -28,7 +28,7 @@ from scipy.linalg import solve_banded
 from scipy.special import gamma
 
 from .graph_solvers import solve_radial_graph, solve_grim
-from .profile_solver import SolitonSpec
+from .profile_solver import SolitonSpec, axis_series
 from .warp_models import ROTATIONAL, EQUIDISTANT, WarpModel
 
 EXPLICIT_CFL = 0.4
@@ -68,12 +68,17 @@ class FlowTrajectory:
     snapshots: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
 
+    def dF_dtau(self) -> np.ndarray:
+        """Centered differences of F at the interior records."""
+        taus, F = self.taus, self.F_values
+        return (F[2:] - F[:-2]) / (taus[2:] - taus[:-2])
+
     def monotonicity_check(self, tol_rel: float = 1e-3, tol_abs: float = 1e-6) -> dict:
         """Centered-difference check of dF/dtau = -D at interior records."""
-        taus, F, D = self.taus, self.F_values, self.defect_values
-        if taus.size < 3:
+        F, D = self.F_values, self.defect_values
+        if F.size < 3:
             raise ValueError("need at least three records")
-        dF = (F[2:] - F[:-2]) / (taus[2:] - taus[:-2])
+        dF = self.dF_dtau()
         Dm = D[1:-1]
         gap = np.abs(dF + Dm)
         allowed = tol_rel * np.abs(Dm) + tol_abs
@@ -110,6 +115,7 @@ class FlowProblem:
             self.r_grid = np.linspace(-r_max, r_max, n_nodes)
         else:
             raise ValueError(f"unknown flow chart {chart!r}")
+        warp.require_domain(self.r_grid)
         if bc not in ("robin", "dirichlet"):
             raise ValueError(f"unknown boundary condition {bc!r}")
         self.c, self.n, self.warp = float(c), int(n), warp
@@ -360,7 +366,7 @@ def soliton_initial(problem: FlowProblem, rtol: float = 1e-11,
         u = np.asarray(graph.u_eval(problem.r_grid), dtype=float)
         # dense output starts at the series launch radius; fill the gap
         tiny = problem.r_grid < graph.r_grid[0]
-        u[tiny] = (problem.c / (2 * problem.n)) * problem.r_grid[tiny] ** 2
+        u[tiny] = axis_series(problem.c, problem.n, problem.r_grid[tiny])[0]
         return u
     graph = solve_grim(problem.c, problem.n, problem.warp,
                        r_span=(-problem.r_max * 1.01, problem.r_max * 1.01),

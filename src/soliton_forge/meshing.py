@@ -107,47 +107,35 @@ def revolve_profile(curve: ProfileCurve, angular_segments: int = 64,
         rho = r
 
     axis_fan = r[0] < 1e-9
-    ring_start = 1 if axis_fan else 0
-    ring_r = rho[ring_start:]
-    ring_t = t[ring_start:]
+    offset = 1 if axis_fan else 0  # the axis vertex comes first
+    ring_r = rho[offset:]
+    ring_t = t[offset:]
     m = ring_r.size
     k = angular_segments
     th = 2 * math.pi * np.arange(k) / k
 
-    verts = np.empty((m * k + (1 if axis_fan else 0), 3))
-    attr_r = np.empty(len(verts))
-    attr_t = np.empty(len(verts))
-    attr_phi = np.empty(len(verts))
-    offset = 0
-    if axis_fan:
-        verts[0] = (t[0], 0.0, 0.0)
-        attr_r[0], attr_t[0], attr_phi[0] = r[0], t[0], phi[0]
-        offset = 1
-    cos_th, sin_th = np.cos(th), np.sin(th)
-    for i in range(m):
-        rows = offset + i * k + np.arange(k)
-        verts[rows, 0] = ring_t[i]
-        verts[rows, 1] = ring_r[i] * cos_th
-        verts[rows, 2] = ring_r[i] * sin_th
-        attr_r[rows] = r[ring_start + i]
-        attr_t[rows] = t[ring_start + i]
-        attr_phi[rows] = phi[ring_start + i]
+    ring = np.empty((m, k, 3))
+    ring[:, :, 0] = ring_t[:, None]
+    ring[:, :, 1] = ring_r[:, None] * np.cos(th)
+    ring[:, :, 2] = ring_r[:, None] * np.sin(th)
+    verts = ring.reshape(-1, 3)
+    attr_r, attr_t, attr_phi = (
+        np.concatenate((v[:offset], np.repeat(v[offset:], k))) for v in (r, t, phi))
 
-    faces = []
+    # two triangles per quad between rings i and i + 1, ring by ring
+    j = np.arange(k)
+    jn = (j + 1) % k
+    a = offset + k * np.arange(m - 1)[:, None]
+    b = a + k
+    faces = np.array([(a + j, b + j, b + jn), (a + j, b + jn, a + jn)])
+    faces = faces.transpose(2, 3, 0, 1).reshape(-1, 3)
     if axis_fan:
-        first = offset
-        for j in range(k):
-            faces.append((0, first + j, first + (j + 1) % k))
-    for i in range(m - 1):
-        a = offset + i * k
-        b = offset + (i + 1) * k
-        for j in range(k):
-            jn = (j + 1) % k
-            faces.append((a + j, b + j, b + jn))
-            faces.append((a + j, b + jn, a + jn))
+        verts = np.vstack(((t[0], 0.0, 0.0), verts))
+        fan = np.stack((np.zeros_like(j), offset + j, offset + jn), axis=-1)
+        faces = np.vstack((fan, faces))
 
     return SolitonMesh(
-        vertices=verts, faces=np.asarray(faces, dtype=int),
+        vertices=verts, faces=faces,
         attributes={"r": attr_r, "t": attr_t, "phi": attr_phi},
         chart=chart,
         meta={"family": spec.family, "c": spec.c, "n": spec.n,

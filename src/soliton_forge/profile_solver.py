@@ -135,16 +135,16 @@ class ProfileCurve:
             raise ValueError(f"s outside curve range [{lo}, {hi}]")
         if self._series is not None:
             s0, t0 = self._series
-            c, n = self.spec.c, self.spec.n
             early = s < s0
             out = np.empty((3, s.size))
             if np.any(~early):
                 out[:, ~early] = self._sol(s[~early])
             if np.any(early):
                 se = s[early]
+                height, slope = axis_series(self.spec.c, self.spec.n, se)
                 out[0, early] = se
-                out[1, early] = t0 + (c / (2 * n)) * se**2
-                out[2, early] = (c / n) * se
+                out[1, early] = t0 + height
+                out[2, early] = slope
         else:
             out = self._sol(s)
         r, t, phi = out
@@ -159,6 +159,14 @@ class ProfileCurve:
     @property
     def turning_points(self) -> list:
         return list(self.diagnostics.get("turning_s", []))
+
+
+def axis_series(c: float, n: int, x):
+    """Bowl launch at distance x (a float or an array) from the axis: the
+    pair (height, slope) = ((c/(2n)) x^2, (c/n) x), with O(x^3) error since
+    u''(0) = c/n.  The slope is phi of the arc-length profile, where r = s,
+    and u' of the radial graph."""
+    return (c / (2 * n)) * x**2, (c / n) * x
 
 
 def _profile_field(spec: SolitonSpec, r, phi) -> tuple:
@@ -253,16 +261,16 @@ def solve_bowl(spec: SolitonSpec, stop: TerminationPolicy | None = None,
                atol: float = DEFAULT_ATOL) -> ProfileCurve:
     """Rotationally symmetric entire-graph soliton, launched on the axis.
 
-    The system is singular at r = 0 (xi'/xi ~ 1/r); the launch uses the
-    balanced series r = s, t = t0 + (c/2n) s^2, phi = (c/n) s at
+    The system is singular at r = 0 (xi'/xi ~ 1/r); the launch uses
+    :func:`axis_series`, r = s, t = t0 + (c/2n) s^2, phi = (c/n) s, at
     s0 = AXIS_LAUNCH_S, with O(s0^3) error.
     """
     if spec.family != "bowl":
         raise ValueError("spec.family must be 'bowl'")
     stop = stop or TerminationPolicy()
-    c, n = spec.c, spec.n
     s0 = AXIS_LAUNCH_S
-    y0 = (s0, t0 + (c / (2 * n)) * s0**2, (c / n) * s0)
+    height, slope = axis_series(spec.c, spec.n, s0)
+    y0 = (s0, t0 + height, slope)
     curve = _integrate(spec, y0, s0, stop, rtol, atol, t_center=t0)
     # prepend the exact axis point; dense sampling switches to the series
     curve.s = np.concatenate(([0.0], curve.s))

@@ -29,8 +29,6 @@ BUSEMANN = "busemann"
 EQUIDISTANT = "equidistant"
 KINDS = (ROTATIONAL, BUSEMANN, EQUIDISTANT)
 
-AXIS_SERIES_R = 1e-3
-
 
 @dataclass(frozen=True)
 class WarpModel:
@@ -39,8 +37,8 @@ class WarpModel:
     ``xi``, ``dxi``, ``ddxi`` are vectorized evaluators of the warping
     function and its first two derivatives.  ``chi`` (with derivatives)
     is the second warping factor, present only for the equidistant chart.
-    ``xi3_zero`` is xi'''(0) and feeds the series regularization of
-    xi'/xi at the rotation axis.
+    ``xi3_zero`` is xi'''(0); it only gives :func:`radial_curvature` its
+    axis limit -xi'''(0) on the rotational kind.
     """
 
     kind: str
@@ -73,43 +71,27 @@ class WarpModel:
                 f"r={r} outside domain {self.r_domain} of warp {self.label!r}")
 
     def xi_ratio(self, r):
-        """xi'(r)/xi(r), series-regularized near the axis (rotational kind).
+        """xi'(r)/xi(r), computed as the quotient dxi(r) / xi(r).
 
-        The quotient behaves like 1/r + (xi'''(0)/3) r + O(r^3) as r -> 0,
-        which is the value returned for |r| < AXIS_SERIES_R when xi'''(0) is
-        known.  r = 0 itself is singular and raises.  A float (np.float64
+        On the rotational kind the quotient behaves like 1/r at the axis,
+        and r = 0 itself raises ZeroDivisionError.  A float (np.float64
         included) takes a path without 0-d arrays that returns the same
         bits as the array path.  A NaN quotient, e.g. 0/0 once cosh or exp
         overflows or underflows, raises ValueError.
         """
-        series = self.kind == ROTATIONAL and self.xi3_zero is not None
         if isinstance(r, float):
-            if series and abs(r) < AXIS_SERIES_R:
-                if r == 0.0:
-                    raise ZeroDivisionError("xi'/xi is singular at the axis r=0")
-                out = float(1.0 / r + (self.xi3_zero / 3.0) * r)
-            else:
-                out = float(self.dxi(r) / self.xi(r))
+            if r == 0.0 and self.kind == ROTATIONAL:
+                raise ZeroDivisionError("xi'/xi is singular at the axis r=0")
+            out = float(self.dxi(r) / self.xi(r))
             if out != out:
                 self._raise_nan(r)
             return out
         r_arr = np.asarray(r, dtype=float)
         scalar = r_arr.ndim == 0
         r_arr = np.atleast_1d(r_arr)
-        if series:
-            near = np.abs(r_arr) < AXIS_SERIES_R
-            far = ~near
-            if (near & (r_arr == 0.0)).any():
-                raise ZeroDivisionError("xi'/xi is singular at the axis r=0")
-            out = np.empty_like(r_arr)
-            if far.any():
-                rf = r_arr[far]
-                out[far] = self.dxi(rf) / self.xi(rf)
-            if near.any():
-                rn = r_arr[near]
-                out[near] = 1.0 / rn + (self.xi3_zero / 3.0) * rn
-        else:
-            out = self.dxi(r_arr) / self.xi(r_arr)
+        if self.kind == ROTATIONAL and (r_arr == 0.0).any():
+            raise ZeroDivisionError("xi'/xi is singular at the axis r=0")
+        out = self.dxi(r_arr) / self.xi(r_arr)
         nan = np.isnan(out)
         if nan.any():
             self._raise_nan(float(r_arr[nan][0]))

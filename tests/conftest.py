@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from soliton_forge import SolitonSpec, make_builtin_warp
+from soliton_forge import SolitonSpec, make_builtin_warp, warp_from_json
 
 
 @pytest.fixture(scope="session")
@@ -12,6 +12,16 @@ def euclidean_warp():
 @pytest.fixture(scope="session")
 def hyperbolic_warp():
     return make_builtin_warp("rotational", -1.0)
+
+
+@pytest.fixture(scope="session")
+def hyperbolic_table_warp(hyperbolic_warp):
+    """Hermite table of the K = -1 rotational warp on [0, 5]."""
+    rows = [{"r": float(x), "xi": float(hyperbolic_warp.xi(x)),
+             "dxi": float(hyperbolic_warp.dxi(x)),
+             "ddxi": float(hyperbolic_warp.ddxi(x))}
+            for x in np.linspace(0.0, 5.0, 51)]
+    return warp_from_json({"kind": "rotational", "table": rows})
 
 
 @pytest.fixture(scope="session")

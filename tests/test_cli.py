@@ -119,6 +119,21 @@ class TestVerifyCommand:
         assert run("--out", str(tmp_path), "verify", "--input",
                    str(tmp_path / "absent.csv")) == 1
 
+    def test_unknown_family_flag(self, bowl_csv, tmp_path, capsys):
+        assert run("--out", str(tmp_path), "verify", "--input", str(bowl_csv),
+                   "--family", "foo") == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and "Traceback" not in err
+
+    def test_unknown_family_metadata(self, bowl_csv, tmp_path, capsys):
+        text = bowl_csv.read_text().replace("# family=bowl", "# family=foo")
+        assert "# family=foo" in text
+        bad = tmp_path / "foo.csv"
+        bad.write_text(text)
+        assert run("--out", str(tmp_path), "verify", "--input", str(bad)) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and "Traceback" not in err
+
     def test_points_csv_is_not_a_profile(self, tmp_path, capsys):
         src = tmp_path / "pts.csv"
         export_points_csv([embed_polar(r, [1.0, 0.0]) for r in range(4)], src)

@@ -80,6 +80,11 @@ class TestSpatialOperator:
         with pytest.raises(ValueError):
             FlowProblem(C, N, equidistant_warp, chart="polar")
 
+    def test_grid_outside_warp_domain(self, hyperbolic_table_warp):
+        with pytest.raises(ValueError, match="outside domain"):
+            FlowProblem(C, N, hyperbolic_table_warp, r_max=10.0, n_nodes=201)
+        FlowProblem(C, N, hyperbolic_table_warp, r_max=5.0, n_nodes=201)
+
 
 def _per_node_drift_weight(warp, r, n, chart):
     """Node-by-node drift and weight, the reference for the array build."""

@@ -32,7 +32,44 @@ def wing_curve(hyperbolic_warp):
     return solve_wing(spec, branch=-1, stop=TerminationPolicy(r_max=4.0))
 
 
+def _loop_mesh(curve, k):
+    """Vertex by vertex and face by face: the reference for revolve_profile's
+    array build in the cylindrical chart."""
+    lo, hi = curve.s_span
+    r, t, phi = curve.sample(np.linspace(lo, hi, max(64, curve.s.size)))
+    r = np.maximum(r, 0.0)
+    first = 1 if r[0] < 1e-9 else 0
+    verts, attrs, faces = [], [], []
+    if first:
+        verts.append((t[0], 0.0, 0.0))
+        attrs.append((r[0], t[0], phi[0]))
+        faces += [(0, 1 + j, 1 + (j + 1) % k) for j in range(k)]
+    th = 2 * math.pi * np.arange(k) / k
+    cos_th, sin_th = np.cos(th), np.sin(th)
+    for i in range(first, r.size):
+        for j in range(k):
+            verts.append((t[i], r[i] * cos_th[j], r[i] * sin_th[j]))
+            attrs.append((r[i], t[i], phi[i]))
+    for i in range(r.size - first - 1):
+        a, b = first + i * k, first + (i + 1) * k
+        for j in range(k):
+            jn = (j + 1) % k
+            faces += [(a + j, b + j, b + jn), (a + j, b + jn, a + jn)]
+    return np.array(verts), np.array(attrs), np.array(faces)
+
+
 class TestRevolve:
+    @pytest.mark.parametrize("which", ["bowl_curve", "wing_curve"])
+    def test_matches_loop_reference(self, which, request):
+        curve = request.getfixturevalue(which)
+        mesh = revolve_profile(curve, angular_segments=16)
+        verts, attrs, faces = _loop_mesh(curve, 16)
+        np.testing.assert_array_equal(mesh.vertices, verts)
+        np.testing.assert_array_equal(
+            np.column_stack([mesh.attributes[key] for key in ("r", "t", "phi")]),
+            attrs)
+        np.testing.assert_array_equal(mesh.faces, faces)
+
     def test_bowl_is_a_disk(self, bowl_curve):
         mesh = revolve_profile(bowl_curve, angular_segments=32)
         assert mesh.euler_characteristic == 1
