@@ -244,9 +244,10 @@ def _cmd_flow(args) -> int:
     if dtau is None and args.scheme == "implicit":
         dtau = 1e-3
     elif dtau is None:
-        # the largest whole-step division of the horizon within 0.9 x the bound
-        bound = 0.9 * problem.stability_bound()
-        dtau = args.horizon / math.ceil(args.horizon / bound)
+        # the largest whole-step division of the horizon within 0.9 x the
+        # bound; run() rejects a horizon that is not finite and > 0
+        steps = args.horizon / (0.9 * problem.stability_bound())
+        dtau = args.horizon / math.ceil(steps) if 0 < steps < math.inf else args.horizon
     initial = args.initial
     if initial == "soliton":
         u0 = mcf_flow.soliton_initial(problem)

@@ -231,6 +231,9 @@ def drift_identity_residual(curve, spec: SolitonSpec | None = None) -> CheckResu
     For a true ProfileCurve the substitution t'' = cos(phi) dphi/ds makes
     t'' + (n-1)(xi'/xi) r' t' + c t'^2 - c vanish identically, so any
     surviving residual is round-off and the algebraic tolerance applies.
+    On that path the residual reduces to c(cos^2 phi + sin^2 phi) - c at
+    whatever phi the curve holds, so it cannot fail: a profile solved at
+    another c, or with another drift, reads round-off too.
     Resampled curves (CSV input, perturbation controls) carry no trusted
     phi dynamics, so their derivatives come from finite differences (as in
     :func:`geodesic_residual`) and the looser integral tolerance applies.

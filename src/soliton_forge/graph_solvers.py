@@ -198,8 +198,9 @@ def solve_grim(c: float, n: int, warp: WarpModel, r_span=(-20.0, 20.0),
     Slope equation u'' = (1+u'^2)(c - (n-1) h(r) u') with (n-1) h the
     level mean curvature of the equidistant foliation.  For n >= 3 the
     coth factor is singular at r = 0; an axis start is moved to
-    r = +-1e-3 with the series slope u' ~ c r/(n-1).  Gradient blow-up
-    contradicts entireness and raises.
+    r = +-1e-3 with the bowl's series launch in dimension n - 1, since
+    the drift is (n-2)/r there.  Gradient blow-up contradicts entireness
+    and raises.
     """
     if warp.kind != EQUIDISTANT:
         raise ValueError("grim solves need an equidistant warp")
@@ -211,8 +212,8 @@ def solve_grim(c: float, n: int, warp: WarpModel, r_span=(-20.0, 20.0),
             raise ValueError("n >= 3 grim solves cannot cross the singular line r = 0")
         side = max(r_span) if max(r_span) > 0 else min(r_span)
         r0 = math.copysign(1e-3, side)
-        du0 = c * r0 / (n - 1)
-        u0 = u0 + 0.5 * (c / (n - 1)) * r0**2
+        height, du0 = axis_series(c, n - 1, r0)
+        u0 = u0 + height
         # integrate away from the singular line only
         r_span = (r0, r_span[1]) if side > 0 else (r_span[0], r0)
 

@@ -6,10 +6,10 @@ curvature satisfies
     du/dtau = u'' / (1 + u'^2) + D(r) u'
 
 with D the chart drift ((n-1) xi'/xi on the polar chart).  Space is
-discretized with second-order centered differences on a uniform grid;
-the axis node uses the symmetric ghost value, the outer node a Robin
-ghost pinning the slope.  Time stepping is explicit Heun under the
-parabolic stability bound, or trapezoidal with a damped Newton solve.
+discretized with centered differences on a uniform grid padded with one
+ghost node per end (the polar axis mirrors, a Robin end mirrors through
+its slope, a held Dirichlet end extrapolates).  Steps are explicit Heun
+under the parabolic stability bound, or trapezoidal with damped Newton.
 
 The module also evaluates the weighted area functional
 F(tau) = |S^{n-1}| int exp(c u - c^2 tau) W xi^{n-1} dr and its defect
@@ -103,6 +103,9 @@ class FlowProblem:
     def __init__(self, c: float, n: int, warp: WarpModel, r_max: float = 10.0,
                  n_nodes: int = 2001, chart: str = "polar", bc: str = "robin",
                  robin_slope=None):
+        if n_nodes < 3 or not 0 < r_max < math.inf:
+            raise ValueError("a flow grid needs n_nodes >= 3 and a finite r_max > 0, "
+                             f"got n_nodes = {n_nodes}, r_max = {r_max}")
         if chart == "polar":
             if warp.kind != ROTATIONAL:
                 raise ValueError("polar flow chart needs a rotational warp")
@@ -125,15 +128,26 @@ class FlowProblem:
         self.area = sphere_area(n)
 
         # drift D(r) and area weight xi^(n-1); the equidistant chart has
-        # n = 2, so its weight is xi.  The polar axis row never reads D(0).
+        # n = 2, so its weight is xi.  D(0) on the polar axis stays 0.
         r = self.r_grid
         self.drift = np.zeros_like(r)
         start = 1 if chart == "polar" else 0
         self.drift[start:] = warp.drift(r[start:], n)
         self.weight = warp.xi(r) ** (n - 1)
 
-        self._sigma = None
-        self._sigma_left = None
+        # Each end's ghost node is w . (the three nodes nearest it, outermost
+        # first) + 2 dr s with weights summing to one: the axis mirrors (s = 0;
+        # its row is n u''(0)), a Robin end mirrors through its slope s, and a
+        # held Dirichlet end extrapolates (s = 0; the slice step n_nodes - 1
+        # takes both ends of the equidistant grid).
+        mirror, extrapolate = (0.0, 1.0, 0.0), (3.0, -3.0, 1.0)
+        self._ghosts = (mirror if chart == "polar" or bc == "robin" else extrapolate,
+                        mirror if bc == "robin" else extrapolate)
+        self._axis = float(n) if chart == "polar" else 1.0
+        self._held = (slice(0, 0) if bc == "robin"
+                      else slice(-1 if chart == "polar" else 0, None, n_nodes - 1))
+
+        self._sigma = self._sigma_left = None
         if robin_slope is not None:
             self._sigma = float(robin_slope)
             if chart == "equidistant":
@@ -149,98 +163,53 @@ class FlowProblem:
         if self.chart == "equidistant":
             self._sigma_left = -(3 * u0[0] - 4 * u0[1] + u0[2]) / (2 * dr)
 
-    def _require_sigma(self):
+    # -- the stencil -----------------------------------------------------
+
+    def _differences(self, u) -> tuple:
+        """Centred slope and second difference of ``u`` padded with its ghosts."""
         if self.bc == "robin" and self._sigma is None:
             raise ValueError("Robin slope not set; call pin_boundary_slopes "
                              "or pass robin_slope")
-
-    # -- nodal derivatives ----------------------------------------------
-
-    def slopes(self, u) -> np.ndarray:
-        """Second-order nodal slopes consistent with the stencil."""
         u = np.asarray(u, dtype=float)
-        p = np.empty_like(u)
-        p[1:-1] = (u[2:] - u[:-2]) / (2 * self.dr)
-        if self.chart == "polar":
-            p[0] = 0.0
-        elif self.bc == "robin":
-            p[0] = self._sigma_left
-        else:
-            p[0] = (-3 * u[0] + 4 * u[1] - u[2]) / (2 * self.dr)
-        if self.bc == "robin":
-            self._require_sigma()
-            p[-1] = self._sigma
-        else:
-            p[-1] = (3 * u[-1] - 4 * u[-2] + u[-3]) / (2 * self.dr)
-        return p
-
-    def _second_diff(self, u) -> np.ndarray:
-        dr2 = self.dr * self.dr
-        q = np.empty_like(u)
-        q[1:-1] = (u[2:] - 2 * u[1:-1] + u[:-2]) / dr2
-        if self.chart == "polar":
-            q[0] = 2 * (u[1] - u[0]) / dr2
-        elif self.bc == "robin":
-            q[0] = (2 * u[1] - 2 * u[0] - 2 * self.dr * self._sigma_left) / dr2
-        else:
-            q[0] = q[1]
-        if self.bc == "robin":
-            q[-1] = (2 * u[-2] - 2 * u[-1] + 2 * self.dr * self._sigma) / dr2
-        else:
-            q[-1] = q[-2]
-        return q
+        (a0, a1, a2), (b0, b1, b2) = self._ghosts
+        two_dr = 2 * self.dr
+        g = np.empty(u.size + 2)
+        g[1:-1] = u
+        g[0] = a0 * u[0] + a1 * u[1] + a2 * u[2] - two_dr * (self._sigma_left or 0.0)
+        g[-1] = b0 * u[-1] + b1 * u[-2] + b2 * u[-3] + two_dr * (self._sigma or 0.0)
+        p = (g[2:] - g[:-2]) / two_dr
+        q = (g[2:] - 2 * u + g[:-2]) / (self.dr * self.dr)
+        return p, q
 
     def rhs(self, u) -> np.ndarray:
         """Nodal du/dtau = u''/(1+u'^2) + D(r) u'."""
-        self._require_sigma()
-        u = np.asarray(u, dtype=float)
-        p = self.slopes(u)
-        q = self._second_diff(u)
+        p, q = self._differences(u)
         f = q / (1.0 + p * p) + self.drift * p
-        if self.chart == "polar":
-            # axis limit: n u''(0), symmetric ghost, u'(0) = 0
-            f[0] = self.n * q[0]
-        if self.bc == "dirichlet":
-            f[-1] = 0.0
-            if self.chart == "equidistant":
-                f[0] = 0.0
+        f[0] *= self._axis
+        f[self._held] = 0.0
         return f
 
     def _jacobian_bands(self, u) -> np.ndarray:
-        """Tridiagonal bands of d(rhs)/du in solve_banded layout."""
-        m = u.size
+        """Tridiagonal bands of d(rhs)/du in solve_banded layout: the interior
+        formula on every row, mirror ghosts folded onto their node, held rows 0."""
         dr, dr2 = self.dr, self.dr * self.dr
-        p = self.slopes(u)
-        q = self._second_diff(u)
+        p, q = self._differences(u)
         w2 = 1.0 + p * p
-        upper = np.zeros(m)
-        diag = np.zeros(m)
-        lower = np.zeros(m)
-        # interior rows
-        base = 1.0 / (dr2 * w2[1:-1])
-        skew = q[1:-1] * p[1:-1] / (dr * w2[1:-1] ** 2)
-        adv = self.drift[1:-1] / (2 * dr)
-        upper[2:] = base - skew + adv
-        diag[1:-1] = -2.0 / (dr2 * w2[1:-1])
-        lower[:-2] = base + skew - adv
-        # first row
-        if self.chart == "polar":
-            diag[0] = -2.0 * self.n / dr2
-            upper[1] = 2.0 * self.n / dr2
-        elif self.bc == "robin":
-            diag[0] = -2.0 / (dr2 * w2[0])
-            upper[1] = 2.0 / (dr2 * w2[0])
-        else:
-            diag[0] = 0.0
-            upper[1] = 0.0
-        # last row
-        if self.bc == "robin":
-            diag[-1] = -2.0 / (dr2 * w2[-1])
-            lower[-2] = 2.0 / (dr2 * w2[-1])
-        else:
-            diag[-1] = 0.0
-            lower[-2] = 0.0
-        return np.vstack((upper, diag, lower))
+        base = 1.0 / (dr2 * w2)
+        skew = q * p / (dr * w2 ** 2)
+        adv = self.drift / (2 * dr)
+        upper = base - skew + adv  # row i's coefficient of u[i+1]
+        diag = -2.0 / (dr2 * w2)
+        lower = base + skew - adv  # row i's coefficient of u[i-1]
+        upper[0] += lower[0]
+        lower[-1] += upper[-1]
+        upper[0] *= self._axis
+        diag[0] *= self._axis
+        for row in (upper, diag, lower):
+            row[self._held] = 0.0
+        bands = np.zeros((3, u.size))  # column j: A[j-1, j], A[j, j], A[j+1, j]
+        bands[0, 1:], bands[1], bands[2, :-1] = upper[:-1], diag, lower[1:]
+        return bands
 
     # -- time stepping ---------------------------------------------------
 
@@ -292,26 +261,23 @@ class FlowProblem:
     def weighted_functional(self, u, tau: float) -> float:
         """F(tau) = |S^{n-1}| int exp(c u - c^2 tau) W xi^{n-1} dr."""
         u = np.asarray(u, dtype=float)
-        p = self.slopes(u)
+        p, _ = self._differences(u)
         big_w = np.sqrt(1.0 + p * p)
         k = np.exp(self.c * u - self.c * self.c * tau)
         return self.area * float(simpson(k * big_w * self.weight, x=self.r_grid))
 
     def mean_curvature(self, u) -> np.ndarray:
         """Nodal H = u''/W^3 + D(r) u'/W of the graph."""
-        u = np.asarray(u, dtype=float)
-        p = self.slopes(u)
-        q = self._second_diff(u)
+        p, q = self._differences(u)
         w2 = 1.0 + p * p
         h = q / w2 ** 1.5 + self.drift * p / np.sqrt(w2)
-        if self.chart == "polar":
-            h[0] = self.n * q[0]
+        h[0] *= self._axis
         return h
 
     def soliton_defect(self, u, tau: float) -> float:
         """D(tau) = |S^{n-1}| int K (H - c/W)^2 W xi^{n-1} dr >= 0."""
         u = np.asarray(u, dtype=float)
-        p = self.slopes(u)
+        p, _ = self._differences(u)
         big_w = np.sqrt(1.0 + p * p)
         k = np.exp(self.c * u - self.c * self.c * tau)
         h = self.mean_curvature(u)
@@ -325,6 +291,10 @@ class FlowProblem:
         """Advance from ``u0`` at tau = 0 to ``horizon``, recording F and D."""
         if scheme not in ("explicit", "implicit"):
             raise ValueError(f"unknown scheme {scheme!r}")
+        if not (0 < dtau < math.inf and 0 < horizon < math.inf and record_every >= 1):
+            raise ValueError("a run needs finite dtau and horizon > 0 and "
+                             f"record_every >= 1, got dtau = {dtau}, "
+                             f"horizon = {horizon}, record_every = {record_every}")
         u = np.asarray(u0, dtype=float).copy()
         if self.bc == "robin" and self._sigma is None:
             self.pin_boundary_slopes(u)

@@ -167,6 +167,17 @@ class TestFlowCommand:
         assert (tmp_path / "flow_final.csv").exists()
         assert "F non-increasing" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flags", [
+        ("--nodes", "2"), ("--nodes", "1"), ("--R", "0"), ("--dtau", "0"),
+        ("--horizon", "0"), ("--record-every", "0"),
+    ], ids=["nodes-2", "nodes-1", "R-0", "dtau-0", "horizon-0", "record-every-0"])
+    def test_rejects_grid_and_step_it_cannot_take(self, tmp_path, capsys, flags):
+        # each flag overrides the small grid given before it
+        assert run("--out", str(tmp_path), "flow", "--R", "4", "--nodes", "201",
+                   *flags) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not list(tmp_path.iterdir())
+
     def test_bad_initial(self, tmp_path):
         assert run("--out", str(tmp_path), "flow", "--initial",
                    "wavelet") == 1

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soliton_forge import (
     FlowProblem, bump_initial, discrete_soliton, flat_initial,
@@ -84,6 +86,47 @@ class TestSpatialOperator:
         with pytest.raises(ValueError, match="outside domain"):
             FlowProblem(C, N, hyperbolic_table_warp, r_max=10.0, n_nodes=201)
         FlowProblem(C, N, hyperbolic_table_warp, r_max=5.0, n_nodes=201)
+
+
+CHART_BC = [("polar", "robin"), ("polar", "dirichlet"),
+            ("equidistant", "robin"), ("equidistant", "dirichlet")]
+
+
+def _small_problem(chart, bc):
+    """41 nodes on R = 4 with K = -1 and a Robin slope of 0.7."""
+    warp = make_builtin_warp("rotational" if chart == "polar" else "equidistant", -1.0)
+    return FlowProblem(C, N, warp, r_max=4.0, n_nodes=41, chart=chart, bc=bc,
+                       robin_slope=0.7)
+
+
+class TestGhostClosure:
+    @pytest.mark.parametrize("chart,bc", CHART_BC)
+    def test_jacobian_matches_finite_differences(self, chart, bc):
+        # a ghost coefficient left on its own row, or an unheld Dirichlet
+        # row, misses by about 1/dr^2 = 100
+        prob = _small_problem(chart, bc)
+        u = 0.5 * np.sin(prob.r_grid) + 0.1 * prob.r_grid ** 2
+        bands = prob._jacobian_bands(u)
+        dense = (np.diag(bands[1]) + np.diag(bands[0, 1:], 1)
+                 + np.diag(bands[2, :-1], -1))
+        h = 1e-6
+        fd = np.column_stack([(prob.rhs(u + h * e) - prob.rhs(u - h * e)) / (2 * h)
+                              for e in np.eye(u.size)])
+        assert np.max(np.abs(dense - fd)) <= 1e-7
+
+    @pytest.mark.parametrize("chart,bc", CHART_BC)
+    @settings(max_examples=40, deadline=None)
+    @given(amp=st.floats(-1.0, 1.0), freq=st.floats(0.0, 2.0),
+           curv=st.floats(-0.5, 0.5), shift=st.floats(-1e4, 1e4))
+    def test_rhs_commutes_with_vertical_shift(self, chart, bc, amp, freq, curv,
+                                              shift):
+        # every ghost is affine in u with weights summing to one; the ghost
+        # also carries 2 dr |slope| < 1, hence the 1 in the round-off scale
+        prob = _small_problem(chart, bc)
+        u = amp * np.sin(freq * prob.r_grid) + curv * prob.r_grid ** 2
+        ulp = np.spacing(abs(shift) + np.max(np.abs(u)) + 1.0)
+        gap = np.max(np.abs(prob.rhs(u + shift) - prob.rhs(u)))
+        assert gap <= 32 * ulp / prob.dr ** 2
 
 
 def _per_node_drift_weight(warp, r, n, chart):
