@@ -177,8 +177,9 @@ def _cmd_soliton(args) -> int:
         curve = solve_ideal_parametric(spec, (0.0, 0.0, 0.0), stop=stop)
     else:
         warp = make_builtin_warp("equidistant", args.K)
-        graph = solve_grim(args.c, args.n, warp,
-                           r_span=(-args.r_max, args.r_max))
+        # an n >= 3 grim graph is singular on r = 0, so it is solved on r > 0
+        r_min = 0.0 if args.n >= 3 else -args.r_max
+        graph = solve_grim(args.c, args.n, warp, r_span=(r_min, args.r_max))
         path = _out_path(args, f"{tag}.csv")
         fileio.export_graph_csv(graph, path, meta=meta)
         print(f"wrote {path}")

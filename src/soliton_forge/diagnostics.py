@@ -1,8 +1,8 @@
 """Independent verification of soliton identities.
 
 Each check recomputes a claimed identity with machinery that does not
-share code with the solver that produced the input: adaptive quadrature
-for the flux first integral, finite differences of dense output for the
+share code with the solver that produced the input: a fixed Gauss–Legendre
+rule for the flux first integral, finite differences of dense output for the
 geodesic system, direct algebraic substitution for the drift identity.
 Results are collected in a DiagnosticsReport of pass/fail records.
 """
@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .graph_solvers import RadialGraph
 from .profile_solver import ProfileCurve, SampledCurve, SolitonSpec
@@ -21,7 +20,10 @@ from .warp_models import CurvatureBounds, ROTATIONAL, radial_curvature
 
 INTEGRAL_TOL = 1e-6
 ALGEBRAIC_TOL = 1e-9
-QUAD_ABS_TOL = 1e-10
+#: Gauss–Legendre nodes and weights on [-1, 1]: the value rule and the
+#: coarser rule whose difference from it is the error estimate
+GL_VALUE = np.polynomial.legendre.leggauss(32)
+GL_CHECK = np.polynomial.legendre.leggauss(16)
 #: arc-length samples and step of the finite-difference checks
 FD_SAMPLES, FD_STEP = 400, 2e-3
 #: eps and r_min of the slope sandwich in asymptotic_report
@@ -100,6 +102,20 @@ def _fd1(f, x, h):
     return _d1([f(y) for y in _stencil(x, h)], h)
 
 
+def _gauss_legendre(f, edges):
+    """Integral of f over each panel [edges[i], edges[i + 1]] by the 32-point
+    Gauss–Legendre rule, and |GL32 - GL16| per panel as its error estimate.
+
+    f is called once, on the nodes of both rules in every panel.
+    """
+    mid, half = (edges[1:] + edges[:-1]) / 2, (edges[1:] - edges[:-1]) / 2
+    nodes = mid[:, None] + half[:, None] * np.concatenate((GL_VALUE[0], GL_CHECK[0]))
+    vals = f(nodes.ravel()).reshape(nodes.shape)
+    k = GL_VALUE[0].size
+    value = half * (vals[:, :k] @ GL_VALUE[1])
+    return value, np.abs(value - half * (vals[:, k:] @ GL_CHECK[1]))
+
+
 def _sample_stencil(curve, s, h):
     """(r, t, phi), each as its five values on the stencil around s: one
     dense evaluation per offset, shared by the three components."""
@@ -109,38 +125,36 @@ def _sample_stencil(curve, s, h):
 def flux_residual(graph: RadialGraph, spec: SolitonSpec | None = None) -> CheckResult:
     """First integral (u'/W) xi^{n-1} |_{r_a}^{r} = int_{r_a}^{r} (c/W) xi^{n-1}.
 
-    The right side is recomputed by adaptive quadrature on the dense
-    slope record, segment by segment, so it shares no stepper state with
-    the solver that produced the graph.  Both sides grow like xi^{n-1},
-    so the residual at each of 59 checked radii r is divided by
-    max(1, xi^{n-1}(r)); ``details["max_abs_unscaled"]`` keeps the raw one.
+    The right side is recomputed by a fixed Gauss–Legendre rule (32
+    nodes) on the dense slope record, segment by segment, so it shares no
+    stepper state with the solver that produced the graph.  Both sides grow
+    like xi^{n-1}, so the residual at each of 59 checked radii r is divided
+    by max(1, xi^{n-1}(r)); ``details["max_abs_unscaled"]`` keeps the raw
+    one.  ``details["gl_err"]`` is the largest per-segment |GL32 - GL16|,
+    divided by the same scale.
     """
     spec = spec or graph.spec
     if graph.chart != "polar":
         raise ValueError(f"flux check needs the polar chart, got {graph.chart!r}")
     c, n, warp = spec.c, spec.n, spec.warp
 
-    def lhs(r):
-        du = graph.du_eval(r)
-        return du / math.sqrt(1.0 + du * du) * warp.xi(r) ** (n - 1)
-
     def integrand(r):
         du = graph.du_eval(r)
-        return c / math.sqrt(1.0 + du * du) * warp.xi(r) ** (n - 1)
+        return c / np.sqrt(1.0 + du * du) * warp.xi(r) ** (n - 1)
 
     r_a, r_b = graph.r_span
     r_pts = np.linspace(r_a, r_b, 60)
-    acc = lhs(r_a)
-    residuals = []
-    for lo, hi in zip(r_pts[:-1], r_pts[1:]):
-        val, _ = quad(integrand, lo, hi, epsabs=QUAD_ABS_TOL, limit=200)
-        acc += val
-        residuals.append(lhs(hi) - acc)
-    residuals = np.array(residuals)
-    scale = np.maximum(1.0, warp.xi(r_pts[1:]) ** (n - 1))
+    du = graph.du_eval(r_pts)
+    weight = warp.xi(r_pts) ** (n - 1)
+    lhs = du / np.sqrt(1.0 + du * du) * weight
+    vals, errs = _gauss_legendre(integrand, r_pts)
+    # summed in order from the anchor, segment by segment
+    residuals = lhs[1:] - np.cumsum(np.concatenate(([lhs[0]], vals)))[1:]
+    scale = np.maximum(1.0, weight[1:])
     return _result("flux_first_integral", residuals / scale, INTEGRAL_TOL,
-                   details={"r_span": (r_a, r_b), "anchor": lhs(r_a),
-                            "max_abs_unscaled": float(np.max(np.abs(residuals)))})
+                   details={"r_span": (r_a, r_b), "anchor": float(lhs[0]),
+                            "max_abs_unscaled": float(np.max(np.abs(residuals))),
+                            "gl_err": float(np.max(errs / scale))})
 
 
 def wing_turning_flux(curve: ProfileCurve) -> CheckResult:
@@ -148,7 +162,9 @@ def wing_turning_flux(curve: ProfileCurve) -> CheckResult:
 
     Integrating the flux form along the branch from the inner boundary
     radius eps to the turning radius r0 (where the tangent is radial)
-    gives xi^{n-1}(eps) = int c cos^2(phi) xi^{n-1} ds.
+    gives xi^{n-1}(eps) = int c cos^2(phi) xi^{n-1} ds, computed by the
+    32-point Gauss–Legendre rule on 8 equal panels of [0, s_turn];
+    ``details["gl_err"]`` sums the panels' |GL32 - GL16|.
     """
     spec = curve.spec
     if spec.family != "wing":
@@ -159,15 +175,17 @@ def wing_turning_flux(curve: ProfileCurve) -> CheckResult:
     s_turn = curve.turning_points[0]
 
     def integrand(s):
-        r, _, phi = curve.sample(float(s))
-        return c * math.cos(phi) ** 2 * warp.xi(r) ** (n - 1)
+        r, _, phi = curve.sample(s)
+        return c * np.cos(phi) ** 2 * warp.xi(r) ** (n - 1)
 
-    val, _ = quad(integrand, 0.0, s_turn, epsabs=QUAD_ABS_TOL, limit=200)
+    vals, errs = _gauss_legendre(integrand, np.linspace(0.0, s_turn, 9))
+    val = float(np.sum(vals))
     target = warp.xi(spec.epsilon) ** (n - 1)
     r0 = curve.sample(s_turn)[0]
     return _result("wing_turning_flux", val - target, INTEGRAL_TOL,
                    details={"s_turn": s_turn, "r_turn": float(r0),
-                            "integral": val, "target": target})
+                            "integral": val, "target": target,
+                            "gl_err": float(np.sum(errs))})
 
 
 def _curve_samples(curve, n_samples, h, r_min=1e-2):

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph_solvers import RadialGraph
+from .graph_solvers import SOLVER_RECORD, RadialGraph
 from .meshing import SolitonMesh
 from .profile_solver import SampledCurve
 
@@ -123,9 +123,11 @@ def read_profile_csv(path, spec=None) -> SampledCurve:
 
 
 def export_graph_csv(graph: RadialGraph, path, meta=None) -> Path:
-    """Columns r, u, du on the solver grid."""
+    """Columns r, u, du on the solver grid; the solver record is left out,
+    as a profile CSV leaves out the curve's diagnostics."""
+    kept = {k: v for k, v in graph.meta.items() if k not in SOLVER_RECORD}
     return write_table(path, ("r", "u", "du"), (graph.r_grid, graph.u, graph.du),
-                       {**graph.meta, **(meta or {}), "chart": graph.chart})
+                       {**kept, **(meta or {}), "chart": graph.chart})
 
 
 def export_report_json(report, path) -> Path:

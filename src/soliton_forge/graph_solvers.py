@@ -20,11 +20,13 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .profile_solver import (AXIS_LAUNCH_S, DEFAULT_ATOL, DEFAULT_RTOL,
-                             SolitonSpec, axis_series)
+                             DenseSolution, SolitonSpec, axis_series)
 from .warp_models import BUSEMANN, EQUIDISTANT, ROTATIONAL, WarpModel
 
 BLOWUP_SLOPE = 1e6
 GRID_SIZE = 2001  # samples in every solved graph record
+#: meta keys of the solver record: how a graph was computed, not what it is
+SOLVER_RECORD = ("n_rhs_evals", "status")
 
 
 @dataclass
@@ -86,7 +88,8 @@ def _integrate_slope(rhs, r_span, y0, rtol, atol, tail=None,
     """Integrate (u, u')' = rhs with terminal detection of |u'| = 1e6.
 
     ``tail`` maps the event state (r_evt, p_evt) to the residual distance
-    to the true vertical point, used to refine the reported radius.
+    to the true vertical point, used to refine the reported radius.  The
+    last item is the solver record: RHS calls and ``solve_ivp`` status.
     """
 
     def ev_blowup(r, y):
@@ -107,8 +110,10 @@ def _integrate_slope(rhs, r_span, y0, rtol, atol, tail=None,
         blowup_radius = r_evt + (tail(r_evt, p_evt) if tail is not None else 0.0)
     r_end = float(sol.t[-1])
     r_grid = np.linspace(r_span[0], r_end, GRID_SIZE)
-    u, du = sol.sol(r_grid)
-    return r_grid, u, du, sol.sol, blowup, blowup_radius
+    dense = DenseSolution(sol.sol)
+    u, du = dense(r_grid)
+    record = {"n_rhs_evals": int(sol.nfev), "status": int(sol.status)}
+    return r_grid, u, du, dense, blowup, blowup_radius, record
 
 
 def _slope_rhs(c: float, n: int, warp: WarpModel):
@@ -145,8 +150,9 @@ def solve_radial_graph(spec: SolitonSpec, r_span=(0.0, 20.0), ic=None,
         meta["axis_launch"] = r0
     else:
         y0 = (u0, du0)
-    r_grid, u, du, dense, blowup, b_rad = _integrate_slope(
+    r_grid, u, du, dense, blowup, b_rad, record = _integrate_slope(
         _slope_rhs(c, n, warp), (r0, r_span[1]), y0, rtol, atol)
+    meta.update(record)
     return RadialGraph(r_grid=r_grid, u=u, du=du, spec=spec, chart="polar",
                        gradient_blowup=blowup, blowup_radius=b_rad,
                        meta=meta, _dense=dense)
@@ -182,12 +188,12 @@ def solve_ideal_graph(c: float, n: int, warp: WarpModel, r_span=(0.0, 5.0),
         direction = math.copysign(1.0, r_span[1] - r_span[0])
         return direction * (math.pi / 2 - math.atan(abs(p_evt))) / abs(a)
 
-    r_grid, u, du, dense, blowup, b_rad = _integrate_slope(
+    r_grid, u, du, dense, blowup, b_rad, record = _integrate_slope(
         rhs, (r0, r_span[1]), (u0, du0), rtol, atol, tail=tail)
     spec = SolitonSpec(c=c, n=n, family="ideal", warp=warp)
     return RadialGraph(r_grid=r_grid, u=u, du=du, spec=spec, chart="busemann",
                        gradient_blowup=blowup, blowup_radius=b_rad,
-                       meta={"source": "ideal_ode"}, _dense=dense)
+                       meta={"source": "ideal_ode", **record}, _dense=dense)
 
 
 def solve_grim(c: float, n: int, warp: WarpModel, r_span=(-20.0, 20.0),
@@ -228,18 +234,22 @@ def solve_grim(c: float, n: int, warp: WarpModel, r_span=(-20.0, 20.0),
                                        rtol, atol, blowup_is_error=True))
     if not pieces:
         raise ValueError("empty integration span")
+    # a two-piece graph sums the RHS calls and keeps the larger status
+    meta = {"source": "grim_ode",
+            "n_rhs_evals": sum(piece[-1]["n_rhs_evals"] for piece in pieces),
+            "status": max(piece[-1]["status"] for piece in pieces)}
     if len(pieces) == 1:
-        r_grid, u, du, _, _, _ = pieces[0]
+        r_grid, u, du = pieces[0][:3]
         if r_grid[0] > r_grid[-1]:
             r_grid, u, du = r_grid[::-1], u[::-1], du[::-1]
         return RadialGraph(r_grid=r_grid, u=u, du=du, spec=spec,
-                           chart="equidistant", meta={"source": "grim_ode"})
-    (rl, ul, dul, _, _, _), (rr, ur, dur, _, _, _) = pieces
+                           chart="equidistant", meta=meta)
+    (rl, ul, dul), (rr, ur, dur) = (piece[:3] for piece in pieces)
     r_grid = np.concatenate((rl[::-1], rr[1:]))
     u = np.concatenate((ul[::-1], ur[1:]))
     du = np.concatenate((dul[::-1], dur[1:]))
     return RadialGraph(r_grid=r_grid, u=u, du=du, spec=spec,
-                       chart="equidistant", meta={"source": "grim_ode"})
+                       chart="equidistant", meta=meta)
 
 
 def closed_form_oracle(kind: str, **params) -> ClosedForm:

@@ -295,12 +295,16 @@ class FlowProblem:
             raise ValueError("a run needs finite dtau and horizon > 0 and "
                              f"record_every >= 1, got dtau = {dtau}, "
                              f"horizon = {horizon}, record_every = {record_every}")
+        steps = float(horizon) / float(dtau)
+        if not math.isfinite(steps):
+            raise ValueError(f"dtau = {dtau} is too small: horizon / dtau "
+                             f"overflows for horizon = {horizon}")
+        n_steps = round(steps)
+        if abs(n_steps * dtau - horizon) > 1e-9 * max(1.0, horizon):
+            raise ValueError("horizon must be an integer number of steps")
         u = np.asarray(u0, dtype=float).copy()
         if self.bc == "robin" and self._sigma is None:
             self.pin_boundary_slopes(u)
-        n_steps = int(round(horizon / dtau))
-        if abs(n_steps * dtau - horizon) > 1e-9 * max(1.0, horizon):
-            raise ValueError("horizon must be an integer number of steps")
         step = self.step_explicit if scheme == "explicit" else self.step_implicit
         taus, fs, ds, snaps = [], [], [], []
 

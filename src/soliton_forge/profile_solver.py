@@ -42,6 +42,53 @@ AXIS_LAUNCH_S = 1e-4
 GRAPH_RDOT_MIN = 1e-6
 
 
+class DenseSolution:
+    """The dense output of a DOP853 ``solve_ivp`` run, evaluated in one pass.
+
+    SciPy's ``OdeSolution.__call__`` sorts the points and calls one step's
+    interpolant at a time.  This stacks every step's t_old, h, y_old and
+    interpolant coefficients F into arrays, picks each point's step the way
+    ``OdeSolution`` does (one ``searchsorted`` on its ``ts_sorted`` with its
+    ``side``, clipped to the steps, mirrored for a descending solve) and runs
+    the step polynomial ``y += F[j]; y *= x or (1 - x)`` in SciPy's order, so
+    the values equal ``sol(t)`` bit for bit.  A solution whose steps carry
+    no F (a zero-length solve) is called as it is.
+    """
+
+    def __init__(self, sol):
+        steps = sol.interpolants
+        # kept only when its steps cannot be stacked
+        self._sol = None if all(hasattr(step, "F") for step in steps) else sol
+        if self._sol is not None:
+            return
+        self.ts_sorted, self.side, self.ascending = sol.ts_sorted, sol.side, sol.ascending
+        self.t_old = np.array([step.t_old for step in steps])
+        self.h = np.array([step.h for step in steps])
+        self.y_old = np.array([step.y_old for step in steps]).T
+        # (power, component, step), highest power first as SciPy applies them
+        self.F = np.array([step.F[::-1] for step in steps]).transpose(1, 2, 0)
+
+    def __call__(self, t):
+        """Values at ``t``: shape (n_states,) for a scalar, else (n_states, n_points)."""
+        if self._sol is not None:
+            return self._sol(t)
+        t = np.asarray(t, dtype=float)
+        points = np.atleast_1d(t)
+        last = self.h.size - 1
+        seg = np.searchsorted(self.ts_sorted, points, side=self.side) - 1
+        np.clip(seg, 0, last, out=seg)
+        if not self.ascending:
+            seg = last - seg
+        x = (points - self.t_old[seg]) / self.h[seg]
+        coeffs = self.F[:, :, seg]
+        y = np.zeros(coeffs.shape[1:])
+        for j, f in enumerate(coeffs):
+            y += f
+            y *= x if j % 2 == 0 else 1 - x
+        y += self.y_old[:, seg]
+        return y[:, 0] if t.ndim == 0 else y
+
+
 @dataclass(frozen=True)
 class SolitonSpec:
     """Soliton family parameters: speed c, base dimension n, warp model."""
@@ -253,7 +300,7 @@ def _integrate(spec: SolitonSpec, y0, s0: float, stop: TerminationPolicy,
     return ProfileCurve(
         spec=spec, s=sol.t, r=sol.y[0], t=sol.y[1], phi=sol.y[2],
         termination=termination, rtol=rtol, atol=atol,
-        diagnostics=diag, _sol=sol.sol)
+        diagnostics=diag, _sol=DenseSolution(sol.sol))
 
 
 def solve_bowl(spec: SolitonSpec, stop: TerminationPolicy | None = None,

@@ -40,6 +40,17 @@ class TestSolitonCommand:
         assert code == 0
         assert (tmp_path / "reaper.csv").exists()
 
+    def test_grim_n3_writes_graph(self, tmp_path):
+        # an n >= 3 grim graph is solved on r > 0, from r = 1e-3
+        assert run("--out", str(tmp_path), "soliton", "grim", "--n", "3",
+                   "--r-max", "6") == 0
+        meta, names, data = read_table(tmp_path / "grim.csv")
+        assert names == ["r", "u", "du"]
+        assert meta["n"] == "3"
+        assert "n_rhs_evals" not in meta
+        assert data[0, 0] == 1e-3 and data[-1, 0] == 6.0
+        assert np.all(np.isfinite(data))
+
     @pytest.mark.parametrize("argv", [
         ["soliton", "bowl", "--r-max", "4"],
         ["soliton", "grim", "--r-max", "4"],
@@ -176,6 +187,14 @@ class TestFlowCommand:
         assert run("--out", str(tmp_path), "flow", "--R", "4", "--nodes", "201",
                    *flags) == 1
         assert capsys.readouterr().err.startswith("error: ")
+        assert not list(tmp_path.iterdir())
+
+    def test_rejects_step_too_small_for_its_horizon(self, tmp_path, capsys):
+        # horizon / dtau overflows
+        assert run("--out", str(tmp_path), "flow", "--R", "4", "--nodes", "201",
+                   "--dtau", "1e-320") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "dtau" in err
         assert not list(tmp_path.iterdir())
 
     def test_bad_initial(self, tmp_path):

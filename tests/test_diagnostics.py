@@ -15,6 +15,7 @@ from soliton_forge import (
     run_profile_checks, solve_bowl, solve_radial_graph, solve_wing,
     wing_height_report, wing_turning_flux,
 )
+from soliton_forge.diagnostics import INTEGRAL_TOL
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +74,23 @@ class TestFlux:
         # negative control: a slope 1e-4 too steep is 3e-5 to 9e-5 off
         assert not flux_residual(replace(graph, _dense=steeper)).passed
 
+    def test_wrong_speed_fails(self, hyperbolic_bowl_spec):
+        # negative control: the graph solved at c, checked against 1.01 c
+        graph = solve_radial_graph(hyperbolic_bowl_spec, r_span=(0.0, 10.0),
+                                   rtol=1e-11, atol=1e-13)
+        faster = replace(hyperbolic_bowl_spec, c=1.01 * hyperbolic_bowl_spec.c)
+        assert flux_residual(graph).max_abs_residual <= INTEGRAL_TOL
+        assert flux_residual(graph, faster).max_abs_residual > INTEGRAL_TOL
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_quadrature_error_estimate(self, hyperbolic_warp, n):
+        # |GL32 - GL16| per segment, scaled like the residuals; unscaled the
+        # n = 3 estimate is round-off on an integral of about 1e8
+        spec = SolitonSpec(c=1.0, n=n, family="bowl", warp=hyperbolic_warp)
+        graph = solve_radial_graph(spec, r_span=(0.0, 20.0),
+                                   rtol=1e-11, atol=1e-13)
+        assert 0.0 <= flux_residual(graph).details["gl_err"] < 1e-12
+
     def test_chart_mismatch(self, busemann_warp):
         from soliton_forge import solve_ideal_graph
         graph = solve_ideal_graph(1.0, 2, busemann_warp, r_span=(0.0, 0.5))
@@ -83,6 +101,7 @@ class TestFlux:
         result = wing_turning_flux(wing_minus)
         assert result.passed
         assert result.max_abs_residual <= 1e-6
+        assert result.details["gl_err"] < 1e-10
 
 
 class TestGeodesic:

@@ -149,3 +149,22 @@ class TestGrim:
     def test_wrong_warp_kind(self, busemann_warp):
         with pytest.raises(ValueError):
             solve_grim(1.0, 2, busemann_warp)
+
+
+class TestSolverRecord:
+    def test_rhs_calls_positive_and_deterministic(self, hyperbolic_bowl_spec,
+                                                  busemann_warp, equidistant_warp):
+        for solve in (
+                lambda: solve_radial_graph(hyperbolic_bowl_spec, r_span=(0.0, 5.0)),
+                lambda: solve_ideal_graph(1.0, 2, busemann_warp, r_span=(0.0, 1.0)),
+                lambda: solve_grim(1.0, 2, equidistant_warp, r_span=(-5.0, 5.0)),
+                lambda: solve_grim(1.0, 3, equidistant_warp, r_span=(0.0, 5.0))):
+            first, again = solve().meta, solve().meta
+            assert first["n_rhs_evals"] > 0
+            assert first["n_rhs_evals"] == again["n_rhs_evals"]
+            assert first["status"] == again["status"] == 0
+
+    def test_two_piece_grim_sums_its_pieces(self, equidistant_warp):
+        def calls(span):
+            return solve_grim(1.0, 2, equidistant_warp, r_span=span).meta["n_rhs_evals"]
+        assert calls((-5.0, 5.0)) == calls((-5.0, 0.0)) + calls((0.0, 5.0))

@@ -1,17 +1,20 @@
 """Profile-system integration: bowls, wings, ideal parametric curves."""
 
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from soliton_forge import (
     ProfileState, SolitonSpec, TerminationPolicy, equilibrium_angle,
     make_builtin_warp, profile_rhs, profile_to_graph, solve_bowl,
     solve_ideal_parametric, solve_wing,
 )
+from soliton_forge.profile_solver import DenseSolution
 
 COTH_1 = 1.3130352854993312
 TANH_1 = 0.7615941559557649
@@ -244,3 +247,47 @@ def test_rhs_tangent_is_unit(r, phi, c):
     spec = SolitonSpec(c=c, n=2, family="bowl", warp=warp)
     dr, dt, _ = profile_rhs((r, phi), spec)
     assert math.hypot(dr, dt) == pytest.approx(1.0, abs=1e-12)
+
+
+@lru_cache(maxsize=None)
+def _ode_solution(descending: bool):
+    """DOP853 dense output of the euclidean n = 2 bowl slope equation
+    u'' = (1 + u'^2)(1 - u'/r), solved up or down in r."""
+    span = (6.0, 0.5) if descending else (0.5, 6.0)
+    return solve_ivp(lambda r, y: (y[1], (1.0 + y[1] ** 2) * (1.0 - y[1] / r)),
+                     span, (0.0, 0.2), method="DOP853", rtol=1e-11,
+                     atol=1e-13, dense_output=True).sol
+
+
+class TestDenseSolution:
+    """The stacked evaluator equals SciPy's OdeSolution bit for bit; a
+    change in SciPy's interpolant layout fails here."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(descending=st.booleans(),
+           u=st.lists(st.floats(-0.05, 1.05), min_size=1, max_size=40))
+    def test_random_points(self, descending, u):
+        sol = _ode_solution(descending)
+        t = sol.t_min + (sol.t_max - sol.t_min) * np.array(u)
+        got, want = DenseSolution(sol)(t), sol(t)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        got, want = DenseSolution(sol)(t[0]), sol(t[0])
+        assert got.shape == want.shape == (2,)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("descending", [False, True])
+    def test_every_step_boundary(self, descending):
+        sol = _ode_solution(descending)
+        dense = DenseSolution(sol)
+        assert sol.ts.size > 20
+        assert dense(sol.ts).tobytes() == sol(sol.ts).tobytes()
+        for t in sol.ts:
+            assert dense(np.asarray(t)).tobytes() == sol(np.asarray(t)).tobytes()
+
+    def test_zero_length_solve(self):
+        # a solve from t0 to t0 has one constant step and no coefficients
+        sol = solve_ivp(lambda t, y: -y, (1.0, 1.0), (2.0,), method="DOP853",
+                        dense_output=True).sol
+        for t in (1.0, np.array([1.0, 1.5])):
+            assert DenseSolution(sol)(t).tobytes() == sol(t).tobytes()
