@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .graph_solvers import SOLVER_RECORD, RadialGraph
+from .mcf_flow import FLOW_RECORD
 from .meshing import SolitonMesh
 from .profile_solver import SampledCurve
 
@@ -139,12 +140,13 @@ def export_report_json(report, path) -> Path:
 
 def export_trajectory_csv(trajectory, path, meta=None) -> Path:
     """Columns tau, F, D, dF_dtau (centered differences, blank at ends)."""
+    kept = {k: v for k, v in trajectory.meta.items() if k not in FLOW_RECORD}
     F = trajectory.F_values
     dF = np.full_like(F, np.nan)
     dF[1:-1] = trajectory.dF_dtau()
     return write_table(path, ("tau", "F", "D", "dF_dtau"),
                        (trajectory.taus, F, trajectory.defect_values, dF),
-                       {**trajectory.meta, **(meta or {})})
+                       {**kept, **(meta or {})})
 
 
 def export_mesh_obj(mesh: SolitonMesh, path, meta=None) -> Path:

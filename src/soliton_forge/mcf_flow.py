@@ -10,11 +10,19 @@ discretized with centered differences on a uniform grid padded with one
 ghost node per end (the polar axis mirrors, a Robin end mirrors through
 its slope, a held Dirichlet end extrapolates).  Steps are explicit Heun
 under the parabolic stability bound, or trapezoidal with damped Newton.
+Each Newton iterate costs one stencil pass: the right-hand side hands
+its slopes and second differences to the tridiagonal Jacobian, the
+accepted iterate's right-hand side starts the next step, and LAPACK's
+``dgtsv`` solves the Newton system directly.  ``run`` records its Newton
+iterations, line-search halvings, line-search fallbacks (every halving
+failed to lower the residual and the last trial was kept) and the
+largest residual it accepted under the ``FLOW_RECORD`` keys of its meta.
 
 The module also evaluates the weighted area functional
 F(tau) = |S^{n-1}| int exp(c u - c^2 tau) W xi^{n-1} dr and its defect
 D(tau) = |S^{n-1}| int K (H - c/W)^2 W xi^{n-1} dr, whose near-equality
-dF/dtau ~ -D is the monotonicity property under test.
+dF/dtau ~ -D is the monotonicity property under test.  A run records
+both from one stencil pass and one W, k pair per snapshot.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import simpson
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 from scipy.special import gamma
 
 from .graph_solvers import solve_radial_graph, solve_grim
@@ -33,6 +41,12 @@ from .warp_models import ROTATIONAL, EQUIDISTANT, WarpModel
 
 EXPLICIT_CFL = 0.4
 NEWTON_TOL, NEWTON_MAX_ITER = 1e-10, 25
+LINE_SEARCH_HALVINGS = 8
+
+#: meta keys of the Newton record, with their values before the first step:
+#: how a run was computed, not what it is
+FLOW_RECORD = {"newton_iterations": 0, "line_search_halvings": 0,
+               "line_search_fallbacks": 0, "max_accepted_residual": 0.0}
 
 
 def sphere_area(n: int) -> float:
@@ -51,9 +65,7 @@ class GraphFlowState:
     tau: float
 
     def __post_init__(self):
-        self.u = np.asarray(self.u, dtype=float)
-        if not np.all(np.isfinite(self.u)):
-            raise ValueError("non-finite heights in flow state")
+        self.u = _finite_heights(self.u)
         if self.u.shape != self.r_grid.shape:
             raise ValueError("u and r_grid shape mismatch")
 
@@ -181,19 +193,23 @@ class FlowProblem:
         q = (g[2:] - 2 * u + g[:-2]) / (self.dr * self.dr)
         return p, q
 
-    def rhs(self, u) -> np.ndarray:
-        """Nodal du/dtau = u''/(1+u'^2) + D(r) u'."""
+    def _rhs(self, u) -> tuple:
+        """Nodal du/dtau with the slopes p and second differences q it read."""
         p, q = self._differences(u)
         f = q / (1.0 + p * p) + self.drift * p
         f[0] *= self._axis
         f[self._held] = 0.0
-        return f
+        return f, p, q
 
-    def _jacobian_bands(self, u) -> np.ndarray:
-        """Tridiagonal bands of d(rhs)/du in solve_banded layout: the interior
-        formula on every row, mirror ghosts folded onto their node, held rows 0."""
+    def rhs(self, u) -> np.ndarray:
+        """Nodal du/dtau = u''/(1+u'^2) + D(r) u'."""
+        return self._rhs(u)[0]
+
+    def _jacobian(self, p, q) -> tuple:
+        """Sub-, main and super-diagonal of d(rhs)/du at the stencil (p, q):
+        the interior formula on every row, mirror ghosts folded onto their
+        node, held rows 0."""
         dr, dr2 = self.dr, self.dr * self.dr
-        p, q = self._differences(u)
         w2 = 1.0 + p * p
         base = 1.0 / (dr2 * w2)
         skew = q * p / (dr * w2 ** 2)
@@ -207,9 +223,7 @@ class FlowProblem:
         diag[0] *= self._axis
         for row in (upper, diag, lower):
             row[self._held] = 0.0
-        bands = np.zeros((3, u.size))  # column j: A[j-1, j], A[j, j], A[j+1, j]
-        bands[0, 1:], bands[1], bands[2, :-1] = upper[:-1], diag, lower[1:]
-        return bands
+        return lower[1:], diag, upper[:-1]
 
     # -- time stepping ---------------------------------------------------
 
@@ -228,67 +242,98 @@ class FlowProblem:
 
     def step_implicit(self, u, dtau: float) -> np.ndarray:
         """Trapezoidal step by damped Newton."""
-        u = np.asarray(u, dtype=float)
+        u = _finite_heights(u)
+        return self._newton(u, self.rhs(u), dtau, dict(FLOW_RECORD))[0]
+
+    def _newton(self, u, f_old, dtau: float, tally: dict) -> tuple:
+        """Trapezoidal step from ``u`` with ``f_old = rhs(u)`` by damped Newton.
+
+        Returns the accepted iterate and its rhs. The step's Newton
+        iterations, halvings and fallbacks are added to ``tally`` (FLOW_RECORD
+        keys), and its accepted residual raises the maximum kept there.
+        """
         half = 0.5 * dtau
-        f_old = self.rhs(u)
         v = u + dtau * f_old  # explicit predictor
         target = u + half * f_old
-        res = v - target - half * self.rhs(v)
+        f, p, q = self._rhs(v)
+        res = v - target - half * f
         norm = np.max(np.abs(res))
-        for iteration in range(NEWTON_MAX_ITER):
+        for _ in range(NEWTON_MAX_ITER):
             if norm <= NEWTON_TOL:
-                return v
-            bands = -half * self._jacobian_bands(v)
-            bands[1] += 1.0
-            delta = solve_banded((1, 1), bands, -res)
+                break
+            tally["newton_iterations"] += 1
+            delta = _solve_newton_system(*self._jacobian(p, q), half, res)
             step = 1.0
-            for _ in range(8):
+            for _ in range(LINE_SEARCH_HALVINGS):
                 trial = v + step * delta
-                res_trial = trial - target - half * self.rhs(trial)
+                f, p, q = self._rhs(trial)
+                res_trial = trial - target - half * f
                 norm_trial = np.max(np.abs(res_trial))
-                if norm_trial < norm or norm <= NEWTON_TOL:
+                if norm_trial < norm:
                     break
+                tally["line_search_halvings"] += 1
                 step *= 0.5
+            else:
+                # no halving lowered the residual: keep the last trial
+                tally["line_search_fallbacks"] += 1
             v, res, norm = trial, res_trial, norm_trial
-        if norm > NEWTON_TOL:
+        if not norm <= NEWTON_TOL:
             raise RuntimeError(
                 f"implicit step failed to converge in {NEWTON_MAX_ITER} "
                 f"iterations (residual {norm:.3g})")
-        return v
+        tally["max_accepted_residual"] = max(tally["max_accepted_residual"],
+                                             float(norm))
+        return v, f
 
     # -- functionals -----------------------------------------------------
 
+    def _record_terms(self, u, tau: float) -> tuple:
+        """Stencil (p, q), 1 + p^2, W and k = exp(c u - c^2 tau) of ``u``."""
+        u = np.asarray(u, dtype=float)
+        p, q = self._differences(u)
+        w2 = 1.0 + p * p
+        k = np.exp(self.c * u - self.c * self.c * tau)
+        return p, q, w2, np.sqrt(w2), k
+
+    def _integral(self, integrand) -> float:
+        return self.area * float(simpson(integrand, x=self.r_grid))
+
+    def _functional(self, big_w, k) -> float:
+        return self._integral(k * big_w * self.weight)
+
+    def _curvature(self, p, q, w2, big_w) -> np.ndarray:
+        h = q / w2 ** 1.5 + self.drift * p / big_w
+        h[0] *= self._axis
+        return h
+
+    def _defect(self, p, q, w2, big_w, k) -> float:
+        h = self._curvature(p, q, w2, big_w)
+        return self._integral(k * (h - self.c / big_w) ** 2 * big_w * self.weight)
+
     def weighted_functional(self, u, tau: float) -> float:
         """F(tau) = |S^{n-1}| int exp(c u - c^2 tau) W xi^{n-1} dr."""
-        u = np.asarray(u, dtype=float)
-        p, _ = self._differences(u)
-        big_w = np.sqrt(1.0 + p * p)
-        k = np.exp(self.c * u - self.c * self.c * tau)
-        return self.area * float(simpson(k * big_w * self.weight, x=self.r_grid))
+        *_, big_w, k = self._record_terms(u, tau)
+        return self._functional(big_w, k)
 
     def mean_curvature(self, u) -> np.ndarray:
         """Nodal H = u''/W^3 + D(r) u'/W of the graph."""
         p, q = self._differences(u)
         w2 = 1.0 + p * p
-        h = q / w2 ** 1.5 + self.drift * p / np.sqrt(w2)
-        h[0] *= self._axis
-        return h
+        return self._curvature(p, q, w2, np.sqrt(w2))
 
     def soliton_defect(self, u, tau: float) -> float:
         """D(tau) = |S^{n-1}| int K (H - c/W)^2 W xi^{n-1} dr >= 0."""
-        u = np.asarray(u, dtype=float)
-        p, _ = self._differences(u)
-        big_w = np.sqrt(1.0 + p * p)
-        k = np.exp(self.c * u - self.c * self.c * tau)
-        h = self.mean_curvature(u)
-        integrand = k * (h - self.c / big_w) ** 2 * big_w * self.weight
-        return self.area * float(simpson(integrand, x=self.r_grid))
+        return self._defect(*self._record_terms(u, tau))
 
     # -- driver ----------------------------------------------------------
 
     def run(self, u0, dtau: float, horizon: float, scheme: str = "explicit",
             record_every: int = 1) -> FlowTrajectory:
-        """Advance from ``u0`` at tau = 0 to ``horizon``, recording F and D."""
+        """Advance from ``u0`` at tau = 0 to ``horizon``, recording F and D.
+
+        The trajectory's meta carries the Newton record under the
+        FLOW_RECORD keys; an explicit run leaves them at zero.
+        """
         if scheme not in ("explicit", "implicit"):
             raise ValueError(f"unknown scheme {scheme!r}")
         if not (0 < dtau < math.inf and 0 < horizon < math.inf and record_every >= 1):
@@ -302,21 +347,27 @@ class FlowProblem:
         n_steps = round(steps)
         if abs(n_steps * dtau - horizon) > 1e-9 * max(1.0, horizon):
             raise ValueError("horizon must be an integer number of steps")
-        u = np.asarray(u0, dtype=float).copy()
+        u = _finite_heights(u0).copy()
         if self.bc == "robin" and self._sigma is None:
             self.pin_boundary_slopes(u)
-        step = self.step_explicit if scheme == "explicit" else self.step_implicit
         taus, fs, ds, snaps = [], [], [], []
+        tally = dict(FLOW_RECORD)
 
         def record(tau, u):
+            terms = self._record_terms(u, tau)
             taus.append(tau)
-            fs.append(self.weighted_functional(u, tau))
-            ds.append(self.soliton_defect(u, tau))
+            fs.append(self._functional(*terms[3:]))
+            ds.append(self._defect(*terms))
             snaps.append(GraphFlowState(self.r_grid, u.copy(), tau))
 
         record(0.0, u)
+        implicit = scheme == "implicit"
+        f = self.rhs(u) if implicit else None  # carried from step to step
         for i in range(1, n_steps + 1):
-            u = step(u, dtau)
+            if implicit:
+                u, f = self._newton(u, f, dtau, tally)
+            else:
+                u = self.step_explicit(u, dtau)
             if i % record_every == 0 or i == n_steps:
                 record(i * dtau, u)
         return FlowTrajectory(
@@ -324,7 +375,25 @@ class FlowProblem:
             defect_values=np.asarray(ds), snapshots=snaps,
             meta={"scheme": scheme, "dtau": dtau, "bc": self.bc,
                   "chart": self.chart, "n_nodes": self.r_grid.size,
-                  "robin_slope": self._sigma})
+                  "robin_slope": self._sigma, **tally})
+
+
+def _finite_heights(u) -> np.ndarray:
+    u = np.asarray(u, dtype=float)
+    if not np.isfinite(u).all():
+        raise ValueError("non-finite heights")
+    return u
+
+
+def _solve_newton_system(lower, diag, upper, half, res) -> np.ndarray:
+    """Newton step delta with (I - half J) delta = -res, for J given by its
+    sub-, main and super-diagonal, by LAPACK gtsv on fresh copies."""
+    *_, delta, info = dgtsv(-half * lower, -half * diag + 1.0, -half * upper,
+                            -res, 1, 1, 1, 1)
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"singular tridiagonal Newton system (dgtsv info = {info})")
+    return delta
 
 
 # -- initial data -------------------------------------------------------
@@ -362,16 +431,19 @@ def discrete_soliton(problem: FlowProblem) -> np.ndarray:
         raise ValueError("discrete soliton marching needs the polar chart")
     c = problem.c
     dr, dr2 = problem.dr, problem.dr * problem.dr
-    m = problem.r_grid.size
-    u = np.zeros(m)
-    u[1] = u[0] + c * dr2 / (2 * problem.n)
-    for i in range(1, m - 1):
-        a = problem.drift[i]
-        x = 2 * u[i] - u[i - 1]  # linear extrapolation seed
+    # the march runs on Python floats: an item of a float64 memoryview is
+    # a float, and the two nodes behind the front are carried as floats
+    drift = memoryview(problem.drift)
+    u = np.zeros(problem.r_grid.size)
+    prev = 0.0
+    cur = u[1] = prev + c * dr2 / (2 * problem.n)
+    for i in range(1, u.size - 1):
+        a = drift[i]
+        x = 2 * cur - prev  # linear extrapolation seed
         for _ in range(30):
-            p = (x - u[i - 1]) / (2 * dr)
+            p = (x - prev) / (2 * dr)
             w2 = 1.0 + p * p
-            q = (x - 2 * u[i] + u[i - 1]) / dr2
+            q = (x - 2 * cur + prev) / dr2
             g = q / w2 + a * p - c
             dg = 1.0 / (dr2 * w2) - q * p / (dr * w2 * w2) + a / (2 * dr)
             step = g / dg
@@ -379,8 +451,9 @@ def discrete_soliton(problem: FlowProblem) -> np.ndarray:
             if abs(step) <= 1e-14 * max(1.0, abs(x)):
                 break
         u[i + 1] = x
+        prev, cur = cur, x
     # close the Robin boundary row for the slope
-    a = problem.drift[-1]
+    a = drift[-1]
     s = (3 * u[-1] - 4 * u[-2] + u[-3]) / (2 * dr)
     for _ in range(30):
         w2 = 1.0 + s * s

@@ -11,6 +11,8 @@ from soliton_forge import (
     FlowProblem, bump_initial, discrete_soliton, flat_initial,
     level_mean_curvature, make_builtin_warp, soliton_initial, sphere_area,
 )
+from soliton_forge.fileio import export_trajectory_csv, read_table
+from soliton_forge.mcf_flow import FLOW_RECORD, _solve_newton_system
 
 C, N = 1.0, 2
 
@@ -106,9 +108,9 @@ class TestGhostClosure:
         # row, misses by about 1/dr^2 = 100
         prob = _small_problem(chart, bc)
         u = 0.5 * np.sin(prob.r_grid) + 0.1 * prob.r_grid ** 2
-        bands = prob._jacobian_bands(u)
-        dense = (np.diag(bands[1]) + np.diag(bands[0, 1:], 1)
-                 + np.diag(bands[2, :-1], -1))
+        _, p, q = prob._rhs(u)
+        lower, diag, upper = prob._jacobian(p, q)
+        dense = np.diag(diag) + np.diag(upper, 1) + np.diag(lower, -1)
         h = 1e-6
         fd = np.column_stack([(prob.rhs(u + h * e) - prob.rhs(u - h * e)) / (2 * h)
                               for e in np.eye(u.size)])
@@ -262,3 +264,172 @@ class TestMonotonicity:
                                  record_every=5)
         with pytest.raises(ValueError):
             traj.monotonicity_check()
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_step_implicit_rejects_non_finite_heights(self, bad):
+        prob = _small_problem("polar", "robin")
+        u = np.zeros(prob.r_grid.size)
+        u[7] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            prob.step_implicit(u, 1e-3)
+
+    @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_run_rejects_non_finite_heights(self, scheme, bad):
+        prob = _small_problem("polar", "robin")
+        u0 = np.zeros(prob.r_grid.size)
+        u0[-1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            prob.run(u0, 1e-3, 2e-3, scheme=scheme)
+
+    def test_nan_residual_is_not_accepted(self):
+        # finite heights whose differences overflow: every residual is NaN,
+        # which must fail the convergence test rather than pass as a result
+        prob = _small_problem("polar", "robin")
+        u = 1e308 * (-1.0) ** np.arange(prob.r_grid.size)
+        with np.errstate(all="ignore"), pytest.raises(RuntimeError,
+                                                      match="residual nan"):
+            prob.step_implicit(u, 1e-3)
+
+    def test_singular_newton_system_raises(self):
+        # J = I with half = 1 makes I - half J zero, so gtsv meets an exact
+        # zero pivot in its first column
+        m = 5
+        with pytest.raises(np.linalg.LinAlgError, match="info = 1"):
+            _solve_newton_system(np.zeros(m - 1), np.ones(m), np.zeros(m - 1),
+                                 1.0, np.ones(m))
+
+
+def _record(traj):
+    return {key: traj.meta[key] for key in FLOW_RECORD}
+
+
+class TestRunRecord:
+    def test_counts_deterministic_and_zero_for_explicit(self, hyperbolic_warp):
+        prob = FlowProblem(C, N, hyperbolic_warp, r_max=8.0, n_nodes=401)
+        u0 = bump_initial(prob, base=discrete_soliton(prob))
+        first = prob.run(u0, 5e-4, 0.01, scheme="implicit", record_every=4)
+        again = prob.run(u0, 5e-4, 0.01, scheme="implicit", record_every=4)
+        assert _record(first) == _record(again)
+        # every step takes at least one Newton iteration from its predictor
+        assert first.meta["newton_iterations"] >= 20
+        assert 0.0 < first.meta["max_accepted_residual"] <= 1e-10
+        dtau = 0.5 * prob.stability_bound()
+        explicit = prob.run(u0, dtau, 20 * dtau, scheme="explicit")
+        assert _record(explicit) == {"newton_iterations": 0,
+                                     "line_search_halvings": 0,
+                                     "line_search_fallbacks": 0,
+                                     "max_accepted_residual": 0.0}
+
+    def test_fallback_is_recorded(self, hyperbolic_warp):
+        # a rough start and a long step: one Newton iterate's eight halvings
+        # all fail, the last trial is kept, and the step still converges
+        prob = FlowProblem(C, N, hyperbolic_warp, r_max=4.0, n_nodes=101,
+                           robin_slope=0.7)
+        u0 = 2.0 * np.sin(3 * prob.r_grid) ** 2 * np.cos(7 * prob.r_grid)
+        traj = prob.run(u0, 0.01, 0.01, scheme="implicit")
+        record = _record(traj)
+        assert record["line_search_fallbacks"] >= 1
+        assert record["line_search_halvings"] >= 8
+        assert record["max_accepted_residual"] <= 1e-10
+        assert np.all(np.isfinite(traj.snapshots[-1].u))
+
+    def test_trajectory_csv_leaves_out_the_record(self, hyper_problem, tmp_path):
+        u0 = discrete_soliton(hyper_problem)
+        traj = hyper_problem.run(u0, 1e-3, 3e-3, scheme="implicit")
+        meta, names, _ = read_table(export_trajectory_csv(traj, tmp_path / "t.csv"))
+        assert names == ["tau", "F", "D", "dF_dtau"]
+        assert meta["scheme"] == "implicit"
+        assert not set(meta) & set(FLOW_RECORD)
+
+
+def _numpy_scalar_march(problem):
+    """The node-by-node soliton march on NumPy scalars, the oracle for the
+    Python-float march of discrete_soliton: (heights, Robin slope)."""
+    c = problem.c
+    dr, dr2 = problem.dr, problem.dr * problem.dr
+    m = problem.r_grid.size
+    u = np.zeros(m)
+    u[1] = u[0] + c * dr2 / (2 * problem.n)
+    for i in range(1, m - 1):
+        a = problem.drift[i]
+        x = 2 * u[i] - u[i - 1]
+        for _ in range(30):
+            p = (x - u[i - 1]) / (2 * dr)
+            w2 = 1.0 + p * p
+            q = (x - 2 * u[i] + u[i - 1]) / dr2
+            g = q / w2 + a * p - c
+            dg = 1.0 / (dr2 * w2) - q * p / (dr * w2 * w2) + a / (2 * dr)
+            step = g / dg
+            x -= step
+            if abs(step) <= 1e-14 * max(1.0, abs(x)):
+                break
+        u[i + 1] = x
+    a = problem.drift[-1]
+    s = (3 * u[-1] - 4 * u[-2] + u[-3]) / (2 * dr)
+    for _ in range(30):
+        w2 = 1.0 + s * s
+        q = (2 * u[-2] - 2 * u[-1] + 2 * dr * s) / dr2
+        g = q / w2 + a * s - c
+        dg = 2.0 / (dr * w2) - 2.0 * q * s / (w2 * w2) + a
+        step = g / dg
+        s -= step
+        if abs(step) <= 1e-15 * max(1.0, abs(s)):
+            break
+    return u - u[-1], float(s)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestSameBits:
+    @pytest.mark.parametrize("chart,bc", CHART_BC)
+    def test_run_matches_public_step_loop(self, chart, bc):
+        # the run reuses each accepted iterate's rhs and records F and D from
+        # one stencil; the public functions recompute everything
+        prob = _small_problem(chart, bc)
+        u0 = 0.3 * np.exp(-(prob.r_grid - 1.0) ** 2) + 0.1 * np.sin(prob.r_grid)
+        dtau, steps, every = 2e-3, 12, 4
+        traj = prob.run(u0, dtau, steps * dtau, scheme="implicit",
+                        record_every=every)
+        u, us, fs, ds = u0, [u0], [], []
+        for i in range(1, steps + 1):
+            u = prob.step_implicit(u, dtau)
+            if i % every == 0:
+                us.append(u)
+        for j, u in enumerate(us):
+            fs.append(prob.weighted_functional(u, j * every * dtau))
+            ds.append(prob.soliton_defect(u, j * every * dtau))
+        assert _same_bits(traj.F_values, fs)
+        assert _same_bits(traj.defect_values, ds)
+        assert _same_bits([s.u for s in traj.snapshots], us)
+
+    @pytest.mark.parametrize("curv,n,nodes", [(0.0, 2, 801), (-1.0, 2, 2001),
+                                              (-1.0, 3, 501), (-0.3, 4, 301)])
+    def test_discrete_soliton_matches_numpy_scalar_march(self, curv, n, nodes):
+        prob = FlowProblem(C, n, make_builtin_warp("rotational", curv),
+                           r_max=10.0, n_nodes=nodes)
+        u, sigma = _numpy_scalar_march(prob)
+        assert _same_bits(discrete_soliton(prob), u)
+        assert prob._sigma == sigma
+
+    @pytest.mark.parametrize("chart", ["polar", "equidistant"])
+    @settings(max_examples=15, deadline=None)
+    @given(amp=st.floats(-0.5, 0.5), shift=st.floats(-20.0, 20.0))
+    def test_robin_run_commutes_with_vertical_shift(self, chart, amp, shift):
+        # u0 + C flows to u + C, and F = int exp(c u - c^2 tau) W xi^(n-1)
+        # scales by exp(c C); round-off is set by the size of the heights
+        prob = _small_problem(chart, "robin")
+        u0 = amp * np.exp(-(prob.r_grid - 1.0) ** 2) + 0.1 * np.sin(prob.r_grid)
+        base = prob.run(u0, 1e-3, 0.02, scheme="implicit", record_every=5)
+        moved = prob.run(u0 + shift, 1e-3, 0.02, scheme="implicit",
+                         record_every=5)
+        ulp = np.spacing(abs(shift) + np.max(np.abs(u0)) + 1.0)
+        for a, b in zip(base.snapshots, moved.snapshots):
+            assert np.max(np.abs(b.u - (a.u + shift))) <= 32 * ulp
+        ratio = moved.F_values / (base.F_values * math.exp(C * shift))
+        assert np.max(np.abs(ratio - 1.0)) <= 32 * ulp
