@@ -5,36 +5,69 @@ Submodules: warp_models (metric data), profile_solver (parametric
 profiles), graph_solvers (graph ODEs), diagnostics (identity checks),
 mcf_flow (graphical flow and monotonicity), lorentz (hyperboloid-model
 isometries), meshing and fileio (artifacts), cli (command line).
+
+Each submodule is imported the first time one of its names is looked up
+here, so ``soliton_forge.LorentzPoint`` loads NumPy and ``lorentz`` only,
+and SciPy waits for the first solver name.
 """
 
-from .warp_models import (
-    CurvatureBounds, Violation, WarpModel, constant_curvature_ratio,
-    level_mean_curvature, make_builtin_warp, radial_curvature,
-    riccati_residual, validate_warp, warp_from_json,
-)
-from .profile_solver import (
-    ProfileCurve, ProfileState, SampledCurve, SolitonSpec, TerminationPolicy,
-    equilibrium_angle, profile_rhs, profile_to_graph, solve_bowl,
-    solve_ideal_parametric, solve_wing,
-)
-from .graph_solvers import (
-    ClosedForm, RadialGraph, closed_form_oracle, solve_grim,
-    solve_ideal_graph, solve_radial_graph,
-)
-from .diagnostics import (
-    CheckResult, DiagnosticsReport, asymptotic_report, drift_identity_random,
-    drift_identity_residual, flux_residual, geodesic_residual, perturb_curve,
-    run_profile_checks, wing_height_report, wing_turning_flux,
-)
-from .mcf_flow import (
-    FlowProblem, FlowTrajectory, GraphFlowState, bump_initial,
-    discrete_soliton, flat_initial, soliton_initial, sphere_area,
-)
-from .lorentz import (
-    LorentzMap, LorentzPoint, compose, embed_polar, equidistant_point,
-    form_defect, hyperbolic_translation, lorentz_product,
-    parabolic_translation, transform_points,
-)
-from .meshing import SolitonMesh, revolve_profile
+import importlib
 
+#: public name -> submodule that defines it
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "warp_models": (
+            "CurvatureBounds", "Violation", "WarpModel",
+            "constant_curvature_ratio", "level_mean_curvature",
+            "make_builtin_warp", "radial_curvature", "riccati_residual",
+            "validate_warp", "warp_from_json",
+        ),
+        "profile_solver": (
+            "ProfileCurve", "ProfileState", "SampledCurve", "SolitonSpec",
+            "TerminationPolicy", "equilibrium_angle", "profile_rhs",
+            "profile_to_graph", "solve_bowl", "solve_ideal_parametric",
+            "solve_wing",
+        ),
+        "graph_solvers": (
+            "ClosedForm", "RadialGraph", "closed_form_oracle", "solve_grim",
+            "solve_ideal_graph", "solve_radial_graph",
+        ),
+        "diagnostics": (
+            "CheckResult", "DiagnosticsReport", "asymptotic_report",
+            "drift_identity_random", "drift_identity_residual",
+            "flux_residual", "geodesic_residual", "perturb_curve",
+            "run_profile_checks", "wing_height_report", "wing_turning_flux",
+        ),
+        "mcf_flow": (
+            "FlowProblem", "FlowTrajectory", "GraphFlowState", "bump_initial",
+            "discrete_soliton", "flat_initial", "soliton_initial",
+            "sphere_area",
+        ),
+        "lorentz": (
+            "LorentzMap", "LorentzPoint", "compose", "embed_polar",
+            "equidistant_point", "form_defect", "hyperbolic_translation",
+            "lorentz_product", "parabolic_translation", "transform_points",
+        ),
+        "meshing": ("SolitonMesh", "revolve_profile"),
+    }.items()
+    for name in names
+}
+
+__all__ = sorted(_EXPORTS)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """Import the submodule that defines ``name`` and cache the name here."""
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

@@ -3,7 +3,9 @@
 Subcommands: soliton (solve one family and export artifacts), verify
 (diagnostics on a solve or CSV input), flow (graphical mean curvature
 flow), isometry (apply a Lorentz map to a point set), sweep (parameter
-grids).  Exit codes: 0 success, 2 verification failure, 1 usage or
+grids).  The module imports only fileio, lorentz and warp_models; each
+command imports the solvers it runs, so isometry loads NumPy alone and
+never SciPy.  Exit codes: 0 success, 2 verification failure, 1 usage or
 runtime error.  Flag values override JSON config values, which override
 the ``# key=value`` metadata of the verify input, which override the
 built-in defaults declared on the flags.
@@ -17,13 +19,8 @@ import math
 import sys
 from pathlib import Path
 
-from . import diagnostics, fileio, lorentz, mcf_flow
-from .graph_solvers import solve_grim, solve_radial_graph
-from .meshing import revolve_profile
-from .profile_solver import (_FAMILY_KIND, FAMILIES, SolitonSpec,
-                             TerminationPolicy, solve_bowl,
-                             solve_ideal_parametric, solve_wing)
-from .warp_models import make_builtin_warp
+from . import fileio, lorentz
+from .warp_models import _FAMILY_KIND, FAMILIES, make_builtin_warp
 
 
 class UsageError(Exception):
@@ -150,13 +147,19 @@ def _out_path(args, name: str) -> Path:
     return out / name
 
 
-def _make_spec(family, K, n, c, epsilon=None) -> SolitonSpec:
+def _make_spec(family, K, n, c, epsilon=None):
+    from .profile_solver import SolitonSpec
     warp = make_builtin_warp(_FAMILY_KIND[family], K)
     return SolitonSpec(c=c, n=n, family=family, warp=warp,
                        epsilon=epsilon if family == "wing" else None)
 
 
 def _cmd_soliton(args) -> int:
+    from . import diagnostics
+    from .graph_solvers import solve_grim
+    from .meshing import revolve_profile
+    from .profile_solver import (TerminationPolicy, solve_bowl,
+                                 solve_ideal_parametric, solve_wing)
     family = args.family
     if family == "wing" and args.epsilon <= 0:
         raise UsageError("--epsilon must be > 0 for the wing family")
@@ -215,6 +218,7 @@ def _cmd_verify(args) -> int:
     # argparse checks choices on a flag only, not on a metadata or config default
     if args.family not in FAMILIES:
         raise UsageError(f"unknown family {args.family!r}; choose from {FAMILIES}")
+    from . import diagnostics
     curve = args.profile
     spec = _make_spec(args.family, args.K, args.n, args.c, epsilon=args.epsilon)
     curve.spec = spec
@@ -236,6 +240,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_flow(args) -> int:
+    from . import mcf_flow
     warp_kind = "rotational" if args.chart == "polar" else "equidistant"
     warp = make_builtin_warp(warp_kind, args.K)
     problem = mcf_flow.FlowProblem(args.c, args.n, warp, r_max=args.R,
@@ -307,8 +312,7 @@ def _cmd_isometry(args) -> int:
         lmap = lorentz.parabolic_translation(param, n)
     else:
         raise UsageError(f"unknown map type {map_type!r}")
-    moved = lorentz.transform_points(
-        lmap, [lorentz.LorentzPoint(row) for row in coords])
+    moved = lorentz.transform_points(lmap, coords)
     tag = args.tag or f"{map_type}_{param:g}"
     path = _out_path(args, f"points_{tag}.csv")
     fileio.export_points_csv(moved, path, heights=heights,
@@ -318,6 +322,9 @@ def _cmd_isometry(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from . import diagnostics
+    from .graph_solvers import solve_radial_graph
+    from .profile_solver import TerminationPolicy, solve_wing
     family = args.family or ("wing" if args.epsilons else "bowl")
     tag = args.tag or f"sweep_{family}"
 

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .graph_solvers import SOLVER_RECORD, RadialGraph
-from .mcf_flow import FLOW_RECORD
-from .meshing import SolitonMesh
-from .profile_solver import SampledCurve
+if TYPE_CHECKING:
+    from .graph_solvers import RadialGraph
+    from .meshing import SolitonMesh
 
 
 def fmt(x) -> str:
@@ -112,6 +112,7 @@ def export_profile_csv(curve, path, n_samples: int = 2001, meta=None) -> Path:
 
 def read_profile_csv(path, spec=None) -> SampledCurve:
     """Rebuild a sampleable curve from an export of export_profile_csv."""
+    from .profile_solver import SampledCurve
     meta, names, data = read_table(path)
     if names != ["s", "r", "t", "phi"]:
         raise ValueError(f"{path} has columns {','.join(names)}; a profile "
@@ -126,6 +127,7 @@ def read_profile_csv(path, spec=None) -> SampledCurve:
 def export_graph_csv(graph: RadialGraph, path, meta=None) -> Path:
     """Columns r, u, du on the solver grid; the solver record is left out,
     as a profile CSV leaves out the curve's diagnostics."""
+    from .graph_solvers import SOLVER_RECORD
     kept = {k: v for k, v in graph.meta.items() if k not in SOLVER_RECORD}
     return write_table(path, ("r", "u", "du"), (graph.r_grid, graph.u, graph.du),
                        {**kept, **(meta or {}), "chart": graph.chart})
@@ -140,6 +142,7 @@ def export_report_json(report, path) -> Path:
 
 def export_trajectory_csv(trajectory, path, meta=None) -> Path:
     """Columns tau, F, D, dF_dtau (centered differences, blank at ends)."""
+    from .mcf_flow import FLOW_RECORD
     kept = {k: v for k, v in trajectory.meta.items() if k not in FLOW_RECORD}
     F = trajectory.F_values
     dF = np.full_like(F, np.nan)

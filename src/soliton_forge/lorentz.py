@@ -5,6 +5,11 @@ R^{n,1} with <x, y>_L = -x0 y0 + sum_i xi yi.  Hyperbolic translations
 mix (x0, x1) by a boost; parabolic translations fix the lightlike
 direction (1, -1, 0, ...) and preserve the horosphere levels x0 + x1.
 Heights of product-space points ride along untouched.
+
+``LorentzPoint`` and ``LorentzMap`` check one point or map when built.
+``transform_points`` moves a whole point set as an (N, n+1) array with
+one stacked matrix product and checks every row by the same rule as
+``LorentzPoint``.  The module needs NumPy only.
 """
 
 from __future__ import annotations
@@ -31,6 +36,28 @@ def lorentz_product(p, q) -> float:
     return float(-p[0] * q[0] + np.dot(p[1:], q[1:]))
 
 
+def _upper_sheet_rows(x: np.ndarray) -> np.ndarray:
+    """``x`` after checking that each row is a point of the upper sheet.
+
+    A row needs at least 2 coordinates, |<x, x>_L + 1| at most
+    POINT_TOL max(1, x0^2) (roundoff in the form grows with the squared
+    coordinate size) and x0 > 0; NaN fails both tests.
+    """
+    if x.ndim != 2 or x.shape[1] < 2:
+        raise ValueError("hyperboloid points are rows of at least 2 "
+                         f"coordinates, got shape {x.shape}")
+    x0 = x[:, 0]
+    defect = np.abs(-x0 * x0 + np.einsum("ij,ij->i", x[:, 1:], x[:, 1:]) + 1.0)
+    off = ~(defect <= POINT_TOL * np.maximum(1.0, x0 * x0))
+    if off.any():
+        i = int(np.argmax(off))
+        raise ValueError(f"point off the hyperboloid by {defect[i]:.3g} (row {i})")
+    lower = ~(x0 > 0)
+    if lower.any():
+        raise ValueError(f"point on the lower sheet (x0 <= 0, row {int(np.argmax(lower))})")
+    return x
+
+
 @dataclass(frozen=True)
 class LorentzPoint:
     """Point on the upper hyperboloid sheet; validated on construction."""
@@ -39,14 +66,7 @@ class LorentzPoint:
 
     def __init__(self, coords):
         arr = np.asarray(coords, dtype=float)
-        if arr.ndim != 1 or arr.size < 2:
-            raise ValueError("a hyperboloid point needs at least 2 coordinates")
-        defect = abs(lorentz_product(arr, arr) + 1.0)
-        # roundoff in the form grows with the squared coordinate size
-        if defect > POINT_TOL * max(1.0, arr[0] * arr[0]):
-            raise ValueError(f"point off the hyperboloid by {defect:.3g}")
-        if arr[0] <= 0:
-            raise ValueError("point on the lower sheet (x0 <= 0)")
+        _upper_sheet_rows(arr[np.newaxis])
         object.__setattr__(self, "coords", tuple(arr))
 
     @property
@@ -182,17 +202,24 @@ def _renormalize(mat: np.ndarray) -> np.ndarray:
 def transform_points(lmap: LorentzMap, points, heights=None):
     """Apply a map to a point set, carrying product heights unchanged.
 
-    Raises when an image leaves the hyperboloid beyond tolerance, which
-    signals a malformed map.  Returns the transformed points, paired
-    with the heights when given.
+    ``points`` is an (N, n+1) array of hyperboloid coordinates or a
+    sequence of LorentzPoints (stacked once into such an array).  Every
+    input row and every image row must pass the LorentzPoint test; an
+    image off the hyperboloid signals a malformed map.  The images come
+    from one stacked product, equal bit for bit to ``lmap.apply`` on each
+    point.  Returns the (N, n+1) image array, or the pair (images,
+    heights array) when heights are given.
     """
-    out = [lmap.apply(p) for p in points]
+    if not isinstance(points, np.ndarray):
+        points = [getattr(p, "coords", p) for p in points]
+    x = _upper_sheet_rows(np.asarray(points, dtype=float))
+    out = _upper_sheet_rows(np.matmul(lmap.array, x[:, :, np.newaxis])[:, :, 0])
     if heights is None:
         return out
-    heights = list(heights)
-    if len(heights) != len(out):
-        raise ValueError("heights and points length mismatch")
-    return list(zip(out, heights))
+    heights = np.asarray(heights, dtype=float)
+    if heights.shape != (len(out),):
+        raise ValueError(f"{heights.size} heights for {len(out)} points")
+    return out, heights
 
 
 def equidistant_point(r: float, tau: float, theta=None, n: int = 2) -> LorentzPoint:

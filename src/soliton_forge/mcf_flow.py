@@ -232,9 +232,9 @@ class FlowProblem:
 
     def step_explicit(self, u, dtau: float) -> np.ndarray:
         """Heun (explicit trapezoidal) step under the CFL bound."""
-        if dtau > self.stability_bound() * (1 + 1e-12):
+        if not 0 < dtau <= self.stability_bound() * (1 + 1e-12):
             raise ValueError(
-                f"dtau = {dtau:g} exceeds the stability bound "
+                f"dtau = {dtau:g} is not > 0 and within the stability bound "
                 f"{self.stability_bound():g}")
         k1 = self.rhs(u)
         k2 = self.rhs(u + dtau * k1)
@@ -242,6 +242,8 @@ class FlowProblem:
 
     def step_implicit(self, u, dtau: float) -> np.ndarray:
         """Trapezoidal step by damped Newton."""
+        if not 0 < dtau < math.inf:
+            raise ValueError(f"a step needs a finite dtau > 0, got {dtau}")
         u = _finite_heights(u)
         return self._newton(u, self.rhs(u), dtau, dict(FLOW_RECORD))[0]
 
@@ -259,7 +261,8 @@ class FlowProblem:
         res = v - target - half * f
         norm = np.max(np.abs(res))
         for _ in range(NEWTON_MAX_ITER):
-            if norm <= NEWTON_TOL:
+            # a converged or non-finite residual ends the iteration
+            if not NEWTON_TOL < norm < math.inf:
                 break
             tally["newton_iterations"] += 1
             delta = _solve_newton_system(*self._jacobian(p, q), half, res)
@@ -279,7 +282,7 @@ class FlowProblem:
             v, res, norm = trial, res_trial, norm_trial
         if not norm <= NEWTON_TOL:
             raise RuntimeError(
-                f"implicit step failed to converge in {NEWTON_MAX_ITER} "
+                f"implicit step failed to converge within {NEWTON_MAX_ITER} "
                 f"iterations (residual {norm:.3g})")
         tally["max_accepted_residual"] = max(tally["max_accepted_residual"],
                                              float(norm))

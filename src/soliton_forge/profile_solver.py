@@ -22,17 +22,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
-from .warp_models import BUSEMANN, EQUIDISTANT, ROTATIONAL, WarpModel
-
-FAMILIES = ("bowl", "wing", "ideal", "grim")
-
-#: warp kind each soliton family lives on
-_FAMILY_KIND = {
-    "bowl": ROTATIONAL,
-    "wing": ROTATIONAL,
-    "ideal": BUSEMANN,
-    "grim": EQUIDISTANT,
-}
+from .warp_models import (_FAMILY_KIND, BUSEMANN, EQUIDISTANT, FAMILIES,
+                          ROTATIONAL, WarpModel)
 
 _CHART_BY_KIND = {ROTATIONAL: "polar", BUSEMANN: "busemann", EQUIDISTANT: "equidistant"}
 

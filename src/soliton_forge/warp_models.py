@@ -22,12 +22,21 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 ROTATIONAL = "rotational"
 BUSEMANN = "busemann"
 EQUIDISTANT = "equidistant"
 KINDS = (ROTATIONAL, BUSEMANN, EQUIDISTANT)
+
+FAMILIES = ("bowl", "wing", "ideal", "grim")
+
+#: warp kind each soliton family lives on
+_FAMILY_KIND = {
+    "bowl": ROTATIONAL,
+    "wing": ROTATIONAL,
+    "ideal": BUSEMANN,
+    "grim": EQUIDISTANT,
+}
 
 
 @dataclass(frozen=True)
@@ -337,6 +346,8 @@ def warp_from_json(source) -> WarpModel:
     xi is interpolated by a Hermite cubic through (r, xi, xi'); xi''
     comes from a Hermite cubic through (r, xi', xi'').
     """
+    from scipy.interpolate import CubicHermiteSpline
+
     if hasattr(source, "read_text"):
         obj = json.loads(source.read_text())
     elif isinstance(source, (str, bytes)):

@@ -155,14 +155,69 @@ class TestTransformPoints:
     def test_heights_ride_along(self):
         t = hyperbolic_translation(0.5, 2)
         pts = [embed_polar(r, [1.0, 0.0]) for r in (0.0, 1.0)]
-        out = transform_points(t, pts, heights=[10.0, 20.0])
-        assert [h for _, h in out] == [10.0, 20.0]
-        assert all(isinstance(q, LorentzPoint) for q, _ in out)
+        moved, heights = transform_points(t, pts, heights=[10.0, 20.0])
+        assert heights.tolist() == [10.0, 20.0]
+        assert moved.shape == (2, 3)
+        assert [LorentzPoint(q) for q in moved] == [t.apply(p) for p in pts]
 
     def test_length_mismatch(self):
         t = hyperbolic_translation(0.5, 2)
         with pytest.raises(ValueError):
             transform_points(t, [_origin(2)], heights=[1.0, 2.0])
+        with pytest.raises(ValueError, match="3 heights for 2 points"):
+            transform_points(t, np.array([[1.0, 0.0, 0.0]] * 2),
+                             heights=[1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("bad, match", [
+        ([1.0, 0.5, 0.0], "off the hyperboloid"),
+        ([-1.0, 0.0, 0.0], "lower sheet"),
+        ([math.nan, 0.0, 0.0], "off the hyperboloid"),
+    ], ids=["off-sheet", "lower-sheet", "nan"])
+    def test_bad_row_rejected(self, bad, match):
+        # the bad row sits behind a good one, as row 1 of an array
+        rows = np.array([[1.0, 0.0, 0.0], bad])
+        with pytest.raises(ValueError, match=rf"{match}.*row 1"):
+            transform_points(parabolic_translation(0.7, 2), rows)
+        with pytest.raises(ValueError, match=match):
+            LorentzPoint(bad)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 1), (1, 2, 3)])
+    def test_wrong_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="at least 2 coordinates"):
+            transform_points(hyperbolic_translation(0.5, 2), np.ones(shape))
+
+
+@st.composite
+def _point_rows(draw):
+    """A map of H^n, n in {2, 3, 4}, and 1..20 hyperboloid rows of R^{n,1}."""
+    n = draw(st.sampled_from((2, 3, 4)))
+    param = draw(st.floats(min_value=-2.0, max_value=2.0))
+    make = draw(st.sampled_from((hyperbolic_translation, parabolic_translation)))
+    size = draw(st.integers(min_value=1, max_value=20))
+    radii = draw(st.lists(st.floats(min_value=0.0, max_value=3.0),
+                          min_size=size, max_size=size))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    omegas = rng.normal(size=(size, n))
+    omegas /= np.linalg.norm(omegas, axis=1)[:, None]
+    points = [embed_polar(r, w) for r, w in zip(radii, omegas)]
+    return make(param, n), points
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_point_rows(), as_array=st.booleans(), with_heights=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_transform_points_equals_apply(case, as_array, with_heights, seed):
+    lmap, points = case
+    expected = np.array([lmap.apply(p).coords for p in points])
+    given_points = np.array([p.coords for p in points]) if as_array else points
+    if not with_heights:
+        moved = transform_points(lmap, given_points)
+    else:
+        heights = np.random.default_rng(seed).normal(size=len(points))
+        moved, carried = transform_points(lmap, given_points, heights=heights)
+        assert carried.tobytes() == heights.tobytes()
+    assert moved.shape == expected.shape
+    assert moved.tobytes() == expected.tobytes()
 
 
 @settings(max_examples=60, deadline=None)

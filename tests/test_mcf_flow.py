@@ -293,6 +293,33 @@ class TestNonFinite:
                                                       match="residual nan"):
             prob.step_implicit(u, 1e-3)
 
+    def test_nan_residual_stops_newton_at_once(self):
+        # one rhs for f_old and one for the predictor, whose residual is
+        # already NaN: no Newton iteration or line search may follow
+        class Counted(FlowProblem):
+            calls = 0
+
+            def _rhs(self, u):
+                Counted.calls += 1
+                return super()._rhs(u)
+
+        warp = make_builtin_warp("rotational", -1.0)
+        prob = Counted(C, N, warp, r_max=4.0, n_nodes=41, robin_slope=0.7)
+        u = 1e308 * (-1.0) ** np.arange(prob.r_grid.size)
+        with np.errstate(all="ignore"), pytest.raises(RuntimeError,
+                                                      match="residual nan"):
+            prob.step_implicit(u, 1e-3)
+        assert Counted.calls <= 2
+
+    @pytest.mark.parametrize("dtau", [0.0, -1e-3, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+    def test_step_rejects_dtau_not_finite_and_positive(self, scheme, dtau):
+        prob = _small_problem("polar", "robin")
+        u = flat_initial(prob)
+        step = prob.step_explicit if scheme == "explicit" else prob.step_implicit
+        with pytest.raises(ValueError, match="dtau"):
+            step(u, dtau)
+
     def test_singular_newton_system_raises(self):
         # J = I with half = 1 makes I - half J zero, so gtsv meets an exact
         # zero pivot in its first column

@@ -1,0 +1,105 @@
+"""Package surface: every public name resolves on first use, and commands
+import only the layers they run."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import soliton_forge
+from soliton_forge.fileio import export_points_csv, read_points_csv
+
+#: the public names of the package and the submodule that defines each
+EXPORTS = {
+    "warp_models": (
+        "CurvatureBounds", "Violation", "WarpModel", "constant_curvature_ratio",
+        "level_mean_curvature", "make_builtin_warp", "radial_curvature",
+        "riccati_residual", "validate_warp", "warp_from_json"),
+    "profile_solver": (
+        "ProfileCurve", "ProfileState", "SampledCurve", "SolitonSpec",
+        "TerminationPolicy", "equilibrium_angle", "profile_rhs",
+        "profile_to_graph", "solve_bowl", "solve_ideal_parametric",
+        "solve_wing"),
+    "graph_solvers": (
+        "ClosedForm", "RadialGraph", "closed_form_oracle", "solve_grim",
+        "solve_ideal_graph", "solve_radial_graph"),
+    "diagnostics": (
+        "CheckResult", "DiagnosticsReport", "asymptotic_report",
+        "drift_identity_random", "drift_identity_residual", "flux_residual",
+        "geodesic_residual", "perturb_curve", "run_profile_checks",
+        "wing_height_report", "wing_turning_flux"),
+    "mcf_flow": (
+        "FlowProblem", "FlowTrajectory", "GraphFlowState", "bump_initial",
+        "discrete_soliton", "flat_initial", "soliton_initial", "sphere_area"),
+    "lorentz": (
+        "LorentzMap", "LorentzPoint", "compose", "embed_polar",
+        "equidistant_point", "form_defect", "hyperbolic_translation",
+        "lorentz_product", "parabolic_translation", "transform_points"),
+    "meshing": ("SolitonMesh", "revolve_profile"),
+}
+
+SRC = Path(soliton_forge.__file__).resolve().parents[1]
+
+
+def test_every_export_is_the_submodule_object():
+    names = sorted(name for group in EXPORTS.values() for name in group)
+    assert sorted(soliton_forge.__all__) == names
+    assert set(names) <= set(dir(soliton_forge))
+    for module, group in EXPORTS.items():
+        sub = importlib.import_module(f"soliton_forge.{module}")
+        for name in group:
+            assert getattr(soliton_forge, name) is getattr(sub, name), name
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        soliton_forge.no_such_name
+
+
+def _python(code: str, cwd: Path) -> str:
+    out = subprocess.run([sys.executable, "-c", code], cwd=cwd, check=True,
+                         capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": str(SRC)})
+    return out.stdout
+
+
+def test_isometry_command_imports_no_scipy(tmp_path):
+    rng = np.random.default_rng(11)
+    rho, theta = rng.uniform(0.0, 3.0, 50), rng.uniform(0.0, 6.3, 50)
+    coords = np.stack([np.cosh(rho), np.sinh(rho) * np.cos(theta),
+                       np.sinh(rho) * np.sin(theta)], axis=1)
+    export_points_csv(coords, tmp_path / "pts.csv", heights=rho)
+    argv = ["soliton_forge.cli", "--out", str(tmp_path), "isometry", "--map",
+            "parabolic", "--param", "0.7", "--points", str(tmp_path / "pts.csv")]
+    code = (
+        "import json, runpy, sys\n"
+        f"sys.argv = {argv!r}\n"
+        "try:\n"
+        "    runpy.run_module('soliton_forge.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    status = exc.code\n"
+        "print(json.dumps([status, sorted(m for m in sys.modules\n"
+        "                                 if m.startswith('scipy'))]))\n")
+    status, scipy_modules = json.loads(_python(code, tmp_path).splitlines()[-1])
+    assert status == 0
+    assert scipy_modules == []
+    moved, heights = read_points_csv(tmp_path / "points_parabolic_0.7.csv")
+    assert moved.shape == coords.shape
+    assert np.array_equal(heights, rho)
+    # the parabolic map keeps every horosphere level x0 + x1
+    assert np.allclose(moved[:, 0] + moved[:, 1], coords[:, 0] + coords[:, 1],
+                       rtol=1e-13, atol=0)
+
+
+def test_solver_names_load_scipy_on_first_use(tmp_path):
+    code = ("import sys, soliton_forge as sf\n"
+            "sf.LorentzPoint\n"
+            "print('scipy' in sys.modules)\n"
+            "sf.solve_bowl\n"
+            "print('scipy' in sys.modules)\n")
+    assert _python(code, tmp_path).split() == ["False", "True"]
