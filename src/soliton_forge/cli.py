@@ -4,11 +4,12 @@ Subcommands: soliton (solve one family and export artifacts), verify
 (diagnostics on a solve or CSV input), flow (graphical mean curvature
 flow), isometry (apply a Lorentz map to a point set), sweep (parameter
 grids).  The module imports only fileio, lorentz and warp_models; each
-command imports the solvers it runs, so isometry loads NumPy alone and
-never SciPy.  Exit codes: 0 success, 2 verification failure, 1 usage or
-runtime error.  Flag values override JSON config values, which override
-the ``# key=value`` metadata of the verify input, which override the
-built-in defaults declared on the flags.
+command imports the solvers it runs, so soliton, sweep and isometry load
+NumPy alone and never SciPy.  Exit codes: 0 success, 2 verification
+failure (for soliton also a profile that ends short of --r-max), 1 usage
+or runtime error.  Flag values override JSON config values, which
+override the ``# key=value`` metadata of the verify input, which
+override the built-in defaults declared on the flags.
 """
 
 from __future__ import annotations
@@ -211,6 +212,11 @@ def _cmd_soliton(args) -> int:
     for path in written:
         print(f"wrote {path}")
     print(f"diagnostics: {'pass' if report.passed else 'FAIL'}")
+    if curve.termination != "max_radius":
+        print(f"{family} curve stopped by {curve.termination} at "
+              f"r = {curve.r[-1]:.6g}, short of --r-max {args.r_max:g}",
+              file=sys.stderr)
+        return 2
     return 0
 
 

@@ -1,0 +1,594 @@
+"""Dormand–Prince 8(5,3) integration with dense output and events.
+
+One call of :func:`solve` does what SciPy's ``solve_ivp(fun, t_span, y0,
+method="DOP853", rtol=rtol, atol=atol, dense_output=True, events=events)``
+does, operation for operation: the same tableau (its decimal literals
+copied below, from Hairer, Nørsett and Wanner, *Solving Ordinary
+Differential Equations I*, §II.5), the same initial step selection, stage
+sums (``np.dot(K[:s].T, a[:s]) * h``), err5/err3 error norm, step-size
+control, tolerance floor and 7-row dense coefficients, and the same event
+detection and Brent root refinement.  Its times, states, events, RHS
+counts and dense coefficients therefore equal SciPy's bit for bit, while
+the module needs NumPy alone.
+
+:class:`DenseSolution` evaluates a solve's stacked dense coefficients at
+any points in one pass.
+"""
+
+from __future__ import annotations
+
+import warnings
+from dataclasses import dataclass
+
+import numpy as np
+
+EPS = np.finfo(float).eps
+SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10
+ERROR_EXPONENT = -1 / 8  # -1 / (error estimator order 7 + 1)
+ROOT_TOL, ROOT_MAX_ITER = 4 * EPS, 100  # event roots: xtol = rtol = 4 eps
+TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+MESSAGES = {0: "The solver successfully reached the end of the integration interval.",
+            1: "A termination event occurred."}
+
+# -- tableau -------------------------------------------------------------
+
+N_STAGES = 12
+N_STAGES_EXTENDED = 16
+INTERPOLATOR_POWER = 7
+
+C = np.array([0.0,
+              0.526001519587677318785587544488e-01,
+              0.789002279381515978178381316732e-01,
+              0.118350341907227396726757197510,
+              0.281649658092772603273242802490,
+              0.333333333333333333333333333333,
+              0.25,
+              0.307692307692307692307692307692,
+              0.651282051282051282051282051282,
+              0.6,
+              0.857142857142857142857142857142,
+              1.0,
+              1.0,
+              0.1,
+              0.2,
+              0.777777777777777777777777777778])
+
+A = np.zeros((N_STAGES_EXTENDED, N_STAGES_EXTENDED))
+A[1, 0] = 5.26001519587677318785587544488e-2
+
+A[2, 0] = 1.97250569845378994544595329183e-2
+A[2, 1] = 5.91751709536136983633785987549e-2
+
+A[3, 0] = 2.95875854768068491816892993775e-2
+A[3, 2] = 8.87627564304205475450678981324e-2
+
+A[4, 0] = 2.41365134159266685502369798665e-1
+A[4, 2] = -8.84549479328286085344864962717e-1
+A[4, 3] = 9.24834003261792003115737966543e-1
+
+A[5, 0] = 3.7037037037037037037037037037e-2
+A[5, 3] = 1.70828608729473871279604482173e-1
+A[5, 4] = 1.25467687566822425016691814123e-1
+
+A[6, 0] = 3.7109375e-2
+A[6, 3] = 1.70252211019544039314978060272e-1
+A[6, 4] = 6.02165389804559606850219397283e-2
+A[6, 5] = -1.7578125e-2
+
+A[7, 0] = 3.70920001185047927108779319836e-2
+A[7, 3] = 1.70383925712239993810214054705e-1
+A[7, 4] = 1.07262030446373284651809199168e-1
+A[7, 5] = -1.53194377486244017527936158236e-2
+A[7, 6] = 8.27378916381402288758473766002e-3
+
+A[8, 0] = 6.24110958716075717114429577812e-1
+A[8, 3] = -3.36089262944694129406857109825
+A[8, 4] = -8.68219346841726006818189891453e-1
+A[8, 5] = 2.75920996994467083049415600797e1
+A[8, 6] = 2.01540675504778934086186788979e1
+A[8, 7] = -4.34898841810699588477366255144e1
+
+A[9, 0] = 4.77662536438264365890433908527e-1
+A[9, 3] = -2.48811461997166764192642586468
+A[9, 4] = -5.90290826836842996371446475743e-1
+A[9, 5] = 2.12300514481811942347288949897e1
+A[9, 6] = 1.52792336328824235832596922938e1
+A[9, 7] = -3.32882109689848629194453265587e1
+A[9, 8] = -2.03312017085086261358222928593e-2
+
+A[10, 0] = -9.3714243008598732571704021658e-1
+A[10, 3] = 5.18637242884406370830023853209
+A[10, 4] = 1.09143734899672957818500254654
+A[10, 5] = -8.14978701074692612513997267357
+A[10, 6] = -1.85200656599969598641566180701e1
+A[10, 7] = 2.27394870993505042818970056734e1
+A[10, 8] = 2.49360555267965238987089396762
+A[10, 9] = -3.0467644718982195003823669022
+
+A[11, 0] = 2.27331014751653820792359768449
+A[11, 3] = -1.05344954667372501984066689879e1
+A[11, 4] = -2.00087205822486249909675718444
+A[11, 5] = -1.79589318631187989172765950534e1
+A[11, 6] = 2.79488845294199600508499808837e1
+A[11, 7] = -2.85899827713502369474065508674
+A[11, 8] = -8.87285693353062954433549289258
+A[11, 9] = 1.23605671757943030647266201528e1
+A[11, 10] = 6.43392746015763530355970484046e-1
+
+A[12, 0] = 5.42937341165687622380535766363e-2
+A[12, 5] = 4.45031289275240888144113950566
+A[12, 6] = 1.89151789931450038304281599044
+A[12, 7] = -5.8012039600105847814672114227
+A[12, 8] = 3.1116436695781989440891606237e-1
+A[12, 9] = -1.52160949662516078556178806805e-1
+A[12, 10] = 2.01365400804030348374776537501e-1
+A[12, 11] = 4.47106157277725905176885569043e-2
+
+A[13, 0] = 5.61675022830479523392909219681e-2
+A[13, 6] = 2.53500210216624811088794765333e-1
+A[13, 7] = -2.46239037470802489917441475441e-1
+A[13, 8] = -1.24191423263816360469010140626e-1
+A[13, 9] = 1.5329179827876569731206322685e-1
+A[13, 10] = 8.20105229563468988491666602057e-3
+A[13, 11] = 7.56789766054569976138603589584e-3
+A[13, 12] = -8.298e-3
+
+A[14, 0] = 3.18346481635021405060768473261e-2
+A[14, 5] = 2.83009096723667755288322961402e-2
+A[14, 6] = 5.35419883074385676223797384372e-2
+A[14, 7] = -5.49237485713909884646569340306e-2
+A[14, 10] = -1.08347328697249322858509316994e-4
+A[14, 11] = 3.82571090835658412954920192323e-4
+A[14, 12] = -3.40465008687404560802977114492e-4
+A[14, 13] = 1.41312443674632500278074618366e-1
+
+A[15, 0] = -4.28896301583791923408573538692e-1
+A[15, 5] = -4.69762141536116384314449447206
+A[15, 6] = 7.68342119606259904184240953878
+A[15, 7] = 4.06898981839711007970213554331
+A[15, 8] = 3.56727187455281109270669543021e-1
+A[15, 12] = -1.39902416515901462129418009734e-3
+A[15, 13] = 2.9475147891527723389556272149
+A[15, 14] = -9.15095847217987001081870187138
+
+B = A[N_STAGES, :N_STAGES]
+
+E3 = np.zeros(N_STAGES + 1)
+E3[:-1] = B.copy()
+E3[0] -= 0.244094488188976377952755905512
+E3[8] -= 0.733846688281611857341361741547
+E3[11] -= 0.220588235294117647058823529412e-1
+
+E5 = np.zeros(N_STAGES + 1)
+E5[0] = 0.1312004499419488073250102996e-1
+E5[5] = -0.1225156446376204440720569753e+1
+E5[6] = -0.4957589496572501915214079952
+E5[7] = 0.1664377182454986536961530415e+1
+E5[8] = -0.3503288487499736816886487290
+E5[9] = 0.3341791187130174790297318841
+E5[10] = 0.8192320648511571246570742613e-1
+E5[11] = -0.2235530786388629525884427845e-1
+
+# rows 3 to 6 of the dense coefficients; rows 0 to 2 come from the step ends
+D = np.zeros((INTERPOLATOR_POWER - 3, N_STAGES_EXTENDED))
+D[0, 0] = -0.84289382761090128651353491142e+1
+D[0, 5] = 0.56671495351937776962531783590
+D[0, 6] = -0.30689499459498916912797304727e+1
+D[0, 7] = 0.23846676565120698287728149680e+1
+D[0, 8] = 0.21170345824450282767155149946e+1
+D[0, 9] = -0.87139158377797299206789907490
+D[0, 10] = 0.22404374302607882758541771650e+1
+D[0, 11] = 0.63157877876946881815570249290
+D[0, 12] = -0.88990336451333310820698117400e-1
+D[0, 13] = 0.18148505520854727256656404962e+2
+D[0, 14] = -0.91946323924783554000451984436e+1
+D[0, 15] = -0.44360363875948939664310572000e+1
+
+D[1, 0] = 0.10427508642579134603413151009e+2
+D[1, 5] = 0.24228349177525818288430175319e+3
+D[1, 6] = 0.16520045171727028198505394887e+3
+D[1, 7] = -0.37454675472269020279518312152e+3
+D[1, 8] = -0.22113666853125306036270938578e+2
+D[1, 9] = 0.77334326684722638389603898808e+1
+D[1, 10] = -0.30674084731089398182061213626e+2
+D[1, 11] = -0.93321305264302278729567221706e+1
+D[1, 12] = 0.15697238121770843886131091075e+2
+D[1, 13] = -0.31139403219565177677282850411e+2
+D[1, 14] = -0.93529243588444783865713862664e+1
+D[1, 15] = 0.35816841486394083752465898540e+2
+
+D[2, 0] = 0.19985053242002433820987653617e+2
+D[2, 5] = -0.38703730874935176555105901742e+3
+D[2, 6] = -0.18917813819516756882830838328e+3
+D[2, 7] = 0.52780815920542364900561016686e+3
+D[2, 8] = -0.11573902539959630126141871134e+2
+D[2, 9] = 0.68812326946963000169666922661e+1
+D[2, 10] = -0.10006050966910838403183860980e+1
+D[2, 11] = 0.77771377980534432092869265740
+D[2, 12] = -0.27782057523535084065932004339e+1
+D[2, 13] = -0.60196695231264120758267380846e+2
+D[2, 14] = 0.84320405506677161018159903784e+2
+D[2, 15] = 0.11992291136182789328035130030e+2
+
+D[3, 0] = -0.25693933462703749003312586129e+2
+D[3, 5] = -0.15418974869023643374053993627e+3
+D[3, 6] = -0.23152937917604549567536039109e+3
+D[3, 7] = 0.35763911791061412378285349910e+3
+D[3, 8] = 0.93405324183624310003907691704e+2
+D[3, 9] = -0.37458323136451633156875139351e+2
+D[3, 10] = 0.10409964950896230045147246184e+3
+D[3, 11] = 0.29840293426660503123344363579e+2
+D[3, 12] = -0.43533456590011143754432175058e+2
+D[3, 13] = 0.96324553959188282948394950600e+2
+D[3, 14] = -0.39177261675615439165231486172e+2
+D[3, 15] = -0.14972683625798562581422125276e+3
+
+# (stage, its row of A up to the diagonal, its node): the step's stages
+# 1-11, then the three extra stages of the dense output
+_STAGES = [(s, A[s, :s], C[s]) for s in range(1, N_STAGES)]
+_EXTRA_STAGES = [(s, A[s, :s], C[s]) for s in range(N_STAGES + 1, N_STAGES_EXTENDED)]
+
+
+@dataclass(frozen=True)
+class Integration:
+    """The record of one :func:`solve`.
+
+    ``t`` and ``y`` (shape (n, len(t))) are the accepted step ends, the
+    last one moved to the root of a terminal event; ``t_events[i]`` and
+    ``y_events[i]`` are event i's roots and states.  ``status`` is 0 (end
+    of span), 1 (terminal event) or -1 (step failure, see ``message``).
+    ``nfev`` counts RHS calls, ``n_steps`` accepted and ``n_rejected``
+    rejected steps.  Each dense step k is stored as its start ``t_old[k]``,
+    signed length ``h[k]``, start state ``y_old[k]`` and coefficients
+    ``F[k]`` (shape (7, n)); a zero-length span is one step with h = 0 and
+    F = 0.
+    """
+
+    t: np.ndarray
+    y: np.ndarray
+    t_events: list
+    y_events: list
+    nfev: int
+    n_steps: int
+    n_rejected: int
+    status: int
+    message: str
+    t_old: np.ndarray
+    h: np.ndarray
+    y_old: np.ndarray
+    F: np.ndarray
+
+
+def _rms(x):
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _validate_tol(rtol, atol, n):
+    if np.any(rtol < 100 * EPS):
+        warnings.warn("At least one element of `rtol` is too small. "
+                      f"Setting `rtol = np.maximum(rtol, {100 * EPS})`.",
+                      stacklevel=3)
+        rtol = np.maximum(rtol, 100 * EPS)
+    atol = np.asarray(atol)
+    if atol.ndim > 0 and atol.shape != (n,):
+        raise ValueError("`atol` has wrong shape.")
+    if np.any(atol < 0):
+        raise ValueError("`atol` must be positive.")
+    return rtol, atol
+
+
+def _initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
+    """First step size by the rule of Hairer, Nørsett and Wanner §II.4."""
+    interval_length = abs(t_bound - t0)
+    if interval_length == 0.0:
+        return 0.0
+    scale = atol + np.abs(y0) * rtol
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
+    if d0 < 1e-5 or d1 < 1e-5:
+        h0 = 1e-6
+    else:
+        h0 = 0.01 * d0 / d1
+    h0 = min(h0, interval_length)
+    y1 = y0 + h0 * direction * f0
+    f1 = fun(t0 + h0 * direction, y1)
+    d2 = _rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
+    return min(100 * h0, h1, interval_length)
+
+
+def _rk_step(fun, t, y, f, h, K):
+    """The 12-stage step from (t, y) with f = fun(t, y): (y_new, f_new)."""
+    K[0] = f
+    for s, a, c in _STAGES:
+        dy = np.dot(K[:s].T, a) * h
+        K[s] = fun(t + c * h, y + dy)
+    y_new = y + h * np.dot(K[:-1].T, B)
+    f_new = fun(t + h, y_new)
+    K[-1] = f_new
+    return y_new, f_new
+
+
+def _error_norm(K, h, scale):
+    err5 = np.dot(K.T, E5) / scale
+    err3 = np.dot(K.T, E3) / scale
+    err5_norm_2 = np.linalg.norm(err5) ** 2
+    err3_norm_2 = np.linalg.norm(err3) ** 2
+    if err5_norm_2 == 0 and err3_norm_2 == 0:
+        return 0.0
+    denom = err5_norm_2 + 0.01 * err3_norm_2
+    return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+
+
+def _dense_coefficients(fun, K_ext, t_old, y_old, h, y, f):
+    """The step's 7 dense rows from its stages and three extra ones."""
+    for s, a, c in _EXTRA_STAGES:
+        dy = np.dot(K_ext[:s].T, a) * h
+        K_ext[s] = fun(t_old + c * h, y_old + dy)
+    F = np.empty((INTERPOLATOR_POWER, y.size))
+    f_old = K_ext[0]
+    delta_y = y - y_old
+    F[0] = delta_y
+    F[1] = h * f_old - delta_y
+    F[2] = 2 * delta_y - h * (f + f_old)
+    F[3:] = h * np.dot(D, K_ext)
+    return F
+
+
+def _step_value(t, t_old, h, y_old, F):
+    """Dense value of one step at the time t (h = 0: a constant step)."""
+    x = (t - t_old) / h if h else 0.0
+    y = np.zeros_like(y_old)
+    for i, f in enumerate(reversed(F)):
+        y += f
+        if i % 2 == 0:
+            y *= x
+        else:
+            y *= 1 - x
+    y += y_old
+    return y
+
+
+def brentq(f, xa: float, xb: float) -> float:
+    """A root of ``f`` in [xa, xb] by Brent's method to xtol = rtol =
+    ROOT_TOL in at most ROOT_MAX_ITER iterations.
+
+    Step for step SciPy's C ``brentq``, so the root equals
+    ``scipy.optimize.brentq(f, xa, xb, xtol=ROOT_TOL, rtol=ROOT_TOL)`` bit
+    for bit.  Raises ``ValueError`` when f(xa) and f(xb) have one sign or
+    f returns NaN, and ``RuntimeError`` when the iterations run out.
+    """
+
+    def value(x):
+        fx = np.float64(f(x))
+        if np.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = np.float64(xa), np.float64(xb)
+    xblk = fblk = spre = scur = np.float64(0.0)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return float(xpre)
+    if fcur == 0:
+        return float(xcur)
+    if np.signbit(fpre) == np.signbit(fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    # C double arithmetic: a zero divisor gives inf or NaN, not an error
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(ROOT_MAX_ITER):
+            if fpre != 0 and fcur != 0 and np.signbit(fpre) != np.signbit(fcur):
+                xblk, fblk = xpre, fpre
+                spre = scur = xcur - xpre
+            if abs(fblk) < abs(fcur):
+                xpre, xcur, xblk = xcur, xblk, xcur
+                fpre, fcur, fblk = fcur, fblk, fcur
+            delta = (ROOT_TOL + ROOT_TOL * abs(xcur)) / 2
+            sbis = (xblk - xcur) / 2
+            if fcur == 0 or abs(sbis) < delta:
+                return float(xcur)
+            if abs(spre) > delta and abs(fcur) < abs(fpre):
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                    spre, scur = scur, stry  # good short step
+                else:
+                    spre = scur = sbis  # bisect
+            else:
+                spre = scur = sbis  # bisect
+            xpre, fpre = xcur, fcur
+            if abs(scur) > delta:
+                xcur += scur
+            else:
+                xcur += delta if sbis > 0 else -delta
+            fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {ROOT_MAX_ITER} iterations.")
+
+
+def _handle_events(value, events, active, count, limits, t_old, t):
+    """Roots of the active events in the step, in time order up to the
+    first event that reached its limit; and whether one did."""
+    roots = np.asarray([brentq(lambda x, event=events[i]: event(x, value(x)), t_old, t)
+                        for i in active])
+    if not np.any(count[active] >= limits[active]):
+        return active, roots, False
+    order = np.argsort(roots) if t > t_old else np.argsort(-roots)
+    active, roots = active[order], roots[order]
+    last = np.nonzero(count[active] >= limits[active])[0][0]
+    return active[:last + 1], roots[:last + 1], True
+
+
+def solve(fun, t_span, y0, rtol: float, atol: float, events=()) -> Integration:
+    """Integrate y' = fun(t, y) over ``t_span`` from ``y0`` by DOP853.
+
+    ``fun`` returns the derivative as a sequence.  ``events`` are functions
+    g(t, y) whose sign changes are located; one with a true ``terminal``
+    attribute stops the solve at its first root.
+    """
+    t0, t_bound = map(float, t_span)
+    y = np.asarray(y0).astype(float, copy=False)
+    if y.ndim != 1 or y.size == 0:
+        raise ValueError("`y0` must be a non-empty 1-D state.")
+    if not np.isfinite(y).all():
+        raise ValueError("All components of the initial state `y0` must be finite.")
+    n = y.size
+    rtol, atol = _validate_tol(rtol, atol, n)
+    nfev = 0
+
+    def rhs(t, y):
+        nonlocal nfev
+        nfev += 1
+        return np.asarray(fun(t, y), dtype=float)
+
+    direction = np.sign(t_bound - t0) if t_bound != t0 else 1
+    t = t0
+    f = rhs(t, y)
+    h_abs = _initial_step(rhs, t, y, t_bound, f, direction, rtol, atol)
+    K_ext = np.empty((N_STAGES_EXTENDED, n))
+    K = K_ext[:N_STAGES + 1]
+
+    # occurrences each event may have before the solve stops
+    limits = np.array([float(getattr(event, "terminal", False)) or np.inf
+                       for event in events])
+    count = np.zeros(len(events))
+    g = [event(t0, y0) for event in events]
+    t_events = [[] for _ in events]
+    y_events = [[] for _ in events]
+    ts, ys = [t0], [y0]
+    dense = []  # (t_old, h, y_old, F) of every kept step
+    n_steps = n_rejected = 0
+    status = None
+    while status is None:
+        t_old, y_old = t, y
+        if t == t_bound:
+            # a zero-length span: one constant step
+            t, h, F = t_bound, 0.0, np.zeros((INTERPOLATOR_POWER, n))
+            status = 0
+        else:
+            min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+            if h_abs < min_step:
+                h_abs = min_step
+            step_rejected = False
+            while True:
+                if h_abs < min_step:
+                    status = -1
+                    break
+                h = h_abs * direction
+                t_new = t_old + h
+                if direction * (t_new - t_bound) > 0:
+                    t_new = t_bound
+                h = t_new - t_old
+                h_abs = np.abs(h)
+                y_new, f_new = _rk_step(rhs, t_old, y_old, f, h, K)
+                scale = atol + np.maximum(np.abs(y_old), np.abs(y_new)) * rtol
+                error_norm = _error_norm(K, h, scale)
+                if error_norm < 1:
+                    if error_norm == 0:
+                        factor = MAX_FACTOR
+                    else:
+                        factor = min(MAX_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
+                    if step_rejected:
+                        factor = min(1, factor)
+                    h_abs *= factor
+                    break
+                h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
+                step_rejected = True
+                n_rejected += 1
+            if status == -1:
+                break
+            n_steps += 1
+            t, y, f = t_new, y_new, f_new
+            if direction * (t - t_bound) >= 0:
+                status = 0
+            F = _dense_coefficients(rhs, K_ext, t_old, y_old, h, y, f)
+        dense.append((t_old, h, y_old, F))
+
+        t_kept, y_kept = t, y
+        if events:
+            g_new = [event(t, y) for event in events]
+            active = [i for i, (a, b) in enumerate(zip(g, g_new))
+                      if a <= 0 <= b or a >= 0 >= b]
+            if active:
+                def value(x, step=dense[-1]):
+                    return _step_value(x, *step)
+                active = np.array(active)
+                count[active] += 1
+                hit, roots, terminate = _handle_events(value, events, active, count,
+                                                       limits, t_old, t)
+                for e, te in zip(hit, roots):
+                    t_events[e].append(te)
+                    y_events[e].append(value(te))
+                if terminate:
+                    status = 1
+                    t_kept = roots[-1]
+                    y_kept = value(t_kept)
+            g = g_new
+        if len(ts) > 1 and ts[-1] == t_kept:
+            # a terminal root on the previous step end: that end stays last
+            dense.pop()
+        else:
+            ts.append(t_kept)
+            ys.append(y_kept)
+
+    t_olds, hs, y_olds, Fs = zip(*dense) if dense else ((), (), (), ())
+    return Integration(
+        t=np.array(ts), y=np.vstack(ys).T,
+        t_events=[np.asarray(te) for te in t_events],
+        y_events=[np.asarray(ye) for ye in y_events],
+        nfev=nfev, n_steps=n_steps, n_rejected=n_rejected, status=status,
+        message=TOO_SMALL_STEP if status == -1 else MESSAGES[status],
+        t_old=np.array(t_olds, dtype=float), h=np.array(hs, dtype=float),
+        y_old=np.array(y_olds, dtype=float).reshape(-1, n),
+        F=np.array(Fs, dtype=float).reshape(-1, INTERPOLATOR_POWER, n))
+
+
+class DenseSolution:
+    """A solve's dense output, evaluated at any points in one pass.
+
+    Picks each point's step as SciPy's ``OdeSolution`` does (one
+    ``searchsorted`` on the step ends, from the left for an ascending solve
+    and from the right on the reversed ends of a descending one, clipped to
+    the steps) and runs the step polynomial ``y += F[j]; y *= x or (1 - x)``
+    in SciPy's order, so the values equal ``solve_ivp``'s ``sol(t)`` bit
+    for bit.
+    """
+
+    def __init__(self, run: Integration):
+        ts = run.t
+        self.ascending = bool(ts[-1] >= ts[0])
+        self.side = "left" if self.ascending else "right"
+        self.ts_sorted = ts if self.ascending else ts[::-1]
+        self.t_old, self.h = run.t_old, run.h
+        self.y_old = run.y_old.T
+        # (power, component, step), highest power first as SciPy applies them
+        self.F = run.F[:, ::-1].transpose(1, 2, 0)
+
+    def __call__(self, t):
+        """Values at ``t``: shape (n_states,) for a scalar, else (n_states, n_points)."""
+        t = np.asarray(t, dtype=float)
+        points = np.atleast_1d(t)
+        last = self.h.size - 1
+        seg = np.searchsorted(self.ts_sorted, points, side=self.side) - 1
+        np.clip(seg, 0, last, out=seg)
+        if not self.ascending:
+            seg = last - seg
+        h = self.h[seg]
+        # a constant step (h = 0) has x = 0 and F = 0, so its value is y_old
+        x = np.divide(points - self.t_old[seg], h, out=np.zeros_like(points),
+                      where=h != 0)
+        coeffs = self.F[:, :, seg]
+        y = np.zeros(coeffs.shape[1:])
+        for j, f in enumerate(coeffs):
+            y += f
+            y *= x if j % 2 == 0 else 1 - x
+        y += self.y_old[:, seg]
+        return y[:, 0] if t.ndim == 0 else y

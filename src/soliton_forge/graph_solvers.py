@@ -7,7 +7,10 @@ Two slope equations appear:
 
 where D(r) is the Laplacian of the chart coordinate: (n-1) xi'/xi in the
 polar and Busemann charts, and xi'/xi + (n-2) chi'/chi in the equidistant
-chart.  Closed-form oracles cover the degenerate cases used by the tests.
+chart.  Each is one DOP853 solve (:mod:`.dop853`, the same bits as
+SciPy's ``solve_ivp``) per direction from the initial radius, whose
+dense output the graph keeps for ``u_eval`` and ``du_eval``.  Closed-form
+oracles cover the degenerate cases used by the tests.
 """
 
 from __future__ import annotations
@@ -17,16 +20,16 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+from . import dop853
 from .profile_solver import (AXIS_LAUNCH_S, DEFAULT_ATOL, DEFAULT_RTOL,
-                             DenseSolution, SolitonSpec, axis_series)
+                             SolitonSpec, axis_series)
 from .warp_models import BUSEMANN, EQUIDISTANT, ROTATIONAL, WarpModel
 
 BLOWUP_SLOPE = 1e6
 GRID_SIZE = 2001  # samples in every solved graph record
 #: meta keys of the solver record: how a graph was computed, not what it is
-SOLVER_RECORD = ("n_rhs_evals", "status")
+SOLVER_RECORD = ("n_rhs_evals", "n_steps", "status")
 
 
 @dataclass
@@ -89,30 +92,29 @@ def _integrate_slope(rhs, r_span, y0, rtol, atol, tail=None,
 
     ``tail`` maps the event state (r_evt, p_evt) to the residual distance
     to the true vertical point, used to refine the reported radius.  The
-    last item is the solver record: RHS calls and ``solve_ivp`` status.
+    last item is the solver record: RHS calls, accepted steps and status.
     """
 
     def ev_blowup(r, y):
         return abs(y[1]) - BLOWUP_SLOPE
     ev_blowup.terminal = True
 
-    sol = solve_ivp(rhs, r_span, y0, method="DOP853", rtol=rtol, atol=atol,
-                    dense_output=True, events=[ev_blowup])
-    if sol.status == -1:
-        raise RuntimeError(f"slope ODE step failure: {sol.message}")
-    blowup = sol.t_events[0].size > 0
+    run = dop853.solve(rhs, r_span, y0, rtol, atol, [ev_blowup])
+    if run.status == -1:
+        raise RuntimeError(f"slope ODE step failure: {run.message}")
+    blowup = run.t_events[0].size > 0
     blowup_radius = None
     if blowup:
-        r_evt = float(sol.t_events[0][0])
-        p_evt = float(sol.y_events[0][0][1])
+        r_evt = float(run.t_events[0][0])
+        p_evt = float(run.y_events[0][0][1])
         if blowup_is_error:
             raise RuntimeError(f"unexpected gradient blow-up at r = {r_evt:.6g}")
         blowup_radius = r_evt + (tail(r_evt, p_evt) if tail is not None else 0.0)
-    r_end = float(sol.t[-1])
+    r_end = float(run.t[-1])
     r_grid = np.linspace(r_span[0], r_end, GRID_SIZE)
-    dense = DenseSolution(sol.sol)
+    dense = dop853.DenseSolution(run)
     u, du = dense(r_grid)
-    record = {"n_rhs_evals": int(sol.nfev), "status": int(sol.status)}
+    record = {"n_rhs_evals": run.nfev, "n_steps": run.n_steps, "status": run.status}
     return r_grid, u, du, dense, blowup, blowup_radius, record
 
 
@@ -234,22 +236,38 @@ def solve_grim(c: float, n: int, warp: WarpModel, r_span=(-20.0, 20.0),
                                        rtol, atol, blowup_is_error=True))
     if not pieces:
         raise ValueError("empty integration span")
-    # a two-piece graph sums the RHS calls and keeps the larger status
+    # a two-piece graph sums the RHS calls and steps and keeps the larger status
     meta = {"source": "grim_ode",
-            "n_rhs_evals": sum(piece[-1]["n_rhs_evals"] for piece in pieces),
+            **{key: sum(piece[-1][key] for piece in pieces)
+               for key in ("n_rhs_evals", "n_steps")},
             "status": max(piece[-1]["status"] for piece in pieces)}
     if len(pieces) == 1:
-        r_grid, u, du = pieces[0][:3]
+        r_grid, u, du, dense = pieces[0][:4]
         if r_grid[0] > r_grid[-1]:
             r_grid, u, du = r_grid[::-1], u[::-1], du[::-1]
-        return RadialGraph(r_grid=r_grid, u=u, du=du, spec=spec,
-                           chart="equidistant", meta=meta)
-    (rl, ul, dul), (rr, ur, dur) = (piece[:3] for piece in pieces)
-    r_grid = np.concatenate((rl[::-1], rr[1:]))
-    u = np.concatenate((ul[::-1], ur[1:]))
-    du = np.concatenate((dul[::-1], dur[1:]))
+    else:
+        (rl, ul, dul, left), (rr, ur, dur, right) = (piece[:4] for piece in pieces)
+        r_grid = np.concatenate((rl[::-1], rr[1:]))
+        u = np.concatenate((ul[::-1], ur[1:]))
+        du = np.concatenate((dul[::-1], dur[1:]))
+        dense = _two_pieces(left, right, r0)
     return RadialGraph(r_grid=r_grid, u=u, du=du, spec=spec,
-                       chart="equidistant", meta=meta)
+                       chart="equidistant", meta=meta, _dense=dense)
+
+
+def _two_pieces(left, right, r0: float):
+    """Dense output of a graph solved down (``left``) and up (``right``) from
+    r0: each radius is evaluated on its own side's solve."""
+
+    def dense(r):
+        below = r < r0
+        if r.ndim == 0:
+            return (left if below else right)(r)
+        y = np.empty((2, r.size))
+        y[:, below] = left(r[below])
+        y[:, ~below] = right(r[~below])
+        return y
+    return dense
 
 
 def closed_form_oracle(kind: str, **params) -> ClosedForm:

@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import simpson
 from scipy.linalg.lapack import dgtsv
 from scipy.special import gamma
 
@@ -146,6 +145,7 @@ class FlowProblem:
         start = 1 if chart == "polar" else 0
         self.drift[start:] = warp.drift(r[start:], n)
         self.weight = warp.xi(r) ** (n - 1)
+        self._simpson = _simpson_factors(r)
 
         # Each end's ghost node is w . (the three nodes nearest it, outermost
         # first) + 2 dr s with weights summing to one: the axis mirrors (s = 0;
@@ -299,7 +299,17 @@ class FlowProblem:
         return p, q, w2, np.sqrt(w2), k
 
     def _integral(self, integrand) -> float:
-        return self.area * float(simpson(integrand, x=self.r_grid))
+        """|S^{n-1}| times the composite Simpson integral of the nodal
+        ``integrand`` over the grid, scipy.integrate.simpson(y, x=r_grid)'s
+        arithmetic (SciPy 1.17) with its grid factors computed once."""
+        stop, scale, c0, c1, c2, tail = self._simpson
+        y = integrand
+        total = np.sum(scale * (y[0:stop:2] * c0 + y[1:stop + 1:2] * c1
+                                + y[2:stop + 2:2] * c2))
+        if tail is not None:
+            alpha, beta, eta = tail
+            total += alpha * y[-1] + beta * y[-2] - eta * y[-3]
+        return self.area * float(total)
 
     def _functional(self, big_w, k) -> float:
         return self._integral(k * big_w * self.weight)
@@ -386,6 +396,31 @@ def _finite_heights(u) -> np.ndarray:
     if not np.isfinite(u).all():
         raise ValueError("non-finite heights")
     return u
+
+
+def _simpson_factors(x) -> tuple:
+    """The grid factors of SciPy's non-uniform composite Simpson rule on
+    the increasing nodes ``x``: the bound ``stop`` of the pairs of
+    intervals (pair j spans nodes 2j to 2j + 2, 2j < stop), each pair's
+    weight and its three node factors, and for an even node count the
+    weights (alpha, beta, eta) of Cartwright's correction for the last
+    interval."""
+    n = x.size
+    stop = n - 2 if n % 2 else n - 3
+    h = np.diff(x)
+    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
+    hsum, hprod = h0 + h1, h0 * h1
+    ratio = h0 / h1
+    factors = (stop, hsum / 6.0, 2.0 - 1.0 / ratio, hsum * (hsum / hprod),
+               2.0 - ratio)
+    if n % 2:
+        return (*factors, None)
+    # SciPy computes these on 0-d arrays; so does this
+    h0, h1 = np.squeeze(h[-2:-1]), np.squeeze(h[-1:])
+    alpha = (2 * h1 ** 2 + 3 * h0 * h1) / (6 * (h1 + h0))
+    beta = (h1 ** 2 + 3.0 * h0 * h1) / (6 * h0)
+    eta = h1 ** 3 / (6 * h0 * (h0 + h1))
+    return (*factors, (alpha, beta, eta))
 
 
 def _solve_newton_system(lower, diag, upper, half, res) -> np.ndarray:

@@ -10,6 +10,11 @@ with its tangent angle phi, solves the autonomous first-order system
 Bowls launch from the rotation axis through a series expansion, wings
 from (r, t, phi) = (eps, 0, +-pi/2), and the ideal (Busemann-chart)
 family from arbitrary initial states with r unrestricted in sign.
+Every curve is one DOP853 solve in arc length (:mod:`.dop853`, the
+same bits as SciPy's ``solve_ivp``) with terminal events at the radius,
+height and axis limits and a counting event at each turning point; its
+diagnostics record the RHS calls (``n_rhs_evals``) and accepted steps
+(``n_steps``).
 """
 
 from __future__ import annotations
@@ -19,9 +24,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
 
+from . import dop853
 from .warp_models import (_FAMILY_KIND, BUSEMANN, EQUIDISTANT, FAMILIES,
                           ROTATIONAL, WarpModel)
 
@@ -31,53 +35,6 @@ DEFAULT_RTOL = 1e-9
 DEFAULT_ATOL = 1e-11
 AXIS_LAUNCH_S = 1e-4
 GRAPH_RDOT_MIN = 1e-6
-
-
-class DenseSolution:
-    """The dense output of a DOP853 ``solve_ivp`` run, evaluated in one pass.
-
-    SciPy's ``OdeSolution.__call__`` sorts the points and calls one step's
-    interpolant at a time.  This stacks every step's t_old, h, y_old and
-    interpolant coefficients F into arrays, picks each point's step the way
-    ``OdeSolution`` does (one ``searchsorted`` on its ``ts_sorted`` with its
-    ``side``, clipped to the steps, mirrored for a descending solve) and runs
-    the step polynomial ``y += F[j]; y *= x or (1 - x)`` in SciPy's order, so
-    the values equal ``sol(t)`` bit for bit.  A solution whose steps carry
-    no F (a zero-length solve) is called as it is.
-    """
-
-    def __init__(self, sol):
-        steps = sol.interpolants
-        # kept only when its steps cannot be stacked
-        self._sol = None if all(hasattr(step, "F") for step in steps) else sol
-        if self._sol is not None:
-            return
-        self.ts_sorted, self.side, self.ascending = sol.ts_sorted, sol.side, sol.ascending
-        self.t_old = np.array([step.t_old for step in steps])
-        self.h = np.array([step.h for step in steps])
-        self.y_old = np.array([step.y_old for step in steps]).T
-        # (power, component, step), highest power first as SciPy applies them
-        self.F = np.array([step.F[::-1] for step in steps]).transpose(1, 2, 0)
-
-    def __call__(self, t):
-        """Values at ``t``: shape (n_states,) for a scalar, else (n_states, n_points)."""
-        if self._sol is not None:
-            return self._sol(t)
-        t = np.asarray(t, dtype=float)
-        points = np.atleast_1d(t)
-        last = self.h.size - 1
-        seg = np.searchsorted(self.ts_sorted, points, side=self.side) - 1
-        np.clip(seg, 0, last, out=seg)
-        if not self.ascending:
-            seg = last - seg
-        x = (points - self.t_old[seg]) / self.h[seg]
-        coeffs = self.F[:, :, seg]
-        y = np.zeros(coeffs.shape[1:])
-        for j, f in enumerate(coeffs):
-            y += f
-            y *= x if j % 2 == 0 else 1 - x
-        y += self.y_old[:, seg]
-        return y[:, 0] if t.ndim == 0 else y
 
 
 @dataclass(frozen=True)
@@ -264,34 +221,34 @@ def _integrate(spec: SolitonSpec, y0, s0: float, stop: TerminationPolicy,
         ev_axis.terminal = True
         events.append(ev_axis)
 
-    sol = solve_ivp(rhs, (s0, stop.s_max), y0, method="DOP853",
-                    rtol=rtol, atol=atol, dense_output=True, events=events)
+    run = dop853.solve(rhs, (s0, stop.s_max), y0, rtol, atol, events)
 
-    if sol.status == -1:
+    if run.status == -1:
         termination = "step_failure"
-    elif sol.status == 0:
+    elif run.status == 0:
         termination = "max_arc_length"
     else:
-        if sol.t_events[0].size:
+        if run.t_events[0].size:
             termination = "max_radius"
-        elif sol.t_events[1].size or sol.t_events[2].size:
+        elif run.t_events[1].size or run.t_events[2].size:
             termination = "max_height"
-        elif have_axis and sol.t_events[4].size:
+        elif have_axis and run.t_events[4].size:
             termination = "axis_reached"
         else:
             termination = "max_arc_length"
 
-    turning = [float(x) for x in sol.t_events[3]]
+    turning = [float(x) for x in run.t_events[3]]
     diag = {
-        "n_rhs_evals": int(sol.nfev),
+        "n_rhs_evals": run.nfev,
+        "n_steps": run.n_steps,
         "turning_s": turning,
-        "solver_message": sol.message,
-        "phi_winding_ok": bool(np.all(np.abs(sol.y[2]) < math.pi)),
+        "solver_message": run.message,
+        "phi_winding_ok": bool(np.all(np.abs(run.y[2]) < math.pi)),
     }
     return ProfileCurve(
-        spec=spec, s=sol.t, r=sol.y[0], t=sol.y[1], phi=sol.y[2],
+        spec=spec, s=run.t, r=run.y[0], t=run.y[1], phi=run.y[2],
         termination=termination, rtol=rtol, atol=atol,
-        diagnostics=diag, _sol=DenseSolution(sol.sol))
+        diagnostics=diag, _sol=dop853.DenseSolution(run))
 
 
 def solve_bowl(spec: SolitonSpec, stop: TerminationPolicy | None = None,
@@ -400,9 +357,11 @@ class SampledCurve:
 
     Used by the verification CLI for CSV input and by the perturbation
     negative controls; dense evaluation is cubic-spline interpolation.
+    Only these curves load SciPy, when the first one is built.
     """
 
     def __init__(self, s, r, t, phi, spec: SolitonSpec | None = None):
+        from scipy.interpolate import CubicSpline
         self.s = np.asarray(s, dtype=float)
         self.spec = spec
         self._r = CubicSpline(self.s, np.asarray(r, dtype=float))

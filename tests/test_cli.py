@@ -26,6 +26,21 @@ class TestSolitonCommand:
         assert (tmp_path / "bowl.obj").exists()
         assert "diagnostics: pass" in capsys.readouterr().out
 
+    def test_curve_short_of_r_max_exits_2(self, tmp_path, capsys):
+        # the bowl runs out of arc length (s_max = 1000) at r = 707.6
+        code = run("--out", str(tmp_path), "soliton", "bowl", "--K", "-1",
+                   "--r-max", "800")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "stopped by max_arc_length at r = 707.568, short of --r-max 800" in err
+        assert (tmp_path / "bowl.csv").exists()
+
+    @pytest.mark.parametrize("family", ["bowl", "wing"])
+    def test_readme_curves_reach_r_max(self, tmp_path, capsys, family):
+        assert run("--out", str(tmp_path), "soliton", family, "--K", "-1",
+                   "--c", "1", "--r-max", "10") == 0
+        assert capsys.readouterr().err == ""
+
     def test_wing_epsilon_zero_is_usage_error(self, tmp_path):
         assert run("--out", str(tmp_path), "soliton", "wing",
                    "--epsilon", "0") == 1
@@ -47,7 +62,7 @@ class TestSolitonCommand:
         meta, names, data = read_table(tmp_path / "grim.csv")
         assert names == ["r", "u", "du"]
         assert meta["n"] == "3"
-        assert "n_rhs_evals" not in meta
+        assert "n_rhs_evals" not in meta and "n_steps" not in meta
         assert data[0, 0] == 1e-3 and data[-1, 0] == 6.0
         assert np.all(np.isfinite(data))
 

@@ -10,6 +10,8 @@ from soliton_forge import (
     profile_to_graph, solve_bowl, solve_grim, solve_ideal_graph,
     solve_radial_graph,
 )
+from soliton_forge.fileio import export_graph_csv, read_table
+from soliton_forge.graph_solvers import SOLVER_RECORD
 
 LN_COS_1 = -0.6156264703860141  # ln(cos 1)
 
@@ -135,6 +137,18 @@ class TestGrim:
         r = np.linspace(-1.4, 1.4, 200)
         assert np.max(np.abs(graph.u_eval(r) - oracle.u(r))) < 1e-8
 
+    def test_n1_slope_from_dense_output(self, equidistant_warp):
+        # u' = tan(r) evaluated on each piece's dense output, not on a
+        # spline through the grid (about 1e-9 off at this span)
+        graph = solve_grim(1.0, 1, equidistant_warp, r_span=(-1.4, 1.4),
+                           rtol=1e-11, atol=1e-13)
+        r = np.random.default_rng(3).uniform(-1.4, 1.4, 2000)
+        assert np.max(np.abs(graph.du_eval(r) - np.tan(r))) < 2e-10
+        # the grid samples are the dense values, on both sides of r0 = 0
+        assert graph.u_eval(graph.r_grid).tobytes() == graph.u.tobytes()
+        assert graph.du_eval(graph.r_grid).tobytes() == graph.du.tobytes()
+        assert graph.du_eval(-1.0) == graph.du_eval(np.array([-1.0]))[0]
+
     def test_large_slope_restoring_sign(self, equidistant_warp):
         # when the slope is large the equation pushes it back
         graph = solve_grim(2.0, 2, equidistant_warp, r_span=(-15.0, 15.0))
@@ -160,11 +174,22 @@ class TestSolverRecord:
                 lambda: solve_grim(1.0, 2, equidistant_warp, r_span=(-5.0, 5.0)),
                 lambda: solve_grim(1.0, 3, equidistant_warp, r_span=(0.0, 5.0))):
             first, again = solve().meta, solve().meta
-            assert first["n_rhs_evals"] > 0
+            assert first["n_rhs_evals"] > 0 and first["n_steps"] > 0
             assert first["n_rhs_evals"] == again["n_rhs_evals"]
+            assert first["n_steps"] == again["n_steps"]
             assert first["status"] == again["status"] == 0
 
     def test_two_piece_grim_sums_its_pieces(self, equidistant_warp):
-        def calls(span):
-            return solve_grim(1.0, 2, equidistant_warp, r_span=span).meta["n_rhs_evals"]
-        assert calls((-5.0, 5.0)) == calls((-5.0, 0.0)) + calls((0.0, 5.0))
+        def counts(span):
+            meta = solve_grim(1.0, 2, equidistant_warp, r_span=span).meta
+            return np.array([meta["n_rhs_evals"], meta["n_steps"]])
+        assert np.array_equal(counts((-5.0, 5.0)),
+                              counts((-5.0, 0.0)) + counts((0.0, 5.0)))
+
+    def test_graph_csv_leaves_the_record_out(self, tmp_path, hyperbolic_bowl_spec):
+        graph = solve_radial_graph(hyperbolic_bowl_spec, r_span=(0.0, 5.0))
+        meta = read_table(export_graph_csv(graph, tmp_path / "g.csv"))[0]
+        assert set(SOLVER_RECORD) == {"n_rhs_evals", "n_steps", "status"}
+        assert set(SOLVER_RECORD) <= set(graph.meta)
+        assert not set(SOLVER_RECORD) & set(meta)
+        assert meta["source"] == "radial_ode"

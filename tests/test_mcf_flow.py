@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import simpson
 
 from soliton_forge import (
     FlowProblem, bump_initial, discrete_soliton, flat_initial,
@@ -443,6 +444,15 @@ class TestSameBits:
         u, sigma = _numpy_scalar_march(prob)
         assert _same_bits(discrete_soliton(prob), u)
         assert prob._sigma == sigma
+
+    @pytest.mark.parametrize("chart", ["polar", "equidistant"])
+    @pytest.mark.parametrize("nodes", [3, 4, 5, 8, 2000, 2001])
+    def test_quadrature_is_scipy_simpson(self, chart, nodes):
+        # odd node counts pair every interval; even ones correct the last
+        warp = make_builtin_warp("rotational" if chart == "polar" else "equidistant", -1.0)
+        prob = FlowProblem(C, 2, warp, r_max=7.3, n_nodes=nodes, chart=chart)
+        y = np.random.default_rng(nodes).standard_normal(nodes) * np.exp(prob.r_grid)
+        assert _same_bits(prob._integral(y), prob.area * simpson(y, x=prob.r_grid))
 
     @pytest.mark.parametrize("chart", ["polar", "equidistant"])
     @settings(max_examples=15, deadline=None)

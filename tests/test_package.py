@@ -68,14 +68,10 @@ def _python(code: str, cwd: Path) -> str:
     return out.stdout
 
 
-def test_isometry_command_imports_no_scipy(tmp_path):
-    rng = np.random.default_rng(11)
-    rho, theta = rng.uniform(0.0, 3.0, 50), rng.uniform(0.0, 6.3, 50)
-    coords = np.stack([np.cosh(rho), np.sinh(rho) * np.cos(theta),
-                       np.sinh(rho) * np.sin(theta)], axis=1)
-    export_points_csv(coords, tmp_path / "pts.csv", heights=rho)
-    argv = ["soliton_forge.cli", "--out", str(tmp_path), "isometry", "--map",
-            "parabolic", "--param", "0.7", "--points", str(tmp_path / "pts.csv")]
+def _run_cli(argv, cwd: Path):
+    """Exit status of ``soliton_forge.cli argv`` run as ``python -m`` in a
+    fresh interpreter, and the ``scipy*`` modules loaded when it ended."""
+    argv = ["soliton_forge.cli", "--out", str(cwd), *argv]
     code = (
         "import json, runpy, sys\n"
         f"sys.argv = {argv!r}\n"
@@ -85,7 +81,18 @@ def test_isometry_command_imports_no_scipy(tmp_path):
         "    status = exc.code\n"
         "print(json.dumps([status, sorted(m for m in sys.modules\n"
         "                                 if m.startswith('scipy'))]))\n")
-    status, scipy_modules = json.loads(_python(code, tmp_path).splitlines()[-1])
+    return json.loads(_python(code, cwd).splitlines()[-1])
+
+
+def test_isometry_command_imports_no_scipy(tmp_path):
+    rng = np.random.default_rng(11)
+    rho, theta = rng.uniform(0.0, 3.0, 50), rng.uniform(0.0, 6.3, 50)
+    coords = np.stack([np.cosh(rho), np.sinh(rho) * np.cos(theta),
+                       np.sinh(rho) * np.sin(theta)], axis=1)
+    export_points_csv(coords, tmp_path / "pts.csv", heights=rho)
+    status, scipy_modules = _run_cli(
+        ["isometry", "--map", "parabolic", "--param", "0.7", "--points",
+         str(tmp_path / "pts.csv")], tmp_path)
     assert status == 0
     assert scipy_modules == []
     moved, heights = read_points_csv(tmp_path / "points_parabolic_0.7.csv")
@@ -96,10 +103,30 @@ def test_isometry_command_imports_no_scipy(tmp_path):
                        rtol=1e-13, atol=0)
 
 
-def test_solver_names_load_scipy_on_first_use(tmp_path):
+@pytest.mark.parametrize("argv", [
+    ["soliton", "bowl", "--r-max", "4"],
+    ["soliton", "wing", "--r-max", "4"],
+    ["soliton", "grim", "--r-max", "4"],
+    ["sweep", "--family", "wing", "--epsilons", "0.5,1", "--r-max", "4"],
+    ["sweep", "--family", "bowl", "--c-values", "0.5,1", "--r-max", "4"],
+])
+def test_solver_commands_import_no_scipy(tmp_path, argv):
+    status, scipy_modules = _run_cli(argv, tmp_path)
+    assert status == 0
+    assert scipy_modules == []
+
+
+def test_flow_command_imports_no_scipy_integrate_or_interpolate(tmp_path):
+    status, scipy_modules = _run_cli(["flow", "--nodes", "201"], tmp_path)
+    assert status == 0
+    # LAPACK's dgtsv and the Gamma function are all the flow takes from SciPy
+    assert "scipy.linalg" in scipy_modules and "scipy.special" in scipy_modules
+    assert not [m for m in scipy_modules
+                if m.startswith(("scipy.integrate", "scipy.interpolate"))]
+
+
+def test_solver_names_load_no_scipy(tmp_path):
     code = ("import sys, soliton_forge as sf\n"
-            "sf.LorentzPoint\n"
-            "print('scipy' in sys.modules)\n"
-            "sf.solve_bowl\n"
-            "print('scipy' in sys.modules)\n")
-    assert _python(code, tmp_path).split() == ["False", "True"]
+            "sf.LorentzPoint, sf.solve_bowl, sf.solve_radial_graph, sf.solve_grim\n"
+            "print([m for m in sys.modules if m.startswith('scipy')])\n")
+    assert _python(code, tmp_path).split() == ["[]"]

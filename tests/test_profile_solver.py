@@ -14,7 +14,8 @@ from soliton_forge import (
     make_builtin_warp, profile_rhs, profile_to_graph, solve_bowl,
     solve_ideal_parametric, solve_wing,
 )
-from soliton_forge.profile_solver import DenseSolution
+from soliton_forge import dop853
+from soliton_forge.dop853 import DenseSolution
 
 COTH_1 = 1.3130352854993312
 TANH_1 = 0.7615941559557649
@@ -140,6 +141,16 @@ class TestBowl:
         curve = solve_bowl(hyperbolic_bowl_spec)
         assert curve.diagnostics["phi_winding_ok"]
 
+    def test_solver_record_is_deterministic(self, hyperbolic_bowl_spec):
+        stop = TerminationPolicy(r_max=5.0)
+        first, again = (solve_bowl(hyperbolic_bowl_spec, stop=stop).diagnostics
+                        for _ in range(2))
+        assert first["n_steps"] > 0
+        # at least the 15 RHS calls of each accepted step
+        assert first["n_rhs_evals"] >= 2 + 15 * first["n_steps"]
+        assert ((first["n_steps"], first["n_rhs_evals"])
+                == (again["n_steps"], again["n_rhs_evals"]))
+
 
 @pytest.fixture(scope="module")
 def wing_curve(hyperbolic_warp):
@@ -249,45 +260,54 @@ def test_rhs_tangent_is_unit(r, phi, c):
     assert math.hypot(dr, dt) == pytest.approx(1.0, abs=1e-12)
 
 
+def _slope(r, y):
+    return (y[1], (1.0 + y[1] ** 2) * (1.0 - y[1] / r))
+
+
 @lru_cache(maxsize=None)
 def _ode_solution(descending: bool):
-    """DOP853 dense output of the euclidean n = 2 bowl slope equation
-    u'' = (1 + u'^2)(1 - u'/r), solved up or down in r."""
+    """The euclidean n = 2 bowl slope equation u'' = (1 + u'^2)(1 - u'/r),
+    solved up or down in r: the DenseSolution of the package's DOP853
+    run, and SciPy's OdeSolution of the same solve."""
     span = (6.0, 0.5) if descending else (0.5, 6.0)
-    return solve_ivp(lambda r, y: (y[1], (1.0 + y[1] ** 2) * (1.0 - y[1] / r)),
-                     span, (0.0, 0.2), method="DOP853", rtol=1e-11,
-                     atol=1e-13, dense_output=True).sol
+    run = dop853.solve(_slope, span, (0.0, 0.2), 1e-11, 1e-13)
+    sol = solve_ivp(_slope, span, (0.0, 0.2), method="DOP853", rtol=1e-11,
+                    atol=1e-13, dense_output=True).sol
+    return DenseSolution(run), sol
 
 
 class TestDenseSolution:
-    """The stacked evaluator equals SciPy's OdeSolution bit for bit; a
-    change in SciPy's interpolant layout fails here."""
+    """The stacked evaluator of the package's DOP853 run equals SciPy's
+    OdeSolution of the same solve bit for bit; a change in SciPy's
+    interpolant or step selection fails here."""
 
     @settings(max_examples=60, deadline=None)
     @given(descending=st.booleans(),
            u=st.lists(st.floats(-0.05, 1.05), min_size=1, max_size=40))
     def test_random_points(self, descending, u):
-        sol = _ode_solution(descending)
+        dense, sol = _ode_solution(descending)
         t = sol.t_min + (sol.t_max - sol.t_min) * np.array(u)
-        got, want = DenseSolution(sol)(t), sol(t)
+        got, want = dense(t), sol(t)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
-        got, want = DenseSolution(sol)(t[0]), sol(t[0])
+        got, want = dense(t[0]), sol(t[0])
         assert got.shape == want.shape == (2,)
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("descending", [False, True])
     def test_every_step_boundary(self, descending):
-        sol = _ode_solution(descending)
-        dense = DenseSolution(sol)
+        dense, sol = _ode_solution(descending)
         assert sol.ts.size > 20
         assert dense(sol.ts).tobytes() == sol(sol.ts).tobytes()
         for t in sol.ts:
             assert dense(np.asarray(t)).tobytes() == sol(np.asarray(t)).tobytes()
 
     def test_zero_length_solve(self):
-        # a solve from t0 to t0 has one constant step and no coefficients
-        sol = solve_ivp(lambda t, y: -y, (1.0, 1.0), (2.0,), method="DOP853",
+        # a solve from t0 to t0 is one constant step
+        def decay(t, y):
+            return -y
+        run = dop853.solve(decay, (1.0, 1.0), (2.0,), 1e-3, 1e-6)
+        sol = solve_ivp(decay, (1.0, 1.0), (2.0,), method="DOP853",
                         dense_output=True).sol
         for t in (1.0, np.array([1.0, 1.5])):
-            assert DenseSolution(sol)(t).tobytes() == sol(t).tobytes()
+            assert DenseSolution(run)(t).tobytes() == sol(t).tobytes()
