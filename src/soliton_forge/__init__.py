@@ -21,9 +21,8 @@ _EXPORTS = {
     for module, names in {
         "warp_models": (
             "CurvatureBounds", "Violation", "WarpModel",
-            "constant_curvature_ratio", "level_mean_curvature",
-            "make_builtin_warp", "radial_curvature", "riccati_residual",
-            "validate_warp", "warp_from_json",
+            "level_mean_curvature", "make_builtin_warp", "radial_curvature",
+            "riccati_residual", "validate_warp", "warp_from_json",
         ),
         "profile_solver": (
             "ProfileCurve", "ProfileState", "SampledCurve", "SolitonSpec",

@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from . import fileio, lorentz
-from .warp_models import _FAMILY_KIND, FAMILIES, make_builtin_warp
+from .warp_models import _FAMILY_KIND, CHARTS, FAMILIES, make_builtin_warp
 
 
 class UsageError(Exception):
@@ -247,11 +247,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_flow(args) -> int:
     from . import mcf_flow
-    warp_kind = "rotational" if args.chart == "polar" else "equidistant"
+    warp_kind = {chart: kind for kind, chart in CHARTS.items()}[args.chart]
     warp = make_builtin_warp(warp_kind, args.K)
     problem = mcf_flow.FlowProblem(args.c, args.n, warp, r_max=args.R,
-                                   n_nodes=args.nodes, chart=args.chart,
-                                   bc=args.bc)
+                                   n_nodes=args.nodes, bc=args.bc)
     dtau = args.dtau
     if dtau is None and args.scheme == "implicit":
         dtau = 1e-3

@@ -338,18 +338,22 @@ def _dense_coefficients(fun, K_ext, t_old, y_old, h, y, f):
     return F
 
 
+def _step_polynomial(coeffs, x, y_old):
+    """``y_old`` plus the dense step polynomial at ``x``, its coefficients
+    ``coeffs`` highest power first, run as SciPy runs it: from zero,
+    y += coeffs[j]; y *= x or (1 - x) in turn."""
+    y = np.zeros(y_old.shape)
+    for j, f in enumerate(coeffs):
+        y += f
+        y *= x if j % 2 == 0 else 1 - x
+    y += y_old
+    return y
+
+
 def _step_value(t, t_old, h, y_old, F):
     """Dense value of one step at the time t (h = 0: a constant step)."""
     x = (t - t_old) / h if h else 0.0
-    y = np.zeros_like(y_old)
-    for i, f in enumerate(reversed(F)):
-        y += f
-        if i % 2 == 0:
-            y *= x
-        else:
-            y *= 1 - x
-    y += y_old
-    return y
+    return _step_polynomial(F[::-1], x, y_old)
 
 
 def brentq(f, xa: float, xb: float) -> float:
@@ -557,9 +561,8 @@ class DenseSolution:
     Picks each point's step as SciPy's ``OdeSolution`` does (one
     ``searchsorted`` on the step ends, from the left for an ascending solve
     and from the right on the reversed ends of a descending one, clipped to
-    the steps) and runs the step polynomial ``y += F[j]; y *= x or (1 - x)``
-    in SciPy's order, so the values equal ``solve_ivp``'s ``sol(t)`` bit
-    for bit.
+    the steps) and runs :func:`_step_polynomial` on all of them at once,
+    so the values equal ``solve_ivp``'s ``sol(t)`` bit for bit.
     """
 
     def __init__(self, run: Integration):
@@ -585,10 +588,5 @@ class DenseSolution:
         # a constant step (h = 0) has x = 0 and F = 0, so its value is y_old
         x = np.divide(points - self.t_old[seg], h, out=np.zeros_like(points),
                       where=h != 0)
-        coeffs = self.F[:, :, seg]
-        y = np.zeros(coeffs.shape[1:])
-        for j, f in enumerate(coeffs):
-            y += f
-            y *= x if j % 2 == 0 else 1 - x
-        y += self.y_old[:, seg]
+        y = _step_polynomial(self.F[:, :, seg], x, self.y_old[:, seg])
         return y[:, 0] if t.ndim == 0 else y

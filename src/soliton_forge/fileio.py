@@ -162,21 +162,6 @@ def export_mesh_obj(mesh: SolitonMesh, path, meta=None) -> Path:
     return _write_lines(path, lines)
 
 
-def load_obj(path):
-    """Vertices and 0-based triangle faces of an OBJ file."""
-    verts, faces = [], []
-    for line in Path(path).read_text().splitlines():
-        parts = line.split()
-        if not parts:
-            continue
-        if parts[0] == "v":
-            verts.append([float(x) for x in parts[1:4]])
-        elif parts[0] == "f":
-            idx = [int(tok.split("/")[0]) - 1 for tok in parts[1:4]]
-            faces.append(idx)
-    return np.asarray(verts, dtype=float), np.asarray(faces, dtype=int)
-
-
 def export_points_csv(points, path, heights=None, meta=None) -> Path:
     """Hyperboloid point rows x0..xn, optionally with a height column."""
     data = np.array([getattr(p, "coords", p) for p in points], dtype=float)

@@ -34,14 +34,13 @@ SOLVER_RECORD = ("n_rhs_evals", "n_steps", "status")
 
 @dataclass
 class RadialGraph:
-    """One-dimensional graph record u(r) with slopes on a strict grid."""
+    """One-dimensional graph record u(r) with slopes on a strict grid; its
+    chart is its warp's, and it blew up iff it has a ``blowup_radius``."""
 
     r_grid: np.ndarray
     u: np.ndarray
     du: np.ndarray
-    spec: SolitonSpec | None
-    chart: str
-    gradient_blowup: bool = False
+    spec: SolitonSpec
     blowup_radius: float | None = None
     meta: dict = field(default_factory=dict)
     _dense: Callable | None = None  # r -> (u, du), solver dense output
@@ -72,6 +71,14 @@ class RadialGraph:
         return self._interp()[1](r)
 
     @property
+    def chart(self) -> str:
+        return self.spec.warp.chart
+
+    @property
+    def gradient_blowup(self) -> bool:
+        return self.blowup_radius is not None
+
+    @property
     def r_span(self):
         return float(self.r_grid[0]), float(self.r_grid[-1])
 
@@ -91,8 +98,9 @@ def _integrate_slope(rhs, r_span, y0, rtol, atol, tail=None,
     """Integrate (u, u')' = rhs with terminal detection of |u'| = 1e6.
 
     ``tail`` maps the event state (r_evt, p_evt) to the residual distance
-    to the true vertical point, used to refine the reported radius.  The
-    last item is the solver record: RHS calls, accepted steps and status.
+    to the true vertical point, used to refine the reported radius, which
+    is None without a blow-up.  The last item is the solver record: RHS
+    calls, accepted steps and status.
     """
 
     def ev_blowup(r, y):
@@ -102,9 +110,8 @@ def _integrate_slope(rhs, r_span, y0, rtol, atol, tail=None,
     run = dop853.solve(rhs, r_span, y0, rtol, atol, [ev_blowup])
     if run.status == -1:
         raise RuntimeError(f"slope ODE step failure: {run.message}")
-    blowup = run.t_events[0].size > 0
     blowup_radius = None
-    if blowup:
+    if run.t_events[0].size:
         r_evt = float(run.t_events[0][0])
         p_evt = float(run.y_events[0][0][1])
         if blowup_is_error:
@@ -115,7 +122,7 @@ def _integrate_slope(rhs, r_span, y0, rtol, atol, tail=None,
     dense = dop853.DenseSolution(run)
     u, du = dense(r_grid)
     record = {"n_rhs_evals": run.nfev, "n_steps": run.n_steps, "status": run.status}
-    return r_grid, u, du, dense, blowup, blowup_radius, record
+    return r_grid, u, du, dense, blowup_radius, record
 
 
 def _slope_rhs(c: float, n: int, warp: WarpModel):
@@ -152,11 +159,10 @@ def solve_radial_graph(spec: SolitonSpec, r_span=(0.0, 20.0), ic=None,
         meta["axis_launch"] = r0
     else:
         y0 = (u0, du0)
-    r_grid, u, du, dense, blowup, b_rad, record = _integrate_slope(
+    r_grid, u, du, dense, b_rad, record = _integrate_slope(
         _slope_rhs(c, n, warp), (r0, r_span[1]), y0, rtol, atol)
     meta.update(record)
-    return RadialGraph(r_grid=r_grid, u=u, du=du, spec=spec, chart="polar",
-                       gradient_blowup=blowup, blowup_radius=b_rad,
+    return RadialGraph(r_grid=r_grid, u=u, du=du, spec=spec, blowup_radius=b_rad,
                        meta=meta, _dense=dense)
 
 
@@ -190,11 +196,10 @@ def solve_ideal_graph(c: float, n: int, warp: WarpModel, r_span=(0.0, 5.0),
         direction = math.copysign(1.0, r_span[1] - r_span[0])
         return direction * (math.pi / 2 - math.atan(abs(p_evt))) / abs(a)
 
-    r_grid, u, du, dense, blowup, b_rad, record = _integrate_slope(
+    r_grid, u, du, dense, b_rad, record = _integrate_slope(
         rhs, (r0, r_span[1]), (u0, du0), rtol, atol, tail=tail)
     spec = SolitonSpec(c=c, n=n, family="ideal", warp=warp)
-    return RadialGraph(r_grid=r_grid, u=u, du=du, spec=spec, chart="busemann",
-                       gradient_blowup=blowup, blowup_radius=b_rad,
+    return RadialGraph(r_grid=r_grid, u=u, du=du, spec=spec, blowup_radius=b_rad,
                        meta={"source": "ideal_ode", **record}, _dense=dense)
 
 
@@ -251,8 +256,8 @@ def solve_grim(c: float, n: int, warp: WarpModel, r_span=(-20.0, 20.0),
         u = np.concatenate((ul[::-1], ur[1:]))
         du = np.concatenate((dul[::-1], dur[1:]))
         dense = _two_pieces(left, right, r0)
-    return RadialGraph(r_grid=r_grid, u=u, du=du, spec=spec,
-                       chart="equidistant", meta=meta, _dense=dense)
+    return RadialGraph(r_grid=r_grid, u=u, du=du, spec=spec, meta=meta,
+                       _dense=dense)
 
 
 def _two_pieces(left, right, r0: float):

@@ -36,7 +36,7 @@ from scipy.special import gamma
 
 from .graph_solvers import solve_radial_graph, solve_grim
 from .profile_solver import SolitonSpec, axis_series
-from .warp_models import ROTATIONAL, EQUIDISTANT, WarpModel
+from .warp_models import WarpModel
 
 EXPLICIT_CFL = 0.4
 NEWTON_TOL, NEWTON_MAX_ITER = 1e-10, 25
@@ -104,36 +104,36 @@ class FlowTrajectory:
 class FlowProblem:
     """Spatial discretization and quadratures for one flow configuration.
 
-    ``chart`` is "polar" (grid [0, R], axis symmetry at r = 0) or
-    "equidistant" (grid [-R, R], n = 2 only, slope conditions at both
-    ends).  ``robin_slope`` may be a number, or None to pin the initial
-    data's own one-sided slope when a run starts.  Implicit steps solve
-    to NEWTON_TOL in at most NEWTON_MAX_ITER Newton iterations.
+    The chart is the warp's: "polar" for a rotational warp (grid [0, R],
+    axis symmetry at r = 0) or "equidistant" (grid [-R, R], n = 2 only,
+    slope conditions at both ends).  ``robin_slope`` may be a number, or
+    None to pin the initial data's own one-sided slope when a run starts.
+    Implicit steps solve to NEWTON_TOL in at most NEWTON_MAX_ITER Newton
+    iterations.
     """
 
     def __init__(self, c: float, n: int, warp: WarpModel, r_max: float = 10.0,
-                 n_nodes: int = 2001, chart: str = "polar", bc: str = "robin",
-                 robin_slope=None):
+                 n_nodes: int = 2001, bc: str = "robin", robin_slope=None):
+        if not math.isfinite(c):
+            raise ValueError(f"flow speed c must be finite, got {c}")
         if n_nodes < 3 or not 0 < r_max < math.inf:
             raise ValueError("a flow grid needs n_nodes >= 3 and a finite r_max > 0, "
                              f"got n_nodes = {n_nodes}, r_max = {r_max}")
+        chart = warp.chart
         if chart == "polar":
-            if warp.kind != ROTATIONAL:
-                raise ValueError("polar flow chart needs a rotational warp")
             self.r_grid = np.linspace(0.0, r_max, n_nodes)
         elif chart == "equidistant":
-            if warp.kind != EQUIDISTANT:
-                raise ValueError("equidistant flow chart needs an equidistant warp")
             if n != 2:
                 raise ValueError("equidistant flow chart supports n = 2 only")
             self.r_grid = np.linspace(-r_max, r_max, n_nodes)
         else:
-            raise ValueError(f"unknown flow chart {chart!r}")
+            raise ValueError(f"no flow on the {chart} chart: the flow needs a "
+                             "rotational or equidistant warp")
         warp.require_domain(self.r_grid)
         if bc not in ("robin", "dirichlet"):
             raise ValueError(f"unknown boundary condition {bc!r}")
         self.c, self.n, self.warp = float(c), int(n), warp
-        self.chart, self.bc = chart, bc
+        self.bc = bc
         self.r_max = float(r_max)
         self.dr = float(self.r_grid[1] - self.r_grid[0])
         self.area = sphere_area(n)
@@ -164,6 +164,10 @@ class FlowProblem:
             self._sigma = float(robin_slope)
             if chart == "equidistant":
                 self._sigma_left = -float(robin_slope)
+
+    @property
+    def chart(self) -> str:
+        return self.warp.chart
 
     # -- boundary slopes -------------------------------------------------
 
@@ -236,6 +240,7 @@ class FlowProblem:
             raise ValueError(
                 f"dtau = {dtau:g} is not > 0 and within the stability bound "
                 f"{self.stability_bound():g}")
+        u = _finite_heights(u)
         k1 = self.rhs(u)
         k2 = self.rhs(u + dtau * k1)
         return u + 0.5 * dtau * (k1 + k2)
@@ -327,12 +332,6 @@ class FlowProblem:
         """F(tau) = |S^{n-1}| int exp(c u - c^2 tau) W xi^{n-1} dr."""
         *_, big_w, k = self._record_terms(u, tau)
         return self._functional(big_w, k)
-
-    def mean_curvature(self, u) -> np.ndarray:
-        """Nodal H = u''/W^3 + D(r) u'/W of the graph."""
-        p, q = self._differences(u)
-        w2 = 1.0 + p * p
-        return self._curvature(p, q, w2, np.sqrt(w2))
 
     def soliton_defect(self, u, tau: float) -> float:
         """D(tau) = |S^{n-1}| int K (H - c/W)^2 W xi^{n-1} dr >= 0."""

@@ -54,18 +54,6 @@ class SolitonMesh:
     def n_faces(self) -> int:
         return len(self.faces)
 
-    def edges(self) -> np.ndarray:
-        """Unique undirected edges."""
-        if not self.faces.size:
-            return np.empty((0, 2), dtype=int)
-        e = np.vstack((self.faces[:, [0, 1]], self.faces[:, [1, 2]],
-                       self.faces[:, [2, 0]]))
-        return np.unique(np.sort(e, axis=1), axis=0)
-
-    @property
-    def euler_characteristic(self) -> int:
-        return self.n_vertices - len(self.edges()) + self.n_faces
-
 
 def _disk_radius(r, kappa: float):
     return np.tanh(kappa * np.asarray(r) / 2.0) / kappa

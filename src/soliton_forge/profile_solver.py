@@ -26,10 +26,7 @@ from typing import Callable
 import numpy as np
 
 from . import dop853
-from .warp_models import (_FAMILY_KIND, BUSEMANN, EQUIDISTANT, FAMILIES,
-                          ROTATIONAL, WarpModel)
-
-_CHART_BY_KIND = {ROTATIONAL: "polar", BUSEMANN: "busemann", EQUIDISTANT: "equidistant"}
+from .warp_models import _FAMILY_KIND, FAMILIES, ROTATIONAL, WarpModel
 
 DEFAULT_RTOL = 1e-9
 DEFAULT_ATOL = 1e-11
@@ -64,10 +61,6 @@ class SolitonSpec:
                 f"family {self.family!r} needs a {_FAMILY_KIND[self.family]} warp, "
                 f"got {self.warp.kind}")
 
-    @property
-    def chart(self) -> str:
-        return _CHART_BY_KIND[self.warp.kind]
-
 
 @dataclass(frozen=True)
 class ProfileState:
@@ -75,14 +68,6 @@ class ProfileState:
     r: float
     t: float
     phi: float
-
-    @property
-    def rdot(self) -> float:
-        return math.cos(self.phi)
-
-    @property
-    def tdot(self) -> float:
-        return math.sin(self.phi)
 
 
 @dataclass(frozen=True)
@@ -111,8 +96,6 @@ class ProfileCurve:
     t: np.ndarray
     phi: np.ndarray
     termination: str
-    rtol: float
-    atol: float
     diagnostics: dict = field(default_factory=dict)
     _sol: Callable | None = None
     _series: tuple | None = None  # (s0, t0) for the bowl axis launch
@@ -146,10 +129,6 @@ class ProfileCurve:
         if scalar:
             return float(r[0]), float(t[0]), float(phi[0])
         return r, t, phi
-
-    def dense_eval(self, s: float) -> ProfileState:
-        r, t, phi = self.sample(float(s))
-        return ProfileState(float(s), r, t, phi)
 
     @property
     def turning_points(self) -> list:
@@ -247,8 +226,7 @@ def _integrate(spec: SolitonSpec, y0, s0: float, stop: TerminationPolicy,
     }
     return ProfileCurve(
         spec=spec, s=run.t, r=run.y[0], t=run.y[1], phi=run.y[2],
-        termination=termination, rtol=rtol, atol=atol,
-        diagnostics=diag, _sol=dop853.DenseSolution(run))
+        termination=termination, diagnostics=diag, _sol=dop853.DenseSolution(run))
 
 
 def solve_bowl(spec: SolitonSpec, stop: TerminationPolicy | None = None,
@@ -348,7 +326,7 @@ def profile_to_graph(curve: ProfileCurve, n_points: int | None = None):
         raise ValueError("admissible sub-arc too short for a graph record")
     du = np.tan(phi)
     return RadialGraph(
-        r_grid=r, u=t, du=du, spec=curve.spec, chart=curve.spec.chart,
+        r_grid=r, u=t, du=du, spec=curve.spec,
         meta={"source": "profile", "rdot_min": GRAPH_RDOT_MIN})
 
 

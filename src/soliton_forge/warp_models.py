@@ -28,6 +28,9 @@ BUSEMANN = "busemann"
 EQUIDISTANT = "equidistant"
 KINDS = (ROTATIONAL, BUSEMANN, EQUIDISTANT)
 
+#: the foliation of P each warp kind's radius coordinate charts
+CHARTS = {ROTATIONAL: "polar", BUSEMANN: "busemann", EQUIDISTANT: "equidistant"}
+
 FAMILIES = ("bowl", "wing", "ideal", "grim")
 
 #: warp kind each soliton family lives on
@@ -66,6 +69,11 @@ class WarpModel:
             raise ValueError(f"unknown warp kind {self.kind!r}")
         if self.kind == EQUIDISTANT and self.chi is None:
             raise ValueError("equidistant warp requires the chi factor")
+
+    @property
+    def chart(self) -> str:
+        """Name of the chart of P the radius r coordinatises."""
+        return CHARTS[self.kind]
 
     def in_domain(self, r) -> bool:
         lo, hi = self.r_domain
@@ -270,17 +278,6 @@ def level_mean_curvature(model: WarpModel, r: float, n: int) -> float:
     if model.kind == EQUIDISTANT and n > 2 and float(model.chi(r)) == 0.0:
         raise ValueError("chi vanishes; equidistant levels singular here")
     return model.drift(r, n)
-
-
-def constant_curvature_ratio(K: float, r):
-    """xi'/xi for the simply connected space form of curvature K <= 0."""
-    r = np.asarray(r, dtype=float)
-    if K > 0:
-        raise ValueError("only non-positive curvature comparison is supported")
-    if K == 0.0:
-        return 1.0 / r
-    k = math.sqrt(-K)
-    return k / np.tanh(k * r)
 
 
 def default_validation_grid(model: WarpModel) -> np.ndarray:

@@ -212,6 +212,21 @@ class TestFlowCommand:
         assert err.startswith("error: ") and "dtau" in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("chart", ["polar", "equidistant"])
+    def test_chart_chooses_the_warp(self, tmp_path, chart):
+        assert run("--out", str(tmp_path), "flow", "--chart", chart, "--R", "4",
+                   "--nodes", "201", "--scheme", "implicit", "--dtau", "1e-3",
+                   "--horizon", "0.01") == 0
+        assert read_table(tmp_path / "flow_trajectory.csv")[0]["chart"] == chart
+
+    @pytest.mark.parametrize("c", ["nan", "inf"])
+    def test_rejects_non_finite_speed(self, tmp_path, capsys, c):
+        assert run("--out", str(tmp_path), "flow", "--initial", "flat", "--c", c,
+                   "--nodes", "101", "--R", "4", "--horizon", "0.001") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "speed c" in err
+        assert not list(tmp_path.iterdir())
+
     def test_bad_initial(self, tmp_path):
         assert run("--out", str(tmp_path), "flow", "--initial",
                    "wavelet") == 1

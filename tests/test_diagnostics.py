@@ -37,7 +37,7 @@ class TestFlux:
         spec = SolitonSpec(c=0.0, n=2, family="bowl", warp=euclidean_warp)
         r = np.linspace(0.1, 5.0, 80)
         graph = RadialGraph(r_grid=r, u=np.zeros_like(r), du=np.zeros_like(r),
-                            spec=spec, chart="polar")
+                            spec=spec)
         result = flux_residual(graph)
         assert result.passed
         assert result.max_abs_residual == pytest.approx(0.0, abs=1e-14)

@@ -71,7 +71,7 @@ class TestRadialGraph:
         from soliton_forge import RadialGraph
         with pytest.raises(ValueError):
             RadialGraph(r_grid=[0.0, 1.0, 1.0], u=[0, 0, 0], du=[0, 0, 0],
-                        spec=euclidean_bowl_spec, chart="polar")
+                        spec=euclidean_bowl_spec)
 
     def test_axis_start_needs_flat_slope(self, euclidean_bowl_spec):
         with pytest.raises(ValueError):
@@ -193,3 +193,33 @@ class TestSolverRecord:
         assert set(SOLVER_RECORD) <= set(graph.meta)
         assert not set(SOLVER_RECORD) & set(meta)
         assert meta["source"] == "radial_ode"
+
+
+class TestDerivedFacts:
+    """A graph's chart is its warp's, and its blow-up flag is its radius's."""
+
+    def test_not_constructor_fields(self, euclidean_bowl_spec):
+        from dataclasses import fields
+
+        from soliton_forge import RadialGraph
+        assert not {"chart", "gradient_blowup"} & {f.name for f in fields(RadialGraph)}
+        with pytest.raises(TypeError):
+            RadialGraph(r_grid=[0.0, 1.0], u=[0, 0], du=[0, 0],
+                        spec=euclidean_bowl_spec, chart="polar")
+
+    def test_every_solver(self, hyperbolic_bowl_spec, busemann_warp,
+                          equidistant_warp):
+        # an n = 1 bowl graph on an equidistant warp reports that warp's chart
+        line = SolitonSpec(c=1.0, n=1, family="bowl", warp=equidistant_warp)
+        curve = solve_bowl(hyperbolic_bowl_spec, stop=TerminationPolicy(r_max=3.0))
+        graphs = [
+            ("polar", solve_radial_graph(hyperbolic_bowl_spec, r_span=(0.0, 3.0))),
+            ("equidistant", solve_radial_graph(line, r_span=(0.0, 1.0))),
+            ("busemann", solve_ideal_graph(2.0, 2, busemann_warp, r_span=(0.0, 2.0))),
+            ("equidistant", solve_grim(1.0, 2, equidistant_warp, r_span=(-3.0, 3.0))),
+            ("polar", profile_to_graph(curve)),
+        ]
+        for chart, graph in graphs:
+            assert graph.chart == graph.spec.warp.chart == chart
+            assert graph.gradient_blowup == (graph.blowup_radius is not None)
+        assert graphs[2][1].gradient_blowup

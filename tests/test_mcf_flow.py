@@ -75,15 +75,23 @@ class TestSpatialOperator:
             prob.rhs(np.zeros(101))
 
     def test_grim_chart_near_fixed_point(self, equidistant_warp):
-        prob = FlowProblem(C, N, equidistant_warp, r_max=8.0, n_nodes=1601,
-                           chart="equidistant")
+        prob = FlowProblem(C, N, equidistant_warp, r_max=8.0, n_nodes=1601)
         u0 = soliton_initial(prob)
         prob.pin_boundary_slopes(u0)
         assert np.max(np.abs(prob.rhs(u0) - C)) < 1e-4
 
-    def test_chart_warp_mismatch(self, equidistant_warp):
-        with pytest.raises(ValueError):
-            FlowProblem(C, N, equidistant_warp, chart="polar")
+    def test_chart_is_not_a_parameter(self, hyperbolic_warp):
+        # the chart is the warp's; TestDriftWeight checks it on both charts
+        with pytest.raises(TypeError):
+            FlowProblem(C, N, hyperbolic_warp, chart="polar")
+
+    def test_busemann_warp_rejected(self, busemann_warp):
+        with pytest.raises(ValueError, match="busemann"):
+            FlowProblem(C, N, busemann_warp, r_max=4.0, n_nodes=41)
+
+    def test_equidistant_needs_n2(self, equidistant_warp):
+        with pytest.raises(ValueError, match="n = 2"):
+            FlowProblem(C, 3, equidistant_warp, r_max=4.0, n_nodes=41)
 
     def test_grid_outside_warp_domain(self, hyperbolic_table_warp):
         with pytest.raises(ValueError, match="outside domain"):
@@ -98,8 +106,7 @@ CHART_BC = [("polar", "robin"), ("polar", "dirichlet"),
 def _small_problem(chart, bc):
     """41 nodes on R = 4 with K = -1 and a Robin slope of 0.7."""
     warp = make_builtin_warp("rotational" if chart == "polar" else "equidistant", -1.0)
-    return FlowProblem(C, N, warp, r_max=4.0, n_nodes=41, chart=chart, bc=bc,
-                       robin_slope=0.7)
+    return FlowProblem(C, N, warp, r_max=4.0, n_nodes=41, bc=bc, robin_slope=0.7)
 
 
 class TestGhostClosure:
@@ -154,7 +161,8 @@ class TestDriftWeight:
     ])
     def test_match_per_node_formulas(self, kind, curv, n, chart):
         warp = make_builtin_warp(kind, curv)
-        prob = FlowProblem(C, n, warp, r_max=10.0, n_nodes=1001, chart=chart)
+        prob = FlowProblem(C, n, warp, r_max=10.0, n_nodes=1001)
+        assert prob.chart == chart
         drift, weight = _per_node_drift_weight(warp, prob.r_grid, n, chart)
         np.testing.assert_array_equal(prob.drift, drift)
         if n <= 2:
@@ -275,6 +283,20 @@ class TestNonFinite:
         u[7] = bad
         with pytest.raises(ValueError, match="non-finite"):
             prob.step_implicit(u, 1e-3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_step_explicit_rejects_non_finite_heights(self, bad):
+        prob = _small_problem("polar", "robin")
+        u = np.zeros(prob.r_grid.size)
+        u[7] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            prob.step_explicit(u, 1e-3)
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    def test_speed_must_be_finite(self, c):
+        warp = make_builtin_warp("rotational", -1.0)
+        with pytest.raises(ValueError, match="speed c"):
+            FlowProblem(c, N, warp, r_max=4.0, n_nodes=41)
 
     @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -450,7 +472,7 @@ class TestSameBits:
     def test_quadrature_is_scipy_simpson(self, chart, nodes):
         # odd node counts pair every interval; even ones correct the last
         warp = make_builtin_warp("rotational" if chart == "polar" else "equidistant", -1.0)
-        prob = FlowProblem(C, 2, warp, r_max=7.3, n_nodes=nodes, chart=chart)
+        prob = FlowProblem(C, 2, warp, r_max=7.3, n_nodes=nodes)
         y = np.random.default_rng(nodes).standard_normal(nodes) * np.exp(prob.r_grid)
         assert _same_bits(prob._integral(y), prob.area * simpson(y, x=prob.r_grid))
 

@@ -17,9 +17,9 @@ from soliton_forge.fileio import export_points_csv, read_points_csv
 #: the public names of the package and the submodule that defines each
 EXPORTS = {
     "warp_models": (
-        "CurvatureBounds", "Violation", "WarpModel", "constant_curvature_ratio",
-        "level_mean_curvature", "make_builtin_warp", "radial_curvature",
-        "riccati_residual", "validate_warp", "warp_from_json"),
+        "CurvatureBounds", "Violation", "WarpModel", "level_mean_curvature",
+        "make_builtin_warp", "radial_curvature", "riccati_residual",
+        "validate_warp", "warp_from_json"),
     "profile_solver": (
         "ProfileCurve", "ProfileState", "SampledCurve", "SolitonSpec",
         "TerminationPolicy", "equilibrium_angle", "profile_rhs",

@@ -11,15 +11,26 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from soliton_forge import (
-    CurvatureBounds, WarpModel, constant_curvature_ratio, level_mean_curvature,
-    make_builtin_warp, radial_curvature, riccati_residual, validate_warp,
-    warp_from_json,
+    CurvatureBounds, WarpModel, level_mean_curvature, make_builtin_warp,
+    radial_curvature, riccati_residual, validate_warp, warp_from_json,
 )
-from soliton_forge.warp_models import default_validation_grid
+from soliton_forge.warp_models import CHARTS, KINDS, default_validation_grid
 
 COTH_1 = 1.3130352854993312  # cosh(1)/sinh(1)
 TANH_1 = 0.7615941559557649
 SINH_2 = 3.626860407847019
+
+
+def constant_curvature_ratio(K: float, r):
+    """xi'/xi for the simply connected space form of curvature K <= 0: the
+    oracle for xi_ratio."""
+    r = np.asarray(r, dtype=float)
+    if K > 0:
+        raise ValueError("only non-positive curvature comparison is supported")
+    if K == 0.0:
+        return 1.0 / r
+    k = math.sqrt(-K)
+    return k / np.tanh(k * r)
 
 
 class TestBuiltins:
@@ -54,6 +65,13 @@ class TestBuiltins:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             make_builtin_warp("spherical", -1.0)
+
+    @pytest.mark.parametrize("kind,chart", [("rotational", "polar"),
+                                            ("busemann", "busemann"),
+                                            ("equidistant", "equidistant")])
+    def test_chart_follows_kind(self, kind, chart):
+        assert set(CHARTS) == set(KINDS)
+        assert make_builtin_warp(kind, -1.0).chart == chart
 
 
 class TestValidation:
