@@ -2,15 +2,15 @@
 rotationally invariant Riemannian products R x P.
 
 Submodules: warp_models (metric data), dop853 (the ODE integrator),
-profile_solver (parametric profiles), graph_solvers (graph ODEs),
-diagnostics (identity checks), mcf_flow (graphical flow and
-monotonicity), lorentz (hyperboloid-model isometries), meshing and
-fileio (artifacts), cli (command line).
+spline (cubic interpolants), profile_solver (parametric profiles),
+graph_solvers (graph ODEs), diagnostics (identity checks), mcf_flow
+(graphical flow and monotonicity), lorentz (hyperboloid-model
+isometries), meshing and fileio (artifacts), cli (command line).
 
 Each submodule is imported the first time one of its names is looked up
 here, so ``soliton_forge.LorentzPoint`` loads NumPy and ``lorentz`` only.
-The solvers need NumPy alone; SciPy waits for the flow, resampled curves
-and table warps.
+Everything but the flow needs NumPy alone; mcf_flow takes LAPACK's
+``dgtsv`` and the Gamma function from SciPy.
 """
 
 import importlib

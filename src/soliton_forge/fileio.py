@@ -10,6 +10,7 @@ OBJ files carry the same metadata as '#' comments before the vertex block.
 from __future__ import annotations
 
 import json
+from itertools import repeat
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -48,13 +49,28 @@ def _cell(value) -> str:
     return fmt(value)
 
 
+def _rows(template: str, data: np.ndarray) -> str:
+    """The rows of the 2-d ``data``, each through ``template`` (one
+    conversion per column), formatted in one pass and joined by '\n'."""
+    return "\n".join([template] * len(data)) % tuple(data.ravel().tolist())
+
+
 def write_table(path, names, columns, meta=None) -> Path:
     """Metadata lines, the header `names`, one row per sample of equal columns.
 
-    Numbers are written with fmt, NaN as an empty cell, flags as true/false.
+    Numbers are written with fmt, NaN as an empty cell, flags (columns of
+    dtype bool) as true/false.  A table of numbers alone is formatted as
+    one block; a NaN or a flag column sends it through the per-cell form.
     """
     lines = _meta_lines(meta or {}) + [",".join(names)]
-    lines.extend(",".join(map(_cell, row)) for row in zip(*columns, strict=True))
+    arrays = [np.asarray(column) for column in columns]
+    data = None
+    if arrays and all(a.dtype.kind in "iuf" for a in arrays):
+        data = np.stack(arrays, axis=1).astype(float, copy=False)
+    if data is None or np.isnan(data).any():
+        lines.extend(",".join(map(_cell, row)) for row in zip(*columns, strict=True))
+    elif len(data):
+        lines.append(_rows(",".join(["%.17g"] * data.shape[1]), data))
     return _write_lines(path, lines)
 
 
@@ -78,14 +94,29 @@ def _header(cells) -> list:
     raise ValueError("a row of numbers where the header belongs")
 
 
+def _number_block(lines, width: int) -> list | None:
+    """The cells of ``lines`` read by float() in one pass, or None when a
+    line needs the per-line reader: a width other than ``width``, or a
+    cell float() rejects (an empty cell, a flag, a comment or a bad word)."""
+    if not lines:
+        return []
+    if set(map(str.count, lines, repeat(","))) != {width - 1}:
+        return None
+    try:
+        return list(map(float, ",".join(lines).split(",")))
+    except ValueError:
+        return None
+
+
 def read_table(path) -> tuple:
     """Inverse of write_table: (meta, names, data) with one data row per line.
 
     Metadata values stay strings; an empty cell reads as NaN.  The first
     line that is neither blank nor a comment must be the header.
     """
-    meta, names, rows = {}, None, []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    meta, names, body = {}, None, []
+    lines = Path(path).read_text().splitlines()
+    for lineno, line in enumerate(lines, 1):
         if line.startswith("#"):
             key, eq, value = line[1:].partition("=")
             if eq:
@@ -94,13 +125,17 @@ def read_table(path) -> tuple:
             try:
                 if names is None:
                     names = _header(line.split(","))
+                    block = _number_block(lines[lineno:], len(names))
+                    if block is not None:
+                        body = block
+                        break
                 else:
-                    rows.append(_row(line.split(","), len(names)))
+                    body.extend(_row(line.split(","), len(names)))
             except ValueError as exc:
                 raise ValueError(f"{path} line {lineno}: {exc}") from None
     if names is None:
         raise ValueError(f"{path}: no header line")
-    return meta, names, np.array(rows, dtype=float).reshape(-1, len(names))
+    return meta, names, np.array(body, dtype=float).reshape(-1, len(names))
 
 
 def export_profile_csv(curve, path, n_samples: int = 2001, meta=None) -> Path:
@@ -157,14 +192,17 @@ def export_mesh_obj(mesh: SolitonMesh, path, meta=None) -> Path:
     if mesh.n_vertices == 0 or mesh.n_faces == 0:
         raise ValueError("nothing to export: empty mesh")
     lines = _meta_lines({**mesh.meta, **(meta or {}), "chart": mesh.chart})
-    lines += [f"v {fmt(x)} {fmt(y)} {fmt(z)}" for x, y, z in mesh.vertices]
+    lines.append(_rows("v %.17g %.17g %.17g", mesh.vertices))
     lines += [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in mesh.faces]
     return _write_lines(path, lines)
 
 
 def export_points_csv(points, path, heights=None, meta=None) -> Path:
-    """Hyperboloid point rows x0..xn, optionally with a height column."""
-    data = np.array([getattr(p, "coords", p) for p in points], dtype=float)
+    """Hyperboloid point rows x0..xn, optionally with a height column;
+    ``points`` is an (N, n+1) array or a sequence of LorentzPoints."""
+    if not isinstance(points, np.ndarray):
+        points = [getattr(p, "coords", p) for p in points]
+    data = np.asarray(points, dtype=float)
     if data.size == 0:
         raise ValueError("nothing to export: empty point set")
     names = [f"x{i}" for i in range(data.shape[1])]

@@ -24,6 +24,7 @@ import numpy as np
 from . import dop853
 from .profile_solver import (AXIS_LAUNCH_S, DEFAULT_ATOL, DEFAULT_RTOL,
                              SolitonSpec, axis_series)
+from .spline import PiecewiseCubic
 from .warp_models import BUSEMANN, EQUIDISTANT, ROTATIONAL, WarpModel
 
 BLOWUP_SLOPE = 1e6
@@ -54,10 +55,8 @@ class RadialGraph:
 
     def _interp(self):
         if not hasattr(self, "_splines"):
-            from scipy.interpolate import CubicHermiteSpline, CubicSpline
-            u_s = CubicHermiteSpline(self.r_grid, self.u, self.du)
-            du_s = CubicSpline(self.r_grid, self.du)
-            self._splines = (u_s, du_s)
+            self._splines = (PiecewiseCubic.hermite(self.r_grid, self.u, self.du),
+                             PiecewiseCubic.not_a_knot(self.r_grid, self.du))
         return self._splines
 
     def u_eval(self, r):

@@ -234,13 +234,18 @@ class FlowProblem:
     def stability_bound(self) -> float:
         return EXPLICIT_CFL * self.dr * self.dr
 
-    def step_explicit(self, u, dtau: float) -> np.ndarray:
-        """Heun (explicit trapezoidal) step under the CFL bound."""
+    def _require_stable(self, dtau: float) -> None:
         if not 0 < dtau <= self.stability_bound() * (1 + 1e-12):
             raise ValueError(
                 f"dtau = {dtau:g} is not > 0 and within the stability bound "
                 f"{self.stability_bound():g}")
-        u = _finite_heights(u)
+
+    def step_explicit(self, u, dtau: float) -> np.ndarray:
+        """Heun (explicit trapezoidal) step under the CFL bound."""
+        self._require_stable(dtau)
+        return self._heun(_finite_heights(u), dtau)
+
+    def _heun(self, u, dtau: float) -> np.ndarray:
         k1 = self.rhs(u)
         k2 = self.rhs(u + dtau * k1)
         return u + 0.5 * dtau * (k1 + k2)
@@ -359,6 +364,9 @@ class FlowProblem:
         n_steps = round(steps)
         if abs(n_steps * dtau - horizon) > 1e-9 * max(1.0, horizon):
             raise ValueError("horizon must be an integer number of steps")
+        implicit = scheme == "implicit"
+        if not implicit:
+            self._require_stable(dtau)
         u = _finite_heights(u0).copy()
         if self.bc == "robin" and self._sigma is None:
             self.pin_boundary_slopes(u)
@@ -366,6 +374,8 @@ class FlowProblem:
         tally = dict(FLOW_RECORD)
 
         def record(tau, u):
+            # GraphFlowState rejects non-finite heights, and the last step
+            # is always recorded, so a run never returns them
             terms = self._record_terms(u, tau)
             taus.append(tau)
             fs.append(self._functional(*terms[3:]))
@@ -373,13 +383,12 @@ class FlowProblem:
             snaps.append(GraphFlowState(self.r_grid, u.copy(), tau))
 
         record(0.0, u)
-        implicit = scheme == "implicit"
         f = self.rhs(u) if implicit else None  # carried from step to step
         for i in range(1, n_steps + 1):
             if implicit:
                 u, f = self._newton(u, f, dtau, tally)
             else:
-                u = self.step_explicit(u, dtau)
+                u = self._heun(u, dtau)
             if i % record_every == 0 or i == n_steps:
                 record(i * dtau, u)
         return FlowTrajectory(

@@ -26,6 +26,7 @@ from typing import Callable
 import numpy as np
 
 from . import dop853
+from .spline import PiecewiseCubic
 from .warp_models import _FAMILY_KIND, FAMILIES, ROTATIONAL, WarpModel
 
 DEFAULT_RTOL = 1e-9
@@ -334,22 +335,20 @@ class SampledCurve:
     """Profile-curve interface over plain (s, r, t, phi) samples.
 
     Used by the verification CLI for CSV input and by the perturbation
-    negative controls; dense evaluation is cubic-spline interpolation.
-    Only these curves load SciPy, when the first one is built.
+    negative controls; dense evaluation is the not-a-knot cubic spline
+    of each column (:mod:`.spline`, SciPy's ``CubicSpline`` bit for bit).
     """
 
     def __init__(self, s, r, t, phi, spec: SolitonSpec | None = None):
-        from scipy.interpolate import CubicSpline
         self.s = np.asarray(s, dtype=float)
         self.spec = spec
-        self._r = CubicSpline(self.s, np.asarray(r, dtype=float))
-        self._t = CubicSpline(self.s, np.asarray(t, dtype=float))
-        self._phi = CubicSpline(self.s, np.asarray(phi, dtype=float))
+        self._spline = PiecewiseCubic.not_a_knot(
+            self.s, np.stack((r, t, phi), axis=-1))
 
     @property
     def s_span(self):
         return float(self.s[0]), float(self.s[-1])
 
     def sample(self, s):
-        s = np.asarray(s, dtype=float)
-        return self._r(s), self._t(s), self._phi(s)
+        r, t, phi = np.moveaxis(self._spline(s), -1, 0)
+        return r, t, phi

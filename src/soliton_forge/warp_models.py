@@ -343,7 +343,7 @@ def warp_from_json(source) -> WarpModel:
     xi is interpolated by a Hermite cubic through (r, xi, xi'); xi''
     comes from a Hermite cubic through (r, xi', xi'').
     """
-    from scipy.interpolate import CubicHermiteSpline
+    from .spline import PiecewiseCubic
 
     if hasattr(source, "read_text"):
         obj = json.loads(source.read_text())
@@ -364,8 +364,8 @@ def warp_from_json(source) -> WarpModel:
     ddxi = np.array([row["ddxi"] for row in table], dtype=float)
     order = np.argsort(r)
     r, xi, dxi, ddxi = r[order], xi[order], dxi[order], ddxi[order]
-    xi_s = CubicHermiteSpline(r, xi, dxi)
-    dxi_s = CubicHermiteSpline(r, dxi, ddxi)
+    xi_s = PiecewiseCubic.hermite(r, xi, dxi)
+    dxi_s = PiecewiseCubic.hermite(r, dxi, ddxi)
     return WarpModel(
         kind=kind,
         xi=xi_s,

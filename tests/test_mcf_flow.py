@@ -181,6 +181,13 @@ class TestStepping:
         with pytest.raises(ValueError):
             hyper_problem.step_explicit(u0, dt)
 
+    def test_run_checks_the_explicit_step_before_it_starts(self, hyperbolic_warp):
+        prob = FlowProblem(C, N, hyperbolic_warp, r_max=4.0, n_nodes=41)
+        dt = 2 * prob.stability_bound()
+        with pytest.raises(ValueError, match="stability bound"):
+            prob.run(flat_initial(prob), dt, 4 * dt)
+        assert prob._sigma is None  # rejected before the Robin slope is pinned
+
     def test_explicit_implicit_agree(self, hyperbolic_warp):
         prob = FlowProblem(C, N, hyperbolic_warp, r_max=8.0, n_nodes=401)
         u0 = bump_initial(prob, base=discrete_soliton(prob))
@@ -306,6 +313,17 @@ class TestNonFinite:
         u0[-1] = bad
         with pytest.raises(ValueError, match="non-finite"):
             prob.run(u0, 1e-3, 2e-3, scheme=scheme)
+
+    def test_overflowing_explicit_run_raises(self):
+        # finite heights whose second differences overflow: the first Heun
+        # step makes them non-finite, and the run, which checks them only
+        # where it records, must still raise rather than return them
+        prob = _small_problem("polar", "robin")
+        u0 = 1e308 * (-1.0) ** np.arange(prob.r_grid.size)
+        dtau = 0.5 * prob.stability_bound()
+        with np.errstate(all="ignore"), pytest.raises(ValueError,
+                                                      match="non-finite"):
+            prob.run(u0, dtau, 3 * dtau, record_every=10)
 
     def test_nan_residual_is_not_accepted(self):
         # finite heights whose differences overflow: every residual is NaN,
@@ -457,6 +475,20 @@ class TestSameBits:
         assert _same_bits(traj.F_values, fs)
         assert _same_bits(traj.defect_values, ds)
         assert _same_bits([s.u for s in traj.snapshots], us)
+
+    @pytest.mark.parametrize("chart,bc", CHART_BC)
+    def test_explicit_run_matches_public_step_loop(self, chart, bc):
+        # the run checks the step once and then steps through the private
+        # Heun step; the public step checks it on every call
+        prob = _small_problem(chart, bc)
+        u0 = 0.3 * np.exp(-(prob.r_grid - 1.0) ** 2) + 0.1 * np.sin(prob.r_grid)
+        dtau, steps = 0.5 * prob.stability_bound(), 9
+        traj = prob.run(u0, dtau, steps * dtau, record_every=steps)
+        u = u0
+        for _ in range(steps):
+            u = prob.step_explicit(u, dtau)
+        assert _same_bits(traj.snapshots[-1].u, u)
+        assert _same_bits(traj.F_values[-1:], [prob.weighted_functional(u, steps * dtau)])
 
     @pytest.mark.parametrize("curv,n,nodes", [(0.0, 2, 801), (-1.0, 2, 2001),
                                               (-1.0, 3, 501), (-0.3, 4, 301)])

@@ -312,3 +312,125 @@ def test_table_special_values(tmp_path):
     path = write_table(tmp_path / "t.csv", ["v"], [_SPECIAL])
     back = read_table(path)[2][:, 0]
     assert back.tobytes() == np.array(_SPECIAL).tobytes()
+
+
+def _per_cell_table(names, columns, meta) -> str:
+    """The table text as write_table formatted it one cell at a time: the
+    reference for the one-pass writer."""
+    def cell(value):
+        if value != value:
+            return ""
+        if isinstance(value, (bool, np.bool_)):
+            return "true" if value else "false"
+        return f"{float(value):.17g}"
+
+    lines = [f"# {key}={value}" for key, value in sorted(meta.items())]
+    lines.append(",".join(names))
+    lines.extend(",".join(map(cell, row)) for row in zip(*columns, strict=True))
+    return "\n".join(lines) + "\n"
+
+
+def _per_cell_parse(text, width) -> np.ndarray:
+    """The body of a table read one line and one float() at a time."""
+    words = {"": math.nan, "true": 1.0, "false": 0.0}
+    body = text.splitlines()[1:]
+    return np.array([[words[c] if c in words else float(c) for c in line.split(",")]
+                     for line in body], dtype=float).reshape(-1, width)
+
+
+_CELL = st.floats() | st.sampled_from(_SPECIAL + [-1e308, 1e308])
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows=st.integers(0, 8), floats=st.integers(1, 4), flags=st.integers(0, 2),
+       nan=st.booleans(), data=st.data())
+def test_table_bytes_equal_per_cell_writer(rows, floats, flags, nan, data):
+    cell = _CELL if nan else _CELL.filter(lambda v: v == v)
+    columns = [np.array(data.draw(st.lists(cell, min_size=rows, max_size=rows)),
+                        dtype=float) for _ in range(floats)]
+    columns += [np.array(data.draw(st.lists(st.booleans(), min_size=rows,
+                                            max_size=rows)), dtype=bool)
+                for _ in range(flags)]
+    order = data.draw(st.permutations(range(len(columns))))
+    columns = [columns[i] for i in order]
+    names = [f"c{i}" for i in range(len(columns))]
+    meta = data.draw(_META)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_table(Path(tmp) / "t.csv", names, columns, meta)
+        text = path.read_text()
+        back = read_table(path)[2]
+    assert text == _per_cell_table(names, columns, meta)
+    expected = _per_cell_parse(text.split("\n", len(meta))[-1], len(columns))
+    assert back.shape == expected.shape
+    assert back.tobytes() == expected.tobytes()
+
+
+_WRITTEN = st.sampled_from(["{:.17g}", "{!r}", "{:.3e}", " {:.6f} ", "{:+.20g}",
+                            "{:.0f}"])
+_LITERAL = st.sampled_from(["inf", "-inf", "+Infinity", "nan", "-NaN", "1_000.5",
+                            "0x1p3", "1e400", "-1e-400", " 7 ", "\t-0\t", "",
+                            "true", "false", "True", "tru"])
+
+
+@settings(max_examples=80, deadline=None)
+@given(width=st.integers(1, 4), rows=st.integers(0, 8), data=st.data())
+def test_table_reader_equals_per_cell_float(width, rows, data):
+    """Cells in any spelling float() takes, and ones it rejects: the
+    one-pass reader returns the per-cell parse bit for bit, or raises for
+    the same line as the per-line reader."""
+    def text_cell(value):
+        if data.draw(st.booleans()):
+            return data.draw(_LITERAL)
+        return data.draw(_WRITTEN).format(value)
+
+    values = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                min_size=rows * width, max_size=rows * width))
+    cells = [text_cell(v) for v in values]
+    body = [",".join(cells[i * width:(i + 1) * width]) for i in range(rows)]
+    text = "\n".join(["# k=v", ",".join(f"c{i}" for i in range(width)), *body]) + "\n"
+    try:
+        expected = _per_cell_parse(text.split("\n", 1)[1], width)
+    except (ValueError, KeyError):
+        expected = None
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        path.write_text(text)
+        if expected is None:
+            bad = next(i for i, line in enumerate(body) if not _parses(line))
+            with pytest.raises(ValueError, match=rf"t.csv line {bad + 3}: "):
+                read_table(path)
+            return
+        meta, names, back = read_table(path)
+    assert meta == {"k": "v"} and len(names) == width
+    assert back.shape == expected.shape
+    assert back.tobytes() == expected.tobytes()
+
+
+def _parses(line) -> bool:
+    try:
+        _per_cell_parse("h\n" + line, len(line.split(",")))
+    except (ValueError, KeyError):
+        return False
+    return True
+
+
+def test_malformed_row_after_many_numbers(tmp_path):
+    # a row one cell short and the next one cell long keep the total count,
+    # and a bad word sits among numbers: each still names its line
+    rows = ["1,2,3"] * 50
+    path = tmp_path / "short.csv"
+    path.write_text("\n".join(["a,b,c", *rows, "4,5", "6,7,8,9", *rows]) + "\n")
+    with pytest.raises(ValueError, match="short.csv line 52: 2 cells under 3"):
+        read_table(path)
+    path = tmp_path / "word.csv"
+    path.write_text("\n".join(["# k=v", "a,b,c", *rows, "4,five,6", *rows]) + "\n")
+    with pytest.raises(ValueError, match="word.csv line 53: .*'five'"):
+        read_table(path)
+
+
+def test_comment_and_blank_lines_in_the_body(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("a\n1\n# late=yes\n\n2\n")
+    meta, _, data = read_table(path)
+    assert meta == {"late": "yes"}
+    assert np.array_equal(data[:, 0], [1.0, np.nan, 2.0], equal_nan=True)

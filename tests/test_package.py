@@ -103,14 +103,25 @@ def test_isometry_command_imports_no_scipy(tmp_path):
                        rtol=1e-13, atol=0)
 
 
+@pytest.fixture(scope="module")
+def bowl_csv(tmp_path_factory):
+    """The profile CSV of a K = -1 bowl to r = 4, as ``soliton bowl`` writes it."""
+    out = tmp_path_factory.mktemp("bowl")
+    status, _ = _run_cli(["soliton", "bowl", "--r-max", "4"], out)
+    assert status == 0
+    return out / "bowl.csv"
+
+
 @pytest.mark.parametrize("argv", [
     ["soliton", "bowl", "--r-max", "4"],
     ["soliton", "wing", "--r-max", "4"],
     ["soliton", "grim", "--r-max", "4"],
     ["sweep", "--family", "wing", "--epsilons", "0.5,1", "--r-max", "4"],
     ["sweep", "--family", "bowl", "--c-values", "0.5,1", "--r-max", "4"],
+    ["verify", "--input", "{bowl_csv}"],
 ])
-def test_solver_commands_import_no_scipy(tmp_path, argv):
+def test_solver_commands_import_no_scipy(tmp_path, argv, bowl_csv):
+    argv = [arg.format(bowl_csv=bowl_csv) for arg in argv]
     status, scipy_modules = _run_cli(argv, tmp_path)
     assert status == 0
     assert scipy_modules == []
@@ -128,5 +139,21 @@ def test_flow_command_imports_no_scipy_integrate_or_interpolate(tmp_path):
 def test_solver_names_load_no_scipy(tmp_path):
     code = ("import sys, soliton_forge as sf\n"
             "sf.LorentzPoint, sf.solve_bowl, sf.solve_radial_graph, sf.solve_grim\n"
+            "print([m for m in sys.modules if m.startswith('scipy')])\n")
+    assert _python(code, tmp_path).split() == ["[]"]
+
+
+def test_table_warp_and_perturbed_curve_load_no_scipy(tmp_path):
+    code = ("import sys, numpy as np\n"
+            "from soliton_forge import (SolitonSpec, TerminationPolicy,\n"
+            "                           perturb_curve, solve_bowl, warp_from_json)\n"
+            "r = np.linspace(0.0, 3.0, 31)\n"
+            "warp = warp_from_json({'kind': 'rotational', 'table': [\n"
+            "    {'r': x, 'xi': np.sinh(x), 'dxi': np.cosh(x), 'ddxi': np.sinh(x)}\n"
+            "    for x in r.tolist()]})\n"
+            "warp.ddxi(r), warp.xi_ratio(1.5)\n"
+            "spec = SolitonSpec(c=1.0, n=2, family='bowl', warp=warp)\n"
+            "curve = solve_bowl(spec, stop=TerminationPolicy(r_max=2.5))\n"
+            "perturb_curve(curve).sample(r)\n"
             "print([m for m in sys.modules if m.startswith('scipy')])\n")
     assert _python(code, tmp_path).split() == ["[]"]
