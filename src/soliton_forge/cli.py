@@ -270,6 +270,8 @@ def _cmd_flow(args) -> int:
                                    center=args.bump_center)
     elif initial.startswith("csv:"):
         data = fileio.read_table(initial[4:])[2]
+        if data.shape[1] < 2:
+            raise UsageError("csv initial data needs a height column after r")
         if data.shape[0] != problem.r_grid.size or (
                 abs(data[:, 0] - problem.r_grid).max() > 1e-12 * problem.r_max):
             raise UsageError("csv initial data: its first column must be the flow grid r")

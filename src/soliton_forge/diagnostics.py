@@ -372,7 +372,7 @@ def wing_height_report(curve: ProfileCurve) -> CheckResult:
     spec = curve.spec
     if spec.family != "wing":
         raise ValueError("height report needs a wing profile")
-    if curve.diagnostics.get("branch", -1) != -1:
+    if not curve.phi[0] < 0:
         raise ValueError("height report needs the descending branch")
     if not curve.turning_points:
         raise ValueError("no turning point found; extend the termination policy")
@@ -419,8 +419,8 @@ def run_profile_checks(curve: ProfileCurve) -> DiagnosticsReport:
     report = DiagnosticsReport()
     report.add(geodesic_residual(curve))
     report.add(drift_identity_residual(curve))
-    if curve.spec.family == "wing" and curve.turning_points \
-            and curve.diagnostics.get("branch", -1) == -1:
+    # the descending wing branch starts at phi = -pi/2
+    if curve.spec.family == "wing" and curve.turning_points and curve.phi[0] < 0:
         report.add(wing_turning_flux(curve))
         report.add(wing_height_report(curve))
     return report

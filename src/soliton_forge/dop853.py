@@ -12,11 +12,14 @@ counts and dense coefficients therefore equal SciPy's bit for bit, while
 the module needs NumPy alone.
 
 :class:`DenseSolution` evaluates a solve's stacked dense coefficients at
-any points in one pass.
+any points in one pass.  :func:`integrate`, the driver every solver
+calls, runs :func:`solve` on named stops; :func:`run_record` is the one
+place the keys of a solve's run record are defined.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -27,6 +30,8 @@ SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10
 ERROR_EXPONENT = -1 / 8  # -1 / (error estimator order 7 + 1)
 ROOT_TOL, ROOT_MAX_ITER = 4 * EPS, 100  # event roots: xtol = rtol = 4 eps
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+#: why an :func:`integrate` run stopped when no stop's root ended it
+END_OF_SPAN, STEP_FAILURE = "end_of_span", "step_failure"
 MESSAGES = {0: "The solver successfully reached the end of the integration interval.",
             1: "A termination event occurred."}
 
@@ -418,16 +423,16 @@ def brentq(f, xa: float, xb: float) -> float:
     raise RuntimeError(f"Failed to converge after {ROOT_MAX_ITER} iterations.")
 
 
-def _handle_events(value, events, active, count, limits, t_old, t):
-    """Roots of the active events in the step, in time order up to the
-    first event that reached its limit; and whether one did."""
+def _handle_events(value, events, active, terminal, t_old, t):
+    """Roots of the active events in the step; with a terminal event among
+    them, those in time order up to the first terminal root, and True."""
     roots = np.asarray([brentq(lambda x, event=events[i]: event(x, value(x)), t_old, t)
                         for i in active])
-    if not np.any(count[active] >= limits[active]):
+    if not terminal[active].any():
         return active, roots, False
     order = np.argsort(roots) if t > t_old else np.argsort(-roots)
     active, roots = active[order], roots[order]
-    last = np.nonzero(count[active] >= limits[active])[0][0]
+    last = np.argmax(terminal[active])
     return active[:last + 1], roots[:last + 1], True
 
 
@@ -460,10 +465,7 @@ def solve(fun, t_span, y0, rtol: float, atol: float, events=()) -> Integration:
     K_ext = np.empty((N_STAGES_EXTENDED, n))
     K = K_ext[:N_STAGES + 1]
 
-    # occurrences each event may have before the solve stops
-    limits = np.array([float(getattr(event, "terminal", False)) or np.inf
-                       for event in events])
-    count = np.zeros(len(events))
+    terminal = np.array([bool(getattr(event, "terminal", False)) for event in events])
     g = [event(t0, y0) for event in events]
     t_events = [[] for _ in events]
     y_events = [[] for _ in events]
@@ -524,10 +526,8 @@ def solve(fun, t_span, y0, rtol: float, atol: float, events=()) -> Integration:
             if active:
                 def value(x, step=dense[-1]):
                     return _step_value(x, *step)
-                active = np.array(active)
-                count[active] += 1
-                hit, roots, terminate = _handle_events(value, events, active, count,
-                                                       limits, t_old, t)
+                hit, roots, terminate = _handle_events(value, events, np.array(active),
+                                                       terminal, t_old, t)
                 for e, te in zip(hit, roots):
                     t_events[e].append(te)
                     y_events[e].append(value(te))
@@ -590,3 +590,47 @@ class DenseSolution:
                       where=h != 0)
         y = _step_polynomial(self.F[:, :, seg], x, self.y_old[:, seg])
         return y[:, 0] if t.ndim == 0 else y
+
+
+@dataclass(frozen=True)
+class Outcome:
+    """An :func:`integrate` run: the :func:`solve` record ``run`` and its
+    ``dense`` output, why it stopped (``stop``: END_OF_SPAN, STEP_FAILURE
+    or the name of the terminal stop whose root ended it) and
+    ``hits[name]``, the (root, state) pairs of the stops of that name,
+    triple by triple."""
+
+    run: Integration
+    stop: str
+    hits: dict
+    dense: DenseSolution
+
+    @property
+    def record(self) -> dict:
+        return run_record(self.run)
+
+
+def run_record(*runs: Integration) -> dict:
+    """How a result was computed by one or more solves: RHS calls
+    (``n_rhs_evals``) and accepted steps (``n_steps``) summed, and the
+    largest ``status`` (0 end of span, 1 stop, -1 step failure)."""
+    return {"n_rhs_evals": sum(run.nfev for run in runs),
+            "n_steps": sum(run.n_steps for run in runs),
+            "status": max(run.status for run in runs)}
+
+
+def integrate(fun, t_span, y0, rtol: float, atol: float, events=()) -> Outcome:
+    """:func:`solve` on ``(name, g, terminal)`` triples, several of which
+    may share a name: the roots of each g(t, y) are located, and a
+    terminal one stops the run at its first root."""
+    stops = [functools.partial(g) for _, g, _ in events]
+    for event, (_, _, terminal) in zip(stops, events):
+        event.terminal = terminal
+    run = solve(fun, t_span, y0, rtol, atol, stops)
+    hits = {name: [] for name, _, _ in events}
+    stop = STEP_FAILURE if run.status == -1 else END_OF_SPAN
+    for (name, _, terminal), te, ye in zip(events, run.t_events, run.y_events):
+        hits[name] += zip(te, ye)
+        if terminal and te.size:  # the run stopped at this root
+            stop = name
+    return Outcome(run=run, stop=stop, hits=hits, dense=DenseSolution(run))

@@ -160,12 +160,9 @@ def read_profile_csv(path, spec=None) -> SampledCurve:
 
 
 def export_graph_csv(graph: RadialGraph, path, meta=None) -> Path:
-    """Columns r, u, du on the solver grid; the solver record is left out,
-    as a profile CSV leaves out the curve's diagnostics."""
-    from .graph_solvers import SOLVER_RECORD
-    kept = {k: v for k, v in graph.meta.items() if k not in SOLVER_RECORD}
+    """Columns r, u, du on the solver grid under the graph's meta."""
     return write_table(path, ("r", "u", "du"), (graph.r_grid, graph.u, graph.du),
-                       {**kept, **(meta or {}), "chart": graph.chart})
+                       {**graph.meta, **(meta or {}), "chart": graph.chart})
 
 
 def export_report_json(report, path) -> Path:
@@ -176,15 +173,14 @@ def export_report_json(report, path) -> Path:
 
 
 def export_trajectory_csv(trajectory, path, meta=None) -> Path:
-    """Columns tau, F, D, dF_dtau (centered differences, blank at ends)."""
-    from .mcf_flow import FLOW_RECORD
-    kept = {k: v for k, v in trajectory.meta.items() if k not in FLOW_RECORD}
+    """Columns tau, F, D, dF_dtau (centered differences, blank at ends)
+    under the trajectory's meta."""
     F = trajectory.F_values
     dF = np.full_like(F, np.nan)
     dF[1:-1] = trajectory.dF_dtau()
     return write_table(path, ("tau", "F", "D", "dF_dtau"),
                        (trajectory.taus, F, trajectory.defect_values, dF),
-                       {**kept, **(meta or {})})
+                       {**trajectory.meta, **(meta or {})})
 
 
 def export_mesh_obj(mesh: SolitonMesh, path, meta=None) -> Path:

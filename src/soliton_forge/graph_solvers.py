@@ -7,9 +7,10 @@ Two slope equations appear:
 
 where D(r) is the Laplacian of the chart coordinate: (n-1) xi'/xi in the
 polar and Busemann charts, and xi'/xi + (n-2) chi'/chi in the equidistant
-chart.  Each is one DOP853 solve (:mod:`.dop853`, the same bits as
-SciPy's ``solve_ivp``) per direction from the initial radius, whose
-dense output the graph keeps for ``u_eval`` and ``du_eval``.  Closed-form
+chart.  Each is one DOP853 solve (:func:`.dop853.integrate`, the same
+bits as SciPy's ``solve_ivp``) per direction from the initial radius,
+which stops where |u'| reaches BLOWUP_SLOPE and whose dense output the
+graph keeps for ``u_eval`` and ``du_eval``.  Closed-form
 oracles cover the degenerate cases used by the tests.
 """
 
@@ -29,14 +30,14 @@ from .warp_models import BUSEMANN, EQUIDISTANT, ROTATIONAL, WarpModel
 
 BLOWUP_SLOPE = 1e6
 GRID_SIZE = 2001  # samples in every solved graph record
-#: meta keys of the solver record: how a graph was computed, not what it is
-SOLVER_RECORD = ("n_rhs_evals", "n_steps", "status")
 
 
 @dataclass
 class RadialGraph:
     """One-dimensional graph record u(r) with slopes on a strict grid; its
-    chart is its warp's, and it blew up iff it has a ``blowup_radius``."""
+    chart is its warp's, and it blew up iff it has a ``blowup_radius``.
+    ``meta`` says what the graph is; ``diagnostics`` is the run record of
+    the solves that computed it (:func:`.dop853.run_record`)."""
 
     r_grid: np.ndarray
     u: np.ndarray
@@ -44,6 +45,7 @@ class RadialGraph:
     spec: SolitonSpec
     blowup_radius: float | None = None
     meta: dict = field(default_factory=dict)
+    diagnostics: dict = field(default_factory=dict)
     _dense: Callable | None = None  # r -> (u, du), solver dense output
 
     def __post_init__(self):
@@ -92,36 +94,19 @@ class ClosedForm:
     r_max: float
 
 
-def _integrate_slope(rhs, r_span, y0, rtol, atol, tail=None,
-                     blowup_is_error=False):
-    """Integrate (u, u')' = rhs with terminal detection of |u'| = 1e6.
+def _integrate_slope(rhs, r_span, y0, rtol, atol):
+    """Integrate (u, u')' = rhs over ``r_span``, stopping where |u'| reaches
+    BLOWUP_SLOPE (the stop ``"blowup"``); a step failure raises.
 
-    ``tail`` maps the event state (r_evt, p_evt) to the residual distance
-    to the true vertical point, used to refine the reported radius, which
-    is None without a blow-up.  The last item is the solver record: RHS
-    calls, accepted steps and status.
+    Returns the :class:`.dop853.Outcome` and its samples (r, u, u') on
+    GRID_SIZE radii from the start to where the run stopped.
     """
-
-    def ev_blowup(r, y):
-        return abs(y[1]) - BLOWUP_SLOPE
-    ev_blowup.terminal = True
-
-    run = dop853.solve(rhs, r_span, y0, rtol, atol, [ev_blowup])
-    if run.status == -1:
-        raise RuntimeError(f"slope ODE step failure: {run.message}")
-    blowup_radius = None
-    if run.t_events[0].size:
-        r_evt = float(run.t_events[0][0])
-        p_evt = float(run.y_events[0][0][1])
-        if blowup_is_error:
-            raise RuntimeError(f"unexpected gradient blow-up at r = {r_evt:.6g}")
-        blowup_radius = r_evt + (tail(r_evt, p_evt) if tail is not None else 0.0)
-    r_end = float(run.t[-1])
-    r_grid = np.linspace(r_span[0], r_end, GRID_SIZE)
-    dense = dop853.DenseSolution(run)
-    u, du = dense(r_grid)
-    record = {"n_rhs_evals": run.nfev, "n_steps": run.n_steps, "status": run.status}
-    return r_grid, u, du, dense, blowup_radius, record
+    out = dop853.integrate(rhs, r_span, y0, rtol, atol,
+                           [("blowup", lambda r, y: abs(y[1]) - BLOWUP_SLOPE, True)])
+    if out.stop == dop853.STEP_FAILURE:
+        raise RuntimeError(f"slope ODE step failure: {out.run.message}")
+    r_grid = np.linspace(out.run.t[0], out.run.t[-1], GRID_SIZE)
+    return out, (r_grid, *out.dense(r_grid))
 
 
 def _slope_rhs(c: float, n: int, warp: WarpModel):
@@ -147,6 +132,7 @@ def solve_radial_graph(spec: SolitonSpec, r_span=(0.0, 20.0), ic=None,
     if ic is None:
         ic = (r_span[0], 0.0, 0.0)
     r0, u0, du0 = ic
+    warp.require_domain((r0, r_span[1]))
 
     meta = {"source": "radial_ode", "rtol": rtol, "atol": atol}
     if n > 1 and warp.kind == ROTATIONAL and r0 == 0.0:
@@ -158,11 +144,11 @@ def solve_radial_graph(spec: SolitonSpec, r_span=(0.0, 20.0), ic=None,
         meta["axis_launch"] = r0
     else:
         y0 = (u0, du0)
-    r_grid, u, du, dense, b_rad, record = _integrate_slope(
+    out, (r_grid, u, du) = _integrate_slope(
         _slope_rhs(c, n, warp), (r0, r_span[1]), y0, rtol, atol)
-    meta.update(record)
+    b_rad = float(out.hits["blowup"][0][0]) if out.stop == "blowup" else None
     return RadialGraph(r_grid=r_grid, u=u, du=du, spec=spec, blowup_radius=b_rad,
-                       meta=meta, _dense=dense)
+                       meta=meta, diagnostics=out.record, _dense=out.dense)
 
 
 def solve_ideal_graph(c: float, n: int, warp: WarpModel, r_span=(0.0, 5.0),
@@ -178,6 +164,7 @@ def solve_ideal_graph(c: float, n: int, warp: WarpModel, r_span=(0.0, 5.0),
     if warp.kind != BUSEMANN:
         raise ValueError("ideal graph solves need a busemann warp")
     r0, u0, du0 = ic
+    warp.require_domain((r0, r_span[1]))
 
     def coeff(r):
         return c - warp.drift(r, n)
@@ -186,20 +173,21 @@ def solve_ideal_graph(c: float, n: int, warp: WarpModel, r_span=(0.0, 5.0),
         p = y[1]
         return (p, coeff(r) * (1.0 + p * p))
 
-    def tail(r_evt, p_evt):
+    out, (r_grid, u, du) = _integrate_slope(rhs, (r0, r_span[1]), (u0, du0),
+                                            rtol, atol)
+    b_rad = None
+    if out.stop == "blowup":
         # frozen-coefficient slope equation p' = a (1+p^2): distance from
         # the event slope to the vertical point is (pi/2 - atan|p|)/|a|
-        a = coeff(r_evt)
-        if a == 0.0:
-            return 0.0
+        r_evt, (_, p_evt) = out.hits["blowup"][0]
+        a = coeff(float(r_evt))
         direction = math.copysign(1.0, r_span[1] - r_span[0])
-        return direction * (math.pi / 2 - math.atan(abs(p_evt))) / abs(a)
-
-    r_grid, u, du, dense, b_rad, record = _integrate_slope(
-        rhs, (r0, r_span[1]), (u0, du0), rtol, atol, tail=tail)
+        tail = direction * (math.pi / 2 - math.atan(abs(p_evt))) / abs(a) if a else 0.0
+        b_rad = float(r_evt) + tail
     spec = SolitonSpec(c=c, n=n, family="ideal", warp=warp)
     return RadialGraph(r_grid=r_grid, u=u, du=du, spec=spec, blowup_radius=b_rad,
-                       meta={"source": "ideal_ode", **record}, _dense=dense)
+                       meta={"source": "ideal_ode"}, diagnostics=out.record,
+                       _dense=out.dense)
 
 
 def solve_grim(c: float, n: int, warp: WarpModel, r_span=(-20.0, 20.0),
@@ -231,31 +219,34 @@ def solve_grim(c: float, n: int, warp: WarpModel, r_span=(-20.0, 20.0),
 
     warp.require_domain((r_span[0], r0, r_span[1]))
     rhs = _slope_rhs(c, n, warp)
+
+    def piece(end):
+        out, samples = _integrate_slope(rhs, (r0, end), (u0, du0), rtol, atol)
+        if out.stop == "blowup":
+            raise RuntimeError(f"unexpected gradient blow-up at r = {out.run.t[-1]:.6g}")
+        return out, samples
+
     pieces = []
     if r_span[0] < r0:
-        pieces.append(_integrate_slope(rhs, (r0, r_span[0]), (u0, du0),
-                                       rtol, atol, blowup_is_error=True))
+        pieces.append(piece(r_span[0]))
     if r_span[1] > r0:
-        pieces.append(_integrate_slope(rhs, (r0, r_span[1]), (u0, du0),
-                                       rtol, atol, blowup_is_error=True))
+        pieces.append(piece(r_span[1]))
     if not pieces:
         raise ValueError("empty integration span")
-    # a two-piece graph sums the RHS calls and steps and keeps the larger status
-    meta = {"source": "grim_ode",
-            **{key: sum(piece[-1][key] for piece in pieces)
-               for key in ("n_rhs_evals", "n_steps")},
-            "status": max(piece[-1]["status"] for piece in pieces)}
     if len(pieces) == 1:
-        r_grid, u, du, dense = pieces[0][:4]
+        (out, (r_grid, u, du)), = pieces
+        dense = out.dense
         if r_grid[0] > r_grid[-1]:
             r_grid, u, du = r_grid[::-1], u[::-1], du[::-1]
     else:
-        (rl, ul, dul, left), (rr, ur, dur, right) = (piece[:4] for piece in pieces)
+        (left, (rl, ul, dul)), (right, (rr, ur, dur)) = pieces
         r_grid = np.concatenate((rl[::-1], rr[1:]))
         u = np.concatenate((ul[::-1], ur[1:]))
         du = np.concatenate((dul[::-1], dur[1:]))
-        dense = _two_pieces(left, right, r0)
-    return RadialGraph(r_grid=r_grid, u=u, du=du, spec=spec, meta=meta,
+        dense = _two_pieces(left.dense, right.dense, r0)
+    return RadialGraph(r_grid=r_grid, u=u, du=du, spec=spec,
+                       meta={"source": "grim_ode"},
+                       diagnostics=dop853.run_record(*(out.run for out, _ in pieces)),
                        _dense=dense)
 
 

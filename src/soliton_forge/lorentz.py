@@ -21,6 +21,8 @@ import numpy as np
 
 POINT_TOL = 1e-10
 MAP_TOL = 1e-10
+#: the largest map entry whose square the form check can take without overflow
+MAP_MAX_ENTRY = 1e150
 RENORM_TRIGGER = 1e-9
 
 
@@ -89,8 +91,12 @@ class LorentzMap:
         mat = np.asarray(matrix, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("a Lorentz map must be a square matrix")
+        size = float(np.max(np.abs(mat)))
+        if not size < MAP_MAX_ENTRY:  # NaN fails too
+            raise ValueError("a Lorentz map needs finite entries below "
+                             f"{MAP_MAX_ENTRY:g} in size, got {size:.3g}")
         defect = form_defect(mat)
-        scale = max(1.0, float(np.max(np.abs(mat))) ** 2)
+        scale = max(1.0, size ** 2)
         if defect > MAP_TOL * scale:
             raise ValueError(f"matrix violates the Lorentz form by {defect:.3g}")
         if mat[0, 0] <= 0:
@@ -131,8 +137,13 @@ def hyperbolic_translation(r0: float, n: int) -> LorentzMap:
 
     Maps (cosh r0, sinh r0, 0, ...) to the origin (1, 0, ..., 0).
     """
+    if n < 1:
+        raise ValueError("hyperbolic translations need n >= 1")
+    try:
+        ch, sh = math.cosh(r0), math.sinh(r0)
+    except OverflowError:
+        raise ValueError(f"cosh({r0}) overflows: no boost by that distance") from None
     mat = np.eye(n + 1)
-    ch, sh = math.cosh(r0), math.sinh(r0)
     mat[0, 0] = ch
     mat[0, 1] = -sh
     mat[1, 0] = -sh

@@ -16,7 +16,7 @@ accepted iterate's right-hand side starts the next step, and LAPACK's
 ``dgtsv`` solves the Newton system directly.  ``run`` records its Newton
 iterations, line-search halvings, line-search fallbacks (every halving
 failed to lower the residual and the last trial was kept) and the
-largest residual it accepted under the ``FLOW_RECORD`` keys of its meta.
+largest residual it accepted as the trajectory's ``diagnostics``.
 
 The module also evaluates the weighted area functional
 F(tau) = |S^{n-1}| int exp(c u - c^2 tau) W xi^{n-1} dr and its defect
@@ -42,7 +42,7 @@ EXPLICIT_CFL = 0.4
 NEWTON_TOL, NEWTON_MAX_ITER = 1e-10, 25
 LINE_SEARCH_HALVINGS = 8
 
-#: meta keys of the Newton record, with their values before the first step:
+#: keys of the Newton record, with their values before the first step:
 #: how a run was computed, not what it is
 FLOW_RECORD = {"newton_iterations": 0, "line_search_halvings": 0,
                "line_search_fallbacks": 0, "max_accepted_residual": 0.0}
@@ -78,6 +78,7 @@ class FlowTrajectory:
     defect_values: np.ndarray
     snapshots: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
+    diagnostics: dict = field(default_factory=dict)
 
     def dF_dtau(self) -> np.ndarray:
         """Centered differences of F at the interior records."""
@@ -348,7 +349,7 @@ class FlowProblem:
             record_every: int = 1) -> FlowTrajectory:
         """Advance from ``u0`` at tau = 0 to ``horizon``, recording F and D.
 
-        The trajectory's meta carries the Newton record under the
+        The trajectory's diagnostics carry the Newton record under the
         FLOW_RECORD keys; an explicit run leaves them at zero.
         """
         if scheme not in ("explicit", "implicit"):
@@ -396,7 +397,8 @@ class FlowProblem:
             defect_values=np.asarray(ds), snapshots=snaps,
             meta={"scheme": scheme, "dtau": dtau, "bc": self.bc,
                   "chart": self.chart, "n_nodes": self.r_grid.size,
-                  "robin_slope": self._sigma, **tally})
+                  "robin_slope": self._sigma},
+            diagnostics=tally)
 
 
 def _finite_heights(u) -> np.ndarray:

@@ -10,11 +10,10 @@ with its tangent angle phi, solves the autonomous first-order system
 Bowls launch from the rotation axis through a series expansion, wings
 from (r, t, phi) = (eps, 0, +-pi/2), and the ideal (Busemann-chart)
 family from arbitrary initial states with r unrestricted in sign.
-Every curve is one DOP853 solve in arc length (:mod:`.dop853`, the
-same bits as SciPy's ``solve_ivp``) with terminal events at the radius,
-height and axis limits and a counting event at each turning point; its
-diagnostics record the RHS calls (``n_rhs_evals``) and accepted steps
-(``n_steps``).
+Every curve is one DOP853 solve in arc length (:func:`.dop853.integrate`,
+the same bits as SciPy's ``solve_ivp``) with named stops at the radius,
+height and axis limits and at a finite end of the warp's domain, and a
+non-terminal event at each turning point.
 """
 
 from __future__ import annotations
@@ -89,6 +88,8 @@ class ProfileCurve:
 
     ``sample(s)`` evaluates (r, t, phi) arrays anywhere inside ``s_span``;
     for bowls the series launch covers the gap [0, AXIS_LAUNCH_S).
+    ``termination`` is ``max_arc_length``, ``step_failure`` or the name of
+    the stop that ended the solve; ``diagnostics`` is its run record.
     """
 
     spec: SolitonSpec
@@ -97,6 +98,7 @@ class ProfileCurve:
     t: np.ndarray
     phi: np.ndarray
     termination: str
+    turning_points: list = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
     _sol: Callable | None = None
     _series: tuple | None = None  # (s0, t0) for the bowl axis launch
@@ -132,8 +134,9 @@ class ProfileCurve:
         return r, t, phi
 
     @property
-    def turning_points(self) -> list:
-        return list(self.diagnostics.get("turning_s", []))
+    def phi_winding_ok(self) -> bool:
+        """Whether the tangent angle stays inside (-pi, pi)."""
+        return bool(np.all(np.abs(self.phi) < math.pi))
 
 
 def axis_series(c: float, n: int, x):
@@ -167,67 +170,30 @@ def profile_rhs(state, spec: SolitonSpec):
 def _integrate(spec: SolitonSpec, y0, s0: float, stop: TerminationPolicy,
                rtol: float, atol: float, t_center: float) -> ProfileCurve:
     warp = spec.warp
+    warp.require_domain(y0[0])
 
     def rhs(s, y):
         return _profile_field(spec, y[0], y[2])
 
-    events = []
-
-    def ev_rmax(s, y):
-        return y[0] - stop.r_max
-    ev_rmax.terminal = True
-    events.append(ev_rmax)
-
-    def ev_tup(s, y):
-        return y[1] - (t_center + stop.t_max)
-    ev_tup.terminal = True
-    events.append(ev_tup)
-
-    def ev_tdown(s, y):
-        return y[1] - (t_center - stop.t_max)
-    ev_tdown.terminal = True
-    events.append(ev_tdown)
-
-    def ev_turn(s, y):
-        return y[2]
-    ev_turn.terminal = False
-    events.append(ev_turn)
-
+    events = [("max_radius", lambda s, y: y[0] - stop.r_max, True),
+              ("max_height", lambda s, y: y[1] - (t_center + stop.t_max), True),
+              ("max_height", lambda s, y: y[1] - (t_center - stop.t_max), True),
+              ("turning_point", lambda s, y: y[2], False)]
     have_axis = warp.kind == ROTATIONAL
-
     if have_axis:
-        def ev_axis(s, y):
-            return y[0] - 1e-9
-        ev_axis.terminal = True
-        events.append(ev_axis)
+        events.append(("axis_reached", lambda s, y: y[0] - 1e-9, True))
+    # the axis stop guards a rotational domain's end at r = 0
+    events += [("domain_edge", lambda s, y, edge=edge: y[0] - edge, True)
+               for edge in warp.r_domain
+               if math.isfinite(edge) and not (have_axis and edge <= 0.0)]
 
-    run = dop853.solve(rhs, (s0, stop.s_max), y0, rtol, atol, events)
-
-    if run.status == -1:
-        termination = "step_failure"
-    elif run.status == 0:
-        termination = "max_arc_length"
-    else:
-        if run.t_events[0].size:
-            termination = "max_radius"
-        elif run.t_events[1].size or run.t_events[2].size:
-            termination = "max_height"
-        elif have_axis and run.t_events[4].size:
-            termination = "axis_reached"
-        else:
-            termination = "max_arc_length"
-
-    turning = [float(x) for x in run.t_events[3]]
-    diag = {
-        "n_rhs_evals": run.nfev,
-        "n_steps": run.n_steps,
-        "turning_s": turning,
-        "solver_message": run.message,
-        "phi_winding_ok": bool(np.all(np.abs(run.y[2]) < math.pi)),
-    }
+    out = dop853.integrate(rhs, (s0, stop.s_max), y0, rtol, atol, events)
+    run = out.run
     return ProfileCurve(
         spec=spec, s=run.t, r=run.y[0], t=run.y[1], phi=run.y[2],
-        termination=termination, diagnostics=diag, _sol=dop853.DenseSolution(run))
+        termination="max_arc_length" if out.stop == dop853.END_OF_SPAN else out.stop,
+        turning_points=[float(root) for root, _ in out.hits["turning_point"]],
+        diagnostics=out.record, _sol=out.dense)
 
 
 def solve_bowl(spec: SolitonSpec, stop: TerminationPolicy | None = None,
@@ -270,9 +236,7 @@ def solve_wing(spec: SolitonSpec, branch: int = -1,
         raise ValueError("branch must be +1 or -1")
     stop = stop or TerminationPolicy()
     y0 = (spec.epsilon, 0.0, branch * math.pi / 2)
-    curve = _integrate(spec, y0, 0.0, stop, rtol, atol, t_center=0.0)
-    curve.diagnostics["branch"] = branch
-    return curve
+    return _integrate(spec, y0, 0.0, stop, rtol, atol, t_center=0.0)
 
 
 def solve_ideal_parametric(spec: SolitonSpec, initial, stop: TerminationPolicy | None = None,

@@ -298,7 +298,8 @@ def validate_warp(model: WarpModel, grid: Sequence[float] | None = None,
                   tol: float = 1e-9) -> list[Violation]:
     """Sampled check of the regularity conditions for the model's kind.
 
-    Returns an empty list iff every condition holds at every grid point;
+    Returns an empty list iff every condition holds at every grid point
+    inside the model's domain, and at r = 0 when the domain holds it;
     validation records violations and never raises.
     """
     if grid is None:
@@ -314,7 +315,9 @@ def validate_warp(model: WarpModel, grid: Sequence[float] | None = None,
         for r, v in zip(rs[~mask], values[~mask]):
             out.append(Violation(cond, float(r), float(v)))
 
-    for cond, evaluator, target in _AXIS_CONDITIONS[model.kind]:
+    # a table that ends short of the axis is not extrapolated to it
+    axis_conditions = _AXIS_CONDITIONS[model.kind] if model.in_domain(0.0) else ()
+    for cond, evaluator, target in axis_conditions:
         value = float(getattr(model, evaluator)(0.0))
         if abs(value - target) > tol:
             out.append(Violation(cond, 0.0, value))
@@ -341,7 +344,9 @@ def warp_from_json(source) -> WarpModel:
          "table": [{"r": ..., "xi": ..., "dxi": ..., "ddxi": ...}, ...]}
 
     xi is interpolated by a Hermite cubic through (r, xi, xi'); xi''
-    comes from a Hermite cubic through (r, xi', xi'').
+    comes from a Hermite cubic through (r, xi', xi'').  A table that
+    breaks a condition of :func:`validate_warp` raises a ``ValueError``
+    naming each broken condition, how often and where it first fails.
     """
     from .spline import PiecewiseCubic
 
@@ -366,7 +371,7 @@ def warp_from_json(source) -> WarpModel:
     r, xi, dxi, ddxi = r[order], xi[order], dxi[order], ddxi[order]
     xi_s = PiecewiseCubic.hermite(r, xi, dxi)
     dxi_s = PiecewiseCubic.hermite(r, dxi, ddxi)
-    return WarpModel(
+    model = WarpModel(
         kind=kind,
         xi=xi_s,
         dxi=dxi_s,
@@ -374,3 +379,11 @@ def warp_from_json(source) -> WarpModel:
         r_domain=(float(r[0]), float(r[-1])),
         label=obj.get("label", "table"),
     )
+    broken = {}
+    for v in validate_warp(model):
+        broken.setdefault(v.condition, []).append(v)
+    if broken:
+        raise ValueError(f"warp table {model.label!r} breaks " + "; ".join(
+            f"{cond}, failing {len(vs)} of the checks, first at r = {vs[0].r:.6g} "
+            f"(value {vs[0].value:.6g})" for cond, vs in broken.items()))
+    return model

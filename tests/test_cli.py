@@ -259,6 +259,17 @@ class TestFlowCommand:
         u0 = read_table(tmp_path / "old_initial.csv")[2][:, -1]
         assert u0.tobytes() == u.tobytes()
 
+    def test_initial_needs_a_height_column(self, tmp_path, capsys):
+        # a lone r column would be read back as its own heights
+        r_only = tmp_path / "r_only.csv"
+        r = np.linspace(0.0, 5.0, 201)
+        r_only.write_text("r\n" + "\n".join(map(repr, r.tolist())) + "\n")
+        assert run("--out", str(tmp_path), *self.SMALL,
+                   "--initial", f"csv:{r_only}") == 1
+        assert "usage error: csv initial data needs a height column" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "flow_trajectory.csv").exists()
+
     def test_initial_needs_a_header(self, tmp_path):
         bare = tmp_path / "bare.csv"
         bare.write_text("0.0,1.0\n1.0,1.0\n")
@@ -303,6 +314,34 @@ class TestIsometryCommand:
         assert run("--out", str(tmp_path), "isometry", "--map-json", str(desc),
                    "--points", str(src)) == 0
         assert (tmp_path / "points_hyperbolic_1.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("--map", "hyperbolic", "--param", "800"),
+        ("--map", "hyperbolic", "--param", "400"),
+        ("--map", "hyperbolic", "--param", "inf"),
+        ("--map", "parabolic", "--param", "nan"),
+        ("--map-json", "nan"),
+    ], ids=["cosh-overflow", "form-overflow", "inf", "nan", "json-nan"])
+    def test_bad_map_param(self, tmp_path, capsys, argv):
+        # each was once accepted and blamed on the points, or a traceback
+        src = tmp_path / "pts.csv"
+        export_points_csv([embed_polar(1.0, [1.0, 0.0])], src)
+        if argv[0] == "--map-json":
+            desc = tmp_path / "map.json"
+            desc.write_text('{"type": "hyperbolic", "param": NaN}')
+            argv = ("--map-json", str(desc))
+        assert run("--out", str(tmp_path), "isometry", *argv,
+                   "--points", str(src)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "hyperboloid" not in err
+        assert not list(tmp_path.glob("points_*"))
+
+    def test_one_column_points(self, tmp_path, capsys):
+        src = tmp_path / "pts.csv"
+        src.write_text("x0\n1.0\n")
+        assert run("--out", str(tmp_path), "isometry", "--map", "hyperbolic",
+                   "--param", "0.5", "--points", str(src)) == 1
+        assert "error: hyperbolic translations need n >= 1" in capsys.readouterr().err
 
     def test_map_required(self, tmp_path):
         src = tmp_path / "pts.csv"

@@ -18,10 +18,12 @@ from soliton_forge import (
     SolitonSpec, TerminationPolicy, solve_bowl, solve_grim,
     solve_ideal_graph, solve_ideal_parametric, solve_radial_graph, solve_wing,
 )
-from soliton_forge import dop853
-from soliton_forge.graph_solvers import _integrate_slope
+from soliton_forge import dop853, make_builtin_warp
+from soliton_forge.graph_solvers import BLOWUP_SLOPE, _integrate_slope
 
 TIGHT = {"rtol": 1e-11, "atol": 1e-13}
+#: the keys of every solve's run record
+RECORD = {"n_rhs_evals", "n_steps", "status"}
 
 
 def _same(got, want) -> bool:
@@ -136,6 +138,120 @@ class TestSolveIvpBits:
         assert len(oracle) == 2
         for run, _ in oracle:
             assert run.nfev == 2 + 12 * (run.n_steps + run.n_rejected) + 3 * run.n_steps
+
+
+class TestIntegrate:
+    """The named-stop driver: why a run stopped, each name's roots, its record."""
+
+    @staticmethod
+    def _line(events, t_span=(0.0, 10.0)):
+        # y' = 1 from y(0) = 0, so every root is where y = t hits its level
+        return dop853.integrate(lambda t, y: (1.0,), t_span, (0.0,), 1e-9, 1e-11, events)
+
+    def test_stops_by_name(self):
+        out = self._line([("mark", lambda t, y: y[0] - 1.0, False),
+                          ("mark", lambda t, y: y[0] - 3.0, False),
+                          ("stop", lambda t, y: y[0] - 2.5, True),
+                          ("never", lambda t, y: y[0] + 1.0, True)])
+        assert out.stop == "stop" and out.run.status == 1
+        assert [root for root, _ in out.hits["mark"]] == pytest.approx([1.0], abs=1e-14)
+        (root, state), = out.hits["stop"]
+        assert root == pytest.approx(2.5, abs=1e-14) and out.run.t[-1] == root
+        assert state == pytest.approx([2.5], abs=1e-14)
+        assert out.hits["never"] == []
+        assert out.record == {"n_rhs_evals": out.run.nfev, "n_steps": out.run.n_steps,
+                              "status": 1}
+        assert out.dense(2.0) == pytest.approx([2.0], abs=1e-14)
+
+    def test_shared_name_stops_at_either_root(self):
+        # two terminal triples under one name, met on a descending span
+        out = self._line([("edge", lambda t, y: y[0] - 4.0, True),
+                          ("edge", lambda t, y: y[0] + 3.0, True)], t_span=(0.0, -10.0))
+        assert out.stop == "edge"
+        assert [root for root, _ in out.hits["edge"]] == pytest.approx([-3.0], abs=1e-14)
+
+    def test_end_of_span_and_step_failure(self):
+        out = self._line([("mark", lambda t, y: y[0] - 1.0, False)])
+        assert out.stop == dop853.END_OF_SPAN and out.run.t[-1] == 10.0
+        assert set(out.record) == RECORD and out.record["status"] == 0
+        out = dop853.integrate(lambda t, y: (y[0] ** 2,), (0.0, 2.0), (1.0,), 1e-9, 1e-11)
+        assert out.stop == dop853.STEP_FAILURE and out.record["status"] == -1
+
+    def test_record_of_several_runs(self):
+        one = self._line([]).run
+        two = self._line([], t_span=(0.0, -5.0)).run
+        assert dop853.run_record(one, two) == {
+            "n_rhs_evals": one.nfev + two.nfev, "n_steps": one.n_steps + two.n_steps,
+            "status": 0}
+
+
+def _on_stop(curve, stop, edge):
+    """Whether the curve's last state sits on the named stop's level."""
+    r, t = curve.r[-1], curve.t[-1]
+    return {"max_radius": abs(r - stop.r_max) <= 1e-8,
+            "max_height": abs(abs(t) - stop.t_max) <= 1e-8,
+            "axis_reached": abs(r - 1e-9) <= 1e-8,
+            "domain_edge": edge is not None and abs(r - edge) <= 1e-8,
+            "max_arc_length": curve.s[-1] == stop.s_max}[curve.termination]
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(["bowl", "wing", "ideal"]), table=st.booleans(),
+       K=st.floats(-2.0, -0.1), c=st.floats(0.2, 2.0), eps=st.floats(0.05, 2.0),
+       phi0=st.floats(-1.5, 1.5), s_max=st.floats(1.0, 30.0),
+       r_room=st.floats(0.5, 8.0), t_max=st.floats(0.2, 20.0))
+def test_profile_stops_where_its_termination_says(hyperbolic_table_warp, family, table,
+                                                  K, c, eps, phi0, s_max, r_room, t_max):
+    """A profile's termination names the stop whose root ended it: the last
+    state sits on that stop, no limit was passed before it, and the
+    diagnostics are exactly the run record."""
+    # the radius limit lies beyond the start, a wing's inner radius eps
+    r_max = r_room + (eps if family == "wing" else 0.0)
+    stop = TerminationPolicy(s_max=s_max, r_max=r_max, t_max=t_max)
+    edge = None
+    if family == "ideal":
+        spec = SolitonSpec(c=c, n=2, family="ideal", warp=make_builtin_warp("busemann", K))
+        curve = solve_ideal_parametric(spec, (0.0, 0.0, phi0), stop=stop)
+    else:
+        warp = make_builtin_warp("rotational", K)
+        if table:
+            warp, edge = hyperbolic_table_warp, 5.0
+        spec = SolitonSpec(c=c, n=2, family=family, warp=warp,
+                           epsilon=eps if family == "wing" else None)
+        solve = solve_bowl if family == "bowl" else solve_wing
+        curve = solve(spec, stop=stop)
+    assert set(curve.diagnostics) == RECORD
+    assert curve.diagnostics["status"] == (curve.termination != "max_arc_length")
+    assert _on_stop(curve, stop, edge), curve.termination
+    assert curve.r.max() <= min(r_max, edge or r_max) + 1e-8
+    assert np.abs(curve.t).max() <= t_max + 1e-8
+
+
+@settings(max_examples=30, deadline=None)
+@given(family=st.sampled_from(["ideal", "grim"]), n=st.sampled_from([2, 3]),
+       K=st.floats(-2.0, -0.05), c=st.floats(0.5, 2.0), r_end=st.floats(0.5, 10.0))
+def test_graph_stops_where_its_record_says(family, n, K, c, r_end):
+    """An ideal graph stops at its blow-up exactly when its record says a
+    stop ended the run, a grim graph always reaches its span, and the
+    diagnostics are exactly the run record."""
+    if family == "ideal":
+        graph = solve_ideal_graph(c, n, make_builtin_warp("busemann", K),
+                                  r_span=(0.0, r_end), **TIGHT)
+        stopped = graph.diagnostics["status"] == 1
+        assert graph.gradient_blowup == stopped
+        if stopped:
+            assert abs(graph.du[-1]) == pytest.approx(BLOWUP_SLOPE, rel=1e-6)
+            assert graph.r_grid[-1] < r_end
+        else:
+            assert graph.r_grid[-1] == r_end
+            assert np.abs(graph.du).max() < BLOWUP_SLOPE
+    else:
+        span = (-r_end, r_end) if n == 2 else (0.0, r_end)
+        graph = solve_grim(c, n, make_builtin_warp("equidistant", K), r_span=span, **TIGHT)
+        assert graph.diagnostics["status"] == 0 and not graph.gradient_blowup
+        assert graph.r_grid[-1] == r_end
+    assert set(graph.diagnostics) == RECORD
+    assert not set(graph.diagnostics) & set(graph.meta)
 
 
 def _bracketed(kind, root, scale, x):

@@ -11,7 +11,6 @@ from soliton_forge import (
     solve_radial_graph,
 )
 from soliton_forge.fileio import export_graph_csv, read_table
-from soliton_forge.graph_solvers import SOLVER_RECORD
 
 LN_COS_1 = -0.6156264703860141  # ln(cos 1)
 
@@ -77,6 +76,14 @@ class TestRadialGraph:
         with pytest.raises(ValueError):
             solve_radial_graph(euclidean_bowl_spec, ic=(0.0, 0.0, 0.7))
 
+    def test_span_outside_table_domain(self, hyperbolic_table_warp):
+        # the table covers [0, 5]: a solve to r = 10 would extrapolate it
+        spec = SolitonSpec(c=1.0, n=2, family="bowl", warp=hyperbolic_table_warp)
+        with pytest.raises(ValueError, match="outside domain"):
+            solve_radial_graph(spec, r_span=(0.0, 10.0))
+        graph = solve_radial_graph(spec, r_span=(0.0, 5.0))
+        assert graph.r_span[1] == 5.0 and graph.diagnostics["status"] == 0
+
 
 class TestIdealGraph:
     def test_unit_coefficient_closed_form(self, busemann_warp):
@@ -115,6 +122,12 @@ class TestGrim:
         u_plus = np.interp(r, graph.r_grid, graph.u)
         u_minus = np.interp(-r[::-1], graph.r_grid, graph.u)[::-1]
         assert np.max(np.abs(u_plus - u_minus)) < 1e-6
+
+    def test_blowup_raises(self, equidistant_warp):
+        # n = 1 has no drift: u' = tan(c r) is vertical at r = -pi/(2c),
+        # which the descending piece meets first
+        with pytest.raises(RuntimeError, match=r"unexpected gradient blow-up at r = -1\.5708"):
+            solve_grim(1.0, 1, equidistant_warp, r_span=(-2.0, 2.0))
 
     def test_slope_equilibrium(self, equidistant_warp):
         graph = solve_grim(1.0, 2, equidistant_warp, r_span=(-20.0, 20.0))
@@ -173,7 +186,7 @@ class TestSolverRecord:
                 lambda: solve_ideal_graph(1.0, 2, busemann_warp, r_span=(0.0, 1.0)),
                 lambda: solve_grim(1.0, 2, equidistant_warp, r_span=(-5.0, 5.0)),
                 lambda: solve_grim(1.0, 3, equidistant_warp, r_span=(0.0, 5.0))):
-            first, again = solve().meta, solve().meta
+            first, again = solve().diagnostics, solve().diagnostics
             assert first["n_rhs_evals"] > 0 and first["n_steps"] > 0
             assert first["n_rhs_evals"] == again["n_rhs_evals"]
             assert first["n_steps"] == again["n_steps"]
@@ -181,17 +194,17 @@ class TestSolverRecord:
 
     def test_two_piece_grim_sums_its_pieces(self, equidistant_warp):
         def counts(span):
-            meta = solve_grim(1.0, 2, equidistant_warp, r_span=span).meta
-            return np.array([meta["n_rhs_evals"], meta["n_steps"]])
+            record = solve_grim(1.0, 2, equidistant_warp, r_span=span).diagnostics
+            return np.array([record["n_rhs_evals"], record["n_steps"]])
         assert np.array_equal(counts((-5.0, 5.0)),
                               counts((-5.0, 0.0)) + counts((0.0, 5.0)))
 
     def test_graph_csv_leaves_the_record_out(self, tmp_path, hyperbolic_bowl_spec):
         graph = solve_radial_graph(hyperbolic_bowl_spec, r_span=(0.0, 5.0))
         meta = read_table(export_graph_csv(graph, tmp_path / "g.csv"))[0]
-        assert set(SOLVER_RECORD) == {"n_rhs_evals", "n_steps", "status"}
-        assert set(SOLVER_RECORD) <= set(graph.meta)
-        assert not set(SOLVER_RECORD) & set(meta)
+        assert set(graph.diagnostics) == {"n_rhs_evals", "n_steps", "status"}
+        assert not set(graph.diagnostics) & set(graph.meta)
+        assert not set(graph.diagnostics) & set(meta)
         assert meta["source"] == "radial_ode"
 
 

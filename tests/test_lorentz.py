@@ -66,6 +66,16 @@ class TestHyperbolicTranslation:
     def test_form_preserved(self):
         assert form_defect(hyperbolic_translation(2.0, 4).array) < 1e-13
 
+    @pytest.mark.parametrize("r0", [400.0, -400.0, 800.0, math.inf, math.nan])
+    def test_boost_too_far_rejected(self, r0):
+        # cosh overflows past |r0| ~ 710; the form check past ~ 345
+        with pytest.raises(ValueError, match="overflows|finite entries"):
+            hyperbolic_translation(r0, 2)
+
+    def test_boost_needs_one_dimension(self):
+        with pytest.raises(ValueError, match="n >= 1"):
+            hyperbolic_translation(1.0, 0)
+
 
 class TestParabolicTranslation:
     def test_zero_is_identity(self):
@@ -107,6 +117,15 @@ class TestComposition:
     def test_malformed_matrix_rejected(self):
         with pytest.raises(ValueError):
             LorentzMap(np.diag([1.0, 2.0, 1.0]))
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf, 1e200])
+    def test_non_finite_or_huge_matrix_rejected(self, entry):
+        # NaN fails every comparison of the form check, and entries past
+        # 1e150 overflow it, so these are rejected before it runs
+        mat = np.full((3, 3), entry) if math.isnan(entry) else np.eye(3)
+        mat[0, 0] = entry
+        with pytest.raises(ValueError, match="finite entries below"):
+            LorentzMap(mat)
 
 
 class TestSphereToHorosphereLimit:

@@ -371,7 +371,7 @@ class TestNonFinite:
 
 
 def _record(traj):
-    return {key: traj.meta[key] for key in FLOW_RECORD}
+    return {key: traj.diagnostics[key] for key in FLOW_RECORD}
 
 
 class TestRunRecord:
@@ -382,8 +382,8 @@ class TestRunRecord:
         again = prob.run(u0, 5e-4, 0.01, scheme="implicit", record_every=4)
         assert _record(first) == _record(again)
         # every step takes at least one Newton iteration from its predictor
-        assert first.meta["newton_iterations"] >= 20
-        assert 0.0 < first.meta["max_accepted_residual"] <= 1e-10
+        assert first.diagnostics["newton_iterations"] >= 20
+        assert 0.0 < first.diagnostics["max_accepted_residual"] <= 1e-10
         dtau = 0.5 * prob.stability_bound()
         explicit = prob.run(u0, dtau, 20 * dtau, scheme="explicit")
         assert _record(explicit) == {"newton_iterations": 0,
@@ -410,7 +410,9 @@ class TestRunRecord:
         meta, names, _ = read_table(export_trajectory_csv(traj, tmp_path / "t.csv"))
         assert names == ["tau", "F", "D", "dF_dtau"]
         assert meta["scheme"] == "implicit"
+        assert set(traj.diagnostics) == set(FLOW_RECORD)
         assert not set(meta) & set(FLOW_RECORD)
+        assert not set(traj.meta) & set(FLOW_RECORD)
 
 
 def _numpy_scalar_march(problem):

@@ -139,7 +139,7 @@ class TestBowl:
 
     def test_winding_flag(self, hyperbolic_bowl_spec):
         curve = solve_bowl(hyperbolic_bowl_spec)
-        assert curve.diagnostics["phi_winding_ok"]
+        assert curve.phi_winding_ok
 
     def test_solver_record_is_deterministic(self, hyperbolic_bowl_spec):
         stop = TerminationPolicy(r_max=5.0)
@@ -200,6 +200,32 @@ class TestWing:
         with pytest.raises(ValueError):
             solve_wing(spec, branch=0)
 
+
+class TestTableWarpDomain:
+    """A table warp on [0, 5] is never evaluated past r = 5 by a solve."""
+
+    def test_bowl_stops_at_the_domain_edge(self, hyperbolic_table_warp):
+        spec = SolitonSpec(c=1.0, n=2, family="bowl", warp=hyperbolic_table_warp)
+        curve = solve_bowl(spec, stop=TerminationPolicy(r_max=10.0))
+        assert curve.termination == "domain_edge"
+        assert curve.r[-1] == pytest.approx(5.0, abs=1e-12)
+        assert curve.diagnostics["status"] == 1
+        # inside the domain the radius limit still ends the solve
+        inside = solve_bowl(spec, stop=TerminationPolicy(r_max=4.0))
+        assert inside.termination == "max_radius"
+
+    def test_wing_stops_at_the_domain_edge(self, hyperbolic_table_warp):
+        spec = SolitonSpec(c=1.0, n=2, family="wing", warp=hyperbolic_table_warp,
+                           epsilon=0.5)
+        curve = solve_wing(spec, branch=-1, stop=TerminationPolicy(r_max=10.0))
+        assert curve.termination == "domain_edge" and curve.turning_points
+        assert np.max(curve.r) <= 5.0 + 1e-12
+
+    def test_start_outside_the_domain(self, hyperbolic_table_warp):
+        spec = SolitonSpec(c=1.0, n=2, family="wing", warp=hyperbolic_table_warp,
+                           epsilon=6.0)
+        with pytest.raises(ValueError, match="outside domain"):
+            solve_wing(spec, stop=TerminationPolicy(r_max=10.0))
 
 class TestIdealParametric:
     def test_equilibrium_angle_value(self, busemann_warp):

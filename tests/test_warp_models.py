@@ -254,6 +254,32 @@ class TestJsonWarp:
         assert float(model.xi(2.0)) == pytest.approx(SINH_2, rel=1e-8)
         assert radial_curvature(model, 2.0) == pytest.approx(-1.0, abs=1e-5)
 
+    @staticmethod
+    def _table(xi, dxi, ddxi, r=np.linspace(0.0, 5.0, 51)):
+        return {"kind": "rotational", "label": "probe",
+                "table": [{"r": float(x), "xi": float(xi(x)), "dxi": float(dxi(x)),
+                           "ddxi": float(ddxi(x))} for x in r]}
+
+    def test_positive_curvature_table_rejected(self):
+        # xi = sin r: K = +1 everywhere, and xi, xi' change sign on [0, 5]
+        table = self._table(np.sin, np.cos, lambda x: -np.sin(x))
+        with pytest.raises(ValueError, match=r"'probe' breaks xi > 0.*xi' > 0.*K <= 0"):
+            warp_from_json(table)
+
+    def test_axis_slope_table_rejected(self):
+        table = self._table(lambda x: 2 * np.sinh(x), lambda x: 2 * np.cosh(x),
+                            lambda x: 2 * np.sinh(x))
+        with pytest.raises(ValueError, match=r"xi'\(0\) = 1, failing 1 of the checks, "
+                                             r"first at r = 0 \(value 2\)"):
+            warp_from_json(table)
+
+    def test_table_short_of_the_axis_is_not_extrapolated_to_it(self, hyperbolic_warp):
+        # the Hermite cubic extrapolated to r = 0 misses xi(0) = 0 by 2e-8
+        model = warp_from_json(self._table(np.sinh, np.cosh, np.sinh,
+                                           r=np.linspace(0.05, 8.0, 400)))
+        assert validate_warp(model) == []
+        assert not model.in_domain(0.0)
+
 
 @settings(max_examples=50, deadline=None)
 @given(r=st.floats(min_value=0.01, max_value=50.0),
