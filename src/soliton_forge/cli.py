@@ -155,6 +155,14 @@ def _make_spec(family, K, n, c, epsilon=None):
                        epsilon=epsilon if family == "wing" else None)
 
 
+def _check_wing_epsilons(epsilons, r_max: float) -> None:
+    """A wing's inner radius lies in (0, r_max); checked before any solve."""
+    for eps in epsilons:
+        if not 0 < eps < r_max:
+            raise UsageError(f"wing --epsilon {eps:g} must be > 0 and below "
+                             f"--r-max {r_max:g}")
+
+
 def _cmd_soliton(args) -> int:
     from . import diagnostics
     from .graph_solvers import solve_grim
@@ -162,8 +170,8 @@ def _cmd_soliton(args) -> int:
     from .profile_solver import (TerminationPolicy, solve_bowl,
                                  solve_ideal_parametric, solve_wing)
     family = args.family
-    if family == "wing" and args.epsilon <= 0:
-        raise UsageError("--epsilon must be > 0 for the wing family")
+    if family == "wing":
+        _check_wing_epsilons([args.epsilon], args.r_max)
     tag = args.tag or family
     stop = TerminationPolicy(r_max=args.r_max)
 
@@ -339,6 +347,7 @@ def _cmd_sweep(args) -> int:
         if not args.epsilons:
             raise UsageError("wing sweep needs --epsilons")
         epsilons = [float(v) for v in str(args.epsilons).split(",")]
+        _check_wing_epsilons(epsilons, args.r_max)
 
         names = ("epsilon", "r_turn", "gap", "lower", "upper", "pass")
 

@@ -5,11 +5,26 @@ method="DOP853", rtol=rtol, atol=atol, dense_output=True, events=events)``
 does, operation for operation: the same tableau (its decimal literals
 copied below, from Hairer, Nørsett and Wanner, *Solving Ordinary
 Differential Equations I*, §II.5), the same initial step selection, stage
-sums (``np.dot(K[:s].T, a[:s]) * h``), err5/err3 error norm, step-size
-control, tolerance floor and 7-row dense coefficients, and the same event
-detection and Brent root refinement.  Its times, states, events, RHS
-counts and dense coefficients therefore equal SciPy's bit for bit, while
-the module needs NumPy alone.
+sums, err5/err3 error norm, step-size control, tolerance floor and 7-row
+dense coefficients, and the same event detection and Brent root
+refinement.  Its times, states, events, RHS counts and dense coefficients
+therefore equal SciPy's bit for bit, while the module needs NumPy alone.
+
+Which operations stay NumPy calls and which run on Python floats:
+
+* Pinned to BLAS: the stage sums ``np.dot(K[:s].T, a)``, the ``E5`` and
+  ``E3`` error sums, the squared norms ``x.dot(x)`` of the error norm and
+  the ``D`` rows of the dense coefficients.  OpenBLAS 0.3 (Haswell
+  kernels) forms them with fused multiply-adds, so a left-to-right sum in
+  Python floats differs from them in the last bit on 60–90 % of random
+  three-component stage arrays, already at two stages.  The solve calls
+  them on transposed views of its stage array taken once, scales by the
+  step in place and writes each stage's RHS tuple straight into its row.
+* On Python floats: the time, step size, direction, stage nodes, the
+  minimum step (``math.nextafter``), the error norm once its two dot
+  products are formed (``math.sqrt(x.dot(x)) ** 2``, the formula
+  ``np.linalg.norm(x) ** 2`` evaluates) and the step-size factors.  IEEE
+  arithmetic and the shared libm ``pow`` give these NumPy's scalar bits.
 
 :class:`DenseSolution` evaluates a solve's stacked dense coefficients at
 any points in one pass.  :func:`integrate`, the driver every solver
@@ -20,6 +35,7 @@ place the keys of a solve's run record are defined.
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -228,10 +244,10 @@ D[3, 13] = 0.96324553959188282948394950600e+2
 D[3, 14] = -0.39177261675615439165231486172e+2
 D[3, 15] = -0.14972683625798562581422125276e+3
 
-# (stage, its row of A up to the diagonal, its node): the step's stages
-# 1-11, then the three extra stages of the dense output
-_STAGES = [(s, A[s, :s], C[s]) for s in range(1, N_STAGES)]
-_EXTRA_STAGES = [(s, A[s, :s], C[s]) for s in range(N_STAGES + 1, N_STAGES_EXTENDED)]
+# (its row of A up to the diagonal, its node as a float) of the step's
+# stages 1-11, then of the three extra stages 13-15 of the dense output
+_STAGES = [(A[s, :s], float(C[s])) for s in range(1, N_STAGES)]
+_EXTRA_STAGES = [(A[s, :s], float(C[s])) for s in range(N_STAGES + 1, N_STAGES_EXTENDED)]
 
 
 @dataclass(frozen=True)
@@ -305,41 +321,52 @@ def _initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
     return min(100 * h0, h1, interval_length)
 
 
-def _rk_step(fun, t, y, f, h, K):
-    """The 12-stage step from (t, y) with f = fun(t, y): (y_new, f_new)."""
-    K[0] = f
-    for s, a, c in _STAGES:
-        dy = np.dot(K[:s].T, a) * h
-        K[s] = fun(t + c * h, y + dy)
-    y_new = y + h * np.dot(K[:-1].T, B)
-    f_new = fun(t + h, y_new)
-    K[-1] = f_new
-    return y_new, f_new
+def _rk_step(fun, t: float, y, h: float, K, sums):
+    """The 12-stage step from (t, y), K[0] holding fun(t, y): y_new, with
+    every stage in K and fun(t + h, y_new) in its last row."""
+    h_arr = np.array(h)  # an array scales by a 0-d array twice as fast as by a float
+    for s, (a, c) in enumerate(_STAGES, start=1):
+        dy = sums[s](a)
+        dy *= h_arr
+        dy += y
+        K[s] = fun(t + c * h, dy)
+    y_new = sums[N_STAGES](B)
+    y_new *= h_arr
+    y_new += y
+    K[N_STAGES] = fun(t + h, y_new)
+    return y_new
 
 
-def _error_norm(K, h, scale):
-    err5 = np.dot(K.T, E5) / scale
-    err3 = np.dot(K.T, E3) / scale
-    err5_norm_2 = np.linalg.norm(err5) ** 2
-    err3_norm_2 = np.linalg.norm(err3) ** 2
+def _error_norm(KT_dot, h: float, scale) -> float:
+    """The err5/err3 error norm of a step; ``KT_dot`` is K.T.dot of its 13 stages."""
+    err5 = KT_dot(E5)
+    err5 /= scale
+    err3 = KT_dot(E3)
+    err3 /= scale
+    # np.linalg.norm(x) ** 2, as np.linalg.norm forms it for a vector
+    err5_norm_2 = math.sqrt(err5.dot(err5)) ** 2
+    err3_norm_2 = math.sqrt(err3.dot(err3)) ** 2
     if err5_norm_2 == 0 and err3_norm_2 == 0:
         return 0.0
     denom = err5_norm_2 + 0.01 * err3_norm_2
-    return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+    return abs(h) * err5_norm_2 / math.sqrt(denom * scale.size)
 
 
-def _dense_coefficients(fun, K_ext, t_old, y_old, h, y, f):
+def _dense_coefficients(fun, K_ext, sums, t_old: float, y_old, h: float, y):
     """The step's 7 dense rows from its stages and three extra ones."""
-    for s, a, c in _EXTRA_STAGES:
-        dy = np.dot(K_ext[:s].T, a) * h
-        K_ext[s] = fun(t_old + c * h, y_old + dy)
+    h_arr = np.array(h)
+    for s, (a, c) in enumerate(_EXTRA_STAGES, start=N_STAGES + 1):
+        dy = sums[s](a)
+        dy *= h_arr
+        dy += y_old
+        K_ext[s] = fun(t_old + c * h, dy)
     F = np.empty((INTERPOLATOR_POWER, y.size))
-    f_old = K_ext[0]
+    f_old, f = K_ext[0], K_ext[N_STAGES]
     delta_y = y - y_old
     F[0] = delta_y
-    F[1] = h * f_old - delta_y
-    F[2] = 2 * delta_y - h * (f + f_old)
-    F[3:] = h * np.dot(D, K_ext)
+    F[1] = h_arr * f_old - delta_y
+    F[2] = 2 * delta_y - h_arr * (f + f_old)
+    F[3:] = h_arr * np.dot(D, K_ext)
     return F
 
 
@@ -439,9 +466,10 @@ def _handle_events(value, events, active, terminal, t_old, t):
 def solve(fun, t_span, y0, rtol: float, atol: float, events=()) -> Integration:
     """Integrate y' = fun(t, y) over ``t_span`` from ``y0`` by DOP853.
 
-    ``fun`` returns the derivative as a sequence.  ``events`` are functions
-    g(t, y) whose sign changes are located; one with a true ``terminal``
-    attribute stops the solve at its first root.
+    ``fun`` returns the derivative as a sequence; it is called with a
+    float t.  ``events`` are functions g(t, y) whose sign changes are
+    located; one with a true ``terminal`` attribute stops the solve at its
+    first root.
     """
     t0, t_bound = map(float, t_span)
     y = np.asarray(y0).astype(float, copy=False)
@@ -451,19 +479,20 @@ def solve(fun, t_span, y0, rtol: float, atol: float, events=()) -> Integration:
         raise ValueError("All components of the initial state `y0` must be finite.")
     n = y.size
     rtol, atol = _validate_tol(rtol, atol, n)
-    nfev = 0
 
     def rhs(t, y):
-        nonlocal nfev
-        nfev += 1
         return np.asarray(fun(t, y), dtype=float)
 
-    direction = np.sign(t_bound - t0) if t_bound != t0 else 1
+    direction = math.copysign(1.0, t_bound - t0) if t_bound != t0 else 1.0
     t = t0
     f = rhs(t, y)
-    h_abs = _initial_step(rhs, t, y, t_bound, f, direction, rtol, atol)
+    h_abs = float(_initial_step(rhs, t, y, t_bound, f, direction, rtol, atol))
+    nfev = 1 if t == t_bound else 2
     K_ext = np.empty((N_STAGES_EXTENDED, n))
     K = K_ext[:N_STAGES + 1]
+    K[0] = f
+    # sums[s](a) is the stage sum np.dot(K[:s].T, a), on views taken once
+    sums = [K_ext[:s].T.dot for s in range(N_STAGES_EXTENDED)]
 
     terminal = np.array([bool(getattr(event, "terminal", False)) for event in events])
     g = [event(t0, y0) for event in events]
@@ -480,9 +509,10 @@ def solve(fun, t_span, y0, rtol: float, atol: float, events=()) -> Integration:
             t, h, F = t_bound, 0.0, np.zeros((INTERPOLATOR_POWER, n))
             status = 0
         else:
-            min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+            min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
             if h_abs < min_step:
                 h_abs = min_step
+            abs_y_old = np.abs(y_old)
             step_rejected = False
             while True:
                 if h_abs < min_step:
@@ -493,10 +523,15 @@ def solve(fun, t_span, y0, rtol: float, atol: float, events=()) -> Integration:
                 if direction * (t_new - t_bound) > 0:
                     t_new = t_bound
                 h = t_new - t_old
-                h_abs = np.abs(h)
-                y_new, f_new = _rk_step(rhs, t_old, y_old, f, h, K)
-                scale = atol + np.maximum(np.abs(y_old), np.abs(y_new)) * rtol
-                error_norm = _error_norm(K, h, scale)
+                h_abs = abs(h)
+                y_new = _rk_step(fun, t_old, y_old, h, K, sums)
+                nfev += N_STAGES
+                # atol + max(|y_old|, |y_new|) * rtol
+                scale = np.abs(y_new)
+                np.maximum(abs_y_old, scale, out=scale)
+                scale *= rtol
+                scale += atol
+                error_norm = _error_norm(sums[N_STAGES + 1], h, scale)
                 if error_norm < 1:
                     if error_norm == 0:
                         factor = MAX_FACTOR
@@ -512,10 +547,12 @@ def solve(fun, t_span, y0, rtol: float, atol: float, events=()) -> Integration:
             if status == -1:
                 break
             n_steps += 1
-            t, y, f = t_new, y_new, f_new
+            t, y = t_new, y_new
             if direction * (t - t_bound) >= 0:
                 status = 0
-            F = _dense_coefficients(rhs, K_ext, t_old, y_old, h, y, f)
+            F = _dense_coefficients(fun, K_ext, sums, t_old, y_old, h, y)
+            nfev += N_STAGES_EXTENDED - N_STAGES - 1
+            K[0] = K[N_STAGES]  # the next step starts from fun(t, y)
         dense.append((t_old, h, y_old, F))
 
         t_kept, y_kept = t, y

@@ -112,9 +112,11 @@ def _integrate_slope(rhs, r_span, y0, rtol, atol):
 def _slope_rhs(c: float, n: int, warp: WarpModel):
     """Right-hand side of (u, u')' for u'' = (1 + u'^2)(c - D(r) u')."""
 
+    drift = warp.drift
+
     def rhs(r, y):
-        p = y[1]
-        return (p, (1.0 + p * p) * (c - warp.drift(r, n) * p))
+        _, p = y.tolist()
+        return (p, (1.0 + p * p) * (c - drift(r, n) * p))
     return rhs
 
 
@@ -166,11 +168,13 @@ def solve_ideal_graph(c: float, n: int, warp: WarpModel, r_span=(0.0, 5.0),
     r0, u0, du0 = ic
     warp.require_domain((r0, r_span[1]))
 
+    drift = warp.drift
+
     def coeff(r):
-        return c - warp.drift(r, n)
+        return c - drift(r, n)
 
     def rhs(r, y):
-        p = y[1]
+        _, p = y.tolist()
         return (p, coeff(r) * (1.0 + p * p))
 
     out, (r_grid, u, du) = _integrate_slope(rhs, (r0, r_span[1]), (u0, du0),

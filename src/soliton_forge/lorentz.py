@@ -41,19 +41,29 @@ def lorentz_product(p, q) -> float:
 def _upper_sheet_rows(x: np.ndarray) -> np.ndarray:
     """``x`` after checking that each row is a point of the upper sheet.
 
-    A row needs at least 2 coordinates, |<x, x>_L + 1| at most
-    POINT_TOL max(1, x0^2) (roundoff in the form grows with the squared
-    coordinate size) and x0 > 0; NaN fails both tests.
+    A row needs at least 2 coordinates, none of them infinite (a product
+    that overflowed), |<x, x>_L + 1| at most POINT_TOL max(1, x0^2)
+    (roundoff in the form grows with the squared coordinate size) and
+    x0 > 0; NaN fails both tests.  The form is taken of the row divided by
+    s = max(1, |x0|), against POINT_TOL and 1/s^2 in place of 1: the same
+    test, with no square of a coordinate beyond 1e154 to overflow.
     """
     if x.ndim != 2 or x.shape[1] < 2:
         raise ValueError("hyperboloid points are rows of at least 2 "
                          f"coordinates, got shape {x.shape}")
+    if np.isinf(x).any():
+        raise ValueError("point coordinates overflowed to inf "
+                         f"(row {int(np.argmax(np.isinf(x).any(axis=1)))})")
     x0 = x[:, 0]
-    defect = np.abs(-x0 * x0 + np.einsum("ij,ij->i", x[:, 1:], x[:, 1:]) + 1.0)
-    off = ~(defect <= POINT_TOL * np.maximum(1.0, x0 * x0))
+    inv = 1.0 / np.maximum(1.0, np.abs(x0))
+    y = x * inv[:, np.newaxis]
+    y0 = y[:, 0]
+    defect = np.abs(-y0 * y0 + np.einsum("ij,ij->i", y[:, 1:], y[:, 1:]) + inv * inv)
+    off = ~(defect <= POINT_TOL)
     if off.any():
         i = int(np.argmax(off))
-        raise ValueError(f"point off the hyperboloid by {defect[i]:.3g} (row {i})")
+        raise ValueError(f"point off the hyperboloid by {defect[i]:.3g} "
+                         f"times max(1, x0^2) (row {i})")
     lower = ~(x0 > 0)
     if lower.any():
         raise ValueError(f"point on the lower sheet (x0 <= 0, row {int(np.argmax(lower))})")

@@ -173,7 +173,8 @@ def _integrate(spec: SolitonSpec, y0, s0: float, stop: TerminationPolicy,
     warp.require_domain(y0[0])
 
     def rhs(s, y):
-        return _profile_field(spec, y[0], y[2])
+        r, _, phi = y.tolist()  # Python floats: the warp's scalar path is fastest on them
+        return _profile_field(spec, r, phi)
 
     events = [("max_radius", lambda s, y: y[0] - stop.r_max, True),
               ("max_height", lambda s, y: y[1] - (t_center + stop.t_max), True),
@@ -228,13 +229,18 @@ def solve_wing(spec: SolitonSpec, branch: int = -1,
 
     ``branch`` is the sign of phi(0) = +-pi/2.  The minus branch descends
     from (eps, 0), turns at the unique radius r0 where phi = 0, then
-    ascends; the plus branch ascends immediately.
+    ascends; the plus branch ascends immediately.  A start at or past the
+    radius stop (eps >= stop.r_max) raises ValueError: no root of that
+    stop lies ahead of it.
     """
     if spec.family != "wing":
         raise ValueError("spec.family must be 'wing'")
     if branch not in (-1, 1):
         raise ValueError("branch must be +1 or -1")
     stop = stop or TerminationPolicy()
+    if spec.epsilon >= stop.r_max:
+        raise ValueError(f"wing inner radius epsilon={spec.epsilon} must lie below "
+                         f"the radius stop r_max={stop.r_max}")
     y0 = (spec.epsilon, 0.0, branch * math.pi / 2)
     return _integrate(spec, y0, 0.0, stop, rtol, atol, t_center=0.0)
 

@@ -1,6 +1,7 @@
 """End-to-end command line behavior and exit codes."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -44,6 +45,20 @@ class TestSolitonCommand:
     def test_wing_epsilon_zero_is_usage_error(self, tmp_path):
         assert run("--out", str(tmp_path), "soliton", "wing",
                    "--epsilon", "0") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("soliton", "wing", "--epsilon", "12", "--r-max", "10"),
+        ("soliton", "wing", "--epsilon", "10", "--r-max", "10"),
+        ("sweep", "--family", "wing", "--epsilons", "0.5,12", "--r-max", "10"),
+    ], ids=["soliton-past", "soliton-at", "sweep-past"])
+    def test_wing_start_past_r_max_is_usage_error(self, tmp_path, capsys, argv):
+        # the wing once solved on to r ~ 710.86 and failed on a NaN drift
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("--out", str(tmp_path), *argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: wing --epsilon") and "below --r-max 10" in err
+        assert not list(tmp_path.iterdir())
 
     def test_unknown_flag(self, tmp_path):
         assert run("--out", str(tmp_path), "soliton", "bowl",
@@ -290,6 +305,20 @@ class TestIsometryCommand:
         # the marked point lands on the origin; heights ride along
         assert coords[1][0] == pytest.approx(1.0, abs=1e-14)
         assert list(heights) == [0.0, 2.0]
+
+    def test_far_point_far_boost(self, tmp_path):
+        # coordinates near 1e156, whose squares overflow: the form check
+        # once read NaN here
+        from soliton_forge.fileio import read_points_csv
+        src = tmp_path / "far.csv"
+        export_points_csv([embed_polar(20.0, [1.0, 0.0])], src, heights=[20.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("--out", str(tmp_path), "isometry", "--map", "hyperbolic",
+                       "--param", "-340", "--points", str(src)) == 0
+        coords, heights = read_points_csv(tmp_path / "points_hyperbolic_-340.csv")
+        assert coords[0][0] == pytest.approx(np.cosh(360.0), rel=1e-12)
+        assert list(heights) == [20.0]
 
     @pytest.mark.parametrize("descriptor", [
         {"type": "parabolic"},

@@ -1,8 +1,8 @@
 """The in-package DOP853 against SciPy as oracle: the same tableau, and
 the same times, states, events, RHS counts, status, message and dense
 coefficients as ``solve_ivp(method="DOP853", dense_output=True)`` bit for
-bit, on every solve the soliton solvers make; its Brent root finder
-against ``scipy.optimize.brentq``."""
+bit, on every solve the soliton solvers make and on random small systems
+with stops; its Brent root finder against ``scipy.optimize.brentq``."""
 
 import math
 
@@ -138,6 +138,44 @@ class TestSolveIvpBits:
         assert len(oracle) == 2
         for run, _ in oracle:
             assert run.nfev == 2 + 12 * (run.n_steps + run.n_rejected) + 3 * run.n_steps
+
+
+class _Stop:
+    """An event g(t, y) with SciPy's ``terminal`` attribute."""
+
+    def __init__(self, g, terminal):
+        self.g, self.terminal = g, terminal
+
+    def __call__(self, t, y):
+        return self.g(t, y)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       t0=st.floats(-5.0, 5.0), length=st.floats(0.5, 8.0), descending=st.booleans(),
+       rtol=st.floats(1e-12, 1e-6), level=st.floats(-2.0, 2.0),
+       tuple_rhs=st.booleans())
+def test_random_systems_match_solve_ivp(n, seed, t0, length, descending, rtol, level,
+                                        tuple_rhs):
+    """On random 1-3 dimensional systems y' = M y + sin(y) b + cos(t) d,
+    over an ascending or a descending span, with a terminal stop where y_0
+    crosses a level and a non-terminal stop that oscillates in t, the times,
+    states, RHS count, status, event roots and states and dense
+    coefficients equal ``solve_ivp``'s bit for bit."""
+    rng = np.random.default_rng(seed)
+    M = rng.uniform(-1.5, 1.5, (n, n))
+    b, d, y0 = rng.uniform(-1.0, 1.0, (3, n))
+
+    def fun(t, y):
+        dy = M @ y + np.sin(y) * b + np.cos(t) * d
+        return tuple(dy.tolist()) if tuple_rhs else dy
+
+    events = (_Stop(lambda t, y: y[0] - (y0[0] + level), True),
+              _Stop(lambda t, y: math.sin(3.0 * t) + 0.1 * y[-1], False))
+    t_span = (t0, t0 - length) if descending else (t0, t0 + length)
+    run = dop853.solve(fun, t_span, y0, rtol, rtol * 1e-2, events)
+    _assert_matches_solve_ivp(run, fun, t_span, y0, rtol, rtol * 1e-2, events)
+    assert run.nfev == 2 + 12 * (run.n_steps + run.n_rejected) + 3 * run.n_steps
 
 
 class TestIntegrate:

@@ -200,6 +200,28 @@ class TestTransformPoints:
         with pytest.raises(ValueError, match=match):
             LorentzPoint(bad)
 
+    def test_far_rows_checked_without_overflow(self):
+        # x0 ~ 1.1e156: x0^2 overflows, the row scaled by 1/x0 does not
+        far = embed_polar(20.0, [1.0, 0.0])
+        boost = hyperbolic_translation(-340.0, 2)
+        with np.errstate(over="raise", invalid="raise"):
+            moved = transform_points(boost, np.array([far.coords]))
+        assert moved[0, 0] == pytest.approx(math.cosh(360.0), rel=1e-12)
+        # the same test: off the sheet by 1e-9 relative to x0^2 still fails
+        bad = moved.copy()
+        bad[0, 1] *= 1.0 + 1e-9
+        with pytest.raises(ValueError, match="off the hyperboloid.*row 0"):
+            transform_points(parabolic_translation(0.7, 2), bad)
+
+    @pytest.mark.parametrize("bad", [[math.inf, 0.0, 0.0], [1.0, -math.inf, 0.0],
+                                     [math.inf, math.inf, 0.0]])
+    def test_infinite_row_rejected_as_overflowed(self, bad):
+        rows = np.array([[1.0, 0.0, 0.0], bad])
+        with pytest.raises(ValueError, match=r"overflowed to inf \(row 1\)"):
+            transform_points(parabolic_translation(0.7, 2), rows)
+        with pytest.raises(ValueError, match="overflowed"):
+            LorentzPoint(bad)
+
     @pytest.mark.parametrize("shape", [(3,), (2, 1), (1, 2, 3)])
     def test_wrong_shape_rejected(self, shape):
         with pytest.raises(ValueError, match="at least 2 coordinates"):

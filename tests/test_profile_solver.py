@@ -200,6 +200,15 @@ class TestWing:
         with pytest.raises(ValueError):
             solve_wing(spec, branch=0)
 
+    @pytest.mark.parametrize("eps", [10.0, 12.0])
+    def test_start_at_or_past_the_radius_stop(self, hyperbolic_warp, eps, monkeypatch):
+        # once solved on to r ~ 710.86, where xi'/xi overflows to NaN
+        monkeypatch.setattr(dop853, "solve", None)  # no solve may start
+        spec = SolitonSpec(c=1.0, n=2, family="wing", warp=hyperbolic_warp,
+                           epsilon=eps)
+        with pytest.raises(ValueError, match=rf"epsilon={eps} must lie below .*r_max=10"):
+            solve_wing(spec, stop=TerminationPolicy(r_max=10.0))
+
 
 class TestTableWarpDomain:
     """A table warp on [0, 5] is never evaluated past r = 5 by a solve."""

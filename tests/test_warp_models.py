@@ -420,3 +420,54 @@ def test_ratio_finite_below_overflow():
     assert make_builtin_warp("rotational", -1.0).xi_ratio(700.0) == 1.0
     assert make_builtin_warp("busemann", -1.0).xi_ratio(-700.0) == 1.0
     assert make_builtin_warp("equidistant", -1.0).xi_ratio(-700.0) == -1.0
+
+
+#: the warps whose float path the solvers' right-hand sides call, by name
+FLOAT_PATH_WARPS = ("rotational", "busemann", "equidistant", "table")
+
+
+def _float_path_warp(name, table_warp):
+    return table_warp if name == "table" else make_builtin_warp(name, -1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(FLOAT_PATH_WARPS),
+       radii=st.lists(st.floats(min_value=1e-6, max_value=5.0), min_size=1, max_size=8),
+       negate=st.booleans())
+def test_float_paths_give_array_bits(hyperbolic_table_warp, name, radii, negate):
+    """``xi_ratio`` and ``drift`` (n = 1, 2, 3) on a Python float and on an
+    np.float64 return a float with the bits of the array path, on the three
+    built-in kinds and a table warp."""
+    model = _float_path_warp(name, hyperbolic_table_warp)
+    r = np.array(radii)
+    if negate and model.kind != "rotational":
+        r = -r
+    calls = {"xi_ratio": model.xi_ratio}
+    for n in (1, 2, 3):
+        calls[f"drift_{n}"] = lambda x, n=n: model.drift(x, n)
+    for label, fn in calls.items():
+        whole = fn(r)
+        for x, expected in zip(r.tolist(), whole.tolist()):
+            for form in (x, np.float64(x)):
+                got = fn(form)
+                assert type(got) is float, (label, type(form))
+                assert _same_bits(got, expected), (label, form)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name", FLOAT_PATH_WARPS)
+def test_float_path_errors(hyperbolic_table_warp, name):
+    """The float path raises where the array path does: ZeroDivisionError
+    on a rotational axis, ValueError on a NaN quotient."""
+    model = _float_path_warp(name, hyperbolic_table_warp)
+    calls = [model.xi_ratio, lambda x: model.drift(x, 2), lambda x: model.drift(x, 3)]
+    bad = [(math.nan, ValueError, "NaN")]
+    if model.kind == "rotational":
+        bad.append((0.0, ZeroDivisionError, "axis"))
+    if name != "table":
+        bad.append((720.0, ValueError, "overflows"))  # cosh and exp overflow
+    for r, error, match in bad:
+        for fn in calls:
+            for form in (r, np.float64(r), np.array([1.0, r])):
+                with pytest.raises(error, match=match):
+                    fn(form)
