@@ -155,23 +155,28 @@ def _make_spec(family, K, n, c, epsilon=None):
                        epsilon=epsilon if family == "wing" else None)
 
 
-def _check_wing_epsilons(epsilons, r_max: float) -> None:
-    """A wing's inner radius lies in (0, r_max); checked before any solve."""
-    for eps in epsilons:
-        if not 0 < eps < r_max:
-            raise UsageError(f"wing --epsilon {eps:g} must be > 0 and below "
-                             f"--r-max {r_max:g}")
+def _check_starts(what: str, starts, r_max: float, low: float = -math.inf) -> None:
+    """Each solve starts above ``low`` and below --r-max, so its radius stop
+    lies ahead of it; checked before any solve."""
+    for r0 in starts:
+        if not low < r0 < r_max:
+            above = f"> {low:g} and " if low > -math.inf else ""
+            raise UsageError(f"{what} {r0:g} must be {above}below --r-max {r_max:g}")
 
 
 def _cmd_soliton(args) -> int:
     from . import diagnostics
-    from .graph_solvers import solve_grim
+    from .graph_solvers import GRIM_LAUNCH_R, solve_grim
     from .meshing import revolve_profile
-    from .profile_solver import (TerminationPolicy, solve_bowl,
+    from .profile_solver import (AXIS_LAUNCH_S, TerminationPolicy, solve_bowl,
                                  solve_ideal_parametric, solve_wing)
     family = args.family
     if family == "wing":
-        _check_wing_epsilons([args.epsilon], args.r_max)
+        _check_starts("wing --epsilon", [args.epsilon], args.r_max, low=0.0)
+    else:
+        r0 = {"bowl": AXIS_LAUNCH_S, "ideal": 0.0,
+              "grim": GRIM_LAUNCH_R if args.n >= 3 else 0.0}[family]
+        _check_starts(f"{family} start radius", [r0], args.r_max)
     tag = args.tag or family
     stop = TerminationPolicy(r_max=args.r_max)
 
@@ -339,7 +344,7 @@ def _cmd_isometry(args) -> int:
 def _cmd_sweep(args) -> int:
     from . import diagnostics
     from .graph_solvers import solve_radial_graph
-    from .profile_solver import TerminationPolicy, solve_wing
+    from .profile_solver import AXIS_LAUNCH_S, TerminationPolicy, solve_wing
     family = args.family or ("wing" if args.epsilons else "bowl")
     tag = args.tag or f"sweep_{family}"
 
@@ -347,7 +352,7 @@ def _cmd_sweep(args) -> int:
         if not args.epsilons:
             raise UsageError("wing sweep needs --epsilons")
         epsilons = [float(v) for v in str(args.epsilons).split(",")]
-        _check_wing_epsilons(epsilons, args.r_max)
+        _check_starts("wing --epsilon", epsilons, args.r_max, low=0.0)
 
         names = ("epsilon", "r_turn", "gap", "lower", "upper", "pass")
 
@@ -369,10 +374,14 @@ def _cmd_sweep(args) -> int:
     if not args.c_values:
         raise UsageError("bowl sweep needs --c-values")
     c_values = [float(v) for v in str(args.c_values).split(",")]
+    _check_starts("bowl start radius", [AXIS_LAUNCH_S if args.n > 1 else 0.0], args.r_max)
 
     def solve_one_c(c):
         spec = _make_spec("bowl", args.K, args.n, c)
         graph = solve_radial_graph(spec, r_span=(0.0, args.r_max))
+        if graph.gradient_blowup:
+            raise ValueError(f"bowl graph with c = {c:g} blows up at "
+                             f"r = {graph.blowup_radius:.6g}, short of --r-max {args.r_max:g}")
         return c, float(graph.u[-1]), float(graph.du[-1])
 
     rows = sorted(solve_one_c(c) for c in c_values)

@@ -1,14 +1,17 @@
 """Dormand–Prince 8(5,3) integration with dense output and events.
 
-One call of :func:`solve` does what SciPy's ``solve_ivp(fun, t_span, y0,
-method="DOP853", rtol=rtol, atol=atol, dense_output=True, events=events)``
-does, operation for operation: the same tableau (its decimal literals
-copied below, from Hairer, Nørsett and Wanner, *Solving Ordinary
-Differential Equations I*, §II.5), the same initial step selection, stage
-sums, err5/err3 error norm, step-size control, tolerance floor and 7-row
-dense coefficients, and the same event detection and Brent root
-refinement.  Its times, states, events, RHS counts and dense coefficients
-therefore equal SciPy's bit for bit, while the module needs NumPy alone.
+:func:`solve`, the one entry point every solver calls, does what SciPy's
+``solve_ivp(fun, t_span, y0, method="DOP853", rtol=rtol, atol=atol,
+dense_output=True, events=events)`` does, operation for operation, with
+each named stop ``(name, g, terminal)`` in the place of an event g: the
+same tableau (its decimal literals copied below, from Hairer, Nørsett and
+Wanner, *Solving Ordinary Differential Equations I*, §II.5), the same
+initial step selection, stage sums, err5/err3 error norm, step-size
+control, tolerance floor and 7-row dense coefficients, and the same event
+detection and Brent root refinement.  Its times, states, stop roots, RHS
+counts and dense coefficients therefore equal SciPy's bit for bit, while
+the module needs NumPy alone.  It returns one :class:`Outcome`: why the
+solve stopped, each stop's roots by name, and the steps.
 
 Which operations stay NumPy calls and which run on Python floats:
 
@@ -27,14 +30,12 @@ Which operations stay NumPy calls and which run on Python floats:
   arithmetic and the shared libm ``pow`` give these NumPy's scalar bits.
 
 :class:`DenseSolution` evaluates a solve's stacked dense coefficients at
-any points in one pass.  :func:`integrate`, the driver every solver
-calls, runs :func:`solve` on named stops; :func:`run_record` is the one
-place the keys of a solve's run record are defined.
+any points in one pass; :func:`run_record` is the one place the keys of a
+solve's run record are defined.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -46,10 +47,8 @@ SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10
 ERROR_EXPONENT = -1 / 8  # -1 / (error estimator order 7 + 1)
 ROOT_TOL, ROOT_MAX_ITER = 4 * EPS, 100  # event roots: xtol = rtol = 4 eps
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
-#: why an :func:`integrate` run stopped when no stop's root ended it
+#: why a :func:`solve` stopped when no stop's root ended it
 END_OF_SPAN, STEP_FAILURE = "end_of_span", "step_failure"
-MESSAGES = {0: "The solver successfully reached the end of the integration interval.",
-            1: "A termination event occurred."}
 
 # -- tableau -------------------------------------------------------------
 
@@ -251,13 +250,14 @@ _EXTRA_STAGES = [(A[s, :s], float(C[s])) for s in range(N_STAGES + 1, N_STAGES_E
 
 
 @dataclass(frozen=True)
-class Integration:
+class Outcome:
     """The record of one :func:`solve`.
 
     ``t`` and ``y`` (shape (n, len(t))) are the accepted step ends, the
-    last one moved to the root of a terminal event; ``t_events[i]`` and
-    ``y_events[i]`` are event i's roots and states.  ``status`` is 0 (end
-    of span), 1 (terminal event) or -1 (step failure, see ``message``).
+    last one moved to the root of a terminal stop.  ``stop`` says why the
+    solve ended: END_OF_SPAN, STEP_FAILURE (see TOO_SMALL_STEP) or the name
+    of the terminal stop whose root ended it; ``hits[name]`` holds the
+    (root, state) pairs of the stops of that name, triple by triple.
     ``nfev`` counts RHS calls, ``n_steps`` accepted and ``n_rejected``
     rejected steps.  Each dense step k is stored as its start ``t_old[k]``,
     signed length ``h[k]``, start state ``y_old[k]`` and coefficients
@@ -267,17 +267,28 @@ class Integration:
 
     t: np.ndarray
     y: np.ndarray
-    t_events: list
-    y_events: list
     nfev: int
     n_steps: int
     n_rejected: int
-    status: int
-    message: str
+    stop: str
+    hits: dict
     t_old: np.ndarray
     h: np.ndarray
     y_old: np.ndarray
     F: np.ndarray
+
+    @property
+    def status(self) -> int:
+        """SciPy's status: 0 end of span, 1 stopped at a root, -1 step failure."""
+        return {END_OF_SPAN: 0, STEP_FAILURE: -1}.get(self.stop, 1)
+
+    @property
+    def record(self) -> dict:
+        return run_record(self)
+
+    @property
+    def dense(self) -> DenseSolution:
+        return DenseSolution(self)
 
 
 def _rms(x):
@@ -450,26 +461,26 @@ def brentq(f, xa: float, xb: float) -> float:
     raise RuntimeError(f"Failed to converge after {ROOT_MAX_ITER} iterations.")
 
 
-def _handle_events(value, events, active, terminal, t_old, t):
-    """Roots of the active events in the step; with a terminal event among
-    them, those in time order up to the first terminal root, and True."""
-    roots = np.asarray([brentq(lambda x, event=events[i]: event(x, value(x)), t_old, t)
-                        for i in active])
-    if not terminal[active].any():
+def _handle_events(value, stops, active, t_old, t):
+    """Roots of the active stops (a list of indices) in the step; with a
+    terminal stop among them, those in time order up to the first terminal
+    root, and True."""
+    roots = [brentq(lambda x, g=stops[i][1]: g(x, value(x)), t_old, t) for i in active]
+    if not any(stops[i][2] for i in active):
         return active, roots, False
-    order = np.argsort(roots) if t > t_old else np.argsort(-roots)
-    active, roots = active[order], roots[order]
-    last = np.argmax(terminal[active])
+    order = np.argsort(roots) if t > t_old else np.argsort(np.negative(roots))
+    active, roots = [active[k] for k in order], [roots[k] for k in order]
+    last = next(k for k, i in enumerate(active) if stops[i][2])
     return active[:last + 1], roots[:last + 1], True
 
 
-def solve(fun, t_span, y0, rtol: float, atol: float, events=()) -> Integration:
+def solve(fun, t_span, y0, rtol: float, atol: float, stops=()) -> Outcome:
     """Integrate y' = fun(t, y) over ``t_span`` from ``y0`` by DOP853.
 
     ``fun`` returns the derivative as a sequence; it is called with a
-    float t.  ``events`` are functions g(t, y) whose sign changes are
-    located; one with a true ``terminal`` attribute stops the solve at its
-    first root.
+    float t.  ``stops`` are ``(name, g, terminal)`` triples, several of
+    which may share a name: the sign changes of each g(t, y) are located,
+    and a terminal one ends the solve at its first root.
     """
     t0, t_bound = map(float, t_span)
     y = np.asarray(y0).astype(float, copy=False)
@@ -494,20 +505,18 @@ def solve(fun, t_span, y0, rtol: float, atol: float, events=()) -> Integration:
     # sums[s](a) is the stage sum np.dot(K[:s].T, a), on views taken once
     sums = [K_ext[:s].T.dot for s in range(N_STAGES_EXTENDED)]
 
-    terminal = np.array([bool(getattr(event, "terminal", False)) for event in events])
-    g = [event(t0, y0) for event in events]
-    t_events = [[] for _ in events]
-    y_events = [[] for _ in events]
+    g = [event(t0, y0) for _, event, _ in stops]
+    found = [[] for _ in stops]  # the (root, state) pairs of each stop
     ts, ys = [t0], [y0]
     dense = []  # (t_old, h, y_old, F) of every kept step
     n_steps = n_rejected = 0
-    status = None
-    while status is None:
+    stop = None
+    while stop is None:
         t_old, y_old = t, y
         if t == t_bound:
             # a zero-length span: one constant step
             t, h, F = t_bound, 0.0, np.zeros((INTERPOLATOR_POWER, n))
-            status = 0
+            stop = END_OF_SPAN
         else:
             min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
             if h_abs < min_step:
@@ -516,7 +525,7 @@ def solve(fun, t_span, y0, rtol: float, atol: float, events=()) -> Integration:
             step_rejected = False
             while True:
                 if h_abs < min_step:
-                    status = -1
+                    stop = STEP_FAILURE
                     break
                 h = h_abs * direction
                 t_new = t_old + h
@@ -544,34 +553,31 @@ def solve(fun, t_span, y0, rtol: float, atol: float, events=()) -> Integration:
                 h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
                 step_rejected = True
                 n_rejected += 1
-            if status == -1:
+            if stop == STEP_FAILURE:
                 break
             n_steps += 1
             t, y = t_new, y_new
             if direction * (t - t_bound) >= 0:
-                status = 0
+                stop = END_OF_SPAN
             F = _dense_coefficients(fun, K_ext, sums, t_old, y_old, h, y)
             nfev += N_STAGES_EXTENDED - N_STAGES - 1
             K[0] = K[N_STAGES]  # the next step starts from fun(t, y)
         dense.append((t_old, h, y_old, F))
 
         t_kept, y_kept = t, y
-        if events:
-            g_new = [event(t, y) for event in events]
+        if stops:
+            g_new = [event(t, y) for _, event, _ in stops]
             active = [i for i, (a, b) in enumerate(zip(g, g_new))
                       if a <= 0 <= b or a >= 0 >= b]
             if active:
                 def value(x, step=dense[-1]):
                     return _step_value(x, *step)
-                hit, roots, terminate = _handle_events(value, events, np.array(active),
-                                                       terminal, t_old, t)
-                for e, te in zip(hit, roots):
-                    t_events[e].append(te)
-                    y_events[e].append(value(te))
+                hit, roots, terminate = _handle_events(value, stops, active, t_old, t)
+                for i, root in zip(hit, roots):
+                    found[i].append((root, value(root)))
                 if terminate:
-                    status = 1
-                    t_kept = roots[-1]
-                    y_kept = value(t_kept)
+                    stop = stops[hit[-1]][0]
+                    t_kept, y_kept = found[hit[-1]][-1]
             g = g_new
         if len(ts) > 1 and ts[-1] == t_kept:
             # a terminal root on the previous step end: that end stays last
@@ -580,13 +586,13 @@ def solve(fun, t_span, y0, rtol: float, atol: float, events=()) -> Integration:
             ts.append(t_kept)
             ys.append(y_kept)
 
+    hits = {name: [] for name, _, _ in stops}
+    for (name, _, _), pairs in zip(stops, found):
+        hits[name] += pairs
     t_olds, hs, y_olds, Fs = zip(*dense) if dense else ((), (), (), ())
-    return Integration(
-        t=np.array(ts), y=np.vstack(ys).T,
-        t_events=[np.asarray(te) for te in t_events],
-        y_events=[np.asarray(ye) for ye in y_events],
-        nfev=nfev, n_steps=n_steps, n_rejected=n_rejected, status=status,
-        message=TOO_SMALL_STEP if status == -1 else MESSAGES[status],
+    return Outcome(
+        t=np.array(ts), y=np.vstack(ys).T, nfev=nfev, n_steps=n_steps,
+        n_rejected=n_rejected, stop=stop, hits=hits,
         t_old=np.array(t_olds, dtype=float), h=np.array(hs, dtype=float),
         y_old=np.array(y_olds, dtype=float).reshape(-1, n),
         F=np.array(Fs, dtype=float).reshape(-1, INTERPOLATOR_POWER, n))
@@ -602,15 +608,15 @@ class DenseSolution:
     so the values equal ``solve_ivp``'s ``sol(t)`` bit for bit.
     """
 
-    def __init__(self, run: Integration):
-        ts = run.t
+    def __init__(self, out: Outcome):
+        ts = out.t
         self.ascending = bool(ts[-1] >= ts[0])
         self.side = "left" if self.ascending else "right"
         self.ts_sorted = ts if self.ascending else ts[::-1]
-        self.t_old, self.h = run.t_old, run.h
-        self.y_old = run.y_old.T
+        self.t_old, self.h = out.t_old, out.h
+        self.y_old = out.y_old.T
         # (power, component, step), highest power first as SciPy applies them
-        self.F = run.F[:, ::-1].transpose(1, 2, 0)
+        self.F = out.F[:, ::-1].transpose(1, 2, 0)
 
     def __call__(self, t):
         """Values at ``t``: shape (n_states,) for a scalar, else (n_states, n_points)."""
@@ -629,45 +635,10 @@ class DenseSolution:
         return y[:, 0] if t.ndim == 0 else y
 
 
-@dataclass(frozen=True)
-class Outcome:
-    """An :func:`integrate` run: the :func:`solve` record ``run`` and its
-    ``dense`` output, why it stopped (``stop``: END_OF_SPAN, STEP_FAILURE
-    or the name of the terminal stop whose root ended it) and
-    ``hits[name]``, the (root, state) pairs of the stops of that name,
-    triple by triple."""
-
-    run: Integration
-    stop: str
-    hits: dict
-    dense: DenseSolution
-
-    @property
-    def record(self) -> dict:
-        return run_record(self.run)
-
-
-def run_record(*runs: Integration) -> dict:
+def run_record(*outcomes: Outcome) -> dict:
     """How a result was computed by one or more solves: RHS calls
     (``n_rhs_evals``) and accepted steps (``n_steps``) summed, and the
     largest ``status`` (0 end of span, 1 stop, -1 step failure)."""
-    return {"n_rhs_evals": sum(run.nfev for run in runs),
-            "n_steps": sum(run.n_steps for run in runs),
-            "status": max(run.status for run in runs)}
-
-
-def integrate(fun, t_span, y0, rtol: float, atol: float, events=()) -> Outcome:
-    """:func:`solve` on ``(name, g, terminal)`` triples, several of which
-    may share a name: the roots of each g(t, y) are located, and a
-    terminal one stops the run at its first root."""
-    stops = [functools.partial(g) for _, g, _ in events]
-    for event, (_, _, terminal) in zip(stops, events):
-        event.terminal = terminal
-    run = solve(fun, t_span, y0, rtol, atol, stops)
-    hits = {name: [] for name, _, _ in events}
-    stop = STEP_FAILURE if run.status == -1 else END_OF_SPAN
-    for (name, _, terminal), te, ye in zip(events, run.t_events, run.y_events):
-        hits[name] += zip(te, ye)
-        if terminal and te.size:  # the run stopped at this root
-            stop = name
-    return Outcome(run=run, stop=stop, hits=hits, dense=DenseSolution(run))
+    return {"n_rhs_evals": sum(out.nfev for out in outcomes),
+            "n_steps": sum(out.n_steps for out in outcomes),
+            "status": max(out.status for out in outcomes)}

@@ -7,7 +7,7 @@ Two slope equations appear:
 
 where D(r) is the Laplacian of the chart coordinate: (n-1) xi'/xi in the
 polar and Busemann charts, and xi'/xi + (n-2) chi'/chi in the equidistant
-chart.  Each is one DOP853 solve (:func:`.dop853.integrate`, the same
+chart.  Each is one DOP853 solve (:func:`.dop853.solve`, the same
 bits as SciPy's ``solve_ivp``) per direction from the initial radius,
 which stops where |u'| reaches BLOWUP_SLOPE and whose dense output the
 graph keeps for ``u_eval`` and ``du_eval``.  Closed-form
@@ -29,6 +29,7 @@ from .spline import PiecewiseCubic
 from .warp_models import BUSEMANN, EQUIDISTANT, ROTATIONAL, WarpModel
 
 BLOWUP_SLOPE = 1e6
+GRIM_LAUNCH_R = 1e-3  # an n >= 3 grim graph's start off the singular line r = 0
 GRID_SIZE = 2001  # samples in every solved graph record
 
 
@@ -101,11 +102,11 @@ def _integrate_slope(rhs, r_span, y0, rtol, atol):
     Returns the :class:`.dop853.Outcome` and its samples (r, u, u') on
     GRID_SIZE radii from the start to where the run stopped.
     """
-    out = dop853.integrate(rhs, r_span, y0, rtol, atol,
-                           [("blowup", lambda r, y: abs(y[1]) - BLOWUP_SLOPE, True)])
+    out = dop853.solve(rhs, r_span, y0, rtol, atol,
+                       [("blowup", lambda r, y: abs(y[1]) - BLOWUP_SLOPE, True)])
     if out.stop == dop853.STEP_FAILURE:
-        raise RuntimeError(f"slope ODE step failure: {out.run.message}")
-    r_grid = np.linspace(out.run.t[0], out.run.t[-1], GRID_SIZE)
+        raise RuntimeError(f"slope ODE step failure: {dop853.TOO_SMALL_STEP}")
+    r_grid = np.linspace(out.t[0], out.t[-1], GRID_SIZE)
     return out, (r_grid, *out.dense(r_grid))
 
 
@@ -127,7 +128,8 @@ def solve_radial_graph(spec: SolitonSpec, r_span=(0.0, 20.0), ic=None,
     ``ic = (r0, u0, du0)``; the axis start r0 = 0 (with du0 = 0) moves to
     r0 = AXIS_LAUNCH_S through :func:`~.profile_solver.axis_series`,
     u ~ u0 + (c/2n) r^2, matching u''(0) = c/n.
-    For n = 1 the drift coefficient vanishes and r = 0 is regular.
+    For n = 1 the drift coefficient vanishes and r = 0 is regular.  A span
+    that ends at or before the launch raises ValueError.
     Gradient blow-up cannot happen for bowls; the guard flags misuse.
     """
     c, n, warp = spec.c, spec.n, spec.warp
@@ -146,6 +148,9 @@ def solve_radial_graph(spec: SolitonSpec, r_span=(0.0, 20.0), ic=None,
         meta["axis_launch"] = r0
     else:
         y0 = (u0, du0)
+    if r_span[1] <= r0:
+        raise ValueError(f"radial graph span end r = {r_span[1]} must lie past its "
+                         f"launch r0 = {r0}")
     out, (r_grid, u, du) = _integrate_slope(
         _slope_rhs(c, n, warp), (r0, r_span[1]), y0, rtol, atol)
     b_rad = float(out.hits["blowup"][0][0]) if out.stop == "blowup" else None
@@ -202,9 +207,10 @@ def solve_grim(c: float, n: int, warp: WarpModel, r_span=(-20.0, 20.0),
     Slope equation u'' = (1+u'^2)(c - (n-1) h(r) u') with (n-1) h the
     level mean curvature of the equidistant foliation.  For n >= 3 the
     coth factor is singular at r = 0; an axis start is moved to
-    r = +-1e-3 with the bowl's series launch in dimension n - 1, since
-    the drift is (n-2)/r there.  Gradient blow-up contradicts entireness
-    and raises.
+    r = +-GRIM_LAUNCH_R with the bowl's series launch in dimension n - 1,
+    since the drift is (n-2)/r there, and a span that ends at or before
+    that launch raises ValueError.  Gradient blow-up contradicts
+    entireness and raises.
     """
     if warp.kind != EQUIDISTANT:
         raise ValueError("grim solves need an equidistant warp")
@@ -215,7 +221,10 @@ def solve_grim(c: float, n: int, warp: WarpModel, r_span=(-20.0, 20.0),
         if min(r_span) < 0 < max(r_span):
             raise ValueError("n >= 3 grim solves cannot cross the singular line r = 0")
         side = max(r_span) if max(r_span) > 0 else min(r_span)
-        r0 = math.copysign(1e-3, side)
+        r0 = math.copysign(GRIM_LAUNCH_R, side)
+        if abs(side) <= GRIM_LAUNCH_R:
+            raise ValueError(f"n >= 3 grim span end r = {side} must lie past the "
+                             f"launch r = {r0}")
         height, du0 = axis_series(c, n - 1, r0)
         u0 = u0 + height
         # integrate away from the singular line only
@@ -227,7 +236,7 @@ def solve_grim(c: float, n: int, warp: WarpModel, r_span=(-20.0, 20.0),
     def piece(end):
         out, samples = _integrate_slope(rhs, (r0, end), (u0, du0), rtol, atol)
         if out.stop == "blowup":
-            raise RuntimeError(f"unexpected gradient blow-up at r = {out.run.t[-1]:.6g}")
+            raise RuntimeError(f"unexpected gradient blow-up at r = {out.t[-1]:.6g}")
         return out, samples
 
     pieces = []
@@ -250,7 +259,7 @@ def solve_grim(c: float, n: int, warp: WarpModel, r_span=(-20.0, 20.0),
         dense = _two_pieces(left.dense, right.dense, r0)
     return RadialGraph(r_grid=r_grid, u=u, du=du, spec=spec,
                        meta={"source": "grim_ode"},
-                       diagnostics=dop853.run_record(*(out.run for out, _ in pieces)),
+                       diagnostics=dop853.run_record(*(out for out, _ in pieces)),
                        _dense=dense)
 
 

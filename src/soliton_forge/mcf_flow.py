@@ -448,12 +448,16 @@ def _solve_newton_system(lower, diag, upper, half, res) -> np.ndarray:
 
 def soliton_initial(problem: FlowProblem, rtol: float = 1e-11,
                     atol: float = 1e-13) -> np.ndarray:
-    """Soliton graph heights sampled on the flow grid."""
+    """Soliton graph heights sampled on the flow grid; a graph that blows up
+    raises ValueError."""
     if problem.chart == "polar":
         spec = SolitonSpec(c=problem.c, n=problem.n, family="bowl",
                            warp=problem.warp)
         graph = solve_radial_graph(spec, r_span=(0.0, problem.r_max * 1.01),
                                    rtol=rtol, atol=atol)
+        if graph.gradient_blowup:
+            raise ValueError(f"the soliton graph blows up at r = {graph.blowup_radius:.6g} "
+                             f"(flow domain R = {problem.r_max:g})")
         u = np.asarray(graph.u_eval(problem.r_grid), dtype=float)
         # dense output starts at the series launch radius; fill the gap
         tiny = problem.r_grid < graph.r_grid[0]

@@ -10,7 +10,7 @@ with its tangent angle phi, solves the autonomous first-order system
 Bowls launch from the rotation axis through a series expansion, wings
 from (r, t, phi) = (eps, 0, +-pi/2), and the ideal (Busemann-chart)
 family from arbitrary initial states with r unrestricted in sign.
-Every curve is one DOP853 solve in arc length (:func:`.dop853.integrate`,
+Every curve is one DOP853 solve in arc length (:func:`.dop853.solve`,
 the same bits as SciPy's ``solve_ivp``) with named stops at the radius,
 height and axis limits and at a finite end of the warp's domain, and a
 non-terminal event at each turning point.
@@ -54,6 +54,9 @@ class SolitonSpec:
         if self.family == "wing":
             if self.epsilon is None or self.epsilon <= 0:
                 raise ValueError("wing family needs epsilon > 0")
+            if self.n < 2:
+                # with no drift the profile from phi = -pi/2 turns only by round-off
+                raise ValueError(f"wing family needs base dimension n >= 2, got {self.n}")
         if self.epsilon is not None and not math.isfinite(self.epsilon):
             raise ValueError(f"epsilon must be finite, got {self.epsilon}")
         if self.n >= 2 and self.warp.kind != _FAMILY_KIND[self.family]:
@@ -188,10 +191,9 @@ def _integrate(spec: SolitonSpec, y0, s0: float, stop: TerminationPolicy,
                for edge in warp.r_domain
                if math.isfinite(edge) and not (have_axis and edge <= 0.0)]
 
-    out = dop853.integrate(rhs, (s0, stop.s_max), y0, rtol, atol, events)
-    run = out.run
+    out = dop853.solve(rhs, (s0, stop.s_max), y0, rtol, atol, events)
     return ProfileCurve(
-        spec=spec, s=run.t, r=run.y[0], t=run.y[1], phi=run.y[2],
+        spec=spec, s=out.t, r=out.y[0], t=out.y[1], phi=out.y[2],
         termination="max_arc_length" if out.stop == dop853.END_OF_SPAN else out.stop,
         turning_points=[float(root) for root, _ in out.hits["turning_point"]],
         diagnostics=out.record, _sol=out.dense)
@@ -204,12 +206,16 @@ def solve_bowl(spec: SolitonSpec, stop: TerminationPolicy | None = None,
 
     The system is singular at r = 0 (xi'/xi ~ 1/r); the launch uses
     :func:`axis_series`, r = s, t = t0 + (c/2n) s^2, phi = (c/n) s, at
-    s0 = AXIS_LAUNCH_S, with O(s0^3) error.
+    s0 = AXIS_LAUNCH_S, with O(s0^3) error.  A launch at or past the
+    radius stop (stop.r_max <= AXIS_LAUNCH_S) raises ValueError.
     """
     if spec.family != "bowl":
         raise ValueError("spec.family must be 'bowl'")
     stop = stop or TerminationPolicy()
     s0 = AXIS_LAUNCH_S
+    if s0 >= stop.r_max:
+        raise ValueError(f"bowl launch radius {s0} must lie below the radius stop "
+                         f"r_max={stop.r_max}")
     height, slope = axis_series(spec.c, spec.n, s0)
     y0 = (s0, t0 + height, slope)
     curve = _integrate(spec, y0, s0, stop, rtol, atol, t_center=t0)
@@ -251,7 +257,8 @@ def solve_ideal_parametric(spec: SolitonSpec, initial, stop: TerminationPolicy |
 
     Same system as the rotational case but r is a signed horosphere
     distance, so the curve is free to cross r = 0.  For xi = e^{kappa r}
-    the angle tends to the equilibrium arctan(c / ((n-1) kappa)).
+    the angle tends to the equilibrium arctan(c / ((n-1) kappa)).  A start
+    at or past the radius stop raises ValueError.
     """
     if spec.family != "ideal":
         raise ValueError("spec.family must be 'ideal'")
@@ -262,6 +269,9 @@ def solve_ideal_parametric(spec: SolitonSpec, initial, stop: TerminationPolicy |
     else:
         y0 = tuple(initial)
         s0 = 0.0
+    if y0[0] >= stop.r_max:
+        raise ValueError(f"ideal start radius {y0[0]} must lie below the radius stop "
+                         f"r_max={stop.r_max}")
     return _integrate(spec, y0, s0, stop, rtol, atol, t_center=y0[1])
 
 

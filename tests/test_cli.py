@@ -46,18 +46,47 @@ class TestSolitonCommand:
         assert run("--out", str(tmp_path), "soliton", "wing",
                    "--epsilon", "0") == 1
 
-    @pytest.mark.parametrize("argv", [
-        ("soliton", "wing", "--epsilon", "12", "--r-max", "10"),
-        ("soliton", "wing", "--epsilon", "10", "--r-max", "10"),
-        ("sweep", "--family", "wing", "--epsilons", "0.5,12", "--r-max", "10"),
-    ], ids=["soliton-past", "soliton-at", "sweep-past"])
-    def test_wing_start_past_r_max_is_usage_error(self, tmp_path, capsys, argv):
-        # the wing once solved on to r ~ 710.86 and failed on a NaN drift
+    @pytest.mark.parametrize("argv, start", [
+        (("soliton", "wing", "--epsilon", "12", "--r-max", "10"), "wing --epsilon 12"),
+        (("soliton", "wing", "--epsilon", "10", "--r-max", "10"), "wing --epsilon 10"),
+        (("sweep", "--family", "wing", "--epsilons", "0.5,12", "--r-max", "10"),
+         "wing --epsilon 12"),
+        (("soliton", "bowl", "--r-max", "0"), "bowl start radius 0.0001"),
+        (("soliton", "ideal", "--r-max", "-1"), "ideal start radius 0"),
+        (("soliton", "grim", "--n", "3", "--r-max", "0"), "grim start radius 0.001"),
+        (("soliton", "grim", "--r-max", "0"), "grim start radius 0"),
+        (("sweep", "--family", "bowl", "--c-values", "1", "--r-max", "0"),
+         "bowl start radius 0.0001"),
+    ], ids=["wing-past", "wing-at", "sweep-wing-past", "bowl", "ideal", "grim-n3",
+            "grim-n2", "sweep-bowl"])
+    def test_start_past_r_max_is_usage_error(self, tmp_path, capsys, argv, start):
+        # no root of the radius stop lies ahead of such a start, so the solve
+        # would run past it (a wing to r ~ 710.86, where xi'/xi is NaN, a
+        # bowl to r ~ 707) or back onto the singular axis
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run("--out", str(tmp_path), *argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith("usage error: wing --epsilon") and "below --r-max 10" in err
+        assert err.startswith(f"usage error: {start} must be")
+        assert f"below --r-max {argv[-1]}" in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv, message", [
+        (("soliton", "wing", "--n", "1"), "wing family needs base dimension n >= 2"),
+        (("sweep", "--family", "wing", "--n", "1", "--epsilons", "0.5"),
+         "wing family needs base dimension n >= 2"),
+        (("sweep", "--family", "bowl", "--n", "1", "--c-values", "1"),
+         "bowl graph with c = 1 blows up at r = 1.5708, short of --r-max 10"),
+        (("flow", "--n", "1", "--nodes", "201", "--horizon", "0.01"),
+         "the soliton graph blows up at r = 1.5708"),
+    ], ids=["soliton-wing-n1", "sweep-wing-n1", "sweep-bowl-blowup", "flow-blowup"])
+    def test_no_solve_that_cannot_succeed_writes(self, tmp_path, capsys, argv, message):
+        # a wing's height report divides by n - 1, and past its blow-up at
+        # r = pi/2 an n = 1 bowl graph's heights reach 9e46
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("--out", str(tmp_path), *argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not list(tmp_path.iterdir())
 
     def test_unknown_flag(self, tmp_path):

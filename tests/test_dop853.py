@@ -1,6 +1,6 @@
 """The in-package DOP853 against SciPy as oracle: the same tableau, and
-the same times, states, events, RHS counts, status, message and dense
-coefficients as ``solve_ivp(method="DOP853", dense_output=True)`` bit for
+the same times, states, roots and states of every named stop, RHS counts,
+status and dense coefficients as ``solve_ivp(method="DOP853", dense_output=True)`` bit for
 bit, on every solve the soliton solvers make and on random small systems
 with stops; its Brent root finder against ``scipy.optimize.brentq``."""
 
@@ -31,22 +31,44 @@ def _same(got, want) -> bool:
     return got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-def _assert_matches_solve_ivp(run, fun, t_span, y0, rtol, atol, events=()):
+class _Stop:
+    """A named stop ``(name, g, terminal)`` as a SciPy event: g with the
+    ``terminal`` attribute."""
+
+    def __init__(self, g, terminal):
+        self.g, self.terminal = g, terminal
+
+    def __call__(self, t, y):
+        return self.g(t, y)
+
+
+def _assert_matches_solve_ivp(out, fun, t_span, y0, rtol, atol, stops=()):
     ref = solve_ivp(fun, t_span, y0, method="DOP853", rtol=rtol, atol=atol,
-                    dense_output=True, events=list(events) or None)
-    assert (run.status, run.message, run.nfev) == (ref.status, ref.message, ref.nfev)
-    assert _same(run.t, ref.t)
-    assert _same(run.y, ref.y)
-    for i in range(len(events)):
-        assert _same(run.t_events[i], ref.t_events[i])
-        assert _same(run.y_events[i], ref.y_events[i])
+                    dense_output=True,
+                    events=[_Stop(g, terminal) for _, g, terminal in stops] or None)
+    assert (out.status, out.nfev) == (ref.status, ref.nfev)
+    assert _same(out.t, ref.t)
+    assert _same(out.y, ref.y)
+    # each name's roots and states are those of its triples, triple by triple
+    names = [name for name, _, _ in stops]
+    for name in dict.fromkeys(names):
+        want = [(root, state) for i, other in enumerate(names) if other == name
+                for root, state in zip(ref.t_events[i], ref.y_events[i])]
+        assert len(out.hits[name]) == len(want), name
+        for (root, state), (ref_root, ref_state) in zip(out.hits[name], want):
+            assert _same(root, ref_root) and _same(state, ref_state), name
+    if ref.status == 1:
+        # the stop that ended the solve has its root at the last time
+        assert out.t[-1] in [root for root, _ in out.hits[out.stop]]
+    if ref.status == -1:
+        assert ref.message == dop853.TOO_SMALL_STEP
     steps = ref.sol.interpolants if ref.sol is not None else []
-    assert run.h.size == len(steps)
+    assert out.h.size == len(steps)
     if steps and hasattr(steps[0], "F"):
-        assert _same(run.F, [step.F for step in steps])
-        assert _same(run.t_old, [step.t_old for step in steps])
-        assert _same(run.h, [step.h for step in steps])
-        assert _same(run.y_old, [step.y_old for step in steps])
+        assert _same(out.F, [step.F for step in steps])
+        assert _same(out.t_old, [step.t_old for step in steps])
+        assert _same(out.h, [step.h for step in steps])
+        assert _same(out.y_old, [step.y_old for step in steps])
     return ref
 
 
@@ -54,17 +76,17 @@ def _assert_matches_solve_ivp(run, fun, t_span, y0, rtol, atol, events=()):
 def oracle(monkeypatch):
     """Every ``dop853.solve`` call the solvers make, each checked against
     ``solve_ivp`` on the same arguments."""
-    runs = []
+    outcomes = []
     solve = dop853.solve
 
-    def checked(fun, t_span, y0, rtol, atol, events=()):
-        run = solve(fun, t_span, y0, rtol, atol, events)
-        _assert_matches_solve_ivp(run, fun, t_span, y0, rtol, atol, events)
-        runs.append((run, len(events)))
-        return run
+    def checked(fun, t_span, y0, rtol, atol, stops=()):
+        out = solve(fun, t_span, y0, rtol, atol, stops)
+        _assert_matches_solve_ivp(out, fun, t_span, y0, rtol, atol, stops)
+        outcomes.append((out, len(stops)))
+        return out
 
     monkeypatch.setattr(dop853, "solve", checked)
-    return runs
+    return outcomes
 
 
 def test_tableau_equals_scipy():
@@ -82,14 +104,14 @@ class TestSolveIvpBits:
                    stop=stop, **TIGHT)
         wing = SolitonSpec(c=1.0, n=3, family="wing", warp=hyperbolic_warp, epsilon=0.3)
         curve = solve_wing(wing, branch=-1, stop=stop)
-        assert [events for _, events in oracle] == [5, 5]
+        assert [stops for _, stops in oracle] == [5, 5]
         # the wing's run found its turning point and stopped on max_radius
         assert curve.turning_points and curve.termination == "max_radius"
 
     def test_ideal_profile(self, oracle, busemann_warp):
         spec = SolitonSpec(c=1.0, n=2, family="ideal", warp=busemann_warp)
         solve_ideal_parametric(spec, (-1.0, 0.0, 1.2), stop=TerminationPolicy(r_max=5.0))
-        assert [events for _, events in oracle] == [4]
+        assert [stops for _, stops in oracle] == [4]
 
     def test_radial_graph(self, oracle, hyperbolic_bowl_spec):
         solve_radial_graph(hyperbolic_bowl_spec, r_span=(0.0, 10.0), **TIGHT)
@@ -97,8 +119,8 @@ class TestSolveIvpBits:
 
     def test_ideal_graph_to_its_blowup(self, oracle, busemann_warp):
         graph = solve_ideal_graph(2.0, 2, busemann_warp, r_span=(0.0, 2.0), **TIGHT)
-        run = oracle[0][0]
-        assert graph.gradient_blowup and run.status == 1 and run.t_events[0].size == 1
+        out = oracle[0][0]
+        assert graph.gradient_blowup and out.stop == "blowup" and len(out.hits["blowup"]) == 1
 
     def test_descending_grim_piece(self, oracle, equidistant_warp):
         solve_grim(1.0, 2, equidistant_warp, r_span=(-20.0, 20.0))
@@ -107,28 +129,28 @@ class TestSolveIvpBits:
 
     def test_zero_length_span(self):
         fun = lambda t, y: -y  # noqa: E731
-        run = dop853.solve(fun, (1.0, 1.0), (2.0,), 1e-9, 1e-11)
-        ref = _assert_matches_solve_ivp(run, fun, (1.0, 1.0), (2.0,), 1e-9, 1e-11)
-        assert (run.n_steps, run.nfev) == (0, 1)
+        out = dop853.solve(fun, (1.0, 1.0), (2.0,), 1e-9, 1e-11)
+        ref = _assert_matches_solve_ivp(out, fun, (1.0, 1.0), (2.0,), 1e-9, 1e-11)
+        assert (out.n_steps, out.nfev) == (0, 1)
         for t in (1.0, np.array([1.0, 1.5])):
-            assert _same(dop853.DenseSolution(run)(t), ref.sol(t))
+            assert _same(dop853.DenseSolution(out)(t), ref.sol(t))
 
     def test_step_failure(self):
         # u' = u^2 from u(0) = 1 blows up at 1, so the step size collapses
         def fun(r, y):
             return (y[0] ** 2, 0.0)
-        run = dop853.solve(fun, (0.0, 2.0), (1.0, 0.0), 1e-9, 1e-11)
-        _assert_matches_solve_ivp(run, fun, (0.0, 2.0), (1.0, 0.0), 1e-9, 1e-11)
-        assert run.status == -1 and run.message == dop853.TOO_SMALL_STEP
+        out = dop853.solve(fun, (0.0, 2.0), (1.0, 0.0), 1e-9, 1e-11)
+        ref = _assert_matches_solve_ivp(out, fun, (0.0, 2.0), (1.0, 0.0), 1e-9, 1e-11)
+        assert out.stop == dop853.STEP_FAILURE and ref.message == dop853.TOO_SMALL_STEP
         with pytest.raises(RuntimeError, match="step failure: Required step size"):
             _integrate_slope(fun, (0.0, 2.0), (1.0, 0.0), 1e-9, 1e-11)
 
     def test_tolerance_floor(self):
         fun = lambda t, y: -y  # noqa: E731
         with pytest.warns(UserWarning, match="rtol"):
-            run = dop853.solve(fun, (0.0, 1.0), (1.0,), 1e-17, 1e-20)
+            out = dop853.solve(fun, (0.0, 1.0), (1.0,), 1e-17, 1e-20)
         with pytest.warns(UserWarning, match="rtol"):
-            _assert_matches_solve_ivp(run, fun, (0.0, 1.0), (1.0,), 1e-17, 1e-20)
+            _assert_matches_solve_ivp(out, fun, (0.0, 1.0), (1.0,), 1e-17, 1e-20)
 
     def test_every_rhs_call_is_a_stage(self, oracle, hyperbolic_bowl_spec, busemann_warp):
         # start, first-step probe, 12 stages per tried step, 3 dense stages
@@ -136,18 +158,8 @@ class TestSolveIvpBits:
         solve_radial_graph(hyperbolic_bowl_spec, r_span=(0.0, 10.0))
         solve_ideal_graph(2.0, 2, busemann_warp, r_span=(0.0, 2.0))
         assert len(oracle) == 2
-        for run, _ in oracle:
-            assert run.nfev == 2 + 12 * (run.n_steps + run.n_rejected) + 3 * run.n_steps
-
-
-class _Stop:
-    """An event g(t, y) with SciPy's ``terminal`` attribute."""
-
-    def __init__(self, g, terminal):
-        self.g, self.terminal = g, terminal
-
-    def __call__(self, t, y):
-        return self.g(t, y)
+        for out, _ in oracle:
+            assert out.nfev == 2 + 12 * (out.n_steps + out.n_rejected) + 3 * out.n_steps
 
 
 @settings(max_examples=40, deadline=None)
@@ -170,34 +182,34 @@ def test_random_systems_match_solve_ivp(n, seed, t0, length, descending, rtol, l
         dy = M @ y + np.sin(y) * b + np.cos(t) * d
         return tuple(dy.tolist()) if tuple_rhs else dy
 
-    events = (_Stop(lambda t, y: y[0] - (y0[0] + level), True),
-              _Stop(lambda t, y: math.sin(3.0 * t) + 0.1 * y[-1], False))
+    stops = (("level", lambda t, y: y[0] - (y0[0] + level), True),
+             ("wave", lambda t, y: math.sin(3.0 * t) + 0.1 * y[-1], False))
     t_span = (t0, t0 - length) if descending else (t0, t0 + length)
-    run = dop853.solve(fun, t_span, y0, rtol, rtol * 1e-2, events)
-    _assert_matches_solve_ivp(run, fun, t_span, y0, rtol, rtol * 1e-2, events)
-    assert run.nfev == 2 + 12 * (run.n_steps + run.n_rejected) + 3 * run.n_steps
+    out = dop853.solve(fun, t_span, y0, rtol, rtol * 1e-2, stops)
+    _assert_matches_solve_ivp(out, fun, t_span, y0, rtol, rtol * 1e-2, stops)
+    assert out.nfev == 2 + 12 * (out.n_steps + out.n_rejected) + 3 * out.n_steps
 
 
 class TestIntegrate:
-    """The named-stop driver: why a run stopped, each name's roots, its record."""
+    """Named stops: why a solve stopped, each name's roots, its record."""
 
     @staticmethod
-    def _line(events, t_span=(0.0, 10.0)):
+    def _line(stops, t_span=(0.0, 10.0)):
         # y' = 1 from y(0) = 0, so every root is where y = t hits its level
-        return dop853.integrate(lambda t, y: (1.0,), t_span, (0.0,), 1e-9, 1e-11, events)
+        return dop853.solve(lambda t, y: (1.0,), t_span, (0.0,), 1e-9, 1e-11, stops)
 
     def test_stops_by_name(self):
         out = self._line([("mark", lambda t, y: y[0] - 1.0, False),
                           ("mark", lambda t, y: y[0] - 3.0, False),
                           ("stop", lambda t, y: y[0] - 2.5, True),
                           ("never", lambda t, y: y[0] + 1.0, True)])
-        assert out.stop == "stop" and out.run.status == 1
+        assert out.stop == "stop" and out.status == 1
         assert [root for root, _ in out.hits["mark"]] == pytest.approx([1.0], abs=1e-14)
         (root, state), = out.hits["stop"]
-        assert root == pytest.approx(2.5, abs=1e-14) and out.run.t[-1] == root
+        assert root == pytest.approx(2.5, abs=1e-14) and out.t[-1] == root
         assert state == pytest.approx([2.5], abs=1e-14)
         assert out.hits["never"] == []
-        assert out.record == {"n_rhs_evals": out.run.nfev, "n_steps": out.run.n_steps,
+        assert out.record == {"n_rhs_evals": out.nfev, "n_steps": out.n_steps,
                               "status": 1}
         assert out.dense(2.0) == pytest.approx([2.0], abs=1e-14)
 
@@ -210,14 +222,14 @@ class TestIntegrate:
 
     def test_end_of_span_and_step_failure(self):
         out = self._line([("mark", lambda t, y: y[0] - 1.0, False)])
-        assert out.stop == dop853.END_OF_SPAN and out.run.t[-1] == 10.0
+        assert out.stop == dop853.END_OF_SPAN and out.t[-1] == 10.0
         assert set(out.record) == RECORD and out.record["status"] == 0
-        out = dop853.integrate(lambda t, y: (y[0] ** 2,), (0.0, 2.0), (1.0,), 1e-9, 1e-11)
+        out = dop853.solve(lambda t, y: (y[0] ** 2,), (0.0, 2.0), (1.0,), 1e-9, 1e-11)
         assert out.stop == dop853.STEP_FAILURE and out.record["status"] == -1
 
     def test_record_of_several_runs(self):
-        one = self._line([]).run
-        two = self._line([], t_span=(0.0, -5.0)).run
+        one = self._line([])
+        two = self._line([], t_span=(0.0, -5.0))
         assert dop853.run_record(one, two) == {
             "n_rhs_evals": one.nfev + two.nfev, "n_steps": one.n_steps + two.n_steps,
             "status": 0}

@@ -85,6 +85,15 @@ class TestRadialGraph:
         assert graph.r_span[1] == 5.0 and graph.diagnostics["status"] == 0
 
 
+    @pytest.mark.parametrize("n, r_end", [(2, 0.0), (2, 1e-4), (2, 5e-5), (1, 0.0)])
+    def test_span_ending_at_or_before_the_launch(self, hyperbolic_warp, n, r_end):
+        # n = 2 launches at r = 1e-4; an end below it would solve down onto
+        # the axis, where xi'/xi divides by zero
+        spec = SolitonSpec(c=1.0, n=n, family="bowl", warp=hyperbolic_warp)
+        with pytest.raises(ValueError, match="must lie past its launch"):
+            solve_radial_graph(spec, r_span=(0.0, r_end))
+
+
 class TestIdealGraph:
     def test_unit_coefficient_closed_form(self, busemann_warp):
         # kappa = 1, n = 2, c = 2 gives a = 1 and u = -ln cos r
@@ -142,6 +151,13 @@ class TestGrim:
         graph = solve_grim(1.0, 3, equidistant_warp, r_span=(0.0, 5.0))
         assert graph.r_grid[0] >= 0.0
         assert np.all(np.isfinite(graph.u))
+
+    @pytest.mark.parametrize("r_span", [(0.0, 0.0), (0.0, 1e-3), (0.0, 5e-4), (-1e-3, 0.0)])
+    def test_n3_span_ending_at_or_before_the_launch(self, equidistant_warp, r_span):
+        # the launch moves to r = +-1e-3, so a shorter span would solve back
+        # onto the singular line r = 0
+        with pytest.raises(ValueError, match="must lie past the launch"):
+            solve_grim(1.0, 3, equidistant_warp, r_span=r_span)
 
     def test_n1_matches_grim_oracle(self, equidistant_warp):
         # the drift vanishes for n = 1: the classical grim reaper of width pi/c

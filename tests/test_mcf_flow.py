@@ -74,6 +74,13 @@ class TestSpatialOperator:
         with pytest.raises(ValueError):
             prob.rhs(np.zeros(101))
 
+    def test_soliton_that_blows_up_is_rejected(self, hyperbolic_warp):
+        # n = 1 has no drift: the bowl graph u = -ln cos r is vertical at
+        # pi/2 < R, so the grid past it has no heights
+        prob = FlowProblem(C, 1, hyperbolic_warp, r_max=10.0, n_nodes=201)
+        with pytest.raises(ValueError, match=r"blows up at r = 1\.5708"):
+            soliton_initial(prob)
+
     def test_grim_chart_near_fixed_point(self, equidistant_warp):
         prob = FlowProblem(C, N, equidistant_warp, r_max=8.0, n_nodes=1601)
         u0 = soliton_initial(prob)

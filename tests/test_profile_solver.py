@@ -101,6 +101,15 @@ class TestBowl:
         assert t == pytest.approx(r * r / 4, rel=1e-4)
         assert phi == pytest.approx(r / 2, rel=1e-4)
 
+    @pytest.mark.parametrize("r_max", [1e-4, 0.0, -1.0])
+    def test_launch_at_or_past_the_radius_stop(self, hyperbolic_bowl_spec, r_max,
+                                               monkeypatch):
+        # no root of r - r_max lies ahead of the launch at r = 1e-4, so the
+        # solve would run its whole arc length, out to r ~ 707
+        monkeypatch.setattr(dop853, "solve", None)  # no solve may start
+        with pytest.raises(ValueError, match=rf"launch radius 0.0001 .* r_max={r_max}"):
+            solve_bowl(hyperbolic_bowl_spec, stop=TerminationPolicy(r_max=r_max))
+
     def test_axis_point_exact(self, euclidean_bowl_spec):
         curve = solve_bowl(euclidean_bowl_spec, t0=2.5)
         assert curve.r[0] == 0.0
@@ -209,6 +218,11 @@ class TestWing:
         with pytest.raises(ValueError, match=rf"epsilon={eps} must lie below .*r_max=10"):
             solve_wing(spec, stop=TerminationPolicy(r_max=10.0))
 
+    def test_needs_base_dimension_2(self, hyperbolic_warp):
+        # with no drift the profile from phi = -pi/2 turns only by round-off
+        with pytest.raises(ValueError, match="n >= 2, got 1"):
+            SolitonSpec(c=1.0, n=1, family="wing", warp=hyperbolic_warp, epsilon=0.5)
+
 
 class TestTableWarpDomain:
     """A table warp on [0, 5] is never evaluated past r = 5 by a solve."""
@@ -255,6 +269,15 @@ class TestIdealParametric:
                                        stop=TerminationPolicy(s_max=40.0))
         assert np.all(np.diff(curve.phi) >= -1e-8)
         assert curve.phi[-1] == pytest.approx(phi_star, abs=1e-6)
+
+    @pytest.mark.parametrize("r0, r_max", [(0.0, 0.0), (0.0, -1.0), (2.0, 1.5)])
+    def test_start_at_or_past_the_radius_stop(self, busemann_warp, r0, r_max,
+                                              monkeypatch):
+        # no root of r - r_max lies ahead of such a start
+        monkeypatch.setattr(dop853, "solve", None)  # no solve may start
+        spec = SolitonSpec(c=1.0, n=2, family="ideal", warp=busemann_warp)
+        with pytest.raises(ValueError, match=rf"start radius {r0} .* r_max={r_max}"):
+            solve_ideal_parametric(spec, (r0, 0.0, 0.0), stop=TerminationPolicy(r_max=r_max))
 
     def test_r_crosses_zero(self, busemann_warp):
         spec = SolitonSpec(c=1.0, n=2, family="ideal", warp=busemann_warp)
