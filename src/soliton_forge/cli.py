@@ -148,9 +148,18 @@ def _out_path(args, name: str) -> Path:
     return out / name
 
 
+def _warp(kind: str, K: float):
+    """The built-in warp of ``kind`` at curvature --K; a K it rejects (not
+    finite, positive, or 0 off the polar chart) is a usage error."""
+    try:
+        return make_builtin_warp(kind, K)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _make_spec(family, K, n, c, epsilon=None):
     from .profile_solver import SolitonSpec
-    warp = make_builtin_warp(_FAMILY_KIND[family], K)
+    warp = _warp(_FAMILY_KIND[family], K)
     return SolitonSpec(c=c, n=n, family=family, warp=warp,
                        epsilon=epsilon if family == "wing" else None)
 
@@ -193,7 +202,7 @@ def _cmd_soliton(args) -> int:
         spec = _make_spec(family, args.K, args.n, args.c)
         curve = solve_ideal_parametric(spec, (0.0, 0.0, 0.0), stop=stop)
     else:
-        warp = make_builtin_warp("equidistant", args.K)
+        warp = _warp("equidistant", args.K)
         # an n >= 3 grim graph is singular on r = 0, so it is solved on r > 0
         r_min = 0.0 if args.n >= 3 else -args.r_max
         graph = solve_grim(args.c, args.n, warp, r_span=(r_min, args.r_max))
@@ -261,7 +270,7 @@ def _cmd_verify(args) -> int:
 def _cmd_flow(args) -> int:
     from . import mcf_flow
     warp_kind = {chart: kind for kind, chart in CHARTS.items()}[args.chart]
-    warp = make_builtin_warp(warp_kind, args.K)
+    warp = _warp(warp_kind, args.K)
     problem = mcf_flow.FlowProblem(args.c, args.n, warp, r_max=args.R,
                                    n_nodes=args.nodes, bc=args.bc)
     dtau = args.dtau
@@ -278,9 +287,13 @@ def _cmd_flow(args) -> int:
     elif initial == "flat":
         u0 = mcf_flow.flat_initial(problem)
     elif initial == "bump":
-        u0 = mcf_flow.bump_initial(problem, amplitude=args.bump_amplitude,
-                                   width=args.bump_width,
-                                   center=args.bump_center)
+        base = mcf_flow.soliton_initial(problem)
+        try:
+            u0 = mcf_flow.bump_initial(problem, amplitude=args.bump_amplitude,
+                                       width=args.bump_width,
+                                       center=args.bump_center, base=base)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
     elif initial.startswith("csv:"):
         data = fileio.read_table(initial[4:])[2]
         if data.shape[1] < 2:

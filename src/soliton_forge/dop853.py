@@ -21,13 +21,21 @@ Which operations stay NumPy calls and which run on Python floats:
   kernels) forms them with fused multiply-adds, so a left-to-right sum in
   Python floats differs from them in the last bit on 60–90 % of random
   three-component stage arrays, already at two stages.  The solve calls
-  them on transposed views of its stage array taken once, scales by the
-  step in place and writes each stage's RHS tuple straight into its row.
-* On Python floats: the time, step size, direction, stage nodes, the
-  minimum step (``math.nextafter``), the error norm once its two dot
-  products are formed (``math.sqrt(x.dot(x)) ** 2``, the formula
+  them on transposed views of its stage array taken once and writes each
+  stage's RHS tuple straight into its row.  The dense rows of all steps
+  are formed in one pass when the solve ends (:func:`_dense_rows`, whose
+  ``np.matmul(D, K)`` gives each step the bits of its own ``np.dot``), and
+  for a single step only where a stop's root is searched in it.
+* On Python floats: the time, step size, direction, stage nodes, each
+  stage state ``d * h + y`` from its stage sum ``d`` (the two roundings
+  of NumPy's elementwise multiply and add), the minimum step
+  (``math.nextafter``), the error norm once its two dot products are
+  formed (``math.sqrt(x.dot(x)) ** 2``, the formula
   ``np.linalg.norm(x) ** 2`` evaluates) and the step-size factors.  IEEE
   arithmetic and the shared libm ``pow`` give these NumPy's scalar bits.
+  ``fun`` and the stops get the time as a float and the state as a list
+  of floats (one ``tolist()`` per stage, and per step for the stops), so
+  a right-hand side reads its state with no NumPy scalar in between.
 
 :class:`DenseSolution` evaluates a solve's stacked dense coefficients at
 any points in one pass; :func:`run_record` is the one place the keys of a
@@ -291,8 +299,8 @@ class Outcome:
         return DenseSolution(self)
 
 
-def _rms(x):
-    return np.linalg.norm(x) / x.size ** 0.5
+def _rms(x) -> float:
+    return float(np.linalg.norm(x) / x.size ** 0.5)
 
 
 def _validate_tol(rtol, atol, n):
@@ -309,7 +317,7 @@ def _validate_tol(rtol, atol, n):
     return rtol, atol
 
 
-def _initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
+def _initial_step(rhs, t0, y0, t_bound, f0, direction, rtol, atol):
     """First step size by the rule of Hairer, Nørsett and Wanner §II.4."""
     interval_length = abs(t_bound - t0)
     if interval_length == 0.0:
@@ -323,7 +331,7 @@ def _initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
         h0 = 0.01 * d0 / d1
     h0 = min(h0, interval_length)
     y1 = y0 + h0 * direction * f0
-    f1 = fun(t0 + h0 * direction, y1)
+    f1 = rhs(t0 + h0 * direction, y1.tolist())
     d2 = _rms((f1 - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -332,20 +340,21 @@ def _initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
     return min(100 * h0, h1, interval_length)
 
 
-def _rk_step(fun, t: float, y, h: float, K, sums):
+def _rk_step(fun, t: float, y: list, h: float, K, sums) -> list:
     """The 12-stage step from (t, y), K[0] holding fun(t, y): y_new, with
-    every stage in K and fun(t + h, y_new) in its last row."""
-    h_arr = np.array(h)  # an array scales by a 0-d array twice as fast as by a float
+    every stage in K and fun(t + h, y_new) in its last row.  Each stage
+    state is d * h + y on Python floats, d its stage sum."""
     for s, (a, c) in enumerate(_STAGES, start=1):
-        dy = sums[s](a)
-        dy *= h_arr
-        dy += y
-        K[s] = fun(t + c * h, dy)
-    y_new = sums[N_STAGES](B)
-    y_new *= h_arr
-    y_new += y
+        K[s] = fun(t + c * h, [d * h + v for d, v in zip(sums[s](a).tolist(), y)])
+    y_new = [d * h + v for d, v in zip(sums[N_STAGES](B).tolist(), y)]
     K[N_STAGES] = fun(t + h, y_new)
     return y_new
+
+
+def _extra_stages(fun, K_ext, sums, t_old: float, y_old: list, h: float):
+    """The three extra stages of a step's dense output, into K_ext[13:]."""
+    for s, (a, c) in enumerate(_EXTRA_STAGES, start=N_STAGES + 1):
+        K_ext[s] = fun(t_old + c * h, [d * h + v for d, v in zip(sums[s](a).tolist(), y_old)])
 
 
 def _error_norm(KT_dot, h: float, scale) -> float:
@@ -363,21 +372,19 @@ def _error_norm(KT_dot, h: float, scale) -> float:
     return abs(h) * err5_norm_2 / math.sqrt(denom * scale.size)
 
 
-def _dense_coefficients(fun, K_ext, sums, t_old: float, y_old, h: float, y):
-    """The step's 7 dense rows from its stages and three extra ones."""
-    h_arr = np.array(h)
-    for s, (a, c) in enumerate(_EXTRA_STAGES, start=N_STAGES + 1):
-        dy = sums[s](a)
-        dy *= h_arr
-        dy += y_old
-        K_ext[s] = fun(t_old + c * h, dy)
-    F = np.empty((INTERPOLATOR_POWER, y.size))
-    f_old, f = K_ext[0], K_ext[N_STAGES]
+def _dense_rows(h, y_old, y, K):
+    """The 7 dense rows F (shape (m, 7, n)) of m steps from their lengths
+    ``h`` (m,), ends ``y_old`` and ``y`` (m, n) and extended stages ``K``
+    (m, 16, n); ``np.matmul(D, K)`` gives each step the bits of its own
+    ``np.dot(D, K[k])``."""
+    h = h[:, None]
+    F = np.empty((h.size, INTERPOLATOR_POWER, y.shape[1]))
+    f_old, f = K[:, 0], K[:, N_STAGES]
     delta_y = y - y_old
-    F[0] = delta_y
-    F[1] = h_arr * f_old - delta_y
-    F[2] = 2 * delta_y - h_arr * (f + f_old)
-    F[3:] = h_arr * np.dot(D, K_ext)
+    F[:, 0] = delta_y
+    F[:, 1] = h * f_old - delta_y
+    F[:, 2] = 2 * delta_y - h * (f + f_old)
+    F[:, 3:] = h[:, :, None] * np.matmul(D, K)
     return F
 
 
@@ -465,7 +472,8 @@ def _handle_events(value, stops, active, t_old, t):
     """Roots of the active stops (a list of indices) in the step; with a
     terminal stop among them, those in time order up to the first terminal
     root, and True."""
-    roots = [brentq(lambda x, g=stops[i][1]: g(x, value(x)), t_old, t) for i in active]
+    roots = [brentq(lambda x, g=stops[i][1]: g(float(x), value(x).tolist()), t_old, t)
+             for i in active]
     if not any(stops[i][2] for i in active):
         return active, roots, False
     order = np.argsort(roots) if t > t_old else np.argsort(np.negative(roots))
@@ -477,9 +485,10 @@ def _handle_events(value, stops, active, t_old, t):
 def solve(fun, t_span, y0, rtol: float, atol: float, stops=()) -> Outcome:
     """Integrate y' = fun(t, y) over ``t_span`` from ``y0`` by DOP853.
 
-    ``fun`` returns the derivative as a sequence; it is called with a
-    float t.  ``stops`` are ``(name, g, terminal)`` triples, several of
-    which may share a name: the sign changes of each g(t, y) are located,
+    ``fun`` is called with a float t and the state as a list of floats,
+    and returns the derivative as a sequence.  ``stops`` are
+    ``(name, g, terminal)`` triples, several of which may share a name: g
+    is called like ``fun``, the sign changes of each g(t, y) are located,
     and a terminal one ends the solve at its first root.
     """
     t0, t_bound = map(float, t_span)
@@ -495,9 +504,9 @@ def solve(fun, t_span, y0, rtol: float, atol: float, stops=()) -> Outcome:
         return np.asarray(fun(t, y), dtype=float)
 
     direction = math.copysign(1.0, t_bound - t0) if t_bound != t0 else 1.0
-    t = t0
-    f = rhs(t, y)
-    h_abs = float(_initial_step(rhs, t, y, t_bound, f, direction, rtol, atol))
+    t, y_list = t0, y.tolist()
+    f = rhs(t, y_list)
+    h_abs = _initial_step(rhs, t, y, t_bound, f, direction, rtol, atol)
     nfev = 1 if t == t_bound else 2
     K_ext = np.empty((N_STAGES_EXTENDED, n))
     K = K_ext[:N_STAGES + 1]
@@ -505,17 +514,17 @@ def solve(fun, t_span, y0, rtol: float, atol: float, stops=()) -> Outcome:
     # sums[s](a) is the stage sum np.dot(K[:s].T, a), on views taken once
     sums = [K_ext[:s].T.dot for s in range(N_STAGES_EXTENDED)]
 
-    g = [event(t0, y0) for _, event, _ in stops]
+    g = [event(t0, y_list) for _, event, _ in stops]
     found = [[] for _ in stops]  # the (root, state) pairs of each stop
-    ts, ys = [t0], [y0]
-    dense = []  # (t_old, h, y_old, F) of every kept step
+    ts, ys = [t0], [y]
+    steps = []  # (t_old, h, y_old, y, K_ext) of every kept step
     n_steps = n_rejected = 0
     stop = None
     while stop is None:
-        t_old, y_old = t, y
+        t_old, y_old, y_old_list = t, y, y_list
         if t == t_bound:
-            # a zero-length span: one constant step
-            t, h, F = t_bound, 0.0, np.zeros((INTERPOLATOR_POWER, n))
+            # a zero-length span: one constant step, whose dense rows are 0
+            t, h, K_step = t_bound, 0.0, np.zeros_like(K_ext)
             stop = END_OF_SPAN
         else:
             min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
@@ -533,7 +542,8 @@ def solve(fun, t_span, y0, rtol: float, atol: float, stops=()) -> Outcome:
                     t_new = t_bound
                 h = t_new - t_old
                 h_abs = abs(h)
-                y_new = _rk_step(fun, t_old, y_old, h, K, sums)
+                y_new_list = _rk_step(fun, t_old, y_old_list, h, K, sums)
+                y_new = np.array(y_new_list)
                 nfev += N_STAGES
                 # atol + max(|y_old|, |y_new|) * rtol
                 scale = np.abs(y_new)
@@ -556,22 +566,25 @@ def solve(fun, t_span, y0, rtol: float, atol: float, stops=()) -> Outcome:
             if stop == STEP_FAILURE:
                 break
             n_steps += 1
-            t, y = t_new, y_new
+            t, y, y_list = t_new, y_new, y_new_list
             if direction * (t - t_bound) >= 0:
                 stop = END_OF_SPAN
-            F = _dense_coefficients(fun, K_ext, sums, t_old, y_old, h, y)
+            _extra_stages(fun, K_ext, sums, t_old, y_old_list, h)
             nfev += N_STAGES_EXTENDED - N_STAGES - 1
+            K_step = K_ext.copy()
             K[0] = K[N_STAGES]  # the next step starts from fun(t, y)
-        dense.append((t_old, h, y_old, F))
+        steps.append((t_old, h, y_old, y, K_step))
 
         t_kept, y_kept = t, y
         if stops:
-            g_new = [event(t, y) for _, event, _ in stops]
+            g_new = [event(t, y_list) for _, event, _ in stops]
             active = [i for i, (a, b) in enumerate(zip(g, g_new))
                       if a <= 0 <= b or a >= 0 >= b]
             if active:
-                def value(x, step=dense[-1]):
-                    return _step_value(x, *step)
+                F, = _dense_rows(np.array([h]), y_old[None], y[None], K_step[None])
+
+                def value(x):
+                    return _step_value(x, t_old, h, y_old, F)
                 hit, roots, terminate = _handle_events(value, stops, active, t_old, t)
                 for i, root in zip(hit, roots):
                     found[i].append((root, value(root)))
@@ -581,7 +594,7 @@ def solve(fun, t_span, y0, rtol: float, atol: float, stops=()) -> Outcome:
             g = g_new
         if len(ts) > 1 and ts[-1] == t_kept:
             # a terminal root on the previous step end: that end stays last
-            dense.pop()
+            steps.pop()
         else:
             ts.append(t_kept)
             ys.append(y_kept)
@@ -589,13 +602,16 @@ def solve(fun, t_span, y0, rtol: float, atol: float, stops=()) -> Outcome:
     hits = {name: [] for name, _, _ in stops}
     for (name, _, _), pairs in zip(stops, found):
         hits[name] += pairs
-    t_olds, hs, y_olds, Fs = zip(*dense) if dense else ((), (), (), ())
+    if steps:
+        t_olds, hs, y_olds, y_news, Ks = map(np.array, zip(*steps))
+        F = _dense_rows(hs, y_olds, y_news, Ks)
+    else:
+        t_olds = hs = np.empty(0)
+        y_olds, F = np.empty((0, n)), np.empty((0, INTERPOLATOR_POWER, n))
     return Outcome(
         t=np.array(ts), y=np.vstack(ys).T, nfev=nfev, n_steps=n_steps,
         n_rejected=n_rejected, stop=stop, hits=hits,
-        t_old=np.array(t_olds, dtype=float), h=np.array(hs, dtype=float),
-        y_old=np.array(y_olds, dtype=float).reshape(-1, n),
-        F=np.array(Fs, dtype=float).reshape(-1, INTERPOLATOR_POWER, n))
+        t_old=t_olds, h=hs, y_old=y_olds, F=F)
 
 
 class DenseSolution:

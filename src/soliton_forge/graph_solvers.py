@@ -116,7 +116,7 @@ def _slope_rhs(c: float, n: int, warp: WarpModel):
     drift = warp.drift
 
     def rhs(r, y):
-        _, p = y.tolist()
+        _, p = y
         return (p, (1.0 + p * p) * (c - drift(r, n) * p))
     return rhs
 
@@ -179,7 +179,7 @@ def solve_ideal_graph(c: float, n: int, warp: WarpModel, r_span=(0.0, 5.0),
         return c - drift(r, n)
 
     def rhs(r, y):
-        _, p = y.tolist()
+        _, p = y
         return (p, coeff(r) * (1.0 + p * p))
 
     out, (r_grid, u, du) = _integrate_slope(rhs, (r0, r_span[1]), (u0, du0),
@@ -210,12 +210,16 @@ def solve_grim(c: float, n: int, warp: WarpModel, r_span=(-20.0, 20.0),
     r = +-GRIM_LAUNCH_R with the bowl's series launch in dimension n - 1,
     since the drift is (n-2)/r there, and a span that ends at or before
     that launch raises ValueError.  Gradient blow-up contradicts
-    entireness and raises.
+    entireness and raises.  For n = 2 the drift xi'/xi is odd in r bit for
+    bit (see :func:`.make_builtin_warp`), so the graph from (0, 0, 0) is
+    even: a span (-R, R) is solved up once, and its left half is that
+    solve mirrored, the same bits as solving it down.
     """
     if warp.kind != EQUIDISTANT:
         raise ValueError("grim solves need an equidistant warp")
     r0, u0, du0 = ic
     spec = SolitonSpec(c=c, n=n, family="grim", warp=warp)
+    mirror = n == 2 and -r_span[0] == r_span[1] > 0 and r0 == u0 == du0 == 0.0
 
     if n >= 3 and r0 == 0.0:
         if min(r_span) < 0 < max(r_span):
@@ -240,27 +244,41 @@ def solve_grim(c: float, n: int, warp: WarpModel, r_span=(-20.0, 20.0),
         return out, samples
 
     pieces = []
-    if r_span[0] < r0:
+    if r_span[0] < r0 and not mirror:
         pieces.append(piece(r_span[0]))
     if r_span[1] > r0:
         pieces.append(piece(r_span[1]))
     if not pieces:
         raise ValueError("empty integration span")
-    if len(pieces) == 1:
-        (out, (r_grid, u, du)), = pieces
-        dense = out.dense
+    halves = [(out.dense, samples) for out, samples in pieces]
+    if mirror:
+        dense, (r, u, du) = halves[0]
+        halves.insert(0, (_mirrored(dense), (0.0 - r, u, 0.0 - du)))
+    if len(halves) == 1:
+        (dense, (r_grid, u, du)), = halves
         if r_grid[0] > r_grid[-1]:
             r_grid, u, du = r_grid[::-1], u[::-1], du[::-1]
     else:
-        (left, (rl, ul, dul)), (right, (rr, ur, dur)) = pieces
+        (left, (rl, ul, dul)), (right, (rr, ur, dur)) = halves
         r_grid = np.concatenate((rl[::-1], rr[1:]))
         u = np.concatenate((ul[::-1], ur[1:]))
         du = np.concatenate((dul[::-1], dur[1:]))
-        dense = _two_pieces(left.dense, right.dense, r0)
+        dense = _two_pieces(left, right, r0)
     return RadialGraph(r_grid=r_grid, u=u, du=du, spec=spec,
                        meta={"source": "grim_ode"},
                        diagnostics=dop853.run_record(*(out for out, _ in pieces)),
                        _dense=dense)
+
+
+def _mirrored(dense):
+    """Dense output of an even graph's left half from its right half's:
+    (u, u')(r) = (u, -u')(-r)."""
+
+    def left(r):
+        y = dense(0.0 - r)
+        y[1] = 0.0 - y[1]
+        return y
+    return left
 
 
 def _two_pieces(left, right, r0: float):

@@ -176,7 +176,7 @@ def _integrate(spec: SolitonSpec, y0, s0: float, stop: TerminationPolicy,
     warp.require_domain(y0[0])
 
     def rhs(s, y):
-        r, _, phi = y.tolist()  # Python floats: the warp's scalar path is fastest on them
+        r, _, phi = y
         return _profile_field(spec, r, phi)
 
     events = [("max_radius", lambda s, y: y[0] - stop.r_max, True),

@@ -180,9 +180,13 @@ def make_builtin_warp(kind: str, curvature: float) -> WarpModel:
     rotational:   K = 0 gives xi = r;  K = -k^2 gives xi = sinh(k r)/k.
     busemann:     xi = e^{k r}            (requires K < 0).
     equidistant:  xi = cosh(k r), chi = sinh(k r)/k   (requires K < 0).
+
+    A curvature that is not finite raises ValueError.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown warp kind {kind!r}")
+    if not math.isfinite(curvature):
+        raise ValueError(f"curvature K must be finite, got {curvature}")
     if curvature > 0:
         raise ValueError("positive curvature is not supported")
     if kind in (BUSEMANN, EQUIDISTANT) and curvature == 0:
@@ -222,6 +226,9 @@ def make_builtin_warp(kind: str, curvature: float) -> WarpModel:
             label=f"busemann(K={curvature:g})",
         )
 
+    # xi = cosh(k r) is even and chi = sinh(k r)/k odd in r bit for bit, since
+    # NumPy's cosh and sinh act on |x| and its sign alone: the n = 2 drift
+    # xi'/xi is odd bit for bit, and solve_grim mirrors a symmetric graph on it
     return WarpModel(
         kind=EQUIDISTANT,
         xi=lambda r: np.cosh(k * _arg(r)),

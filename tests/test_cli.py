@@ -89,6 +89,23 @@ class TestSolitonCommand:
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv, message", [
+        (("soliton", "bowl", "--K", "nan"), "curvature K must be finite, got nan"),
+        (("flow", "--K=-inf"), "curvature K must be finite, got -inf"),
+        (("sweep", "--family", "bowl", "--K", "inf", "--c-values", "1"),
+         "curvature K must be finite, got inf"),
+        (("flow", "--initial", "bump", "--bump-width", "0", "--nodes", "201"),
+         "bump width must be > 0, got 0.0"),
+        (("flow", "--initial", "bump", "--bump-width", "-0.5", "--nodes", "201"),
+         "bump width must be > 0, got -0.5"),
+    ], ids=["bowl-K-nan", "flow-K-inf", "sweep-K-inf", "bump-width-0", "bump-width-neg"])
+    def test_bad_curvature_or_bump_is_usage_error(self, tmp_path, capsys, argv, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("--out", str(tmp_path), *argv) == 1
+        assert capsys.readouterr().err.startswith(f"usage error: {message}")
+        assert not list(tmp_path.iterdir())
+
     def test_unknown_flag(self, tmp_path):
         assert run("--out", str(tmp_path), "soliton", "bowl",
                    "--frobnicate", "1") == 1

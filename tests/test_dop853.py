@@ -89,6 +89,50 @@ def oracle(monkeypatch):
     return outcomes
 
 
+def _floats(t, y) -> bool:
+    return type(t) is float and type(y) is list and all(type(v) is float for v in y)
+
+
+@pytest.fixture
+def contract(monkeypatch):
+    """Every ``dop853.solve`` call the solvers make, with each call of its
+    ``fun`` and of its stops recorded as whether it got a float t and a list
+    of floats."""
+    calls = {"fun": [], "stop": []}
+    solve = dop853.solve
+
+    def checked(fun, t_span, y0, rtol, atol, stops=()):
+        def watched(kind, f):
+            def call(t, y):
+                calls[kind].append(_floats(t, y))
+                return f(t, y)
+            return call
+        stops = [(name, watched("stop", g), terminal) for name, g, terminal in stops]
+        return solve(watched("fun", fun), t_span, y0, rtol, atol, stops)
+
+    monkeypatch.setattr(dop853, "solve", checked)
+    return calls
+
+
+def test_fun_and_stops_get_a_float_and_a_list_of_floats(
+        contract, hyperbolic_warp, busemann_warp, equidistant_warp):
+    stop = TerminationPolicy(r_max=6.0)
+    solve_bowl(SolitonSpec(c=1.0, n=2, family="bowl", warp=hyperbolic_warp), stop=stop)
+    solve_wing(SolitonSpec(c=1.0, n=3, family="wing", warp=hyperbolic_warp,
+                           epsilon=0.3), stop=stop)
+    solve_ideal_parametric(SolitonSpec(c=1.0, n=2, family="ideal", warp=busemann_warp),
+                           (-1.0, 0.0, 1.2), stop=stop)
+    solve_radial_graph(SolitonSpec(c=1.0, n=2, family="bowl", warp=hyperbolic_warp),
+                       r_span=(0.0, 5.0))
+    # a blow-up: its stop is also evaluated inside the root search
+    solve_ideal_graph(2.0, 2, busemann_warp, r_span=(0.0, 2.0))
+    solve_grim(1.0, 3, equidistant_warp, r_span=(0.0, 5.0))
+    dop853.solve(lambda t, y: (1.0,), (0.0, 0.0), (0.0,), 1e-9, 1e-11,
+                 [("at_start", lambda t, y: y[0], True)])
+    assert len(contract["fun"]) > 1000 and len(contract["stop"]) > 100
+    assert all(contract["fun"]) and all(contract["stop"])
+
+
 def test_tableau_equals_scipy():
     ref = dop853_coefficients
     assert (dop853.N_STAGES, dop853.N_STAGES_EXTENDED, dop853.INTERPOLATOR_POWER) == (
@@ -123,12 +167,13 @@ class TestSolveIvpBits:
         assert graph.gradient_blowup and out.stop == "blowup" and len(out.hits["blowup"]) == 1
 
     def test_descending_grim_piece(self, oracle, equidistant_warp):
-        solve_grim(1.0, 2, equidistant_warp, r_span=(-20.0, 20.0))
+        # an asymmetric span: both halves are solved
+        solve_grim(1.0, 2, equidistant_warp, r_span=(-20.0, 15.0))
         (down, _), (up, _) = oracle
         assert down.h.max() < 0 < up.h.min()
 
     def test_zero_length_span(self):
-        fun = lambda t, y: -y  # noqa: E731
+        fun = lambda t, y: [-v for v in y]  # noqa: E731
         out = dop853.solve(fun, (1.0, 1.0), (2.0,), 1e-9, 1e-11)
         ref = _assert_matches_solve_ivp(out, fun, (1.0, 1.0), (2.0,), 1e-9, 1e-11)
         assert (out.n_steps, out.nfev) == (0, 1)
@@ -146,7 +191,7 @@ class TestSolveIvpBits:
             _integrate_slope(fun, (0.0, 2.0), (1.0, 0.0), 1e-9, 1e-11)
 
     def test_tolerance_floor(self):
-        fun = lambda t, y: -y  # noqa: E731
+        fun = lambda t, y: [-v for v in y]  # noqa: E731
         with pytest.warns(UserWarning, match="rtol"):
             out = dop853.solve(fun, (0.0, 1.0), (1.0,), 1e-17, 1e-20)
         with pytest.warns(UserWarning, match="rtol"):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soliton_forge import (
     SolitonSpec, TerminationPolicy, closed_form_oracle, make_builtin_warp,
@@ -193,6 +195,41 @@ class TestGrim:
         with pytest.raises(ValueError):
             solve_grim(1.0, 2, busemann_warp)
 
+    def test_mirrored_record_is_its_one_piece(self, equidistant_warp):
+        whole = solve_grim(1.0, 2, equidistant_warp, r_span=(-7.0, 7.0))
+        half = solve_grim(1.0, 2, equidistant_warp, r_span=(0.0, 7.0))
+        assert whole.diagnostics == half.diagnostics
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(K=st.floats(-2.0, -0.05, exclude_max=True), c=st.floats(0.5, 2.0),
+       R=st.floats(1.0, 20.0), u=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+def test_mirrored_grim_equals_two_solves(K, c, R, u):
+    """The n = 2 grim graph on (-R, R), solved up once and mirrored, equals
+    the graph of a real solve down and a solve up bit for bit, signed zeros
+    included: its samples and its dense values at random radii and at r = 0."""
+    warp = make_builtin_warp("equidistant", K)
+    graph = solve_grim(c, 2, warp, r_span=(-R, R), rtol=1e-11, atol=1e-13)
+    down = solve_grim(c, 2, warp, r_span=(-R, 0.0), rtol=1e-11, atol=1e-13)
+    up = solve_grim(c, 2, warp, r_span=(0.0, R), rtol=1e-11, atol=1e-13)
+    for name in ("r_grid", "u", "du"):
+        want = np.concatenate((getattr(down, name), getattr(up, name)[1:]))
+        assert _bits(getattr(graph, name)) == _bits(want), name
+    r = np.concatenate(([0.0], R * (2.0 * np.array(u) - 1.0)))
+    below = r < 0.0
+    for name in ("u_eval", "du_eval"):
+        want = np.empty(r.size)
+        want[below] = getattr(down, name)(r[below])
+        want[~below] = getattr(up, name)(r[~below])
+        assert _bits(getattr(graph, name)(r)) == _bits(want), name
+        for x in r:
+            side = down if x < 0.0 else up
+            assert _bits(getattr(graph, name)(x)) == _bits(getattr(side, name)(x)), name
+
 
 class TestSolverRecord:
     def test_rhs_calls_positive_and_deterministic(self, hyperbolic_bowl_spec,
@@ -212,8 +249,9 @@ class TestSolverRecord:
         def counts(span):
             record = solve_grim(1.0, 2, equidistant_warp, r_span=span).diagnostics
             return np.array([record["n_rhs_evals"], record["n_steps"]])
-        assert np.array_equal(counts((-5.0, 5.0)),
-                              counts((-5.0, 0.0)) + counts((0.0, 5.0)))
+        # an asymmetric span: a symmetric one is solved once and mirrored
+        assert np.array_equal(counts((-5.0, 4.0)),
+                              counts((-5.0, 0.0)) + counts((0.0, 4.0)))
 
     def test_graph_csv_leaves_the_record_out(self, tmp_path, hyperbolic_bowl_spec):
         graph = solve_radial_graph(hyperbolic_bowl_spec, r_span=(0.0, 5.0))

@@ -290,6 +290,18 @@ class TestMonotonicity:
 
 
 class TestNonFinite:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"width": 0.0}, "bump width must be > 0"),
+        ({"width": -0.5}, "bump width must be > 0"),
+        ({"width": math.nan}, "must be finite"),
+        ({"amplitude": math.inf}, "must be finite"),
+        ({"center": -math.inf}, "must be finite"),
+    ])
+    def test_bump_rejects_bad_shape(self, kwargs, message):
+        # a zero width divides by zero, and a negative one ran as its absolute value
+        prob = _small_problem("polar", "robin")
+        with pytest.raises(ValueError, match=message):
+            bump_initial(prob, base=np.zeros(prob.r_grid.size), **kwargs)
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_step_implicit_rejects_non_finite_heights(self, bad):
         prob = _small_problem("polar", "robin")

@@ -363,7 +363,7 @@ class TestDenseSolution:
     def test_zero_length_solve(self):
         # a solve from t0 to t0 is one constant step
         def decay(t, y):
-            return -y
+            return [-v for v in y]
         run = dop853.solve(decay, (1.0, 1.0), (2.0,), 1e-3, 1e-6)
         sol = solve_ivp(decay, (1.0, 1.0), (2.0,), method="DOP853",
                         dense_output=True).sol

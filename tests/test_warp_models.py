@@ -57,6 +57,13 @@ class TestBuiltins:
         with pytest.raises(ValueError):
             make_builtin_warp("rotational", 1.0)
 
+    @pytest.mark.parametrize("kind", ["rotational", "busemann", "equidistant"])
+    @pytest.mark.parametrize("K", [math.nan, math.inf, -math.inf])
+    def test_non_finite_curvature_rejected(self, kind, K):
+        # NaN passes every sign test, and K = -inf gives k = inf
+        with pytest.raises(ValueError, match=f"curvature K must be finite, got {K}"):
+            make_builtin_warp(kind, K)
+
     @pytest.mark.parametrize("kind", ["busemann", "equidistant"])
     def test_flat_rejected_outside_polar(self, kind):
         with pytest.raises(ValueError):
