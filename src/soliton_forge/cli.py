@@ -28,6 +28,14 @@ class UsageError(Exception):
     pass
 
 
+def _numbers(text: str) -> list:
+    """The type of --epsilons and --c-values: comma-separated numbers."""
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not comma-separated numbers: {text!r}") from None
+
+
 class _Parser(argparse.ArgumentParser):
     """Argument parser whose usage failures exit with status 1; ``commands``
     maps each command name to its subparser."""
@@ -36,9 +44,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
     def set_own_defaults(self, values: dict) -> None:
-        """set_defaults for the keys of ``values`` this parser has a flag for."""
+        """set_defaults for the keys of ``values`` this parser has a flag for,
+        as the text str(value) its flag's type converts; a null, list or
+        object is a usage error."""
         dests = {action.dest for action in self._actions}
-        self.set_defaults(**{k: v for k, v in values.items() if k in dests})
+        for key, value in values.items():
+            if key in dests and (value is None or isinstance(value, (list, dict))):
+                raise UsageError(f"config value {key} = {json.dumps(value)} is no flag value")
+        self.set_defaults(**{k: str(v) for k, v in values.items() if k in dests})
 
 
 def build_parser() -> _Parser:
@@ -105,8 +118,10 @@ def build_parser() -> _Parser:
 
     swp = command("sweep", "solve over a parameter grid")
     swp.add_argument("--family", choices=("bowl", "wing"))
-    swp.add_argument("--epsilons", help="comma-separated inner radii (wing sweep)")
-    swp.add_argument("--c-values", help="comma-separated speeds (bowl sweep)")
+    swp.add_argument("--epsilons", type=_numbers,
+                     help="comma-separated inner radii (wing sweep)")
+    swp.add_argument("--c-values", type=_numbers,
+                     help="comma-separated speeds (bowl sweep)")
     swp.add_argument("--r-max", type=float, default=10.0)
     swp.add_argument("--tag")
     return parser
@@ -116,7 +131,7 @@ def _parse(parser: _Parser, argv) -> argparse.Namespace:
     """Resolve every value as flag > --config > verify input metadata > default.
 
     A first parse finds the command, the config and the verify input.  Their
-    values become defaults of the parser that owns each key, a string going
+    values become defaults of the parser that owns each key, as text going
     through its flag's type, and a second parse lays the flags over them.
     Top-level keys go on the top-level parser, because a subparser's defaults
     override flags given before the command.
@@ -281,6 +296,12 @@ def _cmd_flow(args) -> int:
         # bound; run() rejects a horizon that is not finite and > 0
         steps = args.horizon / (0.9 * problem.stability_bound())
         dtau = args.horizon / math.ceil(steps) if 0 < steps < math.inf else args.horizon
+    # the F/D check differences three records: refuse fewer before any work
+    _, records = mcf_flow.run_counts(dtau, args.horizon, args.record_every)
+    if records < 3:
+        raise UsageError(f"need at least three records, got {records}: --horizon "
+                         f"{args.horizon:g} must be longer than --record-every "
+                         f"{args.record_every} steps of {dtau:g}")
     initial = args.initial
     if initial == "soliton":
         u0 = mcf_flow.soliton_initial(problem)
@@ -364,8 +385,7 @@ def _cmd_sweep(args) -> int:
     if family == "wing":
         if not args.epsilons:
             raise UsageError("wing sweep needs --epsilons")
-        epsilons = [float(v) for v in str(args.epsilons).split(",")]
-        _check_starts("wing --epsilon", epsilons, args.r_max, low=0.0)
+        _check_starts("wing --epsilon", args.epsilons, args.r_max, low=0.0)
 
         names = ("epsilon", "r_turn", "gap", "lower", "upper", "pass")
 
@@ -376,7 +396,7 @@ def _cmd_sweep(args) -> int:
             res = diagnostics.wing_height_report(curve)
             return (eps, *(res.details[k] for k in names[1:5]), res.passed)
 
-        rows = sorted(map(solve_one, epsilons), key=lambda row: -row[0])
+        rows = sorted(map(solve_one, args.epsilons), key=lambda row: -row[0])
         path = _out_path(args, f"{tag}.csv")
         fileio.write_table(path, names, list(zip(*rows)))
         print(f"wrote {path}")
@@ -386,7 +406,6 @@ def _cmd_sweep(args) -> int:
 
     if not args.c_values:
         raise UsageError("bowl sweep needs --c-values")
-    c_values = [float(v) for v in str(args.c_values).split(",")]
     _check_starts("bowl start radius", [AXIS_LAUNCH_S if args.n > 1 else 0.0], args.r_max)
 
     def solve_one_c(c):
@@ -397,7 +416,7 @@ def _cmd_sweep(args) -> int:
                              f"r = {graph.blowup_radius:.6g}, short of --r-max {args.r_max:g}")
         return c, float(graph.u[-1]), float(graph.du[-1])
 
-    rows = sorted(solve_one_c(c) for c in c_values)
+    rows = sorted(solve_one_c(c) for c in args.c_values)
     path = _out_path(args, f"{tag}.csv")
     fileio.write_table(path, ("c", "u_rmax", "du_rmax"), list(zip(*rows)))
     print(f"wrote {path}")

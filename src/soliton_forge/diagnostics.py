@@ -82,11 +82,6 @@ def _result(name, res, tol, applicable=True, details=None) -> CheckResult:
                        applicable=applicable, details=details or {})
 
 
-def _stencil(x, h):
-    """The five-point stencil x - 2h, x - h, x, x + h, x + 2h."""
-    return x - 2 * h, x - h, x, x + h, x + 2 * h
-
-
 def _d1(v, h):
     """Five-point centered first derivative from values on the stencil, O(h^4)."""
     return (v[0] - 8 * v[1] + 8 * v[3] - v[4]) / (12 * h)
@@ -95,11 +90,6 @@ def _d1(v, h):
 def _d2(v, h):
     """Five-point centered second derivative from values on the stencil, O(h^4)."""
     return (-v[0] + 16 * v[1] - 30 * v[2] + 16 * v[3] - v[4]) / (12 * h * h)
-
-
-def _fd1(f, x, h):
-    """Five-point centered first derivative of f at x, O(h^4)."""
-    return _d1([f(y) for y in _stencil(x, h)], h)
 
 
 def _gauss_legendre(f, edges):
@@ -117,9 +107,10 @@ def _gauss_legendre(f, edges):
 
 
 def _sample_stencil(curve, s, h):
-    """(r, t, phi), each as its five values on the stencil around s: one
-    dense evaluation per offset, shared by the three components."""
-    return zip(*(curve.sample(x) for x in _stencil(s, h)))
+    """(r, t, phi), each as its five values on the stencil s - 2h, s - h, s,
+    s + h, s + 2h: one dense evaluation per offset, shared by the three
+    components."""
+    return zip(*(curve.sample(x) for x in (s - 2 * h, s - h, s, s + h, s + 2 * h)))
 
 
 def flux_residual(graph: RadialGraph, spec: SolitonSpec | None = None) -> CheckResult:
@@ -194,10 +185,8 @@ def _curve_samples(curve, n_samples, h, r_min=1e-2):
     lo, hi = curve.s_span
     pad = 2.5 * h
     s = np.linspace(lo + pad, hi - pad, n_samples)
-    if hasattr(curve, "spec") and curve.spec is not None \
-            and curve.spec.warp.kind == ROTATIONAL:
-        r = curve.sample(s)[0]
-        s = s[np.asarray(r) > r_min]
+    if curve.spec is not None and curve.spec.warp.kind == ROTATIONAL:
+        s = s[curve.sample(s)[0] > r_min]
     if s.size == 0:
         raise ValueError("curve too short for the requested stencil")
     return s
@@ -262,8 +251,6 @@ def drift_identity_residual(curve, spec: SolitonSpec | None = None) -> CheckResu
         lo, hi = curve.s_span
         s = np.linspace(lo, hi, FD_SAMPLES)
         r, _, phi = curve.sample(s)
-        r = np.atleast_1d(np.asarray(r))
-        phi = np.atleast_1d(np.asarray(phi))
         if warp.kind == ROTATIONAL:
             keep = r > 1e-8
             r, phi = r[keep], phi[keep]
@@ -307,7 +294,7 @@ def asymptotic_report(graph: RadialGraph, spec: SolitonSpec | None = None,
     sandwich (1-eps) zeta <= u' <= zeta for r >= SANDWICH_R_MIN with
     eps = SANDWICH_EPS and zeta the asymptotic slope.  Applicability
     needs strictly negative radial curvature from above (K_plus < 0) and
-    a vanishing sampled derivative of xi/xi'; failures of these
+    |(xi/xi')'| < 0.2 at 0.9 of the last radius; failures of these
     hypotheses are reported as "not applicable" rather than as check
     failures.
     """
@@ -322,12 +309,14 @@ def asymptotic_report(graph: RadialGraph, spec: SolitonSpec | None = None,
     else:
         k_plus = float(np.max(radial_curvature(warp, np.linspace(
             max(r_a, 1e-2), r_b, 64))))
-    g_slope_end = _fd1(warp.g, np.array([0.9 * r_b]), 1e-4)[0]
+    # (xi/xi')' = 1 + K (xi/xi')^2, the Riccati identity of riccati_residual
+    g_end = warp.g(0.9 * r_b)
+    g_slope_end = 1.0 + radial_curvature(warp, 0.9 * r_b) * g_end * g_end
     applicable = (k_plus < 0) and abs(g_slope_end) < 0.2
 
     g = warp.g(r)
     zeta = (c / (n - 1)) * g
-    du = np.atleast_1d(np.asarray(graph.du_eval(r)))
+    du = graph.du_eval(r)
     psi = du - zeta
     lam = g * psi
 
@@ -340,7 +329,7 @@ def asymptotic_report(graph: RadialGraph, spec: SolitonSpec | None = None,
     r_s = r[r >= SANDWICH_R_MIN]
     if r_s.size:
         zs = (c / (n - 1)) * warp.g(r_s)
-        ds = np.atleast_1d(np.asarray(graph.du_eval(r_s)))
+        ds = graph.du_eval(r_s)
         sandwich = bool(np.all((1 - SANDWICH_EPS) * zs <= ds + slack)
                         and np.all(ds <= zs + slack))
     else:
@@ -366,8 +355,8 @@ def wing_height_report(curve: ProfileCurve) -> CheckResult:
     """Height gap t(eps) - t(r0) of the descending wing branch against the
     analytic sandwich and the turning-radius bound r0 - eps <= pi/(2c).
 
-    The sandwich needs (xi'/xi)' <= 0 between eps and r0; that hypothesis
-    is sampled and reported.
+    The sandwich needs (xi'/xi)' = -K - (xi'/xi)^2 <= 0 between eps and r0;
+    that hypothesis is sampled and reported.
     """
     spec = curve.spec
     if spec.family != "wing":
@@ -385,7 +374,9 @@ def wing_height_report(curve: ProfileCurve) -> CheckResult:
     lower = warp.g(eps) * angle / (n - 1)
     upper = warp.g(r0) * angle / (n - 1)
     r_h = np.linspace(eps, r0, 64)
-    ratio_slope = _fd1(warp.xi_ratio, r_h, 1e-5)
+    # (xi'/xi)' = -K - (xi'/xi)^2, the Riccati identity of riccati_residual
+    ratio = warp.xi_ratio(r_h)
+    ratio_slope = -radial_curvature(warp, r_h) - ratio * ratio
     hypothesis = bool(np.all(ratio_slope <= 1e-10))
     radius_ok = bool(r0 - eps <= math.pi / (2 * c) + 1e-12)
     sandwich_ok = bool(lower - 1e-12 <= gap <= upper + 1e-12)

@@ -38,8 +38,9 @@ Which operations stay NumPy calls and which run on Python floats:
   a right-hand side reads its state with no NumPy scalar in between.
 
 :class:`DenseSolution` evaluates a solve's stacked dense coefficients at
-any points in one pass; :func:`run_record` is the one place the keys of a
-solve's run record are defined.
+any points in one pass, :func:`joined` makes one evaluator of two dense
+pieces, and :func:`run_record` is the one place the keys of a solve's run
+record are defined.
 """
 
 from __future__ import annotations
@@ -649,6 +650,26 @@ class DenseSolution:
                       where=h != 0)
         y = _step_polynomial(self.F[:, :, seg], x, self.y_old[:, seg])
         return y[:, 0] if t.ndim == 0 else y
+
+
+def joined(below, above, at: float):
+    """One dense evaluator of two pieces that meet at ``at``: points below
+    it evaluate on ``below``, the others on ``above``, each piece taking a
+    float or a 1-D array like :class:`DenseSolution`.  When every point
+    lies on one side, that side alone is called."""
+
+    def dense(t):
+        t = np.asarray(t, dtype=float)
+        low = t < at
+        if low.all():
+            return below(t)
+        if not low.any():
+            return above(t)
+        lo, hi = below(t[low]), above(t[~low])
+        y = np.empty((len(lo), t.size))
+        y[:, low], y[:, ~low] = lo, hi
+        return y
+    return dense
 
 
 def run_record(*outcomes: Outcome) -> dict:

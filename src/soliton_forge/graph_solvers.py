@@ -9,9 +9,10 @@ where D(r) is the Laplacian of the chart coordinate: (n-1) xi'/xi in the
 polar and Busemann charts, and xi'/xi + (n-2) chi'/chi in the equidistant
 chart.  Each is one DOP853 solve (:func:`.dop853.solve`, the same
 bits as SciPy's ``solve_ivp``) per direction from the initial radius,
-which stops where |u'| reaches BLOWUP_SLOPE and whose dense output the
-graph keeps for ``u_eval`` and ``du_eval``.  Closed-form
-oracles cover the degenerate cases used by the tests.
+which stops where |u'| reaches BLOWUP_SLOPE, and whose dense output,
+joined (:func:`.dop853.joined`) to a bowl's axis series or to a grim
+graph's other piece, the graph keeps for ``u_eval`` and ``du_eval``.
+Closed-form oracles cover the degenerate cases used by the tests.
 """
 
 from __future__ import annotations
@@ -38,7 +39,9 @@ class RadialGraph:
     """One-dimensional graph record u(r) with slopes on a strict grid; its
     chart is its warp's, and it blew up iff it has a ``blowup_radius``.
     ``meta`` says what the graph is; ``diagnostics`` is the run record of
-    the solves that computed it (:func:`.dop853.run_record`)."""
+    the solves that computed it (:func:`.dop853.run_record`).  ``u_eval``
+    and ``du_eval`` read ``_dense``, or without it the Hermite cubic through
+    (r, u, u') and the not-a-knot spline of u'."""
 
     r_grid: np.ndarray
     u: np.ndarray
@@ -47,7 +50,7 @@ class RadialGraph:
     blowup_radius: float | None = None
     meta: dict = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
-    _dense: Callable | None = None  # r -> (u, du), solver dense output
+    _dense: Callable | None = None  # r -> (u, du), the solver's dense output
 
     def __post_init__(self):
         self.r_grid = np.asarray(self.r_grid, dtype=float)
@@ -55,22 +58,17 @@ class RadialGraph:
         self.du = np.asarray(self.du, dtype=float)
         if np.any(np.diff(self.r_grid) <= 0):
             raise ValueError("r_grid must be strictly increasing")
-
-    def _interp(self):
-        if not hasattr(self, "_splines"):
-            self._splines = (PiecewiseCubic.hermite(self.r_grid, self.u, self.du),
-                             PiecewiseCubic.not_a_knot(self.r_grid, self.du))
-        return self._splines
+        self._evaluate = self._dense
+        if self._evaluate is None:
+            u_of = PiecewiseCubic.hermite(self.r_grid, self.u, self.du)
+            du_of = PiecewiseCubic.not_a_knot(self.r_grid, self.du)
+            self._evaluate = lambda r: (u_of(r), du_of(r))
 
     def u_eval(self, r):
-        if self._dense is not None:
-            return self._dense(np.asarray(r, dtype=float))[0]
-        return self._interp()[0](r)
+        return self._evaluate(np.asarray(r, dtype=float))[0]
 
     def du_eval(self, r):
-        if self._dense is not None:
-            return self._dense(np.asarray(r, dtype=float))[1]
-        return self._interp()[1](r)
+        return self._evaluate(np.asarray(r, dtype=float))[1]
 
     @property
     def chart(self) -> str:
@@ -127,7 +125,8 @@ def solve_radial_graph(spec: SolitonSpec, r_span=(0.0, 20.0), ic=None,
 
     ``ic = (r0, u0, du0)``; the axis start r0 = 0 (with du0 = 0) moves to
     r0 = AXIS_LAUNCH_S through :func:`~.profile_solver.axis_series`,
-    u ~ u0 + (c/2n) r^2, matching u''(0) = c/n.
+    u ~ u0 + (c/2n) r^2, matching u''(0) = c/n; its samples start at r0,
+    and it evaluates on [0, R], through that series below r0.
     For n = 1 the drift coefficient vanishes and r = 0 is regular.  A span
     that ends at or before the launch raises ValueError.
     Gradient blow-up cannot happen for bowls; the guard flags misuse.
@@ -139,12 +138,16 @@ def solve_radial_graph(spec: SolitonSpec, r_span=(0.0, 20.0), ic=None,
     warp.require_domain((r0, r_span[1]))
 
     meta = {"source": "radial_ode", "rtol": rtol, "atol": atol}
+    series = None
     if n > 1 and warp.kind == ROTATIONAL and r0 == 0.0:
         if du0 != 0.0:
             raise ValueError("axis start requires du0 = 0")
+
+        def series(r):
+            height, slope = axis_series(c, n, r)
+            return np.array((u0 + height, slope))
         r0 = AXIS_LAUNCH_S
-        height, slope = axis_series(c, n, r0)
-        y0 = (u0 + height, slope)
+        y0 = series(r0)
         meta["axis_launch"] = r0
     else:
         y0 = (u0, du0)
@@ -154,8 +157,9 @@ def solve_radial_graph(spec: SolitonSpec, r_span=(0.0, 20.0), ic=None,
     out, (r_grid, u, du) = _integrate_slope(
         _slope_rhs(c, n, warp), (r0, r_span[1]), y0, rtol, atol)
     b_rad = float(out.hits["blowup"][0][0]) if out.stop == "blowup" else None
+    dense = out.dense if series is None else dop853.joined(series, out.dense, r0)
     return RadialGraph(r_grid=r_grid, u=u, du=du, spec=spec, blowup_radius=b_rad,
-                       meta=meta, diagnostics=out.record, _dense=out.dense)
+                       meta=meta, diagnostics=out.record, _dense=dense)
 
 
 def solve_ideal_graph(c: float, n: int, warp: WarpModel, r_span=(0.0, 5.0),
@@ -210,10 +214,11 @@ def solve_grim(c: float, n: int, warp: WarpModel, r_span=(-20.0, 20.0),
     r = +-GRIM_LAUNCH_R with the bowl's series launch in dimension n - 1,
     since the drift is (n-2)/r there, and a span that ends at or before
     that launch raises ValueError.  Gradient blow-up contradicts
-    entireness and raises.  For n = 2 the drift xi'/xi is odd in r bit for
-    bit (see :func:`.make_builtin_warp`), so the graph from (0, 0, 0) is
-    even: a span (-R, R) is solved up once, and its left half is that
-    solve mirrored, the same bits as solving it down.
+    entireness and raises.  The graph joins a piece down and a piece up
+    from r0, either of which may be empty.  For n = 2 the drift xi'/xi is
+    odd in r bit for bit (see :func:`.make_builtin_warp`), so the graph
+    from (0, 0, 0) is even: on a span (-R, R) the down piece is the up
+    piece mirrored, the same bits as solving it down.
     """
     if warp.kind != EQUIDISTANT:
         raise ValueError("grim solves need an equidistant warp")
@@ -236,64 +241,42 @@ def solve_grim(c: float, n: int, warp: WarpModel, r_span=(-20.0, 20.0),
 
     warp.require_domain((r_span[0], r0, r_span[1]))
     rhs = _slope_rhs(c, n, warp)
+    outs = []
 
-    def piece(end):
+    def solved(end):
+        """The piece from r0 to ``end``: dense output, samples in ascending r."""
         out, samples = _integrate_slope(rhs, (r0, end), (u0, du0), rtol, atol)
         if out.stop == "blowup":
             raise RuntimeError(f"unexpected gradient blow-up at r = {out.t[-1]:.6g}")
-        return out, samples
+        outs.append(out)
+        return out.dense, [x[::-1] for x in samples] if end < r0 else samples
 
-    pieces = []
-    if r_span[0] < r0 and not mirror:
-        pieces.append(piece(r_span[0]))
-    if r_span[1] > r0:
-        pieces.append(piece(r_span[1]))
+    down = solved(r_span[0]) if r_span[0] < r0 and not mirror else None
+    up = solved(r_span[1]) if r_span[1] > r0 else None
+    if mirror:
+        down = _mirrored(*up)
+    pieces = [piece for piece in (down, up) if piece is not None]
     if not pieces:
         raise ValueError("empty integration span")
-    halves = [(out.dense, samples) for out, samples in pieces]
-    if mirror:
-        dense, (r, u, du) = halves[0]
-        halves.insert(0, (_mirrored(dense), (0.0 - r, u, 0.0 - du)))
-    if len(halves) == 1:
-        (dense, (r_grid, u, du)), = halves
-        if r_grid[0] > r_grid[-1]:
-            r_grid, u, du = r_grid[::-1], u[::-1], du[::-1]
-    else:
-        (left, (rl, ul, dul)), (right, (rr, ur, dur)) = halves
-        r_grid = np.concatenate((rl[::-1], rr[1:]))
-        u = np.concatenate((ul[::-1], ur[1:]))
-        du = np.concatenate((dul[::-1], dur[1:]))
-        dense = _two_pieces(left, right, r0)
+    # the grid is the pieces' samples in ascending r, with r0 once
+    r_grid, u, du = (np.concatenate([first, *(x[1:] for x in rest)])
+                     for first, *rest in zip(*(samples for _, samples in pieces)))
+    dense = pieces[0][0] if len(pieces) == 1 else dop853.joined(down[0], up[0], r0)
     return RadialGraph(r_grid=r_grid, u=u, du=du, spec=spec,
                        meta={"source": "grim_ode"},
-                       diagnostics=dop853.run_record(*(out for out, _ in pieces)),
-                       _dense=dense)
+                       diagnostics=dop853.run_record(*outs), _dense=dense)
 
 
-def _mirrored(dense):
-    """Dense output of an even graph's left half from its right half's:
-    (u, u')(r) = (u, -u')(-r)."""
+def _mirrored(dense, samples):
+    """The left half of an even graph from the piece solved up from r = 0:
+    (u, u')(r) = (u, -u')(-r), as a dense output and samples."""
 
     def left(r):
         y = dense(0.0 - r)
         y[1] = 0.0 - y[1]
         return y
-    return left
-
-
-def _two_pieces(left, right, r0: float):
-    """Dense output of a graph solved down (``left``) and up (``right``) from
-    r0: each radius is evaluated on its own side's solve."""
-
-    def dense(r):
-        below = r < r0
-        if r.ndim == 0:
-            return (left if below else right)(r)
-        y = np.empty((2, r.size))
-        y[:, below] = left(r[below])
-        y[:, ~below] = right(r[~below])
-        return y
-    return dense
+    r, u, du = (x[::-1] for x in samples)
+    return left, [0.0 - r, u, 0.0 - du]
 
 
 def closed_form_oracle(kind: str, **params) -> ClosedForm:
@@ -303,17 +286,10 @@ def closed_form_oracle(kind: str, **params) -> ClosedForm:
     ``ideal_const_coeff``: u = -(1/a) ln cos(a r) for constant coefficient a.
     ``line``: u = m r.
     """
-    if kind == "grim_n1":
-        c = params["c"]
-        if c == 0:
+    if kind in ("grim_n1", "ideal_const_coeff"):
+        a = params["c"] if kind == "grim_n1" else params["a"]
+        if a == 0 and kind == "grim_n1":
             raise ValueError("grim_n1 oracle needs c != 0")
-        half = math.pi / (2 * abs(c))
-        return ClosedForm(
-            u=lambda r: -np.log(np.cos(c * np.asarray(r, dtype=float))) / c,
-            du=lambda r: np.tan(c * np.asarray(r, dtype=float)),
-            r_min=-half, r_max=half)
-    if kind == "ideal_const_coeff":
-        a = params["a"]
         if a == 0:
             return ClosedForm(u=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
                               du=lambda r: np.zeros_like(np.asarray(r, dtype=float)),

@@ -35,7 +35,7 @@ from scipy.linalg.lapack import dgtsv
 from scipy.special import gamma
 
 from .graph_solvers import solve_radial_graph, solve_grim
-from .profile_solver import SolitonSpec, axis_series
+from .profile_solver import SolitonSpec
 from .warp_models import WarpModel
 
 EXPLICIT_CFL = 0.4
@@ -354,17 +354,7 @@ class FlowProblem:
         """
         if scheme not in ("explicit", "implicit"):
             raise ValueError(f"unknown scheme {scheme!r}")
-        if not (0 < dtau < math.inf and 0 < horizon < math.inf and record_every >= 1):
-            raise ValueError("a run needs finite dtau and horizon > 0 and "
-                             f"record_every >= 1, got dtau = {dtau}, "
-                             f"horizon = {horizon}, record_every = {record_every}")
-        steps = float(horizon) / float(dtau)
-        if not math.isfinite(steps):
-            raise ValueError(f"dtau = {dtau} is too small: horizon / dtau "
-                             f"overflows for horizon = {horizon}")
-        n_steps = round(steps)
-        if abs(n_steps * dtau - horizon) > 1e-9 * max(1.0, horizon):
-            raise ValueError("horizon must be an integer number of steps")
+        n_steps, _ = run_counts(dtau, horizon, record_every)
         implicit = scheme == "implicit"
         if not implicit:
             self._require_stable(dtau)
@@ -399,6 +389,23 @@ class FlowProblem:
                   "chart": self.chart, "n_nodes": self.r_grid.size,
                   "robin_slope": self._sigma},
             diagnostics=tally)
+
+
+def run_counts(dtau: float, horizon: float, record_every: int) -> tuple:
+    """(steps, records) of :meth:`FlowProblem.run`, or the ValueError it
+    raises; it records tau = 0, every ``record_every``-th step and the last."""
+    if not (0 < dtau < math.inf and 0 < horizon < math.inf and record_every >= 1):
+        raise ValueError("a run needs finite dtau and horizon > 0 and "
+                         f"record_every >= 1, got dtau = {dtau}, "
+                         f"horizon = {horizon}, record_every = {record_every}")
+    steps = float(horizon) / float(dtau)
+    if not math.isfinite(steps):
+        raise ValueError(f"dtau = {dtau} is too small: horizon / dtau "
+                         f"overflows for horizon = {horizon}")
+    n_steps = round(steps)
+    if abs(n_steps * dtau - horizon) > 1e-9 * max(1.0, horizon):
+        raise ValueError("horizon must be an integer number of steps")
+    return n_steps, 1 + -(-n_steps // record_every)
 
 
 def _finite_heights(u) -> np.ndarray:
@@ -448,8 +455,9 @@ def _solve_newton_system(lower, diag, upper, half, res) -> np.ndarray:
 
 def soliton_initial(problem: FlowProblem, rtol: float = 1e-11,
                     atol: float = 1e-13) -> np.ndarray:
-    """Soliton graph heights sampled on the flow grid; a graph that blows up
-    raises ValueError."""
+    """Heights ``graph.u_eval(problem.r_grid)`` of the bowl graph (polar
+    chart) or the grim graph (equidistant chart) on the flow grid; a graph
+    that blows up raises ValueError."""
     if problem.chart == "polar":
         spec = SolitonSpec(c=problem.c, n=problem.n, family="bowl",
                            warp=problem.warp)
@@ -458,14 +466,10 @@ def soliton_initial(problem: FlowProblem, rtol: float = 1e-11,
         if graph.gradient_blowup:
             raise ValueError(f"the soliton graph blows up at r = {graph.blowup_radius:.6g} "
                              f"(flow domain R = {problem.r_max:g})")
-        u = np.asarray(graph.u_eval(problem.r_grid), dtype=float)
-        # dense output starts at the series launch radius; fill the gap
-        tiny = problem.r_grid < graph.r_grid[0]
-        u[tiny] = axis_series(problem.c, problem.n, problem.r_grid[tiny])[0]
-        return u
-    graph = solve_grim(problem.c, problem.n, problem.warp,
-                       r_span=(-problem.r_max * 1.01, problem.r_max * 1.01),
-                       rtol=rtol, atol=atol)
+    else:
+        graph = solve_grim(problem.c, problem.n, problem.warp,
+                           r_span=(-problem.r_max * 1.01, problem.r_max * 1.01),
+                           rtol=rtol, atol=atol)
     return np.asarray(graph.u_eval(problem.r_grid), dtype=float)
 
 

@@ -87,10 +87,11 @@ class TerminationPolicy:
 
 @dataclass
 class ProfileCurve:
-    """Solution samples plus the solver's dense interpolant.
+    """Solution samples plus one dense evaluator of the whole curve.
 
-    ``sample(s)`` evaluates (r, t, phi) arrays anywhere inside ``s_span``;
-    for bowls the series launch covers the gap [0, AXIS_LAUNCH_S).
+    ``sample(s)`` evaluates (r, t, phi) arrays anywhere inside ``s_span``
+    through ``_sol``: the solver's dense output, which for a bowl is joined
+    (:func:`.dop853.joined`) to the axis series on [0, AXIS_LAUNCH_S).
     ``termination`` is ``max_arc_length``, ``step_failure`` or the name of
     the stop that ended the solve; ``diagnostics`` is its run record.
     """
@@ -104,7 +105,6 @@ class ProfileCurve:
     turning_points: list = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
     _sol: Callable | None = None
-    _series: tuple | None = None  # (s0, t0) for the bowl axis launch
 
     @property
     def s_span(self) -> tuple:
@@ -112,28 +112,12 @@ class ProfileCurve:
 
     def sample(self, s):
         s = np.asarray(s, dtype=float)
-        scalar = s.ndim == 0
-        s = np.atleast_1d(s)
         lo, hi = self.s_span
         if np.any(s < lo - 1e-12) or np.any(s > hi + 1e-12):
             raise ValueError(f"s outside curve range [{lo}, {hi}]")
-        if self._series is not None:
-            s0, t0 = self._series
-            early = s < s0
-            out = np.empty((3, s.size))
-            if np.any(~early):
-                out[:, ~early] = self._sol(s[~early])
-            if np.any(early):
-                se = s[early]
-                height, slope = axis_series(self.spec.c, self.spec.n, se)
-                out[0, early] = se
-                out[1, early] = t0 + height
-                out[2, early] = slope
-        else:
-            out = self._sol(s)
-        r, t, phi = out
-        if scalar:
-            return float(r[0]), float(t[0]), float(phi[0])
+        r, t, phi = self._sol(s)
+        if s.ndim == 0:
+            return float(r), float(t), float(phi)
         return r, t, phi
 
     @property
@@ -206,8 +190,9 @@ def solve_bowl(spec: SolitonSpec, stop: TerminationPolicy | None = None,
 
     The system is singular at r = 0 (xi'/xi ~ 1/r); the launch uses
     :func:`axis_series`, r = s, t = t0 + (c/2n) s^2, phi = (c/n) s, at
-    s0 = AXIS_LAUNCH_S, with O(s0^3) error.  A launch at or past the
-    radius stop (stop.r_max <= AXIS_LAUNCH_S) raises ValueError.
+    s0 = AXIS_LAUNCH_S, with O(s0^3) error; ``sample`` reads that series on
+    [0, s0).  A launch at or past the radius stop (stop.r_max <=
+    AXIS_LAUNCH_S) raises ValueError.
     """
     if spec.family != "bowl":
         raise ValueError("spec.family must be 'bowl'")
@@ -216,15 +201,18 @@ def solve_bowl(spec: SolitonSpec, stop: TerminationPolicy | None = None,
     if s0 >= stop.r_max:
         raise ValueError(f"bowl launch radius {s0} must lie below the radius stop "
                          f"r_max={stop.r_max}")
-    height, slope = axis_series(spec.c, spec.n, s0)
-    y0 = (s0, t0 + height, slope)
-    curve = _integrate(spec, y0, s0, stop, rtol, atol, t_center=t0)
-    # prepend the exact axis point; dense sampling switches to the series
+
+    def series(s):
+        height, slope = axis_series(spec.c, spec.n, s)
+        return np.array((s, t0 + height, slope))
+
+    curve = _integrate(spec, series(s0), s0, stop, rtol, atol, t_center=t0)
+    # prepend the exact axis point; dense sampling reads the series below s0
     curve.s = np.concatenate(([0.0], curve.s))
     curve.r = np.concatenate(([0.0], curve.r))
     curve.t = np.concatenate(([t0], curve.t))
     curve.phi = np.concatenate(([0.0], curve.phi))
-    curve._series = (s0, t0)
+    curve._sol = dop853.joined(series, curve._sol, s0)
     return curve
 
 

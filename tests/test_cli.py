@@ -466,3 +466,71 @@ class TestSweepCommand:
 
     def test_wing_sweep_needs_epsilons(self, tmp_path):
         assert run("--out", str(tmp_path), "sweep", "--family", "wing") == 1
+
+
+class TestConfigValueTypes:
+    """A --config value goes through its flag's type as the command line
+    would: as the text str(value), never as a JSON float, null or list."""
+
+    @pytest.mark.parametrize("config, message", [
+        ({"n": 2.5}, "argument --n: invalid int value: '2.5'"),
+        ({"n": True}, "argument --n: invalid int value: 'True'"),
+        ({"c": None}, "config value c = null is no flag value"),
+        ({"r_max": [1]}, "config value r_max = [1] is no flag value"),
+        ({"c": {"v": 1}}, 'config value c = {"v": 1} is no flag value'),
+        ({"out": None}, "config value out = null is no flag value"),
+    ], ids=["float-for-int", "bool-for-int", "null", "list", "object", "top-level-null"])
+    def test_wrong_json_type_is_usage_error(self, tmp_path, capsys, config, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run("--config", str(cfg), "--out", str(tmp_path / "out"),
+                   "soliton", "bowl", "--r-max", "4") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: {message}") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_number_reads_like_its_flag(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"c": 2, "n": 3, "r_max": 4, "unknown": [1]}))
+        assert run("--config", str(cfg), "--out", str(tmp_path / "a"),
+                   "soliton", "bowl") == 0
+        assert run("--out", str(tmp_path / "b"), "soliton", "bowl", "--c", "2",
+                   "--n", "3", "--r-max", "4") == 0
+        for name in ("bowl.csv", "bowl_diagnostics.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+class TestFlowRecordCount:
+    SHORT = ("flow", "--R", "4", "--nodes", "201", "--scheme", "implicit",
+             "--dtau", "1e-3")
+
+    @pytest.mark.parametrize("flags, records", [
+        (("--horizon", "1e-3"), 2),
+        (("--horizon", "4e-3", "--record-every", "4"), 2),
+        (("--horizon", "3e-3", "--record-every", "5"), 2),
+    ], ids=["one-step", "every-4-of-4", "every-5-of-3"])
+    def test_fewer_than_three_records_is_usage_error(self, tmp_path, capsys,
+                                                      flags, records):
+        assert run("--out", str(tmp_path / "out"), *self.SHORT, *flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: need at least three records, got {records}")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flags", [("--horizon", "2e-3"),
+                                       ("--horizon", "5e-3", "--record-every", "4")],
+                             ids=["two-steps", "every-4-of-5"])
+    def test_three_records_run(self, tmp_path, flags):
+        assert run("--out", str(tmp_path), *self.SHORT, *flags) == 0
+        assert read_table(tmp_path / "flow_trajectory.csv")[2].shape[0] == 3
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("--family", "wing", "--epsilons", "a"), "--epsilons"),
+    (("--epsilons", "0.1,,0.5"), "--epsilons"),
+    (("--family", "bowl", "--c-values", "1,x"), "--c-values"),
+], ids=["wing-word", "wing-empty-entry", "bowl-word"])
+def test_malformed_sweep_list_is_usage_error(tmp_path, capsys, argv, flag):
+    assert run("--out", str(tmp_path / "out"), "sweep", *argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: argument {flag}: not comma-separated numbers")
+    assert not (tmp_path / "out").exists()

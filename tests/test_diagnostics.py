@@ -347,3 +347,20 @@ class TestDenseEvaluations:
         calls, res = self._run_counted(drift_identity_residual, curve, monkeypatch)
         assert calls <= 6
         assert res.tobytes() == _drift_fd_ref(curve).tobytes()
+
+
+@pytest.mark.parametrize("K", [-2.0, -1.0, -0.3, -0.01, 0.0])
+def test_riccati_slopes_match_finite_differences(K):
+    """The slopes the wing and asymptotic reports take in closed form,
+    (xi'/xi)' = -K - (xi'/xi)^2 and (xi/xi')' = 1 + K (xi/xi')^2, agree
+    with five-point differences of xi'/xi and xi/xi'."""
+    from soliton_forge import radial_curvature
+
+    warp = make_builtin_warp("rotational", K)
+    r, h = np.linspace(0.5, 4.0, 50), 1e-3
+
+    def fd(f):
+        return (f(r - 2 * h) - 8 * f(r - h) + 8 * f(r + h) - f(r + 2 * h)) / (12 * h)
+    curvature, ratio, g = radial_curvature(warp, r), warp.xi_ratio(r), warp.g(r)
+    assert np.allclose(-curvature - ratio * ratio, fd(warp.xi_ratio), rtol=1e-8, atol=0)
+    assert np.allclose(1.0 + curvature * g * g, fd(warp.g), rtol=0, atol=1e-11)

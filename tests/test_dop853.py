@@ -382,3 +382,66 @@ def test_brentq_equals_scipy(kind, lo, width, where, scale):
     got = dop853.brentq(f, lo, hi)
     assert type(got) is float
     assert _same(got, want)
+
+
+class TestJoined:
+    """``dop853.joined``: each point is evaluated on its own side of the
+    meeting point, and a side with no points is never called."""
+
+    @staticmethod
+    def _pieces(calls):
+        def below(t):
+            calls.append(("below", np.shape(t)))
+            return np.array((t, 2.0 * t))
+
+        def above(t):
+            calls.append(("above", np.shape(t)))
+            return np.array((t + 10.0, 3.0 * t))
+        return below, above
+
+    def test_scalar(self):
+        calls = []
+        dense = dop853.joined(*self._pieces(calls), 1.0)
+        assert _same(dense(0.5), [0.5, 1.0])
+        assert _same(dense(np.float64(-2.0)), [-2.0, -4.0])
+        # the meeting point itself belongs to the piece above
+        assert _same(dense(1.0), [11.0, 3.0])
+        assert calls == [("below", ()), ("below", ()), ("above", ())]
+
+    def test_array_on_both_sides(self):
+        calls = []
+        below, above = self._pieces(calls)
+        t = np.array([2.0, 0.25, 1.0, -3.0, 1.5])
+        y = dop853.joined(below, above, 1.0)(t)
+        low = t < 1.0
+        want = np.empty((2, t.size))
+        want[:, low], want[:, ~low] = below(t[low]), above(t[~low])
+        assert _same(y, want)
+        assert calls[:2] == [("below", (2,)), ("above", (3,))]
+
+    def test_empty_array(self):
+        calls = []
+        y = dop853.joined(*self._pieces(calls), 1.0)(np.empty(0))
+        assert y.shape == (2, 0)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("t, side", [([0.1, -5.0, 0.9], "below"),
+                                         ([1.0, 5.0, 1.5], "above")])
+    def test_one_sided_array_calls_that_side_alone(self, t, side):
+        calls = []
+        below, above = self._pieces(calls)
+        y = dop853.joined(below, above, 1.0)(t)
+        assert calls == [(side, (3,))]
+        assert _same(y, {"below": below, "above": above}[side](np.array(t)))
+
+    def test_joined_solves_equal_their_own_dense_outputs(self):
+        # two solves of y' = -y from t = 0, one down and one up
+        down = dop853.solve(lambda t, y: [-v for v in y], (0.0, -2.0), [1.0], **TIGHT)
+        up = dop853.solve(lambda t, y: [-v for v in y], (0.0, 2.0), [1.0], **TIGHT)
+        dense = dop853.joined(down.dense, up.dense, 0.0)
+        t = np.linspace(-2.0, 2.0, 41)
+        low = t < 0.0
+        assert _same(dense(t)[:, low], down.dense(t[low]))
+        assert _same(dense(t)[:, ~low], up.dense(t[~low]))
+        assert _same(dense(-0.5), down.dense(-0.5))
+        assert _same(dense(0.0), up.dense(0.0))

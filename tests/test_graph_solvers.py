@@ -290,3 +290,30 @@ class TestDerivedFacts:
             assert graph.chart == graph.spec.warp.chart == chart
             assert graph.gradient_blowup == (graph.blowup_radius is not None)
         assert graphs[2][1].gradient_blowup
+
+
+@pytest.mark.parametrize("n, K, c, u0", [(2, -1.0, 1.0, 0.0), (3, -2.0, 1.5, 0.0),
+                                         (2, 0.0, 0.7, 0.25)])
+def test_bowl_graph_reads_its_axis_series_below_the_launch(n, K, c, u0):
+    """An axis-launched bowl graph evaluates on [0, R]: below AXIS_LAUNCH_S
+    its u_eval and du_eval are the launch series (u0 + height, slope) bit
+    for bit, and from the launch on the dense output its samples come from."""
+    from soliton_forge.profile_solver import AXIS_LAUNCH_S, axis_series
+
+    spec = SolitonSpec(c=c, n=n, family="bowl", warp=make_builtin_warp("rotational", K))
+    graph = solve_radial_graph(spec, r_span=(0.0, 5.0), ic=(0.0, u0, 0.0))
+    assert graph.r_grid[0] == AXIS_LAUNCH_S
+    r = np.array([0.0, 1e-9, 2e-5, 7e-5, np.nextafter(AXIS_LAUNCH_S, 0.0)])
+    height, slope = axis_series(c, n, r)
+    assert _bits(graph.u_eval(r)) == _bits(u0 + height)
+    assert _bits(graph.du_eval(r)) == _bits(slope)
+    for x, u, du in zip(r, u0 + height, slope):
+        assert _bits(graph.u_eval(x)) == _bits(u)
+        assert _bits(graph.du_eval(x)) == _bits(du)
+    both = np.concatenate((r, graph.r_grid))
+    assert _bits(graph.u_eval(both)) == _bits(np.concatenate((u0 + height, graph.u)))
+    assert _bits(graph.du_eval(both)) == _bits(np.concatenate((slope, graph.du)))
+    if u0 == 0.0:
+        # the axis height is +0.0, bit for bit
+        assert _bits(graph.u_eval(0.0)) == _bits(0.0)
+        assert _bits(graph.du_eval(0.0)) == _bits(0.0)

@@ -545,3 +545,28 @@ class TestSameBits:
             assert np.max(np.abs(b.u - (a.u + shift))) <= 32 * ulp
         ratio = moved.F_values / (base.F_values * math.exp(C * shift))
         assert np.max(np.abs(ratio - 1.0)) <= 32 * ulp
+
+
+@pytest.mark.parametrize("K, r_max, nodes", [(-1.0, 10.0, 2001), (0.0, 4.0, 201),
+                                             (-1.0, 0.01, 201)])
+def test_soliton_initial_is_the_bowl_graph_on_the_flow_grid(K, r_max, nodes):
+    """soliton_initial is graph.u_eval on the flow grid bit for bit, nodes
+    below the launch radius included (on r_max = 0.01 the node r = 5e-5 is)."""
+    from soliton_forge import SolitonSpec, solve_radial_graph
+
+    warp = make_builtin_warp("rotational", K)
+    prob = FlowProblem(1.0, 2, warp, r_max=r_max, n_nodes=nodes)
+    spec = SolitonSpec(c=1.0, n=2, family="bowl", warp=warp)
+    graph = solve_radial_graph(spec, r_span=(0.0, r_max * 1.01), rtol=1e-11, atol=1e-13)
+    u0 = soliton_initial(prob)
+    assert u0.tobytes() == np.asarray(graph.u_eval(prob.r_grid), dtype=float).tobytes()
+    assert u0[:1].tobytes() == np.zeros(1).tobytes()
+
+
+def test_soliton_initial_is_the_grim_graph_on_the_flow_grid(equidistant_warp):
+    from soliton_forge import solve_grim
+
+    prob = FlowProblem(1.0, 2, equidistant_warp, r_max=4.0, n_nodes=201)
+    graph = solve_grim(1.0, 2, equidistant_warp, r_span=(-4.04, 4.04),
+                       rtol=1e-11, atol=1e-13)
+    assert soliton_initial(prob).tobytes() == graph.u_eval(prob.r_grid).tobytes()
