@@ -107,10 +107,10 @@ def _gauss_legendre(f, edges):
 
 
 def _sample_stencil(curve, s, h):
-    """(r, t, phi), each as its five values on the stencil s - 2h, s - h, s,
-    s + h, s + 2h: one dense evaluation per offset, shared by the three
-    components."""
-    return zip(*(curve.sample(x) for x in (s - 2 * h, s - h, s, s + h, s + 2 * h)))
+    """(r, t, phi), each as its rows of values at s - 2h, s - h, s, s + h,
+    s + 2h: one point-by-point dense evaluation of all five offsets."""
+    stencil = np.concatenate((s - 2 * h, s - h, s, s + h, s + 2 * h))
+    return (v.reshape(5, -1) for v in curve.sample(stencil))
 
 
 def flux_residual(graph: RadialGraph, spec: SolitonSpec | None = None) -> CheckResult:

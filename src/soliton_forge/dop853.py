@@ -31,11 +31,12 @@ Which operations stay NumPy calls and which run on Python floats:
   of NumPy's elementwise multiply and add), the minimum step
   (``math.nextafter``), the error norm once its two dot products are
   formed (``math.sqrt(x.dot(x)) ** 2``, the formula
-  ``np.linalg.norm(x) ** 2`` evaluates) and the step-size factors.  IEEE
-  arithmetic and the shared libm ``pow`` give these NumPy's scalar bits.
-  ``fun`` and the stops get the time as a float and the state as a list
-  of floats (one ``tolist()`` per stage, and per step for the stops), so
-  a right-hand side reads its state with no NumPy scalar in between.
+  ``np.linalg.norm(x) ** 2`` evaluates), the step-size factors and each
+  component's scale atol + max(|y_old|, |y_new|) * rtol (one array per
+  tried step).  IEEE arithmetic and the shared libm ``pow`` give these
+  NumPy's scalar bits.  States are lists of floats, so ``fun`` and the
+  stops get a float time and a list state with no NumPy scalar in
+  between, and the arrays of step ends are built once, as the solve ends.
 
 :class:`DenseSolution` evaluates a solve's stacked dense coefficients at
 any points in one pass, :func:`joined` makes one evaluator of two dense
@@ -305,6 +306,8 @@ def _rms(x) -> float:
 
 
 def _validate_tol(rtol, atol, n):
+    if not (np.isfinite(rtol).all() and np.isfinite(atol).all()):
+        raise ValueError(f"`rtol` and `atol` must be finite, got {rtol} and {atol}.")
     if np.any(rtol < 100 * EPS):
         warnings.warn("At least one element of `rtol` is too small. "
                       f"Setting `rtol = np.maximum(rtol, {100 * EPS})`.",
@@ -318,7 +321,7 @@ def _validate_tol(rtol, atol, n):
     return rtol, atol
 
 
-def _initial_step(rhs, t0, y0, t_bound, f0, direction, rtol, atol):
+def _initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
     """First step size by the rule of Hairer, Nørsett and Wanner §II.4."""
     interval_length = abs(t_bound - t0)
     if interval_length == 0.0:
@@ -332,7 +335,7 @@ def _initial_step(rhs, t0, y0, t_bound, f0, direction, rtol, atol):
         h0 = 0.01 * d0 / d1
     h0 = min(h0, interval_length)
     y1 = y0 + h0 * direction * f0
-    f1 = rhs(t0 + h0 * direction, y1.tolist())
+    f1 = np.asarray(fun(t0 + h0 * direction, y1.tolist()), dtype=float)
     d2 = _rms((f1 - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -490,39 +493,41 @@ def solve(fun, t_span, y0, rtol: float, atol: float, stops=()) -> Outcome:
     and returns the derivative as a sequence.  ``stops`` are
     ``(name, g, terminal)`` triples, several of which may share a name: g
     is called like ``fun``, the sign changes of each g(t, y) are located,
-    and a terminal one ends the solve at its first root.
+    and a terminal one ends the solve at its first root.  A span end, rtol
+    or atol component that is not finite raises ValueError up front.
     """
     t0, t_bound = map(float, t_span)
-    y = np.asarray(y0).astype(float, copy=False)
-    if y.ndim != 1 or y.size == 0:
+    if not (math.isfinite(t0) and math.isfinite(t_bound)):
+        raise ValueError(f"`t_span` must be finite, got {tuple(t_span)}.")
+    y0 = np.asarray(y0).astype(float, copy=False)
+    if y0.ndim != 1 or y0.size == 0:
         raise ValueError("`y0` must be a non-empty 1-D state.")
-    if not np.isfinite(y).all():
+    if not np.isfinite(y0).all():
         raise ValueError("All components of the initial state `y0` must be finite.")
-    n = y.size
+    n = y0.size
     rtol, atol = _validate_tol(rtol, atol, n)
 
-    def rhs(t, y):
-        return np.asarray(fun(t, y), dtype=float)
-
     direction = math.copysign(1.0, t_bound - t0) if t_bound != t0 else 1.0
-    t, y_list = t0, y.tolist()
-    f = rhs(t, y_list)
-    h_abs = _initial_step(rhs, t, y, t_bound, f, direction, rtol, atol)
+    t, y = t0, y0.tolist()
+    f = np.asarray(fun(t, y), dtype=float)
+    h_abs = _initial_step(fun, t, y0, t_bound, f, direction, rtol, atol)
     nfev = 1 if t == t_bound else 2
+    rtol = float(rtol)
+    atols = atol.tolist() if atol.ndim else [float(atol)] * n
     K_ext = np.empty((N_STAGES_EXTENDED, n))
     K = K_ext[:N_STAGES + 1]
     K[0] = f
     # sums[s](a) is the stage sum np.dot(K[:s].T, a), on views taken once
     sums = [K_ext[:s].T.dot for s in range(N_STAGES_EXTENDED)]
 
-    g = [event(t0, y_list) for _, event, _ in stops]
+    g = [event(t0, y) for _, event, _ in stops]
     found = [[] for _ in stops]  # the (root, state) pairs of each stop
     ts, ys = [t0], [y]
     steps = []  # (t_old, h, y_old, y, K_ext) of every kept step
     n_steps = n_rejected = 0
     stop = None
     while stop is None:
-        t_old, y_old, y_old_list = t, y, y_list
+        t_old, y_old = t, y
         if t == t_bound:
             # a zero-length span: one constant step, whose dense rows are 0
             t, h, K_step = t_bound, 0.0, np.zeros_like(K_ext)
@@ -531,7 +536,7 @@ def solve(fun, t_span, y0, rtol: float, atol: float, stops=()) -> Outcome:
             min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
             if h_abs < min_step:
                 h_abs = min_step
-            abs_y_old = np.abs(y_old)
+            abs_y_old = [abs(v) for v in y_old]
             step_rejected = False
             while True:
                 if h_abs < min_step:
@@ -543,14 +548,12 @@ def solve(fun, t_span, y0, rtol: float, atol: float, stops=()) -> Outcome:
                     t_new = t_bound
                 h = t_new - t_old
                 h_abs = abs(h)
-                y_new_list = _rk_step(fun, t_old, y_old_list, h, K, sums)
-                y_new = np.array(y_new_list)
+                y_new = _rk_step(fun, t_old, y_old, h, K, sums)
                 nfev += N_STAGES
-                # atol + max(|y_old|, |y_new|) * rtol
-                scale = np.abs(y_new)
-                np.maximum(abs_y_old, scale, out=scale)
-                scale *= rtol
-                scale += atol
+                # atol + max(|y_old|, |y_new|) * rtol; as with np.maximum, a NaN
+                # |y_new| gives NaN (|y_old|, y0 or an accepted state, is never NaN)
+                scale = np.array([a + (o if o > v else v) * rtol
+                                  for a, o, v in zip(atols, abs_y_old, map(abs, y_new))])
                 error_norm = _error_norm(sums[N_STAGES + 1], h, scale)
                 if error_norm < 1:
                     if error_norm == 0:
@@ -567,10 +570,10 @@ def solve(fun, t_span, y0, rtol: float, atol: float, stops=()) -> Outcome:
             if stop == STEP_FAILURE:
                 break
             n_steps += 1
-            t, y, y_list = t_new, y_new, y_new_list
+            t, y = t_new, y_new
             if direction * (t - t_bound) >= 0:
                 stop = END_OF_SPAN
-            _extra_stages(fun, K_ext, sums, t_old, y_old_list, h)
+            _extra_stages(fun, K_ext, sums, t_old, y_old, h)
             nfev += N_STAGES_EXTENDED - N_STAGES - 1
             K_step = K_ext.copy()
             K[0] = K[N_STAGES]  # the next step starts from fun(t, y)
@@ -578,14 +581,15 @@ def solve(fun, t_span, y0, rtol: float, atol: float, stops=()) -> Outcome:
 
         t_kept, y_kept = t, y
         if stops:
-            g_new = [event(t, y_list) for _, event, _ in stops]
+            g_new = [event(t, y) for _, event, _ in stops]
             active = [i for i, (a, b) in enumerate(zip(g, g_new))
                       if a <= 0 <= b or a >= 0 >= b]
             if active:
-                F, = _dense_rows(np.array([h]), y_old[None], y[None], K_step[None])
+                start = np.array(y_old)
+                F, = _dense_rows(np.array([h]), start[None], np.array([y]), K_step[None])
 
                 def value(x):
-                    return _step_value(x, t_old, h, y_old, F)
+                    return _step_value(x, t_old, h, start, F)
                 hit, roots, terminate = _handle_events(value, stops, active, t_old, t)
                 for i, root in zip(hit, roots):
                     found[i].append((root, value(root)))
@@ -610,7 +614,7 @@ def solve(fun, t_span, y0, rtol: float, atol: float, stops=()) -> Outcome:
         t_olds = hs = np.empty(0)
         y_olds, F = np.empty((0, n)), np.empty((0, INTERPOLATOR_POWER, n))
     return Outcome(
-        t=np.array(ts), y=np.vstack(ys).T, nfev=nfev, n_steps=n_steps,
+        t=np.array(ts), y=np.array(ys).T, nfev=nfev, n_steps=n_steps,
         n_rejected=n_rejected, stop=stop, hits=hits,
         t_old=t_olds, h=hs, y_old=y_olds, F=F)
 

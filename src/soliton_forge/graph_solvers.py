@@ -108,14 +108,22 @@ def _integrate_slope(rhs, r_span, y0, rtol, atol):
     return out, (r_grid, *out.dense(r_grid))
 
 
+def _launch_series(c: float, n: int, u0: float):
+    """r -> (u, u') = (u0 + height, slope) of an axis launch in dimension n."""
+    def series(r):
+        height, slope = axis_series(c, n, r)
+        return np.array((u0 + height, slope))
+    return series
+
+
 def _slope_rhs(c: float, n: int, warp: WarpModel):
     """Right-hand side of (u, u')' for u'' = (1 + u'^2)(c - D(r) u')."""
 
-    drift = warp.drift
+    drift = warp.scalar_drift(n)
 
     def rhs(r, y):
         _, p = y
-        return (p, (1.0 + p * p) * (c - drift(r, n) * p))
+        return (p, (1.0 + p * p) * (c - drift(r) * p))
     return rhs
 
 
@@ -142,10 +150,7 @@ def solve_radial_graph(spec: SolitonSpec, r_span=(0.0, 20.0), ic=None,
     if n > 1 and warp.kind == ROTATIONAL and r0 == 0.0:
         if du0 != 0.0:
             raise ValueError("axis start requires du0 = 0")
-
-        def series(r):
-            height, slope = axis_series(c, n, r)
-            return np.array((u0 + height, slope))
+        series = _launch_series(c, n, u0)
         r0 = AXIS_LAUNCH_S
         y0 = series(r0)
         meta["axis_launch"] = r0
@@ -177,10 +182,10 @@ def solve_ideal_graph(c: float, n: int, warp: WarpModel, r_span=(0.0, 5.0),
     r0, u0, du0 = ic
     warp.require_domain((r0, r_span[1]))
 
-    drift = warp.drift
+    drift = warp.scalar_drift(n)
 
     def coeff(r):
-        return c - drift(r, n)
+        return c - drift(r)
 
     def rhs(r, y):
         _, p = y
@@ -212,7 +217,8 @@ def solve_grim(c: float, n: int, warp: WarpModel, r_span=(-20.0, 20.0),
     level mean curvature of the equidistant foliation.  For n >= 3 the
     coth factor is singular at r = 0; an axis start is moved to
     r = +-GRIM_LAUNCH_R with the bowl's series launch in dimension n - 1,
-    since the drift is (n-2)/r there, and a span that ends at or before
+    since the drift is (n-2)/r there, and the graph evaluates through that
+    series between r = 0 and the launch; a span that ends at or before
     that launch raises ValueError.  Gradient blow-up contradicts
     entireness and raises.  The graph joins a piece down and a piece up
     from r0, either of which may be empty.  For n = 2 the drift xi'/xi is
@@ -226,6 +232,7 @@ def solve_grim(c: float, n: int, warp: WarpModel, r_span=(-20.0, 20.0),
     spec = SolitonSpec(c=c, n=n, family="grim", warp=warp)
     mirror = n == 2 and -r_span[0] == r_span[1] > 0 and r0 == u0 == du0 == 0.0
 
+    series = None
     if n >= 3 and r0 == 0.0:
         if min(r_span) < 0 < max(r_span):
             raise ValueError("n >= 3 grim solves cannot cross the singular line r = 0")
@@ -234,8 +241,8 @@ def solve_grim(c: float, n: int, warp: WarpModel, r_span=(-20.0, 20.0),
         if abs(side) <= GRIM_LAUNCH_R:
             raise ValueError(f"n >= 3 grim span end r = {side} must lie past the "
                              f"launch r = {r0}")
-        height, du0 = axis_series(c, n - 1, r0)
-        u0 = u0 + height
+        series = _launch_series(c, n - 1, u0)
+        u0, du0 = series(r0)
         # integrate away from the singular line only
         r_span = (r0, r_span[1]) if side > 0 else (r_span[0], r0)
 
@@ -261,7 +268,9 @@ def solve_grim(c: float, n: int, warp: WarpModel, r_span=(-20.0, 20.0),
     # the grid is the pieces' samples in ascending r, with r0 once
     r_grid, u, du = (np.concatenate([first, *(x[1:] for x in rest)])
                      for first, *rest in zip(*(samples for _, samples in pieces)))
-    dense = pieces[0][0] if len(pieces) == 1 else dop853.joined(down[0], up[0], r0)
+    # an n >= 3 graph reads its launch series between r = 0 and r0
+    below, above = down[0] if down else series, up[0] if up else series
+    dense = dop853.joined(below, above, r0) if below and above else below or above
     return RadialGraph(r_grid=r_grid, u=u, du=du, spec=spec,
                        meta={"source": "grim_ode"},
                        diagnostics=dop853.run_record(*outs), _dense=dense)

@@ -107,7 +107,7 @@ class FlowProblem:
 
     The chart is the warp's: "polar" for a rotational warp (grid [0, R],
     axis symmetry at r = 0) or "equidistant" (grid [-R, R], n = 2 only,
-    slope conditions at both ends).  ``robin_slope`` may be a number, or
+    slope conditions at both ends).  ``robin_slope`` may be a finite number, or
     None to pin the initial data's own one-sided slope when a run starts.
     Implicit steps solve to NEWTON_TOL in at most NEWTON_MAX_ITER Newton
     iterations.
@@ -163,8 +163,10 @@ class FlowProblem:
         self._sigma = self._sigma_left = None
         if robin_slope is not None:
             self._sigma = float(robin_slope)
+            if not math.isfinite(self._sigma):
+                raise ValueError(f"robin_slope must be finite, got {robin_slope}")
             if chart == "equidistant":
-                self._sigma_left = -float(robin_slope)
+                self._sigma_left = -self._sigma
 
     @property
     def chart(self) -> str:

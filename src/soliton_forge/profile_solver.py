@@ -134,10 +134,10 @@ def axis_series(c: float, n: int, x):
     return (c / (2 * n)) * x**2, (c / n) * x
 
 
-def _profile_field(spec: SolitonSpec, r, phi) -> tuple:
-    """(dr/ds, dt/ds, dphi/ds) with dphi/ds = c cos(phi) - D(r) sin(phi)."""
+def _profile_field(c: float, drift: float, phi) -> tuple:
+    """(dr/ds, dt/ds, dphi/ds) with dphi/ds = c cos(phi) - drift sin(phi)."""
     cphi, sphi = math.cos(phi), math.sin(phi)
-    return (cphi, sphi, spec.c * cphi - spec.warp.drift(r, spec.n) * sphi)
+    return (cphi, sphi, c * cphi - drift * sphi)
 
 
 def profile_rhs(state, spec: SolitonSpec):
@@ -151,17 +151,18 @@ def profile_rhs(state, spec: SolitonSpec):
     else:
         r, phi = state
     spec.warp.require_domain(r)
-    return _profile_field(spec, r, phi)
+    return _profile_field(spec.c, spec.warp.drift(r, spec.n), phi)
 
 
 def _integrate(spec: SolitonSpec, y0, s0: float, stop: TerminationPolicy,
                rtol: float, atol: float, t_center: float) -> ProfileCurve:
     warp = spec.warp
     warp.require_domain(y0[0])
+    c, drift = spec.c, warp.scalar_drift(spec.n)
 
     def rhs(s, y):
         r, _, phi = y
-        return _profile_field(spec, r, phi)
+        return _profile_field(c, drift(r), phi)
 
     events = [("max_radius", lambda s, y: y[0] - stop.r_max, True),
               ("max_height", lambda s, y: y[1] - (t_center + stop.t_max), True),

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -63,6 +63,8 @@ class WarpModel:
     dchi: Callable | None = None
     ddchi: Callable | None = None
     xi3_zero: float | None = None
+    #: n -> :meth:`scalar_drift`, bound on first use by :meth:`drift`
+    _drifts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -127,9 +129,12 @@ class WarpModel:
 
         (n-1) xi'/xi on the rotational and Busemann charts and
         xi'/xi + (n-2) chi'/chi on the equidistant chart; 0 for n = 1.
-        Takes a float or an array, like :meth:`xi_ratio`.
+        Takes a float or an array, like :meth:`xi_ratio`; a float goes
+        through :meth:`scalar_drift`, the function a solver binds once.
         """
-        scalar = isinstance(r, float) or np.ndim(r) == 0
+        if isinstance(r, float):
+            return (self._drifts.get(n) or self._drifts.setdefault(n, self.scalar_drift(n)))(r)
+        scalar = np.ndim(r) == 0
         if n < 2:
             return 0.0 if scalar else np.zeros(np.shape(r))
         if self.kind != EQUIDISTANT:
@@ -138,6 +143,25 @@ class WarpModel:
         if n > 2:
             out = out + (n - 2) * self.dchi(r) / self.chi(r)
         return float(out) if scalar else out
+
+    def scalar_drift(self, n: int) -> Callable[[float], float]:
+        """D(r) in base dimension n as a float -> float function, bound once
+        for a solver's right-hand side: xi'/xi formed and checked as the
+        float path of :meth:`xi_ratio` forms it, then :meth:`drift`'s terms."""
+        if n < 2:
+            return lambda r: 0.0
+        xi, dxi, chi, dchi = self.xi, self.dxi, self.chi, self.dchi
+        axis, chi_term = self.kind == ROTATIONAL, self.kind == EQUIDISTANT and n > 2
+        m = 1 if self.kind == EQUIDISTANT else n - 1
+
+        def drift(r: float) -> float:
+            if axis and r == 0.0:
+                raise ZeroDivisionError("xi'/xi is singular at the axis r=0")
+            out = float(dxi(r) / xi(r))
+            if out != out:
+                self._raise_nan(r)
+            return float(out + (n - 2) * dchi(r) / chi(r)) if chi_term else m * out
+        return drift
 
 
 @dataclass(frozen=True)

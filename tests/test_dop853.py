@@ -445,3 +445,47 @@ class TestJoined:
         assert _same(dense(t)[:, ~low], up.dense(t[~low]))
         assert _same(dense(-0.5), down.dense(-0.5))
         assert _same(dense(0.0), up.dense(0.0))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       rtol=st.floats(1e-12, 1e-6), descending=st.booleans())
+def test_per_component_atol_matches_solve_ivp(n, seed, rtol, descending):
+    """An ``atol`` of shape (n,), its components spread over six decades
+    around rtol, gives ``solve_ivp``'s solve bit for bit."""
+    rng = np.random.default_rng(seed)
+    M = rng.uniform(-1.5, 1.5, (n, n))
+    b, y0 = rng.uniform(-1.0, 1.0, (2, n))
+    atol = rtol * 10.0 ** rng.uniform(-4.0, 2.0, n)
+
+    def fun(t, y):
+        return M @ y + np.sin(y) * b
+
+    stops = (("level", lambda t, y: y[0] - (y0[0] + 0.5), True),)
+    t_span = (0.0, -6.0) if descending else (0.0, 6.0)
+    out = dop853.solve(fun, t_span, y0, rtol, atol, stops)
+    _assert_matches_solve_ivp(out, fun, t_span, y0, rtol, atol, stops)
+
+
+@pytest.mark.parametrize("t_span, rtol, atol", [
+    ((0.0, 1.0), math.nan, 1e-11), ((0.0, 1.0), math.inf, 1e-11),
+    ((0.0, 1.0), 1e-9, math.nan), ((0.0, 1.0), 1e-9, math.inf),
+    ((0.0, 1.0), 1e-9, np.array([1e-11, math.nan])),
+    ((0.0, math.nan), 1e-9, 1e-11), ((0.0, math.inf), 1e-9, 1e-11),
+    ((-math.inf, 1.0), 1e-9, 1e-11)])
+def test_non_finite_tolerance_or_span_is_rejected_before_any_rhs_call(t_span, rtol, atol):
+    # a NaN tolerance makes a NaN step size, which no step-size floor catches
+    calls = []
+
+    def fun(t, y):
+        calls.append(t)
+        return [-v for v in y]
+
+    with pytest.raises(ValueError, match="must be finite"):
+        dop853.solve(fun, t_span, (1.0, 2.0), rtol, atol)
+    assert calls == []
+
+
+def test_solver_with_a_nan_tolerance_names_the_tolerance(hyperbolic_bowl_spec):
+    with pytest.raises(ValueError, match="`rtol` and `atol` must be finite"):
+        solve_bowl(hyperbolic_bowl_spec, rtol=math.nan)

@@ -317,3 +317,30 @@ def test_bowl_graph_reads_its_axis_series_below_the_launch(n, K, c, u0):
         # the axis height is +0.0, bit for bit
         assert _bits(graph.u_eval(0.0)) == _bits(0.0)
         assert _bits(graph.du_eval(0.0)) == _bits(0.0)
+
+
+@pytest.mark.parametrize("side, K, c, u0", [(1.0, -1.0, 1.0, 0.0), (-1.0, -1.0, 1.0, 0.0),
+                                            (1.0, -2.0, 1.5, 0.25), (-1.0, -0.5, 0.7, -0.4)])
+def test_n3_grim_reads_its_launch_series_below_the_launch(side, K, c, u0):
+    """An n = 3 grim graph started on the singular line r = 0 evaluates
+    between r = 0 and its launch r0 = +-GRIM_LAUNCH_R through the launch
+    series in dimension n - 1 = 2 (u0 + height, slope) bit for bit, and
+    from r0 on through the dense output its samples come from."""
+    from soliton_forge.graph_solvers import GRIM_LAUNCH_R
+    from soliton_forge.profile_solver import axis_series
+
+    warp = make_builtin_warp("equidistant", K)
+    r_span = (0.0, 5.0) if side > 0 else (-5.0, 0.0)
+    graph = solve_grim(c, 3, warp, r_span=r_span, ic=(0.0, u0, 0.0))
+    r0 = side * GRIM_LAUNCH_R
+    assert r0 in graph.r_span
+    r = side * np.array([0.0, 1e-9, 2e-4, 5e-4, 9e-4, np.nextafter(GRIM_LAUNCH_R, 0.0)])
+    height, slope = axis_series(c, 2, r)
+    assert _bits(graph.u_eval(r)) == _bits(u0 + height)
+    assert _bits(graph.du_eval(r)) == _bits(slope)
+    for x, u, du in zip(r, u0 + height, slope):
+        assert _bits(graph.u_eval(x)) == _bits(u)
+        assert _bits(graph.du_eval(x)) == _bits(du)
+    both = np.concatenate((r, graph.r_grid))
+    assert _bits(graph.u_eval(both)) == _bits(np.concatenate((u0 + height, graph.u)))
+    assert _bits(graph.du_eval(both)) == _bits(np.concatenate((slope, graph.du)))

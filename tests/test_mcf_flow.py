@@ -570,3 +570,12 @@ def test_soliton_initial_is_the_grim_graph_on_the_flow_grid(equidistant_warp):
     graph = solve_grim(1.0, 2, equidistant_warp, r_span=(-4.04, 4.04),
                        rtol=1e-11, atol=1e-13)
     assert soliton_initial(prob).tobytes() == graph.u_eval(prob.r_grid).tobytes()
+
+
+@pytest.mark.parametrize("slope", [math.nan, math.inf, -math.inf])
+def test_non_finite_robin_slope_is_rejected_when_built(hyperbolic_warp, equidistant_warp,
+                                                       slope):
+    # unchecked, it would surface only as a NaN Newton residual in the first step
+    for warp in (hyperbolic_warp, equidistant_warp):
+        with pytest.raises(ValueError, match="robin_slope must be finite"):
+            FlowProblem(C, N, warp, r_max=4.0, n_nodes=41, robin_slope=slope)

@@ -478,3 +478,51 @@ def test_float_path_errors(hyperbolic_table_warp, name):
             for form in (r, np.float64(r), np.array([1.0, r])):
                 with pytest.raises(error, match=match):
                     fn(form)
+
+
+#: (kind, K) of every built-in kind at K < 0, the flat rotational warp, and
+#: the K = -1 rotational table warp
+BOUND_DRIFT_CASES = st.one_of(
+    st.tuples(st.sampled_from(KINDS), st.floats(min_value=-3.0, max_value=-0.05)),
+    st.just(("rotational", 0.0)), st.just(("table", -1.0)))
+
+
+def _bound_drift_warp(case, table_warp):
+    kind, curv = case
+    return table_warp if kind == "table" else make_builtin_warp(kind, curv)
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=BOUND_DRIFT_CASES, n=st.integers(min_value=1, max_value=5),
+       r=st.floats(min_value=1e-6, max_value=5.0), negate=st.booleans())
+def test_scalar_drift_property(hyperbolic_table_warp, case, n, r, negate):
+    """The bound drift ``scalar_drift(n)`` returns a float with the bits of
+    ``drift(np.array([r]), n)[0]`` on every built-in kind, at K < 0 and
+    K = 0, and on a table warp, for n = 1 to 5."""
+    model = _bound_drift_warp(case, hyperbolic_table_warp)
+    if negate and model.kind != "rotational":
+        r = -r
+    got = model.scalar_drift(n)(r)
+    assert type(got) is float
+    assert _same_bits(got, model.drift(np.array([r]), n)[0])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(case=BOUND_DRIFT_CASES, n=st.integers(min_value=2, max_value=5))
+def test_scalar_drift_errors(hyperbolic_table_warp, case, n):
+    """The bound drift raises where ``drift`` does, with its message:
+    ZeroDivisionError on a rotational axis, ValueError on a NaN xi'/xi;
+    for n = 1 both return 0 there."""
+    model = _bound_drift_warp(case, hyperbolic_table_warp)
+    bad = [math.nan]
+    if model.kind == "rotational":
+        bad.append(0.0)
+    if case[0] != "table" and case[1] < 0:
+        bad.append(720.0 / math.sqrt(-case[1]))  # cosh and exp overflow
+    for r in bad:
+        with pytest.raises((ZeroDivisionError, ValueError)) as want:
+            model.drift(np.array([r]), n)
+        with pytest.raises(want.type, match=re.escape(str(want.value))):
+            model.scalar_drift(n)(r)
+        assert model.scalar_drift(1)(r) == 0.0 == model.drift(np.array([r]), 1)[0]
