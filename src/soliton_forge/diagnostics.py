@@ -326,10 +326,9 @@ def asymptotic_report(graph: RadialGraph, spec: SolitonSpec | None = None,
     eventually_negative = bool(np.all(psi < slack))
     shrink = bool(abs(psi[-1]) < abs(psi[0]) + slack
                   and abs(lam[-1]) < abs(lam[0]) + slack)
-    r_s = r[r >= SANDWICH_R_MIN]
-    if r_s.size:
-        zs = (c / (n - 1)) * warp.g(r_s)
-        ds = graph.du_eval(r_s)
+    far = r >= SANDWICH_R_MIN
+    if far.any():
+        zs, ds = zeta[far], du[far]
         sandwich = bool(np.all((1 - SANDWICH_EPS) * zs <= ds + slack)
                         and np.all(ds <= zs + slack))
     else:

@@ -175,12 +175,16 @@ def solve_ideal_graph(c: float, n: int, warp: WarpModel, r_span=(0.0, 5.0),
     For constant kappa = xi'/xi and a = c - (n-1) kappa != 0 the solution
     is u = u0 - ln(cos(a (r-r0)))/a on a maximal interval of length
     pi/|a|; the vertical point of the bi-graph is reported through
-    ``blowup_radius`` and is not an error.
+    ``blowup_radius`` and is not an error.  A span that ends at or before
+    its start raises ValueError.
     """
     if warp.kind != BUSEMANN:
         raise ValueError("ideal graph solves need a busemann warp")
     r0, u0, du0 = ic
     warp.require_domain((r0, r_span[1]))
+    if r_span[1] <= r0:
+        raise ValueError(f"ideal graph span end r = {r_span[1]} must lie past its "
+                         f"start r0 = {r0}")
 
     drift = warp.scalar_drift(n)
 
@@ -196,11 +200,10 @@ def solve_ideal_graph(c: float, n: int, warp: WarpModel, r_span=(0.0, 5.0),
     b_rad = None
     if out.stop == "blowup":
         # frozen-coefficient slope equation p' = a (1+p^2): distance from
-        # the event slope to the vertical point is (pi/2 - atan|p|)/|a|
+        # the event slope to the vertical point, up in r, is (pi/2 - atan|p|)/|a|
         r_evt, (_, p_evt) = out.hits["blowup"][0]
         a = coeff(float(r_evt))
-        direction = math.copysign(1.0, r_span[1] - r_span[0])
-        tail = direction * (math.pi / 2 - math.atan(abs(p_evt))) / abs(a) if a else 0.0
+        tail = (math.pi / 2 - math.atan(abs(p_evt))) / abs(a) if a else 0.0
         b_rad = float(r_evt) + tail
     spec = SolitonSpec(c=c, n=n, family="ideal", warp=warp)
     return RadialGraph(r_grid=r_grid, u=u, du=du, spec=spec, blowup_radius=b_rad,

@@ -75,6 +75,9 @@ class ProfileState:
 
 @dataclass(frozen=True)
 class TerminationPolicy:
+    """Arc-length, radius and height stops of a profile solve, each finite;
+    t_max > 0 is the height on either side of the start."""
+
     s_max: float = 1e3
     r_max: float = 1e2
     t_max: float = 1e3
@@ -83,6 +86,8 @@ class TerminationPolicy:
         for name in ("s_max", "r_max", "t_max"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.t_max <= 0:
+            raise ValueError(f"t_max must be > 0, got {self.t_max}")
 
 
 @dataclass
@@ -156,6 +161,9 @@ def profile_rhs(state, spec: SolitonSpec):
 
 def _integrate(spec: SolitonSpec, y0, s0: float, stop: TerminationPolicy,
                rtol: float, atol: float, t_center: float) -> ProfileCurve:
+    if stop.s_max <= s0:
+        raise ValueError(f"arc-length stop s_max={stop.s_max} must lie past the "
+                         f"start s0={s0}")
     warp = spec.warp
     warp.require_domain(y0[0])
     c, drift = spec.c, warp.scalar_drift(spec.n)

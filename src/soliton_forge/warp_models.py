@@ -46,9 +46,9 @@ _FAMILY_KIND = {
 class WarpModel:
     """Immutable description of the radial warping of the base metric.
 
-    ``xi``, ``dxi``, ``ddxi`` are vectorized evaluators of the warping
-    function and its first two derivatives.  ``chi`` (with derivatives)
-    is the second warping factor, present only for the equidistant chart.
+    ``xi``, ``dxi``, ``ddxi`` evaluate the warping function and its first
+    two derivatives at a float or an ndarray, taken as given.  ``chi`` (with
+    derivatives) is the second warping factor, only on the equidistant chart.
     ``xi3_zero`` is xi'''(0); it only gives :func:`radial_curvature` its
     axis limit -xi'''(0) on the rotational kind.
     """
@@ -90,31 +90,8 @@ class WarpModel:
                 f"r={r} outside domain {self.r_domain} of warp {self.label!r}")
 
     def xi_ratio(self, r):
-        """xi'(r)/xi(r), computed as the quotient dxi(r) / xi(r).
-
-        On the rotational kind the quotient behaves like 1/r at the axis,
-        and r = 0 itself raises ZeroDivisionError.  A float (np.float64
-        included) takes a path without 0-d arrays that returns the same
-        bits as the array path.  A NaN quotient, e.g. 0/0 once cosh or exp
-        overflows or underflows, raises ValueError.
-        """
-        if isinstance(r, float):
-            if r == 0.0 and self.kind == ROTATIONAL:
-                raise ZeroDivisionError("xi'/xi is singular at the axis r=0")
-            out = float(self.dxi(r) / self.xi(r))
-            if out != out:
-                self._raise_nan(r)
-            return out
-        r_arr = np.asarray(r, dtype=float)
-        scalar = r_arr.ndim == 0
-        r_arr = np.atleast_1d(r_arr)
-        if self.kind == ROTATIONAL and (r_arr == 0.0).any():
-            raise ZeroDivisionError("xi'/xi is singular at the axis r=0")
-        out = self.dxi(r_arr) / self.xi(r_arr)
-        nan = np.isnan(out)
-        if nan.any():
-            self._raise_nan(float(r_arr[nan][0]))
-        return float(out[0]) if scalar else out
+        """xi'(r)/xi(r): the n = 2 drift, 1 * xi'/xi on every kind."""
+        return self.drift(r, 2)
 
     def _raise_nan(self, r: float):
         raise ValueError(f"xi'/xi is NaN at r={r} for warp {self.label!r}: "
@@ -128,26 +105,34 @@ class WarpModel:
         """Laplacian D(r) of the chart coordinate in base dimension n.
 
         (n-1) xi'/xi on the rotational and Busemann charts and
-        xi'/xi + (n-2) chi'/chi on the equidistant chart; 0 for n = 1.
-        Takes a float or an array, like :meth:`xi_ratio`; a float goes
-        through :meth:`scalar_drift`, the function a solver binds once.
+        xi'/xi + (n-2) chi'/chi on the equidistant chart; 0 for n = 1.  The
+        quotient dxi(r) / xi(r) raises ZeroDivisionError at a rotational axis
+        r = 0 and ValueError where it is NaN (cosh or exp over/underflowing).
+        A float (np.float64 included) goes through :meth:`scalar_drift`;
+        anything else is the one array path, and a 0-d input returns a float.
         """
         if isinstance(r, float):
             return (self._drifts.get(n) or self._drifts.setdefault(n, self.scalar_drift(n)))(r)
         scalar = np.ndim(r) == 0
         if n < 2:
             return 0.0 if scalar else np.zeros(np.shape(r))
+        r = np.atleast_1d(np.asarray(r, dtype=float))
+        if self.kind == ROTATIONAL and (r == 0.0).any():
+            raise ZeroDivisionError("xi'/xi is singular at the axis r=0")
+        out = self.dxi(r) / self.xi(r)
+        nan = np.isnan(out)
+        if nan.any():
+            self._raise_nan(float(r[nan][0]))
         if self.kind != EQUIDISTANT:
-            return (n - 1) * self.xi_ratio(r)
-        out = self.xi_ratio(r)
-        if n > 2:
+            out = (n - 1) * out
+        elif n > 2:
             out = out + (n - 2) * self.dchi(r) / self.chi(r)
-        return float(out) if scalar else out
+        return float(out[0]) if scalar else out
 
     def scalar_drift(self, n: int) -> Callable[[float], float]:
         """D(r) in base dimension n as a float -> float function, bound once
-        for a solver's right-hand side: xi'/xi formed and checked as the
-        float path of :meth:`xi_ratio` forms it, then :meth:`drift`'s terms."""
+        for a solver's right-hand side: the one float path of :meth:`drift`,
+        with its checks, its messages and the bits of its array path."""
         if n < 2:
             return lambda r: 0.0
         xi, dxi, chi, dchi = self.xi, self.dxi, self.chi, self.dchi
@@ -184,11 +169,6 @@ class Violation:
     value: float
 
 
-def _arg(r):
-    """A float as it is, anything else as a float array."""
-    return r if isinstance(r, float) else np.asarray(r, dtype=float)
-
-
 def _constant(value: float) -> Callable:
     """Evaluator of a constant: a float for a float, an array otherwise."""
     def evaluate(r):
@@ -221,7 +201,7 @@ def make_builtin_warp(kind: str, curvature: float) -> WarpModel:
         if curvature == 0.0:
             return WarpModel(
                 kind=ROTATIONAL,
-                xi=lambda r: _arg(r) * 1.0,
+                xi=lambda r: r * 1.0,
                 dxi=_constant(1.0),
                 ddxi=_constant(0.0),
                 r_domain=(0.0, math.inf),
@@ -231,9 +211,9 @@ def make_builtin_warp(kind: str, curvature: float) -> WarpModel:
         k = math.sqrt(-curvature)
         return WarpModel(
             kind=ROTATIONAL,
-            xi=lambda r: np.sinh(k * _arg(r)) / k,
-            dxi=lambda r: np.cosh(k * _arg(r)),
-            ddxi=lambda r: k * np.sinh(k * _arg(r)),
+            xi=lambda r: np.sinh(k * r) / k,
+            dxi=lambda r: np.cosh(k * r),
+            ddxi=lambda r: k * np.sinh(k * r),
             r_domain=(0.0, math.inf),
             label=f"hyperbolic(K={curvature:g})",
             xi3_zero=k * k,
@@ -243,9 +223,9 @@ def make_builtin_warp(kind: str, curvature: float) -> WarpModel:
     if kind == BUSEMANN:
         return WarpModel(
             kind=BUSEMANN,
-            xi=lambda r: np.exp(k * _arg(r)),
-            dxi=lambda r: k * np.exp(k * _arg(r)),
-            ddxi=lambda r: k * k * np.exp(k * _arg(r)),
+            xi=lambda r: np.exp(k * r),
+            dxi=lambda r: k * np.exp(k * r),
+            ddxi=lambda r: k * k * np.exp(k * r),
             r_domain=(-math.inf, math.inf),
             label=f"busemann(K={curvature:g})",
         )
@@ -255,12 +235,12 @@ def make_builtin_warp(kind: str, curvature: float) -> WarpModel:
     # xi'/xi is odd bit for bit, and solve_grim mirrors a symmetric graph on it
     return WarpModel(
         kind=EQUIDISTANT,
-        xi=lambda r: np.cosh(k * _arg(r)),
-        dxi=lambda r: k * np.sinh(k * _arg(r)),
-        ddxi=lambda r: k * k * np.cosh(k * _arg(r)),
-        chi=lambda r: np.sinh(k * _arg(r)) / k,
-        dchi=lambda r: np.cosh(k * _arg(r)),
-        ddchi=lambda r: k * np.sinh(k * _arg(r)),
+        xi=lambda r: np.cosh(k * r),
+        dxi=lambda r: k * np.sinh(k * r),
+        ddxi=lambda r: k * k * np.cosh(k * r),
+        chi=lambda r: np.sinh(k * r) / k,
+        dchi=lambda r: np.cosh(k * r),
+        ddchi=lambda r: k * np.sinh(k * r),
         r_domain=(-math.inf, math.inf),
         label=f"equidistant(K={curvature:g})",
     )

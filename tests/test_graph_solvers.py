@@ -12,6 +12,7 @@ from soliton_forge import (
     profile_to_graph, solve_bowl, solve_grim, solve_ideal_graph,
     solve_radial_graph,
 )
+from soliton_forge import dop853
 from soliton_forge.fileio import export_graph_csv, read_table
 
 LN_COS_1 = -0.6156264703860141  # ln(cos 1)
@@ -123,6 +124,16 @@ class TestIdealGraph:
     def test_wrong_warp_kind(self, hyperbolic_warp):
         with pytest.raises(ValueError):
             solve_ideal_graph(1.0, 2, hyperbolic_warp)
+
+    @pytest.mark.parametrize("r_span", [(0.0, 0.0), (0.0, -2.0), (1.0, 0.5)])
+    def test_span_ending_at_or_before_the_start(self, busemann_warp, r_span,
+                                                monkeypatch):
+        # such a solve ran in full, then failed on its decreasing r grid
+        monkeypatch.setattr(dop853, "solve", None)  # no solve may start
+        with pytest.raises(ValueError, match=rf"span end r = {r_span[1]} must lie "
+                                             rf"past its start r0 = {r_span[0]}"):
+            solve_ideal_graph(1.0, 2, busemann_warp, r_span=r_span,
+                              ic=(r_span[0], 0.0, 0.0))
 
 
 class TestGrim:

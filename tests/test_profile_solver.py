@@ -1,6 +1,7 @@
 """Profile-system integration: bowls, wings, ideal parametric curves."""
 
 import math
+import re
 from functools import lru_cache
 
 import numpy as np
@@ -15,6 +16,7 @@ from soliton_forge import (
     solve_ideal_parametric, solve_wing,
 )
 from soliton_forge import dop853
+from soliton_forge.profile_solver import AXIS_LAUNCH_S
 from soliton_forge.dop853 import DenseSolution
 
 COTH_1 = 1.3130352854993312
@@ -284,6 +286,45 @@ class TestIdealParametric:
         curve = solve_ideal_parametric(spec, (0.2, 0.0, 2.5),
                                        stop=TerminationPolicy(s_max=10.0))
         assert np.min(curve.r) < 0 < np.max(curve.r)
+
+
+
+class TestStopsAtOrBehindTheStart:
+    """An arc-length stop at or behind the start, or a height stop t_max <= 0,
+    raises before any right-hand side call: the solve would otherwise run
+    back in s, return a one-point curve, or swap its two height stops."""
+
+    @pytest.mark.parametrize("s_max", [-1.0, 0.0, AXIS_LAUNCH_S])
+    def test_bowl(self, hyperbolic_bowl_spec, s_max, monkeypatch):
+        monkeypatch.setattr(dop853, "solve", None)  # no solve may start
+        with pytest.raises(ValueError, match=re.escape(
+                f"s_max={s_max} must lie past the start s0={AXIS_LAUNCH_S}")):
+            solve_bowl(hyperbolic_bowl_spec, stop=TerminationPolicy(s_max=s_max))
+
+    @pytest.mark.parametrize("branch", [-1, 1])
+    @pytest.mark.parametrize("s_max", [-1.0, 0.0])
+    def test_wing(self, hyperbolic_warp, branch, s_max, monkeypatch):
+        monkeypatch.setattr(dop853, "solve", None)
+        spec = SolitonSpec(c=1.0, n=2, family="wing", warp=hyperbolic_warp,
+                           epsilon=0.5)
+        with pytest.raises(ValueError, match=re.escape(
+                f"s_max={s_max} must lie past the start s0=0.0")):
+            solve_wing(spec, branch=branch, stop=TerminationPolicy(s_max=s_max))
+
+    @pytest.mark.parametrize("s0, s_max", [(0.0, -1.0), (0.0, 0.0), (2.0, -1.0),
+                                           (2.0, 0.0), (2.0, 2.0)])
+    def test_ideal(self, busemann_warp, s0, s_max, monkeypatch):
+        monkeypatch.setattr(dop853, "solve", None)
+        spec = SolitonSpec(c=1.0, n=2, family="ideal", warp=busemann_warp)
+        start = ProfileState(s=s0, r=0.0, t=0.0, phi=0.3)
+        with pytest.raises(ValueError, match=re.escape(
+                f"s_max={s_max} must lie past the start s0={s0}")):
+            solve_ideal_parametric(spec, start, stop=TerminationPolicy(s_max=s_max))
+
+    @pytest.mark.parametrize("t_max", [0.0, -1.0])
+    def test_height_stop(self, t_max):
+        with pytest.raises(ValueError, match=re.escape(f"t_max must be > 0, got {t_max}")):
+            TerminationPolicy(t_max=t_max)
 
 
 class TestProfileToGraph:

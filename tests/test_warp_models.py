@@ -526,3 +526,42 @@ def test_scalar_drift_errors(hyperbolic_table_warp, case, n):
         with pytest.raises(want.type, match=re.escape(str(want.value))):
             model.scalar_drift(n)(r)
         assert model.scalar_drift(1)(r) == 0.0 == model.drift(np.array([r]), 1)[0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=BOUND_DRIFT_CASES,
+       radii=st.lists(st.floats(min_value=1e-6, max_value=5.0), min_size=1, max_size=8),
+       negate=st.booleans())
+def test_xi_ratio_is_the_n2_drift(hyperbolic_table_warp, case, radii, negate):
+    """``xi_ratio(x)`` has the type and bits of ``drift(x, 2)`` on a Python
+    float, an np.float64, a 0-d array and a 1-d array, on every built-in
+    kind at K < 0 and K = 0 and on a table warp."""
+    model = _bound_drift_warp(case, hyperbolic_table_warp)
+    r = np.array(radii)
+    if negate and model.kind != "rotational":
+        r = -r
+    forms = [r] + [form for x in r.tolist() for form in (x, np.float64(x), np.array(x))]
+    for form in forms:
+        got, want = model.xi_ratio(form), model.drift(form, 2)
+        assert type(got) is type(want), type(form)
+        assert _same_bits(got, want), form
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=40, deadline=None)
+@given(case=BOUND_DRIFT_CASES)
+def test_xi_ratio_raises_the_n2_drift_errors(hyperbolic_table_warp, case):
+    """``xi_ratio`` raises where ``drift(., 2)`` does, with its error and
+    message, on a float, an np.float64, a 0-d array and a 1-d array."""
+    model = _bound_drift_warp(case, hyperbolic_table_warp)
+    bad = [math.nan]
+    if model.kind == "rotational":
+        bad.append(0.0)
+    if case[0] != "table" and case[1] < 0:
+        bad.append(720.0 / math.sqrt(-case[1]))  # cosh and exp overflow
+    for r in bad:
+        for form in (r, np.float64(r), np.array(r), np.array([1.0, r])):
+            with pytest.raises((ZeroDivisionError, ValueError)) as want:
+                model.drift(form, 2)
+            with pytest.raises(want.type, match=re.escape(str(want.value))):
+                model.xi_ratio(form)
