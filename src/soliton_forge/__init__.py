@@ -9,8 +9,9 @@ isometries), meshing and fileio (artifacts), cli (command line).
 
 Each submodule is imported the first time one of its names is looked up
 here, so ``soliton_forge.LorentzPoint`` loads NumPy and ``lorentz`` only.
-Everything but the flow needs NumPy alone; mcf_flow takes LAPACK's
-``dgtsv`` and the Gamma function from SciPy.
+Everything needs NumPy alone: the tridiagonal solves of the splines and
+the flow call LAPACK's ``dgtsv`` in the OpenBLAS that NumPy's wheel
+bundles, or an in-package port of it where there is none.
 """
 
 import importlib

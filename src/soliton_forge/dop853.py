@@ -322,13 +322,20 @@ def _validate_tol(rtol, atol, n):
 
 
 def _initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
-    """First step size by the rule of Hairer, Nørsett and Wanner §II.4."""
+    """First step size by the rule of Hairer, Nørsett and Wanner §II.4.
+
+    Scaled derivatives too large for a float give infinite norms, as
+    SciPy's do (which warn).  An infinite d1 can make h0 underflow to 0;
+    SciPy then divides by it and returns 0, and so does this, without the
+    division: the first step then fails at its minimum size.
+    """
     interval_length = abs(t_bound - t0)
     if interval_length == 0.0:
         return 0.0
     scale = atol + np.abs(y0) * rtol
     d0 = _rms(y0 / scale)
-    d1 = _rms(f0 / scale)
+    with np.errstate(over="ignore"):
+        d1 = _rms(f0 / scale)
     if d0 < 1e-5 or d1 < 1e-5:
         h0 = 1e-6
     else:
@@ -336,7 +343,10 @@ def _initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
     h0 = min(h0, interval_length)
     y1 = y0 + h0 * direction * f0
     f1 = np.asarray(fun(t0 + h0 * direction, y1.tolist()), dtype=float)
-    d2 = _rms((f1 - f0) / scale) / h0
+    if h0 == 0.0:
+        return 0.0
+    with np.errstate(over="ignore"):
+        d2 = _rms((f1 - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -374,6 +384,11 @@ def _error_norm(KT_dot, h: float, scale) -> float:
         return 0.0
     denom = err5_norm_2 + 0.01 * err3_norm_2
     return abs(h) * err5_norm_2 / math.sqrt(denom * scale.size)
+
+
+#: the error norm without SciPy's overflow warnings: stages too large for
+#: the scaled norm give an infinite or NaN norm, and so a rejected attempt
+_quiet_error_norm = np.errstate(over="ignore", invalid="ignore")(_error_norm)
 
 
 def _dense_rows(h, y_old, y, K):
@@ -554,7 +569,11 @@ def solve(fun, t_span, y0, rtol: float, atol: float, stops=()) -> Outcome:
                 # |y_new| gives NaN (|y_old|, y0 or an accepted state, is never NaN)
                 scale = np.array([a + (o if o > v else v) * rtol
                                   for a, o, v in zip(atols, abs_y_old, map(abs, y_new))])
-                error_norm = _error_norm(sums[N_STAGES + 1], h, scale)
+                # stages too large for the scaled norm (an infinite d1) meet
+                # the first attempts of a solve and the retries of a rejected
+                # step; only those run the quiet norm, which costs about 1 us
+                norm = _quiet_error_norm if step_rejected or not n_steps else _error_norm
+                error_norm = norm(sums[N_STAGES + 1], h, scale)
                 if error_norm < 1:
                     if error_norm == 0:
                         factor = MAX_FACTOR

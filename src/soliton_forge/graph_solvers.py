@@ -175,12 +175,16 @@ def solve_ideal_graph(c: float, n: int, warp: WarpModel, r_span=(0.0, 5.0),
     For constant kappa = xi'/xi and a = c - (n-1) kappa != 0 the solution
     is u = u0 - ln(cos(a (r-r0)))/a on a maximal interval of length
     pi/|a|; the vertical point of the bi-graph is reported through
-    ``blowup_radius`` and is not an error.  A span that ends at or before
-    its start raises ValueError.
+    ``blowup_radius`` and is not an error.  The solve starts at
+    ``r_span[0]``, which must equal ``ic[0]``; a mismatch, or a span that
+    ends at or before its start, raises ValueError.
     """
     if warp.kind != BUSEMANN:
         raise ValueError("ideal graph solves need a busemann warp")
     r0, u0, du0 = ic
+    if r_span[0] != r0:
+        raise ValueError(f"ideal graph span start r = {r_span[0]} differs from "
+                         f"the initial radius ic[0] = {r0}")
     warp.require_domain((r0, r_span[1]))
     if r_span[1] <= r0:
         raise ValueError(f"ideal graph span end r = {r_span[1]} must lie past its "

@@ -13,7 +13,8 @@ under the parabolic stability bound, or trapezoidal with damped Newton.
 Each Newton iterate costs one stencil pass: the right-hand side hands
 its slopes and second differences to the tridiagonal Jacobian, the
 accepted iterate's right-hand side starts the next step, and LAPACK's
-``dgtsv`` solves the Newton system directly.  ``run`` records its Newton
+``dgtsv`` (``spline.Tridiagonal``, in buffers the problem keeps) solves
+the Newton system directly.  ``run`` records its Newton
 iterations, line-search halvings, line-search fallbacks (every halving
 failed to lower the residual and the last trial was kept) and the
 largest residual it accepted as the trajectory's ``diagnostics``.
@@ -31,11 +32,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
-from scipy.special import gamma
 
 from .graph_solvers import solve_radial_graph, solve_grim
 from .profile_solver import SolitonSpec
+from .spline import Tridiagonal
 from .warp_models import WarpModel
 
 EXPLICIT_CFL = 0.4
@@ -52,7 +52,7 @@ def sphere_area(n: int) -> float:
     """Surface area of the unit (n-1)-sphere, 2 pi^{n/2} / Gamma(n/2)."""
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    return 2.0 * math.pi ** (n / 2) / gamma(n / 2)
+    return 2.0 * math.pi ** (n / 2) / math.gamma(n / 2)
 
 
 @dataclass
@@ -110,7 +110,8 @@ class FlowProblem:
     slope conditions at both ends).  ``robin_slope`` may be a finite number, or
     None to pin the initial data's own one-sided slope when a run starts.
     Implicit steps solve to NEWTON_TOL in at most NEWTON_MAX_ITER Newton
-    iterations.
+    iterations.  They solve in one set of tridiagonal buffers per problem,
+    so a problem must not step in two threads at once.
     """
 
     def __init__(self, c: float, n: int, warp: WarpModel, r_max: float = 10.0,
@@ -146,7 +147,9 @@ class FlowProblem:
         start = 1 if chart == "polar" else 0
         self.drift[start:] = warp.drift(r[start:], n)
         self.weight = warp.xi(r) ** (n - 1)
+        self._advection = self.drift / (2 * self.dr)  # the Jacobian's D / (2 dr)
         self._simpson = _simpson_factors(r)
+        self._system = Tridiagonal(n_nodes)  # the Newton system's buffers
 
         # Each end's ghost node is w . (the three nodes nearest it, outermost
         # first) + 2 dr s with weights summing to one: the axis mirrors (s = 0;
@@ -216,13 +219,14 @@ class FlowProblem:
         """Sub-, main and super-diagonal of d(rhs)/du at the stencil (p, q):
         the interior formula on every row, mirror ghosts folded onto their
         node, held rows 0."""
-        dr, dr2 = self.dr, self.dr * self.dr
+        dr = self.dr
         w2 = 1.0 + p * p
-        base = 1.0 / (dr2 * w2)
+        dr2_w2 = dr * dr * w2
+        base = 1.0 / dr2_w2
         skew = q * p / (dr * w2 ** 2)
-        adv = self.drift / (2 * dr)
+        adv = self._advection
         upper = base - skew + adv  # row i's coefficient of u[i+1]
-        diag = -2.0 / (dr2 * w2)
+        diag = -2.0 / dr2_w2
         lower = base + skew - adv  # row i's coefficient of u[i-1]
         upper[0] += lower[0]
         lower[-1] += upper[-1]
@@ -278,7 +282,8 @@ class FlowProblem:
             if not NEWTON_TOL < norm < math.inf:
                 break
             tally["newton_iterations"] += 1
-            delta = _solve_newton_system(*self._jacobian(p, q), half, res)
+            delta = _solve_newton_system(self._system, *self._jacobian(p, q),
+                                         half, res)
             step = 1.0
             for _ in range(LINE_SEARCH_HALVINGS):
                 trial = v + step * delta
@@ -442,15 +447,18 @@ def _simpson_factors(x) -> tuple:
     return (*factors, (alpha, beta, eta))
 
 
-def _solve_newton_system(lower, diag, upper, half, res) -> np.ndarray:
+def _solve_newton_system(system: Tridiagonal, lower, diag, upper, half,
+                         res) -> np.ndarray:
     """Newton step delta with (I - half J) delta = -res, for J given by its
-    sub-, main and super-diagonal, by LAPACK gtsv on fresh copies."""
-    *_, delta, info = dgtsv(-half * lower, -half * diag + 1.0, -half * upper,
-                            -res, 1, 1, 1, 1)
-    if info != 0:
-        raise np.linalg.LinAlgError(
-            f"singular tridiagonal Newton system (dgtsv info = {info})")
-    return delta
+    sub-, main and super-diagonal: -half J + I and -res are written into
+    the buffers of ``system`` and solved there, so delta is a view of its
+    buffer, valid until the next solve."""
+    np.multiply(lower, -half, out=system.dl)
+    np.multiply(diag, -half, out=system.d)
+    system.d += 1.0
+    np.multiply(upper, -half, out=system.du)
+    np.negative(res, out=system.b[0])
+    return system.solve()[0]
 
 
 # -- initial data -------------------------------------------------------

@@ -185,6 +185,10 @@ def _integrate(spec: SolitonSpec, y0, s0: float, stop: TerminationPolicy,
                if math.isfinite(edge) and not (have_axis and edge <= 0.0)]
 
     out = dop853.solve(rhs, (s0, stop.s_max), y0, rtol, atol, events)
+    if not out.n_steps:
+        # only a failed first step ends a solve before any step
+        raise RuntimeError(f"the profile solve took no step from s = {s0:g}: "
+                           f"{dop853.TOO_SMALL_STEP}")
     return ProfileCurve(
         spec=spec, s=out.t, r=out.y[0], t=out.y[1], phi=out.y[2],
         termination="max_arc_length" if out.stop == dop853.END_OF_SPAN else out.stop,

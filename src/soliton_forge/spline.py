@@ -6,9 +6,16 @@ c[j, i] (t - x[i])**(k-1-j).  Two constructors build the interpolants the
 package uses, with the coefficients of SciPy's (1.17) classes:
 
 * ``not_a_knot(x, y)``: ``CubicSpline(x, y)``.  The knot slopes solve the
-  same tridiagonal system, by ``_dgtsv``, a port of the LAPACK routine
-  that ``solve_banded((1, 1), ...)`` calls, partial pivoting included.
+  same tridiagonal system by LAPACK's ``dgtsv``, the routine that
+  ``solve_banded((1, 1), ...)`` calls, partial pivoting included.
 * ``hermite(x, y, dydx)``: ``CubicHermiteSpline(x, y, dydx)``.
+
+``Tridiagonal`` is the package's one tridiagonal solve, also used by the
+flow's Newton steps.  It calls ``dgtsv`` through ``ctypes`` in the
+OpenBLAS that NumPy's wheel bundles and has already loaded; where that
+library or its symbol is absent (a conda or source build of NumPy, a
+macOS arm64 wheel on Accelerate) it runs ``_dgtsv``, a port of the
+reference routine with the same bits.
 
 Evaluation repeats ``PPoly.__call__``'s arithmetic (the interval search,
 the local offset and the sum of powers built by repeated products) and
@@ -17,6 +24,11 @@ Points outside [x[0], x[-1]] extrapolate from the end pieces.
 """
 
 from __future__ import annotations
+
+import ctypes
+import functools
+import glob
+import os
 
 import numpy as np
 
@@ -58,14 +70,14 @@ class PiecewiseCubic:
         d = x[-1] - x[-3]
         b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
         dx = dx.ravel()
-        diag = np.empty(n)
-        diag[1:-1] = 2 * (dx[:-1] + dx[1:])
-        diag[0], diag[-1] = dx[1], dx[-2]
-        gaps = dx.tolist()
-        columns = _dgtsv(gaps[1:] + [float(x[-1] - x[-3])], diag.tolist(),
-                         [float(x[2] - x[0])] + gaps[:-1],
-                         b.reshape(n, -1).T.tolist())
-        return cls.hermite(x, y, np.array(columns).T.reshape(y.shape))
+        b = b.reshape(n, -1)
+        system = Tridiagonal(n, b.shape[1])
+        system.dl[:-1], system.dl[-1] = dx[1:], x[-1] - x[-3]
+        system.d[1:-1] = 2 * (dx[:-1] + dx[1:])
+        system.d[0], system.d[-1] = dx[1], dx[-2]
+        system.du[0], system.du[1:] = x[2] - x[0], dx[:-1]
+        system.b[...] = b.T
+        return cls.hermite(x, y, system.solve().T.reshape(y.shape))
 
     def __call__(self, x) -> np.ndarray:
         """Values at ``x``, of shape x.shape + the trailing column shape."""
@@ -104,6 +116,68 @@ def _knots(x, y) -> tuple:
     return x, dx.reshape((-1,) + (1,) * (y.ndim - 1)), y
 
 
+class Tridiagonal:
+    """An n x n tridiagonal system with ``nrhs`` right-hand sides, held in
+    buffers that :meth:`solve` overwrites as LAPACK's ``dgtsv`` does.
+
+    Write the sub-diagonal into ``dl`` (n - 1), the diagonal into ``d`` (n),
+    the super-diagonal into ``du`` (n - 1) and each right-hand side into a
+    row of ``b`` (nrhs, n), then call ``solve``.  The buffers and the
+    LAPACK call's arguments are built once, so a caller that solves many
+    systems of one size keeps one ``Tridiagonal``.
+    """
+
+    def __init__(self, n: int, nrhs: int = 1):
+        self.dl, self.d, self.du = np.empty(n - 1), np.empty(n), np.empty(n - 1)
+        # row-major (nrhs, n) is LAPACK's column-major n x nrhs with ldb = n
+        self.b = np.empty((nrhs, n))
+        self._lapack = _bundled_dgtsv()
+        if self._lapack is not None:
+            # n, nrhs, ldb and info live on self as long as their addresses
+            self._sizes = [ctypes.c_int64(v) for v in (n, nrhs, n)]
+            self._info = ctypes.c_int64()
+            n_at, nrhs_at, ldb_at = map(ctypes.addressof, self._sizes)
+            self._args = (n_at, nrhs_at, self.dl.ctypes.data, self.d.ctypes.data,
+                          self.du.ctypes.data, self.b.ctypes.data, ldb_at,
+                          ctypes.addressof(self._info))
+
+    def solve(self) -> np.ndarray:
+        """The solutions, one per row, in ``b`` itself (no copy): valid
+        until the buffers are written again.  dl, d and du must be written
+        again before the next solve.  A singular system raises
+        LinAlgError."""
+        if self._lapack is None:
+            self.b[...] = _dgtsv(self.dl.tolist(), self.d.tolist(),
+                                 self.du.tolist(), self.b.tolist())
+        else:
+            self._lapack(*self._args)
+            if self._info.value:
+                _singular(self._info.value)
+        return self.b
+
+
+@functools.cache
+def _bundled_dgtsv():
+    """LAPACK's ``dgtsv`` in NumPy's bundled OpenBLAS
+    (``numpy.libs/libscipy_openblas64_*.so``, symbol ``scipy_dgtsv_64_``,
+    64-bit integers), or None where the library or symbol is absent."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
+        try:
+            dgtsv = ctypes.CDLL(path).scipy_dgtsv_64_
+        except (OSError, AttributeError):
+            continue
+        # n, nrhs, dl, d, du, b, ldb, info: every argument by address
+        dgtsv.argtypes = (ctypes.c_void_p,) * 8
+        dgtsv.restype = None
+        return dgtsv
+    return None
+
+
+def _singular(info: int):
+    raise np.linalg.LinAlgError(f"singular tridiagonal system (dgtsv info = {info})")
+
+
 def _dgtsv(dl, d, du, b) -> list:
     """Solve the tridiagonal system (sub-diagonal dl, diagonal d,
     super-diagonal du) for each right-hand side in the list of columns b.
@@ -112,11 +186,14 @@ def _dgtsv(dl, d, du, b) -> list:
     row interchange wherever |d[i]| < |dl[i]|, then back substitution.
     Every argument is overwritten as LAPACK overwrites it; in particular
     dl[i] is left nonzero only where rows i and i+1 were interchanged.
-    A zero pivot (a singular system) raises ZeroDivisionError.
+    A zero pivot (a singular system) raises LinAlgError with LAPACK's
+    info, the 1-based row of that pivot.
     """
     n = len(d)
     for i in range(n - 1):
         if abs(d[i]) >= abs(dl[i]):
+            if d[i] == 0.0:
+                _singular(i + 1)
             fact = dl[i] / d[i]
             d[i + 1] = d[i + 1] - fact * du[i]
             for col in b:
@@ -134,6 +211,8 @@ def _dgtsv(dl, d, du, b) -> list:
             du[i] = temp
             for col in b:
                 col[i], col[i + 1] = col[i + 1], col[i] - fact * col[i + 1]
+    if d[n - 1] == 0.0:
+        _singular(n)
     for col in b:
         col[n - 1] = col[n - 1] / d[n - 1]
         if n > 1:

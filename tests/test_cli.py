@@ -79,10 +79,17 @@ class TestSolitonCommand:
          "bowl graph with c = 1 blows up at r = 1.5708, short of --r-max 10"),
         (("flow", "--n", "1", "--nodes", "201", "--horizon", "0.01"),
          "the soliton graph blows up at r = 1.5708"),
-    ], ids=["soliton-wing-n1", "sweep-wing-n1", "sweep-bowl-blowup", "flow-blowup"])
+        (("soliton", "ideal", "--c", "1e300"),
+         "the profile solve took no step from s = 0"),
+        (("soliton", "wing", "--epsilon", "1e-300", "--n", "4"),
+         "the profile solve took no step from s = 0"),
+    ], ids=["soliton-wing-n1", "sweep-wing-n1", "sweep-bowl-blowup", "flow-blowup",
+            "soliton-ideal-no-step", "soliton-wing-no-step"])
     def test_no_solve_that_cannot_succeed_writes(self, tmp_path, capsys, argv, message):
-        # a wing's height report divides by n - 1, and past its blow-up at
-        # r = pi/2 an n = 1 bowl graph's heights reach 9e46
+        # a wing's height report divides by n - 1, past its blow-up at
+        # r = pi/2 an n = 1 bowl graph's heights reach 9e46, and a speed of
+        # 1e300 or a wing start at 1e-300 fails the first step at its
+        # minimum size
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run("--out", str(tmp_path), *argv) == 1

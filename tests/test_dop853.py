@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import dop853_coefficients
@@ -43,9 +43,12 @@ class _Stop:
 
 
 def _assert_matches_solve_ivp(out, fun, t_span, y0, rtol, atol, stops=()):
-    ref = solve_ivp(fun, t_span, y0, method="DOP853", rtol=rtol, atol=atol,
-                    dense_output=True,
-                    events=[_Stop(g, terminal) for _, g, terminal in stops] or None)
+    # SciPy warns where its norms overflow or it divides by an underflowed
+    # first step; the in-package solver must not (pytest makes that an error)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ref = solve_ivp(fun, t_span, y0, method="DOP853", rtol=rtol, atol=atol,
+                        dense_output=True,
+                        events=[_Stop(g, terminal) for _, g, terminal in stops] or None)
     assert (out.status, out.nfev) == (ref.status, ref.nfev)
     assert _same(out.t, ref.t)
     assert _same(out.y, ref.y)
@@ -190,6 +193,14 @@ class TestSolveIvpBits:
         with pytest.raises(RuntimeError, match="step failure: Required step size"):
             _integrate_slope(fun, (0.0, 2.0), (1.0, 0.0), 1e-9, 1e-11)
 
+    def test_first_step_underflow(self):
+        # f0 / scale overflows, so h0 = 0.01 d0 / d1 is 0: SciPy divides by
+        # it, tries one step at the minimum size and fails
+        fun = lambda t, y: [1e300 + y[0]]  # noqa: E731
+        out = dop853.solve(fun, (0.0, 1.0), [1.0], 1e-9, 1e-11)
+        _assert_matches_solve_ivp(out, fun, (0.0, 1.0), [1.0], 1e-9, 1e-11)
+        assert (out.stop, out.n_steps, out.n_rejected) == (dop853.STEP_FAILURE, 0, 1)
+
     def test_tolerance_floor(self):
         fun = lambda t, y: [-v for v in y]  # noqa: E731
         with pytest.warns(UserWarning, match="rtol"):
@@ -211,20 +222,28 @@ class TestSolveIvpBits:
 @given(n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
        t0=st.floats(-5.0, 5.0), length=st.floats(0.5, 8.0), descending=st.booleans(),
        rtol=st.floats(1e-12, 1e-6), level=st.floats(-2.0, 2.0),
-       tuple_rhs=st.booleans())
+       tuple_rhs=st.booleans(), offset=st.just(0.0))
+# a drawn system with such an offset may grow past the float range after its
+# first steps, where SciPy and the port both warn, so it runs as examples
+@example(n=1, seed=0, t0=0.0, length=1.0, descending=False, rtol=1e-9, level=0.5,
+         tuple_rhs=False, offset=1e300)
+@example(n=3, seed=1, t0=-2.0, length=3.0, descending=True, rtol=1e-11, level=-0.5,
+         tuple_rhs=True, offset=-1e300)
 def test_random_systems_match_solve_ivp(n, seed, t0, length, descending, rtol, level,
-                                        tuple_rhs):
-    """On random 1-3 dimensional systems y' = M y + sin(y) b + cos(t) d,
-    over an ascending or a descending span, with a terminal stop where y_0
-    crosses a level and a non-terminal stop that oscillates in t, the times,
-    states, RHS count, status, event roots and states and dense
-    coefficients equal ``solve_ivp``'s bit for bit."""
+                                        tuple_rhs, offset):
+    """On random 1-3 dimensional systems y' = M y + sin(y) b + cos(t) d +
+    offset, over an ascending or a descending span, with a terminal stop
+    where y_0 crosses a level and a non-terminal stop that oscillates in t,
+    the times, states, RHS count, status, event roots and states and dense
+    coefficients equal ``solve_ivp``'s bit for bit.  An offset of ±1e300
+    overflows the scaled first derivative, so that the first step size
+    underflows to 0 (the first example then fails before any step)."""
     rng = np.random.default_rng(seed)
     M = rng.uniform(-1.5, 1.5, (n, n))
     b, d, y0 = rng.uniform(-1.0, 1.0, (3, n))
 
     def fun(t, y):
-        dy = M @ y + np.sin(y) * b + np.cos(t) * d
+        dy = M @ y + np.sin(y) * b + np.cos(t) * d + offset
         return tuple(dy.tolist()) if tuple_rhs else dy
 
     stops = (("level", lambda t, y: y[0] - (y0[0] + level), True),

@@ -136,6 +136,14 @@ class TestIdealGraph:
                               ic=(r_span[0], 0.0, 0.0))
 
 
+    def test_span_start_must_be_the_initial_radius(self, busemann_warp, monkeypatch):
+        # the solve used to start at ic[0] = 0 whatever r_span[0] said
+        monkeypatch.setattr(dop853, "solve", None)  # no solve may start
+        with pytest.raises(ValueError, match=r"span start r = 1.0 differs from "
+                                             r"the initial radius ic\[0\] = 0.0"):
+            solve_ideal_graph(2.0, 2, busemann_warp, r_span=(1.0, 1.4))
+
+
 class TestGrim:
     def test_entire_and_even(self, equidistant_warp):
         graph = solve_grim(1.0, 2, equidistant_warp, r_span=(-20.0, 20.0))

@@ -7,13 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
+from scipy.special import gamma
 
 from soliton_forge import (
     FlowProblem, bump_initial, discrete_soliton, flat_initial,
     level_mean_curvature, make_builtin_warp, soliton_initial, sphere_area,
 )
 from soliton_forge.fileio import export_trajectory_csv, read_table
+from soliton_forge import spline
 from soliton_forge.mcf_flow import FLOW_RECORD, _solve_newton_system
+from soliton_forge.spline import Tridiagonal
 
 C, N = 1.0, 2
 
@@ -36,6 +39,12 @@ class TestSphereArea:
     def test_bad_dimension(self):
         with pytest.raises(ValueError):
             sphere_area(0)
+
+    @pytest.mark.parametrize("n", range(2, 21, 2))
+    def test_even_dimensions_keep_scipy_gamma_bits(self, n):
+        # math.gamma and scipy.special.gamma agree at the integers n / 2;
+        # at half-integers they may differ in the last bit
+        assert sphere_area(n) == 2.0 * math.pi ** (n / 2) / gamma(n / 2)
 
 
 class TestSpatialOperator:
@@ -385,8 +394,8 @@ class TestNonFinite:
         # zero pivot in its first column
         m = 5
         with pytest.raises(np.linalg.LinAlgError, match="info = 1"):
-            _solve_newton_system(np.zeros(m - 1), np.ones(m), np.zeros(m - 1),
-                                 1.0, np.ones(m))
+            _solve_newton_system(Tridiagonal(m), np.zeros(m - 1), np.ones(m),
+                                 np.zeros(m - 1), 1.0, np.ones(m))
 
 
 def _record(traj):
@@ -496,6 +505,22 @@ class TestSameBits:
         assert _same_bits(traj.F_values, fs)
         assert _same_bits(traj.defect_values, ds)
         assert _same_bits([s.u for s in traj.snapshots], us)
+
+    @pytest.mark.parametrize("chart,bc", CHART_BC)
+    def test_implicit_run_same_on_both_solve_paths(self, chart, bc, monkeypatch):
+        # the bundled LAPACK and the Python port behind spline.Tridiagonal
+        u0 = 0.3 * np.exp(-(_small_problem(chart, bc).r_grid - 1.0) ** 2)
+        runs = []
+        for _ in range(2):
+            traj = _small_problem(chart, bc).run(u0, 2e-3, 0.02, scheme="implicit",
+                                                 record_every=5)
+            runs.append((traj.F_values, traj.defect_values,
+                         [s.u for s in traj.snapshots], _record(traj)))
+            monkeypatch.setattr(spline, "_bundled_dgtsv", lambda: None)
+        (*lapack, tally), (*port, port_tally) = runs
+        assert tally == port_tally and tally["newton_iterations"] > 0
+        for a, b in zip(lapack, port):
+            assert _same_bits(a, b)
 
     @pytest.mark.parametrize("chart,bc", CHART_BC)
     def test_explicit_run_matches_public_step_loop(self, chart, bc):

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
 from scipy.linalg.lapack import dgtsv
 
-from soliton_forge.spline import PiecewiseCubic, _dgtsv
+from soliton_forge import spline
+from soliton_forge.spline import PiecewiseCubic, Tridiagonal, _dgtsv
 
 _LOG_GAP = st.floats(-7.0, 7.0)
 _VALUE = st.floats(-1e6, 1e6)
@@ -115,11 +116,83 @@ def test_dgtsv_equals_lapack(n, nrhs, data):
     fill, d_out, du_out, x, info = dgtsv(np.array(dl), np.array(d),
                                          np.array(du), b)
     if info:
-        return  # an exactly singular draw: LAPACK stops where the port divides by zero
+        # an exactly singular draw: the port stops at LAPACK's zero pivot
+        with pytest.raises(np.linalg.LinAlgError, match=f"info = {info}"):
+            _dgtsv(dl, d, du, b.T.tolist())
+        return
     cols = _dgtsv(dl, d, du, b.T.tolist())
     assert np.array_equal(np.array(cols).T, x)
     assert np.array_equal(dl, fill) and np.array_equal(d, d_out)
     assert np.array_equal(du, du_out)
+
+
+@pytest.fixture(params=["lapack", "port"])
+def solve_path(request, monkeypatch):
+    """Each way ``Tridiagonal`` can solve: the bundled LAPACK, and the
+    Python port that runs where that library or its symbol is absent."""
+    if request.param == "lapack":
+        if spline._bundled_dgtsv() is None:
+            pytest.skip("NumPy bundles no OpenBLAS with dgtsv here")
+    else:
+        monkeypatch.setattr(spline, "_bundled_dgtsv", lambda: None)
+    return request.param
+
+
+def _system(n, nrhs, dl, d, du, b):
+    system = Tridiagonal(n, nrhs)
+    system.dl[...], system.d[...], system.du[...] = dl, d, du
+    system.b[...] = b.T
+    return system
+
+
+@pytest.mark.parametrize("nrhs", [1, 3])
+@pytest.mark.parametrize("pivoting", [False, True])
+def test_tridiagonal_equals_lapack(solve_path, nrhs, pivoting):
+    """Both solve paths give SciPy's ``dgtsv`` solution bit for bit, on a
+    diagonally dominant system (no row interchange) and on one whose
+    sub-diagonal outweighs the diagonal (interchanges throughout)."""
+    rng = np.random.default_rng(nrhs + 2 * pivoting)
+    for n in (2, 3, 17, 201):
+        dl, du = rng.uniform(-1.0, 1.0, (2, n - 1))
+        d = rng.uniform(0.1, 0.5, n) * rng.choice([-1.0, 1.0], n)
+        if pivoting:
+            dl = np.where(dl < 0, -1.0, 1.0) * (1.0 + np.abs(dl))
+        else:
+            d = d + 3.0 * np.sign(d)
+        b = rng.normal(size=(n, nrhs))
+        fill, *_, want, info = dgtsv(dl, d, du, b)
+        assert info == 0
+        assert bool(np.any(fill[:-1] != 0)) == (pivoting and n > 2)
+        got = _system(n, nrhs, dl, d, du, b).solve()
+        assert got.shape == (nrhs, n)
+        assert np.array_equal(got.T, want)
+
+
+#: five-row systems (dl, d, du) with LAPACK's info: a zero pivot column in
+#: rows 1 and 3, where no interchange can rescue it, and a last pivot that
+#: elimination brings to exactly zero
+SINGULAR = [([0.0, 1.0, 1.0, 1.0], [0.0, 4.0, 4.0, 4.0, 4.0], [1.0] * 4, 1),
+            ([1.0, 1.0, 0.0, 1.0], [4.0, 4.0, 0.0, 4.0, 4.0], [1.0, 0.0, 1.0, 1.0], 3),
+            ([1.0, 1.0, 0.0, 1.0], [4.0, 4.0, 4.0, 1.0, 1.0], [1.0, 1.0, 0.0, 1.0], 5)]
+
+
+@pytest.mark.parametrize("dl,d,du,info", SINGULAR)
+def test_singular_tridiagonal_raises(solve_path, dl, d, du, info):
+    """A zero pivot raises LinAlgError with LAPACK's info on both paths."""
+    dl, d, du, b = map(np.array, (dl, d, du, [[1.0]] * 5))
+    assert dgtsv(dl, d, du, b)[-1] == info
+    with pytest.raises(np.linalg.LinAlgError, match=f"info = {info}"):
+        _system(5, 1, dl, d, du, b).solve()
+
+
+def test_not_a_knot_same_on_both_paths(monkeypatch):
+    x = np.cumsum(np.random.default_rng(3).uniform(0.01, 2.0, 40))
+    y = np.stack((np.sin(x), x ** 2, np.exp(-x)), axis=-1)
+    lapack = PiecewiseCubic.not_a_knot(x, y)
+    monkeypatch.setattr(spline, "_bundled_dgtsv", lambda: None)
+    port = PiecewiseCubic.not_a_knot(x, y)
+    assert _equal(lapack.c, port.c)
+    assert _equal(lapack.c[..., 0], CubicSpline(x, y[:, 0]).c)
 
 
 @pytest.mark.parametrize("x", [[0.0, 1.0], [0.0, 1.0, 2.0]])
