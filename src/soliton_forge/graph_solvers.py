@@ -7,11 +7,14 @@ Two slope equations appear:
 
 where D(r) is the Laplacian of the chart coordinate: (n-1) xi'/xi in the
 polar and Busemann charts, and xi'/xi + (n-2) chi'/chi in the equidistant
-chart.  Each is one DOP853 solve (:func:`.dop853.solve`, the same
-bits as SciPy's ``solve_ivp``) per direction from the initial radius,
-which stops where |u'| reaches BLOWUP_SLOPE, and whose dense output,
-joined (:func:`.dop853.joined`) to a bowl's axis series or to a grim
-graph's other piece, the graph keeps for ``u_eval`` and ``du_eval``.
+chart.  Each solver keeps its right-hand side and what a blow-up means;
+one core, :func:`_solve_graph`, owns the start.  ``r_span`` is finite and
+holds ``ic[0]``, and the graph is one DOP853 solve (:func:`.dop853.solve`,
+the same bits as SciPy's ``solve_ivp``) from there to each end of the span
+past it, stopping where |u'| reaches BLOWUP_SLOPE.  A start on a singular
+line r = 0 of the drift launches off it through the axis series.  The
+pieces' dense outputs, joined (:func:`.dop853.joined`) with each other or
+with that series, are the graph's ``u_eval`` and ``du_eval``.
 Closed-form oracles cover the degenerate cases used by the tests.
 """
 
@@ -108,18 +111,10 @@ def _integrate_slope(rhs, r_span, y0, rtol, atol):
     return out, (r_grid, *out.dense(r_grid))
 
 
-def _launch_series(c: float, n: int, u0: float):
-    """r -> (u, u') = (u0 + height, slope) of an axis launch in dimension n."""
-    def series(r):
-        height, slope = axis_series(c, n, r)
-        return np.array((u0 + height, slope))
-    return series
-
-
-def _slope_rhs(c: float, n: int, warp: WarpModel):
+def _slope_rhs(spec: SolitonSpec):
     """Right-hand side of (u, u')' for u'' = (1 + u'^2)(c - D(r) u')."""
 
-    drift = warp.scalar_drift(n)
+    c, drift = spec.c, spec.warp.scalar_drift(spec.n)
 
     def rhs(r, y):
         _, p = y
@@ -127,44 +122,103 @@ def _slope_rhs(c: float, n: int, warp: WarpModel):
     return rhs
 
 
+def _solve_graph(spec: SolitonSpec, rhs, r_span, ic, rtol, atol):
+    """Solve (u, u')' = rhs from ``ic = (r0, u0, du0)`` to each end of the
+    finite ``r_span`` that lies past r0; ``ic=None`` is (r_span[0], 0, 0).
+
+    The span lies in the warp's domain and holds r0.  Where the drift is
+    (m - 1)/r near a singular line r = 0 (the rotational axis, m = n >= 2,
+    or the equidistant core line, m = n - 1 >= 2), the span may hold r = 0
+    only as its start, and a start there needs du0 = 0: it launches through
+    :func:`~.profile_solver.axis_series` in dimension m, at AXIS_LAUNCH_S or
+    GRIM_LAUNCH_R on the side where the span lies, and the graph reads that
+    series between r = 0 and the launch.  A span that ends at or short of
+    the launch, or has no end past r0, raises.  Every check raises
+    ValueError before any solve.  For n = 2 the equidistant drift xi'/xi is
+    odd bit for bit (see :func:`.make_builtin_warp`), so the graph from
+    (0, 0, 0) is even: on a span (-R, R) the piece down is the piece up
+    mirrored, the same bits as solving it down.
+
+    Each piece is one :func:`_integrate_slope`.  Returns ``(hit, launch,
+    fields)``: the first ``"blowup"`` hit as (root, (u, u'), direction of
+    its piece), or None; the launch radius, or None; and the
+    :class:`RadialGraph` fields of the joined pieces, GRID_SIZE samples
+    each in ascending r.
+    """
+    warp, n = spec.warp, spec.n
+    r0, u0, du0 = (r_span[0], 0.0, 0.0) if ic is None else ic
+    lo, hi = map(float, r_span)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"graph span ({lo}, {hi}) must be finite")
+    if not lo <= r0 <= hi:
+        raise ValueError(f"graph span ({lo}, {hi}) must contain its start ic[0] = {r0}")
+    warp.require_domain((lo, hi))
+    launch, m = {ROTATIONAL: (AXIS_LAUNCH_S, n),
+                 EQUIDISTANT: (GRIM_LAUNCH_R, n - 1)}.get(warp.kind, (None, 1))
+    y0, series = (u0, du0), None
+    if m >= 2 and lo <= 0.0 <= hi:
+        if lo < 0.0 < hi or r0 != 0.0:
+            raise ValueError(f"graph span ({lo}, {hi}) may hold the singular line "
+                             f"r = 0 only as its start")
+        if du0 != 0.0:
+            raise ValueError(f"a start on the singular line r = 0 needs du0 = 0, "
+                             f"got du0 = {du0}")
+        end = lo if lo < 0.0 else hi
+        r0 = math.copysign(launch, end)
+        if abs(end) <= launch:
+            raise ValueError(f"graph span end r = {end} must lie past its launch r0 = {r0}")
+
+        def series(r):
+            height, slope = axis_series(spec.c, m, r)
+            return np.array((u0 + height, slope))
+        y0 = series(r0)
+        lo, hi = sorted((r0, end))
+    if lo == hi:
+        raise ValueError(f"graph span ({lo}, {hi}) has no end past its start ic[0] = {r0}")
+    mirror = (warp.kind == EQUIDISTANT and n == 2 and -lo == hi > 0
+              and r0 == u0 == du0 == 0.0)
+    outs = []
+
+    def solved(end):
+        """The piece from r0 to ``end``: dense output, samples in ascending r."""
+        out, samples = _integrate_slope(rhs, (r0, end), y0, rtol, atol)
+        outs.append(out)
+        return out.dense, [x[::-1] for x in samples] if end < r0 else samples
+
+    down = solved(lo) if lo < r0 and not mirror else None
+    up = solved(hi) if hi > r0 else None
+    if mirror:
+        down = _mirrored(*up)
+    pieces = [piece for piece in (down, up) if piece is not None]
+    # the grid is the pieces' samples in ascending r, with r0 once
+    r_grid, u, du = (np.concatenate([first, *(x[1:] for x in rest)])
+                     for first, *rest in zip(*(samples for _, samples in pieces)))
+    below, above = down[0] if down else series, up[0] if up else series
+    dense = dop853.joined(below, above, r0) if below and above else below or above
+    hits = [(float(root), y, 1.0 if out.t[-1] > r0 else -1.0)
+            for out in outs for root, y in out.hits["blowup"]]
+    return (hits[0] if hits else None, r0 if series else None,
+            dict(r_grid=r_grid, u=u, du=du, spec=spec,
+                 diagnostics=dop853.run_record(*outs), _dense=dense))
+
+
 def solve_radial_graph(spec: SolitonSpec, r_span=(0.0, 20.0), ic=None,
                        rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> RadialGraph:
     """Bowl-type graph u(r) from u'' = (1+u'^2)(c - (n-1)(xi'/xi) u').
 
-    ``ic = (r0, u0, du0)``; the axis start r0 = 0 (with du0 = 0) moves to
-    r0 = AXIS_LAUNCH_S through :func:`~.profile_solver.axis_series`,
-    u ~ u0 + (c/2n) r^2, matching u''(0) = c/n; its samples start at r0,
-    and it evaluates on [0, R], through that series below r0.
-    For n = 1 the drift coefficient vanishes and r = 0 is regular.  A span
-    that ends at or before the launch raises ValueError.
-    Gradient blow-up cannot happen for bowls; the guard flags misuse.
+    ``ic = (r0, u0, du0)``, (r_span[0], 0, 0) by default, starts the graph
+    under :func:`_solve_graph`'s rules.  For n >= 2 the axis start r0 = 0
+    launches at AXIS_LAUNCH_S (``meta["axis_launch"]``) on
+    u ~ u0 + (c/2n) r^2, matching u''(0) = c/n, and the graph evaluates on
+    [0, R], through that series below the launch.  For n = 1 the drift
+    vanishes and r = 0 is regular.  Gradient blow-up cannot happen for
+    bowls; ``blowup_radius`` flags misuse.
     """
-    c, n, warp = spec.c, spec.n, spec.warp
-    if ic is None:
-        ic = (r_span[0], 0.0, 0.0)
-    r0, u0, du0 = ic
-    warp.require_domain((r0, r_span[1]))
-
+    hit, launch, fields = _solve_graph(spec, _slope_rhs(spec), r_span, ic, rtol, atol)
     meta = {"source": "radial_ode", "rtol": rtol, "atol": atol}
-    series = None
-    if n > 1 and warp.kind == ROTATIONAL and r0 == 0.0:
-        if du0 != 0.0:
-            raise ValueError("axis start requires du0 = 0")
-        series = _launch_series(c, n, u0)
-        r0 = AXIS_LAUNCH_S
-        y0 = series(r0)
-        meta["axis_launch"] = r0
-    else:
-        y0 = (u0, du0)
-    if r_span[1] <= r0:
-        raise ValueError(f"radial graph span end r = {r_span[1]} must lie past its "
-                         f"launch r0 = {r0}")
-    out, (r_grid, u, du) = _integrate_slope(
-        _slope_rhs(c, n, warp), (r0, r_span[1]), y0, rtol, atol)
-    b_rad = float(out.hits["blowup"][0][0]) if out.stop == "blowup" else None
-    dense = out.dense if series is None else dop853.joined(series, out.dense, r0)
-    return RadialGraph(r_grid=r_grid, u=u, du=du, spec=spec, blowup_radius=b_rad,
-                       meta=meta, diagnostics=out.record, _dense=dense)
+    if launch is not None:
+        meta["axis_launch"] = launch
+    return RadialGraph(**fields, blowup_radius=hit[0] if hit else None, meta=meta)
 
 
 def solve_ideal_graph(c: float, n: int, warp: WarpModel, r_span=(0.0, 5.0),
@@ -175,21 +229,13 @@ def solve_ideal_graph(c: float, n: int, warp: WarpModel, r_span=(0.0, 5.0),
     For constant kappa = xi'/xi and a = c - (n-1) kappa != 0 the solution
     is u = u0 - ln(cos(a (r-r0)))/a on a maximal interval of length
     pi/|a|; the vertical point of the bi-graph is reported through
-    ``blowup_radius`` and is not an error.  The solve starts at
-    ``r_span[0]``, which must equal ``ic[0]``; a mismatch, or a span that
-    ends at or before its start, raises ValueError.
+    ``blowup_radius`` and is not an error; on a graph solved both ways
+    that blows up on both sides it is the one below ``ic[0]``.  The
+    Busemann chart has no singular line, so the graph is solved from
+    ``ic[0]`` to both ends of ``r_span`` under :func:`_solve_graph`'s rules.
     """
     if warp.kind != BUSEMANN:
         raise ValueError("ideal graph solves need a busemann warp")
-    r0, u0, du0 = ic
-    if r_span[0] != r0:
-        raise ValueError(f"ideal graph span start r = {r_span[0]} differs from "
-                         f"the initial radius ic[0] = {r0}")
-    warp.require_domain((r0, r_span[1]))
-    if r_span[1] <= r0:
-        raise ValueError(f"ideal graph span end r = {r_span[1]} must lie past its "
-                         f"start r0 = {r0}")
-
     drift = warp.scalar_drift(n)
 
     def coeff(r):
@@ -199,20 +245,17 @@ def solve_ideal_graph(c: float, n: int, warp: WarpModel, r_span=(0.0, 5.0),
         _, p = y
         return (p, coeff(r) * (1.0 + p * p))
 
-    out, (r_grid, u, du) = _integrate_slope(rhs, (r0, r_span[1]), (u0, du0),
-                                            rtol, atol)
-    b_rad = None
-    if out.stop == "blowup":
-        # frozen-coefficient slope equation p' = a (1+p^2): distance from
-        # the event slope to the vertical point, up in r, is (pi/2 - atan|p|)/|a|
-        r_evt, (_, p_evt) = out.hits["blowup"][0]
-        a = coeff(float(r_evt))
-        tail = (math.pi / 2 - math.atan(abs(p_evt))) / abs(a) if a else 0.0
-        b_rad = float(r_evt) + tail
     spec = SolitonSpec(c=c, n=n, family="ideal", warp=warp)
-    return RadialGraph(r_grid=r_grid, u=u, du=du, spec=spec, blowup_radius=b_rad,
-                       meta={"source": "ideal_ode"}, diagnostics=out.record,
-                       _dense=out.dense)
+    hit, _, fields = _solve_graph(spec, rhs, r_span, ic, rtol, atol)
+    b_rad = None
+    if hit:
+        # frozen-coefficient slope equation p' = a (1+p^2): the vertical point
+        # lies (pi/2 - atan|p|)/|a| past the event slope, along the piece
+        r_evt, (_, p_evt), direction = hit
+        a = coeff(r_evt)
+        tail = (math.pi / 2 - math.atan(abs(p_evt))) / abs(a) if a else 0.0
+        b_rad = r_evt + direction * tail
+    return RadialGraph(**fields, blowup_radius=b_rad, meta={"source": "ideal_ode"})
 
 
 def solve_grim(c: float, n: int, warp: WarpModel, r_span=(-20.0, 20.0),
@@ -221,66 +264,21 @@ def solve_grim(c: float, n: int, warp: WarpModel, r_span=(-20.0, 20.0),
     """Equidistant-foliated (grim reaper) entire graph u(r).
 
     Slope equation u'' = (1+u'^2)(c - (n-1) h(r) u') with (n-1) h the
-    level mean curvature of the equidistant foliation.  For n >= 3 the
-    coth factor is singular at r = 0; an axis start is moved to
-    r = +-GRIM_LAUNCH_R with the bowl's series launch in dimension n - 1,
-    since the drift is (n-2)/r there, and the graph evaluates through that
-    series between r = 0 and the launch; a span that ends at or before
-    that launch raises ValueError.  Gradient blow-up contradicts
-    entireness and raises.  The graph joins a piece down and a piece up
-    from r0, either of which may be empty.  For n = 2 the drift xi'/xi is
-    odd in r bit for bit (see :func:`.make_builtin_warp`), so the graph
-    from (0, 0, 0) is even: on a span (-R, R) the down piece is the up
-    piece mirrored, the same bits as solving it down.
+    level mean curvature of the equidistant foliation, solved from ``ic[0]``
+    to both ends of ``r_span`` under :func:`_solve_graph`'s rules.  For
+    n >= 3 the drift is (n-2)/r near the core line r = 0, so the span lies
+    on one side of it, and a start there launches at r = +-GRIM_LAUNCH_R
+    on the bowl's series in dimension n - 1.  For n = 2 a graph from
+    (0, 0, 0) on a span (-R, R) is even and is solved once, then mirrored.
+    Gradient blow-up contradicts entireness and raises.
     """
     if warp.kind != EQUIDISTANT:
         raise ValueError("grim solves need an equidistant warp")
-    r0, u0, du0 = ic
     spec = SolitonSpec(c=c, n=n, family="grim", warp=warp)
-    mirror = n == 2 and -r_span[0] == r_span[1] > 0 and r0 == u0 == du0 == 0.0
-
-    series = None
-    if n >= 3 and r0 == 0.0:
-        if min(r_span) < 0 < max(r_span):
-            raise ValueError("n >= 3 grim solves cannot cross the singular line r = 0")
-        side = max(r_span) if max(r_span) > 0 else min(r_span)
-        r0 = math.copysign(GRIM_LAUNCH_R, side)
-        if abs(side) <= GRIM_LAUNCH_R:
-            raise ValueError(f"n >= 3 grim span end r = {side} must lie past the "
-                             f"launch r = {r0}")
-        series = _launch_series(c, n - 1, u0)
-        u0, du0 = series(r0)
-        # integrate away from the singular line only
-        r_span = (r0, r_span[1]) if side > 0 else (r_span[0], r0)
-
-    warp.require_domain((r_span[0], r0, r_span[1]))
-    rhs = _slope_rhs(c, n, warp)
-    outs = []
-
-    def solved(end):
-        """The piece from r0 to ``end``: dense output, samples in ascending r."""
-        out, samples = _integrate_slope(rhs, (r0, end), (u0, du0), rtol, atol)
-        if out.stop == "blowup":
-            raise RuntimeError(f"unexpected gradient blow-up at r = {out.t[-1]:.6g}")
-        outs.append(out)
-        return out.dense, [x[::-1] for x in samples] if end < r0 else samples
-
-    down = solved(r_span[0]) if r_span[0] < r0 and not mirror else None
-    up = solved(r_span[1]) if r_span[1] > r0 else None
-    if mirror:
-        down = _mirrored(*up)
-    pieces = [piece for piece in (down, up) if piece is not None]
-    if not pieces:
-        raise ValueError("empty integration span")
-    # the grid is the pieces' samples in ascending r, with r0 once
-    r_grid, u, du = (np.concatenate([first, *(x[1:] for x in rest)])
-                     for first, *rest in zip(*(samples for _, samples in pieces)))
-    # an n >= 3 graph reads its launch series between r = 0 and r0
-    below, above = down[0] if down else series, up[0] if up else series
-    dense = dop853.joined(below, above, r0) if below and above else below or above
-    return RadialGraph(r_grid=r_grid, u=u, du=du, spec=spec,
-                       meta={"source": "grim_ode"},
-                       diagnostics=dop853.run_record(*outs), _dense=dense)
+    hit, _, fields = _solve_graph(spec, _slope_rhs(spec), r_span, ic, rtol, atol)
+    if hit:
+        raise RuntimeError(f"unexpected gradient blow-up at r = {hit[0]:.6g}")
+    return RadialGraph(**fields, meta={"source": "grim_ode"})
 
 
 def _mirrored(dense, samples):

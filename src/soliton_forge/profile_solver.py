@@ -159,11 +159,16 @@ def profile_rhs(state, spec: SolitonSpec):
     return _profile_field(spec.c, spec.warp.drift(r, spec.n), phi)
 
 
-def _integrate(spec: SolitonSpec, y0, s0: float, stop: TerminationPolicy,
+def _integrate(spec: SolitonSpec, y0, s0: float, stop: TerminationPolicy | None,
                rtol: float, atol: float, t_center: float) -> ProfileCurve:
+    stop = stop or TerminationPolicy()
     if stop.s_max <= s0:
         raise ValueError(f"arc-length stop s_max={stop.s_max} must lie past the "
                          f"start s0={s0}")
+    if y0[0] >= stop.r_max:
+        # no root of the radius stop lies ahead of such a start
+        raise ValueError(f"{spec.family} start radius r={y0[0]} must lie below the "
+                         f"radius stop r_max={stop.r_max}")
     warp = spec.warp
     warp.require_domain(y0[0])
     c, drift = spec.c, warp.scalar_drift(spec.n)
@@ -209,11 +214,7 @@ def solve_bowl(spec: SolitonSpec, stop: TerminationPolicy | None = None,
     """
     if spec.family != "bowl":
         raise ValueError("spec.family must be 'bowl'")
-    stop = stop or TerminationPolicy()
     s0 = AXIS_LAUNCH_S
-    if s0 >= stop.r_max:
-        raise ValueError(f"bowl launch radius {s0} must lie below the radius stop "
-                         f"r_max={stop.r_max}")
 
     def series(s):
         height, slope = axis_series(spec.c, spec.n, s)
@@ -244,10 +245,6 @@ def solve_wing(spec: SolitonSpec, branch: int = -1,
         raise ValueError("spec.family must be 'wing'")
     if branch not in (-1, 1):
         raise ValueError("branch must be +1 or -1")
-    stop = stop or TerminationPolicy()
-    if spec.epsilon >= stop.r_max:
-        raise ValueError(f"wing inner radius epsilon={spec.epsilon} must lie below "
-                         f"the radius stop r_max={stop.r_max}")
     y0 = (spec.epsilon, 0.0, branch * math.pi / 2)
     return _integrate(spec, y0, 0.0, stop, rtol, atol, t_center=0.0)
 
@@ -263,16 +260,12 @@ def solve_ideal_parametric(spec: SolitonSpec, initial, stop: TerminationPolicy |
     """
     if spec.family != "ideal":
         raise ValueError("spec.family must be 'ideal'")
-    stop = stop or TerminationPolicy()
     if isinstance(initial, ProfileState):
         y0 = (initial.r, initial.t, initial.phi)
         s0 = initial.s
     else:
         y0 = tuple(initial)
         s0 = 0.0
-    if y0[0] >= stop.r_max:
-        raise ValueError(f"ideal start radius {y0[0]} must lie below the radius stop "
-                         f"r_max={stop.r_max}")
     return _integrate(spec, y0, s0, stop, rtol, atol, t_center=y0[1])
 
 

@@ -96,6 +96,18 @@ class TestSolitonCommand:
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not list(tmp_path.iterdir())
 
+    def test_infinite_sweep_radius_is_refused_before_any_solve(self, tmp_path, capsys,
+                                                                monkeypatch):
+        # the bowl graph's span (0, inf) reached DOP853, which refused it
+        # with "`t_span` must be finite"
+        from soliton_forge import dop853
+        monkeypatch.setattr(dop853, "solve", None)  # no solve may start
+        assert run("--out", str(tmp_path), "sweep", "--family", "bowl",
+                   "--c-values", "1", "--r-max", "inf") == 1
+        assert capsys.readouterr().err.startswith(
+            "error: graph span (0.0, inf) must be finite")
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("argv, message", [
         (("soliton", "bowl", "--K", "nan"), "curvature K must be finite, got nan"),
         (("flow", "--K=-inf"), "curvature K must be finite, got -inf"),

@@ -93,7 +93,9 @@ class TestRadialGraph:
         # n = 2 launches at r = 1e-4; an end below it would solve down onto
         # the axis, where xi'/xi divides by zero
         spec = SolitonSpec(c=1.0, n=n, family="bowl", warp=hyperbolic_warp)
-        with pytest.raises(ValueError, match="must lie past its launch"):
+        with pytest.raises(ValueError, match=(
+                rf"span end r = {r_end} must lie past its launch" if n > 1 else
+                rf"span \(0.0, {r_end}\) has no end past its start ic\[0\] = 0.0")):
             solve_radial_graph(spec, r_span=(0.0, r_end))
 
 
@@ -130,8 +132,8 @@ class TestIdealGraph:
                                                 monkeypatch):
         # such a solve ran in full, then failed on its decreasing r grid
         monkeypatch.setattr(dop853, "solve", None)  # no solve may start
-        with pytest.raises(ValueError, match=rf"span end r = {r_span[1]} must lie "
-                                             rf"past its start r0 = {r_span[0]}"):
+        with pytest.raises(ValueError, match=rf"span \({r_span[0]}, {r_span[1]}\) .*"
+                                             rf"its start ic\[0\] = {r_span[0]}"):
             solve_ideal_graph(1.0, 2, busemann_warp, r_span=r_span,
                               ic=(r_span[0], 0.0, 0.0))
 
@@ -139,8 +141,8 @@ class TestIdealGraph:
     def test_span_start_must_be_the_initial_radius(self, busemann_warp, monkeypatch):
         # the solve used to start at ic[0] = 0 whatever r_span[0] said
         monkeypatch.setattr(dop853, "solve", None)  # no solve may start
-        with pytest.raises(ValueError, match=r"span start r = 1.0 differs from "
-                                             r"the initial radius ic\[0\] = 0.0"):
+        with pytest.raises(ValueError, match=r"span \(1.0, 1.4\) must contain its "
+                                             r"start ic\[0\] = 0.0"):
             solve_ideal_graph(2.0, 2, busemann_warp, r_span=(1.0, 1.4))
 
 
@@ -177,7 +179,7 @@ class TestGrim:
     def test_n3_span_ending_at_or_before_the_launch(self, equidistant_warp, r_span):
         # the launch moves to r = +-1e-3, so a shorter span would solve back
         # onto the singular line r = 0
-        with pytest.raises(ValueError, match="must lie past the launch"):
+        with pytest.raises(ValueError, match="must lie past its launch"):
             solve_grim(1.0, 3, equidistant_warp, r_span=r_span)
 
     def test_n1_matches_grim_oracle(self, equidistant_warp):
@@ -363,3 +365,95 @@ def test_n3_grim_reads_its_launch_series_below_the_launch(side, K, c, u0):
     both = np.concatenate((r, graph.r_grid))
     assert _bits(graph.u_eval(both)) == _bits(np.concatenate((u0 + height, graph.u)))
     assert _bits(graph.du_eval(both)) == _bits(np.concatenate((slope, graph.du)))
+
+
+class TestStartContract:
+    """Each graph solver starts at ic[0] inside a finite r_span: a start
+    that the span does not hold, a span that crosses a singular line r = 0
+    or that is not finite, and a launch with a slope raise before any
+    solve.  Each of these inputs used to return a graph anyway, or failed
+    inside DOP853."""
+
+    @pytest.fixture(autouse=True)
+    def no_solve(self, monkeypatch):
+        monkeypatch.setattr(dop853, "solve", None)  # no solve may start
+
+    def test_radial_span_below_its_start_holds_the_axis(self, hyperbolic_bowl_spec):
+        # the graph was solved on (1.0, 5.0), whatever r_span[0] said
+        with pytest.raises(ValueError, match=r"span \(0.0, 5.0\) may hold the singular "
+                                             r"line r = 0 only as its start"):
+            solve_radial_graph(hyperbolic_bowl_spec, r_span=(0.0, 5.0), ic=(1.0, 0.0, 0.0))
+
+    def test_grim_n2_start_outside_its_span(self, equidistant_warp):
+        # the graph was solved on (0.0, 3.0)
+        with pytest.raises(ValueError, match=r"span \(1.0, 3.0\) must contain its "
+                                             r"start ic\[0\] = 0.0"):
+            solve_grim(0.2, 2, equidistant_warp, r_span=(1.0, 3.0))
+
+    def test_grim_n3_start_outside_its_span(self, equidistant_warp):
+        # the graph was solved on (0.001, 5.0)
+        with pytest.raises(ValueError, match=r"span \(2.0, 5.0\) must contain its "
+                                             r"start ic\[0\] = 0.0"):
+            solve_grim(0.2, 3, equidistant_warp, r_span=(2.0, 5.0))
+
+    def test_grim_n3_launch_with_a_slope(self, equidistant_warp):
+        # du0 was dropped: the launch slope was the series' 2.5e-4
+        with pytest.raises(ValueError, match=r"singular line r = 0 needs du0 = 0, "
+                                             r"got du0 = 0.7"):
+            solve_grim(0.5, 3, equidistant_warp, r_span=(0.0, 3.0), ic=(0.0, 0.0, 0.7))
+
+    @pytest.mark.parametrize("r_span", [(0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan)])
+    def test_span_that_is_not_finite(self, hyperbolic_bowl_spec, busemann_warp, r_span):
+        # DOP853 raised "`t_span` must be finite" from inside the solve
+        message = rf"span \({r_span[0]}, {r_span[1]}\) must be finite"
+        with pytest.raises(ValueError, match=message):
+            solve_radial_graph(hyperbolic_bowl_spec, r_span=r_span)
+        with pytest.raises(ValueError, match=message):
+            solve_ideal_graph(1.0, 2, busemann_warp, r_span=r_span, ic=(r_span[0], 0.0, 0.0))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data(), solver=st.sampled_from(["radial", "ideal", "grim"]),
+       n=st.sampled_from([2, 3]), K=st.floats(-2.0, -0.25), c=st.floats(0.3, 1.0),
+       u0=st.floats(-1.0, 1.0), side=st.sampled_from([-1.0, 1.0]))
+def test_a_graph_covers_its_span_from_its_start(data, solver, n, K, c, u0, side):
+    """For a finite span and a start inside it, every graph solver returns
+    a graph on that span, or on the part of it past the launch off a
+    singular line r = 0, and the graph passes through the start:
+    u_eval(ic[0]) is u0 and du_eval(ic[0]) is du0."""
+    from soliton_forge.graph_solvers import GRIM_LAUNCH_R
+    from soliton_forge.profile_solver import AXIS_LAUNCH_S
+
+    singular = solver == "radial" or (solver == "grim" and n == 3)
+    side = 1.0 if solver == "radial" else side
+    if singular and data.draw(st.booleans()):
+        end = side * data.draw(st.floats(0.01, 4.0))
+        r_span, ic = (min(0.0, end), max(0.0, end)), (0.0, u0, 0.0)
+        launch = AXIS_LAUNCH_S if solver == "radial" else GRIM_LAUNCH_R
+        want = (launch, end) if side > 0 else (end, -launch)
+    else:
+        # solved toward r = 0 the slope grows, so that piece stays short
+        # enough not to blow up; a piece shorter than GRID_SIZE distinct
+        # radii is out of scope
+        r0 = side * data.draw(st.floats(1.0, 3.0)) if singular else data.draw(
+            st.floats(-2.0, 2.0) if solver == "ideal" else st.floats(-0.3, 0.3))
+        back = data.draw(st.just(0.0) | st.floats(0.01, 0.3 if singular else 1.5))
+        ahead = data.draw(st.floats(0.1, 1.5))
+        if singular and side < 0:
+            back, ahead = ahead, back
+        r_span = want = (r0 - back, r0 + ahead)
+        ic = (r0, u0, data.draw(st.floats(-0.2, 0.2)))
+    if solver == "radial":
+        spec = SolitonSpec(c=c, n=n, family="bowl", warp=make_builtin_warp("rotational", K))
+        graph = solve_radial_graph(spec, r_span=r_span, ic=ic)
+    elif solver == "ideal":
+        # a = c - (n-1) sqrt(-K) is small, so the graph meets no vertical point
+        c = (n - 1) * math.sqrt(-K) + data.draw(st.floats(-0.3, 0.3))
+        graph = solve_ideal_graph(c, n, make_builtin_warp("busemann", K), r_span=r_span,
+                                  ic=ic)
+    else:
+        graph = solve_grim(c, n, make_builtin_warp("equidistant", K), r_span=r_span, ic=ic)
+    assert not graph.gradient_blowup
+    assert graph.r_span == want
+    assert graph.u_eval(ic[0]) == ic[1]
+    assert graph.du_eval(ic[0]) == ic[2]

@@ -109,7 +109,7 @@ class TestBowl:
         # no root of r - r_max lies ahead of the launch at r = 1e-4, so the
         # solve would run its whole arc length, out to r ~ 707
         monkeypatch.setattr(dop853, "solve", None)  # no solve may start
-        with pytest.raises(ValueError, match=rf"launch radius 0.0001 .* r_max={r_max}"):
+        with pytest.raises(ValueError, match=rf"bowl start radius r=0.0001 .* r_max={r_max}"):
             solve_bowl(hyperbolic_bowl_spec, stop=TerminationPolicy(r_max=r_max))
 
     def test_axis_point_exact(self, euclidean_bowl_spec):
@@ -217,7 +217,8 @@ class TestWing:
         monkeypatch.setattr(dop853, "solve", None)  # no solve may start
         spec = SolitonSpec(c=1.0, n=2, family="wing", warp=hyperbolic_warp,
                            epsilon=eps)
-        with pytest.raises(ValueError, match=rf"epsilon={eps} must lie below .*r_max=10"):
+        with pytest.raises(ValueError, match=rf"wing start radius r={eps} must lie "
+                                             rf"below .*r_max=10"):
             solve_wing(spec, stop=TerminationPolicy(r_max=10.0))
 
     def test_needs_base_dimension_2(self, hyperbolic_warp):
@@ -278,7 +279,7 @@ class TestIdealParametric:
         # no root of r - r_max lies ahead of such a start
         monkeypatch.setattr(dop853, "solve", None)  # no solve may start
         spec = SolitonSpec(c=1.0, n=2, family="ideal", warp=busemann_warp)
-        with pytest.raises(ValueError, match=rf"start radius {r0} .* r_max={r_max}"):
+        with pytest.raises(ValueError, match=rf"ideal start radius r={r0} .* r_max={r_max}"):
             solve_ideal_parametric(spec, (r0, 0.0, 0.0), stop=TerminationPolicy(r_max=r_max))
 
     def test_r_crosses_zero(self, busemann_warp):
