@@ -266,10 +266,9 @@ def _cmd_verify(args) -> int:
     spec = _make_spec(args.family, args.K, args.n, args.c, epsilon=args.epsilon)
     curve.spec = spec
 
-    report = diagnostics.DiagnosticsReport()
-    report.add(diagnostics.geodesic_residual(curve, spec))
-    report.add(diagnostics.drift_identity_residual(curve, spec))
-    report.add(diagnostics.drift_identity_random(spec, seed=args.seed))
+    report = diagnostics.DiagnosticsReport(
+        [*diagnostics.profile_identities(curve, spec),
+         diagnostics.drift_identity_random(spec, seed=args.seed)])
 
     report_path = _out_path(args, f"{Path(args.input).stem}_verify.json")
     fileio.export_report_json(report, report_path)

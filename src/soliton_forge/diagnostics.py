@@ -1,25 +1,30 @@
 """Independent verification of soliton identities.
 
-Each check recomputes a claimed identity with machinery that does not
-share code with the solver that produced the input: a fixed Gauss–Legendre
-rule for the flux first integral, finite differences of dense output for the
-geodesic system, direct algebraic substitution for the drift identity.
-Results are collected in a DiagnosticsReport of pass/fail records.
+Each curve check recomputes a claimed identity with machinery that does
+not share code with the solver that produced the input: a fixed
+Gauss–Legendre rule for the flux first integrals, and five-point finite
+differences of the dense output for the geodesic system and the drift
+identity.  Those two read every curve, in memory or resampled, through one
+jet (:func:`_jet`), and never the solver right-hand side.
+:func:`drift_identity_random` reads the solver's one field formula
+(:func:`.profile_solver._profile_field`) by design: it tests that formula
+against the drift identity at random states.  Results are collected in a
+DiagnosticsReport of pass/fail records.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .graph_solvers import RadialGraph
-from .profile_solver import ProfileCurve, SampledCurve, SolitonSpec
+from .profile_solver import ProfileCurve, SampledCurve, SolitonSpec, _profile_field
 from .warp_models import CurvatureBounds, ROTATIONAL, radial_curvature
 
 INTEGRAL_TOL = 1e-6
-ALGEBRAIC_TOL = 1e-9
 #: Gauss–Legendre nodes and weights on [-1, 1]: the value rule and the
 #: coarser rule whose difference from it is the error estimate
 GL_VALUE = np.polynomial.legendre.leggauss(32)
@@ -59,10 +64,6 @@ class CheckResult:
 class DiagnosticsReport:
     checks: list = field(default_factory=list)
 
-    def add(self, result: CheckResult) -> CheckResult:
-        self.checks.append(result)
-        return result
-
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks if c.applicable)
@@ -82,16 +83,6 @@ def _result(name, res, tol, applicable=True, details=None) -> CheckResult:
                        applicable=applicable, details=details or {})
 
 
-def _d1(v, h):
-    """Five-point centered first derivative from values on the stencil, O(h^4)."""
-    return (v[0] - 8 * v[1] + 8 * v[3] - v[4]) / (12 * h)
-
-
-def _d2(v, h):
-    """Five-point centered second derivative from values on the stencil, O(h^4)."""
-    return (-v[0] + 16 * v[1] - 30 * v[2] + 16 * v[3] - v[4]) / (12 * h * h)
-
-
 def _gauss_legendre(f, edges):
     """Integral of f over each panel [edges[i], edges[i + 1]] by the 32-point
     Gauss–Legendre rule, and |GL32 - GL16| per panel as its error estimate.
@@ -104,13 +95,6 @@ def _gauss_legendre(f, edges):
     k = GL_VALUE[0].size
     value = half * (vals[:, :k] @ GL_VALUE[1])
     return value, np.abs(value - half * (vals[:, k:] @ GL_CHECK[1]))
-
-
-def _sample_stencil(curve, s, h):
-    """(r, t, phi), each as its rows of values at s - 2h, s - h, s, s + h,
-    s + 2h: one point-by-point dense evaluation of all five offsets."""
-    stencil = np.concatenate((s - 2 * h, s - h, s, s + h, s + 2 * h))
-    return (v.reshape(5, -1) for v in curve.sample(stencil))
 
 
 def flux_residual(graph: RadialGraph, spec: SolitonSpec | None = None) -> CheckResult:
@@ -179,26 +163,40 @@ def wing_turning_flux(curve: ProfileCurve) -> CheckResult:
                             "gl_err": float(np.sum(errs))})
 
 
-def _curve_samples(curve, n_samples, h, r_min=1e-2):
-    """Interior arc-length samples keeping the FD stencil inside the span
-    and away from the rotation axis."""
+#: a curve's r and phi at its samples, and the five-point derivatives in
+#: arc length of step FD_STEP there
+_Jet = namedtuple("_Jet", "r phi rd td phid rdd tdd")
+
+
+def _jet(curve, r_min=1e-2) -> _Jet:
+    """The jet at FD_SAMPLES interior arc lengths, padded so the stencil
+    s - 2h, ..., s + 2h stays inside the span: all five offsets are one
+    dense evaluation, and on a rotational warp the samples whose centre
+    lies within r_min of the axis are dropped."""
+    h = FD_STEP
     lo, hi = curve.s_span
-    pad = 2.5 * h
-    s = np.linspace(lo + pad, hi - pad, n_samples)
+    s = np.linspace(lo + 2.5 * h, hi - 2.5 * h, FD_SAMPLES)
+    stencil = np.concatenate((s - 2 * h, s - h, s, s + h, s + 2 * h))
+    # (r, t, phi) x offset x sample
+    v = np.asarray(curve.sample(stencil)).reshape(3, 5, -1)
     if curve.spec is not None and curve.spec.warp.kind == ROTATIONAL:
-        s = s[curve.sample(s)[0] > r_min]
-    if s.size == 0:
+        v = v[:, :, v[0, 2] > r_min]
+    if not v.shape[2]:
         raise ValueError("curve too short for the requested stencil")
-    return s
+    # five-point centred first and second derivatives, O(h^4)
+    rd, td, phid = (v[:, 0] - 8 * v[:, 1] + 8 * v[:, 3] - v[:, 4]) / (12 * h)
+    rdd, tdd = (-v[:2, 0] + 16 * v[:2, 1] - 30 * v[:2, 2] + 16 * v[:2, 3]
+                - v[:2, 4]) / (12 * h * h)
+    return _Jet(v[0, 2], v[2, 2], rd, td, phid, rdd, tdd)
 
 
 def geodesic_residual(curve, spec: SolitonSpec | None = None) -> CheckResult:
     """Profile curves are pregeodesics of the conformal metric
     lambda^2 (dr^2 + dt^2) with lambda = e^{ct} xi^{n-1}.
 
-    Two residuals are evaluated at FD_SAMPLES arc lengths with five-point
-    finite differences of step FD_STEP of the dense output (never the
-    solver right-hand side):
+    Two residuals are evaluated on the curve's jet (:func:`_jet`), whose
+    finite differences read the dense output, never the solver right-hand
+    side:
 
     * reduced:  dphi/ds - c cos(phi) + (n-1)(xi'/xi) sin(phi)
     * full geodesic system, corrected for the arc-length (non-affine)
@@ -208,73 +206,63 @@ def geodesic_residual(curve, spec: SolitonSpec | None = None) -> CheckResult:
           r'' + A (r'^2 - t'^2) + 2 c r' t' - mu r' = 0
           t'' + c (t'^2 - r'^2) + 2 A r' t' - mu t' = 0
     """
-    spec = spec or curve.spec
-    c, n, warp = spec.c, spec.n, spec.warp
-    h = FD_STEP
-    s = _curve_samples(curve, FD_SAMPLES, h)
+    return _geodesic(_jet(curve), spec or curve.spec)
 
-    r_st, t_st, phi_st = _sample_stencil(curve, s, h)
-    r, phi = r_st[2], phi_st[2]
-    rd, td, phid = _d1(r_st, h), _d1(t_st, h), _d1(phi_st, h)
-    rdd, tdd = _d2(r_st, h), _d2(t_st, h)
 
-    a = warp.drift(r, n)
-    reduced = phid - c * np.cos(phi) + a * np.sin(phi)
+def _geodesic(jet: _Jet, spec: SolitonSpec) -> CheckResult:
+    c, rd, td = spec.c, jet.rd, jet.td
+    a = spec.warp.drift(jet.r, spec.n)
+    reduced = jet.phid - c * np.cos(jet.phi) + a * np.sin(jet.phi)
     mu = c * td + a * rd
-    full_r = rdd + a * (rd**2 - td**2) + 2 * c * rd * td - mu * rd
-    full_t = tdd + c * (td**2 - rd**2) + 2 * a * rd * td - mu * td
+    full_r = jet.rdd + a * (rd**2 - td**2) + 2 * c * rd * td - mu * rd
+    full_t = jet.tdd + c * (td**2 - rd**2) + 2 * a * rd * td - mu * td
 
     res = np.concatenate((reduced, full_r, full_t))
     return _result("conformal_geodesic", res, INTEGRAL_TOL,
-                   details={"h": h,
+                   details={"h": FD_STEP,
                             "max_reduced": float(np.max(np.abs(reduced))),
                             "max_full": float(max(np.max(np.abs(full_r)),
                                                   np.max(np.abs(full_t))))})
 
 
 def drift_identity_residual(curve, spec: SolitonSpec | None = None) -> CheckResult:
-    """Drift-Laplacian identity for the height along the profile.
+    """Drift-Laplacian identity t'' + (n-1)(xi'/xi) r' t' + c t'^2 - c = 0
+    for the height along the profile, on the curve's jet (:func:`_jet`).
 
-    For a true ProfileCurve the substitution t'' = cos(phi) dphi/ds makes
-    t'' + (n-1)(xi'/xi) r' t' + c t'^2 - c vanish identically, so any
-    surviving residual is round-off and the algebraic tolerance applies.
-    On that path the residual reduces to c(cos^2 phi + sin^2 phi) - c at
-    whatever phi the curve holds, so it cannot fail: a profile solved at
-    another c, or with another drift, reads round-off too.
-    Resampled curves (CSV input, perturbation controls) carry no trusted
-    phi dynamics, so their derivatives come from finite differences (as in
-    :func:`geodesic_residual`) and the looser integral tolerance applies.
+    Every curve takes this one path, so the identity tests the curve it is
+    given against ``spec``: a profile solved at another c, or with another
+    drift, fails it.  The derivatives are finite differences, so the
+    integral tolerance applies, as it does to :func:`geodesic_residual`.
     """
-    spec = spec or curve.spec
-    c, n, warp = spec.c, spec.n, spec.warp
-    if isinstance(curve, ProfileCurve):
-        lo, hi = curve.s_span
-        s = np.linspace(lo, hi, FD_SAMPLES)
-        r, _, phi = curve.sample(s)
-        if warp.kind == ROTATIONAL:
-            keep = r > 1e-8
-            r, phi = r[keep], phi[keep]
-        res = _drift_residual_states(r, phi, c, n, warp)
-        return _result("drift_identity", res, ALGEBRAIC_TOL)
-    h = FD_STEP
-    s = _curve_samples(curve, FD_SAMPLES, h)
-    r_st, t_st, _ = _sample_stencil(curve, s, h)
-    td, rd, tdd = _d1(t_st, h), _d1(r_st, h), _d2(t_st, h)
-    res = tdd + warp.drift(r_st[2], n) * rd * td + c * td**2 - c
-    return _result("drift_identity", res, INTEGRAL_TOL, details={"h": h, "fd": True})
+    return _drift_identity(_jet(curve), spec or curve.spec)
+
+
+def _drift_identity(jet: _Jet, spec: SolitonSpec) -> CheckResult:
+    c, td = spec.c, jet.td
+    res = jet.tdd + spec.warp.drift(jet.r, spec.n) * jet.rd * td + c * td**2 - c
+    return _result("drift_identity", res, INTEGRAL_TOL, details={"h": FD_STEP})
+
+
+def profile_identities(curve, spec: SolitonSpec | None = None) -> tuple:
+    """The :func:`geodesic_residual` and :func:`drift_identity_residual`
+    results of one curve, both read from one jet."""
+    jet, spec = _jet(curve), spec or curve.spec
+    return _geodesic(jet, spec), _drift_identity(jet, spec)
 
 
 def _drift_residual_states(r, phi, c, n, warp):
+    """The drift identity t'' + D r' t' + c t'^2 - c at states (r, phi), with
+    (r', t', phi') from the solver's field formula and t'' = r' phi'."""
     a = warp.drift(r, n)
-    cphi, sphi = np.cos(phi), np.sin(phi)
-    phid = c * cphi - a * sphi
-    tdd = cphi * phid
-    return tdd + a * cphi * sphi + c * sphi**2 - c
+    rd, td, phid = _profile_field(c, a, np.cos(phi), np.sin(phi))
+    return rd * phid + a * rd * td + c * td**2 - c
 
 
 def drift_identity_random(spec: SolitonSpec, n_states: int = 10_000,
                           seed: int = 0) -> CheckResult:
-    """Same identity at randomized (r, phi) states, solver-free."""
+    """Same identity at randomized (r, phi) states, with dphi/ds from the
+    solver's field formula: a field with c' != c leaves (c' - c) cos^2 phi,
+    one with drift D' != D leaves (D - D') cos phi sin phi."""
     r_range = (1e-3, 20.0)
     rng = np.random.default_rng(seed)
     r = rng.uniform(*r_range, size=n_states)
@@ -406,11 +394,8 @@ def perturb_curve(curve: ProfileCurve, amplitude: float = 1e-3) -> SampledCurve:
 
 def run_profile_checks(curve: ProfileCurve) -> DiagnosticsReport:
     """Bundle of the checks applicable to one profile curve."""
-    report = DiagnosticsReport()
-    report.add(geodesic_residual(curve))
-    report.add(drift_identity_residual(curve))
+    checks = list(profile_identities(curve))
     # the descending wing branch starts at phi = -pi/2
     if curve.spec.family == "wing" and curve.turning_points and curve.phi[0] < 0:
-        report.add(wing_turning_flux(curve))
-        report.add(wing_height_report(curve))
-    return report
+        checks += [wing_turning_flux(curve), wing_height_report(curve)]
+    return DiagnosticsReport(checks)

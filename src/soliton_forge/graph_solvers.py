@@ -133,7 +133,8 @@ def _solve_graph(spec: SolitonSpec, rhs, r_span, ic, rtol, atol):
     :func:`~.profile_solver.axis_series` in dimension m, at AXIS_LAUNCH_S or
     GRIM_LAUNCH_R on the side where the span lies, and the graph reads that
     series between r = 0 and the launch.  A span that ends at or short of
-    the launch, or has no end past r0, raises.  Every check raises
+    the launch, or has no end past r0, raises, and so does a piece too
+    short for GRID_SIZE distinct sample radii.  Every check raises
     ValueError before any solve.  For n = 2 the equidistant drift xi'/xi is
     odd bit for bit (see :func:`.make_builtin_warp`), so the graph from
     (0, 0, 0) is even: on a span (-R, R) the piece down is the piece up
@@ -175,6 +176,10 @@ def _solve_graph(spec: SolitonSpec, rhs, r_span, ic, rtol, atol):
         lo, hi = sorted((r0, end))
     if lo == hi:
         raise ValueError(f"graph span ({lo}, {hi}) has no end past its start ic[0] = {r0}")
+    for end in (lo, hi):
+        if end != r0 and not np.diff(np.linspace(r0, end, GRID_SIZE)).all():
+            raise ValueError(f"graph piece from r0 = {r0} to r = {end} is too short "
+                             f"for {GRID_SIZE} distinct sample radii")
     mirror = (warp.kind == EQUIDISTANT and n == 2 and -lo == hi > 0
               and r0 == u0 == du0 == 0.0)
     outs = []

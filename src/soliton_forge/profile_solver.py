@@ -139,9 +139,9 @@ def axis_series(c: float, n: int, x):
     return (c / (2 * n)) * x**2, (c / n) * x
 
 
-def _profile_field(c: float, drift: float, phi) -> tuple:
-    """(dr/ds, dt/ds, dphi/ds) with dphi/ds = c cos(phi) - drift sin(phi)."""
-    cphi, sphi = math.cos(phi), math.sin(phi)
+def _profile_field(c: float, drift, cphi, sphi) -> tuple:
+    """(dr/ds, dt/ds, dphi/ds) = (cos phi, sin phi, c cos phi - drift sin phi)
+    from cos phi and sin phi, as floats (a solve) or arrays (diagnostics)."""
     return (cphi, sphi, c * cphi - drift * sphi)
 
 
@@ -156,7 +156,7 @@ def profile_rhs(state, spec: SolitonSpec):
     else:
         r, phi = state
     spec.warp.require_domain(r)
-    return _profile_field(spec.c, spec.warp.drift(r, spec.n), phi)
+    return _profile_field(spec.c, spec.warp.drift(r, spec.n), math.cos(phi), math.sin(phi))
 
 
 def _integrate(spec: SolitonSpec, y0, s0: float, stop: TerminationPolicy | None,
@@ -175,7 +175,7 @@ def _integrate(spec: SolitonSpec, y0, s0: float, stop: TerminationPolicy | None,
 
     def rhs(s, y):
         r, _, phi = y
-        return _profile_field(c, drift(r), phi)
+        return _profile_field(c, drift(r), math.cos(phi), math.sin(phi))
 
     events = [("max_radius", lambda s, y: y[0] - stop.r_max, True),
               ("max_height", lambda s, y: y[1] - (t_center + stop.t_max), True),

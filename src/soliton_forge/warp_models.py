@@ -33,6 +33,10 @@ CHARTS = {ROTATIONAL: "polar", BUSEMANN: "busemann", EQUIDISTANT: "equidistant"}
 
 FAMILIES = ("bowl", "wing", "ideal", "grim")
 
+#: what a drift that is singular on r = 0 raises, by warp kind
+_SINGULAR = {ROTATIONAL: "xi'/xi is singular at the axis r=0",
+             EQUIDISTANT: "chi'/chi is singular on the core line r=0"}
+
 #: warp kind each soliton family lives on
 _FAMILY_KIND = {
     "bowl": ROTATIONAL,
@@ -105,9 +109,10 @@ class WarpModel:
         """Laplacian D(r) of the chart coordinate in base dimension n.
 
         (n-1) xi'/xi on the rotational and Busemann charts and
-        xi'/xi + (n-2) chi'/chi on the equidistant chart; 0 for n = 1.  The
-        quotient dxi(r) / xi(r) raises ZeroDivisionError at a rotational axis
-        r = 0 and ValueError where it is NaN (cosh or exp over/underflowing).
+        xi'/xi + (n-2) chi'/chi on the equidistant chart; 0 for n = 1.  It
+        raises ZeroDivisionError on the singular line r = 0 (the rotational
+        axis, or for n >= 3 the equidistant core line, where chi = 0) and
+        ValueError where xi'/xi is NaN (cosh or exp over/underflowing).
         A float (np.float64 included) goes through :meth:`scalar_drift`;
         anything else is the one array path, and a 0-d input returns a float.
         """
@@ -117,8 +122,9 @@ class WarpModel:
         if n < 2:
             return 0.0 if scalar else np.zeros(np.shape(r))
         r = np.atleast_1d(np.asarray(r, dtype=float))
-        if self.kind == ROTATIONAL and (r == 0.0).any():
-            raise ZeroDivisionError("xi'/xi is singular at the axis r=0")
+        singular = self.kind == ROTATIONAL or self.kind == EQUIDISTANT and n > 2
+        if singular and (r == 0.0).any():
+            raise ZeroDivisionError(_SINGULAR[self.kind])
         out = self.dxi(r) / self.xi(r)
         nan = np.isnan(out)
         if nan.any():
@@ -136,12 +142,13 @@ class WarpModel:
         if n < 2:
             return lambda r: 0.0
         xi, dxi, chi, dchi = self.xi, self.dxi, self.chi, self.dchi
-        axis, chi_term = self.kind == ROTATIONAL, self.kind == EQUIDISTANT and n > 2
+        chi_term = self.kind == EQUIDISTANT and n > 2
+        singular = self.kind == ROTATIONAL or chi_term
         m = 1 if self.kind == EQUIDISTANT else n - 1
 
         def drift(r: float) -> float:
-            if axis and r == 0.0:
-                raise ZeroDivisionError("xi'/xi is singular at the axis r=0")
+            if singular and r == 0.0:
+                raise ZeroDivisionError(_SINGULAR[self.kind])
             out = float(dxi(r) / xi(r))
             if out != out:
                 self._raise_nan(r)

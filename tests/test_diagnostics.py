@@ -147,12 +147,30 @@ class TestGeodesic:
         assert result.max_abs_residual > 1e-4
 
 
+@pytest.fixture(scope="module")
+def readme_profiles(hyperbolic_warp, busemann_warp):
+    """The in-memory bowl, wing and ideal profiles of the README's
+    ``soliton`` commands, solved as those commands solve them."""
+    from soliton_forge import solve_ideal_parametric
+    stop, tight = TerminationPolicy(r_max=10.0), {"rtol": 1e-11, "atol": 1e-13}
+    bowl = SolitonSpec(c=1.0, n=2, family="bowl", warp=hyperbolic_warp)
+    wing = SolitonSpec(c=1.0, n=2, family="wing", warp=hyperbolic_warp, epsilon=0.5)
+    ideal = SolitonSpec(c=1.5, n=2, family="ideal", warp=busemann_warp)
+    return {"bowl": solve_bowl(bowl, stop=stop, **tight),
+            "wing": solve_wing(wing, stop=stop, **tight),
+            "ideal": solve_ideal_parametric(ideal, (0.0, 0.0, 0.0),
+                                            stop=TerminationPolicy(r_max=5.0))}
+
+
 class TestDrift:
-    def test_profile_residual_roundoff(self, hyperbolic_bowl_spec):
-        curve = solve_bowl(hyperbolic_bowl_spec)
-        result = drift_identity_residual(curve)
-        assert result.passed
-        assert result.max_abs_residual <= 1e-12
+    @pytest.mark.parametrize("family", ["bowl", "wing", "ideal"])
+    def test_profile_wrong_speed_fails(self, readme_profiles, family):
+        # negative control: the in-memory profile solved at c passes the
+        # finite-difference identity, and fails it checked against 1.01 c
+        curve = readme_profiles[family]
+        assert drift_identity_residual(curve).max_abs_residual <= INTEGRAL_TOL
+        faster = replace(curve.spec, c=1.01 * curve.spec.c)
+        assert drift_identity_residual(curve, faster).max_abs_residual > 1e-3
 
     def test_single_state_substitution(self, hyperbolic_warp):
         # r=1, phi=pi/6, n=2, c=1: identity vanishes by construction
@@ -172,6 +190,23 @@ class TestDrift:
         result = drift_identity_random(hyperbolic_bowl_spec, n_states=10_000)
         assert result.passed
         assert result.max_abs_residual <= 1e-10
+
+    @pytest.mark.parametrize("wrong", ["speed", "drift"])
+    def test_randomized_states_read_the_solver_field(self, hyperbolic_bowl_spec,
+                                                     monkeypatch, wrong):
+        # negative controls: a field at 1.01 c leaves 0.01 c cos^2 phi, and a
+        # field with its drift scaled by 1.01 leaves -0.01 D cos phi sin phi
+        from soliton_forge import diagnostics
+        field = diagnostics._profile_field
+
+        def skewed(c, drift, cphi, sphi):
+            if wrong == "speed":
+                return field(1.01 * c, drift, cphi, sphi)
+            return field(c, 1.01 * drift, cphi, sphi)
+        monkeypatch.setattr(diagnostics, "_profile_field", skewed)
+        result = drift_identity_random(hyperbolic_bowl_spec, n_states=10_000)
+        assert not result.passed
+        assert result.max_abs_residual > 1e-3
 
     def test_perturbed_curve_fails(self, hyperbolic_bowl_spec):
         curve = solve_bowl(hyperbolic_bowl_spec,
@@ -266,11 +301,20 @@ def _fd2_ref(f, x, h):
             + 16 * f(x + h) - f(x + 2 * h)) / (12 * h * h)
 
 
+def _samples_ref(curve, h=2e-3):
+    """400 interior arc lengths padded by 2.5 h, less those within 1e-2 of a
+    rotational axis, found with a dense call of their own."""
+    lo, hi = curve.s_span
+    s = np.linspace(lo + 2.5 * h, hi - 2.5 * h, 400)
+    if curve.spec.warp.kind == "rotational":
+        s = s[curve.sample(s)[0] > 1e-2]
+    return s
+
+
 def _geodesic_ref(curve, h=2e-3):
     """The conformal-geodesic residuals built from one closure per component."""
-    from soliton_forge.diagnostics import _curve_samples
     c, n, warp = curve.spec.c, curve.spec.n, curve.spec.warp
-    s = _curve_samples(curve, 400, h)
+    s = _samples_ref(curve, h)
     r_of, t_of, phi_of = (lambda sv, i=i: np.asarray(curve.sample(sv)[i])
                           for i in range(3))
     r, phi = r_of(s), phi_of(s)
@@ -286,9 +330,8 @@ def _geodesic_ref(curve, h=2e-3):
 
 def _drift_fd_ref(curve, h=2e-3):
     """The finite-difference drift residuals built from one closure per component."""
-    from soliton_forge.diagnostics import _curve_samples
     c, n, warp = curve.spec.c, curve.spec.n, curve.spec.warp
-    s = _curve_samples(curve, 400, h)
+    s = _samples_ref(curve, h)
     r = np.atleast_1d(np.asarray(curve.sample(s)[0]))
     r_of, t_of = (lambda sv, i=i: np.asarray(curve.sample(sv)[i]) for i in range(2))
     td, rd, tdd = _fd1_ref(t_of, s, h), _fd1_ref(r_of, s, h), _fd2_ref(t_of, s, h)
@@ -296,8 +339,9 @@ def _drift_fd_ref(curve, h=2e-3):
 
 
 class TestDenseEvaluations:
-    """Each stencil offset is one dense evaluation shared by r, t and phi,
-    and sharing it leaves every residual bit unchanged."""
+    """Both curve checks read one dense evaluation of all five stencil
+    offsets, shared by r, t and phi, and sharing it leaves every residual
+    bit unchanged."""
 
     @pytest.fixture(scope="class")
     def bowl(self, hyperbolic_bowl_spec):
@@ -305,6 +349,7 @@ class TestDenseEvaluations:
 
     @staticmethod
     def _run_counted(check, curve, monkeypatch):
+        """The dense calls of ``check(curve)`` and the residuals it reports."""
         from soliton_forge import diagnostics
         calls, residuals = [], []
         sample = curve.sample
@@ -324,29 +369,45 @@ class TestDenseEvaluations:
             check(curve)
         finally:
             del curve.sample
-        (res,) = residuals
-        return len(calls), res
+        return len(calls), residuals
 
     def _sampled(self, bowl):
         from soliton_forge import SampledCurve
         return SampledCurve(bowl.s, bowl.r, bowl.t, bowl.phi, spec=bowl.spec)
 
-    def test_geodesic_six_evaluations(self, bowl, monkeypatch):
-        calls, res = self._run_counted(geodesic_residual, bowl, monkeypatch)
-        assert calls <= 6
+    def test_geodesic_one_evaluation(self, bowl, monkeypatch):
+        calls, (res,) = self._run_counted(geodesic_residual, bowl, monkeypatch)
+        assert calls == 1
         assert res.tobytes() == _geodesic_ref(bowl).tobytes()
 
     def test_geodesic_sampled_curve(self, bowl, monkeypatch):
         curve = self._sampled(bowl)
-        calls, res = self._run_counted(geodesic_residual, curve, monkeypatch)
-        assert calls <= 6
+        calls, (res,) = self._run_counted(geodesic_residual, curve, monkeypatch)
+        assert calls == 1
         assert res.tobytes() == _geodesic_ref(curve).tobytes()
 
-    def test_drift_fd_six_evaluations(self, bowl, monkeypatch):
+    def test_drift_profile_curve(self, bowl, monkeypatch):
+        # an in-memory profile takes the finite-difference path too
+        calls, (res,) = self._run_counted(drift_identity_residual, bowl, monkeypatch)
+        assert calls == 1
+        assert res.tobytes() == _drift_fd_ref(bowl).tobytes()
+
+    def test_drift_sampled_curve(self, bowl, monkeypatch):
         curve = self._sampled(bowl)
-        calls, res = self._run_counted(drift_identity_residual, curve, monkeypatch)
-        assert calls <= 6
+        calls, (res,) = self._run_counted(drift_identity_residual, curve, monkeypatch)
+        assert calls == 1
         assert res.tobytes() == _drift_fd_ref(curve).tobytes()
+
+    def test_profile_checks_share_one_jet(self, bowl, wing_minus, monkeypatch):
+        # a bowl's two checks read one dense call; a descending wing's
+        # turning-flux and height checks add two calls each
+        calls, (geo, drift) = self._run_counted(run_profile_checks, bowl, monkeypatch)
+        assert calls == 1
+        assert geo.tobytes() == _geodesic_ref(bowl).tobytes()
+        assert drift.tobytes() == _drift_fd_ref(bowl).tobytes()
+        calls, residuals = self._run_counted(run_profile_checks, wing_minus, monkeypatch)
+        assert calls == 5
+        assert residuals[0].tobytes() == _geodesic_ref(wing_minus).tobytes()
 
 
 @pytest.mark.parametrize("K", [-2.0, -1.0, -0.3, -0.01, 0.0])

@@ -370,9 +370,9 @@ def test_n3_grim_reads_its_launch_series_below_the_launch(side, K, c, u0):
 class TestStartContract:
     """Each graph solver starts at ic[0] inside a finite r_span: a start
     that the span does not hold, a span that crosses a singular line r = 0
-    or that is not finite, and a launch with a slope raise before any
-    solve.  Each of these inputs used to return a graph anyway, or failed
-    inside DOP853."""
+    or that is not finite, a piece too short for its sample grid, and a
+    launch with a slope raise before any solve.  Each of these inputs used
+    to return a graph anyway, or failed inside DOP853 or RadialGraph."""
 
     @pytest.fixture(autouse=True)
     def no_solve(self, monkeypatch):
@@ -410,6 +410,21 @@ class TestStartContract:
             solve_radial_graph(hyperbolic_bowl_spec, r_span=r_span)
         with pytest.raises(ValueError, match=message):
             solve_ideal_graph(1.0, 2, busemann_warp, r_span=r_span, ic=(r_span[0], 0.0, 0.0))
+
+    @pytest.mark.parametrize("r_span, piece", [
+        ((1 - 1e-15, 2.0), "r0 = 1.0 to r = 0.999999999999999 "),
+        ((1.0, 1 + 1e-15), "r0 = 1.0 to r = 1.000000000000001 ")])
+    def test_ideal_piece_too_short_for_its_grid(self, busemann_warp, r_span, piece):
+        # the piece was solved, then RadialGraph refused its grid: "r_grid
+        # must be strictly increasing"
+        with pytest.raises(ValueError, match=rf"piece from {piece}is too short"):
+            solve_ideal_graph(1.0, 2, busemann_warp, r_span=r_span, ic=(1.0, 0, 0))
+
+    def test_bowl_piece_too_short_for_its_grid(self, hyperbolic_bowl_spec):
+        # the span ends about 700 ulps past the axis launch
+        with pytest.raises(ValueError, match=r"piece from r0 = 0.0001 to "
+                                             r"r = 0.00010000000000001 is too short"):
+            solve_radial_graph(hyperbolic_bowl_spec, r_span=(0.0, 1e-4 + 1e-17))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -336,6 +336,21 @@ class TestDrift:
         assert equidistant_warp.drift(1.0, 3) == pytest.approx(
             TANH_1 + COTH_1, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_equidistant_core_line_raises(self, equidistant_warp, n):
+        """For n >= 3 the equidistant drift is singular on the core line
+        r = 0, where chi = 0, and raises there as on a rotational axis, on
+        every path; it used to return inf with a divide-by-zero warning."""
+        model = equidistant_warp
+        for call in (lambda: model.drift(0.0, n), lambda: model.drift(np.float64(0.0), n),
+                     lambda: model.drift(np.array([1.0, 0.0]), n),
+                     lambda: model.scalar_drift(n)(0.0)):
+            with pytest.raises(ZeroDivisionError, match="core line"):
+                call()
+        with pytest.raises(ValueError, match="chi vanishes"):
+            level_mean_curvature(model, 0.0, n)
+        assert model.drift(0.0, 2) == 0.0 == model.scalar_drift(2)(0.0)
+
     def test_n1_is_zero(self, hyperbolic_warp):
         assert hyperbolic_warp.drift(2.0, 1) == 0.0
         np.testing.assert_array_equal(
@@ -512,11 +527,12 @@ def test_scalar_drift_property(hyperbolic_table_warp, case, n, r, negate):
 @given(case=BOUND_DRIFT_CASES, n=st.integers(min_value=2, max_value=5))
 def test_scalar_drift_errors(hyperbolic_table_warp, case, n):
     """The bound drift raises where ``drift`` does, with its message:
-    ZeroDivisionError on a rotational axis, ValueError on a NaN xi'/xi;
+    ZeroDivisionError on a rotational axis or an n >= 3 equidistant core
+    line, ValueError on a NaN xi'/xi;
     for n = 1 both return 0 there."""
     model = _bound_drift_warp(case, hyperbolic_table_warp)
     bad = [math.nan]
-    if model.kind == "rotational":
+    if model.kind == "rotational" or (model.kind == "equidistant" and n >= 3):
         bad.append(0.0)
     if case[0] != "table" and case[1] < 0:
         bad.append(720.0 / math.sqrt(-case[1]))  # cosh and exp overflow
