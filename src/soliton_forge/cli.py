@@ -229,23 +229,21 @@ def _cmd_soliton(args) -> int:
     if family == "wing":
         meta["epsilon"] = args.epsilon
         meta["branch"] = args.branch
-    csv_path = _out_path(args, f"{tag}.csv")
-    fileio.export_profile_csv(curve, csv_path, meta=meta)
-    written = [csv_path]
-
+    # the report and the mesh are built before any file is written, so a
+    # mesh that cannot be built leaves nothing behind
     report = diagnostics.run_profile_checks(curve)
-    report_path = _out_path(args, f"{tag}_diagnostics.json")
-    fileio.export_report_json(report, report_path)
-    written.append(report_path)
-
+    mesh = None
     if args.n == 2 and family in ("bowl", "wing"):
         chart = args.chart or ("poincare_disk" if args.K < 0 else "cylindrical")
         mesh = revolve_profile(curve, angular_segments=args.segments,
                                chart=chart)
-        obj_path = _out_path(args, f"{tag}.obj")
-        fileio.export_mesh_obj(mesh, obj_path, meta=meta)
-        written.append(obj_path)
 
+    written = [
+        fileio.export_profile_csv(curve, _out_path(args, f"{tag}.csv"), meta=meta),
+        fileio.export_report_json(report, _out_path(args, f"{tag}_diagnostics.json"))]
+    if mesh is not None:
+        written.append(fileio.export_mesh_obj(mesh, _out_path(args, f"{tag}.obj"),
+                                              meta=meta))
     for path in written:
         print(f"wrote {path}")
     print(f"diagnostics: {'pass' if report.passed else 'FAIL'}")

@@ -23,7 +23,7 @@ The module also evaluates the weighted area functional
 F(tau) = |S^{n-1}| int exp(c u - c^2 tau) W xi^{n-1} dr and its defect
 D(tau) = |S^{n-1}| int K (H - c/W)^2 W xi^{n-1} dr, whose near-equality
 dF/dtau ~ -D is the monotonicity property under test.  A run records
-both from one stencil pass and one W, k pair per snapshot.
+both from the stencil its step formed and one W, k pair per snapshot.
 """
 
 from __future__ import annotations
@@ -131,13 +131,16 @@ class FlowProblem:
         else:
             raise ValueError(f"no flow on the {chart} chart: the flow needs a "
                              "rotational or equidistant warp")
+        self.dr = float(self.r_grid[1] - self.r_grid[0])
+        if not np.finfo(float).tiny <= self.dr * self.dr < math.inf:
+            raise ValueError(f"grid spacing dr = {self.dr:g} is out of float range: "
+                             "the stencil divides by dr^2, which is not a normal float")
         warp.require_domain(self.r_grid)
         if bc not in ("robin", "dirichlet"):
             raise ValueError(f"unknown boundary condition {bc!r}")
         self.c, self.n, self.warp = float(c), int(n), warp
         self.bc = bc
         self.r_max = float(r_max)
-        self.dr = float(self.r_grid[1] - self.r_grid[0])
         self.area = sphere_area(n)
 
         # drift D(r) and area weight xi^(n-1); the equidistant chart has
@@ -180,10 +183,9 @@ class FlowProblem:
     def pin_boundary_slopes(self, u0) -> None:
         """Fix the Robin slopes to the one-sided slopes of ``u0``."""
         u0 = np.asarray(u0, dtype=float)
-        dr = self.dr
-        self._sigma = (3 * u0[-1] - 4 * u0[-2] + u0[-3]) / (2 * dr)
+        self._sigma = _end_slope(u0, self.dr)
         if self.chart == "equidistant":
-            self._sigma_left = -(3 * u0[0] - 4 * u0[1] + u0[2]) / (2 * dr)
+            self._sigma_left = -_end_slope(u0[::-1], self.dr)
 
     # -- the stencil -----------------------------------------------------
 
@@ -250,12 +252,12 @@ class FlowProblem:
     def step_explicit(self, u, dtau: float) -> np.ndarray:
         """Heun (explicit trapezoidal) step under the CFL bound."""
         self._require_stable(dtau)
-        return self._heun(_finite_heights(u), dtau)
+        u = _finite_heights(u)
+        return self._heun(u, self.rhs(u), dtau)
 
-    def _heun(self, u, dtau: float) -> np.ndarray:
-        k1 = self.rhs(u)
-        k2 = self.rhs(u + dtau * k1)
-        return u + 0.5 * dtau * (k1 + k2)
+    def _heun(self, u, f, dtau: float) -> np.ndarray:
+        """Heun step from ``u`` with its first stage ``f = rhs(u)``."""
+        return u + 0.5 * dtau * (f + self.rhs(u + dtau * f))
 
     def step_implicit(self, u, dtau: float) -> np.ndarray:
         """Trapezoidal step by damped Newton."""
@@ -267,7 +269,7 @@ class FlowProblem:
     def _newton(self, u, f_old, dtau: float, tally: dict) -> tuple:
         """Trapezoidal step from ``u`` with ``f_old = rhs(u)`` by damped Newton.
 
-        Returns the accepted iterate and its rhs. The step's Newton
+        Returns the accepted iterate and its (f, p, q). The step's Newton
         iterations, halvings and fallbacks are added to ``tally`` (FLOW_RECORD
         keys), and its accepted residual raises the maximum kept there.
         """
@@ -304,17 +306,9 @@ class FlowProblem:
                 f"iterations (residual {norm:.3g})")
         tally["max_accepted_residual"] = max(tally["max_accepted_residual"],
                                              float(norm))
-        return v, f
+        return v, f, p, q
 
     # -- functionals -----------------------------------------------------
-
-    def _record_terms(self, u, tau: float) -> tuple:
-        """Stencil (p, q), 1 + p^2, W and k = exp(c u - c^2 tau) of ``u``."""
-        u = np.asarray(u, dtype=float)
-        p, q = self._differences(u)
-        w2 = 1.0 + p * p
-        k = np.exp(self.c * u - self.c * self.c * tau)
-        return p, q, w2, np.sqrt(w2), k
 
     def _integral(self, integrand) -> float:
         """|S^{n-1}| times the composite Simpson integral of the nodal
@@ -329,26 +323,23 @@ class FlowProblem:
             total += alpha * y[-1] + beta * y[-2] - eta * y[-3]
         return self.area * float(total)
 
-    def _functional(self, big_w, k) -> float:
-        return self._integral(k * big_w * self.weight)
-
-    def _curvature(self, p, q, w2, big_w) -> np.ndarray:
+    def _functional_and_defect(self, u, p, q, tau: float) -> tuple:
+        """F and D of the heights ``u`` at ``tau`` from their stencil (p, q)."""
+        w2 = 1.0 + p * p
+        big_w = np.sqrt(w2)
+        k = np.exp(self.c * np.asarray(u, dtype=float) - self.c * self.c * tau)
         h = q / w2 ** 1.5 + self.drift * p / big_w
         h[0] *= self._axis
-        return h
-
-    def _defect(self, p, q, w2, big_w, k) -> float:
-        h = self._curvature(p, q, w2, big_w)
-        return self._integral(k * (h - self.c / big_w) ** 2 * big_w * self.weight)
+        return (self._integral(k * big_w * self.weight),
+                self._integral(k * (h - self.c / big_w) ** 2 * big_w * self.weight))
 
     def weighted_functional(self, u, tau: float) -> float:
         """F(tau) = |S^{n-1}| int exp(c u - c^2 tau) W xi^{n-1} dr."""
-        *_, big_w, k = self._record_terms(u, tau)
-        return self._functional(big_w, k)
+        return self._functional_and_defect(u, *self._differences(u), tau)[0]
 
     def soliton_defect(self, u, tau: float) -> float:
         """D(tau) = |S^{n-1}| int K (H - c/W)^2 W xi^{n-1} dr >= 0."""
-        return self._defect(*self._record_terms(u, tau))
+        return self._functional_and_defect(u, *self._differences(u), tau)[1]
 
     # -- driver ----------------------------------------------------------
 
@@ -362,36 +353,37 @@ class FlowProblem:
         if scheme not in ("explicit", "implicit"):
             raise ValueError(f"unknown scheme {scheme!r}")
         n_steps, _ = run_counts(dtau, horizon, record_every)
-        implicit = scheme == "implicit"
-        if not implicit:
+        tally = dict(FLOW_RECORD)
+        if scheme == "implicit":
+            def step(u, f):
+                return self._newton(u, f, dtau, tally)
+        else:
             self._require_stable(dtau)
+
+            def step(u, f):
+                v = self._heun(u, f, dtau)
+                return (v, *self._rhs(v))
         u = _finite_heights(u0).copy()
         if self.bc == "robin" and self._sigma is None:
             self.pin_boundary_slopes(u)
-        taus, fs, ds, snaps = [], [], [], []
-        tally = dict(FLOW_RECORD)
+        rows, snaps = [], []  # (tau, F, D) and the heights of each record
 
-        def record(tau, u):
+        def record(tau, u, p, q):
             # GraphFlowState rejects non-finite heights, and the last step
             # is always recorded, so a run never returns them
-            terms = self._record_terms(u, tau)
-            taus.append(tau)
-            fs.append(self._functional(*terms[3:]))
-            ds.append(self._defect(*terms))
+            rows.append((tau, *self._functional_and_defect(u, p, q, tau)))
             snaps.append(GraphFlowState(self.r_grid, u.copy(), tau))
 
-        record(0.0, u)
-        f = self.rhs(u) if implicit else None  # carried from step to step
+        # each state's stencil (f, p, q) serves its record and the next step
+        f, p, q = self._rhs(u)
+        record(0.0, u, p, q)
         for i in range(1, n_steps + 1):
-            if implicit:
-                u, f = self._newton(u, f, dtau, tally)
-            else:
-                u = self._heun(u, dtau)
+            u, f, p, q = step(u, f)
             if i % record_every == 0 or i == n_steps:
-                record(i * dtau, u)
+                record(i * dtau, u, p, q)
+        taus, fs, ds = map(np.asarray, zip(*rows))
         return FlowTrajectory(
-            taus=np.asarray(taus), F_values=np.asarray(fs),
-            defect_values=np.asarray(ds), snapshots=snaps,
+            taus=taus, F_values=fs, defect_values=ds, snapshots=snaps,
             meta={"scheme": scheme, "dtau": dtau, "bc": self.bc,
                   "chart": self.chart, "n_nodes": self.r_grid.size,
                   "robin_slope": self._sigma},
@@ -420,6 +412,11 @@ def _finite_heights(u) -> np.ndarray:
     if not np.isfinite(u).all():
         raise ValueError("non-finite heights")
     return u
+
+
+def _end_slope(u, dr: float):
+    """One-sided second-order slope at the last node of ``u``."""
+    return (3 * u[-1] - 4 * u[-2] + u[-3]) / (2 * dr)
 
 
 def _simpson_factors(x) -> tuple:
@@ -520,7 +517,7 @@ def discrete_soliton(problem: FlowProblem) -> np.ndarray:
         prev, cur = cur, x
     # close the Robin boundary row for the slope
     a = drift[-1]
-    s = (3 * u[-1] - 4 * u[-2] + u[-3]) / (2 * dr)
+    s = _end_slope(u, dr)
     for _ in range(30):
         w2 = 1.0 + s * s
         q = (2 * u[-2] - 2 * u[-1] + 2 * dr * s) / dr2
@@ -550,5 +547,7 @@ def bump_initial(problem: FlowProblem, amplitude: float = 0.05,
         raise ValueError(f"bump width must be > 0, got {width}")
     if base is None:
         base = soliton_initial(problem)
-    bump = amplitude * np.exp(-((problem.r_grid - center) / width) ** 2)
+    # a far or narrow bump squares to inf at a node, where exp(-inf) = 0 is exact
+    with np.errstate(over="ignore"):
+        bump = amplitude * np.exp(-((problem.r_grid - center) / width) ** 2)
     return np.asarray(base, dtype=float) + bump

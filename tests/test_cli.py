@@ -42,6 +42,19 @@ class TestSolitonCommand:
                    "--c", "1", "--r-max", "10") == 0
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--segments", "4"), "need at least 8 angular segments"),
+        (("--chart", "poincare_disk", "--K", "0"),
+         "poincare_disk chart needs constant negative curvature"),
+    ], ids=["segments", "chart"])
+    def test_mesh_failure_writes_nothing(self, tmp_path, capsys, flags, message):
+        # the profile CSV and the diagnostics were written before the mesh
+        # failed; now the mesh is built before the first write
+        assert run("--out", str(tmp_path), "soliton", "bowl", "--r-max", "5",
+                   *flags) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not list(tmp_path.iterdir())
+
     def test_wing_epsilon_zero_is_usage_error(self, tmp_path):
         assert run("--out", str(tmp_path), "soliton", "wing",
                    "--epsilon", "0") == 1
@@ -282,6 +295,17 @@ class TestFlowCommand:
         assert run("--out", str(tmp_path), "flow", "--R", "4", "--nodes", "201",
                    *flags) == 1
         assert capsys.readouterr().err.startswith("error: ")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+    def test_rejects_grid_too_fine_for_floats(self, tmp_path, capsys, scheme):
+        # dr^2 underflows to 0: the explicit step bound divided by zero, and
+        # the implicit run warned of overflow as it built the problem
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("--out", str(tmp_path), "flow", "--R", "1e-300",
+                       "--nodes", "3", "--scheme", scheme) == 1
+        assert capsys.readouterr().err.startswith("error: grid spacing dr = 5e-301")
         assert not list(tmp_path.iterdir())
 
     def test_rejects_step_too_small_for_its_horizon(self, tmp_path, capsys):

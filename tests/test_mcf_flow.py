@@ -1,6 +1,7 @@
 """Flow discretization, stepping, and the monotonicity functional."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -311,6 +312,43 @@ class TestNonFinite:
         prob = _small_problem("polar", "robin")
         with pytest.raises(ValueError, match=message):
             bump_initial(prob, base=np.zeros(prob.r_grid.size), **kwargs)
+
+    @pytest.mark.parametrize("kwargs", [{"center": 1e300}, {"center": -1e300},
+                                        {"width": 1e-300}, {"width": 5e-324}],
+                             ids=["far", "far-below", "narrow", "subnormal-width"])
+    def test_far_or_narrow_bump_is_silent_and_exact(self, kwargs):
+        # the scaled distance squares (or divides) to inf off the centre, where
+        # exp(-inf) = 0 is the bump's exact value; the default centre 3 is a node
+        prob = _small_problem("polar", "robin")
+        base = 1.0 + 0.1 * np.sin(prob.r_grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = bump_initial(prob, base=base, **kwargs)
+        off = prob.r_grid != 3.0 if "width" in kwargs else slice(None)
+        assert _same_bits(u[off], base[off])
+        if "width" in kwargs:
+            assert u[30] == base[30] + 0.05
+
+    @pytest.mark.parametrize("chart, r_max, nodes", [
+        ("polar", 1e-300, 3), ("polar", 1e-160, 41), ("polar", 1e200, 3),
+        ("equidistant", 1e-300, 5)],
+        ids=["dr2-zero", "dr2-subnormal", "dr2-inf", "equidistant"])
+    def test_grid_out_of_float_range_is_refused(self, chart, r_max, nodes):
+        # dr^2 that underflows made the explicit step bound 0 and the implicit
+        # Jacobian overflow; the problem refuses it before evaluating the warp
+        warp = make_builtin_warp("rotational" if chart == "polar" else "equidistant",
+                                 -1.0 if chart == "equidistant" else 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"grid spacing dr = .*not a normal"):
+                FlowProblem(C, N, warp, r_max=r_max, n_nodes=nodes)
+
+    def test_finest_normal_grid_is_accepted(self):
+        # dr^2 at the smallest normal float still builds, with a positive bound
+        warp = make_builtin_warp("rotational", 0.0)
+        dr = math.sqrt(np.finfo(float).tiny) * (1 + 1e-15)
+        prob = FlowProblem(C, N, warp, r_max=2 * dr, n_nodes=3)
+        assert prob.stability_bound() > 0.0
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_step_implicit_rejects_non_finite_heights(self, bad):
         prob = _small_problem("polar", "robin")
@@ -431,6 +469,32 @@ class TestRunRecord:
         assert record["line_search_halvings"] >= 8
         assert record["max_accepted_residual"] <= 1e-10
         assert np.all(np.isfinite(traj.snapshots[-1].u))
+
+    @pytest.mark.parametrize("scheme, calls", [("explicit", 21), ("implicit", 31)])
+    def test_each_state_forms_one_stencil(self, scheme, calls):
+        # a record reads the stencil its step formed: the start forms one, an
+        # explicit step two (its second stage and the new state), an implicit
+        # step one per predictor and per line-search trial; a record that
+        # formed its own would add one per record (31 and 42)
+        class Counted(FlowProblem):
+            calls = 0
+
+            def _differences(self, u):
+                Counted.calls += 1
+                return super()._differences(u)
+
+        warp = make_builtin_warp("rotational", -1.0)
+        prob = Counted(C, N, warp, r_max=4.0, n_nodes=41, robin_slope=0.7)
+        u0 = 0.3 * np.exp(-(prob.r_grid - 1.0) ** 2) + 0.1 * np.sin(prob.r_grid)
+        steps = 10
+        dtau = 0.5 * prob.stability_bound() if scheme == "explicit" else 2e-3
+        traj = prob.run(u0, dtau, steps * dtau, scheme=scheme, record_every=1)
+        tally = traj.diagnostics
+        trials = (tally["newton_iterations"] + tally["line_search_halvings"]
+                  - tally["line_search_fallbacks"])
+        assert traj.taus.size == steps + 1
+        assert Counted.calls == calls == 1 + steps + (steps if scheme == "explicit"
+                                                      else trials)
 
     def test_trajectory_csv_leaves_out_the_record(self, hyper_problem, tmp_path):
         u0 = discrete_soliton(hyper_problem)
