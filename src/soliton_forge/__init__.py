@@ -21,15 +21,13 @@ _EXPORTS = {
     name: module
     for module, names in {
         "warp_models": (
-            "CurvatureBounds", "Violation", "WarpModel",
-            "level_mean_curvature", "make_builtin_warp", "radial_curvature",
-            "riccati_residual", "validate_warp", "warp_from_json",
+            "CurvatureBounds", "Violation", "WarpModel", "make_builtin_warp",
+            "radial_curvature", "validate_warp", "warp_from_json",
         ),
         "profile_solver": (
             "ProfileCurve", "ProfileState", "SampledCurve", "SolitonSpec",
-            "TerminationPolicy", "equilibrium_angle", "profile_rhs",
-            "profile_to_graph", "solve_bowl", "solve_ideal_parametric",
-            "solve_wing",
+            "TerminationPolicy", "profile_rhs", "profile_to_graph",
+            "solve_bowl", "solve_ideal_parametric", "solve_wing",
         ),
         "graph_solvers": (
             "ClosedForm", "RadialGraph", "closed_form_oracle", "solve_grim",
@@ -37,9 +35,9 @@ _EXPORTS = {
         ),
         "diagnostics": (
             "CheckResult", "DiagnosticsReport", "asymptotic_report",
-            "drift_identity_random", "drift_identity_residual",
-            "flux_residual", "geodesic_residual", "perturb_curve",
-            "run_profile_checks", "wing_height_report", "wing_turning_flux",
+            "drift_identity_random", "flux_residual", "geodesic_residual",
+            "perturb_curve", "run_profile_checks", "wing_height_report",
+            "wing_turning_flux",
         ),
         "mcf_flow": (
             "FlowProblem", "FlowTrajectory", "GraphFlowState", "bump_initial",
@@ -47,9 +45,9 @@ _EXPORTS = {
             "sphere_area",
         ),
         "lorentz": (
-            "LorentzMap", "LorentzPoint", "compose", "embed_polar",
-            "equidistant_point", "form_defect", "hyperbolic_translation",
-            "lorentz_product", "parabolic_translation", "transform_points",
+            "LorentzMap", "LorentzPoint", "embed_polar", "form_defect",
+            "hyperbolic_translation", "parabolic_translation",
+            "transform_points",
         ),
         "meshing": ("SolitonMesh", "revolve_profile"),
     }.items()

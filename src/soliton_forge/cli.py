@@ -23,6 +23,9 @@ from pathlib import Path
 from . import fileio, lorentz
 from .warp_models import _FAMILY_KIND, CHARTS, FAMILIES, make_builtin_warp
 
+#: the most flow steps one command takes; 10^6 steps on 2001 nodes take minutes
+MAX_FLOW_STEPS = 10**6
+
 
 class UsageError(Exception):
     pass
@@ -293,8 +296,12 @@ def _cmd_flow(args) -> int:
         # bound; run() rejects a horizon that is not finite and > 0
         steps = args.horizon / (0.9 * problem.stability_bound())
         dtau = args.horizon / math.ceil(steps) if 0 < steps < math.inf else args.horizon
-    # the F/D check differences three records: refuse fewer before any work
-    _, records = mcf_flow.run_counts(dtau, args.horizon, args.record_every)
+    # refused before any work: more steps than the bound, or fewer than the
+    # three records the F/D check differences
+    steps, records = mcf_flow.run_counts(dtau, args.horizon, args.record_every)
+    if steps > MAX_FLOW_STEPS:
+        raise UsageError(f"{steps} steps of {dtau:g} exceed the bound of {MAX_FLOW_STEPS} "
+                         "steps: take a larger --dtau with --scheme implicit")
     if records < 3:
         raise UsageError(f"need at least three records, got {records}: --horizon "
                          f"{args.horizon:g} must be longer than --record-every "

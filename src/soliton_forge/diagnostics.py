@@ -29,8 +29,9 @@ INTEGRAL_TOL = 1e-6
 #: coarser rule whose difference from it is the error estimate
 GL_VALUE = np.polynomial.legendre.leggauss(32)
 GL_CHECK = np.polynomial.legendre.leggauss(16)
-#: arc-length samples and step of the finite-difference checks
-FD_SAMPLES, FD_STEP = 400, 2e-3
+#: arc-length samples and step of the finite-difference checks, and the
+#: distance from a rotational axis inside which a sample is dropped
+FD_SAMPLES, FD_STEP, FD_R_MIN = 400, 2e-3, 1e-2
 #: eps and r_min of the slope sandwich in asymptotic_report
 SANDWICH_EPS, SANDWICH_R_MIN = 0.05, 10.0
 
@@ -168,11 +169,11 @@ def wing_turning_flux(curve: ProfileCurve) -> CheckResult:
 _Jet = namedtuple("_Jet", "r phi rd td phid rdd tdd")
 
 
-def _jet(curve, r_min=1e-2) -> _Jet:
+def _jet(curve) -> _Jet:
     """The jet at FD_SAMPLES interior arc lengths, padded so the stencil
     s - 2h, ..., s + 2h stays inside the span: all five offsets are one
     dense evaluation, and on a rotational warp the samples whose centre
-    lies within r_min of the axis are dropped."""
+    lies within FD_R_MIN of the axis are dropped."""
     h = FD_STEP
     lo, hi = curve.s_span
     s = np.linspace(lo + 2.5 * h, hi - 2.5 * h, FD_SAMPLES)
@@ -180,7 +181,7 @@ def _jet(curve, r_min=1e-2) -> _Jet:
     # (r, t, phi) x offset x sample
     v = np.asarray(curve.sample(stencil)).reshape(3, 5, -1)
     if curve.spec is not None and curve.spec.warp.kind == ROTATIONAL:
-        v = v[:, :, v[0, 2] > r_min]
+        v = v[:, :, v[0, 2] > FD_R_MIN]
     if not v.shape[2]:
         raise ValueError("curve too short for the requested stencil")
     # five-point centred first and second derivatives, O(h^4)
@@ -225,18 +226,6 @@ def _geodesic(jet: _Jet, spec: SolitonSpec) -> CheckResult:
                                                   np.max(np.abs(full_t))))})
 
 
-def drift_identity_residual(curve, spec: SolitonSpec | None = None) -> CheckResult:
-    """Drift-Laplacian identity t'' + (n-1)(xi'/xi) r' t' + c t'^2 - c = 0
-    for the height along the profile, on the curve's jet (:func:`_jet`).
-
-    Every curve takes this one path, so the identity tests the curve it is
-    given against ``spec``: a profile solved at another c, or with another
-    drift, fails it.  The derivatives are finite differences, so the
-    integral tolerance applies, as it does to :func:`geodesic_residual`.
-    """
-    return _drift_identity(_jet(curve), spec or curve.spec)
-
-
 def _drift_identity(jet: _Jet, spec: SolitonSpec) -> CheckResult:
     c, td = spec.c, jet.td
     res = jet.tdd + spec.warp.drift(jet.r, spec.n) * jet.rd * td + c * td**2 - c
@@ -244,8 +233,10 @@ def _drift_identity(jet: _Jet, spec: SolitonSpec) -> CheckResult:
 
 
 def profile_identities(curve, spec: SolitonSpec | None = None) -> tuple:
-    """The :func:`geodesic_residual` and :func:`drift_identity_residual`
-    results of one curve, both read from one jet."""
+    """The :func:`geodesic_residual` result of one curve and its drift
+    identity t'' + (n-1)(xi'/xi) r' t' + c t'^2 - c = 0, both read from one
+    jet (:func:`_jet`) at the integral tolerance: a curve solved at another
+    c, or with another drift than ``spec``'s, fails the identity."""
     jet, spec = _jet(curve), spec or curve.spec
     return _geodesic(jet, spec), _drift_identity(jet, spec)
 
@@ -297,7 +288,7 @@ def asymptotic_report(graph: RadialGraph, spec: SolitonSpec | None = None,
     else:
         k_plus = float(np.max(radial_curvature(warp, np.linspace(
             max(r_a, 1e-2), r_b, 64))))
-    # (xi/xi')' = 1 + K (xi/xi')^2, the Riccati identity of riccati_residual
+    # (xi/xi')' = 1 + K (xi/xi')^2, the Riccati identity of g = xi/xi'
     g_end = warp.g(0.9 * r_b)
     g_slope_end = 1.0 + radial_curvature(warp, 0.9 * r_b) * g_end * g_end
     applicable = (k_plus < 0) and abs(g_slope_end) < 0.2
@@ -361,7 +352,7 @@ def wing_height_report(curve: ProfileCurve) -> CheckResult:
     lower = warp.g(eps) * angle / (n - 1)
     upper = warp.g(r0) * angle / (n - 1)
     r_h = np.linspace(eps, r0, 64)
-    # (xi'/xi)' = -K - (xi'/xi)^2, the Riccati identity of riccati_residual
+    # (xi'/xi)' = -K - (xi'/xi)^2, the Riccati identity of xi'/xi
     ratio = warp.xi_ratio(r_h)
     ratio_slope = -radial_curvature(warp, r_h) - ratio * ratio
     hypothesis = bool(np.all(ratio_slope <= 1e-10))

@@ -204,6 +204,8 @@ def export_points_csv(points, path, heights=None, meta=None) -> Path:
     names = [f"x{i}" for i in range(data.shape[1])]
     if heights is None:
         return write_table(path, names, data.T, meta)
+    if len(heights) != len(data):
+        raise ValueError(f"{len(heights)} heights for {len(data)} points")
     return write_table(path, names + ["height"], [*data.T, heights], meta)
 
 

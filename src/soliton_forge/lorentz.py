@@ -4,7 +4,8 @@ Points live on the upper sheet of <x, x>_L = -1 in Minkowski space
 R^{n,1} with <x, y>_L = -x0 y0 + sum_i xi yi.  Hyperbolic translations
 mix (x0, x1) by a boost; parabolic translations fix the lightlike
 direction (1, -1, 0, ...) and preserve the horosphere levels x0 + x1.
-Heights of product-space points ride along untouched.
+Heights of product-space points never enter a map: they ride along in
+``fileio`` and the ``isometry`` command, beside the coordinates.
 
 ``LorentzPoint`` and ``LorentzMap`` check one point or map when built.
 ``transform_points`` moves a whole point set as an (N, n+1) array with
@@ -23,19 +24,6 @@ POINT_TOL = 1e-10
 MAP_TOL = 1e-10
 #: the largest map entry whose square the form check can take without overflow
 MAP_MAX_ENTRY = 1e150
-RENORM_TRIGGER = 1e-9
-
-
-def _eta(dim: int) -> np.ndarray:
-    e = np.eye(dim)
-    e[0, 0] = -1.0
-    return e
-
-
-def lorentz_product(p, q) -> float:
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    return float(-p[0] * q[0] + np.dot(p[1:], q[1:]))
 
 
 def _upper_sheet_rows(x: np.ndarray) -> np.ndarray:
@@ -85,11 +73,6 @@ class LorentzPoint:
     def array(self) -> np.ndarray:
         return np.asarray(self.coords, dtype=float)
 
-    @property
-    def dim(self) -> int:
-        """Dimension n of the hyperbolic space the point lives in."""
-        return len(self.coords) - 1
-
 
 @dataclass(frozen=True)
 class LorentzMap:
@@ -124,7 +107,8 @@ class LorentzMap:
 def form_defect(mat) -> float:
     """Max-norm deviation of M^T eta M from eta."""
     mat = np.asarray(mat, dtype=float)
-    eta = _eta(mat.shape[0])
+    eta = np.eye(mat.shape[0])
+    eta[0, 0] = -1.0
     return float(np.max(np.abs(mat.T @ eta @ mat - eta)))
 
 
@@ -184,90 +168,18 @@ def parabolic_translation(alpha: float, n: int) -> LorentzMap:
     return LorentzMap(mat)
 
 
-def compose(*maps: LorentzMap) -> LorentzMap:
-    """Matrix product of maps, renormalized against the form if the
-    invariant drifts beyond the trigger after a long composition."""
-    if not maps:
-        raise ValueError("compose needs at least one map")
-    mat = maps[0].array
-    for m in maps[1:]:
-        mat = mat @ m.array
-    if form_defect(mat) > RENORM_TRIGGER:
-        mat = _renormalize(mat)
-    return LorentzMap(mat)
-
-
-def _renormalize(mat: np.ndarray) -> np.ndarray:
-    """Gram-Schmidt against the Lorentz form, timelike column first."""
-    mat = np.asarray(mat, dtype=float).copy()
-    dim = mat.shape[0]
-    signs = np.ones(dim)
-    signs[0] = -1.0
-
-    def prod(a, b):
-        return -a[0] * b[0] + np.dot(a[1:], b[1:])
-
-    for j in range(dim):
-        v = mat[:, j]
-        for k in range(j):
-            v = v - signs[k] * prod(mat[:, k], v) * mat[:, k]
-        norm2 = prod(v, v) * signs[j]
-        if norm2 <= 0:
-            raise ValueError("signature lost during renormalization")
-        mat[:, j] = v / math.sqrt(norm2)
-    if mat[0, 0] < 0:
-        mat[:, 0] = -mat[:, 0]
-    return mat
-
-
-def transform_points(lmap: LorentzMap, points, heights=None):
-    """Apply a map to a point set, carrying product heights unchanged.
+def transform_points(lmap: LorentzMap, points) -> np.ndarray:
+    """The (N, n+1) array of the images of a point set under a map.
 
     ``points`` is an (N, n+1) array of hyperboloid coordinates or a
     sequence of LorentzPoints (stacked once into such an array).  Every
     input row and every image row must pass the LorentzPoint test; an
     image off the hyperboloid signals a malformed map.  The images come
     from one stacked product, equal bit for bit to ``lmap.apply`` on each
-    point.  Returns the (N, n+1) image array, or the pair (images,
-    heights array) when heights are given.
+    point.
     """
     if not isinstance(points, np.ndarray):
         points = [getattr(p, "coords", p) for p in points]
     x = _upper_sheet_rows(np.asarray(points, dtype=float))
-    out = _upper_sheet_rows(np.matmul(lmap.array, x[:, :, np.newaxis])[:, :, 0])
-    if heights is None:
-        return out
-    heights = np.asarray(heights, dtype=float)
-    if heights.shape != (len(out),):
-        raise ValueError(f"{heights.size} heights for {len(out)} points")
-    return out, heights
-
-
-def equidistant_point(r: float, tau: float, theta=None, n: int = 2) -> LorentzPoint:
-    """Parametrization of the hypersurface at signed distance r from a
-    totally geodesic hyperplane through the origin.
-
-        p = (cosh r cosh tau, sinh r theta_1, cosh r sinh tau,
-             sinh r theta_2, ..., sinh r theta_{n-1})
-
-    with tau the boost parameter along the core plane and theta a unit
-    (n-1)-vector (default e1, putting p on the level x1 = sinh r).
-    """
-    if n < 2:
-        raise ValueError("equidistant parametrization needs n >= 2")
-    if theta is None:
-        theta = np.zeros(n - 1)
-        theta[0] = 1.0
-    theta = np.asarray(theta, dtype=float)
-    if theta.size != n - 1:
-        raise ValueError("theta must have n - 1 components")
-    if abs(np.linalg.norm(theta) - 1.0) > 1e-9:
-        raise ValueError("theta must be a unit vector")
-    coords = np.zeros(n + 1)
-    coords[0] = math.cosh(r) * math.cosh(tau)
-    coords[1] = math.sinh(r) * theta[0]
-    coords[2] = math.cosh(r) * math.sinh(tau)
-    if n >= 3:
-        coords[3:] = math.sinh(r) * theta[1:]
-    return LorentzPoint(coords)
+    return _upper_sheet_rows(np.matmul(lmap.array, x[:, :, np.newaxis])[:, :, 0])
 

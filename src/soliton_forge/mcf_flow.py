@@ -243,18 +243,6 @@ class FlowProblem:
     def stability_bound(self) -> float:
         return EXPLICIT_CFL * self.dr * self.dr
 
-    def _require_stable(self, dtau: float) -> None:
-        if not 0 < dtau <= self.stability_bound() * (1 + 1e-12):
-            raise ValueError(
-                f"dtau = {dtau:g} is not > 0 and within the stability bound "
-                f"{self.stability_bound():g}")
-
-    def step_explicit(self, u, dtau: float) -> np.ndarray:
-        """Heun (explicit trapezoidal) step under the CFL bound."""
-        self._require_stable(dtau)
-        u = _finite_heights(u)
-        return self._heun(u, self.rhs(u), dtau)
-
     def _heun(self, u, f, dtau: float) -> np.ndarray:
         """Heun step from ``u`` with its first stage ``f = rhs(u)``."""
         return u + 0.5 * dtau * (f + self.rhs(u + dtau * f))
@@ -358,7 +346,10 @@ class FlowProblem:
             def step(u, f):
                 return self._newton(u, f, dtau, tally)
         else:
-            self._require_stable(dtau)
+            if not 0 < dtau <= self.stability_bound() * (1 + 1e-12):
+                raise ValueError(
+                    f"dtau = {dtau:g} is not > 0 and within the stability bound "
+                    f"{self.stability_bound():g}")
 
             def step(u, f):
                 v = self._heun(u, f, dtau)

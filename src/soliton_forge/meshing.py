@@ -24,11 +24,10 @@ CHARTS = ("cylindrical", "poincare_disk")
 
 @dataclass
 class SolitonMesh:
-    """Triangle mesh with per-vertex profile attributes."""
+    """Triangle mesh in one visualization chart."""
 
     vertices: np.ndarray
     faces: np.ndarray
-    attributes: dict = field(default_factory=dict)
     chart: str = "cylindrical"
     meta: dict = field(default_factory=dict)
 
@@ -42,9 +41,6 @@ class SolitonMesh:
                 raise ValueError("faces must be triangles")
             if self.faces.min() < 0 or self.faces.max() >= len(self.vertices):
                 raise ValueError("face indices out of range")
-        for key, vals in self.attributes.items():
-            if len(vals) != len(self.vertices):
-                raise ValueError(f"attribute {key!r} length mismatch")
 
     @property
     def n_vertices(self) -> int:
@@ -80,7 +76,7 @@ def revolve_profile(curve: ProfileCurve, angular_segments: int = 64,
     lo, hi = curve.s_span
     n_samples = max(64, curve.s.size)
     s = np.linspace(lo, hi, n_samples)
-    r, t, phi = curve.sample(s)
+    r, t, _ = curve.sample(s)
     r = np.maximum(np.asarray(r), 0.0)
 
     if chart == "poincare_disk":
@@ -107,8 +103,6 @@ def revolve_profile(curve: ProfileCurve, angular_segments: int = 64,
     ring[:, :, 1] = ring_r[:, None] * np.cos(th)
     ring[:, :, 2] = ring_r[:, None] * np.sin(th)
     verts = ring.reshape(-1, 3)
-    attr_r, attr_t, attr_phi = (
-        np.concatenate((v[:offset], np.repeat(v[offset:], k))) for v in (r, t, phi))
 
     # two triangles per quad between rings i and i + 1, ring by ring
     j = np.arange(k)
@@ -123,9 +117,7 @@ def revolve_profile(curve: ProfileCurve, angular_segments: int = 64,
         faces = np.vstack((fan, faces))
 
     return SolitonMesh(
-        vertices=verts, faces=faces,
-        attributes={"r": attr_r, "t": attr_t, "phi": attr_phi},
-        chart=chart,
+        vertices=verts, faces=faces, chart=chart,
         meta={"family": spec.family, "c": spec.c, "n": spec.n,
               "angular_segments": k, "profile_samples": n_samples,
               "axis_fan": bool(axis_fan)})

@@ -125,11 +125,6 @@ class ProfileCurve:
             return float(r), float(t), float(phi)
         return r, t, phi
 
-    @property
-    def phi_winding_ok(self) -> bool:
-        """Whether the tangent angle stays inside (-pi, pi)."""
-        return bool(np.all(np.abs(self.phi) < math.pi))
-
 
 def axis_series(c: float, n: int, x):
     """Bowl launch at distance x (a float or an array) from the axis: the
@@ -202,12 +197,11 @@ def _integrate(spec: SolitonSpec, y0, s0: float, stop: TerminationPolicy | None,
 
 
 def solve_bowl(spec: SolitonSpec, stop: TerminationPolicy | None = None,
-               t0: float = 0.0, rtol: float = DEFAULT_RTOL,
-               atol: float = DEFAULT_ATOL) -> ProfileCurve:
+               rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> ProfileCurve:
     """Rotationally symmetric entire-graph soliton, launched on the axis.
 
     The system is singular at r = 0 (xi'/xi ~ 1/r); the launch uses
-    :func:`axis_series`, r = s, t = t0 + (c/2n) s^2, phi = (c/n) s, at
+    :func:`axis_series`, r = s, t = (c/2n) s^2, phi = (c/n) s, at
     s0 = AXIS_LAUNCH_S, with O(s0^3) error; ``sample`` reads that series on
     [0, s0).  A launch at or past the radius stop (stop.r_max <=
     AXIS_LAUNCH_S) raises ValueError.
@@ -218,13 +212,13 @@ def solve_bowl(spec: SolitonSpec, stop: TerminationPolicy | None = None,
 
     def series(s):
         height, slope = axis_series(spec.c, spec.n, s)
-        return np.array((s, t0 + height, slope))
+        return np.array((s, height, slope))
 
-    curve = _integrate(spec, series(s0), s0, stop, rtol, atol, t_center=t0)
+    curve = _integrate(spec, series(s0), s0, stop, rtol, atol, t_center=0.0)
     # prepend the exact axis point; dense sampling reads the series below s0
     curve.s = np.concatenate(([0.0], curve.s))
     curve.r = np.concatenate(([0.0], curve.r))
-    curve.t = np.concatenate(([t0], curve.t))
+    curve.t = np.concatenate(([0.0], curve.t))
     curve.phi = np.concatenate(([0.0], curve.phi))
     curve._sol = dop853.joined(series, curve._sol, s0)
     return curve
@@ -267,11 +261,6 @@ def solve_ideal_parametric(spec: SolitonSpec, initial, stop: TerminationPolicy |
         y0 = tuple(initial)
         s0 = 0.0
     return _integrate(spec, y0, s0, stop, rtol, atol, t_center=y0[1])
-
-
-def equilibrium_angle(spec: SolitonSpec) -> float:
-    """Angle phi* at r = 0 where dphi/ds vanishes with phi constant (ideal family)."""
-    return math.atan2(spec.c, spec.warp.drift(0.0, spec.n))
 
 
 def profile_to_graph(curve: ProfileCurve, n_points: int | None = None):

@@ -125,7 +125,9 @@ class WarpModel:
         singular = self.kind == ROTATIONAL or self.kind == EQUIDISTANT and n > 2
         if singular and (r == 0.0).any():
             raise ZeroDivisionError(_SINGULAR[self.kind])
-        out = self.dxi(r) / self.xi(r)
+        # cosh or exp overflowing to inf/inf gives NaN, which is refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self.dxi(r) / self.xi(r)
         nan = np.isnan(out)
         if nan.any():
             self._raise_nan(float(r[nan][0]))
@@ -269,33 +271,6 @@ def radial_curvature(model: WarpModel, r):
         # limit of -xi''/xi as r -> 0 for an odd xi with xi'(0)=1
         K = np.where(axis, -model.xi3_zero, K)
     return float(K) if K.ndim == 0 else K
-
-
-def riccati_residual(model: WarpModel, r) -> np.ndarray:
-    """|g' - 1 - K g^2| with g = xi/xi'; vanishes to round-off when the
-    derivative evaluators are analytically consistent."""
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    xi = model.xi(r)
-    dxi = model.dxi(r)
-    ddxi = model.ddxi(r)
-    g = xi / dxi
-    gp = 1.0 - xi * ddxi / dxi**2
-    K = -ddxi / xi
-    return np.abs(gp - 1.0 - K * g**2)
-
-
-def level_mean_curvature(model: WarpModel, r: float, n: int) -> float:
-    """Laplacian of the radial coordinate, i.e. (n-1) times the mean
-    curvature of the level set {r = const}; see :meth:`WarpModel.drift`.
-    """
-    if n < 2:
-        raise ValueError("base dimension n must be >= 2")
-    model.require_domain(r)
-    if model.kind == ROTATIONAL and r == 0.0:
-        raise ValueError("level mean curvature is singular on the axis")
-    if model.kind == EQUIDISTANT and n > 2 and float(model.chi(r)) == 0.0:
-        raise ValueError("chi vanishes; equidistant levels singular here")
-    return model.drift(r, n)
 
 
 def default_validation_grid(model: WarpModel) -> np.ndarray:

@@ -96,13 +96,16 @@ class TestSolitonCommand:
          "the profile solve took no step from s = 0"),
         (("soliton", "wing", "--epsilon", "1e-300", "--n", "4"),
          "the profile solve took no step from s = 0"),
+        (("flow", "--R", "800", "--initial", "flat"),
+         "xi'/xi is NaN at r=710.8"),
     ], ids=["soliton-wing-n1", "sweep-wing-n1", "sweep-bowl-blowup", "flow-blowup",
-            "soliton-ideal-no-step", "soliton-wing-no-step"])
+            "soliton-ideal-no-step", "soliton-wing-no-step", "flow-past-overflow"])
     def test_no_solve_that_cannot_succeed_writes(self, tmp_path, capsys, argv, message):
         # a wing's height report divides by n - 1, past its blow-up at
         # r = pi/2 an n = 1 bowl graph's heights reach 9e46, and a speed of
         # 1e300 or a wing start at 1e-300 fails the first step at its
-        # minimum size
+        # minimum size; cosh overflows on a flow grid past r = 710.5, where
+        # the drift is NaN
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run("--out", str(tmp_path), *argv) == 1
@@ -130,8 +133,13 @@ class TestSolitonCommand:
          "bump width must be > 0, got 0.0"),
         (("flow", "--initial", "bump", "--bump-width", "-0.5", "--nodes", "201"),
          "bump width must be > 0, got -0.5"),
-    ], ids=["bowl-K-nan", "flow-K-inf", "sweep-K-inf", "bump-width-0", "bump-width-neg"])
+        (("flow", "--R", "0.01", "--initial", "flat"),
+         "11111111112 steps of 9e-12 exceed the bound of 1000000 steps"),
+    ], ids=["bowl-K-nan", "flow-K-inf", "sweep-K-inf", "bump-width-0", "bump-width-neg",
+            "flow-too-many-steps"])
     def test_bad_curvature_or_bump_is_usage_error(self, tmp_path, capsys, argv, message):
+        # the step bound refuses before any solve or step: this explicit
+        # run would take 1.1e10 steps
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run("--out", str(tmp_path), *argv) == 1

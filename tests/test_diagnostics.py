@@ -10,12 +10,11 @@ from hypothesis import strategies as st
 
 from soliton_forge import (
     CurvatureBounds, RadialGraph, SolitonSpec, TerminationPolicy,
-    asymptotic_report, drift_identity_random, drift_identity_residual,
-    flux_residual, geodesic_residual, make_builtin_warp, perturb_curve,
+    asymptotic_report, drift_identity_random, flux_residual, geodesic_residual, make_builtin_warp, perturb_curve,
     run_profile_checks, solve_bowl, solve_radial_graph, solve_wing,
     wing_height_report, wing_turning_flux,
 )
-from soliton_forge.diagnostics import INTEGRAL_TOL
+from soliton_forge.diagnostics import INTEGRAL_TOL, profile_identities
 
 
 @pytest.fixture(scope="module")
@@ -168,9 +167,9 @@ class TestDrift:
         # negative control: the in-memory profile solved at c passes the
         # finite-difference identity, and fails it checked against 1.01 c
         curve = readme_profiles[family]
-        assert drift_identity_residual(curve).max_abs_residual <= INTEGRAL_TOL
+        assert profile_identities(curve)[1].max_abs_residual <= INTEGRAL_TOL
         faster = replace(curve.spec, c=1.01 * curve.spec.c)
-        assert drift_identity_residual(curve, faster).max_abs_residual > 1e-3
+        assert profile_identities(curve, faster)[1].max_abs_residual > 1e-3
 
     def test_single_state_substitution(self, hyperbolic_warp):
         # r=1, phi=pi/6, n=2, c=1: identity vanishes by construction
@@ -212,7 +211,7 @@ class TestDrift:
         curve = solve_bowl(hyperbolic_bowl_spec,
                            stop=TerminationPolicy(r_max=15.0))
         bad = perturb_curve(curve, amplitude=1e-3)
-        result = drift_identity_residual(bad)
+        result = profile_identities(bad)[1]
         assert not result.passed
         assert result.max_abs_residual > 1e-4
 
@@ -388,13 +387,13 @@ class TestDenseEvaluations:
 
     def test_drift_profile_curve(self, bowl, monkeypatch):
         # an in-memory profile takes the finite-difference path too
-        calls, (res,) = self._run_counted(drift_identity_residual, bowl, monkeypatch)
+        calls, (_, res) = self._run_counted(profile_identities, bowl, monkeypatch)
         assert calls == 1
         assert res.tobytes() == _drift_fd_ref(bowl).tobytes()
 
     def test_drift_sampled_curve(self, bowl, monkeypatch):
         curve = self._sampled(bowl)
-        calls, (res,) = self._run_counted(drift_identity_residual, curve, monkeypatch)
+        calls, (_, res) = self._run_counted(profile_identities, curve, monkeypatch)
         assert calls == 1
         assert res.tobytes() == _drift_fd_ref(curve).tobytes()
 

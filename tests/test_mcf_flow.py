@@ -12,7 +12,7 @@ from scipy.special import gamma
 
 from soliton_forge import (
     FlowProblem, bump_initial, discrete_soliton, flat_initial,
-    level_mean_curvature, make_builtin_warp, soliton_initial, sphere_area,
+    make_builtin_warp, soliton_initial, sphere_area,
 )
 from soliton_forge.fileio import export_trajectory_csv, read_table
 from soliton_forge import spline
@@ -164,7 +164,7 @@ def _per_node_drift_weight(warp, r, n, chart):
             drift[1:] = (n - 1) * np.array([warp.xi_ratio(x) for x in r[1:]])
         weight = np.array([warp.xi(x) ** (n - 1) for x in r])
     else:
-        drift = np.array([level_mean_curvature(warp, x, n) for x in r])
+        drift = np.array([warp.drift(x, n) for x in r])
         weight = np.array([warp.xi(x) * warp.chi(x) ** (n - 2)
                            if n > 2 else warp.xi(x) for x in r])
     return drift, weight
@@ -195,8 +195,8 @@ class TestStepping:
     def test_explicit_stability_guard(self, hyper_problem):
         u0 = discrete_soliton(hyper_problem)
         dt = 2 * hyper_problem.stability_bound()
-        with pytest.raises(ValueError):
-            hyper_problem.step_explicit(u0, dt)
+        with pytest.raises(ValueError, match="stability bound"):
+            hyper_problem.run(u0, dt, dt, scheme="explicit")
 
     def test_run_checks_the_explicit_step_before_it_starts(self, hyperbolic_warp):
         prob = FlowProblem(C, N, hyperbolic_warp, r_max=4.0, n_nodes=41)
@@ -209,7 +209,7 @@ class TestStepping:
         prob = FlowProblem(C, N, hyperbolic_warp, r_max=8.0, n_nodes=401)
         u0 = bump_initial(prob, base=discrete_soliton(prob))
         dt = 0.5 * prob.stability_bound()
-        ue = prob.step_explicit(u0, dt)
+        ue = prob.run(u0, dt, dt, scheme="explicit").snapshots[-1].u
         ui = prob.step_implicit(u0, dt)
         assert np.max(np.abs(ue - ui)) < 1e-8
 
@@ -363,7 +363,7 @@ class TestNonFinite:
         u = np.zeros(prob.r_grid.size)
         u[7] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            prob.step_explicit(u, 1e-3)
+            prob.run(u, 1e-3, 1e-3, scheme="explicit")
 
     @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
     def test_speed_must_be_finite(self, c):
@@ -423,9 +423,11 @@ class TestNonFinite:
     def test_step_rejects_dtau_not_finite_and_positive(self, scheme, dtau):
         prob = _small_problem("polar", "robin")
         u = flat_initial(prob)
-        step = prob.step_explicit if scheme == "explicit" else prob.step_implicit
         with pytest.raises(ValueError, match="dtau"):
-            step(u, dtau)
+            if scheme == "explicit":
+                prob.run(u, dtau, 1e-3, scheme="explicit")
+            else:
+                prob.step_implicit(u, dtau)
 
     def test_singular_newton_system_raises(self):
         # J = I with half = 1 makes I - half J zero, so gtsv meets an exact
@@ -588,15 +590,15 @@ class TestSameBits:
 
     @pytest.mark.parametrize("chart,bc", CHART_BC)
     def test_explicit_run_matches_public_step_loop(self, chart, bc):
-        # the run checks the step once and then steps through the private
-        # Heun step; the public step checks it on every call
+        # the run carries each state's right-hand side into its next Heun
+        # step; a loop that forms it afresh for every step gives the same bits
         prob = _small_problem(chart, bc)
         u0 = 0.3 * np.exp(-(prob.r_grid - 1.0) ** 2) + 0.1 * np.sin(prob.r_grid)
         dtau, steps = 0.5 * prob.stability_bound(), 9
         traj = prob.run(u0, dtau, steps * dtau, record_every=steps)
         u = u0
         for _ in range(steps):
-            u = prob.step_explicit(u, dtau)
+            u = prob._heun(u, prob.rhs(u), dtau)
         assert _same_bits(traj.snapshots[-1].u, u)
         assert _same_bits(traj.F_values[-1:], [prob.weighted_functional(u, steps * dtau)])
 

@@ -56,7 +56,8 @@ def load_obj(path):
 
 def _loop_mesh(curve, k):
     """Vertex by vertex and face by face: the reference for revolve_profile's
-    array build in the cylindrical chart."""
+    array build in the cylindrical chart, with each vertex's profile
+    (r, t, phi)."""
     lo, hi = curve.s_span
     r, t, phi = curve.sample(np.linspace(lo, hi, max(64, curve.s.size)))
     r = np.maximum(r, 0.0)
@@ -85,11 +86,8 @@ class TestRevolve:
     def test_matches_loop_reference(self, which, request):
         curve = request.getfixturevalue(which)
         mesh = revolve_profile(curve, angular_segments=16)
-        verts, attrs, faces = _loop_mesh(curve, 16)
+        verts, _, faces = _loop_mesh(curve, 16)
         np.testing.assert_array_equal(mesh.vertices, verts)
-        np.testing.assert_array_equal(
-            np.column_stack([mesh.attributes[key] for key in ("r", "t", "phi")]),
-            attrs)
         np.testing.assert_array_equal(mesh.faces, faces)
 
     def test_bowl_is_a_disk(self, bowl_curve):
@@ -109,14 +107,15 @@ class TestRevolve:
 
     def test_wing_inner_boundary_radius(self, wing_curve):
         mesh = revolve_profile(wing_curve, angular_segments=32)
-        assert float(np.min(mesh.attributes["r"])) == pytest.approx(0.5,
-                                                                    abs=1e-9)
+        radii = np.hypot(mesh.vertices[:, 1], mesh.vertices[:, 2])
+        assert float(np.min(radii)) == pytest.approx(0.5, abs=1e-9)
 
     def test_poincare_disk_radius(self, bowl_curve):
         mesh = revolve_profile(bowl_curve, chart="poincare_disk",
                                angular_segments=16)
         planar = np.hypot(mesh.vertices[:, 1], mesh.vertices[:, 2])
-        expected = np.tanh(mesh.attributes["r"] / 2.0)
+        # each vertex's profile radius, from the curve samples it revolves
+        expected = np.tanh(_loop_mesh(bowl_curve, 16)[1][:, 0] / 2.0)
         assert np.max(np.abs(planar - expected)) < 1e-12
         assert planar.max() < 1.0
 

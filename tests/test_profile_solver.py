@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from soliton_forge import (
-    ProfileState, SolitonSpec, TerminationPolicy, equilibrium_angle,
-    make_builtin_warp, profile_rhs, profile_to_graph, solve_bowl,
-    solve_ideal_parametric, solve_wing,
+    ProfileState, SolitonSpec, TerminationPolicy, make_builtin_warp,
+    profile_rhs, profile_to_graph, solve_bowl, solve_ideal_parametric,
+    solve_wing,
 )
 from soliton_forge import dop853
 from soliton_forge.profile_solver import AXIS_LAUNCH_S
@@ -113,10 +113,11 @@ class TestBowl:
             solve_bowl(hyperbolic_bowl_spec, stop=TerminationPolicy(r_max=r_max))
 
     def test_axis_point_exact(self, euclidean_bowl_spec):
-        curve = solve_bowl(euclidean_bowl_spec, t0=2.5)
+        curve = solve_bowl(euclidean_bowl_spec)
         assert curve.r[0] == 0.0
-        assert curve.t[0] == 2.5
+        assert curve.t[0] == 0.0
         assert curve.phi[0] == 0.0
+        assert curve.sample(0.0) == (0.0, 0.0, 0.0)
 
     def test_r_monotone_phi_in_band(self, hyperbolic_bowl_spec):
         curve = solve_bowl(hyperbolic_bowl_spec,
@@ -150,7 +151,7 @@ class TestBowl:
 
     def test_winding_flag(self, hyperbolic_bowl_spec):
         curve = solve_bowl(hyperbolic_bowl_spec)
-        assert curve.phi_winding_ok
+        assert np.all(np.abs(curve.phi) < math.pi)
 
     def test_solver_record_is_deterministic(self, hyperbolic_bowl_spec):
         stop = TerminationPolicy(r_max=5.0)
@@ -253,21 +254,26 @@ class TestTableWarpDomain:
         with pytest.raises(ValueError, match="outside domain"):
             solve_wing(spec, stop=TerminationPolicy(r_max=10.0))
 
+def _equilibrium_angle(spec):
+    """Angle phi* at r = 0 where dphi/ds = c cos phi - D sin phi vanishes."""
+    return math.atan2(spec.c, spec.warp.drift(0.0, spec.n))
+
+
 class TestIdealParametric:
     def test_equilibrium_angle_value(self, busemann_warp):
         spec = SolitonSpec(c=1.0, n=2, family="ideal", warp=busemann_warp)
-        assert equilibrium_angle(spec) == pytest.approx(math.pi / 4)
+        assert _equilibrium_angle(spec) == pytest.approx(math.pi / 4)
 
     def test_equilibrium_is_fixed_line(self, busemann_warp):
         spec = SolitonSpec(c=1.0, n=2, family="ideal", warp=busemann_warp)
-        phi_star = equilibrium_angle(spec)
+        phi_star = _equilibrium_angle(spec)
         curve = solve_ideal_parametric(spec, (0.0, 0.0, phi_star),
                                        stop=TerminationPolicy(s_max=20.0))
         assert np.max(np.abs(curve.phi - phi_star)) < 1e-9
 
     def test_ideal_bowl_angle_monotone_to_equilibrium(self, busemann_warp):
         spec = SolitonSpec(c=1.0, n=2, family="ideal", warp=busemann_warp)
-        phi_star = equilibrium_angle(spec)
+        phi_star = _equilibrium_angle(spec)
         curve = solve_ideal_parametric(spec, (0.0, 0.0, 0.0),
                                        stop=TerminationPolicy(s_max=40.0))
         assert np.all(np.diff(curve.phi) >= -1e-8)

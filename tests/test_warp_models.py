@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from soliton_forge import (
-    CurvatureBounds, WarpModel, level_mean_curvature, make_builtin_warp,
-    radial_curvature, riccati_residual, validate_warp, warp_from_json,
+    CurvatureBounds, WarpModel, make_builtin_warp, radial_curvature,
+    validate_warp, warp_from_json,
 )
 from soliton_forge.warp_models import CHARTS, KINDS, default_validation_grid
 
@@ -31,6 +31,16 @@ def constant_curvature_ratio(K: float, r):
         return 1.0 / r
     k = math.sqrt(-K)
     return k / np.tanh(k * r)
+
+
+def _riccati_residual(model, r) -> float:
+    """max |g' - 1 - K g^2| with g = xi/xi', g' = 1 - xi xi''/xi'^2 and
+    K = -xi''/xi: zero to round-off when the derivative evaluators are
+    analytically consistent."""
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    xi, dxi, ddxi = model.xi(r), model.dxi(r), model.ddxi(r)
+    g, gp, K = xi / dxi, 1.0 - xi * ddxi / dxi**2, -ddxi / xi
+    return float(np.max(np.abs(gp - 1.0 - K * g**2)))
 
 
 class TestBuiltins:
@@ -151,7 +161,7 @@ class TestCurvature:
         else:
             grid = np.linspace(-10, 10, 64)
             grid = grid[np.abs(grid) > 1e-6]
-        res = [abs(riccati_residual(model, float(r))) for r in grid]
+        res = [float(_riccati_residual(model, float(r))) for r in grid]
         assert max(res) < 1e-10
 
     @pytest.mark.parametrize("kind,curv", [
@@ -191,23 +201,24 @@ class TestCurvature:
 
 
 class TestLevelMeanCurvature:
+    """The drift is (n-1) times the mean curvature of the level {r = const}."""
+
     def test_euclidean(self, euclidean_warp):
-        assert level_mean_curvature(euclidean_warp, 2.0, 3) == pytest.approx(1.0)
+        assert euclidean_warp.drift(2.0, 3) == pytest.approx(1.0)
 
     def test_equidistant_n2(self, equidistant_warp):
-        assert level_mean_curvature(equidistant_warp, 1.0, 2) == pytest.approx(
-            TANH_1, abs=1e-12)
+        assert equidistant_warp.drift(1.0, 2) == pytest.approx(TANH_1, abs=1e-12)
 
     def test_equidistant_n3_adds_coth(self, equidistant_warp):
-        got = level_mean_curvature(equidistant_warp, 1.0, 3)
+        got = equidistant_warp.drift(1.0, 3)
         assert got == pytest.approx(TANH_1 + COTH_1, abs=1e-12)
 
     def test_busemann_constant(self, busemann_warp):
-        assert level_mean_curvature(busemann_warp, -5.0, 4) == pytest.approx(3.0)
+        assert busemann_warp.drift(-5.0, 4) == pytest.approx(3.0)
 
     def test_axis_singular(self, euclidean_warp):
-        with pytest.raises(ValueError):
-            level_mean_curvature(euclidean_warp, 0.0, 2)
+        with pytest.raises(ZeroDivisionError, match="axis"):
+            euclidean_warp.drift(0.0, 2)
 
 
 class TestSeriesGuard:
@@ -293,7 +304,7 @@ class TestJsonWarp:
        k=st.floats(min_value=0.1, max_value=3.0))
 def test_riccati_property_hyperbolic(r, k):
     model = make_builtin_warp("rotational", -k * k)
-    assert abs(riccati_residual(model, r)) < 1e-9
+    assert _riccati_residual(model, r) < 1e-9
 
 
 BUILTINS = [("rotational", 0.0), ("rotational", -1.0), ("rotational", -2.5),
@@ -326,9 +337,6 @@ def test_drift_property(case, n, mags, signs):
     assert all(isinstance(v, float) for v in per_point)
     np.testing.assert_array_equal(got, per_point)
     np.testing.assert_array_equal(got, _drift_reference(model, r, n))
-    if n >= 2:
-        np.testing.assert_array_equal(
-            got, [level_mean_curvature(model, float(x), n) for x in r])
 
 
 class TestDrift:
@@ -347,8 +355,6 @@ class TestDrift:
                      lambda: model.scalar_drift(n)(0.0)):
             with pytest.raises(ZeroDivisionError, match="core line"):
                 call()
-        with pytest.raises(ValueError, match="chi vanishes"):
-            level_mean_curvature(model, 0.0, n)
         assert model.drift(0.0, 2) == 0.0 == model.scalar_drift(2)(0.0)
 
     def test_n1_is_zero(self, hyperbolic_warp):
