@@ -10,11 +10,11 @@ discretized with centered differences on a uniform grid padded with one
 ghost node per end (the polar axis mirrors, a Robin end mirrors through
 its slope, a held Dirichlet end extrapolates).  Steps are explicit Heun
 under the parabolic stability bound, or trapezoidal with damped Newton.
-Each Newton iterate costs one stencil pass: the right-hand side hands
-its slopes and second differences to the tridiagonal Jacobian, the
-accepted iterate's right-hand side starts the next step, and LAPACK's
-``dgtsv`` (``spline.Tridiagonal``, in buffers the problem keeps) solves
-the Newton system directly.  ``run`` records its Newton
+Newton starts at the state, whose carried stencil (right-hand side,
+slopes, second differences) gives its tridiagonal Jacobian, and each
+iterate costs one stencil pass, which gives the next Jacobian and the
+next step's start; LAPACK's ``dgtsv`` (``spline.Tridiagonal``, in buffers
+the problem keeps) solves the Newton system directly.  ``run`` records its Newton
 iterations, line-search halvings, line-search fallbacks (every halving
 failed to lower the residual and the last trial was kept) and the
 largest residual it accepted as the trajectory's ``diagnostics``.
@@ -41,6 +41,7 @@ from .warp_models import WarpModel
 EXPLICIT_CFL = 0.4
 NEWTON_TOL, NEWTON_MAX_ITER = 1e-10, 25
 LINE_SEARCH_HALVINGS = 8
+_GHOST_READS = np.array([0, 1, 2, -3, -2, -1])  # the nodes the two ghosts read
 
 #: keys of the Newton record, with their values before the first step:
 #: how a run was computed, not what it is
@@ -109,9 +110,10 @@ class FlowProblem:
     axis symmetry at r = 0) or "equidistant" (grid [-R, R], n = 2 only,
     slope conditions at both ends).  ``robin_slope`` may be a finite number, or
     None to pin the initial data's own one-sided slope when a run starts.
-    Implicit steps solve to NEWTON_TOL in at most NEWTON_MAX_ITER Newton
-    iterations.  They solve in one set of tridiagonal buffers per problem,
-    so a problem must not step in two threads at once.
+    Implicit steps start Newton at the state they step from and solve to
+    NEWTON_TOL in at most NEWTON_MAX_ITER Newton iterations, in one set of
+    tridiagonal buffers per problem, so a problem must not step in two
+    threads at once.
     """
 
     def __init__(self, c: float, n: int, warp: WarpModel, r_max: float = 10.0,
@@ -149,7 +151,11 @@ class FlowProblem:
         self.drift = np.zeros_like(r)
         start = 1 if chart == "polar" else 0
         self.drift[start:] = warp.drift(r[start:], n)
-        self.weight = warp.xi(r) ** (n - 1)
+        with np.errstate(over="ignore"):
+            self.weight = warp.xi(r) ** (n - 1)
+        overflow = ~np.isfinite(self.weight)
+        if overflow.any():
+            raise ValueError(f"the area weight xi^{n - 1} is not finite at r={r[overflow][0]}")
         self._advection = self.drift / (2 * self.dr)  # the Jacobian's D / (2 dr)
         self._simpson = _simpson_factors(r)
         self._system = Tridiagonal(n_nodes)  # the Newton system's buffers
@@ -163,7 +169,7 @@ class FlowProblem:
         self._ghosts = (mirror if chart == "polar" or bc == "robin" else extrapolate,
                         mirror if bc == "robin" else extrapolate)
         self._axis = float(n) if chart == "polar" else 1.0
-        self._held = (slice(0, 0) if bc == "robin"
+        self._held = (None if bc == "robin"
                       else slice(-1 if chart == "polar" else 0, None, n_nodes - 1))
 
         self._sigma = self._sigma_left = None
@@ -196,21 +202,30 @@ class FlowProblem:
                              "or pass robin_slope")
         u = np.asarray(u, dtype=float)
         (a0, a1, a2), (b0, b1, b2) = self._ghosts
+        u0, u1, u2, z2, z1, z0 = u[_GHOST_READS].tolist()
         two_dr = 2 * self.dr
         g = np.empty(u.size + 2)
         g[1:-1] = u
-        g[0] = a0 * u[0] + a1 * u[1] + a2 * u[2] - two_dr * (self._sigma_left or 0.0)
-        g[-1] = b0 * u[-1] + b1 * u[-2] + b2 * u[-3] + two_dr * (self._sigma or 0.0)
-        p = (g[2:] - g[:-2]) / two_dr
-        q = (g[2:] - 2 * u + g[:-2]) / (self.dr * self.dr)
+        g[0] = a0 * u0 + a1 * u1 + a2 * u2 - two_dr * (self._sigma_left or 0.0)
+        g[-1] = b0 * z0 + b1 * z1 + b2 * z2 + two_dr * (self._sigma or 0.0)
+        above, below = g[2:], g[:-2]
+        p = above - below
+        p /= two_dr
+        q = above - 2 * u
+        q += below
+        q /= self.dr * self.dr
         return p, q
 
     def _rhs(self, u) -> tuple:
         """Nodal du/dtau with the slopes p and second differences q it read."""
         p, q = self._differences(u)
-        f = q / (1.0 + p * p) + self.drift * p
+        f = p * p
+        f += 1.0
+        np.divide(q, f, out=f)
+        f += self.drift * p
         f[0] *= self._axis
-        f[self._held] = 0.0
+        if self._held is not None:
+            f[self._held] = 0.0
         return f, p, q
 
     def rhs(self, u) -> np.ndarray:
@@ -234,8 +249,9 @@ class FlowProblem:
         lower[-1] += upper[-1]
         upper[0] *= self._axis
         diag[0] *= self._axis
-        for row in (upper, diag, lower):
-            row[self._held] = 0.0
+        if self._held is not None:
+            for row in (upper, diag, lower):
+                row[self._held] = 0.0
         return lower[1:], diag, upper[:-1]
 
     # -- time stepping ---------------------------------------------------
@@ -252,21 +268,24 @@ class FlowProblem:
         if not 0 < dtau < math.inf:
             raise ValueError(f"a step needs a finite dtau > 0, got {dtau}")
         u = _finite_heights(u)
-        return self._newton(u, self.rhs(u), dtau, dict(FLOW_RECORD))[0]
+        return self._newton(u, *self._rhs(u), dtau, dict(FLOW_RECORD))[0]
 
-    def _newton(self, u, f_old, dtau: float, tally: dict) -> tuple:
-        """Trapezoidal step from ``u`` with ``f_old = rhs(u)`` by damped Newton.
+    def _newton(self, u, f, p, q, dtau: float, tally: dict) -> tuple:
+        """Trapezoidal step from ``u`` by damped Newton started at ``u``,
+        whose stencil ``(f, p, q) = _rhs(u)`` gives the first Jacobian.
 
         Returns the accepted iterate and its (f, p, q). The step's Newton
         iterations, halvings and fallbacks are added to ``tally`` (FLOW_RECORD
         keys), and its accepted residual raises the maximum kept there.
         """
         half = 0.5 * dtau
-        v = u + dtau * f_old  # explicit predictor
-        target = u + half * f_old
-        f, p, q = self._rhs(v)
+        v = u
+        target = u + half * f
         res = v - target - half * f
         norm = np.max(np.abs(res))
+        if not norm < math.inf:
+            raise RuntimeError("implicit step's starting residual is not finite "
+                               f"(residual {norm:.3g}), so Newton took no iteration")
         for _ in range(NEWTON_MAX_ITER):
             # a converged or non-finite residual ends the iteration
             if not NEWTON_TOL < norm < math.inf:
@@ -274,16 +293,14 @@ class FlowProblem:
             tally["newton_iterations"] += 1
             delta = _solve_newton_system(self._system, *self._jacobian(p, q),
                                          half, res)
-            step = 1.0
-            for _ in range(LINE_SEARCH_HALVINGS):
-                trial = v + step * delta
+            for k in range(LINE_SEARCH_HALVINGS):
+                trial = v + delta if k == 0 else v + 0.5 ** k * delta
                 f, p, q = self._rhs(trial)
                 res_trial = trial - target - half * f
                 norm_trial = np.max(np.abs(res_trial))
                 if norm_trial < norm:
                     break
                 tally["line_search_halvings"] += 1
-                step *= 0.5
             else:
                 # no halving lowered the residual: keep the last trial
                 tally["line_search_fallbacks"] += 1
@@ -343,15 +360,15 @@ class FlowProblem:
         n_steps, _ = run_counts(dtau, horizon, record_every)
         tally = dict(FLOW_RECORD)
         if scheme == "implicit":
-            def step(u, f):
-                return self._newton(u, f, dtau, tally)
+            def step(u, f, p, q):
+                return self._newton(u, f, p, q, dtau, tally)
         else:
             if not 0 < dtau <= self.stability_bound() * (1 + 1e-12):
                 raise ValueError(
                     f"dtau = {dtau:g} is not > 0 and within the stability bound "
                     f"{self.stability_bound():g}")
 
-            def step(u, f):
+            def step(u, f, p, q):
                 v = self._heun(u, f, dtau)
                 return (v, *self._rhs(v))
         u = _finite_heights(u0).copy()
@@ -369,7 +386,7 @@ class FlowProblem:
         f, p, q = self._rhs(u)
         record(0.0, u, p, q)
         for i in range(1, n_steps + 1):
-            u, f, p, q = step(u, f)
+            u, f, p, q = step(u, f, p, q)
             if i % record_every == 0 or i == n_steps:
                 record(i * dtau, u, p, q)
         taus, fs, ds = map(np.asarray, zip(*rows))
@@ -485,6 +502,7 @@ def discrete_soliton(problem: FlowProblem) -> np.ndarray:
         raise ValueError("discrete soliton marching needs the polar chart")
     c = problem.c
     dr, dr2 = problem.dr, problem.dr * problem.dr
+    two_dr = 2 * dr
     # the march runs on Python floats: an item of a float64 memoryview is
     # a float, and the two nodes behind the front are carried as floats
     drift = memoryview(problem.drift)
@@ -493,16 +511,18 @@ def discrete_soliton(problem: FlowProblem) -> np.ndarray:
     cur = u[1] = prev + c * dr2 / (2 * problem.n)
     for i in range(1, u.size - 1):
         a = drift[i]
+        adv = a / two_dr
         x = 2 * cur - prev  # linear extrapolation seed
         for _ in range(30):
-            p = (x - prev) / (2 * dr)
+            p = (x - prev) / two_dr
             w2 = 1.0 + p * p
             q = (x - 2 * cur + prev) / dr2
             g = q / w2 + a * p - c
-            dg = 1.0 / (dr2 * w2) - q * p / (dr * w2 * w2) + a / (2 * dr)
+            dg = 1.0 / (dr2 * w2) - q * p / (dr * w2 * w2) + adv
             step = g / dg
             x -= step
-            if abs(step) <= 1e-14 * max(1.0, abs(x)):
+            # |step| <= 1e-14 max(1, |x|), without the call
+            if abs(step) <= 1e-14 or abs(step) <= 1e-14 * abs(x):
                 break
         u[i + 1] = x
         prev, cur = cur, x

@@ -98,14 +98,19 @@ class TestSolitonCommand:
          "the profile solve took no step from s = 0"),
         (("flow", "--R", "800", "--initial", "flat"),
          "xi'/xi is NaN at r=710.8"),
+        (("flow", "--n", "3", "--R", "400", "--initial", "flat", "--nodes", "201",
+          "--scheme", "implicit", "--dtau", "1e-3", "--horizon", "0.003"),
+         "the area weight xi^2 is not finite at r=356.0"),
     ], ids=["soliton-wing-n1", "sweep-wing-n1", "sweep-bowl-blowup", "flow-blowup",
-            "soliton-ideal-no-step", "soliton-wing-no-step", "flow-past-overflow"])
+            "soliton-ideal-no-step", "soliton-wing-no-step", "flow-past-overflow",
+            "flow-weight-overflow"])
     def test_no_solve_that_cannot_succeed_writes(self, tmp_path, capsys, argv, message):
         # a wing's height report divides by n - 1, past its blow-up at
         # r = pi/2 an n = 1 bowl graph's heights reach 9e46, and a speed of
         # 1e300 or a wing start at 1e-300 fails the first step at its
         # minimum size; cosh overflows on a flow grid past r = 710.5, where
-        # the drift is NaN
+        # the drift is NaN, and sinh^2 past r = 355.1, where the n = 3 area
+        # weight is inf though the drift is finite
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run("--out", str(tmp_path), *argv) == 1

@@ -391,18 +391,24 @@ class TestNonFinite:
                                                       match="non-finite"):
             prob.run(u0, dtau, 3 * dtau, record_every=10)
 
+    # finite heights whose differences overflow: signs in pairs make the
+    # starting residual NaN, alternating signs make it inf
+    OVERFLOWING = [(2, "nan"), (1, "inf")]
+
     def test_nan_residual_is_not_accepted(self):
-        # finite heights whose differences overflow: every residual is NaN,
-        # which must fail the convergence test rather than pass as a result
+        # a residual that is not finite must fail the convergence test
+        # rather than pass as a result
         prob = _small_problem("polar", "robin")
-        u = 1e308 * (-1.0) ** np.arange(prob.r_grid.size)
-        with np.errstate(all="ignore"), pytest.raises(RuntimeError,
-                                                      match="residual nan"):
-            prob.step_implicit(u, 1e-3)
+        for period, residual in self.OVERFLOWING:
+            u = 1e308 * (-1.0) ** (np.arange(prob.r_grid.size) // period)
+            with np.errstate(all="ignore"), pytest.raises(
+                    RuntimeError,
+                    match=rf"starting residual is not finite \(residual {residual}\)"):
+                prob.step_implicit(u, 1e-3)
 
     def test_nan_residual_stops_newton_at_once(self):
-        # one rhs for f_old and one for the predictor, whose residual is
-        # already NaN: no Newton iteration or line search may follow
+        # one rhs for f_old, whose starting residual is already not finite:
+        # no Newton iteration or line search may follow
         class Counted(FlowProblem):
             calls = 0
 
@@ -412,11 +418,14 @@ class TestNonFinite:
 
         warp = make_builtin_warp("rotational", -1.0)
         prob = Counted(C, N, warp, r_max=4.0, n_nodes=41, robin_slope=0.7)
-        u = 1e308 * (-1.0) ** np.arange(prob.r_grid.size)
-        with np.errstate(all="ignore"), pytest.raises(RuntimeError,
-                                                      match="residual nan"):
-            prob.step_implicit(u, 1e-3)
-        assert Counted.calls <= 2
+        for period, residual in self.OVERFLOWING:
+            Counted.calls = 0
+            u = 1e308 * (-1.0) ** (np.arange(prob.r_grid.size) // period)
+            with np.errstate(all="ignore"), pytest.raises(
+                    RuntimeError,
+                    match=rf"starting residual is not finite \(residual {residual}\)"):
+                prob.step_implicit(u, 1e-3)
+            assert Counted.calls == 1
 
     @pytest.mark.parametrize("dtau", [0.0, -1e-3, math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
@@ -449,7 +458,8 @@ class TestRunRecord:
         first = prob.run(u0, 5e-4, 0.01, scheme="implicit", record_every=4)
         again = prob.run(u0, 5e-4, 0.01, scheme="implicit", record_every=4)
         assert _record(first) == _record(again)
-        # every step takes at least one Newton iteration from its predictor
+        # every step takes at least one Newton iteration from the state it
+        # starts at
         assert first.diagnostics["newton_iterations"] >= 20
         assert 0.0 < first.diagnostics["max_accepted_residual"] <= 1e-10
         dtau = 0.5 * prob.stability_bound()
@@ -464,7 +474,7 @@ class TestRunRecord:
         # all fail, the last trial is kept, and the step still converges
         prob = FlowProblem(C, N, hyperbolic_warp, r_max=4.0, n_nodes=101,
                            robin_slope=0.7)
-        u0 = 2.0 * np.sin(3 * prob.r_grid) ** 2 * np.cos(7 * prob.r_grid)
+        u0 = 2.0 * np.sin(7 * prob.r_grid) ** 2 * np.cos(7 * prob.r_grid)
         traj = prob.run(u0, 0.01, 0.01, scheme="implicit")
         record = _record(traj)
         assert record["line_search_fallbacks"] >= 1
@@ -472,12 +482,13 @@ class TestRunRecord:
         assert record["max_accepted_residual"] <= 1e-10
         assert np.all(np.isfinite(traj.snapshots[-1].u))
 
-    @pytest.mark.parametrize("scheme, calls", [("explicit", 21), ("implicit", 31)])
+    @pytest.mark.parametrize("scheme, calls", [("explicit", 21), ("implicit", 22)])
     def test_each_state_forms_one_stencil(self, scheme, calls):
         # a record reads the stencil its step formed: the start forms one, an
         # explicit step two (its second stage and the new state), an implicit
-        # step one per predictor and per line-search trial; a record that
-        # formed its own would add one per record (31 and 42)
+        # step, whose Newton starts at the state it carries, one per
+        # line-search trial; a record that formed its own would add one per
+        # record (31 and 32)
         class Counted(FlowProblem):
             calls = 0
 
@@ -495,8 +506,42 @@ class TestRunRecord:
         trials = (tally["newton_iterations"] + tally["line_search_halvings"]
                   - tally["line_search_fallbacks"])
         assert traj.taus.size == steps + 1
-        assert Counted.calls == calls == 1 + steps + (steps if scheme == "explicit"
-                                                      else trials)
+        assert Counted.calls == calls == 1 + (2 * steps if scheme == "explicit"
+                                              else trials)
+
+    @pytest.mark.parametrize("K, nodes, dtau, steps, every, bump", [
+        (-1.0, 2001, 1e-3, 100, 1, None),
+        (0.0, 8001, 5e-4, 200, 2, (0.05, 0.55, 3.5)),
+        (-1.0, 8001, 5e-4, 200, 2, (0.05, 0.55, 3.5)),
+    ], ids=["readme-flow", "bump-8001-K0", "bump-8001-K-1"])
+    def test_one_stencil_pass_per_implicit_step(self, K, nodes, dtau, steps, every,
+                                                bump):
+        # Newton starts at the state the run carries, whose stencil gives its
+        # first residual and Jacobian, and one full Newton step meets the
+        # tolerance: a step costs one stencil pass, and the run one more at
+        # its start.  The runs are the README's implicit flow (the soliton
+        # graph at 2001 nodes) and a bump at the centre of the draw box of
+        # the benchmark's flow runs; its tallest, narrowest draws take a
+        # second iteration on some steps.
+        class Counted(FlowProblem):
+            calls = 0
+
+            def _differences(self, u):
+                Counted.calls += 1
+                return super()._differences(u)
+
+        prob = Counted(C, N, make_builtin_warp("rotational", K), r_max=10.0,
+                       n_nodes=nodes)
+        if bump is None:
+            u0 = soliton_initial(prob)
+        else:
+            amplitude, width, center = bump
+            u0 = bump_initial(prob, amplitude=amplitude, width=width, center=center,
+                              base=discrete_soliton(prob))
+        traj = prob.run(u0, dtau, steps * dtau, scheme="implicit", record_every=every)
+        assert _record(traj)["newton_iterations"] == steps
+        assert _record(traj)["line_search_halvings"] == 0
+        assert Counted.calls == 1 + steps
 
     def test_trajectory_csv_leaves_out_the_record(self, hyper_problem, tmp_path):
         u0 = discrete_soliton(hyper_problem)
