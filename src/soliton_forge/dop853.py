@@ -58,7 +58,10 @@ ERROR_EXPONENT = -1 / 8  # -1 / (error estimator order 7 + 1)
 ROOT_TOL, ROOT_MAX_ITER = 4 * EPS, 100  # event roots: xtol = rtol = 4 eps
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 #: why a :func:`solve` stopped when no stop's root ended it
-END_OF_SPAN, STEP_FAILURE = "end_of_span", "step_failure"
+END_OF_SPAN, STEP_FAILURE, STEP_BUDGET = "end_of_span", "step_failure", "step_budget"
+#: the most accepted steps of one solve, the stop STEP_BUDGET: about 5 s of
+#: work, six times the 15,584 steps of a c = 100 bowl to r = 10 at rtol 1e-11
+MAX_STEPS = 100_000
 
 # -- tableau -------------------------------------------------------------
 
@@ -265,8 +268,9 @@ class Outcome:
 
     ``t`` and ``y`` (shape (n, len(t))) are the accepted step ends, the
     last one moved to the root of a terminal stop.  ``stop`` says why the
-    solve ended: END_OF_SPAN, STEP_FAILURE (see TOO_SMALL_STEP) or the name
-    of the terminal stop whose root ended it; ``hits[name]`` holds the
+    solve ended: END_OF_SPAN, STEP_FAILURE (see TOO_SMALL_STEP), STEP_BUDGET
+    (MAX_STEPS accepted steps short of the span's end) or the name of the
+    terminal stop whose root ended it; ``hits[name]`` holds the
     (root, state) pairs of the stops of that name, triple by triple.
     ``nfev`` counts RHS calls, ``n_steps`` accepted and ``n_rejected``
     rejected steps.  Each dense step k is stored as its start ``t_old[k]``,
@@ -289,8 +293,9 @@ class Outcome:
 
     @property
     def status(self) -> int:
-        """SciPy's status: 0 end of span, 1 stopped at a root, -1 step failure."""
-        return {END_OF_SPAN: 0, STEP_FAILURE: -1}.get(self.stop, 1)
+        """SciPy's status: 0 end of span, 1 stopped at a root, -1 step failure
+        or step budget."""
+        return {END_OF_SPAN: 0, STEP_FAILURE: -1, STEP_BUDGET: -1}.get(self.stop, 1)
 
     @property
     def record(self) -> dict:
@@ -508,8 +513,10 @@ def solve(fun, t_span, y0, rtol: float, atol: float, stops=()) -> Outcome:
     and returns the derivative as a sequence.  ``stops`` are
     ``(name, g, terminal)`` triples, several of which may share a name: g
     is called like ``fun``, the sign changes of each g(t, y) are located,
-    and a terminal one ends the solve at its first root.  A span end, rtol
-    or atol component that is not finite raises ValueError up front.
+    and a terminal one ends the solve at its first root.  A solve ends
+    after MAX_STEPS accepted steps (the stop STEP_BUDGET) unless the span
+    or a terminal root ends it there.  A span end, rtol or atol component
+    that is not finite raises ValueError up front.
     """
     t0, t_bound = map(float, t_span)
     if not (math.isfinite(t0) and math.isfinite(t_bound)):
@@ -592,6 +599,8 @@ def solve(fun, t_span, y0, rtol: float, atol: float, stops=()) -> Outcome:
             t, y = t_new, y_new
             if direction * (t - t_bound) >= 0:
                 stop = END_OF_SPAN
+            elif n_steps == MAX_STEPS:
+                stop = STEP_BUDGET
             _extra_stages(fun, K_ext, sums, t_old, y_old, h)
             nfev += N_STAGES_EXTENDED - N_STAGES - 1
             K_step = K_ext.copy()

@@ -98,7 +98,8 @@ class ClosedForm:
 
 def _integrate_slope(rhs, r_span, y0, rtol, atol):
     """Integrate (u, u')' = rhs over ``r_span``, stopping where |u'| reaches
-    BLOWUP_SLOPE (the stop ``"blowup"``); a step failure raises.
+    BLOWUP_SLOPE (the stop ``"blowup"``); a step failure raises, and so
+    does a solve that reaches its step budget (:data:`.dop853.MAX_STEPS`).
 
     Returns the :class:`.dop853.Outcome` and its samples (r, u, u') on
     GRID_SIZE radii from the start to where the run stopped.
@@ -107,6 +108,9 @@ def _integrate_slope(rhs, r_span, y0, rtol, atol):
                        [("blowup", lambda r, y: abs(y[1]) - BLOWUP_SLOPE, True)])
     if out.stop == dop853.STEP_FAILURE:
         raise RuntimeError(f"slope ODE step failure: {dop853.TOO_SMALL_STEP}")
+    if out.stop == dop853.STEP_BUDGET:
+        raise RuntimeError(f"slope ODE stopped at r = {out.t[-1]:.6g} after "
+                           f"{dop853.MAX_STEPS} steps, short of r = {r_span[1]:g}")
     r_grid = np.linspace(out.t[0], out.t[-1], GRID_SIZE)
     return out, (r_grid, *out.dense(r_grid))
 

@@ -97,8 +97,9 @@ class ProfileCurve:
     ``sample(s)`` evaluates (r, t, phi) arrays anywhere inside ``s_span``
     through ``_sol``: the solver's dense output, which for a bowl is joined
     (:func:`.dop853.joined`) to the axis series on [0, AXIS_LAUNCH_S).
-    ``termination`` is ``max_arc_length``, ``step_failure`` or the name of
-    the stop that ended the solve; ``diagnostics`` is its run record.
+    ``termination`` is ``max_arc_length``, ``step_failure``, ``step_budget``
+    (:data:`.dop853.MAX_STEPS` steps) or the name of the stop that ended the
+    solve; ``diagnostics`` is its run record.
     """
 
     spec: SolitonSpec

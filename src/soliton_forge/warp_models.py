@@ -11,7 +11,10 @@ Three charts are supported:
 
 Every solver downstream consumes a model only through xi, its derivatives
 and the quotient xi'/xi, so user-defined metrics can be supplied as
-Hermite tables (see ``warp_from_json``).
+Hermite tables (see ``warp_from_json``).  A model carries that quotient as
+data, ``ratio`` (and chi'/chi as ``chi_ratio``): on the built-in warps it
+is a closed form that is finite at every radius but a singular line,
+k coth(k r), k or k tanh(k r) with k = sqrt(-K); a table's is dxi/xi.
 """
 
 from __future__ import annotations
@@ -53,6 +56,8 @@ class WarpModel:
     ``xi``, ``dxi``, ``ddxi`` evaluate the warping function and its first
     two derivatives at a float or an ndarray, taken as given.  ``chi`` (with
     derivatives) is the second warping factor, only on the equidistant chart.
+    ``ratio`` is xi'/xi and ``chi_ratio`` chi'/chi, evaluated the same way;
+    left unset they are the quotients dxi/xi and dchi/chi.
     ``xi3_zero`` is xi'''(0); it only gives :func:`radial_curvature` its
     axis limit -xi'''(0) on the rotational kind.
     """
@@ -67,6 +72,8 @@ class WarpModel:
     dchi: Callable | None = None
     ddchi: Callable | None = None
     xi3_zero: float | None = None
+    ratio: Callable | None = None
+    chi_ratio: Callable | None = None
     #: n -> :meth:`scalar_drift`, bound on first use by :meth:`drift`
     _drifts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -75,6 +82,10 @@ class WarpModel:
             raise ValueError(f"unknown warp kind {self.kind!r}")
         if self.kind == EQUIDISTANT and self.chi is None:
             raise ValueError("equidistant warp requires the chi factor")
+        if self.ratio is None:
+            object.__setattr__(self, "ratio", lambda r: self.dxi(r) / self.xi(r))
+        if self.chi is not None and self.chi_ratio is None:
+            object.__setattr__(self, "chi_ratio", lambda r: self.dchi(r) / self.chi(r))
 
     @property
     def chart(self) -> str:
@@ -99,7 +110,7 @@ class WarpModel:
 
     def _raise_nan(self, r: float):
         raise ValueError(f"xi'/xi is NaN at r={r} for warp {self.label!r}: "
-                         "xi or xi' overflows or underflows there")
+                         "r is NaN, or xi or xi' overflows or underflows there")
 
     def g(self, r):
         """xi(r)/xi'(r), the reciprocal of :meth:`xi_ratio`."""
@@ -109,10 +120,11 @@ class WarpModel:
         """Laplacian D(r) of the chart coordinate in base dimension n.
 
         (n-1) xi'/xi on the rotational and Busemann charts and
-        xi'/xi + (n-2) chi'/chi on the equidistant chart; 0 for n = 1.  It
-        raises ZeroDivisionError on the singular line r = 0 (the rotational
-        axis, or for n >= 3 the equidistant core line, where chi = 0) and
-        ValueError where xi'/xi is NaN (cosh or exp over/underflowing).
+        xi'/xi + (n-2) chi'/chi on the equidistant chart, from ``ratio`` and
+        ``chi_ratio``; 0 for n = 1.  It raises ZeroDivisionError on the
+        singular line r = 0 (the rotational axis, or for n >= 3 the
+        equidistant core line, where chi = 0) and ValueError where xi'/xi
+        is NaN (a NaN radius, or a table's xi or xi' over/underflowing).
         A float (np.float64 included) goes through :meth:`scalar_drift`;
         anything else is the one array path, and a 0-d input returns a float.
         """
@@ -125,16 +137,17 @@ class WarpModel:
         singular = self.kind == ROTATIONAL or self.kind == EQUIDISTANT and n > 2
         if singular and (r == 0.0).any():
             raise ZeroDivisionError(_SINGULAR[self.kind])
-        # cosh or exp overflowing to inf/inf gives NaN, which is refused below
+        # a quotient overflowing to inf/inf gives NaN, which is refused below;
+        # k r past the float range is inf, where the closed forms are finite
         with np.errstate(over="ignore", invalid="ignore"):
-            out = self.dxi(r) / self.xi(r)
-        nan = np.isnan(out)
-        if nan.any():
-            self._raise_nan(float(r[nan][0]))
-        if self.kind != EQUIDISTANT:
-            out = (n - 1) * out
-        elif n > 2:
-            out = out + (n - 2) * self.dchi(r) / self.chi(r)
+            out = self.ratio(r)
+            nan = np.isnan(out)
+            if nan.any():
+                self._raise_nan(float(r[nan][0]))
+            if self.kind != EQUIDISTANT:
+                out = (n - 1) * out
+            elif n > 2:
+                out = out + (n - 2) * self.chi_ratio(r)
         return float(out[0]) if scalar else out
 
     def scalar_drift(self, n: int) -> Callable[[float], float]:
@@ -143,7 +156,7 @@ class WarpModel:
         with its checks, its messages and the bits of its array path."""
         if n < 2:
             return lambda r: 0.0
-        xi, dxi, chi, dchi = self.xi, self.dxi, self.chi, self.dchi
+        ratio, chi_ratio = self.ratio, self.chi_ratio
         chi_term = self.kind == EQUIDISTANT and n > 2
         singular = self.kind == ROTATIONAL or chi_term
         m = 1 if self.kind == EQUIDISTANT else n - 1
@@ -151,10 +164,10 @@ class WarpModel:
         def drift(r: float) -> float:
             if singular and r == 0.0:
                 raise ZeroDivisionError(_SINGULAR[self.kind])
-            out = float(dxi(r) / xi(r))
+            out = float(ratio(r))
             if out != out:
                 self._raise_nan(r)
-            return float(out + (n - 2) * dchi(r) / chi(r)) if chi_term else m * out
+            return float(out + (n - 2) * chi_ratio(r)) if chi_term else m * out
         return drift
 
 
@@ -205,7 +218,8 @@ def make_builtin_warp(kind: str, curvature: float) -> WarpModel:
     if kind in (BUSEMANN, EQUIDISTANT) and curvature == 0:
         raise ValueError(f"{kind} warp requires strictly negative curvature")
 
-    # NumPy ufuncs, not math.*: NumPy's SIMD sinh/cosh/exp and libm differ by an ulp
+    # NumPy ufuncs, not math.*, on a float as on an array: one ufunc gives both
+    # paths the same bits, where NumPy's SIMD loops and libm differ by an ulp
     if kind == ROTATIONAL:
         if curvature == 0.0:
             return WarpModel(
@@ -216,6 +230,7 @@ def make_builtin_warp(kind: str, curvature: float) -> WarpModel:
                 r_domain=(0.0, math.inf),
                 label="euclidean",
                 xi3_zero=0.0,
+                ratio=lambda r: 1.0 / r,
             )
         k = math.sqrt(-curvature)
         return WarpModel(
@@ -226,6 +241,7 @@ def make_builtin_warp(kind: str, curvature: float) -> WarpModel:
             r_domain=(0.0, math.inf),
             label=f"hyperbolic(K={curvature:g})",
             xi3_zero=k * k,
+            ratio=lambda r: k / np.tanh(k * r),
         )
 
     k = math.sqrt(-curvature)
@@ -237,11 +253,14 @@ def make_builtin_warp(kind: str, curvature: float) -> WarpModel:
             ddxi=lambda r: k * k * np.exp(k * r),
             r_domain=(-math.inf, math.inf),
             label=f"busemann(K={curvature:g})",
+            # k at every finite radius; a NaN radius stays NaN, which drift refuses
+            ratio=lambda r: k + 0.0 * r,
         )
 
     # xi = cosh(k r) is even and chi = sinh(k r)/k odd in r bit for bit, since
-    # NumPy's cosh and sinh act on |x| and its sign alone: the n = 2 drift
-    # xi'/xi is odd bit for bit, and solve_grim mirrors a symmetric graph on it
+    # NumPy's cosh, sinh and tanh act on |x| and its sign alone: the n = 2
+    # drift k tanh(k r) is odd bit for bit, and solve_grim mirrors a symmetric
+    # graph on it
     return WarpModel(
         kind=EQUIDISTANT,
         xi=lambda r: np.cosh(k * r),
@@ -252,6 +271,8 @@ def make_builtin_warp(kind: str, curvature: float) -> WarpModel:
         ddchi=lambda r: k * np.sinh(k * r),
         r_domain=(-math.inf, math.inf),
         label=f"equidistant(K={curvature:g})",
+        ratio=lambda r: k * np.tanh(k * r),
+        chi_ratio=lambda r: k / np.tanh(k * r),
     )
 
 

@@ -74,8 +74,8 @@ class TestSolitonCommand:
             "grim-n2", "sweep-bowl"])
     def test_start_past_r_max_is_usage_error(self, tmp_path, capsys, argv, start):
         # no root of the radius stop lies ahead of such a start, so the solve
-        # would run past it (a wing to r ~ 710.86, where xi'/xi is NaN, a
-        # bowl to r ~ 707) or back onto the singular axis
+        # would run past it to its arc-length stop, or back onto the
+        # singular axis
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run("--out", str(tmp_path), *argv) == 1
@@ -97,7 +97,7 @@ class TestSolitonCommand:
         (("soliton", "wing", "--epsilon", "1e-300", "--n", "4"),
          "the profile solve took no step from s = 0"),
         (("flow", "--R", "800", "--initial", "flat"),
-         "xi'/xi is NaN at r=710.8"),
+         "the area weight xi^1 is not finite at r=710.8"),
         (("flow", "--n", "3", "--R", "400", "--initial", "flat", "--nodes", "201",
           "--scheme", "implicit", "--dtau", "1e-3", "--horizon", "0.003"),
          "the area weight xi^2 is not finite at r=356.0"),
@@ -108,9 +108,9 @@ class TestSolitonCommand:
         # a wing's height report divides by n - 1, past its blow-up at
         # r = pi/2 an n = 1 bowl graph's heights reach 9e46, and a speed of
         # 1e300 or a wing start at 1e-300 fails the first step at its
-        # minimum size; cosh overflows on a flow grid past r = 710.5, where
-        # the drift is NaN, and sinh^2 past r = 355.1, where the n = 3 area
-        # weight is inf though the drift is finite
+        # minimum size; on a flow grid the area weight sinh(r) is inf past
+        # r = 710.5 and the n = 3 weight sinh^2 past r = 355.1, though the
+        # drift is finite
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run("--out", str(tmp_path), *argv) == 1
@@ -150,6 +150,32 @@ class TestSolitonCommand:
             assert run("--out", str(tmp_path), *argv) == 1
         assert capsys.readouterr().err.startswith(f"usage error: {message}")
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ("soliton", "bowl", "--c", "2", "--r-max", "720", "--n", "7"),
+        ("sweep", "--family", "bowl", "--K", "-1", "--c-values", "1,2", "--r-max", "720"),
+    ], ids=["soliton-bowl", "sweep-bowl"])
+    def test_solves_past_the_float_range_of_cosh(self, tmp_path, argv):
+        # cosh(r) overflows past r = 710.5, where the closed-form drift
+        # (n - 1) coth(r) is finite: no RuntimeWarning, and the curve
+        # reaches --r-max
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("--out", str(tmp_path), *argv) == 0
+
+    def test_step_budget_says_where_it_stopped(self, tmp_path, capsys, monkeypatch):
+        # the default bowl takes 51 steps and the default grim graph 29, so
+        # a budget of 20 stops both: the profile reports it and exits 2, and
+        # the graph solver raises
+        from soliton_forge import dop853
+        monkeypatch.setattr(dop853, "MAX_STEPS", 20)
+        assert run("--out", str(tmp_path), "soliton", "bowl") == 2
+        assert "bowl curve stopped by step_budget at r = " in capsys.readouterr().err
+        assert run("--out", str(tmp_path / "grim"), "soliton", "grim") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: slope ODE stopped at r = ")
+        assert "after 20 steps, short of r = 10" in err
+        assert not (tmp_path / "grim").exists()
 
     def test_unknown_flag(self, tmp_path):
         assert run("--out", str(tmp_path), "soliton", "bowl",

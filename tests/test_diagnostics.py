@@ -222,8 +222,11 @@ class TestAsymptotics:
                                    bounds=CurvatureBounds(-1.0, -1.0))
         assert result.applicable
         assert result.passed
-        assert result.details["psi_end"] < 0
-        assert -1e-3 < result.details["psi_end"]
+        # psi < 0 where the gap is above round-off: -0.13 at r = 2, the
+        # decade's start; the true psi(20) is about e^-40, below round-off,
+        # so its sign is noise and it is held to criterion 05's 1e-9 slack
+        assert result.details["psi_start"] < -1e-3
+        assert abs(result.details["psi_end"]) < 1e-9
 
     def test_euclidean_not_applicable(self, euclidean_bowl_spec):
         graph = solve_radial_graph(euclidean_bowl_spec, r_span=(0.0, 20.0))

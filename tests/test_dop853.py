@@ -291,6 +291,26 @@ class TestIntegrate:
         out = dop853.solve(lambda t, y: (y[0] ** 2,), (0.0, 2.0), (1.0,), 1e-9, 1e-11)
         assert out.stop == dop853.STEP_FAILURE and out.record["status"] == -1
 
+    def test_step_budget(self, monkeypatch):
+        """A solve ends after MAX_STEPS accepted steps with the stop
+        STEP_BUDGET and the bits of the first MAX_STEPS steps of the same
+        solve run to its end; a solve whose span ends on its last allowed
+        step ends there."""
+        def solve():
+            return dop853.solve(lambda t, y: (y[1], -y[0]), (0.0, 50.0), (1.0, 0.0),
+                                1e-9, 1e-11)
+        full = solve()
+        assert full.stop == dop853.END_OF_SPAN and full.n_steps > 7
+        monkeypatch.setattr(dop853, "MAX_STEPS", 7)
+        out = solve()
+        assert out.stop == dop853.STEP_BUDGET and out.status == -1
+        assert out.n_steps == 7 and out.record["status"] == -1
+        assert _same(out.t, full.t[:8]) and _same(out.y, full.y[:, :8])
+        assert _same(out.F, full.F[:7])
+        monkeypatch.setattr(dop853, "MAX_STEPS", full.n_steps)
+        again = solve()
+        assert again.stop == dop853.END_OF_SPAN and _same(again.t, full.t)
+
     def test_record_of_several_runs(self):
         one = self._line([])
         two = self._line([], t_span=(0.0, -5.0))

@@ -214,7 +214,7 @@ class TestWing:
 
     @pytest.mark.parametrize("eps", [10.0, 12.0])
     def test_start_at_or_past_the_radius_stop(self, hyperbolic_warp, eps, monkeypatch):
-        # once solved on to r ~ 710.86, where xi'/xi overflows to NaN
+        # once solved on past the radius stop, to the arc-length stop
         monkeypatch.setattr(dop853, "solve", None)  # no solve may start
         spec = SolitonSpec(c=1.0, n=2, family="wing", warp=hyperbolic_warp,
                            epsilon=eps)
