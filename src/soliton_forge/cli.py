@@ -265,7 +265,6 @@ def _cmd_verify(args) -> int:
     from . import diagnostics
     curve = args.profile
     spec = _make_spec(args.family, args.K, args.n, args.c, epsilon=args.epsilon)
-    curve.spec = spec
 
     report = diagnostics.DiagnosticsReport(
         [*diagnostics.profile_identities(curve, spec),

@@ -169,18 +169,30 @@ def wing_turning_flux(curve: ProfileCurve) -> CheckResult:
 _Jet = namedtuple("_Jet", "r phi rd td phid rdd tdd")
 
 
-def _jet(curve) -> _Jet:
+def _check_spec(curve, spec: SolitonSpec | None) -> SolitonSpec:
+    """The spec a curve check runs against: ``spec``, else the curve's own."""
+    spec = spec or curve.spec
+    if spec is None:
+        raise ValueError("a profile check needs a spec: pass one, or a curve that carries one")
+    return spec
+
+
+def _jet(curve, spec: SolitonSpec) -> _Jet:
     """The jet at FD_SAMPLES interior arc lengths, padded so the stencil
     s - 2h, ..., s + 2h stays inside the span: all five offsets are one
-    dense evaluation, and on a rotational warp the samples whose centre
-    lies within FD_R_MIN of the axis are dropped."""
+    dense evaluation, and on a rotational warp of ``spec``, the spec the
+    check runs against, the samples whose centre lies within FD_R_MIN of
+    the axis are dropped.  A span shorter than the padding 5h raises
+    ValueError before any sampling, and so does one with no sample left."""
     h = FD_STEP
     lo, hi = curve.s_span
+    if hi - lo < 5 * h:
+        raise ValueError("curve too short for the requested stencil")
     s = np.linspace(lo + 2.5 * h, hi - 2.5 * h, FD_SAMPLES)
     stencil = np.concatenate((s - 2 * h, s - h, s, s + h, s + 2 * h))
     # (r, t, phi) x offset x sample
     v = np.asarray(curve.sample(stencil)).reshape(3, 5, -1)
-    if curve.spec is not None and curve.spec.warp.kind == ROTATIONAL:
+    if spec.warp.kind == ROTATIONAL:
         v = v[:, :, v[0, 2] > FD_R_MIN]
     if not v.shape[2]:
         raise ValueError("curve too short for the requested stencil")
@@ -207,7 +219,8 @@ def geodesic_residual(curve, spec: SolitonSpec | None = None) -> CheckResult:
           r'' + A (r'^2 - t'^2) + 2 c r' t' - mu r' = 0
           t'' + c (t'^2 - r'^2) + 2 A r' t' - mu t' = 0
     """
-    return _geodesic(_jet(curve), spec or curve.spec)
+    spec = _check_spec(curve, spec)
+    return _geodesic(_jet(curve, spec), spec)
 
 
 def _geodesic(jet: _Jet, spec: SolitonSpec) -> CheckResult:
@@ -237,7 +250,8 @@ def profile_identities(curve, spec: SolitonSpec | None = None) -> tuple:
     identity t'' + (n-1)(xi'/xi) r' t' + c t'^2 - c = 0, both read from one
     jet (:func:`_jet`) at the integral tolerance: a curve solved at another
     c, or with another drift than ``spec``'s, fails the identity."""
-    jet, spec = _jet(curve), spec or curve.spec
+    spec = _check_spec(curve, spec)
+    jet = _jet(curve, spec)
     return _geodesic(jet, spec), _drift_identity(jet, spec)
 
 

@@ -273,10 +273,9 @@ class Outcome:
     terminal stop whose root ended it; ``hits[name]`` holds the
     (root, state) pairs of the stops of that name, triple by triple.
     ``nfev`` counts RHS calls, ``n_steps`` accepted and ``n_rejected``
-    rejected steps.  Each dense step k is stored as its start ``t_old[k]``,
-    signed length ``h[k]``, start state ``y_old[k]`` and coefficients
-    ``F[k]`` (shape (7, n)); a zero-length span is one step with h = 0 and
-    F = 0.
+    rejected steps.  Dense step k starts at the kept step end ``t[k]``,
+    ``y[:, k]``, and is stored as its signed length ``h[k]`` and
+    coefficients ``F[k]`` (shape (7, n)).
     """
 
     t: np.ndarray
@@ -286,9 +285,7 @@ class Outcome:
     n_rejected: int
     stop: str
     hits: dict
-    t_old: np.ndarray
     h: np.ndarray
-    y_old: np.ndarray
     F: np.ndarray
 
     @property
@@ -310,20 +307,15 @@ def _rms(x) -> float:
     return float(np.linalg.norm(x) / x.size ** 0.5)
 
 
-def _validate_tol(rtol, atol, n):
-    if not (np.isfinite(rtol).all() and np.isfinite(atol).all()):
+def _validate_tol(rtol: float, atol: float) -> tuple:
+    if not (math.isfinite(rtol) and math.isfinite(atol)):
         raise ValueError(f"`rtol` and `atol` must be finite, got {rtol} and {atol}.")
-    if np.any(rtol < 100 * EPS):
-        warnings.warn("At least one element of `rtol` is too small. "
-                      f"Setting `rtol = np.maximum(rtol, {100 * EPS})`.",
-                      stacklevel=3)
-        rtol = np.maximum(rtol, 100 * EPS)
-    atol = np.asarray(atol)
-    if atol.ndim > 0 and atol.shape != (n,):
-        raise ValueError("`atol` has wrong shape.")
-    if np.any(atol < 0):
+    if rtol < 100 * EPS:
+        warnings.warn(f"`rtol` is too small. Setting `rtol = {100 * EPS}`.", stacklevel=3)
+        rtol = 100 * EPS
+    if atol < 0:
         raise ValueError("`atol` must be positive.")
-    return rtol, atol
+    return float(rtol), float(atol)
 
 
 def _initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
@@ -335,8 +327,6 @@ def _initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
     division: the first step then fails at its minimum size.
     """
     interval_length = abs(t_bound - t0)
-    if interval_length == 0.0:
-        return 0.0
     scale = atol + np.abs(y0) * rtol
     d0 = _rms(y0 / scale)
     with np.errstate(over="ignore"):
@@ -424,12 +414,6 @@ def _step_polynomial(coeffs, x, y_old):
     return y
 
 
-def _step_value(t, t_old, h, y_old, F):
-    """Dense value of one step at the time t (h = 0: a constant step)."""
-    x = (t - t_old) / h if h else 0.0
-    return _step_polynomial(F[::-1], x, y_old)
-
-
 def brentq(f, xa: float, xb: float) -> float:
     """A root of ``f`` in [xa, xb] by Brent's method to xtol = rtol =
     ROOT_TOL in at most ROOT_MAX_ITER iterations.
@@ -515,27 +499,26 @@ def solve(fun, t_span, y0, rtol: float, atol: float, stops=()) -> Outcome:
     is called like ``fun``, the sign changes of each g(t, y) are located,
     and a terminal one ends the solve at its first root.  A solve ends
     after MAX_STEPS accepted steps (the stop STEP_BUDGET) unless the span
-    or a terminal root ends it there.  A span end, rtol or atol component
-    that is not finite raises ValueError up front.
+    or a terminal root ends it there.  ``rtol`` and ``atol`` are floats.  A
+    span end, rtol or atol that is not finite, and a span of zero length,
+    raise ValueError before any call of ``fun``.
     """
     t0, t_bound = map(float, t_span)
-    if not (math.isfinite(t0) and math.isfinite(t_bound)):
-        raise ValueError(f"`t_span` must be finite, got {tuple(t_span)}.")
+    if not (math.isfinite(t0) and math.isfinite(t_bound) and t0 != t_bound):
+        raise ValueError(f"`t_span` must be finite and of nonzero length, got {tuple(t_span)}.")
     y0 = np.asarray(y0).astype(float, copy=False)
     if y0.ndim != 1 or y0.size == 0:
         raise ValueError("`y0` must be a non-empty 1-D state.")
     if not np.isfinite(y0).all():
         raise ValueError("All components of the initial state `y0` must be finite.")
     n = y0.size
-    rtol, atol = _validate_tol(rtol, atol, n)
+    rtol, atol = _validate_tol(rtol, atol)
 
-    direction = math.copysign(1.0, t_bound - t0) if t_bound != t0 else 1.0
+    direction = math.copysign(1.0, t_bound - t0)
     t, y = t0, y0.tolist()
     f = np.asarray(fun(t, y), dtype=float)
     h_abs = _initial_step(fun, t, y0, t_bound, f, direction, rtol, atol)
-    nfev = 1 if t == t_bound else 2
-    rtol = float(rtol)
-    atols = atol.tolist() if atol.ndim else [float(atol)] * n
+    nfev = 2
     K_ext = np.empty((N_STAGES_EXTENDED, n))
     K = K_ext[:N_STAGES + 1]
     K[0] = f
@@ -545,67 +528,62 @@ def solve(fun, t_span, y0, rtol: float, atol: float, stops=()) -> Outcome:
     g = [event(t0, y) for _, event, _ in stops]
     found = [[] for _ in stops]  # the (root, state) pairs of each stop
     ts, ys = [t0], [y]
-    steps = []  # (t_old, h, y_old, y, K_ext) of every kept step
+    steps = []  # (h, y, K_ext) of every kept step; step k starts at ts[k], ys[k]
     n_steps = n_rejected = 0
     stop = None
     while stop is None:
         t_old, y_old = t, y
-        if t == t_bound:
-            # a zero-length span: one constant step, whose dense rows are 0
-            t, h, K_step = t_bound, 0.0, np.zeros_like(K_ext)
-            stop = END_OF_SPAN
-        else:
-            min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        if h_abs < min_step:
+            h_abs = min_step
+        abs_y_old = [abs(v) for v in y_old]
+        step_rejected = False
+        while True:
             if h_abs < min_step:
-                h_abs = min_step
-            abs_y_old = [abs(v) for v in y_old]
-            step_rejected = False
-            while True:
-                if h_abs < min_step:
-                    stop = STEP_FAILURE
-                    break
-                h = h_abs * direction
-                t_new = t_old + h
-                if direction * (t_new - t_bound) > 0:
-                    t_new = t_bound
-                h = t_new - t_old
-                h_abs = abs(h)
-                y_new = _rk_step(fun, t_old, y_old, h, K, sums)
-                nfev += N_STAGES
-                # atol + max(|y_old|, |y_new|) * rtol; as with np.maximum, a NaN
-                # |y_new| gives NaN (|y_old|, y0 or an accepted state, is never NaN)
-                scale = np.array([a + (o if o > v else v) * rtol
-                                  for a, o, v in zip(atols, abs_y_old, map(abs, y_new))])
-                # stages too large for the scaled norm (an infinite d1) meet
-                # the first attempts of a solve and the retries of a rejected
-                # step; only those run the quiet norm, which costs about 1 us
-                norm = _quiet_error_norm if step_rejected or not n_steps else _error_norm
-                error_norm = norm(sums[N_STAGES + 1], h, scale)
-                if error_norm < 1:
-                    if error_norm == 0:
-                        factor = MAX_FACTOR
-                    else:
-                        factor = min(MAX_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
-                    if step_rejected:
-                        factor = min(1, factor)
-                    h_abs *= factor
-                    break
-                h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
-                step_rejected = True
-                n_rejected += 1
-            if stop == STEP_FAILURE:
+                stop = STEP_FAILURE
                 break
-            n_steps += 1
-            t, y = t_new, y_new
-            if direction * (t - t_bound) >= 0:
-                stop = END_OF_SPAN
-            elif n_steps == MAX_STEPS:
-                stop = STEP_BUDGET
-            _extra_stages(fun, K_ext, sums, t_old, y_old, h)
-            nfev += N_STAGES_EXTENDED - N_STAGES - 1
-            K_step = K_ext.copy()
-            K[0] = K[N_STAGES]  # the next step starts from fun(t, y)
-        steps.append((t_old, h, y_old, y, K_step))
+            h = h_abs * direction
+            t_new = t_old + h
+            if direction * (t_new - t_bound) > 0:
+                t_new = t_bound
+            h = t_new - t_old
+            h_abs = abs(h)
+            y_new = _rk_step(fun, t_old, y_old, h, K, sums)
+            nfev += N_STAGES
+            # atol + max(|y_old|, |y_new|) * rtol; as with np.maximum, a NaN
+            # |y_new| gives NaN (|y_old|, y0 or an accepted state, is never NaN)
+            scale = np.array([atol + (o if o > v else v) * rtol
+                              for o, v in zip(abs_y_old, map(abs, y_new))])
+            # stages too large for the scaled norm (an infinite d1) meet
+            # the first attempts of a solve and the retries of a rejected
+            # step; only those run the quiet norm, which costs about 1 us
+            norm = _quiet_error_norm if step_rejected or not n_steps else _error_norm
+            error_norm = norm(sums[N_STAGES + 1], h, scale)
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = MAX_FACTOR
+                else:
+                    factor = min(MAX_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
+                if step_rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
+            step_rejected = True
+            n_rejected += 1
+        if stop == STEP_FAILURE:
+            break
+        n_steps += 1
+        t, y = t_new, y_new
+        if direction * (t - t_bound) >= 0:
+            stop = END_OF_SPAN
+        elif n_steps == MAX_STEPS:
+            stop = STEP_BUDGET
+        _extra_stages(fun, K_ext, sums, t_old, y_old, h)
+        nfev += N_STAGES_EXTENDED - N_STAGES - 1
+        K_step = K_ext.copy()
+        K[0] = K[N_STAGES]  # the next step starts from fun(t, y)
+        steps.append((h, y, K_step))
 
         t_kept, y_kept = t, y
         if stops:
@@ -617,7 +595,7 @@ def solve(fun, t_span, y0, rtol: float, atol: float, stops=()) -> Outcome:
                 F, = _dense_rows(np.array([h]), start[None], np.array([y]), K_step[None])
 
                 def value(x):
-                    return _step_value(x, t_old, h, start, F)
+                    return _step_polynomial(F[::-1], (x - t_old) / h, start)
                 hit, roots, terminate = _handle_events(value, stops, active, t_old, t)
                 for i, root in zip(hit, roots):
                     found[i].append((root, value(root)))
@@ -635,16 +613,15 @@ def solve(fun, t_span, y0, rtol: float, atol: float, stops=()) -> Outcome:
     hits = {name: [] for name, _, _ in stops}
     for (name, _, _), pairs in zip(stops, found):
         hits[name] += pairs
+    ys = np.array(ys)
     if steps:
-        t_olds, hs, y_olds, y_news, Ks = map(np.array, zip(*steps))
-        F = _dense_rows(hs, y_olds, y_news, Ks)
+        hs, y_news, Ks = map(np.array, zip(*steps))
+        F = _dense_rows(hs, ys[:-1], y_news, Ks)
     else:
-        t_olds = hs = np.empty(0)
-        y_olds, F = np.empty((0, n)), np.empty((0, INTERPOLATOR_POWER, n))
+        hs, F = np.empty(0), np.empty((0, INTERPOLATOR_POWER, n))
     return Outcome(
-        t=np.array(ts), y=np.array(ys).T, nfev=nfev, n_steps=n_steps,
-        n_rejected=n_rejected, stop=stop, hits=hits,
-        t_old=t_olds, h=hs, y_old=y_olds, F=F)
+        t=np.array(ts), y=ys.T, nfev=nfev, n_steps=n_steps,
+        n_rejected=n_rejected, stop=stop, hits=hits, h=hs, F=F)
 
 
 class DenseSolution:
@@ -654,7 +631,8 @@ class DenseSolution:
     ``searchsorted`` on the step ends, from the left for an ascending solve
     and from the right on the reversed ends of a descending one, clipped to
     the steps) and runs :func:`_step_polynomial` on all of them at once,
-    so the values equal ``solve_ivp``'s ``sol(t)`` bit for bit.
+    so the values equal ``solve_ivp``'s ``sol(t)`` bit for bit.  Step k
+    starts at the kept step end ``out.t[k]``, ``out.y[:, k]``.
     """
 
     def __init__(self, out: Outcome):
@@ -662,8 +640,8 @@ class DenseSolution:
         self.ascending = bool(ts[-1] >= ts[0])
         self.side = "left" if self.ascending else "right"
         self.ts_sorted = ts if self.ascending else ts[::-1]
-        self.t_old, self.h = out.t_old, out.h
-        self.y_old = out.y_old.T
+        self.t_old, self.h = ts[:-1], out.h
+        self.y_old = out.y[:, :-1]
         # (power, component, step), highest power first as SciPy applies them
         self.F = out.F[:, ::-1].transpose(1, 2, 0)
 
@@ -676,10 +654,7 @@ class DenseSolution:
         np.clip(seg, 0, last, out=seg)
         if not self.ascending:
             seg = last - seg
-        h = self.h[seg]
-        # a constant step (h = 0) has x = 0 and F = 0, so its value is y_old
-        x = np.divide(points - self.t_old[seg], h, out=np.zeros_like(points),
-                      where=h != 0)
+        x = (points - self.t_old[seg]) / self.h[seg]
         y = _step_polynomial(self.F[:, :, seg], x, self.y_old[:, seg])
         return y[:, 0] if t.ndim == 0 else y
 

@@ -146,7 +146,8 @@ def export_profile_csv(curve, path, n_samples: int = 2001, meta=None) -> Path:
 
 
 def read_profile_csv(path, spec=None) -> SampledCurve:
-    """Rebuild a sampleable curve from an export of export_profile_csv."""
+    """Rebuild a sampleable curve from an export of export_profile_csv,
+    with the file's metadata as its ``meta``."""
     from .profile_solver import SampledCurve
     meta, names, data = read_table(path)
     if names != ["s", "r", "t", "phi"]:
@@ -154,9 +155,7 @@ def read_profile_csv(path, spec=None) -> SampledCurve:
                          "CSV has s,r,t,phi")
     if len(data) < 4:
         raise ValueError(f"profile CSV {path} has too few samples")
-    curve = SampledCurve(*data.T, spec=spec)
-    curve.meta = meta
-    return curve
+    return SampledCurve(*data.T, spec=spec, meta=meta)
 
 
 def export_graph_csv(graph: RadialGraph, path, meta=None) -> Path:

@@ -301,11 +301,14 @@ class SampledCurve:
     Used by the verification CLI for CSV input and by the perturbation
     negative controls; dense evaluation is the not-a-knot cubic spline
     of each column (:mod:`.spline`, SciPy's ``CubicSpline`` bit for bit).
+    ``meta`` holds the run metadata of a CSV it was read from.
     """
 
-    def __init__(self, s, r, t, phi, spec: SolitonSpec | None = None):
+    def __init__(self, s, r, t, phi, spec: SolitonSpec | None = None,
+                 meta: dict | None = None):
         self.s = np.asarray(s, dtype=float)
         self.spec = spec
+        self.meta = meta or {}
         self._spline = PiecewiseCubic.not_a_knot(
             self.s, np.stack((r, t, phi), axis=-1))
 

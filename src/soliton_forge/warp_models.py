@@ -12,9 +12,10 @@ Three charts are supported:
 Every solver downstream consumes a model only through xi, its derivatives
 and the quotient xi'/xi, so user-defined metrics can be supplied as
 Hermite tables (see ``warp_from_json``).  A model carries that quotient as
-data, ``ratio`` (and chi'/chi as ``chi_ratio``): on the built-in warps it
-is a closed form that is finite at every radius but a singular line,
-k coth(k r), k or k tanh(k r) with k = sqrt(-K); a table's is dxi/xi.
+data, ``ratio``, and the equidistant chart's chi only as chi'/chi,
+``chi_ratio``: on the built-in warps each is a closed form that is finite
+at every radius but a singular line, k coth(k r), k or k tanh(k r) with
+k = sqrt(-K); a table's ratio is dxi/xi.
 """
 
 from __future__ import annotations
@@ -54,10 +55,10 @@ class WarpModel:
     """Immutable description of the radial warping of the base metric.
 
     ``xi``, ``dxi``, ``ddxi`` evaluate the warping function and its first
-    two derivatives at a float or an ndarray, taken as given.  ``chi`` (with
-    derivatives) is the second warping factor, only on the equidistant chart.
-    ``ratio`` is xi'/xi and ``chi_ratio`` chi'/chi, evaluated the same way;
-    left unset they are the quotients dxi/xi and dchi/chi.
+    two derivatives at a float or an ndarray, taken as given.  ``ratio`` is
+    xi'/xi, evaluated the same way; left unset it is the quotient dxi/xi.
+    ``chi_ratio`` is chi'/chi, the one form of the second warping factor
+    chi: required on the equidistant chart and refused on the others.
     ``xi3_zero`` is xi'''(0); it only gives :func:`radial_curvature` its
     axis limit -xi'''(0) on the rotational kind.
     """
@@ -68,9 +69,6 @@ class WarpModel:
     ddxi: Callable
     r_domain: tuple
     label: str = ""
-    chi: Callable | None = None
-    dchi: Callable | None = None
-    ddchi: Callable | None = None
     xi3_zero: float | None = None
     ratio: Callable | None = None
     chi_ratio: Callable | None = None
@@ -80,12 +78,12 @@ class WarpModel:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown warp kind {self.kind!r}")
-        if self.kind == EQUIDISTANT and self.chi is None:
-            raise ValueError("equidistant warp requires the chi factor")
+        if (self.chi_ratio is None) == (self.kind == EQUIDISTANT):
+            raise ValueError("chi_ratio (chi'/chi) is required on the equidistant kind "
+                             f"and refused on the others; got kind {self.kind!r} with "
+                             f"chi_ratio {'unset' if self.chi_ratio is None else 'set'}")
         if self.ratio is None:
             object.__setattr__(self, "ratio", lambda r: self.dxi(r) / self.xi(r))
-        if self.chi is not None and self.chi_ratio is None:
-            object.__setattr__(self, "chi_ratio", lambda r: self.dchi(r) / self.chi(r))
 
     @property
     def chart(self) -> str:
@@ -205,7 +203,7 @@ def make_builtin_warp(kind: str, curvature: float) -> WarpModel:
 
     rotational:   K = 0 gives xi = r;  K = -k^2 gives xi = sinh(k r)/k.
     busemann:     xi = e^{k r}            (requires K < 0).
-    equidistant:  xi = cosh(k r), chi = sinh(k r)/k   (requires K < 0).
+    equidistant:  xi = cosh(k r), chi'/chi = k coth(k r)   (requires K < 0).
 
     A curvature that is not finite raises ValueError.
     """
@@ -257,18 +255,14 @@ def make_builtin_warp(kind: str, curvature: float) -> WarpModel:
             ratio=lambda r: k + 0.0 * r,
         )
 
-    # xi = cosh(k r) is even and chi = sinh(k r)/k odd in r bit for bit, since
-    # NumPy's cosh, sinh and tanh act on |x| and its sign alone: the n = 2
-    # drift k tanh(k r) is odd bit for bit, and solve_grim mirrors a symmetric
-    # graph on it
+    # xi = cosh(k r) is even in r bit for bit, since NumPy's cosh, sinh and
+    # tanh act on |x| and its sign alone: the n = 2 drift k tanh(k r) is odd
+    # bit for bit, and solve_grim mirrors a symmetric graph on it
     return WarpModel(
         kind=EQUIDISTANT,
         xi=lambda r: np.cosh(k * r),
         dxi=lambda r: k * np.sinh(k * r),
         ddxi=lambda r: k * k * np.cosh(k * r),
-        chi=lambda r: np.sinh(k * r) / k,
-        dchi=lambda r: np.cosh(k * r),
-        ddchi=lambda r: k * np.sinh(k * r),
         r_domain=(-math.inf, math.inf),
         label=f"equidistant(K={curvature:g})",
         ratio=lambda r: k * np.tanh(k * r),
@@ -360,7 +354,8 @@ def warp_from_json(source) -> WarpModel:
     xi is interpolated by a Hermite cubic through (r, xi, xi'); xi''
     comes from a Hermite cubic through (r, xi', xi'').  A table that
     breaks a condition of :func:`validate_warp` raises a ``ValueError``
-    naming each broken condition, how often and where it first fails.
+    naming each broken condition, how often and where it first fails; so
+    does an equidistant table, which carries no chi'/chi.
     """
     from .spline import PiecewiseCubic
 

@@ -2,13 +2,14 @@
 
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from soliton_forge import embed_polar
+from soliton_forge import SolitonSpec, embed_polar, make_builtin_warp
 from soliton_forge.cli import main
-from soliton_forge.diagnostics import perturb_curve
+from soliton_forge.diagnostics import perturb_curve, profile_identities
 from soliton_forge.fileio import (export_points_csv, export_profile_csv,
                                   read_profile_csv, read_table)
 
@@ -177,6 +178,17 @@ class TestSolitonCommand:
         assert "after 20 steps, short of r = 10" in err
         assert not (tmp_path / "grim").exists()
 
+    def test_curve_shorter_than_the_stencil_is_refused(self, tmp_path, capsys, monkeypatch):
+        # a c = 1e300 bowl stops at its step budget after steps of about
+        # 4e-16 in s, far short of the diagnostics stencil's padding 5 FD_STEP:
+        # the check refuses it before it samples outside the curve
+        from soliton_forge import dop853
+        monkeypatch.setattr(dop853, "MAX_STEPS", 20)
+        assert run("--out", str(tmp_path / "fast"), "soliton", "bowl", "--c", "1e300") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: curve too short") and "outside curve range" not in err
+        assert not (tmp_path / "fast").exists()
+
     def test_unknown_flag(self, tmp_path):
         assert run("--out", str(tmp_path), "soliton", "bowl",
                    "--frobnicate", "1") == 1
@@ -241,6 +253,24 @@ class TestVerifyCommand:
         assert run("--out", str(tmp_path), "verify", "--input",
                    str(bowl_csv)) == 0
         assert (tmp_path / "bowl_verify.json").exists()
+
+    def test_read_back_curve_checks_against_the_given_spec(self, tmp_path):
+        """A profile read back from its CSV carries no spec; the checks run
+        against the spec they are given, which sets the axis mask too, and
+        refuse a curve with no spec anywhere."""
+        assert run("--out", str(tmp_path), "soliton", "bowl", "--K", "-1", "--n", "2",
+                   "--c", "1", "--r-max", "10") == 0
+        curve = read_profile_csv(tmp_path / "bowl.csv")
+        assert curve.spec is None and curve.meta["c"] == "1.0"
+        spec = SolitonSpec(c=1.0, n=2, family="bowl", warp=make_builtin_warp("rotational", -1.0))
+        assert all(check.passed for check in profile_identities(curve, spec))
+        assert curve.spec is None
+        faster = replace(spec, c=1.01)
+        assert not any(check.passed for check in profile_identities(curve, faster))
+        with pytest.raises(ValueError, match="needs a spec"):
+            profile_identities(curve)
+        assert run("--out", str(tmp_path), "verify", "--input", str(tmp_path / "bowl.csv"),
+                   "--c", "1.01") == 2
 
     def test_perturbed_input_fails(self, bowl_csv, tmp_path):
         curve = read_profile_csv(bowl_csv)

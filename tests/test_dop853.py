@@ -69,9 +69,10 @@ def _assert_matches_solve_ivp(out, fun, t_span, y0, rtol, atol, stops=()):
     assert out.h.size == len(steps)
     if steps and hasattr(steps[0], "F"):
         assert _same(out.F, [step.F for step in steps])
-        assert _same(out.t_old, [step.t_old for step in steps])
+        # each dense step starts at a kept step end
+        assert _same(out.t[:-1], [step.t_old for step in steps])
         assert _same(out.h, [step.h for step in steps])
-        assert _same(out.y_old, [step.y_old for step in steps])
+        assert _same(out.y[:, :-1].T, [step.y_old for step in steps])
     return ref
 
 
@@ -130,8 +131,10 @@ def test_fun_and_stops_get_a_float_and_a_list_of_floats(
     # a blow-up: its stop is also evaluated inside the root search
     solve_ideal_graph(2.0, 2, busemann_warp, r_span=(0.0, 2.0))
     solve_grim(1.0, 3, equidistant_warp, r_span=(0.0, 5.0))
-    dop853.solve(lambda t, y: (1.0,), (0.0, 0.0), (0.0,), 1e-9, 1e-11,
-                 [("at_start", lambda t, y: y[0], True)])
+    # a zero-length span is refused before its fun or its stops are called
+    with pytest.raises(ValueError, match="nonzero length"):
+        dop853.solve(lambda t, y: (1.0,), (0.0, 0.0), (0.0,), 1e-9, 1e-11,
+                     [("at_start", lambda t, y: y[0], True)])
     assert len(contract["fun"]) > 1000 and len(contract["stop"]) > 100
     assert all(contract["fun"]) and all(contract["stop"])
 
@@ -176,12 +179,16 @@ class TestSolveIvpBits:
         assert down.h.max() < 0 < up.h.min()
 
     def test_zero_length_span(self):
-        fun = lambda t, y: [-v for v in y]  # noqa: E731
-        out = dop853.solve(fun, (1.0, 1.0), (2.0,), 1e-9, 1e-11)
-        ref = _assert_matches_solve_ivp(out, fun, (1.0, 1.0), (2.0,), 1e-9, 1e-11)
-        assert (out.n_steps, out.nfev) == (0, 1)
-        for t in (1.0, np.array([1.0, 1.5])):
-            assert _same(dop853.DenseSolution(out)(t), ref.sol(t))
+        # SciPy returns one constant step here; no solver asks for a span of
+        # zero length, so it is refused before any RHS call
+        calls = []
+
+        def fun(t, y):
+            calls.append(t)
+            return [-v for v in y]
+        with pytest.raises(ValueError, match="nonzero length, got \\(1.0, 1.0\\)"):
+            dop853.solve(fun, (1.0, 1.0), (2.0,), 1e-9, 1e-11)
+        assert calls == []
 
     def test_step_failure(self):
         # u' = u^2 from u(0) = 1 blows up at 1, so the step size collapses
@@ -486,32 +493,12 @@ class TestJoined:
         assert _same(dense(0.0), up.dense(0.0))
 
 
-@settings(max_examples=30, deadline=None)
-@given(n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
-       rtol=st.floats(1e-12, 1e-6), descending=st.booleans())
-def test_per_component_atol_matches_solve_ivp(n, seed, rtol, descending):
-    """An ``atol`` of shape (n,), its components spread over six decades
-    around rtol, gives ``solve_ivp``'s solve bit for bit."""
-    rng = np.random.default_rng(seed)
-    M = rng.uniform(-1.5, 1.5, (n, n))
-    b, y0 = rng.uniform(-1.0, 1.0, (2, n))
-    atol = rtol * 10.0 ** rng.uniform(-4.0, 2.0, n)
-
-    def fun(t, y):
-        return M @ y + np.sin(y) * b
-
-    stops = (("level", lambda t, y: y[0] - (y0[0] + 0.5), True),)
-    t_span = (0.0, -6.0) if descending else (0.0, 6.0)
-    out = dop853.solve(fun, t_span, y0, rtol, atol, stops)
-    _assert_matches_solve_ivp(out, fun, t_span, y0, rtol, atol, stops)
-
-
 @pytest.mark.parametrize("t_span, rtol, atol", [
     ((0.0, 1.0), math.nan, 1e-11), ((0.0, 1.0), math.inf, 1e-11),
     ((0.0, 1.0), 1e-9, math.nan), ((0.0, 1.0), 1e-9, math.inf),
-    ((0.0, 1.0), 1e-9, np.array([1e-11, math.nan])),
+    ((0.0, 1.0), 1e-9, -math.inf),
     ((0.0, math.nan), 1e-9, 1e-11), ((0.0, math.inf), 1e-9, 1e-11),
-    ((-math.inf, 1.0), 1e-9, 1e-11)])
+    ((-math.inf, 1.0), 1e-9, 1e-11), ((1.0, 1.0), 1e-9, 1e-11)])
 def test_non_finite_tolerance_or_span_is_rejected_before_any_rhs_call(t_span, rtol, atol):
     # a NaN tolerance makes a NaN step size, which no step-size floor catches
     calls = []

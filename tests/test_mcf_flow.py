@@ -164,9 +164,9 @@ def _per_node_drift_weight(warp, r, n, chart):
             drift[1:] = (n - 1) * np.array([warp.xi_ratio(x) for x in r[1:]])
         weight = np.array([warp.xi(x) ** (n - 1) for x in r])
     else:
+        # the equidistant flow chart has n = 2, so its weight is xi
         drift = np.array([warp.drift(x, n) for x in r])
-        weight = np.array([warp.xi(x) * warp.chi(x) ** (n - 2)
-                           if n > 2 else warp.xi(x) for x in r])
+        weight = np.array([warp.xi(x) for x in r])
     return drift, weight
 
 

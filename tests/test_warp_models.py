@@ -83,6 +83,16 @@ class TestBuiltins:
         with pytest.raises(ValueError):
             make_builtin_warp("spherical", -1.0)
 
+    @pytest.mark.parametrize("kind", ["rotational", "busemann", "equidistant"])
+    def test_chi_ratio_on_the_equidistant_kind_alone(self, kind):
+        """chi'/chi is the equidistant chart's alone: a model without it on
+        that kind, or with it on another, is refused when it is built."""
+        fields = {field: getattr(make_builtin_warp(kind, -1.0), field)
+                  for field in ("xi", "dxi", "ddxi", "r_domain")}
+        chi_ratio, state = (None, "unset") if kind == "equidistant" else (lambda r: 1.0 / r, "set")
+        with pytest.raises(ValueError, match=f"got kind '{kind}' with chi_ratio {state}"):
+            WarpModel(kind=kind, chi_ratio=chi_ratio, **fields)
+
     @pytest.mark.parametrize("kind,chart", [("rotational", "polar"),
                                             ("busemann", "busemann"),
                                             ("equidistant", "equidistant")])
@@ -127,7 +137,8 @@ class TestValidation:
             xi=lambda r: 0.5 - np.asarray(r, dtype=float) ** 2,
             dxi=lambda r: 0.5 - 2 * np.asarray(r, dtype=float),
             ddxi=lambda r: np.full_like(np.asarray(r, dtype=float), -2.0),
-            chi=lambda r: np.asarray(r, dtype=float),
+            chi_ratio=(lambda r: 1.0 / np.asarray(r, dtype=float))
+            if kind == "equidistant" else None,
             r_domain=(-math.inf, math.inf), label="bad")
         violations = validate_warp(bad, np.array([0.25, 1.0, 2.0]))
         assert [(v.condition, v.r) for v in violations] == expected
@@ -311,14 +322,16 @@ BUILTINS = [("rotational", 0.0), ("rotational", -1.0), ("rotational", -2.5),
             ("busemann", -1.0), ("equidistant", -1.0), ("equidistant", -0.3)]
 
 
-def _drift_reference(model, r, n):
-    """Chart Laplacian written out as quotients of xi and chi, with no
-    closed form."""
+def _drift_reference(model, r, n, curv):
+    """Chart Laplacian written out as quotients, with no closed form: dxi/xi
+    of the model, and on the equidistant chart chi'/chi = cosh(k r) /
+    (sinh(k r) / k) from the case's own k = sqrt(-K)."""
     if n == 1:
         return np.zeros_like(r)
     ratio = model.dxi(r) / model.xi(r)
     if model.kind == "equidistant":
-        return ratio + (n - 2) * model.dchi(r) / model.chi(r) if n > 2 else ratio
+        k = math.sqrt(-curv)
+        return ratio + (n - 2) * np.cosh(k * r) / (np.sinh(k * r) / k) if n > 2 else ratio
     return (n - 1) * ratio
 
 
@@ -351,7 +364,7 @@ def test_drift_property(case, n, mags, signs):
     per_point = [model.drift(float(x), n) for x in r]
     assert all(isinstance(v, float) for v in per_point)
     np.testing.assert_array_equal(got, per_point)
-    _assert_near_quotient(got, _drift_reference(model, r, n))
+    _assert_near_quotient(got, _drift_reference(model, r, n, curv))
 
 
 class TestDrift:
@@ -389,7 +402,7 @@ class TestDrift:
         _assert_near_quotient(w.drift(5e-4, 3), 2 * (w.dxi(5e-4) / w.xi(5e-4)))
 
 
-EVALUATORS = ("xi", "dxi", "ddxi", "chi", "dchi", "ddchi")
+EVALUATORS = ("xi", "dxi", "ddxi", "ratio", "chi_ratio")
 
 
 def _same_bits(a, b):
