@@ -25,9 +25,9 @@ _EXPORTS = {
             "radial_curvature", "validate_warp", "warp_from_json",
         ),
         "profile_solver": (
-            "ProfileCurve", "ProfileState", "SampledCurve", "SolitonSpec",
-            "TerminationPolicy", "profile_rhs", "profile_to_graph",
-            "solve_bowl", "solve_ideal_parametric", "solve_wing",
+            "ProfileCurve", "SolitonSpec", "TerminationPolicy", "profile_rhs",
+            "profile_to_graph", "solve_bowl", "solve_ideal_parametric",
+            "solve_wing",
         ),
         "graph_solvers": (
             "ClosedForm", "RadialGraph", "closed_form_oracle", "solve_grim",

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph_solvers import RadialGraph
-from .profile_solver import ProfileCurve, SampledCurve, SolitonSpec, _profile_field
+from .profile_solver import PROFILE_ROWS, ProfileCurve, SolitonSpec, _profile_field
 from .warp_models import CurvatureBounds, ROTATIONAL, radial_curvature
 
 INTEGRAL_TOL = 1e-6
@@ -385,16 +385,16 @@ def wing_height_report(curve: ProfileCurve) -> CheckResult:
                  "ratio_monotone_hypothesis": hypothesis})
 
 
-def perturb_curve(curve: ProfileCurve, amplitude: float = 1e-3) -> SampledCurve:
-    """Negative control: resample the curve at 2001 arc lengths with t <- t + A sin(s).
+def perturb_curve(curve: ProfileCurve, amplitude: float = 1e-3) -> ProfileCurve:
+    """Negative control: the curve resampled at PROFILE_ROWS uniform arc
+    lengths with t <- t + A sin(s), as a ProfileCurve of the same spec.
 
     The perturbed curve must fail the geodesic and drift checks at the
     integral tolerance; used to confirm the diagnostics have teeth.
     """
-    lo, hi = curve.s_span
-    s = np.linspace(lo, hi, 2001)
+    s = np.linspace(*curve.s_span, PROFILE_ROWS)
     r, t, phi = curve.sample(s)
-    return SampledCurve(s, r, t + amplitude * np.sin(s), phi, spec=curve.spec)
+    return ProfileCurve(curve.spec, s, r, t + amplitude * np.sin(s), phi)
 
 
 def run_profile_checks(curve: ProfileCurve) -> DiagnosticsReport:

@@ -19,6 +19,7 @@ import numpy as np
 if TYPE_CHECKING:
     from .graph_solvers import RadialGraph
     from .meshing import SolitonMesh
+    from .profile_solver import ProfileCurve
 
 
 def fmt(x) -> str:
@@ -138,24 +139,27 @@ def read_table(path) -> tuple:
     return meta, names, np.array(body, dtype=float).reshape(-1, len(names))
 
 
-def export_profile_csv(curve, path, n_samples: int = 2001, meta=None) -> Path:
-    """Columns s, r, t, phi resampled uniformly in arc length."""
-    s = np.linspace(*curve.s_span, n_samples)
+def export_profile_csv(curve, path, meta=None) -> Path:
+    """Columns s, r, t, phi at PROFILE_ROWS arc lengths spaced uniformly
+    over the curve's span."""
+    from .profile_solver import PROFILE_ROWS
+    s = np.linspace(*curve.s_span, PROFILE_ROWS)
     return write_table(path, ("s", "r", "t", "phi"), (s, *curve.sample(s)),
                        meta)
 
 
-def read_profile_csv(path, spec=None) -> SampledCurve:
-    """Rebuild a sampleable curve from an export of export_profile_csv,
-    with the file's metadata as its ``meta``."""
-    from .profile_solver import SampledCurve
+def read_profile_csv(path) -> ProfileCurve:
+    """Rebuild a profile from an export of export_profile_csv: a
+    ProfileCurve with no spec, its spline through the rows as the dense
+    evaluator, and the file's metadata as its ``meta``."""
+    from .profile_solver import ProfileCurve
     meta, names, data = read_table(path)
     if names != ["s", "r", "t", "phi"]:
         raise ValueError(f"{path} has columns {','.join(names)}; a profile "
                          "CSV has s,r,t,phi")
     if len(data) < 4:
         raise ValueError(f"profile CSV {path} has too few samples")
-    return SampledCurve(*data.T, spec=spec, meta=meta)
+    return ProfileCurve(None, *data.T, meta=meta)
 
 
 def export_graph_csv(graph: RadialGraph, path, meta=None) -> Path:

@@ -547,17 +547,15 @@ def flat_initial(problem: FlowProblem) -> np.ndarray:
 
 
 def bump_initial(problem: FlowProblem, amplitude: float = 0.05,
-                 width: float = 0.5, center: float = 3.0,
-                 base: np.ndarray | None = None) -> np.ndarray:
-    """Soliton (or supplied base) heights plus a Gaussian bump; its
+                 width: float = 0.5, center: float = 3.0, *,
+                 base: np.ndarray) -> np.ndarray:
+    """The heights ``base`` on the flow grid plus a Gaussian bump; its
     amplitude, width and centre must be finite and its width > 0."""
     if not all(map(math.isfinite, (amplitude, width, center))):
         raise ValueError(f"bump amplitude {amplitude}, width {width} and centre "
                          f"{center} must be finite")
     if width <= 0:
         raise ValueError(f"bump width must be > 0, got {width}")
-    if base is None:
-        base = soliton_initial(problem)
     # a far or narrow bump squares to inf at a node, where exp(-inf) = 0 is exact
     with np.errstate(over="ignore"):
         bump = amplitude * np.exp(-((problem.r_grid - center) / width) ** 2)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .profile_solver import ProfileCurve
+from .profile_solver import PROFILE_ROWS, ProfileCurve
 from .warp_models import radial_curvature
 
 CHARTS = ("cylindrical", "poincare_disk")
@@ -58,7 +58,9 @@ def _disk_radius(r, kappa: float):
 def revolve_profile(curve: ProfileCurve, angular_segments: int = 64,
                     chart: str = "cylindrical") -> SolitonMesh:
     """Triangulated surface of revolution of a planar profile (n = 2),
-    sampled at max(64, len(curve.s)) arc lengths.
+    with a ring at each of min(max(64, len(curve.s)), PROFILE_ROWS) uniform
+    arc lengths: one per solver step up to the cap, so the mesh of a solve
+    of many short steps stays the size of an exported profile.
 
     Higher base dimensions have no 3-space picture; export those as
     profile tables instead.
@@ -74,7 +76,7 @@ def revolve_profile(curve: ProfileCurve, angular_segments: int = 64,
         raise ValueError("revolution meshes need a rotational warp")
 
     lo, hi = curve.s_span
-    n_samples = max(64, curve.s.size)
+    n_samples = min(max(64, curve.s.size), PROFILE_ROWS)
     s = np.linspace(lo, hi, n_samples)
     r, t, _ = curve.sample(s)
     r = np.maximum(np.asarray(r), 0.0)

@@ -32,6 +32,9 @@ DEFAULT_RTOL = 1e-9
 DEFAULT_ATOL = 1e-11
 AXIS_LAUNCH_S = 1e-4
 GRAPH_RDOT_MIN = 1e-6
+#: rows of every uniform arc-length resample of a profile: the exported
+#: CSV, the perturbation control, and the most rings of a revolved mesh
+PROFILE_ROWS = 2001
 
 
 @dataclass(frozen=True)
@@ -66,14 +69,6 @@ class SolitonSpec:
 
 
 @dataclass(frozen=True)
-class ProfileState:
-    s: float
-    r: float
-    t: float
-    phi: float
-
-
-@dataclass(frozen=True)
 class TerminationPolicy:
     """Arc-length, radius and height stops of a profile solve, each finite;
     t_max > 0 is the height on either side of the start."""
@@ -92,25 +87,39 @@ class TerminationPolicy:
 
 @dataclass
 class ProfileCurve:
-    """Solution samples plus one dense evaluator of the whole curve.
+    """Samples (s, r, t, phi) of a profile plus one dense evaluator of the
+    whole curve.
 
-    ``sample(s)`` evaluates (r, t, phi) arrays anywhere inside ``s_span``
-    through ``_sol``: the solver's dense output, which for a bowl is joined
-    (:func:`.dop853.joined`) to the axis series on [0, AXIS_LAUNCH_S).
+    ``sample(s)`` evaluates (r, t, phi) anywhere inside ``s_span``, as
+    floats at a scalar s and as arrays otherwise, and raises ValueError
+    outside it.  It reads ``_sol``: for a solved curve the solver's dense
+    output, which for a bowl is joined (:func:`.dop853.joined`) to the axis
+    series on [0, AXIS_LAUNCH_S); for a curve built from samples alone (a
+    CSV read back, a perturbation control) the not-a-knot cubic spline of
+    each column (:mod:`.spline`, SciPy's ``CubicSpline`` bit for bit).
     ``termination`` is ``max_arc_length``, ``step_failure``, ``step_budget``
     (:data:`.dop853.MAX_STEPS` steps) or the name of the stop that ended the
-    solve; ``diagnostics`` is its run record.
+    solve, and None on a curve built from samples; ``diagnostics`` is the
+    solve's run record and ``meta`` the run metadata of a CSV it was read
+    from.
     """
 
-    spec: SolitonSpec
+    spec: SolitonSpec | None
     s: np.ndarray
     r: np.ndarray
     t: np.ndarray
     phi: np.ndarray
-    termination: str
+    termination: str | None = None
     turning_points: list = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
+    meta: dict = field(default_factory=dict)
     _sol: Callable | None = None
+
+    def __post_init__(self):
+        if self._sol is None:
+            spline = PiecewiseCubic.not_a_knot(
+                self.s, np.stack((self.r, self.t, self.phi), axis=-1))
+            self._sol = lambda s: np.moveaxis(spline(s), -1, 0)
 
     @property
     def s_span(self) -> tuple:
@@ -142,15 +151,9 @@ def _profile_field(c: float, drift, cphi, sphi) -> tuple:
 
 
 def profile_rhs(state, spec: SolitonSpec):
-    """Right-hand side of the first-order profile system at one state.
-
-    ``state`` is a ProfileState or an (r, phi) pair; returns
-    (dr/ds, dt/ds, dphi/ds).
-    """
-    if isinstance(state, ProfileState):
-        r, phi = state.r, state.phi
-    else:
-        r, phi = state
+    """Right-hand side of the first-order profile system at one state
+    ``(r, phi)``: the tuple (dr/ds, dt/ds, dphi/ds)."""
+    r, phi = state
     spec.warp.require_domain(r)
     return _profile_field(spec.c, spec.warp.drift(r, spec.n), math.cos(phi), math.sin(phi))
 
@@ -250,18 +253,14 @@ def solve_ideal_parametric(spec: SolitonSpec, initial, stop: TerminationPolicy |
 
     Same system as the rotational case but r is a signed horosphere
     distance, so the curve is free to cross r = 0.  For xi = e^{kappa r}
-    the angle tends to the equilibrium arctan(c / ((n-1) kappa)).  A start
+    the angle tends to the equilibrium arctan(c / ((n-1) kappa)).  The
+    solve starts at s = 0 from ``initial``, the state (r, t, phi); a start
     at or past the radius stop raises ValueError.
     """
     if spec.family != "ideal":
         raise ValueError("spec.family must be 'ideal'")
-    if isinstance(initial, ProfileState):
-        y0 = (initial.r, initial.t, initial.phi)
-        s0 = initial.s
-    else:
-        y0 = tuple(initial)
-        s0 = 0.0
-    return _integrate(spec, y0, s0, stop, rtol, atol, t_center=y0[1])
+    y0 = tuple(initial)
+    return _integrate(spec, y0, 0.0, stop, rtol, atol, t_center=y0[1])
 
 
 def profile_to_graph(curve: ProfileCurve, n_points: int | None = None):
@@ -294,28 +293,3 @@ def profile_to_graph(curve: ProfileCurve, n_points: int | None = None):
         r_grid=r, u=t, du=du, spec=curve.spec,
         meta={"source": "profile", "rdot_min": GRAPH_RDOT_MIN})
 
-
-class SampledCurve:
-    """Profile-curve interface over plain (s, r, t, phi) samples.
-
-    Used by the verification CLI for CSV input and by the perturbation
-    negative controls; dense evaluation is the not-a-knot cubic spline
-    of each column (:mod:`.spline`, SciPy's ``CubicSpline`` bit for bit).
-    ``meta`` holds the run metadata of a CSV it was read from.
-    """
-
-    def __init__(self, s, r, t, phi, spec: SolitonSpec | None = None,
-                 meta: dict | None = None):
-        self.s = np.asarray(s, dtype=float)
-        self.spec = spec
-        self.meta = meta or {}
-        self._spline = PiecewiseCubic.not_a_knot(
-            self.s, np.stack((r, t, phi), axis=-1))
-
-    @property
-    def s_span(self):
-        return float(self.s[0]), float(self.s[-1])
-
-    def sample(self, s):
-        r, t, phi = np.moveaxis(self._spline(s), -1, 0)
-        return r, t, phi

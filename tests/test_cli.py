@@ -254,6 +254,18 @@ class TestVerifyCommand:
                    str(bowl_csv)) == 0
         assert (tmp_path / "bowl_verify.json").exists()
 
+    def test_read_back_curve_keeps_to_its_span(self, bowl_csv):
+        """A curve read back from a CSV samples as a solved one does: floats
+        at a scalar arc length, and a refusal past its last row, where the
+        spline through the rows would extrapolate."""
+        curve = read_profile_csv(bowl_csv)
+        assert curve.termination is None
+        lo, hi = curve.s_span
+        assert all(type(v) is float for v in curve.sample((lo + hi) / 2))
+        for beyond in (hi + 1e-3, [hi, hi + 1e-3], lo - 1e-3):
+            with pytest.raises(ValueError, match="s outside curve range"):
+                curve.sample(beyond)
+
     def test_read_back_curve_checks_against_the_given_spec(self, tmp_path):
         """A profile read back from its CSV carries no spec; the checks run
         against the spec they are given, which sets the axis mask too, and

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soliton_forge import (
-    CurvatureBounds, RadialGraph, SolitonSpec, TerminationPolicy,
+    CurvatureBounds, ProfileCurve, RadialGraph, SolitonSpec, TerminationPolicy,
     asymptotic_report, drift_identity_random, flux_residual, geodesic_residual, make_builtin_warp, perturb_curve,
     run_profile_checks, solve_bowl, solve_radial_graph, solve_wing,
     wing_height_report, wing_turning_flux,
@@ -127,12 +127,11 @@ class TestGeodesic:
         assert np.max(np.abs(r * phid + np.sin(phi))) < 1e-6
 
     def test_vertical_line_is_not_geodesic(self, hyperbolic_warp):
-        from soliton_forge import SampledCurve
         spec = SolitonSpec(c=1.0, n=2, family="wing", warp=hyperbolic_warp,
                            epsilon=0.5)
         s = np.linspace(0.0, 3.0, 400)
-        line = SampledCurve(s, np.full_like(s, 0.5), -s,
-                            np.full_like(s, -math.pi / 2), spec=spec)
+        line = ProfileCurve(spec, s, np.full_like(s, 0.5), -s,
+                            np.full_like(s, -math.pi / 2))
         result = geodesic_residual(line)
         assert not result.passed
         assert result.max_abs_residual > 1e-1
@@ -374,8 +373,7 @@ class TestDenseEvaluations:
         return len(calls), residuals
 
     def _sampled(self, bowl):
-        from soliton_forge import SampledCurve
-        return SampledCurve(bowl.s, bowl.r, bowl.t, bowl.phi, spec=bowl.spec)
+        return ProfileCurve(bowl.spec, bowl.s, bowl.r, bowl.t, bowl.phi)
 
     def test_geodesic_one_evaluation(self, bowl, monkeypatch):
         calls, (res,) = self._run_counted(geodesic_residual, bowl, monkeypatch)

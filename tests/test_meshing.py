@@ -10,14 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soliton_forge import (
-    SolitonMesh, SolitonSpec, TerminationPolicy, revolve_profile, solve_bowl,
-    solve_wing,
+    ProfileCurve, SolitonMesh, SolitonSpec, TerminationPolicy, revolve_profile,
+    solve_bowl, solve_wing,
 )
 from soliton_forge.fileio import (
     export_graph_csv, export_mesh_obj, export_points_csv, export_profile_csv,
     export_trajectory_csv, read_points_csv, read_profile_csv, read_table,
     write_table,
 )
+from soliton_forge.profile_solver import PROFILE_ROWS
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +60,8 @@ def _loop_mesh(curve, k):
     array build in the cylindrical chart, with each vertex's profile
     (r, t, phi)."""
     lo, hi = curve.s_span
-    r, t, phi = curve.sample(np.linspace(lo, hi, max(64, curve.s.size)))
+    r, t, phi = curve.sample(
+        np.linspace(lo, hi, min(max(64, curve.s.size), PROFILE_ROWS)))
     r = np.maximum(r, 0.0)
     first = 1 if r[0] < 1e-9 else 0
     verts, attrs, faces = [], [], []
@@ -125,6 +127,15 @@ class TestRevolve:
         with pytest.raises(ValueError):
             revolve_profile(curve, chart="poincare_disk")
 
+    def test_rings_capped_at_profile_rows(self, hyperbolic_bowl_spec):
+        """A profile of many more samples than an exported CSV's rows (a
+        solve of many short steps) meshes to PROFILE_ROWS rings."""
+        s = np.linspace(0.0, 3.0, 50_000)
+        curve = ProfileCurve(hyperbolic_bowl_spec, s, s, s**2 / 4, np.arctan(s / 2))
+        mesh = revolve_profile(curve, angular_segments=8)
+        assert mesh.meta["profile_samples"] == PROFILE_ROWS
+        assert mesh.n_vertices == 1 + 8 * (PROFILE_ROWS - 1)
+
     def test_segment_minimum(self, bowl_curve):
         with pytest.raises(ValueError):
             revolve_profile(bowl_curve, angular_segments=4)
@@ -164,8 +175,8 @@ class TestObjFiles:
 class TestCsvFiles:
     def test_profile_round_trip(self, bowl_curve, tmp_path):
         path = export_profile_csv(bowl_curve, tmp_path / "p.csv",
-                                  n_samples=1201, meta={"tag": "demo"})
-        back = read_profile_csv(path, spec=bowl_curve.spec)
+                                  meta={"tag": "demo"})
+        back = read_profile_csv(path)
         assert back.meta["tag"] == "demo"
         s = np.linspace(*bowl_curve.s_span, 137)
         for orig, copy in zip(bowl_curve.sample(s), back.sample(s)):

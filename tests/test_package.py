@@ -14,15 +14,15 @@ import pytest
 import soliton_forge
 from soliton_forge.fileio import export_points_csv, read_points_csv
 
-#: the 50 public names of the package and the submodule that defines each
+#: the 48 public names of the package and the submodule that defines each
 EXPORTS = {
     "warp_models": (
         "CurvatureBounds", "Violation", "WarpModel", "make_builtin_warp",
         "radial_curvature", "validate_warp", "warp_from_json"),
     "profile_solver": (
-        "ProfileCurve", "ProfileState", "SampledCurve", "SolitonSpec",
-        "TerminationPolicy", "profile_rhs", "profile_to_graph", "solve_bowl",
-        "solve_ideal_parametric", "solve_wing"),
+        "ProfileCurve", "SolitonSpec", "TerminationPolicy", "profile_rhs",
+        "profile_to_graph", "solve_bowl", "solve_ideal_parametric",
+        "solve_wing"),
     "graph_solvers": (
         "ClosedForm", "RadialGraph", "closed_form_oracle", "solve_grim",
         "solve_ideal_graph", "solve_radial_graph"),
@@ -45,7 +45,7 @@ SRC = Path(soliton_forge.__file__).resolve().parents[1]
 
 def test_every_export_is_the_submodule_object():
     names = sorted(name for group in EXPORTS.values() for name in group)
-    assert len(names) == 50
+    assert len(names) == 48
     assert sorted(soliton_forge.__all__) == names
     assert set(names) <= set(dir(soliton_forge))
     for module, group in EXPORTS.items():
@@ -155,6 +155,6 @@ def test_table_warp_and_perturbed_curve_load_no_scipy(tmp_path):
             "warp.ddxi(r), warp.xi_ratio(1.5)\n"
             "spec = SolitonSpec(c=1.0, n=2, family='bowl', warp=warp)\n"
             "curve = solve_bowl(spec, stop=TerminationPolicy(r_max=2.5))\n"
-            "perturb_curve(curve).sample(r)\n"
+            "perturb_curve(curve).sample(curve.s)\n"
             "print([m for m in sys.modules if m.startswith('scipy')])\n")
     assert _python(code, tmp_path).split() == ["[]"]

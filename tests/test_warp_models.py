@@ -390,7 +390,7 @@ class TestDrift:
         np.testing.assert_array_equal(
             hyperbolic_warp.drift(np.array([0.5, 1.0]), 1), [0.0, 0.0])
 
-    def test_axis_series_branch(self, hyperbolic_warp):
+    def test_near_axis_is_the_closed_form(self, hyperbolic_warp):
         """Near the axis, as everywhere, the drift is (n-1) times the one
         closed form, with no series branch, within QUOTIENT_ULPS of the
         plain quotient."""
