@@ -23,8 +23,9 @@ from pathlib import Path
 from . import fileio, lorentz
 from .warp_models import _FAMILY_KIND, CHARTS, FAMILIES, make_builtin_warp
 
-#: the most flow steps one command takes; 10^6 steps on 2001 nodes take minutes
-MAX_FLOW_STEPS = 10**6
+#: the most nodes (a run holds about 270 B each) and steps x nodes one flow
+#: command takes: 10^6 steps on the default 2001 nodes take minutes
+MAX_FLOW_NODES, MAX_FLOW_NODE_STEPS = 10**6, 2001 * 10**6
 
 
 class UsageError(Exception):
@@ -282,6 +283,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_flow(args) -> int:
+    if args.nodes > MAX_FLOW_NODES:
+        raise UsageError(f"--nodes {args.nodes} exceeds the bound of {MAX_FLOW_NODES} nodes")
     from . import mcf_flow
     warp_kind = {chart: kind for kind, chart in CHARTS.items()}[args.chart]
     warp = _warp(warp_kind, args.K)
@@ -295,12 +298,13 @@ def _cmd_flow(args) -> int:
         # bound; run() rejects a horizon that is not finite and > 0
         steps = args.horizon / (0.9 * problem.stability_bound())
         dtau = args.horizon / math.ceil(steps) if 0 < steps < math.inf else args.horizon
-    # refused before any work: more steps than the bound, or fewer than the
-    # three records the F/D check differences
+    # refused before any solve or step: more node-steps than the bound, or
+    # fewer than the three records the F/D check differences
     steps, records = mcf_flow.run_counts(dtau, args.horizon, args.record_every)
-    if steps > MAX_FLOW_STEPS:
-        raise UsageError(f"{steps} steps of {dtau:g} exceed the bound of {MAX_FLOW_STEPS} "
-                         "steps: take a larger --dtau with --scheme implicit")
+    if steps * args.nodes > MAX_FLOW_NODE_STEPS:
+        raise UsageError(f"{steps} steps of {dtau:g} on {args.nodes} nodes exceed the bound of "
+                         f"{MAX_FLOW_NODE_STEPS} node-steps: take a larger --dtau with "
+                         "--scheme implicit, or fewer --nodes")
     if records < 3:
         raise UsageError(f"need at least three records, got {records}: --horizon "
                          f"{args.horizon:g} must be longer than --record-every "
@@ -322,8 +326,8 @@ def _cmd_flow(args) -> int:
         data = fileio.read_table(initial[4:])[2]
         if data.shape[1] < 2:
             raise UsageError("csv initial data needs a height column after r")
-        if data.shape[0] != problem.r_grid.size or (
-                abs(data[:, 0] - problem.r_grid).max() > 1e-12 * problem.r_max):
+        if data.shape[0] != problem.r_grid.size or not (  # a NaN radius fails too
+                abs(data[:, 0] - problem.r_grid).max() <= 1e-12 * problem.r_max):
             raise UsageError("csv initial data: its first column must be the flow grid r")
         u0 = data[:, -1]
     else:
@@ -335,8 +339,7 @@ def _cmd_flow(args) -> int:
     traj_path = _out_path(args, f"{tag}_trajectory.csv")
     fileio.export_trajectory_csv(trajectory, traj_path,
                                  meta={"K": args.K, "c": args.c, "n": args.n})
-    for label, state in (("initial", trajectory.snapshots[0]),
-                         ("final", trajectory.snapshots[-1])):
+    for label, state in zip(("initial", "final"), trajectory.snapshots):
         snap_path = _out_path(args, f"{tag}_{label}.csv")
         fileio.write_table(snap_path, ("r", "u"), (state.r_grid, state.u),
                            {"tau": fileio.fmt(state.tau)})

@@ -23,7 +23,7 @@ The module also evaluates the weighted area functional
 F(tau) = |S^{n-1}| int exp(c u - c^2 tau) W xi^{n-1} dr and its defect
 D(tau) = |S^{n-1}| int K (H - c/W)^2 W xi^{n-1} dr, whose near-equality
 dF/dtau ~ -D is the monotonicity property under test.  A run records
-both from the stencil its step formed and one W, k pair per snapshot.
+both from the stencil its step formed, and keeps its first and last heights.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ class GraphFlowState:
 
 @dataclass
 class FlowTrajectory:
-    """Recorded snapshots with functional and defect samples."""
+    """F and D at each record, and the first and last state (``snapshots``)."""
 
     taus: np.ndarray
     F_values: np.ndarray
@@ -350,10 +350,10 @@ class FlowProblem:
 
     def run(self, u0, dtau: float, horizon: float, scheme: str = "explicit",
             record_every: int = 1) -> FlowTrajectory:
-        """Advance from ``u0`` at tau = 0 to ``horizon``, recording F and D.
-
-        The trajectory's diagnostics carry the Newton record under the
-        FLOW_RECORD keys; an explicit run leaves them at zero.
+        """Advance from ``u0`` at tau = 0 to ``horizon``, recording F and D;
+        only the first and last heights are kept, so memory does not grow
+        with the records.  The trajectory's diagnostics carry the Newton
+        record under the FLOW_RECORD keys; an explicit run leaves them at zero.
         """
         if scheme not in ("explicit", "implicit"):
             raise ValueError(f"unknown scheme {scheme!r}")
@@ -371,27 +371,24 @@ class FlowProblem:
             def step(u, f, p, q):
                 v = self._heun(u, f, dtau)
                 return (v, *self._rhs(v))
-        u = _finite_heights(u0).copy()
+        u = initial = _finite_heights(u0).copy()  # no step writes into it
         if self.bc == "robin" and self._sigma is None:
             self.pin_boundary_slopes(u)
-        rows, snaps = [], []  # (tau, F, D) and the heights of each record
-
-        def record(tau, u, p, q):
-            # GraphFlowState rejects non-finite heights, and the last step
-            # is always recorded, so a run never returns them
-            rows.append((tau, *self._functional_and_defect(u, p, q, tau)))
-            snaps.append(GraphFlowState(self.r_grid, u.copy(), tau))
-
+        rows = []  # (tau, F, D) of each record
         # each state's stencil (f, p, q) serves its record and the next step
         f, p, q = self._rhs(u)
-        record(0.0, u, p, q)
-        for i in range(1, n_steps + 1):
-            u, f, p, q = step(u, f, p, q)
+        for i in range(n_steps + 1):
+            if i:
+                u, f, p, q = step(u, f, p, q)
+            # every record, the last step's too, refuses non-finite heights
             if i % record_every == 0 or i == n_steps:
-                record(i * dtau, u, p, q)
+                rows.append((i * dtau, *self._functional_and_defect(
+                    _finite_heights(u), p, q, i * dtau)))
         taus, fs, ds = map(np.asarray, zip(*rows))
         return FlowTrajectory(
-            taus=taus, F_values=fs, defect_values=ds, snapshots=snaps,
+            taus=taus, F_values=fs, defect_values=ds,
+            snapshots=[GraphFlowState(self.r_grid, initial, 0.0),
+                       GraphFlowState(self.r_grid, u, n_steps * dtau)],
             meta={"scheme": scheme, "dtau": dtau, "bc": self.bc,
                   "chart": self.chart, "n_nodes": self.r_grid.size,
                   "robin_slope": self._sigma},

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from soliton_forge import SolitonSpec, make_builtin_warp, warp_from_json
+
+# tier-1 draws the same examples on every run; the random search runs in a
+# separate step with the pytest option --hypothesis-profile search
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("search", derandomize=False)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

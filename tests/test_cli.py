@@ -140,12 +140,18 @@ class TestSolitonCommand:
         (("flow", "--initial", "bump", "--bump-width", "-0.5", "--nodes", "201"),
          "bump width must be > 0, got -0.5"),
         (("flow", "--R", "0.01", "--initial", "flat"),
-         "11111111112 steps of 9e-12 exceed the bound of 1000000 steps"),
+         "11111111112 steps of 9e-12 on 2001 nodes exceed the bound of "
+         "2001000000 node-steps"),
+        (("flow", "--nodes", "4001", "--scheme", "implicit", "--dtau", "1e-3",
+          "--horizon", "1000"),
+         "1000000 steps of 0.001 on 4001 nodes exceed the bound of "
+         "2001000000 node-steps"),
     ], ids=["bowl-K-nan", "flow-K-inf", "sweep-K-inf", "bump-width-0", "bump-width-neg",
-            "flow-too-many-steps"])
+            "flow-too-many-steps", "flow-too-many-node-steps"])
     def test_bad_curvature_or_bump_is_usage_error(self, tmp_path, capsys, argv, message):
-        # the step bound refuses before any solve or step: this explicit
-        # run would take 1.1e10 steps
+        # the node-step bound refuses before any solve or step: the explicit
+        # run would take 1.1e10 steps, and the implicit one 10^6 steps on
+        # more than the default 2001 nodes
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run("--out", str(tmp_path), *argv) == 1
@@ -411,6 +417,51 @@ class TestFlowCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "speed c" in err
         assert not list(tmp_path.iterdir())
+
+    def test_node_cap_refuses_before_the_grid_is_built(self, tmp_path, capsys,
+                                                       monkeypatch):
+        from soliton_forge import cli, mcf_flow
+
+        def no_problem(*args, **kwargs):
+            raise AssertionError("FlowProblem built")
+
+        monkeypatch.setattr(mcf_flow, "FlowProblem", no_problem)
+        nodes = str(cli.MAX_FLOW_NODES + 1)
+        assert run("--out", str(tmp_path), "flow", "--nodes", nodes) == 1
+        assert capsys.readouterr().err.startswith(
+            f"usage error: --nodes {nodes} exceeds the bound of 1000000 nodes")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("nodes, message", [
+        (2001, "error: run reached: 1000000 steps"),
+        (2002, "usage error: 1000000 steps of 0.001 on 2002 nodes exceed")],
+        ids=["2001-nodes", "2002-nodes"])
+    def test_default_grid_keeps_a_million_steps(self, tmp_path, capsys, monkeypatch,
+                                                nodes, message):
+        # 10^6 steps on 2001 nodes reach the run (stubbed out here); on one
+        # node more they exceed the node-step bound
+        from soliton_forge import mcf_flow
+
+        def no_run(self, u0, dtau, horizon, **kwargs):
+            raise ValueError(f"run reached: {round(horizon / dtau)} steps")
+
+        monkeypatch.setattr(mcf_flow.FlowProblem, "run", no_run)
+        assert run("--out", str(tmp_path), "flow", "--nodes", str(nodes),
+                   "--initial", "flat", "--scheme", "implicit", "--dtau", "1e-3",
+                   "--horizon", "1000") == 1
+        assert capsys.readouterr().err.startswith(message)
+
+    def test_initial_rejects_a_nan_radius(self, tmp_path, capsys):
+        # NaN compares False with any tolerance: the grid check must fail on it
+        table = tmp_path / "nan_r.csv"
+        r = np.linspace(0.0, 5.0, 201)
+        r[5] = np.nan
+        table.write_text("r,u\n" + "".join(f"{x!r},0.0\n" for x in r.tolist()))
+        assert run("--out", str(tmp_path), *self.SMALL,
+                   "--initial", f"csv:{table}") == 1
+        assert capsys.readouterr().err.startswith(
+            "usage error: csv initial data: its first column must be the flow grid r")
+        assert not (tmp_path / "flow_trajectory.csv").exists()
 
     def test_bad_initial(self, tmp_path):
         assert run("--out", str(tmp_path), "flow", "--initial",

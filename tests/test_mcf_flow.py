@@ -1,6 +1,7 @@
 """Flow discretization, stepping, and the monotonicity functional."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -543,6 +544,26 @@ class TestRunRecord:
         assert _record(traj)["line_search_halvings"] == 0
         assert Counted.calls == 1 + steps
 
+    def test_memory_does_not_grow_with_records(self, hyperbolic_warp):
+        # F and D are kept per record, heights only for the first and last
+        # state: 1000 recorded steps on 2001 nodes peak within 1 MB of 20
+        # (one record's heights are 16 kB)
+        prob = FlowProblem(C, N, hyperbolic_warp, r_max=10.0, n_nodes=2001,
+                           robin_slope=0.0)
+        u0 = bump_initial(prob, base=flat_initial(prob))
+
+        def peak(steps):
+            tracemalloc.start()
+            try:
+                traj = prob.run(u0, 1e-3, steps * 1e-3, scheme="implicit")
+                return tracemalloc.get_traced_memory()[1], traj
+            finally:
+                tracemalloc.stop()
+
+        (short, _), (long, traj) = peak(20), peak(1000)
+        assert long - short <= 2**20, (short, long)
+        assert traj.taus.size == 1001 and len(traj.snapshots) == 2
+
     def test_trajectory_csv_leaves_out_the_record(self, hyper_problem, tmp_path):
         u0 = discrete_soliton(hyper_problem)
         traj = hyper_problem.run(u0, 1e-3, 3e-3, scheme="implicit")
@@ -595,6 +616,15 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _record_heights(prob, u0, dtau, steps, every):
+    """The heights at each record of an implicit run of ``steps`` steps that
+    records every ``every``-th: a run keeps its first and last heights only,
+    so each record's heights are the last of a run that ends there."""
+    runs = [prob.run(u0, dtau, k * dtau, scheme="implicit", record_every=every)
+            for k in (*range(every, steps, every), steps)]
+    return [runs[0].snapshots[0].u] + [traj.snapshots[-1].u for traj in runs]
+
+
 class TestSameBits:
     @pytest.mark.parametrize("chart,bc", CHART_BC)
     def test_run_matches_public_step_loop(self, chart, bc):
@@ -615,7 +645,7 @@ class TestSameBits:
             ds.append(prob.soliton_defect(u, j * every * dtau))
         assert _same_bits(traj.F_values, fs)
         assert _same_bits(traj.defect_values, ds)
-        assert _same_bits([s.u for s in traj.snapshots], us)
+        assert _same_bits(_record_heights(prob, u0, dtau, steps, every), us)
 
     @pytest.mark.parametrize("chart,bc", CHART_BC)
     def test_implicit_run_same_on_both_solve_paths(self, chart, bc, monkeypatch):
@@ -623,10 +653,10 @@ class TestSameBits:
         u0 = 0.3 * np.exp(-(_small_problem(chart, bc).r_grid - 1.0) ** 2)
         runs = []
         for _ in range(2):
-            traj = _small_problem(chart, bc).run(u0, 2e-3, 0.02, scheme="implicit",
-                                                 record_every=5)
+            prob = _small_problem(chart, bc)
+            traj = prob.run(u0, 2e-3, 0.02, scheme="implicit", record_every=5)
             runs.append((traj.F_values, traj.defect_values,
-                         [s.u for s in traj.snapshots], _record(traj)))
+                         _record_heights(prob, u0, 2e-3, 10, 5), _record(traj)))
             monkeypatch.setattr(spline, "_bundled_dgtsv", lambda: None)
         (*lapack, tally), (*port, port_tally) = runs
         assert tally == port_tally and tally["newton_iterations"] > 0
@@ -677,8 +707,9 @@ class TestSameBits:
         moved = prob.run(u0 + shift, 1e-3, 0.02, scheme="implicit",
                          record_every=5)
         ulp = np.spacing(abs(shift) + np.max(np.abs(u0)) + 1.0)
-        for a, b in zip(base.snapshots, moved.snapshots):
-            assert np.max(np.abs(b.u - (a.u + shift))) <= 32 * ulp
+        for a, b in zip(_record_heights(prob, u0, 1e-3, 20, 5),
+                        _record_heights(prob, u0 + shift, 1e-3, 20, 5)):
+            assert np.max(np.abs(b - (a + shift))) <= 32 * ulp
         ratio = moved.F_values / (base.F_values * math.exp(C * shift))
         assert np.max(np.abs(ratio - 1.0)) <= 32 * ulp
 

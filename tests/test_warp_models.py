@@ -211,7 +211,7 @@ class TestCurvature:
             math.cosh(2) / math.sinh(2))
 
 
-class TestLevelMeanCurvature:
+class TestDriftPerWarp:
     """The drift is (n-1) times the mean curvature of the level {r = const}."""
 
     def test_euclidean(self, euclidean_warp):
@@ -232,7 +232,7 @@ class TestLevelMeanCurvature:
             euclidean_warp.drift(0.0, 2)
 
 
-class TestSeriesGuard:
+class TestRatioNearAxis:
     def test_axis_ratio_series_euclidean(self, euclidean_warp):
         r = 1e-5
         assert euclidean_warp.xi_ratio(r) == pytest.approx(1.0 / r, rel=1e-12)
