@@ -4,8 +4,8 @@ Subcommands: soliton (solve one family and export artifacts), verify
 (diagnostics on a solve or CSV input), flow (graphical mean curvature
 flow), isometry (apply a Lorentz map to a point set), sweep (parameter
 grids).  The module imports only fileio, lorentz and warp_models; each
-command imports the solvers it runs, so every command but flow loads
-NumPy alone and never SciPy.  Exit codes: 0 success, 2 verification
+command imports the solvers it runs, so every command loads NumPy alone
+and never SciPy.  Exit codes: 0 success, 2 verification
 failure (for soliton also a profile that ends short of --r-max), 1 usage
 or runtime error.  Flag values override JSON config values, which
 override the ``# key=value`` metadata of the verify input, which

@@ -192,7 +192,7 @@ def export_mesh_obj(mesh: SolitonMesh, path, meta=None) -> Path:
         raise ValueError("nothing to export: empty mesh")
     lines = _meta_lines({**mesh.meta, **(meta or {}), "chart": mesh.chart})
     lines.append(_rows("v %.17g %.17g %.17g", mesh.vertices))
-    lines += [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in mesh.faces]
+    lines.append(_rows("f %d %d %d", mesh.faces + 1))
     return _write_lines(path, lines)
 
 

@@ -27,14 +27,13 @@ from typing import Callable
 import numpy as np
 
 from . import dop853
-from .profile_solver import (AXIS_LAUNCH_S, DEFAULT_ATOL, DEFAULT_RTOL,
+from .profile_solver import (AXIS_LAUNCH_S, DEFAULT_ATOL, DEFAULT_RTOL, PROFILE_ROWS,
                              SolitonSpec, axis_series)
 from .spline import PiecewiseCubic
 from .warp_models import BUSEMANN, EQUIDISTANT, ROTATIONAL, WarpModel
 
 BLOWUP_SLOPE = 1e6
 GRIM_LAUNCH_R = 1e-3  # an n >= 3 grim graph's start off the singular line r = 0
-GRID_SIZE = 2001  # samples in every solved graph record
 
 
 @dataclass
@@ -102,7 +101,7 @@ def _integrate_slope(rhs, r_span, y0, rtol, atol):
     does a solve that reaches its step budget (:data:`.dop853.MAX_STEPS`).
 
     Returns the :class:`.dop853.Outcome` and its samples (r, u, u') on
-    GRID_SIZE radii from the start to where the run stopped.
+    PROFILE_ROWS radii from the start to where the run stopped.
     """
     out = dop853.solve(rhs, r_span, y0, rtol, atol,
                        [("blowup", lambda r, y: abs(y[1]) - BLOWUP_SLOPE, True)])
@@ -111,7 +110,7 @@ def _integrate_slope(rhs, r_span, y0, rtol, atol):
     if out.stop == dop853.STEP_BUDGET:
         raise RuntimeError(f"slope ODE stopped at r = {out.t[-1]:.6g} after "
                            f"{dop853.MAX_STEPS} steps, short of r = {r_span[1]:g}")
-    r_grid = np.linspace(out.t[0], out.t[-1], GRID_SIZE)
+    r_grid = np.linspace(out.t[0], out.t[-1], PROFILE_ROWS)
     return out, (r_grid, *out.dense(r_grid))
 
 
@@ -138,7 +137,7 @@ def _solve_graph(spec: SolitonSpec, rhs, r_span, ic, rtol, atol):
     GRIM_LAUNCH_R on the side where the span lies, and the graph reads that
     series between r = 0 and the launch.  A span that ends at or short of
     the launch, or has no end past r0, raises, and so does a piece too
-    short for GRID_SIZE distinct sample radii.  Every check raises
+    short for PROFILE_ROWS distinct sample radii.  Every check raises
     ValueError before any solve.  For n = 2 the equidistant drift xi'/xi is
     odd bit for bit (see :func:`.make_builtin_warp`), so the graph from
     (0, 0, 0) is even: on a span (-R, R) the piece down is the piece up
@@ -147,7 +146,7 @@ def _solve_graph(spec: SolitonSpec, rhs, r_span, ic, rtol, atol):
     Each piece is one :func:`_integrate_slope`.  Returns ``(hit, launch,
     fields)``: the first ``"blowup"`` hit as (root, (u, u'), direction of
     its piece), or None; the launch radius, or None; and the
-    :class:`RadialGraph` fields of the joined pieces, GRID_SIZE samples
+    :class:`RadialGraph` fields of the joined pieces, PROFILE_ROWS samples
     each in ascending r.
     """
     warp, n = spec.warp, spec.n
@@ -181,9 +180,9 @@ def _solve_graph(spec: SolitonSpec, rhs, r_span, ic, rtol, atol):
     if lo == hi:
         raise ValueError(f"graph span ({lo}, {hi}) has no end past its start ic[0] = {r0}")
     for end in (lo, hi):
-        if end != r0 and not np.diff(np.linspace(r0, end, GRID_SIZE)).all():
+        if end != r0 and not np.diff(np.linspace(r0, end, PROFILE_ROWS)).all():
             raise ValueError(f"graph piece from r0 = {r0} to r = {end} is too short "
-                             f"for {GRID_SIZE} distinct sample radii")
+                             f"for {PROFILE_ROWS} distinct sample radii")
     mirror = (warp.kind == EQUIDISTANT and n == 2 and -lo == hi > 0
               and r0 == u0 == du0 == 0.0)
     outs = []

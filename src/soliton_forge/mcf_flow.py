@@ -21,7 +21,8 @@ largest residual it accepted as the trajectory's ``diagnostics``.
 
 The module also evaluates the weighted area functional
 F(tau) = |S^{n-1}| int exp(c u - c^2 tau) W xi^{n-1} dr and its defect
-D(tau) = |S^{n-1}| int K (H - c/W)^2 W xi^{n-1} dr, whose near-equality
+D(tau) = |S^{n-1}| int K (u_tau - c)^2 / W xi^{n-1} dr, the paper's
+int K (H - c/W)^2 W with W H = u_tau (a held row's speed taken unheld);
 dF/dtau ~ -D is the monotonicity property under test.  A run records
 both from the stencil its step formed, and keeps its first and last heights.
 """
@@ -140,8 +141,7 @@ class FlowProblem:
         warp.require_domain(self.r_grid)
         if bc not in ("robin", "dirichlet"):
             raise ValueError(f"unknown boundary condition {bc!r}")
-        self.c, self.n, self.warp = float(c), int(n), warp
-        self.bc = bc
+        self.c, self.n, self.warp, self.bc = float(c), int(n), warp, bc
         self.r_max = float(r_max)
         self.area = sphere_area(n)
 
@@ -216,28 +216,32 @@ class FlowProblem:
         q /= self.dr * self.dr
         return p, q
 
-    def _rhs(self, u) -> tuple:
-        """Nodal du/dtau with the slopes p and second differences q it read."""
-        p, q = self._differences(u)
-        f = p * p
-        f += 1.0
-        np.divide(q, f, out=f)
+    def _speed(self, p, q, w2) -> np.ndarray:
+        """u''/(1+u'^2) + D(r) u' on every row, none held, the axis row scaled."""
+        f = q / w2
         f += self.drift * p
         f[0] *= self._axis
+        return f
+
+    def _rhs(self, u) -> tuple:
+        """Nodal du/dtau f and the stencil it read: p, q and w2 = 1 + p^2."""
+        p, q = self._differences(u)
+        w2 = p * p
+        w2 += 1.0
+        f = self._speed(p, q, w2)
         if self._held is not None:
             f[self._held] = 0.0
-        return f, p, q
+        return f, p, q, w2
 
     def rhs(self, u) -> np.ndarray:
         """Nodal du/dtau = u''/(1+u'^2) + D(r) u'."""
         return self._rhs(u)[0]
 
-    def _jacobian(self, p, q) -> tuple:
-        """Sub-, main and super-diagonal of d(rhs)/du at the stencil (p, q):
+    def _jacobian(self, p, q, w2) -> tuple:
+        """Sub-, main and super-diagonal of d(rhs)/du at the stencil (p, q, w2):
         the interior formula on every row, mirror ghosts folded onto their
         node, held rows 0."""
         dr = self.dr
-        w2 = 1.0 + p * p
         dr2_w2 = dr * dr * w2
         base = 1.0 / dr2_w2
         skew = q * p / (dr * w2 ** 2)
@@ -270,11 +274,11 @@ class FlowProblem:
         u = _finite_heights(u)
         return self._newton(u, *self._rhs(u), dtau, dict(FLOW_RECORD))[0]
 
-    def _newton(self, u, f, p, q, dtau: float, tally: dict) -> tuple:
+    def _newton(self, u, f, p, q, w2, dtau: float, tally: dict) -> tuple:
         """Trapezoidal step from ``u`` by damped Newton started at ``u``,
-        whose stencil ``(f, p, q) = _rhs(u)`` gives the first Jacobian.
+        whose stencil ``(f, p, q, w2) = _rhs(u)`` gives the first Jacobian.
 
-        Returns the accepted iterate and its (f, p, q). The step's Newton
+        Returns the accepted iterate and its (f, p, q, w2). The step's Newton
         iterations, halvings and fallbacks are added to ``tally`` (FLOW_RECORD
         keys), and its accepted residual raises the maximum kept there.
         """
@@ -291,11 +295,11 @@ class FlowProblem:
             if not NEWTON_TOL < norm < math.inf:
                 break
             tally["newton_iterations"] += 1
-            delta = _solve_newton_system(self._system, *self._jacobian(p, q),
+            delta = _solve_newton_system(self._system, *self._jacobian(p, q, w2),
                                          half, res)
             for k in range(LINE_SEARCH_HALVINGS):
                 trial = v + delta if k == 0 else v + 0.5 ** k * delta
-                f, p, q = self._rhs(trial)
+                f, p, q, w2 = self._rhs(trial)
                 res_trial = trial - target - half * f
                 norm_trial = np.max(np.abs(res_trial))
                 if norm_trial < norm:
@@ -311,7 +315,7 @@ class FlowProblem:
                 f"iterations (residual {norm:.3g})")
         tally["max_accepted_residual"] = max(tally["max_accepted_residual"],
                                              float(norm))
-        return v, f, p, q
+        return v, f, p, q, w2
 
     # -- functionals -----------------------------------------------------
 
@@ -328,23 +332,23 @@ class FlowProblem:
             total += alpha * y[-1] + beta * y[-2] - eta * y[-3]
         return self.area * float(total)
 
-    def _functional_and_defect(self, u, p, q, tau: float) -> tuple:
-        """F and D of the heights ``u`` at ``tau`` from their stencil (p, q)."""
-        w2 = 1.0 + p * p
+    def _functional_and_defect(self, u, f, p, q, w2, tau: float) -> tuple:
+        """F and D of the heights ``u`` at ``tau`` from their stencil
+        ``_rhs(u)``: (H - c/W)^2 W = (f - c)^2 / W, f unheld on a held row."""
         big_w = np.sqrt(w2)
         k = np.exp(self.c * np.asarray(u, dtype=float) - self.c * self.c * tau)
-        h = q / w2 ** 1.5 + self.drift * p / big_w
-        h[0] *= self._axis
+        if self._held is not None:
+            f = self._speed(p, q, w2)
         return (self._integral(k * big_w * self.weight),
-                self._integral(k * (h - self.c / big_w) ** 2 * big_w * self.weight))
+                self._integral(k * (f - self.c) ** 2 / big_w * self.weight))
 
     def weighted_functional(self, u, tau: float) -> float:
         """F(tau) = |S^{n-1}| int exp(c u - c^2 tau) W xi^{n-1} dr."""
-        return self._functional_and_defect(u, *self._differences(u), tau)[0]
+        return self._functional_and_defect(u, *self._rhs(u), tau)[0]
 
     def soliton_defect(self, u, tau: float) -> float:
-        """D(tau) = |S^{n-1}| int K (H - c/W)^2 W xi^{n-1} dr >= 0."""
-        return self._functional_and_defect(u, *self._differences(u), tau)[1]
+        """D(tau) = |S^{n-1}| int K (u_tau - c)^2 / W xi^{n-1} dr >= 0, u_tau = W H."""
+        return self._functional_and_defect(u, *self._rhs(u), tau)[1]
 
     # -- driver ----------------------------------------------------------
 
@@ -360,30 +364,30 @@ class FlowProblem:
         n_steps, _ = run_counts(dtau, horizon, record_every)
         tally = dict(FLOW_RECORD)
         if scheme == "implicit":
-            def step(u, f, p, q):
-                return self._newton(u, f, p, q, dtau, tally)
+            def step(u, f, p, q, w2):
+                return self._newton(u, f, p, q, w2, dtau, tally)
         else:
             if not 0 < dtau <= self.stability_bound() * (1 + 1e-12):
                 raise ValueError(
                     f"dtau = {dtau:g} is not > 0 and within the stability bound "
                     f"{self.stability_bound():g}")
 
-            def step(u, f, p, q):
+            def step(u, f, p, q, w2):
                 v = self._heun(u, f, dtau)
                 return (v, *self._rhs(v))
         u = initial = _finite_heights(u0).copy()  # no step writes into it
         if self.bc == "robin" and self._sigma is None:
             self.pin_boundary_slopes(u)
         rows = []  # (tau, F, D) of each record
-        # each state's stencil (f, p, q) serves its record and the next step
-        f, p, q = self._rhs(u)
+        # each state's stencil serves its record and the next step
+        stencil = self._rhs(u)
         for i in range(n_steps + 1):
             if i:
-                u, f, p, q = step(u, f, p, q)
+                u, *stencil = step(u, *stencil)
             # every record, the last step's too, refuses non-finite heights
             if i % record_every == 0 or i == n_steps:
                 rows.append((i * dtau, *self._functional_and_defect(
-                    _finite_heights(u), p, q, i * dtau)))
+                    _finite_heights(u), *stencil, i * dtau)))
         taus, fs, ds = map(np.asarray, zip(*rows))
         return FlowTrajectory(
             taus=taus, F_values=fs, defect_values=ds,
@@ -407,8 +411,9 @@ def run_counts(dtau: float, horizon: float, record_every: int) -> tuple:
         raise ValueError(f"dtau = {dtau} is too small: horizon / dtau "
                          f"overflows for horizon = {horizon}")
     n_steps = round(steps)
-    if abs(n_steps * dtau - horizon) > 1e-9 * max(1.0, horizon):
-        raise ValueError("horizon must be an integer number of steps")
+    if abs(n_steps * dtau - horizon) > 1e-9 * horizon:
+        raise ValueError(f"horizon must be an integer number of steps, at least one: "
+                         f"horizon = {horizon} is {steps:.6g} steps of dtau = {dtau}")
     return n_steps, 1 + -(-n_steps // record_every)
 
 

@@ -32,8 +32,8 @@ DEFAULT_RTOL = 1e-9
 DEFAULT_ATOL = 1e-11
 AXIS_LAUNCH_S = 1e-4
 GRAPH_RDOT_MIN = 1e-6
-#: rows of every uniform arc-length resample of a profile: the exported
-#: CSV, the perturbation control, and the most rings of a revolved mesh
+#: rows of every uniform resample: a profile's CSV, perturbation control
+#: and most mesh rings (by arc length), and a graph piece's samples (by r)
 PROFILE_ROWS = 2001
 
 

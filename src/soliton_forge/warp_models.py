@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -72,8 +72,6 @@ class WarpModel:
     xi3_zero: float | None = None
     ratio: Callable | None = None
     chi_ratio: Callable | None = None
-    #: n -> :meth:`scalar_drift`, bound on first use by :meth:`drift`
-    _drifts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -123,11 +121,8 @@ class WarpModel:
         singular line r = 0 (the rotational axis, or for n >= 3 the
         equidistant core line, where chi = 0) and ValueError where xi'/xi
         is NaN (a NaN radius, or a table's xi or xi' over/underflowing).
-        A float (np.float64 included) goes through :meth:`scalar_drift`;
-        anything else is the one array path, and a 0-d input returns a float.
+        This is the array path; a float or 0-d input returns a float.
         """
-        if isinstance(r, float):
-            return (self._drifts.get(n) or self._drifts.setdefault(n, self.scalar_drift(n)))(r)
         scalar = np.ndim(r) == 0
         if n < 2:
             return 0.0 if scalar else np.zeros(np.shape(r))
@@ -150,8 +145,8 @@ class WarpModel:
 
     def scalar_drift(self, n: int) -> Callable[[float], float]:
         """D(r) in base dimension n as a float -> float function, bound once
-        for a solver's right-hand side: the one float path of :meth:`drift`,
-        with its checks, its messages and the bits of its array path."""
+        for a solver's right-hand side: the one float path, with the checks,
+        the messages and the bits of :meth:`drift`."""
         if n < 2:
             return lambda r: 0.0
         ratio, chi_ratio = self.ratio, self.chi_ratio

@@ -403,6 +403,23 @@ class TestFlowCommand:
         assert err.startswith("error: ") and "dtau" in err
         assert not list(tmp_path.iterdir())
 
+    def test_rejects_horizon_shorter_than_a_step(self, tmp_path, capsys):
+        # zero steps: refused for the horizon and dtau, not the record count
+        assert run("--out", str(tmp_path), "flow", "--R", "4", "--nodes", "201",
+                   "--dtau", "1", "--horizon", "1e-12") == 1
+        assert capsys.readouterr().err.startswith(
+            "error: horizon must be an integer number of steps, at least one: "
+            "horizon = 1e-12 is 1e-12 steps of dtau = 1.0")
+        assert not list(tmp_path.iterdir())
+
+    def test_dirichlet_flow(self, tmp_path):
+        assert run("--out", str(tmp_path), "flow", "--bc", "dirichlet", "--R", "4",
+                   "--nodes", "201", "--scheme", "implicit", "--dtau", "1e-3",
+                   "--horizon", "0.01") in (0, 2)
+        meta, _, data = read_table(tmp_path / "flow_trajectory.csv")
+        assert meta["bc"] == "dirichlet"
+        assert np.all(np.isfinite(data[:, 1:3])) and np.all(data[:, 2] >= 0)
+
     @pytest.mark.parametrize("chart", ["polar", "equidistant"])
     def test_chart_chooses_the_warp(self, tmp_path, chart):
         assert run("--out", str(tmp_path), "flow", "--chart", chart, "--R", "4",

@@ -448,7 +448,7 @@ def test_a_graph_covers_its_span_from_its_start(data, solver, n, K, c, u0, side)
         want = (launch, end) if side > 0 else (end, -launch)
     else:
         # solved toward r = 0 the slope grows, so that piece stays short
-        # enough not to blow up; a piece shorter than GRID_SIZE distinct
+        # enough not to blow up; a piece shorter than PROFILE_ROWS distinct
         # radii is out of scope
         r0 = side * data.draw(st.floats(1.0, 3.0)) if singular else data.draw(
             st.floats(-2.0, 2.0) if solver == "ideal" else st.floats(-0.3, 0.3))

@@ -17,7 +17,7 @@ from soliton_forge import (
 )
 from soliton_forge.fileio import export_trajectory_csv, read_table
 from soliton_forge import spline
-from soliton_forge.mcf_flow import FLOW_RECORD, _solve_newton_system
+from soliton_forge.mcf_flow import FLOW_RECORD, _solve_newton_system, run_counts
 from soliton_forge.spline import Tridiagonal
 
 C, N = 1.0, 2
@@ -121,10 +121,10 @@ CHART_BC = [("polar", "robin"), ("polar", "dirichlet"),
             ("equidistant", "robin"), ("equidistant", "dirichlet")]
 
 
-def _small_problem(chart, bc):
+def _small_problem(chart, bc, c=C):
     """41 nodes on R = 4 with K = -1 and a Robin slope of 0.7."""
     warp = make_builtin_warp("rotational" if chart == "polar" else "equidistant", -1.0)
-    return FlowProblem(C, N, warp, r_max=4.0, n_nodes=41, bc=bc, robin_slope=0.7)
+    return FlowProblem(c, N, warp, r_max=4.0, n_nodes=41, bc=bc, robin_slope=0.7)
 
 
 class TestGhostClosure:
@@ -134,8 +134,8 @@ class TestGhostClosure:
         # row, misses by about 1/dr^2 = 100
         prob = _small_problem(chart, bc)
         u = 0.5 * np.sin(prob.r_grid) + 0.1 * prob.r_grid ** 2
-        _, p, q = prob._rhs(u)
-        lower, diag, upper = prob._jacobian(p, q)
+        _, p, q, w2 = prob._rhs(u)
+        lower, diag, upper = prob._jacobian(p, q, w2)
         dense = np.diag(diag) + np.diag(upper, 1) + np.diag(lower, -1)
         h = 1e-6
         fd = np.column_stack([(prob.rhs(u + h * e) - prob.rhs(u - h * e)) / (2 * h)
@@ -155,6 +155,41 @@ class TestGhostClosure:
         ulp = np.spacing(abs(shift) + np.max(np.abs(u)) + 1.0)
         gap = np.max(np.abs(prob.rhs(u + shift) - prob.rhs(u)))
         assert gap <= 32 * ulp / prob.dr ** 2
+
+
+def _curvature_defect(prob, u, tau):
+    """D from the mean curvature H = q/W^3 + D p/W (the axis row scaled, no
+    row held): |S^{n-1}| int K (H - c/W)^2 W xi^{n-1} dr, and its round-off
+    scale |S^{n-1}| int K (|W H| + |c|)^2 / W xi^{n-1} dr."""
+    p, q = prob._differences(u)
+    w2 = 1.0 + p * p
+    big_w = np.sqrt(w2)
+    k = np.exp(prob.c * u - prob.c * prob.c * tau)
+    h = q / w2 ** 1.5 + prob.drift * p / big_w
+    h[0] *= prob._axis
+    return (prob._integral(k * (h - prob.c / big_w) ** 2 * big_w * prob.weight),
+            prob._integral(k * (np.abs(big_w * h) + abs(prob.c)) ** 2 / big_w
+                           * prob.weight))
+
+
+class TestDefect:
+    @pytest.mark.parametrize("chart,bc", CHART_BC)
+    @settings(max_examples=40, deadline=None)
+    @given(amp=st.floats(-1.0, 1.0), freq=st.floats(0.0, 2.0),
+           curv=st.floats(-0.5, 0.5), c=st.floats(0.25, 2.0) | st.floats(-2.0, -0.25),
+           tau=st.floats(0.0, 1.0))
+    def test_defect_is_the_curvature_formula(self, chart, bc, amp, freq, curv, c,
+                                             tau):
+        # W H is the speed, so (H - c/W)^2 W = (u_tau - c)^2 / W up to the
+        # round-off of f - c; a held row counts the speed it would have
+        prob = _small_problem(chart, bc, c)
+        u = amp * np.sin(freq * prob.r_grid) + curv * prob.r_grid ** 2
+        d = prob.soliton_defect(u, tau)
+        reference, scale = _curvature_defect(prob, u, tau)
+        assert abs(d - reference) <= 1e-12 * scale
+        # negative control: the reference at a speed 1 % off misses by far more
+        off, _ = _curvature_defect(_small_problem(chart, bc, 1.01 * c), u, tau)
+        assert abs(d - off) > 1e3 * 1e-12 * scale
 
 
 def _per_node_drift_weight(warp, r, n, chart):
@@ -218,6 +253,19 @@ class TestStepping:
         u0 = discrete_soliton(hyper_problem)
         with pytest.raises(ValueError):
             hyper_problem.run(u0, 3e-4, 1e-3)
+
+    @pytest.mark.parametrize("dtau, horizon", [(1e-3, 1e-10), (1.0, 1e-12)])
+    def test_run_counts_refuses_zero_steps(self, dtau, horizon):
+        # an absolute whole-step test would pass these as zero steps
+        with pytest.raises(ValueError, match=rf"horizon = {horizon} is .* steps "
+                                             rf"of dtau = {dtau}"):
+            run_counts(dtau, horizon, 1)
+
+    def test_run_refuses_zero_steps(self):
+        # zero steps would return one record, at tau = 0 and not at the horizon
+        prob = _small_problem("polar", "robin")
+        with pytest.raises(ValueError, match="integer number of steps, at least one"):
+            prob.run(flat_initial(prob), 1.0, 1e-12, scheme="implicit")
 
     def test_max_principle_for_bump(self, hyperbolic_warp):
         prob = FlowProblem(C, N, hyperbolic_warp, r_max=8.0, n_nodes=801)

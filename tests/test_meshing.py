@@ -165,6 +165,20 @@ class TestObjFiles:
         b = export_mesh_obj(mesh, tmp_path / "b.obj")
         assert a.read_bytes() == b.read_bytes()
 
+    def test_small_mesh_bytes(self, tmp_path):
+        # two triangles, one of them on a two-digit vertex index
+        vertices = np.zeros((11, 3))
+        vertices[:4] = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.1], [1.0, 1.0, -2.5e-17],
+                        [0.0, 1.0, 1 / 3]]
+        mesh = SolitonMesh(vertices=vertices, faces=[[0, 1, 2], [0, 2, 10]],
+                           meta={"segments": 2})
+        path = export_mesh_obj(mesh, tmp_path / "square.obj", meta={"tag": "sq"})
+        assert path.read_bytes() == (
+            b"# chart=cylindrical\n# segments=2\n# tag=sq\n"
+            b"v 0 0 0\nv 1 0 0.10000000000000001\nv 1 1 -2.4999999999999999e-17\n"
+            b"v 0 1 0.33333333333333331\n" + b"v 0 0 0\n" * 7
+            + b"f 1 2 3\nf 1 3 11\n")
+
     def test_empty_mesh_rejected(self, tmp_path):
         empty = SolitonMesh(vertices=np.empty((0, 3)),
                             faces=np.empty((0, 3), dtype=int))
