@@ -5,11 +5,12 @@ Subcommands: soliton (solve one family and export artifacts), verify
 flow), isometry (apply a Lorentz map to a point set), sweep (parameter
 grids).  The module imports only fileio, lorentz and warp_models; each
 command imports the solvers it runs, so every command loads NumPy alone
-and never SciPy.  Exit codes: 0 success, 2 verification
-failure (for soliton also a profile that ends short of --r-max), 1 usage
-or runtime error.  Flag values override JSON config values, which
-override the ``# key=value`` metadata of the verify input, which
-override the built-in defaults declared on the flags.
+and never SciPy.  Exit codes: 0 success, 2 a verify or sweep check
+failure or a soliton profile short of --r-max (soliton prints its
+diagnostics verdict, pass or FAIL, and exits 0 on it), 1 usage or
+runtime error, such as a start its solver refuses.  Flag values override
+JSON config values, which override the ``# key=value`` metadata of the
+verify input, which override the built-in defaults declared on the flags.
 """
 
 from __future__ import annotations
@@ -183,33 +184,17 @@ def _make_spec(family, K, n, c, epsilon=None):
                        epsilon=epsilon if family == "wing" else None)
 
 
-def _check_starts(what: str, starts, r_max: float, low: float = -math.inf) -> None:
-    """Each solve starts above ``low`` and below --r-max, so its radius stop
-    lies ahead of it; checked before any solve."""
-    for r0 in starts:
-        if not low < r0 < r_max:
-            above = f"> {low:g} and " if low > -math.inf else ""
-            raise UsageError(f"{what} {r0:g} must be {above}below --r-max {r_max:g}")
-
-
 def _cmd_soliton(args) -> int:
     from . import diagnostics
-    from .graph_solvers import GRIM_LAUNCH_R, solve_grim
+    from .graph_solvers import solve_grim
     from .meshing import revolve_profile
-    from .profile_solver import (AXIS_LAUNCH_S, TerminationPolicy, solve_bowl,
+    from .profile_solver import (TIGHT_ATOL, TIGHT_RTOL, TerminationPolicy, solve_bowl,
                                  solve_ideal_parametric, solve_wing)
+    # each solver refuses a start at or past --r-max before any solve
     family = args.family
-    if family == "wing":
-        _check_starts("wing --epsilon", [args.epsilon], args.r_max, low=0.0)
-    else:
-        r0 = {"bowl": AXIS_LAUNCH_S, "ideal": 0.0,
-              "grim": GRIM_LAUNCH_R if args.n >= 3 else 0.0}[family]
-        _check_starts(f"{family} start radius", [r0], args.r_max)
     tag = args.tag or family
     stop = TerminationPolicy(r_max=args.r_max)
-
-    # tight tolerances keep the FD-based diagnostics below their gates
-    tight = {"rtol": 1e-11, "atol": 1e-13}
+    tight = {"rtol": TIGHT_RTOL, "atol": TIGHT_ATOL}
     meta = {"family": family, "c": args.c, "n": args.n, "K": args.K}
     if family == "bowl":
         spec = _make_spec(family, args.K, args.n, args.c)
@@ -384,25 +369,25 @@ def _cmd_isometry(args) -> int:
 def _cmd_sweep(args) -> int:
     from . import diagnostics
     from .graph_solvers import solve_radial_graph
-    from .profile_solver import AXIS_LAUNCH_S, TerminationPolicy, solve_wing
+    from .profile_solver import TerminationPolicy, solve_wing
     family = args.family or ("wing" if args.epsilons else "bowl")
     tag = args.tag or f"sweep_{family}"
 
+    # every spec is built before any solve, and rows solve in their written
+    # order: a wing start at or past --r-max is the first solve, refused
     if family == "wing":
         if not args.epsilons:
             raise UsageError("wing sweep needs --epsilons")
-        _check_starts("wing --epsilon", args.epsilons, args.r_max, low=0.0)
-
+        stop = TerminationPolicy(r_max=args.r_max)
+        specs = [_make_spec("wing", args.K, args.n, args.c, epsilon=eps)
+                 for eps in sorted(args.epsilons, reverse=True)]
         names = ("epsilon", "r_turn", "gap", "lower", "upper", "pass")
 
-        def solve_one(eps):
-            spec = _make_spec("wing", args.K, args.n, args.c, epsilon=eps)
-            curve = solve_wing(spec, branch=-1,
-                               stop=TerminationPolicy(r_max=args.r_max))
-            res = diagnostics.wing_height_report(curve)
-            return (eps, *(res.details[k] for k in names[1:5]), res.passed)
+        def solve_one(spec):
+            res = diagnostics.wing_height_report(solve_wing(spec, branch=-1, stop=stop))
+            return (spec.epsilon, *(res.details[k] for k in names[1:5]), res.passed)
 
-        rows = sorted(map(solve_one, args.epsilons), key=lambda row: -row[0])
+        rows = list(map(solve_one, specs))
         path = _out_path(args, f"{tag}.csv")
         fileio.write_table(path, names, list(zip(*rows)))
         print(f"wrote {path}")
@@ -412,17 +397,13 @@ def _cmd_sweep(args) -> int:
 
     if not args.c_values:
         raise UsageError("bowl sweep needs --c-values")
-    _check_starts("bowl start radius", [AXIS_LAUNCH_S if args.n > 1 else 0.0], args.r_max)
+    specs = [_make_spec("bowl", args.K, args.n, c) for c in sorted(args.c_values)]
 
-    def solve_one_c(c):
-        spec = _make_spec("bowl", args.K, args.n, c)
+    def solve_one_c(spec):
         graph = solve_radial_graph(spec, r_span=(0.0, args.r_max))
-        if graph.gradient_blowup:
-            raise ValueError(f"bowl graph with c = {c:g} blows up at "
-                             f"r = {graph.blowup_radius:.6g}, short of --r-max {args.r_max:g}")
-        return c, float(graph.u[-1]), float(graph.du[-1])
+        return spec.c, float(graph.u[-1]), float(graph.du[-1])
 
-    rows = sorted(solve_one_c(c) for c in args.c_values)
+    rows = list(map(solve_one_c, specs))
     path = _out_path(args, f"{tag}.csv")
     fileio.write_table(path, ("c", "u_rmax", "du_rmax"), list(zip(*rows)))
     print(f"wrote {path}")

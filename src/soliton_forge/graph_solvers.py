@@ -7,11 +7,13 @@ Two slope equations appear:
 
 where D(r) is the Laplacian of the chart coordinate: (n-1) xi'/xi in the
 polar and Busemann charts, and xi'/xi + (n-2) chi'/chi in the equidistant
-chart.  Each solver keeps its right-hand side and what a blow-up means;
-one core, :func:`_solve_graph`, owns the start.  ``r_span`` is finite and
-holds ``ic[0]``, and the graph is one DOP853 solve (:func:`.dop853.solve`,
-the same bits as SciPy's ``solve_ivp``) from there to each end of the span
-past it, stopping where |u'| reaches BLOWUP_SLOPE.  A start on a singular
+chart.  Each solver keeps its right-hand side and what a blow-up means:
+an entire graph raises (:func:`_solve_entire`), an ideal graph records
+its vertical point.  One core, :func:`_solve_graph`, owns the start.
+``r_span`` is finite and holds ``ic[0]``, and the graph is one DOP853
+solve (:func:`.dop853.solve`, the same bits as SciPy's ``solve_ivp``)
+from there to each end of the span past it, stopping where |u'| reaches
+BLOWUP_SLOPE.  A start on a singular
 line r = 0 of the drift launches off it through the axis series.  The
 pieces' dense outputs, joined (:func:`.dop853.joined`) with each other or
 with that series, are the graph's ``u_eval`` and ``du_eval``.
@@ -39,7 +41,8 @@ GRIM_LAUNCH_R = 1e-3  # an n >= 3 grim graph's start off the singular line r = 0
 @dataclass
 class RadialGraph:
     """One-dimensional graph record u(r) with slopes on a strict grid; its
-    chart is its warp's, and it blew up iff it has a ``blowup_radius``.
+    chart is its warp's, and it blew up iff it has a ``blowup_radius`` (an
+    ideal graph's vertical point).
     ``meta`` says what the graph is; ``diagnostics`` is the run record of
     the solves that computed it (:func:`.dop853.run_record`).  ``u_eval``
     and ``du_eval`` read ``_dense``, or without it the Hermite cubic through
@@ -210,6 +213,17 @@ def _solve_graph(spec: SolitonSpec, rhs, r_span, ic, rtol, atol):
                  diagnostics=dop853.run_record(*outs), _dense=dense))
 
 
+def _solve_entire(spec: SolitonSpec, r_span, ic, rtol, atol) -> tuple:
+    """(launch, fields) of :func:`_solve_graph` for the entire bowl or grim
+    graph, where a gradient blow-up contradicts entireness and raises."""
+    hit, launch, fields = _solve_graph(spec, _slope_rhs(spec), r_span, ic, rtol, atol)
+    if hit:
+        lo, hi = map(float, r_span)
+        raise RuntimeError(f"the {spec.family} graph blows up at r = {hit[0]:.6g}, "
+                           f"short of its span ({lo}, {hi})")
+    return launch, fields
+
+
 def solve_radial_graph(spec: SolitonSpec, r_span=(0.0, 20.0), ic=None,
                        rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> RadialGraph:
     """Bowl-type graph u(r) from u'' = (1+u'^2)(c - (n-1)(xi'/xi) u').
@@ -219,14 +233,15 @@ def solve_radial_graph(spec: SolitonSpec, r_span=(0.0, 20.0), ic=None,
     launches at AXIS_LAUNCH_S (``meta["axis_launch"]``) on
     u ~ u0 + (c/2n) r^2, matching u''(0) = c/n, and the graph evaluates on
     [0, R], through that series below the launch.  For n = 1 the drift
-    vanishes and r = 0 is regular.  Gradient blow-up cannot happen for
-    bowls; ``blowup_radius`` flags misuse.
+    vanishes and r = 0 is regular, and the graph u = -ln(cos(c r))/c is
+    vertical at r = pi/(2c): a gradient blow-up raises RuntimeError
+    (:func:`_solve_entire`).
     """
-    hit, launch, fields = _solve_graph(spec, _slope_rhs(spec), r_span, ic, rtol, atol)
+    launch, fields = _solve_entire(spec, r_span, ic, rtol, atol)
     meta = {"source": "radial_ode", "rtol": rtol, "atol": atol}
     if launch is not None:
         meta["axis_launch"] = launch
-    return RadialGraph(**fields, blowup_radius=hit[0] if hit else None, meta=meta)
+    return RadialGraph(**fields, meta=meta)
 
 
 def solve_ideal_graph(c: float, n: int, warp: WarpModel, r_span=(0.0, 5.0),
@@ -278,15 +293,13 @@ def solve_grim(c: float, n: int, warp: WarpModel, r_span=(-20.0, 20.0),
     on one side of it, and a start there launches at r = +-GRIM_LAUNCH_R
     on the bowl's series in dimension n - 1.  For n = 2 a graph from
     (0, 0, 0) on a span (-R, R) is even and is solved once, then mirrored.
-    Gradient blow-up contradicts entireness and raises.
+    A gradient blow-up raises RuntimeError (:func:`_solve_entire`).
     """
     if warp.kind != EQUIDISTANT:
         raise ValueError("grim solves need an equidistant warp")
     spec = SolitonSpec(c=c, n=n, family="grim", warp=warp)
-    hit, _, fields = _solve_graph(spec, _slope_rhs(spec), r_span, ic, rtol, atol)
-    if hit:
-        raise RuntimeError(f"unexpected gradient blow-up at r = {hit[0]:.6g}")
-    return RadialGraph(**fields, meta={"source": "grim_ode"})
+    return RadialGraph(**_solve_entire(spec, r_span, ic, rtol, atol)[1],
+                       meta={"source": "grim_ode"})
 
 
 def _mirrored(dense, samples):

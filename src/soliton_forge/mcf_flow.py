@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph_solvers import solve_radial_graph, solve_grim
-from .profile_solver import SolitonSpec
+from .profile_solver import TIGHT_ATOL, TIGHT_RTOL, SolitonSpec
 from .spline import Tridiagonal
 from .warp_models import WarpModel
 
@@ -52,8 +52,8 @@ FLOW_RECORD = {"newton_iterations": 0, "line_search_halvings": 0,
 
 def sphere_area(n: int) -> float:
     """Surface area of the unit (n-1)-sphere, 2 pi^{n/2} / Gamma(n/2)."""
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
+    if not 1 <= n <= 343:  # Gamma(n/2) overflows a float from n = 344 on
+        raise ValueError(f"dimension n = {n} is not in 1..343, where Gamma(n/2) is a float")
     return 2.0 * math.pi ** (n / 2) / math.gamma(n / 2)
 
 
@@ -121,6 +121,7 @@ class FlowProblem:
                  n_nodes: int = 2001, bc: str = "robin", robin_slope=None):
         if not math.isfinite(c):
             raise ValueError(f"flow speed c must be finite, got {c}")
+        self.area = sphere_area(n)
         if n_nodes < 3 or not 0 < r_max < math.inf:
             raise ValueError("a flow grid needs n_nodes >= 3 and a finite r_max > 0, "
                              f"got n_nodes = {n_nodes}, r_max = {r_max}")
@@ -143,7 +144,6 @@ class FlowProblem:
             raise ValueError(f"unknown boundary condition {bc!r}")
         self.c, self.n, self.warp, self.bc = float(c), int(n), warp, bc
         self.r_max = float(r_max)
-        self.area = sphere_area(n)
 
         # drift D(r) and area weight xi^(n-1); the equidistant chart has
         # n = 2, so its weight is xi.  D(0) on the polar axis stays 0.
@@ -334,13 +334,18 @@ class FlowProblem:
 
     def _functional_and_defect(self, u, f, p, q, w2, tau: float) -> tuple:
         """F and D of the heights ``u`` at ``tau`` from their stencil
-        ``_rhs(u)``: (H - c/W)^2 W = (f - c)^2 / W, f unheld on a held row."""
+        ``_rhs(u)``: (H - c/W)^2 W = (f - c)^2 / W, f unheld on a held row.
+        An overflow to a non-finite F or D raises ValueError naming tau."""
         big_w = np.sqrt(w2)
-        k = np.exp(self.c * np.asarray(u, dtype=float) - self.c * self.c * tau)
         if self._held is not None:
             f = self._speed(p, q, w2)
-        return (self._integral(k * big_w * self.weight),
-                self._integral(k * (f - self.c) ** 2 / big_w * self.weight))
+        with np.errstate(over="ignore", invalid="ignore"):
+            k = np.exp(self.c * np.asarray(u, dtype=float) - self.c * self.c * tau)
+            F = self._integral(k * big_w * self.weight)
+            D = self._integral(k * (f - self.c) ** 2 / big_w * self.weight)
+        if not (math.isfinite(F) and math.isfinite(D)):
+            raise ValueError(f"non-finite functional at tau = {tau:g}: F = {F:g}, D = {D:g}")
+        return F, D
 
     def weighted_functional(self, u, tau: float) -> float:
         """F(tau) = |S^{n-1}| int exp(c u - c^2 tau) W xi^{n-1} dr."""
@@ -470,23 +475,17 @@ def _solve_newton_system(system: Tridiagonal, lower, diag, upper, half,
 
 # -- initial data -------------------------------------------------------
 
-def soliton_initial(problem: FlowProblem, rtol: float = 1e-11,
-                    atol: float = 1e-13) -> np.ndarray:
+def soliton_initial(problem: FlowProblem) -> np.ndarray:
     """Heights ``graph.u_eval(problem.r_grid)`` of the bowl graph (polar
-    chart) or the grim graph (equidistant chart) on the flow grid; a graph
-    that blows up raises ValueError."""
+    chart) or the grim graph (equidistant chart) on the flow grid, solved
+    at TIGHT_RTOL and TIGHT_ATOL; a graph that blows up raises RuntimeError."""
+    reach = problem.r_max * 1.01
     if problem.chart == "polar":
-        spec = SolitonSpec(c=problem.c, n=problem.n, family="bowl",
-                           warp=problem.warp)
-        graph = solve_radial_graph(spec, r_span=(0.0, problem.r_max * 1.01),
-                                   rtol=rtol, atol=atol)
-        if graph.gradient_blowup:
-            raise ValueError(f"the soliton graph blows up at r = {graph.blowup_radius:.6g} "
-                             f"(flow domain R = {problem.r_max:g})")
+        spec = SolitonSpec(c=problem.c, n=problem.n, family="bowl", warp=problem.warp)
+        graph = solve_radial_graph(spec, (0.0, reach), rtol=TIGHT_RTOL, atol=TIGHT_ATOL)
     else:
-        graph = solve_grim(problem.c, problem.n, problem.warp,
-                           r_span=(-problem.r_max * 1.01, problem.r_max * 1.01),
-                           rtol=rtol, atol=atol)
+        graph = solve_grim(problem.c, problem.n, problem.warp, (-reach, reach),
+                           rtol=TIGHT_RTOL, atol=TIGHT_ATOL)
     return np.asarray(graph.u_eval(problem.r_grid), dtype=float)
 
 

@@ -30,6 +30,9 @@ from .warp_models import _FAMILY_KIND, FAMILIES, ROTATIONAL, WarpModel
 
 DEFAULT_RTOL = 1e-9
 DEFAULT_ATOL = 1e-11
+#: the tolerances of the solves `soliton` checks and a flow starts from:
+#: they keep the finite-difference diagnostics below their gates
+TIGHT_RTOL, TIGHT_ATOL = 1e-11, 1e-13
 AXIS_LAUNCH_S = 1e-4
 GRAPH_RDOT_MIN = 1e-6
 #: rows of every uniform resample: a profile's CSV, perturbation control

@@ -1,11 +1,17 @@
 """End-to-end command line behavior and exit codes."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soliton_forge import SolitonSpec, embed_polar, make_builtin_warp
 from soliton_forge.cli import main
@@ -60,29 +66,37 @@ class TestSolitonCommand:
         assert run("--out", str(tmp_path), "soliton", "wing",
                    "--epsilon", "0") == 1
 
-    @pytest.mark.parametrize("argv, start", [
-        (("soliton", "wing", "--epsilon", "12", "--r-max", "10"), "wing --epsilon 12"),
-        (("soliton", "wing", "--epsilon", "10", "--r-max", "10"), "wing --epsilon 10"),
+    @pytest.mark.parametrize("argv, message", [
+        (("soliton", "wing", "--epsilon", "12", "--r-max", "10"),
+         "wing start radius r=12.0 must lie below the radius stop r_max=10.0"),
+        (("soliton", "wing", "--epsilon", "10", "--r-max", "10"),
+         "wing start radius r=10.0 must lie below the radius stop r_max=10.0"),
         (("sweep", "--family", "wing", "--epsilons", "0.5,12", "--r-max", "10"),
-         "wing --epsilon 12"),
-        (("soliton", "bowl", "--r-max", "0"), "bowl start radius 0.0001"),
-        (("soliton", "ideal", "--r-max", "-1"), "ideal start radius 0"),
-        (("soliton", "grim", "--n", "3", "--r-max", "0"), "grim start radius 0.001"),
-        (("soliton", "grim", "--r-max", "0"), "grim start radius 0"),
+         "wing start radius r=12.0 must lie below the radius stop r_max=10.0"),
+        (("soliton", "bowl", "--r-max", "0"),
+         "bowl start radius r=0.0001 must lie below the radius stop r_max=0.0"),
+        (("soliton", "ideal", "--r-max", "-1"),
+         "ideal start radius r=0.0 must lie below the radius stop r_max=-1.0"),
+        (("soliton", "grim", "--n", "3", "--r-max", "0"),
+         "graph span end r = 0.0 must lie past its launch r0 = 0.001"),
+        (("soliton", "grim", "--r-max", "0"),
+         "graph span (-0.0, 0.0) has no end past its start ic[0] = 0.0"),
         (("sweep", "--family", "bowl", "--c-values", "1", "--r-max", "0"),
-         "bowl start radius 0.0001"),
+         "graph span end r = 0.0 must lie past its launch r0 = 0.0001"),
     ], ids=["wing-past", "wing-at", "sweep-wing-past", "bowl", "ideal", "grim-n3",
             "grim-n2", "sweep-bowl"])
-    def test_start_past_r_max_is_usage_error(self, tmp_path, capsys, argv, start):
+    def test_start_past_r_max_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                             argv, message):
         # no root of the radius stop lies ahead of such a start, so the solve
         # would run past it to its arc-length stop, or back onto the
-        # singular axis
+        # singular axis: the solver itself refuses the start before any
+        # solve, and the command exits 1 with its message
+        from soliton_forge import dop853
+        monkeypatch.setattr(dop853, "solve", None)  # no solve may start
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run("--out", str(tmp_path), *argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"usage error: {start} must be")
-        assert f"below --r-max {argv[-1]}" in err
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv, message", [
@@ -90,9 +104,9 @@ class TestSolitonCommand:
         (("sweep", "--family", "wing", "--n", "1", "--epsilons", "0.5"),
          "wing family needs base dimension n >= 2"),
         (("sweep", "--family", "bowl", "--n", "1", "--c-values", "1"),
-         "bowl graph with c = 1 blows up at r = 1.5708, short of --r-max 10"),
+         "the bowl graph blows up at r = 1.5708, short of its span (0.0, 10.0)"),
         (("flow", "--n", "1", "--nodes", "201", "--horizon", "0.01"),
-         "the soliton graph blows up at r = 1.5708"),
+         "the bowl graph blows up at r = 1.5708, short of its span (0.0, 10.1)"),
         (("soliton", "ideal", "--c", "1e300"),
          "the profile solve took no step from s = 0"),
         (("soliton", "wing", "--epsilon", "1e-300", "--n", "4"),
@@ -435,6 +449,26 @@ class TestFlowCommand:
         assert err.startswith("error: ") and "speed c" in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--initial", "bump", "--bump-amplitude", "1e3", "--horizon", "0.01"),
+         "non-finite functional at tau = 0: F = inf, D = inf"),
+        (("--c", "1e200", "--initial", "flat", "--nodes", "201", "--horizon", "0.001"),
+         "non-finite functional at tau = 0: F = nan, D = nan"),
+        (("--n", "400", "--R", "1", "--initial", "flat", "--nodes", "201",
+          "--horizon", "0.001"),
+         "dimension n = 400 is not in 1..343, where Gamma(n/2) is a float"),
+    ], ids=["bump-exp-overflow", "speed-squared-overflow", "sphere-area-overflow"])
+    def test_run_that_overflows_is_refused(self, tmp_path, capsys, argv, message):
+        # exp(c u) overflows on a bump 1e3 high, and c^2 tau is inf * 0 at
+        # tau = 0 for c = 1e200: both wrote a trajectory of inf or NaN F,
+        # printed a NaN balance and exited 0; Gamma(200) overflows, which
+        # was a traceback
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("--out", str(tmp_path), "flow", *argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not list(tmp_path.iterdir())
+
     def test_node_cap_refuses_before_the_grid_is_built(self, tmp_path, capsys,
                                                        monkeypatch):
         from soliton_forge import cli, mcf_flow
@@ -714,6 +748,39 @@ class TestFlowRecordCount:
     def test_three_records_run(self, tmp_path, flags):
         assert run("--out", str(tmp_path), *self.SHORT, *flags) == 0
         assert read_table(tmp_path / "flow_trajectory.csv")[2].shape[0] == 3
+
+
+START_EDGES = ["-1", "0", "1e-300", "1e-4", "1e-3", "0.5", "10", "nan", "inf"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(command=st.sampled_from([("soliton", "bowl"), ("soliton", "wing"),
+                                ("soliton", "ideal"), ("soliton", "grim"),
+                                ("sweep", "--family", "bowl", "--c-values", "1"),
+                                ("sweep", "--family", "wing")]),
+       r_max=st.sampled_from(START_EDGES),
+       epsilons=st.lists(st.sampled_from(START_EDGES), min_size=1, max_size=3))
+def test_every_start_ends_in_an_exit_code(command, r_max, epsilons):
+    """The solvers alone own the start contract: every --r-max and
+    --epsilon at the edges of the float range ends in exit 0, 1 or 2 with
+    no traceback and no RuntimeWarning, and an exit 1 writes nothing.
+    Huge finite radii are left out: `soliton grim --r-max 1e300` runs to
+    its step budget, about 5 s."""
+    argv = [*command, f"--r-max={r_max}"]
+    if command[0] == "soliton" and command[1] == "wing":
+        argv.append(f"--epsilon={epsilons[0]}")
+    elif command[-1] == "wing":
+        argv.append(f"--epsilons={','.join(epsilons)}")
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out:
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["--out", out, *argv])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 1:
+            assert not os.listdir(out)
 
 
 @pytest.mark.parametrize("argv, flag", [

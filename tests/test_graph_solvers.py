@@ -69,6 +69,14 @@ class TestRadialGraph:
         gap = graph.u_eval(r) - from_profile.u_eval(r)
         assert np.max(np.abs(gap)) < 1e-6
 
+    def test_blowup_raises(self, euclidean_warp):
+        # n = 1 has no drift: u = -ln(cos r) is vertical at r = pi/2, inside
+        # the span, which an entire bowl graph cannot be
+        spec = SolitonSpec(c=1.0, n=1, family="bowl", warp=euclidean_warp)
+        with pytest.raises(RuntimeError, match=r"^the bowl graph blows up at r = 1\.5708, "
+                                               r"short of its span \(0\.0, 2\.0\)$"):
+            solve_radial_graph(spec, r_span=(0.0, 2.0))
+
     def test_strict_grid_required(self, euclidean_bowl_spec):
         from soliton_forge import RadialGraph
         with pytest.raises(ValueError):
@@ -158,7 +166,8 @@ class TestGrim:
     def test_blowup_raises(self, equidistant_warp):
         # n = 1 has no drift: u' = tan(c r) is vertical at r = -pi/(2c),
         # which the descending piece meets first
-        with pytest.raises(RuntimeError, match=r"unexpected gradient blow-up at r = -1\.5708"):
+        with pytest.raises(RuntimeError, match=r"^the grim graph blows up at r = -1\.5708, "
+                                               r"short of its span \(-2\.0, 2\.0\)$"):
             solve_grim(1.0, 1, equidistant_warp, r_span=(-2.0, 2.0))
 
     def test_slope_equilibrium(self, equidistant_warp):

@@ -48,6 +48,19 @@ class TestSphereArea:
         # at half-integers they may differ in the last bit
         assert sphere_area(n) == 2.0 * math.pi ** (n / 2) / gamma(n / 2)
 
+    def test_largest_dimension_keeps_its_formula(self):
+        assert sphere_area(343) == 2.0 * math.pi ** 171.5 / math.gamma(171.5) > 0.0
+
+    @pytest.mark.parametrize("n", [344, 400, 10**400])
+    def test_gamma_overflow_is_refused(self, euclidean_warp, n):
+        # math.gamma(172) raises OverflowError, which `flow --n 344` printed
+        # as a traceback; the problem refuses such an n before its grid
+        message = rf"dimension n = {n} is not in 1\.\.343, where Gamma\(n/2\) is a float"
+        with pytest.raises(ValueError, match=message):
+            sphere_area(n)
+        with pytest.raises(ValueError, match=message):
+            FlowProblem(C, n, euclidean_warp, r_max=1.0, n_nodes=2)
+
 
 class TestSpatialOperator:
     def test_constant_slice_is_static(self, euclidean_warp):
@@ -89,7 +102,7 @@ class TestSpatialOperator:
         # n = 1 has no drift: the bowl graph u = -ln cos r is vertical at
         # pi/2 < R, so the grid past it has no heights
         prob = FlowProblem(C, 1, hyperbolic_warp, r_max=10.0, n_nodes=201)
-        with pytest.raises(ValueError, match=r"blows up at r = 1\.5708"):
+        with pytest.raises(RuntimeError, match=r"blows up at r = 1\.5708"):
             soliton_initial(prob)
 
     def test_grim_chart_near_fixed_point(self, equidistant_warp):
