@@ -17,6 +17,7 @@ import numpy as np
 from soliton_forge import (CurvatureBounds, SolitonSpec, make_builtin_warp,
                            solve_radial_graph)
 from soliton_forge.diagnostics import asymptotic_report
+from soliton_forge.profile_solver import TIGHT_ATOL, TIGHT_RTOL
 
 
 def main(argv=None) -> int:
@@ -32,7 +33,7 @@ def main(argv=None) -> int:
     warp = make_builtin_warp("rotational", args.K)
     spec = SolitonSpec(c=args.c, n=args.n, family="bowl", warp=warp)
     graph = solve_radial_graph(spec, r_span=(0.0, args.r_max),
-                               rtol=1e-11, atol=1e-13)
+                               rtol=TIGHT_RTOL, atol=TIGHT_ATOL)
 
     print(f"{'r':>8} {'u_prime':>14} {'zeta':>14} {'psi':>12} {'lambda':>12}")
     for r in np.geomspace(args.r_max / 32, args.r_max, 12):

@@ -15,6 +15,7 @@ import sys
 
 from soliton_forge import SolitonSpec, TerminationPolicy, make_builtin_warp, solve_wing
 from soliton_forge.diagnostics import wing_height_report
+from soliton_forge.profile_solver import TIGHT_ATOL, TIGHT_RTOL
 
 
 def main(argv=None) -> int:
@@ -37,7 +38,7 @@ def main(argv=None) -> int:
                            epsilon=eps)
         curve = solve_wing(spec, branch=-1,
                            stop=TerminationPolicy(r_max=args.r_max),
-                           rtol=1e-11, atol=1e-13)
+                           rtol=TIGHT_RTOL, atol=TIGHT_ATOL)
         rep = wing_height_report(curve)
         d = rep.details
         print(f"{eps:8.3f} {d['r_turn']:10.5f} {d['r_turn'] - eps:10.5f} "
