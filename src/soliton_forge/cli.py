@@ -6,11 +6,11 @@ flow), isometry (apply a Lorentz map to a point set), sweep (parameter
 grids).  The module imports only fileio, lorentz and warp_models; each
 command imports the solvers it runs, so every command loads NumPy alone
 and never SciPy.  Exit codes: 0 success, 2 a verify or sweep check
-failure or a soliton profile short of --r-max (soliton prints its
-diagnostics verdict, pass or FAIL, and exits 0 on it), 1 usage or
-runtime error, such as a start its solver refuses.  Flag values override
-JSON config values, which override the ``# key=value`` metadata of the
-verify input, which override the built-in defaults declared on the flags.
+failure or a soliton profile stopped at a limit short of --r-max (soliton
+prints its diagnostics verdict, pass or FAIL, and exits 0 on it), 1 usage
+or runtime error, such as a refused start or a failed solve.  Flag values
+override JSON config values, which override the ``# key=value`` metadata of
+the verify input, which override the built-in defaults declared on the flags.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -43,7 +44,12 @@ def _numbers(text: str) -> list:
 
 class _Parser(argparse.ArgumentParser):
     """Argument parser whose usage failures exit with status 1; ``commands``
-    maps each command name to its subparser."""
+    maps each command name to its subparser.  No flag looks like a number, so
+    a value from -digit or -.digit on is one (``--K -1e-3``, ``-1,0.5``)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         raise UsageError(message)
@@ -117,7 +123,6 @@ def build_parser() -> _Parser:
     iso = sub.add_parser("isometry", help="apply a Lorentz map to points")
     iso.add_argument("--map", choices=("hyperbolic", "parabolic"))
     iso.add_argument("--param", type=float)
-    iso.add_argument("--map-json", type=Path, help="JSON descriptor {type, param}")
     iso.add_argument("--points", type=Path, required=True)
     iso.add_argument("--tag")
 
@@ -338,17 +343,9 @@ def _cmd_flow(args) -> int:
 
 
 def _cmd_isometry(args) -> int:
-    if args.map_json is not None:
-        try:
-            descriptor = json.loads(Path(args.map_json).read_text())
-            map_type, param = descriptor["type"], float(descriptor["param"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise UsageError("--map-json needs a JSON object with a 'type' and "
-                             f"a numeric 'param' ({exc!r})") from None
-    elif args.map is not None and args.param is not None:
-        map_type, param = args.map, args.param
-    else:
-        raise UsageError("provide --map with --param, or --map-json")
+    if args.map is None or args.param is None:
+        raise UsageError("provide --map with --param")
+    map_type, param = args.map, args.param
     coords, heights = fileio.read_points_csv(args.points)
     n = coords.shape[1] - 1
     if map_type == "hyperbolic":

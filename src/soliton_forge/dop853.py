@@ -39,9 +39,9 @@ Which operations stay NumPy calls and which run on Python floats:
   between, and the arrays of step ends are built once, as the solve ends.
 
 :class:`DenseSolution` evaluates a solve's stacked dense coefficients at
-any points in one pass, :func:`joined` makes one evaluator of two dense
-pieces, and :func:`run_record` is the one place the keys of a solve's run
-record are defined.
+any points in one pass and :func:`joined` makes one evaluator of two dense
+pieces.  :func:`finished` is the one place a failed solve raises, and
+:func:`run_record` the one place the keys of a solve's run record are set.
 """
 
 from __future__ import annotations
@@ -289,16 +289,6 @@ class Outcome:
     F: np.ndarray
 
     @property
-    def status(self) -> int:
-        """SciPy's status: 0 end of span, 1 stopped at a root, -1 step failure
-        or step budget."""
-        return {END_OF_SPAN: 0, STEP_FAILURE: -1, STEP_BUDGET: -1}.get(self.stop, 1)
-
-    @property
-    def record(self) -> dict:
-        return run_record(self)
-
-    @property
     def dense(self) -> DenseSolution:
         return DenseSolution(self)
 
@@ -501,7 +491,8 @@ def solve(fun, t_span, y0, rtol: float, atol: float, stops=()) -> Outcome:
     after MAX_STEPS accepted steps (the stop STEP_BUDGET) unless the span
     or a terminal root ends it there.  ``rtol`` and ``atol`` are floats.  A
     span end, rtol or atol that is not finite, and a span of zero length,
-    raise ValueError before any call of ``fun``.
+    raise ValueError before any call of ``fun``, and a derivative
+    fun(t0, y0) that is not finite raises it after that one call.
     """
     t0, t_bound = map(float, t_span)
     if not (math.isfinite(t0) and math.isfinite(t_bound) and t0 != t_bound):
@@ -517,6 +508,8 @@ def solve(fun, t_span, y0, rtol: float, atol: float, stops=()) -> Outcome:
     direction = math.copysign(1.0, t_bound - t0)
     t, y = t0, y0.tolist()
     f = np.asarray(fun(t, y), dtype=float)
+    if not np.isfinite(f).all():
+        raise ValueError(f"the derivative at the start t = {t0:g} is not finite: {f.tolist()}")
     h_abs = _initial_step(fun, t, y0, t_bound, f, direction, rtol, atol)
     nfev = 2
     K_ext = np.empty((N_STAGES_EXTENDED, n))
@@ -571,7 +564,7 @@ def solve(fun, t_span, y0, rtol: float, atol: float, stops=()) -> Outcome:
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
             step_rejected = True
             n_rejected += 1
-        if stop == STEP_FAILURE:
+        if stop:  # the step failed at its minimum size
             break
         n_steps += 1
         t, y = t_new, y_new
@@ -679,10 +672,20 @@ def joined(below, above, at: float):
     return dense
 
 
+def finished(out: Outcome, what: str, r: float) -> Outcome:
+    """``out``, unless a step failure or the step budget ended it: such a
+    solve is no result, and raises RuntimeError naming ``what`` was solved,
+    the stop and the radius ``r`` it reached."""
+    why = {STEP_FAILURE: f": {TOO_SMALL_STEP}",
+           STEP_BUDGET: f" after {MAX_STEPS} steps"}.get(out.stop)
+    if why is None:
+        return out
+    raise RuntimeError(f"{what} ended by {out.stop} at r = {r:.6g}{why}")
+
+
 def run_record(*outcomes: Outcome) -> dict:
     """How a result was computed by one or more solves: RHS calls
-    (``n_rhs_evals``) and accepted steps (``n_steps``) summed, and the
-    largest ``status`` (0 end of span, 1 stop, -1 step failure)."""
+    (``n_rhs_evals``) and accepted steps (``n_steps``) summed.  Why a solve
+    stopped is the result's own field, not the record's."""
     return {"n_rhs_evals": sum(out.nfev for out in outcomes),
-            "n_steps": sum(out.n_steps for out in outcomes),
-            "status": max(out.status for out in outcomes)}
+            "n_steps": sum(out.n_steps for out in outcomes)}

@@ -98,21 +98,18 @@ class ClosedForm:
     r_max: float
 
 
-def _integrate_slope(rhs, r_span, y0, rtol, atol):
+def _integrate_slope(rhs, r_span, y0, rtol, atol, what):
     """Integrate (u, u')' = rhs over ``r_span``, stopping where |u'| reaches
-    BLOWUP_SLOPE (the stop ``"blowup"``); a step failure raises, and so
-    does a solve that reaches its step budget (:data:`.dop853.MAX_STEPS`).
+    BLOWUP_SLOPE (the stop ``"blowup"``); a failed solve raises, naming
+    ``what`` was solved, its piece and where (:func:`.dop853.finished`).
 
     Returns the :class:`.dop853.Outcome` and its samples (r, u, u') on
     PROFILE_ROWS radii from the start to where the run stopped.
     """
     out = dop853.solve(rhs, r_span, y0, rtol, atol,
                        [("blowup", lambda r, y: abs(y[1]) - BLOWUP_SLOPE, True)])
-    if out.stop == dop853.STEP_FAILURE:
-        raise RuntimeError(f"slope ODE step failure: {dop853.TOO_SMALL_STEP}")
-    if out.stop == dop853.STEP_BUDGET:
-        raise RuntimeError(f"slope ODE stopped at r = {out.t[-1]:.6g} after "
-                           f"{dop853.MAX_STEPS} steps, short of r = {r_span[1]:g}")
+    dop853.finished(out, f"{what} piece from r = {r_span[0]:g} to {r_span[1]:g}",
+                    out.t[-1])
     r_grid = np.linspace(out.t[0], out.t[-1], PROFILE_ROWS)
     return out, (r_grid, *out.dense(r_grid))
 
@@ -192,7 +189,8 @@ def _solve_graph(spec: SolitonSpec, rhs, r_span, ic, rtol, atol):
 
     def solved(end):
         """The piece from r0 to ``end``: dense output, samples in ascending r."""
-        out, samples = _integrate_slope(rhs, (r0, end), y0, rtol, atol)
+        out, samples = _integrate_slope(rhs, (r0, end), y0, rtol, atol,
+                                        f"the {spec.family} graph")
         outs.append(out)
         return out.dense, [x[::-1] for x in samples] if end < r0 else samples
 

@@ -100,11 +100,11 @@ class ProfileCurve:
     series on [0, AXIS_LAUNCH_S); for a curve built from samples alone (a
     CSV read back, a perturbation control) the not-a-knot cubic spline of
     each column (:mod:`.spline`, SciPy's ``CubicSpline`` bit for bit).
-    ``termination`` is ``max_arc_length``, ``step_failure``, ``step_budget``
-    (:data:`.dop853.MAX_STEPS` steps) or the name of the stop that ended the
-    solve, and None on a curve built from samples; ``diagnostics`` is the
-    solve's run record and ``meta`` the run metadata of a CSV it was read
-    from.
+    ``termination`` is ``max_arc_length`` or the name of the stop that
+    ended the solve, and None on a curve built from samples: a solve that a
+    step failure or the step budget ended raises (:func:`.dop853.finished`)
+    and gives no curve.  ``diagnostics`` is the solve's run record and
+    ``meta`` the run metadata of a CSV it was read from.
     """
 
     spec: SolitonSpec | None
@@ -192,15 +192,12 @@ def _integrate(spec: SolitonSpec, y0, s0: float, stop: TerminationPolicy | None,
                if math.isfinite(edge) and not (have_axis and edge <= 0.0)]
 
     out = dop853.solve(rhs, (s0, stop.s_max), y0, rtol, atol, events)
-    if not out.n_steps:
-        # only a failed first step ends a solve before any step
-        raise RuntimeError(f"the profile solve took no step from s = {s0:g}: "
-                           f"{dop853.TOO_SMALL_STEP}")
+    dop853.finished(out, f"the {spec.family} profile solve", out.y[0, -1])
     return ProfileCurve(
         spec=spec, s=out.t, r=out.y[0], t=out.y[1], phi=out.y[2],
         termination="max_arc_length" if out.stop == dop853.END_OF_SPAN else out.stop,
         turning_points=[float(root) for root, _ in out.hits["turning_point"]],
-        diagnostics=out.record, _sol=out.dense)
+        diagnostics=dop853.run_record(out), _sol=out.dense)
 
 
 def solve_bowl(spec: SolitonSpec, stop: TerminationPolicy | None = None,

@@ -108,24 +108,27 @@ class TestSolitonCommand:
         (("flow", "--n", "1", "--nodes", "201", "--horizon", "0.01"),
          "the bowl graph blows up at r = 1.5708, short of its span (0.0, 10.1)"),
         (("soliton", "ideal", "--c", "1e300"),
-         "the profile solve took no step from s = 0"),
+         "the ideal profile solve ended by step_failure at r = 0: Required step size"),
         (("soliton", "wing", "--epsilon", "1e-300", "--n", "4"),
-         "the profile solve took no step from s = 0"),
+         "the wing profile solve ended by step_failure at r = 1e-300: Required step size"),
+        (("sweep", "--family", "bowl", "--c-values", "1e300"),
+         "the derivative at the start t = 0.0001 is not finite: [5.000000000000001e+295, inf]"),
         (("flow", "--R", "800", "--initial", "flat"),
          "the area weight xi^1 is not finite at r=710.8"),
         (("flow", "--n", "3", "--R", "400", "--initial", "flat", "--nodes", "201",
           "--scheme", "implicit", "--dtau", "1e-3", "--horizon", "0.003"),
          "the area weight xi^2 is not finite at r=356.0"),
     ], ids=["soliton-wing-n1", "sweep-wing-n1", "sweep-bowl-blowup", "flow-blowup",
-            "soliton-ideal-no-step", "soliton-wing-no-step", "flow-past-overflow",
-            "flow-weight-overflow"])
+            "soliton-ideal-no-step", "soliton-wing-no-step", "sweep-bowl-infinite-slope",
+            "flow-past-overflow", "flow-weight-overflow"])
     def test_no_solve_that_cannot_succeed_writes(self, tmp_path, capsys, argv, message):
         # a wing's height report divides by n - 1, past its blow-up at
         # r = pi/2 an n = 1 bowl graph's heights reach 9e46, and a speed of
         # 1e300 or a wing start at 1e-300 fails the first step at its
-        # minimum size; on a flow grid the area weight sinh(r) is inf past
-        # r = 710.5 and the n = 3 weight sinh^2 past r = 355.1, though the
-        # drift is finite
+        # minimum size, a bowl graph's launch slope 5e295 gives an infinite
+        # u'' before any step; on a flow grid the area weight sinh(r) is inf
+        # past r = 710.5 and the n = 3 weight sinh^2 past r = 355.1, though
+        # the drift is finite
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run("--out", str(tmp_path), *argv) == 1
@@ -186,28 +189,29 @@ class TestSolitonCommand:
 
     def test_step_budget_says_where_it_stopped(self, tmp_path, capsys, monkeypatch):
         # the default bowl takes 51 steps and the default grim graph 29, so
-        # a budget of 20 stops both: the profile reports it and exits 2, and
-        # the graph solver raises
+        # a budget of 20 stops both: a failed solve is no result, whether a
+        # profile or a graph, and exits 1 naming the solve, the stop and the
+        # radius reached, with nothing written
         from soliton_forge import dop853
         monkeypatch.setattr(dop853, "MAX_STEPS", 20)
-        assert run("--out", str(tmp_path), "soliton", "bowl") == 2
-        assert "bowl curve stopped by step_budget at r = " in capsys.readouterr().err
-        assert run("--out", str(tmp_path / "grim"), "soliton", "grim") == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: slope ODE stopped at r = ")
-        assert "after 20 steps, short of r = 10" in err
-        assert not (tmp_path / "grim").exists()
+        for family, message in [
+                ("bowl", "the bowl profile solve ended by step_budget at r = 0.78"),
+                ("grim", "the grim graph piece from r = 0 to 10 ended by step_budget "
+                         "at r = 3.6")]:
+            assert run("--out", str(tmp_path / family), "soliton", family) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {message}") and err.endswith(" after 20 steps\n")
+            assert not (tmp_path / family).exists()
 
-    def test_curve_shorter_than_the_stencil_is_refused(self, tmp_path, capsys, monkeypatch):
-        # a c = 1e300 bowl stops at its step budget after steps of about
-        # 4e-16 in s, far short of the diagnostics stencil's padding 5 FD_STEP:
-        # the check refuses it before it samples outside the curve
-        from soliton_forge import dop853
-        monkeypatch.setattr(dop853, "MAX_STEPS", 20)
-        assert run("--out", str(tmp_path / "fast"), "soliton", "bowl", "--c", "1e300") == 1
+    def test_curve_shorter_than_the_stencil_is_refused(self, tmp_path, capsys):
+        # a bowl to r = 0.005 is shorter than the diagnostics stencil's
+        # padding 5 FD_STEP: the check refuses it before it samples outside
+        # the curve
+        assert run("--out", str(tmp_path / "short"), "soliton", "bowl", "--r-max",
+                   "0.005") == 1
         err = capsys.readouterr().err
         assert err.startswith("error: curve too short") and "outside curve range" not in err
-        assert not (tmp_path / "fast").exists()
+        assert not (tmp_path / "short").exists()
 
     def test_unknown_flag(self, tmp_path):
         assert run("--out", str(tmp_path), "soliton", "bowl",
@@ -592,27 +596,31 @@ class TestIsometryCommand:
         assert coords[0][0] == pytest.approx(np.cosh(360.0), rel=1e-12)
         assert list(heights) == [20.0]
 
-    @pytest.mark.parametrize("descriptor", [
-        {"type": "parabolic"},
-        {"param": 0.7},
-        ["parabolic", 0.7],
-        {"type": "parabolic", "param": "far"},
-    ], ids=["no-param", "no-type", "not-an-object", "non-numeric-param"])
-    def test_malformed_map_json(self, tmp_path, capsys, descriptor):
+    @pytest.mark.parametrize("config, message", [
+        ({"map": "parabolic"}, "provide --map with --param"),
+        ({"param": 0.7}, "provide --map with --param"),
+        (["parabolic", 0.7], "config must be a JSON object"),
+        ({"map": "parabolic", "param": "far"}, "argument --param: invalid float value"),
+        ({"map": "elliptic", "param": 0.7}, "unknown map type 'elliptic'"),
+    ], ids=["no-param", "no-type", "not-an-object", "non-numeric-param", "unknown-map"])
+    def test_malformed_map_json(self, tmp_path, capsys, config, message):
+        # the map of a --config goes through --map and --param; argparse
+        # checks --map's choices on a flag only, so the command checks them
         src = tmp_path / "pts.csv"
         export_points_csv([embed_polar(1.0, [1.0, 0.0])], src)
-        desc = tmp_path / "map.json"
-        desc.write_text(json.dumps(descriptor))
-        assert run("--out", str(tmp_path), "isometry", "--map-json", str(desc),
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(config))
+        assert run("--out", str(tmp_path), "--config", str(path), "isometry",
                    "--points", str(src)) == 1
-        assert "usage error: --map-json" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"usage error: {message}")
+        assert not list(tmp_path.glob("points_*"))
 
     def test_map_json(self, tmp_path):
         src = tmp_path / "pts.csv"
         export_points_csv([embed_polar(1.0, [1.0, 0.0])], src)
-        desc = tmp_path / "map.json"
-        desc.write_text(json.dumps({"type": "hyperbolic", "param": 1.0}))
-        assert run("--out", str(tmp_path), "isometry", "--map-json", str(desc),
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps({"map": "hyperbolic", "param": 1.0}))
+        assert run("--out", str(tmp_path), "--config", str(path), "isometry",
                    "--points", str(src)) == 0
         assert (tmp_path / "points_hyperbolic_1.csv").exists()
 
@@ -621,17 +629,18 @@ class TestIsometryCommand:
         ("--map", "hyperbolic", "--param", "400"),
         ("--map", "hyperbolic", "--param", "inf"),
         ("--map", "parabolic", "--param", "nan"),
-        ("--map-json", "nan"),
+        ("--config", "nan"),
     ], ids=["cosh-overflow", "form-overflow", "inf", "nan", "json-nan"])
     def test_bad_map_param(self, tmp_path, capsys, argv):
         # each was once accepted and blamed on the points, or a traceback
         src = tmp_path / "pts.csv"
         export_points_csv([embed_polar(1.0, [1.0, 0.0])], src)
-        if argv[0] == "--map-json":
-            desc = tmp_path / "map.json"
-            desc.write_text('{"type": "hyperbolic", "param": NaN}')
-            argv = ("--map-json", str(desc))
-        assert run("--out", str(tmp_path), "isometry", *argv,
+        config = ()
+        if argv[0] == "--config":
+            path = tmp_path / "map.json"
+            path.write_text('{"map": "hyperbolic", "param": NaN}')
+            config, argv = ("--config", str(path)), ()
+        assert run("--out", str(tmp_path), *config, "isometry", *argv,
                    "--points", str(src)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "hyperboloid" not in err
@@ -781,6 +790,20 @@ def test_every_start_ends_in_an_exit_code(command, r_max, epsilons):
         assert "Traceback" not in err.getvalue()
         if code == 1:
             assert not os.listdir(out)
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (("soliton", "bowl", "--K", "-1e-3", "--r-max", "2"), 0, ""),
+    (("sweep", "--family", "wing", "--epsilons", "-1,0.5"), 1,
+     "error: wing family needs epsilon > 0\n"),
+    (("sweep", "--family", "bowl", "--c-values", "-1,2"), 1,
+     "error: soliton speed c must be finite and >= 0, got -1.0\n"),
+], ids=["exponent", "epsilon-list", "c-list"])
+def test_negative_number_is_a_value(tmp_path, capsys, argv, code, err):
+    # argparse alone reads only -1 and -.5 forms as numbers, and took these
+    # for flags ("expected one argument"); they reach the spec's own checks
+    assert run("--out", str(tmp_path), *argv) == code
+    assert capsys.readouterr().err == err
 
 
 @pytest.mark.parametrize("argv, flag", [
