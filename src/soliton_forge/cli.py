@@ -28,6 +28,8 @@ from .warp_models import _FAMILY_KIND, CHARTS, FAMILIES, make_builtin_warp
 #: the most nodes (a run holds about 270 B each) and steps x nodes one flow
 #: command takes: 10^6 steps on the default 2001 nodes take minutes
 MAX_FLOW_NODES, MAX_FLOW_NODE_STEPS = 10**6, 2001 * 10**6
+#: the families verify checks: a grim soliton is written as a graph, not a profile
+PROFILE_FAMILIES = ("bowl", "wing", "ideal")
 
 
 class UsageError(Exception):
@@ -100,7 +102,7 @@ def build_parser() -> _Parser:
     ver = command("verify", "run diagnostics")
     ver.add_argument("--input", type=Path, required=True,
                      help="profile CSV produced by the soliton subcommand")
-    ver.add_argument("--family", choices=FAMILIES, default="bowl")
+    ver.add_argument("--family", choices=PROFILE_FAMILIES, default="bowl")
     ver.add_argument("--epsilon", type=float, default=0.5)
 
     flow = command("flow", "graphical mean curvature flow")
@@ -251,8 +253,8 @@ def _cmd_soliton(args) -> int:
 
 def _cmd_verify(args) -> int:
     # argparse checks choices on a flag only, not on a metadata or config default
-    if args.family not in FAMILIES:
-        raise UsageError(f"unknown family {args.family!r}; choose from {FAMILIES}")
+    if args.family not in PROFILE_FAMILIES:
+        raise UsageError(f"unknown profile family {args.family!r}; choose from {PROFILE_FAMILIES}")
     from . import diagnostics
     curve = args.profile
     spec = _make_spec(args.family, args.K, args.n, args.c, epsilon=args.epsilon)

@@ -1,37 +1,31 @@
 """Independent verification of soliton identities.
 
-Each curve check recomputes a claimed identity with machinery that does
-not share code with the solver that produced the input: a fixed
-Gauss–Legendre rule for the flux first integrals, and five-point finite
-differences of the dense output for the geodesic system and the drift
-identity.  Those two read every curve, in memory or resampled, through one
-jet (:func:`_jet`), and never the solver right-hand side.
-:func:`drift_identity_random` reads the solver's one field formula
-(:func:`.profile_solver._profile_field`) by design: it tests that formula
-against the drift identity at random states.  Results are collected in a
-DiagnosticsReport of pass/fail records.
+Every curve check recomputes an identity in integral form, by one fixed
+Gauss–Legendre rule (:func:`_gauss_legendre`), from sampled values of a
+graph or profile, solved or resampled alike: never a derivative of the
+curve, nor the solver right-hand side.  :func:`drift_identity_random`
+alone reads the solver's field formula (:func:`.profile_solver._profile_field`),
+by design: it tests that formula against the drift identity at random states.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .graph_solvers import RadialGraph
 from .profile_solver import PROFILE_ROWS, ProfileCurve, SolitonSpec, _profile_field
-from .warp_models import CurvatureBounds, ROTATIONAL, radial_curvature
+from .warp_models import EQUIDISTANT, CurvatureBounds, radial_curvature
 
 INTEGRAL_TOL = 1e-6
 #: Gauss–Legendre nodes and weights on [-1, 1]: the value rule and the
 #: coarser rule whose difference from it is the error estimate
 GL_VALUE = np.polynomial.legendre.leggauss(32)
 GL_CHECK = np.polynomial.legendre.leggauss(16)
-#: arc-length samples and step of the finite-difference checks, and the
-#: distance from a rotational axis inside which a sample is dropped
-FD_SAMPLES, FD_STEP, FD_R_MIN = 400, 2e-3, 1e-2
+#: equal arc-length windows of the profile identities
+WINDOWS = 64
 #: eps and r_min of the slope sandwich in asymptotic_report
 SANDWICH_EPS, SANDWICH_R_MIN = 0.05, 10.0
 
@@ -58,6 +52,7 @@ class CheckResult:
             "tol": self.tolerance,
             "pass": self.passed,
             "applicable": self.applicable,
+            "worst_at": self.details.get("worst_at"),
         }
 
 
@@ -74,28 +69,36 @@ class DiagnosticsReport:
                 "checks": [c.to_dict() for c in self.checks]}
 
 
-def _result(name, res, tol, applicable=True, details=None) -> CheckResult:
+def _result(name, res, tol, details) -> CheckResult:
     res = np.atleast_1d(np.asarray(res, dtype=float))
-    max_abs = float(np.max(np.abs(res))) if res.size else 0.0
-    rms = float(np.sqrt(np.mean(res**2))) if res.size else 0.0
-    return CheckResult(name=name, max_abs_residual=max_abs, rms_residual=rms,
+    max_abs = float(np.max(np.abs(res)))
+    return CheckResult(name=name, max_abs_residual=max_abs,
+                       rms_residual=float(np.sqrt(np.mean(res**2))),
                        n_samples=int(res.size), tolerance=tol,
-                       passed=bool(applicable and max_abs <= tol),
-                       applicable=applicable, details=details or {})
+                       passed=max_abs <= tol, details=details)
 
 
-def _gauss_legendre(f, edges):
-    """Integral of f over each panel [edges[i], edges[i + 1]] by the 32-point
-    Gauss–Legendre rule, and |GL32 - GL16| per panel as its error estimate.
-
-    f is called once, on the nodes of both rules in every panel.
-    """
+def _panel_nodes(edges, rules=(GL_VALUE, GL_CHECK)):
+    """The nodes of the Gauss–Legendre ``rules`` in each panel [edges[i],
+    edges[i + 1]], one row per panel."""
     mid, half = (edges[1:] + edges[:-1]) / 2, (edges[1:] - edges[:-1]) / 2
-    nodes = mid[:, None] + half[:, None] * np.concatenate((GL_VALUE[0], GL_CHECK[0]))
-    vals = f(nodes.ravel()).reshape(nodes.shape)
+    return mid[:, None] + half[:, None] * np.concatenate([x for x, _ in rules])
+
+
+def _gauss_legendre(vals, edges):
+    """Integral over each panel [edges[i], edges[i + 1]] by the 32-point
+    Gauss–Legendre rule of one or several integrands, whose values at
+    ``_panel_nodes(edges, rules).ravel()`` fill the last axis of ``vals``,
+    and |GL32 - GL16| per panel as its error estimate: None when ``rules``
+    is the 32-point rule alone.
+    """
+    half = (edges[1:] - edges[:-1]) / 2
+    vals = vals.reshape(vals.shape[:-1] + (half.size, -1))
     k = GL_VALUE[0].size
-    value = half * (vals[:, :k] @ GL_VALUE[1])
-    return value, np.abs(value - half * (vals[:, k:] @ GL_CHECK[1]))
+    value = half * (vals[..., :k] @ GL_VALUE[1])
+    if vals.shape[-1] == k:
+        return value, None
+    return value, np.abs(value - half * (vals[..., k:] @ GL_CHECK[1]))
 
 
 def flux_residual(graph: RadialGraph, spec: SolitonSpec | None = None) -> CheckResult:
@@ -107,28 +110,29 @@ def flux_residual(graph: RadialGraph, spec: SolitonSpec | None = None) -> CheckR
     like xi^{n-1}, so the residual at each of 59 checked radii r is divided
     by max(1, xi^{n-1}(r)); ``details["max_abs_unscaled"]`` keeps the raw
     one.  ``details["gl_err"]`` is the largest per-segment |GL32 - GL16|,
-    divided by the same scale.
+    divided by the same scale, and ``details["worst_at"]`` the radius of
+    the largest scaled residual.
     """
     spec = spec or graph.spec
     if graph.chart != "polar":
         raise ValueError(f"flux check needs the polar chart, got {graph.chart!r}")
     c, n, warp = spec.c, spec.n, spec.warp
 
-    def integrand(r):
-        du = graph.du_eval(r)
-        return c / np.sqrt(1.0 + du * du) * warp.xi(r) ** (n - 1)
-
     r_a, r_b = graph.r_span
     r_pts = np.linspace(r_a, r_b, 60)
     du = graph.du_eval(r_pts)
     weight = warp.xi(r_pts) ** (n - 1)
     lhs = du / np.sqrt(1.0 + du * du) * weight
-    vals, errs = _gauss_legendre(integrand, r_pts)
+    r = _panel_nodes(r_pts).ravel()
+    du = graph.du_eval(r)
+    vals, errs = _gauss_legendre(c / np.sqrt(1.0 + du * du) * warp.xi(r) ** (n - 1), r_pts)
     # summed in order from the anchor, segment by segment
     residuals = lhs[1:] - np.cumsum(np.concatenate(([lhs[0]], vals)))[1:]
     scale = np.maximum(1.0, weight[1:])
-    return _result("flux_first_integral", residuals / scale, INTEGRAL_TOL,
+    scaled = residuals / scale
+    return _result("flux_first_integral", scaled, INTEGRAL_TOL,
                    details={"r_span": (r_a, r_b), "anchor": float(lhs[0]),
+                            "worst_at": {"r": float(r_pts[1 + np.argmax(np.abs(scaled))])},
                             "max_abs_unscaled": float(np.max(np.abs(residuals))),
                             "gl_err": float(np.max(errs / scale))})
 
@@ -149,12 +153,9 @@ def wing_turning_flux(curve: ProfileCurve) -> CheckResult:
         raise ValueError("no turning point on this branch")
     c, n, warp = spec.c, spec.n, spec.warp
     s_turn = curve.turning_points[0]
-
-    def integrand(s):
-        r, _, phi = curve.sample(s)
-        return c * np.cos(phi) ** 2 * warp.xi(r) ** (n - 1)
-
-    vals, errs = _gauss_legendre(integrand, np.linspace(0.0, s_turn, 9))
+    edges = np.linspace(0.0, s_turn, 9)
+    r, _, phi = curve.sample(_panel_nodes(edges).ravel())
+    vals, errs = _gauss_legendre(c * np.cos(phi) ** 2 * warp.xi(r) ** (n - 1), edges)
     val = float(np.sum(vals))
     target = warp.xi(spec.epsilon) ** (n - 1)
     r0 = curve.sample(s_turn)[0]
@@ -164,95 +165,83 @@ def wing_turning_flux(curve: ProfileCurve) -> CheckResult:
                             "gl_err": float(np.sum(errs))})
 
 
-#: a curve's r and phi at its samples, and the five-point derivatives in
-#: arc length of step FD_STEP there
-_Jet = namedtuple("_Jet", "r phi rd td phid rdd tdd")
+def _window_identities(curve, spec: SolitonSpec):
+    """The four window identities of an arc-length profile, with lambda =
+    e^{ct} xi^{n-1} and A = ``warp.drift`` = (n-1) xi'/xi,
+
+        [lambda sin phi] = c int lambda      [r] = int cos phi
+        [lambda cos phi] = int A lambda      [t] = int sin phi,
+
+    on WINDOWS equal arc-length windows by the 32-point rule, from one dense
+    evaluation of edges and nodes: residuals (4, WINDOWS), the flux rows
+    divided by the window's int lambda (c + |A| + 1) and the kinematic rows
+    by its length, and the window centres.  log lambda is taken relative to
+    its largest value on each window's nodes, so lambda never overflows and
+    is exactly 0 at an edge on the rotational axis, where the interior
+    nodes never read A.
+    """
+    c, n, warp = spec.c, spec.n, spec.warp
+    if warp.kind == EQUIDISTANT:
+        raise ValueError("an equidistant warp defines no lambda = e^{ct} xi^{n-1} to check")
+    edges = np.linspace(*curve.s_span, WINDOWS + 1)
+    nodes = _panel_nodes(edges, (GL_VALUE,)).ravel()
+    r, t, phi = curve.sample(np.concatenate((edges, nodes)))
+    log_lam = c * t
+    if n > 1:
+        with np.errstate(divide="ignore", over="ignore"):  # -inf on the axis: lambda = 0
+            log_xi = warp.log_xi(r)
+        if not (log_xi < np.inf).all():
+            raise ValueError(f"log xi is not finite at r={r[~(log_xi < np.inf)][0]}")
+        log_lam = log_lam + (n - 1) * log_xi
+    k = edges.size
+    node_log = log_lam[k:].reshape(WINDOWS, -1)
+    ref = node_log.max(axis=1)
+    lam = np.exp(node_log - ref[:, None]).ravel()
+    lam_a, lam_b = np.exp(log_lam[:k - 1] - ref), np.exp(log_lam[1:k] - ref)
+    a, phi_n = warp.drift(r[k:], n), phi[k:]
+    (c_lam, a_lam, size, cos_int, sin_int), _ = _gauss_legendre(np.stack(
+        (c * lam, a * lam, (c + np.abs(a) + 1) * lam, np.cos(phi_n), np.sin(phi_n))), edges)
+    sin_e, cos_e, length = np.sin(phi[:k]), np.cos(phi[:k]), np.diff(edges)
+    scale = np.stack((size, size, length, length))
+    res = np.stack((lam_b * sin_e[1:] - lam_a * sin_e[:-1] - c_lam,
+                    lam_b * cos_e[1:] - lam_a * cos_e[:-1] - a_lam,
+                    np.diff(r[:k]) - cos_int,
+                    np.diff(t[:k]) - sin_int)) / scale
+    return res, (edges[1:] + edges[:-1]) / 2
 
 
-def _check_spec(curve, spec: SolitonSpec | None) -> SolitonSpec:
-    """The spec a curve check runs against: ``spec``, else the curve's own."""
-    spec = spec or curve.spec
-    if spec is None:
-        raise ValueError("a profile check needs a spec: pass one, or a curve that carries one")
-    return spec
-
-
-def _jet(curve, spec: SolitonSpec) -> _Jet:
-    """The jet at FD_SAMPLES interior arc lengths, padded so the stencil
-    s - 2h, ..., s + 2h stays inside the span: all five offsets are one
-    dense evaluation, and on a rotational warp of ``spec``, the spec the
-    check runs against, the samples whose centre lies within FD_R_MIN of
-    the axis are dropped.  A span shorter than the padding 5h raises
-    ValueError before any sampling, and so does one with no sample left."""
-    h = FD_STEP
-    lo, hi = curve.s_span
-    if hi - lo < 5 * h:
-        raise ValueError("curve too short for the requested stencil")
-    s = np.linspace(lo + 2.5 * h, hi - 2.5 * h, FD_SAMPLES)
-    stencil = np.concatenate((s - 2 * h, s - h, s, s + h, s + 2 * h))
-    # (r, t, phi) x offset x sample
-    v = np.asarray(curve.sample(stencil)).reshape(3, 5, -1)
-    if spec.warp.kind == ROTATIONAL:
-        v = v[:, :, v[0, 2] > FD_R_MIN]
-    if not v.shape[2]:
-        raise ValueError("curve too short for the requested stencil")
-    # five-point centred first and second derivatives, O(h^4)
-    rd, td, phid = (v[:, 0] - 8 * v[:, 1] + 8 * v[:, 3] - v[:, 4]) / (12 * h)
-    rdd, tdd = (-v[:2, 0] + 16 * v[:2, 1] - 30 * v[:2, 2] + 16 * v[:2, 3]
-                - v[:2, 4]) / (12 * h * h)
-    return _Jet(v[0, 2], v[2, 2], rd, td, phid, rdd, tdd)
+def _window_check(name: str, res, centres) -> CheckResult:
+    worst = np.argmax(np.abs(res).max(axis=0))
+    return _result(name, res.ravel(), INTEGRAL_TOL,
+                   details={"worst_at": {"s": float(centres[worst])}})
 
 
 def geodesic_residual(curve, spec: SolitonSpec | None = None) -> CheckResult:
     """Profile curves are pregeodesics of the conformal metric
-    lambda^2 (dr^2 + dt^2) with lambda = e^{ct} xi^{n-1}.
-
-    Two residuals are evaluated on the curve's jet (:func:`_jet`), whose
-    finite differences read the dense output, never the solver right-hand
-    side:
-
-    * reduced:  dphi/ds - c cos(phi) + (n-1)(xi'/xi) sin(phi)
-    * full geodesic system, corrected for the arc-length (non-affine)
-      parametrization by the tangential term mu = c t' + A r' with
-      A = (n-1) xi'/xi = (d/dr) log lambda:
-
-          r'' + A (r'^2 - t'^2) + 2 c r' t' - mu r' = 0
-          t'' + c (t'^2 - r'^2) + 2 A r' t' - mu t' = 0
+    lambda^2 (dr^2 + dt^2), lambda = e^{ct} xi^{n-1}: the weighted length
+    int lambda ds has zero first variation.  ``conformal_geodesic`` holds
+    the four identities of :func:`_window_identities`: (lambda t')' =
+    c lambda is lambda times the drift identity t'' + A r' t' + c t'^2 - c
+    = 0, and (lambda r')' = A lambda is lambda times the geodesic system's
+    r-component.  ``details["worst_at"]`` is the centre s of the worst
+    window.  A spec on the equidistant kind, which defines no lambda, or a
+    curve on which log xi is not finite raises ValueError.
     """
-    spec = _check_spec(curve, spec)
-    return _geodesic(_jet(curve, spec), spec)
-
-
-def _geodesic(jet: _Jet, spec: SolitonSpec) -> CheckResult:
-    c, rd, td = spec.c, jet.rd, jet.td
-    a = spec.warp.drift(jet.r, spec.n)
-    reduced = jet.phid - c * np.cos(jet.phi) + a * np.sin(jet.phi)
-    mu = c * td + a * rd
-    full_r = jet.rdd + a * (rd**2 - td**2) + 2 * c * rd * td - mu * rd
-    full_t = jet.tdd + c * (td**2 - rd**2) + 2 * a * rd * td - mu * td
-
-    res = np.concatenate((reduced, full_r, full_t))
-    return _result("conformal_geodesic", res, INTEGRAL_TOL,
-                   details={"h": FD_STEP,
-                            "max_reduced": float(np.max(np.abs(reduced))),
-                            "max_full": float(max(np.max(np.abs(full_r)),
-                                                  np.max(np.abs(full_t))))})
-
-
-def _drift_identity(jet: _Jet, spec: SolitonSpec) -> CheckResult:
-    c, td = spec.c, jet.td
-    res = jet.tdd + spec.warp.drift(jet.r, spec.n) * jet.rd * td + c * td**2 - c
-    return _result("drift_identity", res, INTEGRAL_TOL, details={"h": FD_STEP})
+    return profile_identities(curve, spec)[0]
 
 
 def profile_identities(curve, spec: SolitonSpec | None = None) -> tuple:
-    """The :func:`geodesic_residual` result of one curve and its drift
-    identity t'' + (n-1)(xi'/xi) r' t' + c t'^2 - c = 0, both read from one
-    jet (:func:`_jet`) at the integral tolerance: a curve solved at another
-    c, or with another drift than ``spec``'s, fails the identity."""
-    spec = _check_spec(curve, spec)
-    jet = _jet(curve, spec)
-    return _geodesic(jet, spec), _drift_identity(jet, spec)
+    """The :func:`geodesic_residual` result of one curve and its
+    ``drift_identity`` result, the two t identities [lambda sin phi] =
+    c int lambda and [t] = int sin phi, both from one sampling at the
+    integral tolerance: a curve solved at another c, or with another drift
+    than ``spec``'s, fails them.  ``spec`` defaults to the curve's own."""
+    spec = spec or curve.spec
+    if spec is None:
+        raise ValueError("a profile check needs a spec: pass one, or a curve that carries one")
+    res, centres = _window_identities(curve, spec)
+    return (_window_check("conformal_geodesic", res, centres),
+            _window_check("drift_identity", res[[0, 3]], centres))
 
 
 def _drift_residual_states(r, phi, c, n, warp):
@@ -389,8 +378,8 @@ def perturb_curve(curve: ProfileCurve, amplitude: float = 1e-3) -> ProfileCurve:
     """Negative control: the curve resampled at PROFILE_ROWS uniform arc
     lengths with t <- t + A sin(s), as a ProfileCurve of the same spec.
 
-    The perturbed curve must fail the geodesic and drift checks at the
-    integral tolerance; used to confirm the diagnostics have teeth.
+    Its t no longer integrates sin(phi), by about A cos(s) per unit length
+    on each window, so the geodesic and drift checks must fail it.
     """
     s = np.linspace(*curve.s_span, PROFILE_ROWS)
     r, t, phi = curve.sample(s)

@@ -60,7 +60,9 @@ class WarpModel:
     ``chi_ratio`` is chi'/chi, the one form of the second warping factor
     chi: required on the equidistant chart and refused on the others.
     ``xi3_zero`` is xi'''(0); it only gives :func:`radial_curvature` its
-    axis limit -xi'''(0) on the rotational kind.
+    axis limit -xi'''(0) on the rotational kind.  ``log_xi`` is log xi: on
+    the built-in rotational and Busemann warps a closed form finite where xi
+    overflows, left unset log(xi).
     """
 
     kind: str
@@ -72,6 +74,7 @@ class WarpModel:
     xi3_zero: float | None = None
     ratio: Callable | None = None
     chi_ratio: Callable | None = None
+    log_xi: Callable | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -82,6 +85,8 @@ class WarpModel:
                              f"chi_ratio {'unset' if self.chi_ratio is None else 'set'}")
         if self.ratio is None:
             object.__setattr__(self, "ratio", lambda r: self.dxi(r) / self.xi(r))
+        if self.log_xi is None:
+            object.__setattr__(self, "log_xi", lambda r: np.log(self.xi(r)))
 
     @property
     def chart(self) -> str:
@@ -224,6 +229,7 @@ def make_builtin_warp(kind: str, curvature: float) -> WarpModel:
                 label="euclidean",
                 xi3_zero=0.0,
                 ratio=lambda r: 1.0 / r,
+                log_xi=np.log,
             )
         k = math.sqrt(-curvature)
         return WarpModel(
@@ -235,6 +241,7 @@ def make_builtin_warp(kind: str, curvature: float) -> WarpModel:
             label=f"hyperbolic(K={curvature:g})",
             xi3_zero=k * k,
             ratio=lambda r: k / np.tanh(k * r),
+            log_xi=lambda r: k * r + np.log(-np.expm1(-2 * k * r)) - math.log(2 * k),
         )
 
     k = math.sqrt(-curvature)
@@ -248,6 +255,7 @@ def make_builtin_warp(kind: str, curvature: float) -> WarpModel:
             label=f"busemann(K={curvature:g})",
             # k at every finite radius; a NaN radius stays NaN, which drift refuses
             ratio=lambda r: k + 0.0 * r,
+            log_xi=lambda r: k * r,
         )
 
     # xi = cosh(k r) is even in r bit for bit, since NumPy's cosh, sinh and

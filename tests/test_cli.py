@@ -203,15 +203,12 @@ class TestSolitonCommand:
             assert err.startswith(f"error: {message}") and err.endswith(" after 20 steps\n")
             assert not (tmp_path / family).exists()
 
-    def test_curve_shorter_than_the_stencil_is_refused(self, tmp_path, capsys):
-        # a bowl to r = 0.005 is shorter than the diagnostics stencil's
-        # padding 5 FD_STEP: the check refuses it before it samples outside
-        # the curve
-        assert run("--out", str(tmp_path / "short"), "soliton", "bowl", "--r-max",
-                   "0.005") == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: curve too short") and "outside curve range" not in err
-        assert not (tmp_path / "short").exists()
+    def test_short_bowl_passes_its_diagnostics(self, tmp_path):
+        # the window identities read only the curve's own span, so a bowl
+        # to r = 0.005 checks like any other
+        assert run("--out", str(tmp_path), "soliton", "bowl", "--r-max", "0.005") == 0
+        report = json.loads((tmp_path / "bowl_diagnostics.json").read_text())
+        assert report["passed"] is True
 
     def test_unknown_flag(self, tmp_path):
         assert run("--out", str(tmp_path), "soliton", "bowl",
@@ -292,8 +289,8 @@ class TestVerifyCommand:
 
     def test_read_back_curve_checks_against_the_given_spec(self, tmp_path):
         """A profile read back from its CSV carries no spec; the checks run
-        against the spec they are given, which sets the axis mask too, and
-        refuse a curve with no spec anywhere."""
+        against the spec they are given, and refuse a curve with no spec
+        anywhere."""
         assert run("--out", str(tmp_path), "soliton", "bowl", "--K", "-1", "--n", "2",
                    "--c", "1", "--r-max", "10") == 0
         curve = read_profile_csv(tmp_path / "bowl.csv")
@@ -307,6 +304,17 @@ class TestVerifyCommand:
             profile_identities(curve)
         assert run("--out", str(tmp_path), "verify", "--input", str(tmp_path / "bowl.csv"),
                    "--c", "1.01") == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("wing", "--K", "-1", "--n", "2", "--c", "1", "--r-max", "10"),
+        ("ideal", "--c", "1.5", "--r-max", "5"),
+    ], ids=["wing", "ideal"])
+    def test_verify_passes_what_soliton_wrote(self, tmp_path, argv):
+        # the CSV's 2001 rows resample the curve as a cubic spline, which
+        # the window identities check to about 1e-9
+        assert run("--out", str(tmp_path), "soliton", *argv) == 0
+        assert run("--out", str(tmp_path), "verify", "--input",
+                   str(tmp_path / f"{argv[0]}.csv")) == 0
 
     def test_perturbed_input_fails(self, bowl_csv, tmp_path):
         curve = read_profile_csv(bowl_csv)
@@ -348,6 +356,16 @@ class TestVerifyCommand:
                    "--family", "foo") == 1
         err = capsys.readouterr().err
         assert "usage error" in err and "Traceback" not in err
+
+    def test_graph_family_is_usage_error(self, bowl_csv, tmp_path, capsys):
+        # a grim soliton is written as a graph CSV, so verify checks no grim
+        # profile, whether the family comes from the flag or the metadata
+        bad = tmp_path / "grim.csv"
+        bad.write_text(bowl_csv.read_text().replace("# family=bowl", "# family=grim"))
+        for argv in (("--input", str(bowl_csv), "--family", "grim"), ("--input", str(bad))):
+            assert run("--out", str(tmp_path), "verify", *argv) == 1
+            err = capsys.readouterr().err
+            assert "usage error" in err and "grim" in err and "Traceback" not in err
 
     def test_unknown_family_metadata(self, bowl_csv, tmp_path, capsys):
         text = bowl_csv.read_text().replace("# family=bowl", "# family=foo")

@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soliton_forge import (
-    CurvatureBounds, ProfileCurve, RadialGraph, SolitonSpec, TerminationPolicy,
+    CurvatureBounds, ProfileCurve, RadialGraph, SolitonSpec, TerminationPolicy, WarpModel,
     asymptotic_report, drift_identity_random, flux_residual, geodesic_residual, make_builtin_warp, perturb_curve,
     run_profile_checks, solve_bowl, solve_radial_graph, solve_wing,
     wing_height_report, wing_turning_flux,
 )
-from soliton_forge.diagnostics import INTEGRAL_TOL, profile_identities
+from soliton_forge.diagnostics import INTEGRAL_TOL, WINDOWS, profile_identities
+from soliton_forge.profile_solver import PROFILE_ROWS
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +145,39 @@ class TestGeodesic:
         assert not result.passed
         assert result.max_abs_residual > 1e-4
 
+    @pytest.mark.parametrize("where", [0.3, 0.55, 0.8])
+    def test_bump_is_caught_where_it_sits(self, hyperbolic_bowl_spec, where):
+        # a t-bump of 1e-3 about half a window wide fails both checks, and
+        # each records a worst window within one window of the bump's centre
+        curve = solve_bowl(hyperbolic_bowl_spec, stop=TerminationPolicy(r_max=8.0),
+                           rtol=1e-11, atol=1e-13)
+        s = np.linspace(*curve.s_span, PROFILE_ROWS)
+        r, t, phi = curve.sample(s)
+        window = (s[-1] - s[0]) / WINDOWS
+        s0 = s[0] + where * (s[-1] - s[0])
+        bump = 1e-3 * np.exp(-(((s - s0) / (window / 2)) ** 2))
+        for result in profile_identities(ProfileCurve(curve.spec, s, r, t + bump, phi)):
+            assert result.max_abs_residual > 1e-4
+            assert abs(result.details["worst_at"]["s"] - s0) <= window
+
+    def test_equidistant_spec_is_refused(self, hyperbolic_bowl_spec):
+        # lambda needs D = (n-1) xi'/xi, which the equidistant drift is not
+        curve = solve_bowl(hyperbolic_bowl_spec, stop=TerminationPolicy(r_max=2.0))
+        grim = SolitonSpec(c=1.0, n=2, family="grim",
+                           warp=make_builtin_warp("equidistant", -1.0))
+        with pytest.raises(ValueError, match="equidistant"):
+            profile_identities(curve, grim)
+
+    def test_weight_past_the_float_range_is_refused(self):
+        # a warp with no closed-form log xi overflows sinh past r = 710.5
+        warp = WarpModel(kind="rotational", xi=np.sinh, dxi=np.cosh, ddxi=np.sinh,
+                         r_domain=(0.0, math.inf))
+        s = np.linspace(0.0, 800.0, 801)
+        ray = ProfileCurve(SolitonSpec(c=0.0, n=2, family="bowl", warp=warp),
+                           s, s, np.zeros_like(s), np.zeros_like(s))
+        with pytest.raises(ValueError, match="log xi is not finite at r=7"):
+            profile_identities(ray)
+
 
 @pytest.fixture(scope="module")
 def readme_profiles(hyperbolic_warp, busemann_warp):
@@ -164,7 +198,7 @@ class TestDrift:
     @pytest.mark.parametrize("family", ["bowl", "wing", "ideal"])
     def test_profile_wrong_speed_fails(self, readme_profiles, family):
         # negative control: the in-memory profile solved at c passes the
-        # finite-difference identity, and fails it checked against 1.01 c
+        # window identities, and fails them checked against 1.01 c
         curve = readme_profiles[family]
         assert profile_identities(curve)[1].max_abs_residual <= INTEGRAL_TOL
         faster = replace(curve.spec, c=1.01 * curve.spec.c)
@@ -276,7 +310,19 @@ class TestReportPlumbing:
         assert payload["passed"] is True
         for entry in payload["checks"]:
             assert {"check", "max_abs", "rms", "n", "tol",
-                    "pass"} <= set(entry)
+                    "pass", "worst_at"} <= set(entry)
+
+    def test_worst_position_in_json(self, wing_minus, hyperbolic_bowl_graph):
+        # the window checks name an arc length, the flux check a radius, and
+        # a check with no position null
+        checks = run_profile_checks(wing_minus).to_dict()["checks"]
+        worst = {c["check"]: c["worst_at"] for c in checks}
+        lo, hi = wing_minus.s_span
+        assert all(lo < worst[name]["s"] < hi for name in ("conformal_geodesic", "drift_identity"))
+        assert worst["wing_turning_flux"] is None and worst["wing_height_gap"] is None
+        flux = flux_residual(hyperbolic_bowl_graph).to_dict()["worst_at"]
+        assert set(flux) == {"r"} and 0.0 < flux["r"] <= 20.0
+        assert drift_identity_random(wing_minus.spec, n_states=10).to_dict()["worst_at"] is None
 
 
 @settings(max_examples=40, deadline=None)
@@ -291,58 +337,34 @@ def test_drift_identity_everywhere(r, phi, c, n):
     assert abs(float(res[0])) < 1e-9 * max(1.0, c * c)
 
 
-def _fd1_ref(f, x, h):
-    """Five-point first derivative with one call of f per stencil term."""
-    return (f(x - 2 * h) - 8 * f(x - h) + 8 * f(x + h) - f(x + 2 * h)) / (12 * h)
-
-
-def _fd2_ref(f, x, h):
-    """Five-point second derivative with one call of f per stencil term."""
-    return (-f(x - 2 * h) + 16 * f(x - h) - 30 * f(x)
-            + 16 * f(x + h) - f(x + 2 * h)) / (12 * h * h)
-
-
-def _samples_ref(curve, h=2e-3):
-    """400 interior arc lengths padded by 2.5 h, less those within 1e-2 of a
-    rotational axis, found with a dense call of their own."""
-    lo, hi = curve.s_span
-    s = np.linspace(lo + 2.5 * h, hi - 2.5 * h, 400)
-    if curve.spec.warp.kind == "rotational":
-        s = s[curve.sample(s)[0] > 1e-2]
-    return s
-
-
-def _geodesic_ref(curve, h=2e-3):
-    """The conformal-geodesic residuals built from one closure per component."""
+def _windows_ref(curve):
+    """The four window residuals, window by window: each window's edges and
+    32 Gauss–Legendre nodes sampled with dense calls of their own, lambda
+    formed directly as e^{ct} xi^{n-1}."""
     c, n, warp = curve.spec.c, curve.spec.n, curve.spec.warp
-    s = _samples_ref(curve, h)
-    r_of, t_of, phi_of = (lambda sv, i=i: np.asarray(curve.sample(sv)[i])
-                          for i in range(3))
-    r, phi = r_of(s), phi_of(s)
-    rd, td, phid = _fd1_ref(r_of, s, h), _fd1_ref(t_of, s, h), _fd1_ref(phi_of, s, h)
-    rdd, tdd = _fd2_ref(r_of, s, h), _fd2_ref(t_of, s, h)
-    a = warp.drift(r, n)
-    mu = c * td + a * rd
-    return np.concatenate((
-        phid - c * np.cos(phi) + a * np.sin(phi),
-        rdd + a * (rd**2 - td**2) + 2 * c * rd * td - mu * rd,
-        tdd + c * (td**2 - rd**2) + 2 * a * rd * td - mu * td))
-
-
-def _drift_fd_ref(curve, h=2e-3):
-    """The finite-difference drift residuals built from one closure per component."""
-    c, n, warp = curve.spec.c, curve.spec.n, curve.spec.warp
-    s = _samples_ref(curve, h)
-    r = np.atleast_1d(np.asarray(curve.sample(s)[0]))
-    r_of, t_of = (lambda sv, i=i: np.asarray(curve.sample(sv)[i]) for i in range(2))
-    td, rd, tdd = _fd1_ref(t_of, s, h), _fd1_ref(r_of, s, h), _fd2_ref(t_of, s, h)
-    return tdd + warp.drift(r, n) * rd * td + c * td**2 - c
+    x, w = np.polynomial.legendre.leggauss(32)
+    edges = np.linspace(*curve.s_span, 65)
+    res = np.empty((4, 64))
+    for i, (sa, sb) in enumerate(zip(edges[:-1], edges[1:])):
+        half = (sb - sa) / 2
+        r, t, phi = curve.sample(sa + half * (x + 1))
+        (ra, ta, pa), (rb, tb, pb) = curve.sample(sa), curve.sample(sb)
+        lam, a = np.exp(c * t) * warp.xi(r) ** (n - 1), warp.drift(r, n)
+        lam_a, lam_b = (math.exp(c * tv) * warp.xi(rv) ** (n - 1)
+                        for rv, tv in ((ra, ta), (rb, tb)))
+        size = half * np.dot(w, (c + np.abs(a) + 1) * lam)
+        c_lam, a_lam = half * np.dot(w, c * lam), half * np.dot(w, a * lam)
+        res[:, i] = ((lam_b * math.sin(pb) - lam_a * math.sin(pa) - c_lam) / size,
+                     (lam_b * math.cos(pb) - lam_a * math.cos(pa) - a_lam) / size,
+                     (rb - ra - half * np.dot(w, np.cos(phi))) / (sb - sa),
+                     (tb - ta - half * np.dot(w, np.sin(phi))) / (sb - sa))
+    return res
 
 
 class TestDenseEvaluations:
-    """Both curve checks read one dense evaluation of all five stencil
-    offsets, shared by r, t and phi, and sharing it leaves every residual
-    bit unchanged."""
+    """Both curve checks read one dense evaluation of every window edge and
+    node, shared by r, t and phi, and their residuals are the window
+    identities computed window by window."""
 
     @pytest.fixture(scope="class")
     def bowl(self, hyperbolic_bowl_spec):
@@ -375,39 +397,44 @@ class TestDenseEvaluations:
     def _sampled(self, bowl):
         return ProfileCurve(bowl.spec, bowl.s, bowl.r, bowl.t, bowl.phi)
 
+    @staticmethod
+    def _matches(res, ref):
+        # the residuals are about 1e-10; the two orders of summation differ
+        # by round-off on terms of size 1
+        return np.allclose(res, ref.ravel(), rtol=0, atol=1e-13)
+
     def test_geodesic_one_evaluation(self, bowl, monkeypatch):
-        calls, (res,) = self._run_counted(geodesic_residual, bowl, monkeypatch)
+        calls, (res, _) = self._run_counted(geodesic_residual, bowl, monkeypatch)
         assert calls == 1
-        assert res.tobytes() == _geodesic_ref(bowl).tobytes()
+        assert self._matches(res, _windows_ref(bowl))
 
     def test_geodesic_sampled_curve(self, bowl, monkeypatch):
         curve = self._sampled(bowl)
-        calls, (res,) = self._run_counted(geodesic_residual, curve, monkeypatch)
+        calls, (res, _) = self._run_counted(geodesic_residual, curve, monkeypatch)
         assert calls == 1
-        assert res.tobytes() == _geodesic_ref(curve).tobytes()
+        assert self._matches(res, _windows_ref(curve))
 
     def test_drift_profile_curve(self, bowl, monkeypatch):
-        # an in-memory profile takes the finite-difference path too
         calls, (_, res) = self._run_counted(profile_identities, bowl, monkeypatch)
         assert calls == 1
-        assert res.tobytes() == _drift_fd_ref(bowl).tobytes()
+        assert self._matches(res, _windows_ref(bowl)[[0, 3]])
 
     def test_drift_sampled_curve(self, bowl, monkeypatch):
         curve = self._sampled(bowl)
         calls, (_, res) = self._run_counted(profile_identities, curve, monkeypatch)
         assert calls == 1
-        assert res.tobytes() == _drift_fd_ref(curve).tobytes()
+        assert self._matches(res, _windows_ref(curve)[[0, 3]])
 
-    def test_profile_checks_share_one_jet(self, bowl, wing_minus, monkeypatch):
+    def test_profile_checks_share_one_sampling(self, bowl, wing_minus, monkeypatch):
         # a bowl's two checks read one dense call; a descending wing's
         # turning-flux and height checks add two calls each
         calls, (geo, drift) = self._run_counted(run_profile_checks, bowl, monkeypatch)
         assert calls == 1
-        assert geo.tobytes() == _geodesic_ref(bowl).tobytes()
-        assert drift.tobytes() == _drift_fd_ref(bowl).tobytes()
+        ref = _windows_ref(bowl)
+        assert self._matches(geo, ref) and self._matches(drift, ref[[0, 3]])
         calls, residuals = self._run_counted(run_profile_checks, wing_minus, monkeypatch)
         assert calls == 5
-        assert residuals[0].tobytes() == _geodesic_ref(wing_minus).tobytes()
+        assert self._matches(residuals[0], _windows_ref(wing_minus))
 
 
 @pytest.mark.parametrize("K", [-2.0, -1.0, -0.3, -0.01, 0.0])

@@ -488,6 +488,27 @@ def test_ratio_finite_below_overflow():
     assert make_builtin_warp("equidistant", -1.0).xi_ratio(-700.0) == -1.0
 
 
+@pytest.mark.parametrize("kind,K", [("rotational", 0.0), ("rotational", -1.0),
+                                    ("rotational", -2.0), ("busemann", -1.0)])
+def test_log_xi_closed_form(kind, K):
+    """log xi against 40-digit mpmath, past r = 710.5 where xi overflows
+    too, with no RuntimeWarning; a warp built without it takes log(xi)."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    model = make_builtin_warp(kind, K)
+    k = mpmath.sqrt(-K)
+    radii = np.array([1e-6, 1e-3, 0.5, 1.0, 3.0, 30.0, 720.0, 5e3])
+    exact = [float(mpmath.log(mpmath.mpf(r) if K == 0 else
+                              mpmath.sinh(k * r) / k if kind == "rotational" else
+                              mpmath.exp(k * r))) for r in radii]
+    got = model.log_xi(radii)
+    assert np.allclose(got, exact, rtol=4e-16, atol=4e-16)
+    assert [model.log_xi(float(r)) for r in radii] == list(got)
+    table = WarpModel(kind=kind, xi=model.xi, dxi=model.dxi, ddxi=model.ddxi,
+                      r_domain=model.r_domain)
+    assert np.allclose(table.log_xi(radii[:6]), exact[:6], rtol=1e-15, atol=1e-15)
+
+
 #: the warps whose float path the solvers' right-hand sides call, by name
 FLOAT_PATH_WARPS = ("rotational", "busemann", "equidistant", "table")
 
