@@ -3,8 +3,8 @@
 Subcommands: soliton (solve one family and export artifacts), verify
 (diagnostics on a solve or CSV input), flow (graphical mean curvature
 flow), isometry (apply a Lorentz map to a point set), sweep (parameter
-grids).  The module imports only fileio, lorentz and warp_models; each
-command imports the solvers it runs, so every command loads NumPy alone
+grids).  The module imports only fileio and warp_models; each command
+imports the solvers or maps it runs, so every command loads NumPy alone
 and never SciPy.  Exit codes: 0 success, 2 a verify or sweep check
 failure or a soliton profile stopped at a limit short of --r-max (soliton
 prints its diagnostics verdict, pass or FAIL, and exits 0 on it), 1 usage
@@ -22,7 +22,7 @@ import re
 import sys
 from pathlib import Path
 
-from . import fileio, lorentz
+from . import fileio
 from .warp_models import _FAMILY_KIND, CHARTS, FAMILIES, make_builtin_warp
 
 #: the most nodes (a run holds about 270 B each) and steps x nodes one flow
@@ -345,6 +345,7 @@ def _cmd_flow(args) -> int:
 
 
 def _cmd_isometry(args) -> int:
+    from . import lorentz
     if args.map is None or args.param is None:
         raise UsageError("provide --map with --param")
     map_type, param = args.map, args.param

@@ -20,12 +20,15 @@ Which operations stay NumPy calls and which run on Python floats:
   the ``D`` rows of the dense coefficients.  OpenBLAS 0.3 (Haswell
   kernels) forms them with fused multiply-adds, so a left-to-right sum in
   Python floats differs from them in the last bit on 60–90 % of random
-  three-component stage arrays, already at two stages.  The solve calls
-  them on transposed views of its stage array taken once and writes each
-  stage's RHS tuple straight into its row.  The dense rows of all steps
-  are formed in one pass when the solve ends (:func:`_dense_rows`, whose
-  ``np.matmul(D, K)`` gives each step the bits of its own ``np.dot``), and
-  for a single step only where a stop's root is searched in it.
+  three-component stage arrays, already at two stages; err5 and err3 keep
+  one ``dot`` each, as one stacked ``dot`` changes their bits too.  Each
+  solve binds its stage plan once: for each stage its row, the ``dot`` of
+  a transposed view of its stage array, its tableau row and its node.  It
+  writes each stage's RHS tuple straight into its row.  The dense rows of
+  all steps are formed in one pass when the solve ends
+  (:func:`_dense_rows`, whose ``np.matmul(D, K)`` gives each step the bits
+  of its own ``np.dot``), and for a single step only where a stop's root
+  is searched in it.
 * On Python floats: the time, step size, direction, stage nodes, each
   stage state ``d * h + y`` from its stage sum ``d`` (the two roundings
   of NumPy's elementwise multiply and add), the minimum step
@@ -34,7 +37,10 @@ Which operations stay NumPy calls and which run on Python floats:
   ``np.linalg.norm(x) ** 2`` evaluates), the step-size factors and each
   component's scale atol + max(|y_old|, |y_new|) * rtol (one array per
   tried step).  IEEE arithmetic and the shared libm ``pow`` give these
-  NumPy's scalar bits.  States are lists of floats, so ``fun`` and the
+  NumPy's scalar bits.  A stage state is one expression per component
+  for the sizes the package integrates, a profile's (r, t, phi) and a
+  graph's (u, u'), and a comprehension for any other size; each solve
+  picks its form once.  States are lists of floats, so ``fun`` and the
   stops get a float time and a list state with no NumPy scalar in
   between, and the arrays of step ends are built once, as the solve ends.
 
@@ -256,10 +262,31 @@ D[3, 13] = 0.96324553959188282948394950600e+2
 D[3, 14] = -0.39177261675615439165231486172e+2
 D[3, 15] = -0.14972683625798562581422125276e+3
 
-# (its row of A up to the diagonal, its node as a float) of the step's
-# stages 1-11, then of the three extra stages 13-15 of the dense output
-_STAGES = [(A[s, :s], float(C[s])) for s in range(1, N_STAGES)]
-_EXTRA_STAGES = [(A[s, :s], float(C[s])) for s in range(N_STAGES + 1, N_STAGES_EXTENDED)]
+# (its row of K, its row of A up to the diagonal, its node as a float) of
+# stages 1-15: stages 1-12 make a step, the state of stage 12 (row B, node
+# 1) being its end, and 13-15 are the extra stages of its dense output
+_STAGES = [(s, A[s, :s], float(C[s])) for s in range(1, N_STAGES_EXTENDED)]
+
+
+def _state(d, h: float, y: list) -> list:
+    """The stage state d * h + y on Python floats, ``d`` a stage sum."""
+    return [a * h + v for a, v in zip(d.tolist(), y)]
+
+
+def _state_2(d, h: float, y: list) -> list:
+    """:func:`_state` unrolled for a graph's state (u, u')."""
+    d0, d1 = d.tolist()
+    return [d0 * h + y[0], d1 * h + y[1]]
+
+
+def _state_3(d, h: float, y: list) -> list:
+    """:func:`_state` unrolled for a profile's state (r, t, phi)."""
+    d0, d1, d2 = d.tolist()
+    return [d0 * h + y[0], d1 * h + y[1], d2 * h + y[2]]
+
+
+#: the stage state of each state size that has an unrolled one
+_UNROLLED_STATES = {2: _state_2, 3: _state_3}
 
 
 @dataclass(frozen=True)
@@ -339,21 +366,14 @@ def _initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
     return min(100 * h0, h1, interval_length)
 
 
-def _rk_step(fun, t: float, y: list, h: float, K, sums) -> list:
-    """The 12-stage step from (t, y), K[0] holding fun(t, y): y_new, with
-    every stage in K and fun(t + h, y_new) in its last row.  Each stage
-    state is d * h + y on Python floats, d its stage sum."""
-    for s, (a, c) in enumerate(_STAGES, start=1):
-        K[s] = fun(t + c * h, [d * h + v for d, v in zip(sums[s](a).tolist(), y)])
-    y_new = [d * h + v for d, v in zip(sums[N_STAGES](B).tolist(), y)]
-    K[N_STAGES] = fun(t + h, y_new)
-    return y_new
-
-
-def _extra_stages(fun, K_ext, sums, t_old: float, y_old: list, h: float):
-    """The three extra stages of a step's dense output, into K_ext[13:]."""
-    for s, (a, c) in enumerate(_EXTRA_STAGES, start=N_STAGES + 1):
-        K_ext[s] = fun(t_old + c * h, [d * h + v for d, v in zip(sums[s](a).tolist(), y_old)])
+def _run_stages(fun, K, plan, state, t: float, y: list, h: float) -> list:
+    """Each stage (s, dot, a, c) of ``plan`` from (t, y) over a step of
+    length h: K[s] = fun(t + c * h, state(d, h, y)), d = dot(a) its stage
+    sum.  Returns the state of the last stage."""
+    for s, dot, a, c in plan:
+        y_s = state(dot(a), h, y)
+        K[s] = fun(t + c * h, y_s)
+    return y_s
 
 
 def _error_norm(KT_dot, h: float, scale) -> float:
@@ -515,8 +535,12 @@ def solve(fun, t_span, y0, rtol: float, atol: float, stops=()) -> Outcome:
     K_ext = np.empty((N_STAGES_EXTENDED, n))
     K = K_ext[:N_STAGES + 1]
     K[0] = f
-    # sums[s](a) is the stage sum np.dot(K[:s].T, a), on views taken once
-    sums = [K_ext[:s].T.dot for s in range(N_STAGES_EXTENDED)]
+    # each stage with its stage sum np.dot(K[:s].T, a) bound to views taken
+    # once, and the stage state of this state size
+    plan = [(s, K_ext[:s].T.dot, a, c) for s, a, c in _STAGES]
+    step_plan, extra_plan = plan[:N_STAGES], plan[N_STAGES:]
+    state = _UNROLLED_STATES.get(n, _state)
+    error_sum = K.T.dot
 
     g = [event(t0, y) for _, event, _ in stops]
     found = [[] for _ in stops]  # the (root, state) pairs of each stop
@@ -541,7 +565,7 @@ def solve(fun, t_span, y0, rtol: float, atol: float, stops=()) -> Outcome:
                 t_new = t_bound
             h = t_new - t_old
             h_abs = abs(h)
-            y_new = _rk_step(fun, t_old, y_old, h, K, sums)
+            y_new = _run_stages(fun, K_ext, step_plan, state, t_old, y_old, h)
             nfev += N_STAGES
             # atol + max(|y_old|, |y_new|) * rtol; as with np.maximum, a NaN
             # |y_new| gives NaN (|y_old|, y0 or an accepted state, is never NaN)
@@ -551,7 +575,7 @@ def solve(fun, t_span, y0, rtol: float, atol: float, stops=()) -> Outcome:
             # the first attempts of a solve and the retries of a rejected
             # step; only those run the quiet norm, which costs about 1 us
             norm = _quiet_error_norm if step_rejected or not n_steps else _error_norm
-            error_norm = norm(sums[N_STAGES + 1], h, scale)
+            error_norm = norm(error_sum, h, scale)
             if error_norm < 1:
                 if error_norm == 0:
                     factor = MAX_FACTOR
@@ -572,7 +596,7 @@ def solve(fun, t_span, y0, rtol: float, atol: float, stops=()) -> Outcome:
             stop = END_OF_SPAN
         elif n_steps == MAX_STEPS:
             stop = STEP_BUDGET
-        _extra_stages(fun, K_ext, sums, t_old, y_old, h)
+        _run_stages(fun, K_ext, extra_plan, state, t_old, y_old, h)
         nfev += N_STAGES_EXTENDED - N_STAGES - 1
         K_step = K_ext.copy()
         K[0] = K[N_STAGES]  # the next step starts from fun(t, y)
@@ -625,7 +649,9 @@ class DenseSolution:
     and from the right on the reversed ends of a descending one, clipped to
     the steps) and runs :func:`_step_polynomial` on all of them at once,
     so the values equal ``solve_ivp``'s ``sol(t)`` bit for bit.  Step k
-    starts at the kept step end ``out.t[k]``, ``out.y[:, k]``.
+    starts at the kept step end ``out.t[k]``, ``out.y[:, k]``.  The
+    coefficients are kept step-major, so the points' steps are gathered as
+    whole contiguous blocks (``F[seg]``).
     """
 
     def __init__(self, out: Outcome):
@@ -635,8 +661,9 @@ class DenseSolution:
         self.ts_sorted = ts if self.ascending else ts[::-1]
         self.t_old, self.h = ts[:-1], out.h
         self.y_old = out.y[:, :-1]
-        # (power, component, step), highest power first as SciPy applies them
-        self.F = out.F[:, ::-1].transpose(1, 2, 0)
+        # (step, power, component), highest power first as SciPy applies
+        # them: the points' steps are gathered as whole contiguous blocks
+        self.F = np.ascontiguousarray(out.F[:, ::-1])
 
     def __call__(self, t):
         """Values at ``t``: shape (n_states,) for a scalar, else (n_states, n_points)."""
@@ -648,7 +675,7 @@ class DenseSolution:
         if not self.ascending:
             seg = last - seg
         x = (points - self.t_old[seg]) / self.h[seg]
-        y = _step_polynomial(self.F[:, :, seg], x, self.y_old[:, seg])
+        y = _step_polynomial(self.F[seg].transpose(1, 2, 0), x, self.y_old[:, seg])
         return y[:, 0] if t.ndim == 0 else y
 
 
